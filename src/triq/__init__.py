@@ -18,8 +18,7 @@ from .model import (MassParams, PotentialProfile, RegionCoefficients,
 from .oracle import (IntegrationSpec, integrate, matched_transmission,
                      ode_residual)
 from .scatter import (FIDELITY_MODES, SweepRow, TransmissionResult,
-                      region_I_wave, region_II_wave, rescale_diagnostic,
-                      sweep, transmission)
+                      rescale_diagnostic, sweep, transmission)
 from .special import (airy_ai, airy_bi, gamma, kummer_m, recip_gamma,
                       tricomi_u)
 from .validate import info_lines, run_suites
@@ -57,8 +56,6 @@ __all__ = [
     "matched_transmission",
     "ode_residual",
     "recip_gamma",
-    "region_I_wave",
-    "region_II_wave",
     "rescale_diagnostic",
     "run_suites",
     "spectrum",

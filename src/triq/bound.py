@@ -80,11 +80,7 @@ def count_bound_states(mp: MassParams, pp: PotentialProfile,
     Spacing grows like alpha^(3/4) while the well floor rises only
     linearly, so the scan always terminates.
     """
-    _require_well(pp)
-    n = 0
-    while energy_level(n, mp, pp, u).below_zero:
-        n += 1
-    return n
+    return len(spectrum(mp, pp, u)) - 1
 
 
 def spectrum(mp: MassParams, pp: PotentialProfile,

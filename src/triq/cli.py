@@ -20,12 +20,11 @@ from typing import Optional, Union
 from .bound import spectrum, table1_report
 from .errors import DomainError, TriqError
 from .model import MassParams, PotentialProfile, make_units
-from .scatter import FIDELITY_MODES, sweep
+from .scatter import AXES, FIDELITY_MODES, sweep
 from .validate import info_lines, run_suites
 
 CSV_HEADER = "axis,T_solve,T_paper,t1,t2,b1,b2,b3,b4,b5,residual,flags"
 
-_AXES = ("E", "V0", "a")
 _KINDS = ("barrier", "well")
 
 
@@ -98,8 +97,8 @@ def parse(text: str) -> RunConfig:
 def validate_config(config: RunConfig) -> None:
     if config.kind not in _KINDS:
         raise DomainError(f"kind must be one of {_KINDS}, got {config.kind!r}")
-    if config.axis not in _AXES:
-        raise DomainError(f"axis must be one of {_AXES}, got {config.axis!r}")
+    if config.axis not in AXES:
+        raise DomainError(f"axis must be one of {AXES}, got {config.axis!r}")
     if config.paper_fidelity not in FIDELITY_MODES:
         raise DomainError(f"paper_fidelity must be one of {FIDELITY_MODES}, "
                           f"got {config.paper_fidelity!r}")
@@ -230,8 +229,8 @@ def cmd_bound(config: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_validate(airy_offset: float = 0.0) -> tuple[str, int]:
-    suites = run_suites(airy_offset)
+def cmd_validate() -> tuple[str, int]:
+    suites = run_suites()
     lines = []
     for s in suites:
         tag = "PASS" if s.passed else "FAIL"
@@ -249,7 +248,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", metavar="PATH",
                         help="flat key = value file; flags override it")
     common.add_argument("--out", metavar="PATH")
-    common.add_argument("--axis", choices=_AXES)
+    common.add_argument("--axis", choices=AXES)
     common.add_argument("--min", type=float)
     common.add_argument("--max", type=float)
     common.add_argument("--points", type=int)

@@ -39,11 +39,8 @@ class IntegrationSpec:
     step: float
     value: float
     derivative: float
-    method: str = "rk4"
 
     def __post_init__(self):
-        if self.method != "rk4":
-            raise DomainError(f"unsupported method {self.method!r}")
         if not (self.step > 0.0 and math.isfinite(self.step)):
             raise DomainError(f"step must be positive, got {self.step!r}")
         span = abs(self.x_end - self.x_start)

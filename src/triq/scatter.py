@@ -37,10 +37,9 @@ import numpy as np
 
 from .errors import AccuracyError, ConditioningError, DomainError
 from .model import (MassParams, PotentialProfile, RegionCoefficients,
-                    UnitSystem, airy_argument, airy_scale,
-                    barrier_coefficients)
-from .special import (airy_ai, airy_bi, kummer_m, kummer_m_regularized,
-                      recip_gamma, tricomi_u_large_z)
+                    UnitSystem, airy_scale, barrier_coefficients)
+from .special import (AiryPair, airy_ai, airy_bi, kummer_m,
+                      kummer_m_regularized, recip_gamma, tricomi_u_large_z)
 
 # |b1| below this fraction of the amplitude scale marks a resonance point
 RESONANCE_RTOL = 1e-12
@@ -53,10 +52,23 @@ RESONANCE_RTOL = 1e-12
 _SECOND_BUDGET = 1e-4
 
 FIDELITY_MODES = ("none", "signs", "t2", "all")
+AXES = ("E", "V0", "a")
+
+
+# 1/Gamma(c) of the two even-branch c values, so the regularized even
+# kernels reuse the plain series (DLMF 13.2.4: M~(b;c;z) = M(b;c;z)/Gamma(c))
+_RG_HALF = recip_gamma(0.5)
+_RG_THREE_HALVES = recip_gamma(1.5)
 
 
 class _Kernels(NamedTuple):
-    """Shared Kummer evaluations at one interior point."""
+    """Kummer evaluations at one interior point, four series in all.
+
+    m_val, m_dval, r_odd and r_odd_d are one series each; r_even and
+    r_even_d are m_val and m_dval times the constant 1/Gamma(c), the same
+    doubles kummer_m_regularized would return.  One instance per interface
+    feeds first(), second() and abbreviations_at().
+    """
 
     z: float
     damp: float      # e^(-z/2)
@@ -93,11 +105,12 @@ class RegionIIBasis:
     def kernels(self, x: float) -> _Kernels:
         b = self.b_param
         z = self.z_of_x(x)
+        m_val = kummer_m(b, 0.5, z)
+        m_dval = kummer_m(b + 1.0, 1.5, z)
         return _Kernels(z=z, damp=math.exp(-0.5 * z),
-                        m_val=kummer_m(b, 0.5, z),
-                        m_dval=kummer_m(b + 1.0, 1.5, z),
-                        r_even=kummer_m_regularized(b, 0.5, z),
-                        r_even_d=kummer_m_regularized(b + 1.0, 1.5, z),
+                        m_val=m_val, m_dval=m_dval,
+                        r_even=m_val * _RG_HALF,
+                        r_even_d=m_dval * _RG_THREE_HALVES,
                         r_odd=kummer_m_regularized(b + 0.5, 1.5, z),
                         r_odd_d=kummer_m_regularized(b + 1.5, 2.5, z))
 
@@ -161,31 +174,6 @@ def basis_for(rc: RegionCoefficients) -> RegionIIBasis:
                          y_offset=rc.y2)
 
 
-def region_I_wave(x, E, mp: MassParams, u: UnitSystem,
-                  amplitudes: tuple[float, float]) -> tuple[float, float]:
-    """Exterior wave b1 Ai + b2 Bi left of the profile; derivative is in x."""
-    b1, b2 = amplitudes
-    k = airy_scale(E, mp, u)
-    y = airy_argument(x, E, mp, u)
-    ai = airy_ai(y)
-    bi = airy_bi(y)
-    return (b1 * ai.value + b2 * bi.value,
-            k * (b1 * ai.derivative + b2 * bi.derivative))
-
-
-def region_II_wave(x, E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
-                   amplitudes: tuple[float, float],
-                   printed_signs: bool = False) -> tuple[float, float]:
-    """Interior wave b3*first + b4*second at x, derivative in x."""
-    b3, b4 = amplitudes
-    basis = basis_for(barrier_coefficients(E, mp, pp, u,
-                                           printed_signs=printed_signs))
-    ker = basis.kernels(x)
-    fv, fd = basis.first(x, ker)
-    sv, sd = basis.second(x, ker)
-    return b3 * fv + b4 * sv, b3 * fd + b4 * sd
-
-
 class AbbreviationSet(NamedTuple):
     """The published shorthand quantities, evaluated exactly as printed.
 
@@ -247,11 +235,21 @@ def abbreviations_at(basis: RegionIIBasis, x: float,
 
 
 class MatchingSystem(NamedTuple):
+    """The 4x4 system plus the interface data the printed closed form reads.
+
+    assemble_matching evaluates everything here once per point: fset and
+    gset are the printed abbreviation sets at x = 0 and x = a, built from
+    the same kernels as the basis columns; bi0 is Bi(y1) and ai_a is Ai(y3),
+    the Airy pairs of matrix rows 1-2 and of the right-hand side.
+    """
+
     matrix: np.ndarray
     rhs: np.ndarray
-    coefficients: RegionCoefficients
-    basis: RegionIIBasis
     airy_scale: float
+    fset: AbbreviationSet
+    gset: AbbreviationSet
+    bi0: AiryPair
+    ai_a: AiryPair
 
 
 @dataclass(frozen=True)
@@ -280,7 +278,9 @@ def assemble_matching(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
     the caller (default 1).  Rows 1-2 are the x = 0 interface, rows 3-4 the
     x = a interface with the decaying Airy tail on the right-hand side.
     printed_columns swaps the interior columns for the published shorthand
-    values; everything else is unchanged.
+    values; everything else is unchanged.  The kernels at each interface
+    are evaluated once and shared by the columns and both abbreviation
+    sets, which travel in the system for the printed closed form.
     """
     rc = barrier_coefficients(E, mp, pp, u, printed_signs=printed_signs)
     basis = basis_for(rc)
@@ -288,16 +288,16 @@ def assemble_matching(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
     ai0 = airy_ai(rc.y1)
     bi0 = airy_bi(rc.y1)
     ai_a = airy_ai(rc.y3)
+    ker0 = basis.kernels(0.0)
+    kera = basis.kernels(pp.a)
+    fset = abbreviations_at(basis, 0.0, ker0)
+    gset = abbreviations_at(basis, pp.a, kera)
     if printed_columns:
-        fset = abbreviations_at(basis, 0.0)
-        gset = abbreviations_at(basis, pp.a)
         v0, q0 = fset.f1p, fset.f7
         d0, qd0 = fset.f8, fset.f9
         va, qa = gset.f1p, gset.f7
         da, qda = gset.f8, gset.f9
     else:
-        ker0 = basis.kernels(0.0)
-        kera = basis.kernels(pp.a)
         v0, d0 = basis.first(0.0, ker0)
         q0, qd0 = basis.second(0.0, ker0)
         va, da = basis.first(pp.a, kera)
@@ -309,8 +309,8 @@ def assemble_matching(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
         [0.0, 0.0, da, qda],
     ])
     rhs = np.array([0.0, 0.0, b5 * ai_a.value, b5 * k * ai_a.derivative])
-    return MatchingSystem(matrix=matrix, rhs=rhs, coefficients=rc,
-                          basis=basis, airy_scale=k)
+    return MatchingSystem(matrix=matrix, rhs=rhs, airy_scale=k, fset=fset,
+                          gset=gset, bi0=bi0, ai_a=ai_a)
 
 
 def solve_matching(system: MatchingSystem, E=None, b5: float = 1.0) -> MatchSolution:
@@ -363,17 +363,15 @@ class TransmissionResult:
 def _paper_closed_form(system: MatchingSystem, b5: float) -> tuple[float, float, float]:
     """t1, t2 and (t1/t2)^2 from the published closed form, verbatim.
 
-    b5 enters by scaling the transmitted Airy tail, which multiplies two of
-    the four t2 brackets; t1 has none, hence the s^-4 behaviour the
-    rescale diagnostic exposes.
+    Pure arithmetic on what assemble_matching already evaluated: the
+    abbreviation sets system.fset (x = 0) and system.gset (x = a), Bi(y1)
+    as system.bi0 and Ai(y3) as system.ai_a.  b5 enters by scaling the
+    transmitted Airy tail, which multiplies two of the four t2 brackets; t1
+    has none, hence the s^-4 behaviour the rescale diagnostic exposes.
     """
-    rc = system.coefficients
     k = system.airy_scale
-    fset = abbreviations_at(system.basis, 0.0)
-    gset = abbreviations_at(system.basis, rc.y4 - rc.y2)  # x = a
-    ai_a = airy_ai(rc.y3)
-    bi0 = airy_bi(rc.y1)
-    ai3, aip3 = b5 * ai_a.value, b5 * ai_a.derivative
+    fset, gset, bi0 = system.fset, system.gset, system.bi0
+    ai3, aip3 = b5 * system.ai_a.value, b5 * system.ai_a.derivative
     t1 = k / math.pi * (gset.f1p * gset.f9 - gset.f8 * gset.f7)
     t2 = ((gset.f9 * ai3 - k * gset.f7 * aip3)
           * (k * fset.f1p * bi0.derivative - fset.f8 * bi0.value)
@@ -427,9 +425,6 @@ class SweepRow:
     flags: tuple[str, ...]
 
 
-_AXES = ("E", "V0", "a")
-
-
 def sweep(axis: str, values: Sequence[float], mp: MassParams,
           pp: PotentialProfile, u: UnitSystem, E: float = 0.1,
           fidelity: str = "none", auto_alpha: bool = False) -> list[SweepRow]:
@@ -440,8 +435,8 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
     triangle keeps touching zero at x = a; otherwise pp.alpha is used as
     given.  Per-point failures are recorded in flags with NaN results.
     """
-    if axis not in _AXES:
-        raise DomainError(f"axis must be one of {_AXES}, got {axis!r}")
+    if axis not in AXES:
+        raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
     if len(values) < 1:
         raise DomainError("sweep needs at least one grid point")
     for i in range(len(values) - 1):

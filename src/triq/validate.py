@@ -46,17 +46,14 @@ def _default_setup():
     return u, mp, pp
 
 
-def suite_airy_wronskian(airy_offset: float = 0.0) -> SuiteResult:
-    # pi (Ai Bi' - Ai' Bi) = 1 on both sides of the turning point.
-    # airy_offset is a test-only hook that shifts the Ai values so the
-    # negative-control path through the runner stays exercised.
+def suite_airy_wronskian() -> SuiteResult:
+    # pi (Ai Bi' - Ai' Bi) = 1 on both sides of the turning point
     worst = 0.0
     for i in range(2001):
         y = -12.0 + 18.0 * i / 2000.0
         ai = airy_ai(y)
         bi = airy_bi(y)
-        w = math.pi * ((ai.value + airy_offset) * bi.derivative
-                       - ai.derivative * bi.value)
+        w = math.pi * (ai.value * bi.derivative - ai.derivative * bi.value)
         worst = max(worst, abs(w - 1.0))
     return SuiteResult(name="airy-wronskian", worst=worst, budget=1e-12)
 
@@ -126,9 +123,13 @@ def suite_interior_equation() -> SuiteResult:
     basis = basis_for(barrier_coefficients(E, mp, pp, u))
     weight = lambda x: u.H_per_m0 * mp.mass_at(x) * (E - pp.V0 + pp.alpha * x)
     xs = [i * 1e-3 for i in range(7001)]
+    first_vals, second_vals = [], []
+    for x in xs:
+        ker = basis.kernels(x)
+        first_vals.append(basis.first(x, ker)[0])
+        second_vals.append(basis.second(x, ker)[0])
     worst = 0.0
-    for fn in (basis.first, basis.second):
-        vals = [fn(x)[0] for x in xs]
+    for vals in (first_vals, second_vals):
         report = ode_residual(xs, vals, weight)
         worst = max(worst, report.residual if report.conclusive else math.inf)
     return SuiteResult(name="interior-equation", worst=worst, budget=1e-6)
@@ -145,8 +146,9 @@ def suite_interior_wronskian() -> SuiteResult:
         exact = (-2.0 * math.sqrt(math.pi) * math.sqrt(basis.sqrt_a1)
                  * recip_gamma(basis.b_param))
         for x in (0.0, 1.75, -basis.y_offset, 5.25, pp.a):
-            fv, fd = basis.first(x)
-            sv, sd = basis.second(x)
+            ker = basis.kernels(x)
+            fv, fd = basis.first(x, ker)
+            sv, sd = basis.second(x, ker)
             worst = max(worst, abs((fv * sd - fd * sv) / exact - 1.0))
     return SuiteResult(name="interior-wronskian", worst=worst, budget=1e-8)
 
@@ -184,9 +186,9 @@ def suite_bound_residuals() -> SuiteResult:
     return SuiteResult(name="bound-residuals", worst=worst, budget=1e-10)
 
 
-def run_suites(airy_offset: float = 0.0) -> list[SuiteResult]:
+def run_suites() -> list[SuiteResult]:
     return [
-        suite_airy_wronskian(airy_offset),
+        suite_airy_wronskian(),
         suite_airy_equation(),
         suite_gamma_recurrence(),
         suite_kummer_derivative(),
@@ -209,8 +211,9 @@ def info_lines() -> list[str]:
     rc = barrier_coefficients(E, mp, pp, u)
     flipped = barrier_coefficients(E, mp, pp, u, printed_signs=True)
     basis = basis_for(rc)
-    fset = abbreviations_at(basis, 0.0)
-    dpdx0 = basis.first(0.0)[1]
+    ker0 = basis.kernels(0.0)
+    fset = abbreviations_at(basis, 0.0, ker0)
+    dpdx0 = basis.first(0.0, ker0)[1]
     b_alt = 0.25 * (1.0 + rc.lam / (4.0 * rc.a1))
     lines = [
         f"printed closed form at E = {E:g} eV: T_paper/T_solve = "

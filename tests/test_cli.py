@@ -36,6 +36,23 @@ class TestGolden:
         text = cmd_transmission(RunConfig(points=1, min=0.1))
         assert text.count(CSV_HEADER) == 1
 
+    @pytest.mark.parametrize("argv, digest", [
+        ("transmission --min 0.02 --max 2.25 --points 200",
+         "42b94fc88293c93947ce31bc298a8dac17e1355ce82f2ba7f4f648f76e3fc6a4"),
+        ("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity all",
+         "576871dbea81512e1f1420619fdb08b2cba5b0a273d7e51ea6a588f6af58d613"),
+        ("tunnelling --min 0.02 --max 0.44 --points 200",
+         "a87c0a9bc20e456e8399ff7d42dc476dc32ae105d017799d47202799457a4a0b"),
+        ("validate",
+         "eaf83caf42e188c11c19556464efde4adec90a0c7c5ed1f20aca3597660925b2"),
+    ])
+    def test_output_bytes_pinned(self, argv, digest, capsys):
+        # every byte of these runs is frozen: a refactor that moves any
+        # 17-digit figure, flag or INFO line changes the digest
+        assert main(argv.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestConfig:
     def test_round_trip_defaults(self):

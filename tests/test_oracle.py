@@ -35,10 +35,6 @@ def airy_state(x, E):
 
 
 class TestSpecValidation:
-    def test_rejects_unknown_method(self):
-        with pytest.raises(DomainError):
-            IntegrationSpec(0.0, 1.0, 1e-3, 1.0, 0.0, method="euler")
-
     def test_rejects_bad_step(self):
         for step in (0.0, -1e-3, math.inf, math.nan):
             with pytest.raises(DomainError):

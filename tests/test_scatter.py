@@ -10,25 +10,25 @@ import math
 import numpy as np
 import pytest
 
+import triq.special
 from triq.errors import AccuracyError, ConditioningError, DomainError
-from triq.model import MassParams, PotentialProfile, barrier_coefficients, make_units
+from triq.model import (MassParams, PotentialProfile, airy_scale,
+                        barrier_coefficients, make_units)
 from triq.oracle import IntegrationSpec, integrate, matched_transmission, ode_residual
 from triq.scatter import (
     FIDELITY_MODES,
     RESONANCE_RTOL,
-    MatchingSystem,
     RegionIIBasis,
+    _div,
     abbreviations_at,
     assemble_matching,
     basis_for,
-    region_I_wave,
-    region_II_wave,
     rescale_diagnostic,
     solve_matching,
     sweep,
     transmission,
 )
-from triq.special import recip_gamma
+from triq.special import airy_ai, airy_bi, recip_gamma
 
 U = make_units()
 MASS = MassParams()
@@ -142,9 +142,21 @@ class TestMatching:
         E = 0.1
         system = assemble_matching(E, MASS, BARRIER, U)
         sol = solve_matching(system, E=E)
-        left = region_I_wave(0.0, E, MASS, U, (sol.b1, sol.b2))
-        mid0 = region_II_wave(0.0, E, MASS, BARRIER, U, (sol.b3, sol.b4))
-        mida = region_II_wave(BARRIER.a, E, MASS, BARRIER, U, (sol.b3, sol.b4))
+        rc = barrier_coefficients(E, MASS, BARRIER, U)
+        basis = basis_for(rc)
+        k = airy_scale(E, MASS, U)
+        ai, bi = airy_ai(rc.y1), airy_bi(rc.y1)
+        left = (sol.b1 * ai.value + sol.b2 * bi.value,
+                k * (sol.b1 * ai.derivative + sol.b2 * bi.derivative))
+
+        def wave(x):
+            ker = basis.kernels(x)
+            fv, fd = basis.first(x, ker)
+            sv, sd = basis.second(x, ker)
+            return sol.b3 * fv + sol.b4 * sv, sol.b3 * fd + sol.b4 * sd
+
+        mid0 = wave(0.0)
+        mida = wave(BARRIER.a)
         assert left[0] == pytest.approx(mid0[0], rel=1e-10)
         assert left[1] == pytest.approx(mid0[1], rel=1e-10)
         assert mida[0] == pytest.approx(system.rhs[2], rel=1e-10)
@@ -165,17 +177,13 @@ class TestMatching:
 
     def test_nonfinite_system_rejected(self):
         system = assemble_matching(0.1, MASS, BARRIER, U)
-        bad = MatchingSystem(matrix=system.matrix * math.nan, rhs=system.rhs,
-                             coefficients=system.coefficients,
-                             basis=system.basis, airy_scale=system.airy_scale)
+        bad = system._replace(matrix=system.matrix * math.nan)
         with pytest.raises(ConditioningError):
             solve_matching(bad, E=0.1)
 
     def test_singular_system_rejected(self):
         system = assemble_matching(0.1, MASS, BARRIER, U)
-        bad = MatchingSystem(matrix=np.zeros((4, 4)), rhs=system.rhs,
-                             coefficients=system.coefficients,
-                             basis=system.basis, airy_scale=system.airy_scale)
+        bad = system._replace(matrix=np.zeros((4, 4)))
         with pytest.raises(ConditioningError):
             solve_matching(bad, E=0.1)
 
@@ -243,6 +251,56 @@ class TestTransmission:
         res = transmission(0.1, MASS, BARRIER, U)
         assert math.isfinite(res.T_paper)
         assert res.T_paper == pytest.approx((res.t1 / res.t2) ** 2, rel=1e-12)
+
+
+def reference_paper_form(E, fidelity):
+    """(t1, t2, T_paper) with every interface quantity evaluated afresh."""
+    rc = barrier_coefficients(E, MASS, BARRIER, U,
+                              printed_signs=fidelity in ("signs", "all"))
+    basis = basis_for(rc)
+    k = airy_scale(E, MASS, U)
+    fset = abbreviations_at(basis, 0.0)
+    gset = abbreviations_at(basis, rc.y4 - rc.y2)
+    ai_a = airy_ai(rc.y3)
+    bi0 = airy_bi(rc.y1)
+    t1 = k / math.pi * (gset.f1p * gset.f9 - gset.f8 * gset.f7)
+    t2 = ((gset.f9 * ai_a.value - k * gset.f7 * ai_a.derivative)
+          * (k * fset.f1p * bi0.derivative - fset.f8 * bi0.value)
+          * (k * gset.f1p * ai_a.derivative - gset.f8 * ai_a.value)
+          * (k * fset.f7 * bi0.derivative - fset.f9 * bi0.value))
+    ratio = _div(t1, t2)
+    return t1, t2, ratio * ratio
+
+
+class TestInterfaceEvaluatedOnce:
+    # the 200-point wide sweep grid of the CLI (0.02-2.25 eV)
+    GRID = [0.02 + (2.25 - 0.02) * i / 199 for i in range(200)]
+
+    def test_kummer_series_per_point(self, monkeypatch):
+        # two interfaces, four series each: M(b;1/2), M(b+1;3/2) and the
+        # two odd-branch regularized kernels; the even regularized pair
+        # reuses the first two
+        calls = []
+        series = triq.special._kummer_series
+
+        def counted(*args):
+            calls.append(args)
+            return series(*args)
+
+        monkeypatch.setattr(triq.special, "_kummer_series", counted)
+        for E in (0.1, 2.2):
+            for mode in FIDELITY_MODES:
+                del calls[:]
+                transmission(E, MASS, BARRIER, U, fidelity=mode)
+                assert len(calls) == 8
+
+    @pytest.mark.parametrize("mode", FIDELITY_MODES)
+    def test_paper_form_matches_fresh_evaluation(self, mode):
+        for E in self.GRID:
+            res = transmission(E, MASS, BARRIER, U, fidelity=mode)
+            got = (res.t1, res.t2, res.T_paper)
+            want = reference_paper_form(E, mode)
+            assert [v.hex() for v in got] == [v.hex() for v in want], E
 
 
 class TestSweep:
