@@ -36,16 +36,17 @@ intermediate quantities for side-by-side comparison:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import AccuracyError, ConditioningError, DomainError
+from .errors import AccuracyError, ConditioningError, DomainError, TriqError
 from .model import (MassParams, PotentialProfile, RegionCoefficients,
                     UnitSystem, airy_scale, barrier_coefficients)
-from .special import (AiryPair, airy_ai, airy_bi, kummer_m,
-                      kummer_m_regularized, recip_gamma, tricomi_u_large_z)
+from .special import (AiryPair, airy_ai, airy_bi, kummer_m, recip_gamma,
+                      tricomi_u_large_z)
 
 # |b1| below this fraction of the amplitude scale marks a resonance point
 RESONANCE_RTOL = 1e-12
@@ -56,24 +57,27 @@ RESONANCE_RTOL = 1e-12
 # points that pass are delivered at ~1e-7 or better, points that fail would
 # come back with no correct digits at all.
 _SECOND_BUDGET = 1e-4
+_LOSS_CAP = 1e200
 
 FIDELITY_MODES = ("none", "signs", "t2", "all")
 AXES = ("E", "V0", "a")
 
 
-# 1/Gamma(c) of the two even-branch c values, so the regularized even
-# kernels reuse the plain series (DLMF 13.2.4: M~(b;c;z) = M(b;c;z)/Gamma(c))
+# 1/Gamma(c) of the three kernel c values: the regularized kernels are the
+# plain series times these (DLMF 13.2.4: M~(b;c;z) = M(b;c;z)/Gamma(c)),
+# the same doubles kummer_m_regularized returns
 _RG_HALF = recip_gamma(0.5)
 _RG_THREE_HALVES = recip_gamma(1.5)
+_RG_FIVE_HALVES = recip_gamma(2.5)
 
 
 class _Kernels(NamedTuple):
     """Kummer evaluations at one interior point, four series in all.
 
-    m_val, m_dval, r_odd and r_odd_d are one series each; r_even and
-    r_even_d are m_val and m_dval times the constant 1/Gamma(c), the same
-    doubles kummer_m_regularized would return.  One instance per interface
-    feeds first(), second() and abbreviations_at().
+    m_val, m_dval, r_odd and r_odd_d are one series each; the regularized
+    ones are a series times the constant 1/Gamma(c), the same doubles
+    kummer_m_regularized would return.  One instance per interface feeds
+    first(), second() and abbreviations_at().
     """
 
     z: float
@@ -95,11 +99,31 @@ class RegionIIBasis:
     classical solution across y = 0: the printed second solution carries
     sqrt(z) = a1^(1/4)|y|, which kinks at the vertex, so the odd factor is
     built with the signed y instead.
+
+    The reciprocal Gammas below depend on b_param alone: each is evaluated
+    once per basis, on first use, and shared by both interfaces.  First
+    use, not construction, so a point the kernels refuse still reports the
+    kernel's error rather than a Gamma overflow further down the line.
     """
 
     b_param: float
     sqrt_a1: float
     y_offset: float  # y(x) = x + y_offset
+
+    @cached_property
+    def rg_b(self) -> float:
+        """1/Gamma(b)."""
+        return recip_gamma(self.b_param)
+
+    @cached_property
+    def rg_bh(self) -> float:
+        """1/Gamma(b + 1/2)."""
+        return recip_gamma(self.b_param + 0.5)
+
+    @cached_property
+    def rg_f6(self) -> float:
+        """1/Gamma(1/4 + lam/sqrt(a1)), the printed Gamma argument of f6."""
+        return recip_gamma(0.25 + (4.0 * self.b_param - 1.0))
 
     def y_of_x(self, x: float) -> float:
         return x + self.y_offset
@@ -117,8 +141,8 @@ class RegionIIBasis:
                         m_val=m_val, m_dval=m_dval,
                         r_even=m_val * _RG_HALF,
                         r_even_d=m_dval * _RG_THREE_HALVES,
-                        r_odd=kummer_m_regularized(b + 0.5, 1.5, z),
-                        r_odd_d=kummer_m_regularized(b + 1.5, 2.5, z))
+                        r_odd=kummer_m(b + 0.5, 1.5, z) * _RG_THREE_HALVES,
+                        r_odd_d=kummer_m(b + 1.5, 2.5, z) * _RG_FIVE_HALVES)
 
     def first(self, x: float, ker: Optional[_Kernels] = None) -> tuple[float, float]:
         """(value, d/dx) of the even basis solution."""
@@ -145,8 +169,8 @@ class RegionIIBasis:
         y = x + self.y_offset
         s = self.sqrt_a1
         root = math.sqrt(s)  # a1^(1/4)
-        rg_b = recip_gamma(b)
-        rg_bh = recip_gamma(b + 0.5)
+        rg_b = self.rg_b
+        rg_bh = self.rg_bh
         va = ker.r_even * rg_bh
         vb = root * y * ker.r_odd * rg_b
         da = 2.0 * s * y * b * ker.r_even_d * rg_bh
@@ -154,8 +178,8 @@ class RegionIIBasis:
         dc = 2.0 * s * root * y * y * (b + 0.5) * ker.r_odd_d * rg_b
         u = math.pi * (va - vb)
         du_dy = math.pi * (da - db - dc)
-        loss = max((abs(va) + abs(vb)) / max(abs(va - vb), 1e-300),
-                   (abs(da) + abs(db) + abs(dc)) / max(abs(da - db - dc), 1e-300))
+        loss = max(_loss(abs(va) + abs(vb), va - vb),
+                   _loss(abs(da) + abs(db) + abs(dc), da - db - dc))
         # ~10x above the observed error per unit loss in the moderate-z band;
         # past z ~ 25 the recurrence route wins the comparison regardless.
         est = 1e-15 * loss
@@ -173,6 +197,23 @@ class RegionIIBasis:
         value = ker.damp * u
         deriv = ker.damp * (du_dy - s * y * u)
         return value, deriv
+
+
+def _loss(parts: float, net: float) -> float:
+    """Cancellation factor parts / |net| of second(), |net| floored at 1e-300.
+
+    Saturates at _LOSS_CAP instead of overflowing: the two terms can cancel
+    to exactly zero (at x = a near E = 1.925 and 2.037 eV on the default
+    barrier), where parts / 1e-300 would be inf, and a np.float64 input
+    would raise an overflow warning.  Any loss past 1e11 already puts the
+    subtraction form over _SECOND_BUDGET: the point then stands or falls by
+    the recurrence's own estimate, which beats the capped one exactly when
+    it beats the uncapped one within budget, so no route decision moves.
+    """
+    den = max(abs(net), 1e-300)
+    if parts * (1.0 / _LOSS_CAP) < den:
+        return parts / den
+    return _LOSS_CAP
 
 
 def basis_for(rc: RegionCoefficients) -> RegionIIBasis:
@@ -225,12 +266,12 @@ def abbreviations_at(basis: RegionIIBasis, x: float,
     pre = s * y * ker.damp
     f1 = pre * ker.m_val
     f2 = pre * ker.m_dval
-    f3 = math.pi * pre * recip_gamma(b + 0.5) * ker.r_even
-    f4 = (math.pi * pre * recip_gamma(b + 0.5) / 2.0
+    f3 = math.pi * pre * basis.rg_bh * ker.r_even
+    f4 = (math.pi * pre * basis.rg_bh / 2.0
           * (1.0 + lam_over_root) * ker.r_even_d)
-    f5 = math.pi * pre * recip_gamma(b) * ker.r_odd
+    f5 = math.pi * pre * basis.rg_b * ker.r_odd
     # the printed gamma argument here is 1/4 + lam/sqrt(a1), not b
-    f6 = (math.pi * pre * recip_gamma(0.25 + lam_over_root) / 2.0
+    f6 = (math.pi * pre * basis.rg_f6 / 2.0
           * (3.0 + lam_over_root) * ker.r_odd_d)
     f1p = _div(f1, s * y)
     f3p = _div(f3, s * y)
@@ -265,8 +306,18 @@ class MatchSolution:
     b3: float
     b4: float
     b5: float
-    condition_estimate: float
     residual: float
+    # the row- and column-equilibrated matrix the amplitudes were solved from
+    equilibrated: np.ndarray = field(compare=False, repr=False)
+
+    @property
+    def condition_estimate(self) -> float:
+        """2-norm condition number of the equilibrated matrix (one SVD).
+
+        The equilibrated one is what the amplitudes actually see; it is
+        computed when read, not on every solve.
+        """
+        return float(np.linalg.cond(self.equilibrated))
 
     @property
     def amplitude_scale(self) -> float:
@@ -326,8 +377,7 @@ def solve_matching(system: MatchingSystem, E=None, b5: float = 1.0) -> MatchSolu
                                 energy_eV=E)
     # The recessive column spans ~15 orders of magnitude between the two
     # interfaces, so equilibrate rows then columns before factoring.  Powers
-    # of two keep the scaling exact; the reported condition number is the
-    # equilibrated one, which is what the amplitudes actually see.
+    # of two keep the scaling exact.
     row = np.max(np.abs(a), axis=1)
     row = np.exp2(-np.round(np.log2(np.where(row == 0.0, 1.0, row))))
     scaled = a * row[:, None]
@@ -345,10 +395,9 @@ def solve_matching(system: MatchingSystem, E=None, b5: float = 1.0) -> MatchSolu
         scale = sum(abs(arow[j] * x[j]) for j in range(4)) + abs(system.rhs[i])
         gap = abs(float(arow @ x) - system.rhs[i])
         worst = max(worst, gap / max(scale, 1e-300))
-    cond = float(np.linalg.cond(scaled))
     return MatchSolution(b1=float(x[0]), b2=float(x[1]), b3=float(x[2]),
-                         b4=float(x[3]), b5=b5,
-                         condition_estimate=cond, residual=worst)
+                         b4=float(x[3]), b5=b5, residual=worst,
+                         equilibrated=scaled)
 
 
 @dataclass(frozen=True)
@@ -439,7 +488,8 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
     axis "E" varies the energy at the given profile; "V0" and "a" vary the
     profile at fixed E.  auto_alpha re-slopes the profile per point so the
     triangle keeps touching zero at x = a; otherwise pp.alpha is used as
-    given.  Per-point failures are recorded in flags with NaN results.
+    given.  A point that fails with a TriqError or ArithmeticError is
+    recorded in flags with NaN results; any other exception propagates.
     """
     if axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
@@ -464,7 +514,7 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
                     V0=pp.V0, alpha=(pp.V0 / v if auto_alpha else pp.alpha),
                     a=v, kind=pp.kind)
             result = transmission(point_E, mp, point_pp, u, fidelity=fidelity)
-        except Exception as exc:  # per-point fault, fold into the row
+        except (TriqError, ArithmeticError) as exc:
             rows.append(SweepRow(axis_value=v, result=None,
                                  flags=(type(exc).__name__,)))
             continue

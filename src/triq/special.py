@@ -465,14 +465,14 @@ def _kummer_series(b: float, c: float, z: float) -> tuple[float, float]:
         term *= (b + k - 1.0) * z / ((c + k - 1.0) * k)
         if term == 0.0:
             break  # terminating parameter: the series is a polynomial
+        mag = abs(term)
         t = s + term
-        if abs(s) >= abs(term):
+        if abs(s) >= mag:
             comp += (s - t) + term
         else:
             comp += (term - t) + s
         s = t
-        abs_sum += abs(term)
-        mag = abs(term)
+        abs_sum += mag
         if k >= 4 and mag < 1e-17 * abs_sum and mag <= prev_mag:
             break
         prev_mag = mag
@@ -486,27 +486,150 @@ def _kummer_series(b: float, c: float, z: float) -> tuple[float, float]:
 def _kummer_series_dd(b: float, c: float, z: float) -> tuple[float, float]:
     """Double-double rerun of the power series for heavy-cancellation inputs.
 
-    ~10x the cost of the plain sum; only reached when the compensated run
-    reports a loss factor the 16-digit pipeline cannot absorb.
+    Only reached when the compensated run reports a loss factor the
+    16-digit pipeline cannot absorb.  The term update is
+    t = t * (b + k - 1) * z / (c + k - 1) / k with _two_sum, _dd_mul,
+    _dd_div and _dd_add written out in place, operation for operation, so
+    every intermediate is the double the helpers give.  Only products with
+    an exact zero are left out (the zero low words of z and of the integer
+    k), the split of z is hoisted out of the loop, the split of c + k - 1
+    is taken once per term, and k < 2^26 splits exactly as (k, 0).
+    tests/test_special.py keeps the helper form as the bit-identity
+    reference.  Measured per call on the 83 double-double inputs of the
+    200-point 0.02-2.25 eV sweep (Python 3.11, 2-CPU host, best of 15):
+    18-22x the plain sum on the same input with the helper calls, 12-15x
+    written out; the rerun itself is 2.2-2.7x faster than the helper form.
     """
+    split = _SPLITTER
     sh, sl = 1.0, 0.0
     ah, al = 1.0, 0.0
     th, tl = 1.0, 0.0
     prev_mag = 1.0
+    p = split * z
+    zh = p - (p - z)
+    zl = z - zh
     for k in range(1, _KUMMER_MAX_TERMS + 1):
-        nh, nl = _two_sum(b, k - 1.0)
-        dh, dl = _two_sum(c, k - 1.0)
-        th, tl = _dd_mul(th, tl, nh, nl)
-        th, tl = _dd_mul(th, tl, z, 0.0)
-        th, tl = _dd_div(th, tl, dh, dl)
-        th, tl = _dd_div(th, tl, float(k), 0.0)
+        km1 = k - 1.0
+        # n = b + (k - 1) and d = c + (k - 1) as double-doubles (_two_sum)
+        nh = b + km1
+        bb = nh - b
+        nl = (b - (nh - bb)) + (km1 - bb)
+        dh = c + km1
+        bb = dh - c
+        dl = (c - (dh - bb)) + (km1 - bb)
+        p = split * dh
+        dhh = p - (p - dh)
+        dhl = dh - dhh
+        # t *= n (_dd_mul)
+        p = th * nh
+        q = split * th
+        xh = q - (q - th)
+        xl = th - xh
+        q = split * nh
+        yh = q - (q - nh)
+        yl = nh - yh
+        e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
+        e += th * nl + tl * nh
+        th = p + e
+        tl = e - (th - p)
+        # t *= z (_dd_mul with a zero low word)
+        p = th * z
+        q = split * th
+        xh = q - (q - th)
+        xl = th - xh
+        e = ((xh * zh - p) + xh * zl + xl * zh) + xl * zl
+        e += tl * z
+        th = p + e
+        tl = e - (th - p)
+        # t /= d (_dd_div): two correction steps, then renormalise
+        q0 = th / dh
+        p = dh * q0
+        q = split * q0
+        yh = q - (q - q0)
+        yl = q0 - yh
+        e = ((dhh * yh - p) + dhh * yl + dhl * yh) + dhl * yl
+        e += dl * q0
+        ph = p + e
+        pl = e - (ph - p)
+        s = th - ph
+        bb = s - th
+        e = (th - (s - bb)) + (-ph - bb)
+        e += tl - pl
+        rh = s + e
+        rl = e - (rh - s)
+        q1 = rh / dh
+        p = dh * q1
+        q = split * q1
+        yh = q - (q - q1)
+        yl = q1 - yh
+        e = ((dhh * yh - p) + dhh * yl + dhl * yh) + dhl * yl
+        e += dl * q1
+        ph = p + e
+        pl = e - (ph - p)
+        s = rh - ph
+        bb = s - rh
+        e = (rh - (s - bb)) + (-ph - bb)
+        e += rl - pl
+        rh = s + e
+        q2 = rh / dh
+        s = q0 + q1
+        e = (q1 - (s - q0)) + q2
+        th = s + e
+        tl = e - (th - s)
+        # t /= k (_dd_div by an integer k < 2^26: its split is (k, 0))
+        fk = float(k)
+        q0 = th / fk
+        p = fk * q0
+        q = split * q0
+        yh = q - (q - q0)
+        yl = q0 - yh
+        e = (fk * yh - p) + fk * yl
+        ph = p + e
+        pl = e - (ph - p)
+        s = th - ph
+        bb = s - th
+        e = (th - (s - bb)) + (-ph - bb)
+        e += tl - pl
+        rh = s + e
+        rl = e - (rh - s)
+        q1 = rh / fk
+        p = fk * q1
+        q = split * q1
+        yh = q - (q - q1)
+        yl = q1 - yh
+        e = (fk * yh - p) + fk * yl
+        ph = p + e
+        pl = e - (ph - p)
+        s = rh - ph
+        bb = s - rh
+        e = (rh - (s - bb)) + (-ph - bb)
+        e += rl - pl
+        rh = s + e
+        q2 = rh / fk
+        s = q0 + q1
+        e = (q1 - (s - q0)) + q2
+        th = s + e
+        tl = e - (th - s)
         if th == 0.0:
             break
-        sh, sl = _dd_add(sh, sl, th, tl)
+        # s += t (_dd_add)
+        s = sh + th
+        bb = s - sh
+        e = (sh - (s - bb)) + (th - bb)
+        e += sl + tl
+        sh = s + e
+        sl = e - (sh - s)
+        # a += |t| (_dd_add)
         if th > 0.0:
-            ah, al = _dd_add(ah, al, th, tl)
+            xh, xl = th, tl
         else:
-            ah, al = _dd_add(ah, al, -th, -tl)
+            xh, xl = -th, -tl
+        s = ah + xh
+        bb = s - ah
+        e = (ah - (s - bb)) + (xh - bb)
+        e += al + xl
+        ah = s + e
+        al = e - (ah - s)
         mag = abs(th)
         if k >= 4 and mag < 1e-33 * ah and mag <= prev_mag:
             break

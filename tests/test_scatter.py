@@ -6,10 +6,12 @@ right (residual + Wronskian + trajectory agreement), then the assembled
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import triq.scatter
 import triq.special
 from triq.errors import AccuracyError, ConditioningError, DomainError
 from triq.model import (MassParams, PotentialProfile, airy_scale,
@@ -168,6 +170,21 @@ class TestMatching:
             assert sol.residual <= 1e-9
             assert sol.condition_estimate >= 1.0
 
+    def test_condition_estimate_on_demand(self, monkeypatch):
+        # the SVD runs when condition_estimate is read, not in the solve
+        calls = []
+        cond = np.linalg.cond
+
+        def counted(m):
+            calls.append(m)
+            return cond(m)
+
+        monkeypatch.setattr(np.linalg, "cond", counted)
+        sol = transmission(0.8, MASS, BARRIER, U).solution
+        assert calls == []
+        assert sol.condition_estimate == cond(sol.equilibrated) >= 1.0
+        assert len(calls) == 1
+
     def test_frozen_amplitudes(self):
         sol = solve_matching(assemble_matching(0.1, MASS, BARRIER, U), E=0.1)
         assert sol.b1 == pytest.approx(-0.086859926464917109, rel=1e-9)
@@ -294,6 +311,25 @@ class TestInterfaceEvaluatedOnce:
                 transmission(E, MASS, BARRIER, U, fidelity=mode)
                 assert len(calls) == 8
 
+    def test_recip_gamma_per_point(self, monkeypatch):
+        # 1/Gamma of b, b + 1/2 and the printed f6 argument, once per point
+        # and shared by both interfaces; the 1/Gamma(c) constants of the
+        # regularized kernels are module constants
+        calls = []
+        rg = triq.special.recip_gamma
+
+        def counted(x):
+            calls.append(x)
+            return rg(x)
+
+        for module in (triq.special, triq.scatter):
+            monkeypatch.setattr(module, "recip_gamma", counted)
+        for E in (0.1, 2.2):
+            for mode in FIDELITY_MODES:
+                del calls[:]
+                transmission(E, MASS, BARRIER, U, fidelity=mode)
+                assert len(calls) == 3
+
     @pytest.mark.parametrize("mode", FIDELITY_MODES)
     def test_paper_form_matches_fresh_evaluation(self, mode):
         for E in self.GRID:
@@ -322,6 +358,46 @@ class TestSweep:
         rows = sweep("a", [1e-4, 7.0], MASS, BARRIER, U, E=0.1, auto_alpha=True)
         assert abs(rows[0].result.T_solve - 1.0) < 1e-3
         assert rows[1].result.T_solve == pytest.approx(T_DEFAULT, rel=1e-10)
+
+    def test_numpy_grid_matches_float_grid(self):
+        # at x = a the two companion terms cancel to exactly 0 near 1.925 and
+        # 2.037 eV; np.float64 energies must not overflow there, and must
+        # give the same doubles as Python floats
+        grid = np.linspace(0.02, 2.25, 200)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows_np = sweep("E", grid, MASS, BARRIER, U)
+        rows_py = sweep("E", [float(v) for v in grid], MASS, BARRIER, U)
+
+        def key(row):
+            r = row.result
+            s = r.solution
+            nums = (r.T_solve, r.T_paper, r.t1, r.t2, s.b1, s.b2, s.b3,
+                    s.b4, r.residual)
+            return [float(v).hex() for v in nums], row.flags
+
+        assert [key(r) for r in rows_np] == [key(r) for r in rows_py]
+
+    def test_only_numeric_faults_folded(self, monkeypatch):
+        # 3.9 eV is in the Kummer refusal band: flagged, not raised
+        rows = sweep("E", [0.1, 3.9], MASS, BARRIER, U)
+        assert rows[0].flags == ()
+        assert rows[1].result is None
+        assert rows[1].flags == ("AccuracyError",)
+
+        def fault(exc):
+            def raiser(*args, **kwargs):
+                raise exc
+            return raiser
+
+        monkeypatch.setattr(triq.scatter, "solve_matching",
+                            fault(ZeroDivisionError("float division by zero")))
+        rows = sweep("E", [0.1], MASS, BARRIER, U)
+        assert rows[0].flags == ("ZeroDivisionError",)
+        monkeypatch.setattr(triq.scatter, "solve_matching",
+                            fault(TypeError("a bug, not a numeric fault")))
+        with pytest.raises(TypeError):
+            sweep("E", [0.1], MASS, BARRIER, U)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):

@@ -5,12 +5,23 @@ frozen here, so the suite runs without any special-function dependency.
 """
 
 import math
+import random
 
 import pytest
 
+import triq.special
 from triq.errors import AccuracyError, DomainError
+from triq.model import MassParams, PotentialProfile, make_units
+from triq.scatter import transmission
 from triq.special import (
+    _KUMMER_MAX_TERMS,
     KUMMER_ENVELOPE,
+    _dd_add,
+    _dd_div,
+    _dd_mul,
+    _kummer_series,
+    _kummer_series_dd,
+    _two_sum,
     airy_ai,
     airy_bi,
     gamma,
@@ -291,6 +302,116 @@ class TestKummer:
         at_pole = kummer_m_regularized(b, 0.0, z)
         nearby = kummer_m_regularized(b, 1e-7, z)
         assert nearby == pytest.approx(at_pole, rel=1e-6)
+
+
+def reference_series(b, c, z):
+    """_kummer_series as it read before abs(term) was taken once per term."""
+    s = 1.0
+    comp = 0.0
+    abs_sum = 1.0
+    term = 1.0
+    prev_mag = 1.0
+    for k in range(1, _KUMMER_MAX_TERMS + 1):
+        term *= (b + k - 1.0) * z / ((c + k - 1.0) * k)
+        if term == 0.0:
+            break
+        t = s + term
+        if abs(s) >= abs(term):
+            comp += (s - t) + term
+        else:
+            comp += (term - t) + s
+        s = t
+        abs_sum += abs(term)
+        mag = abs(term)
+        if k >= 4 and mag < 1e-17 * abs_sum and mag <= prev_mag:
+            break
+        prev_mag = mag
+    else:
+        raise AccuracyError(
+            f"kummer_m series did not converge within {_KUMMER_MAX_TERMS} terms "
+            f"at z={z!r}", value=z)
+    return s + comp, abs_sum
+
+
+def reference_series_dd(b, c, z):
+    """_kummer_series_dd in its helper form, the loop the inlined one expands."""
+    sh, sl = 1.0, 0.0
+    ah, al = 1.0, 0.0
+    th, tl = 1.0, 0.0
+    prev_mag = 1.0
+    for k in range(1, _KUMMER_MAX_TERMS + 1):
+        nh, nl = _two_sum(b, k - 1.0)
+        dh, dl = _two_sum(c, k - 1.0)
+        th, tl = _dd_mul(th, tl, nh, nl)
+        th, tl = _dd_mul(th, tl, z, 0.0)
+        th, tl = _dd_div(th, tl, dh, dl)
+        th, tl = _dd_div(th, tl, float(k), 0.0)
+        if th == 0.0:
+            break
+        sh, sl = _dd_add(sh, sl, th, tl)
+        if th > 0.0:
+            ah, al = _dd_add(ah, al, th, tl)
+        else:
+            ah, al = _dd_add(ah, al, -th, -tl)
+        mag = abs(th)
+        if k >= 4 and mag < 1e-33 * ah and mag <= prev_mag:
+            break
+        prev_mag = mag
+    else:
+        raise AccuracyError(
+            f"kummer_m series did not converge within {_KUMMER_MAX_TERMS} terms "
+            f"at z={z!r}", value=z)
+    return sh + sl, ah
+
+
+def outcome(fn, b, c, z):
+    """Hex of (value, abs_sum), or the AccuracyError message."""
+    try:
+        return tuple(v.hex() for v in fn(b, c, z))
+    except AccuracyError as exc:
+        return ("AccuracyError", str(exc))
+
+
+def seeded_box(n=300, seed=20161):
+    rng = random.Random(seed)
+    return [(rng.uniform(-120.0, 3.0), rng.choice((0.5, 1.5, 2.5)),
+             300.0 * (1.0 - rng.random())) for _ in range(n)]
+
+
+def sweep_dd_inputs(monkeypatch):
+    """Every double-double input of a 100-point 2.25-3.9 eV sweep."""
+    seen = []
+    dd = triq.special._kummer_series_dd
+
+    def recorded(*args):
+        seen.append(args)
+        return dd(*args)
+
+    monkeypatch.setattr(triq.special, "_kummer_series_dd", recorded)
+    u, mp, pp = make_units(), MassParams(), PotentialProfile()
+    for i in range(100):
+        try:
+            transmission(2.25 + (3.9 - 2.25) * i / 99, mp, pp, u)
+        except AccuracyError:
+            pass
+    monkeypatch.undo()
+    return seen
+
+
+class TestKummerKernelsBitIdentical:
+    """The kernels are rewritten for speed only: same doubles, same errors."""
+
+    def test_double_double_matches_helper_form(self, monkeypatch):
+        dd_inputs = sweep_dd_inputs(monkeypatch)
+        assert len(dd_inputs) > 100
+        for b, c, z in seeded_box() + dd_inputs:
+            assert (outcome(_kummer_series_dd, b, c, z)
+                    == outcome(reference_series_dd, b, c, z)), (b, c, z)
+
+    def test_plain_matches_reference(self, monkeypatch):
+        for b, c, z in seeded_box(2000) + sweep_dd_inputs(monkeypatch):
+            assert (outcome(_kummer_series, b, c, z)
+                    == outcome(reference_series, b, c, z)), (b, c, z)
 
 
 class TestTricomi:
