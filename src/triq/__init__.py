@@ -19,8 +19,7 @@ from .oracle import (IntegrationSpec, integrate, matched_transmission,
                      ode_residual)
 from .scatter import (FIDELITY_MODES, SweepRow, TransmissionResult,
                       rescale_diagnostic, sweep, transmission)
-from .special import (airy_ai, airy_bi, gamma, kummer_m, recip_gamma,
-                      tricomi_u)
+from .special import airy_ai, airy_bi, gamma, kummer_m, recip_gamma
 from .validate import info_lines, run_suites
 
 __version__ = "0.1.0"
@@ -62,6 +61,5 @@ __all__ = [
     "sweep",
     "table1_report",
     "transmission",
-    "tricomi_u",
     "well_coefficients",
 ]

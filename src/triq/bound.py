@@ -21,12 +21,13 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .model import MassParams, PotentialProfile, UnitSystem, well_coefficients
 
-# Published comparison targets for the default well (V0 = 0.45 eV,
-# alpha = 0.0045 eV/nm): first two levels as printed, and the earlier
-# reference computation cited alongside them.  Report-only; the unit
+# Published comparison targets for the Table-1 well TABLE1_WELL (V0 = 0.45
+# eV, alpha = 0.0045 eV/nm, a = 7 nm): first two levels as printed, and the
+# earlier reference computation cited alongside them.  Report-only; the unit
 # interpretation behind them is unresolved, so nothing asserts agreement.
 TABLE1_PUBLISHED_EV = (-0.29407, -0.00871)
 TABLE1_REFERENCE_EV = (-0.20986, -0.00630)
+TABLE1_WELL = PotentialProfile(V0=0.45, alpha=0.0045, a=7.0, kind="well")
 
 
 @dataclass(frozen=True)

@@ -19,13 +19,11 @@ from typing import Optional, Union
 
 from .bound import spectrum, table1_report
 from .errors import DomainError, TriqError
-from .model import MassParams, PotentialProfile, make_units
+from .model import KINDS, MassParams, PotentialProfile, make_units
 from .scatter import AXES, FIDELITY_MODES, sweep
 from .validate import info_lines, run_suites
 
 CSV_HEADER = "axis,T_solve,T_paper,t1,t2,b1,b2,b3,b4,b5,residual,flags"
-
-_KINDS = ("barrier", "well")
 
 
 @dataclass(frozen=True)
@@ -95,8 +93,8 @@ def parse(text: str) -> RunConfig:
 
 
 def validate_config(config: RunConfig) -> None:
-    if config.kind not in _KINDS:
-        raise DomainError(f"kind must be one of {_KINDS}, got {config.kind!r}")
+    if config.kind not in KINDS:
+        raise DomainError(f"kind must be one of {KINDS}, got {config.kind!r}")
     if config.axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {config.axis!r}")
     if config.paper_fidelity not in FIDELITY_MODES:
@@ -257,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--V0_eV", type=float)
     common.add_argument("--alpha_eV_per_nm", metavar="EV_PER_NM|auto")
     common.add_argument("--a_nm", type=float)
-    common.add_argument("--kind", choices=_KINDS)
+    common.add_argument("--kind", choices=KINDS)
     common.add_argument("--M0_m0", type=float)
     common.add_argument("--M1_m0_per_nm", type=float)
     common.add_argument("--E_eV", type=float)

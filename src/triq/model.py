@@ -70,6 +70,10 @@ class MassParams:
         return self.M0 - self.M1 * x
 
 
+# Profile shapes: a barrier V0 - alpha x or a well -V0 - alpha x on (0, a)
+KINDS = ("barrier", "well")
+
+
 @dataclass(frozen=True)
 class PotentialProfile:
     """Triangular profile on (0, a): V0 - alpha*x (barrier) or -V0 - alpha*x
@@ -81,7 +85,7 @@ class PotentialProfile:
     kind: str = "barrier"
 
     def __post_init__(self):
-        if self.kind not in ("barrier", "well"):
+        if self.kind not in KINDS:
             raise DomainError(f"kind must be 'barrier' or 'well', got {self.kind!r}")
         for name in ("V0", "alpha", "a"):
             v = getattr(self, name)

@@ -77,10 +77,12 @@ class _Kernels(NamedTuple):
     m_val, m_dval, r_odd and r_odd_d are one series each; the regularized
     ones are a series times the constant 1/Gamma(c), the same doubles
     kummer_m_regularized would return.  One instance per interface feeds
-    first(), second() and abbreviations_at().
+    first(), second() and abbreviations_at(), which read y and z from it
+    and nothing else about the point.
     """
 
-    z: float
+    y: float         # x + y_offset, signed distance from the vertex
+    z: float         # sqrt(a1) y^2
     damp: float      # e^(-z/2)
     m_val: float     # M(b; 1/2; z)
     m_dval: float    # M(b+1; 3/2; z)
@@ -122,51 +124,53 @@ class RegionIIBasis:
 
     @cached_property
     def rg_f6(self) -> float:
-        """1/Gamma(1/4 + lam/sqrt(a1)), the printed Gamma argument of f6."""
-        return recip_gamma(0.25 + (4.0 * self.b_param - 1.0))
+        """1/Gamma(1/4 + lam/sqrt(a1)), the printed Gamma argument of f6.
 
-    def y_of_x(self, x: float) -> float:
-        return x + self.y_offset
-
-    def z_of_x(self, x: float) -> float:
-        y = x + self.y_offset
-        return self.sqrt_a1 * y * y
+        NaN where that 1/Gamma overflows (b below about -41.99): f6 only
+        feeds the printed diagnostic T_paper, which then goes NaN, while
+        T_solve does not read it.  The printed-column fidelity modes put f6
+        into the matrix, whose non-finite entry still refuses the point.
+        """
+        try:
+            return recip_gamma(0.25 + (4.0 * self.b_param - 1.0))
+        except AccuracyError:
+            return math.nan
 
     def kernels(self, x: float) -> _Kernels:
         b = self.b_param
-        z = self.z_of_x(x)
+        y = x + self.y_offset
+        z = self.sqrt_a1 * y * y
         m_val = kummer_m(b, 0.5, z)
         m_dval = kummer_m(b + 1.0, 1.5, z)
-        return _Kernels(z=z, damp=math.exp(-0.5 * z),
+        return _Kernels(y=y, z=z, damp=math.exp(-0.5 * z),
                         m_val=m_val, m_dval=m_dval,
                         r_even=m_val * _RG_HALF,
                         r_even_d=m_dval * _RG_THREE_HALVES,
                         r_odd=kummer_m(b + 0.5, 1.5, z) * _RG_THREE_HALVES,
                         r_odd_d=kummer_m(b + 1.5, 2.5, z) * _RG_FIVE_HALVES)
 
-    def first(self, x: float, ker: Optional[_Kernels] = None) -> tuple[float, float]:
-        """(value, d/dx) of the even basis solution."""
-        if ker is None:
-            ker = self.kernels(x)
+    def first(self, ker: _Kernels) -> tuple[float, float]:
+        """(value, d/dx) of the even basis solution at the kernels' point."""
         b = self.b_param
-        y = x + self.y_offset
+        y = ker.y
         value = ker.damp * ker.m_val
         deriv = self.sqrt_a1 * y * ker.damp * (4.0 * b * ker.m_dval - ker.m_val)
         return value, deriv
 
-    def second(self, x: float, ker: Optional[_Kernels] = None) -> tuple[float, float]:
+    def second(self, ker: _Kernels) -> tuple[float, float]:
         """(value, d/dx) of the companion solution (signed odd branch).
 
-        For y > 0 this is the recessive direction, and the two-term
-        construction cancels catastrophically once z is large (14 digits
-        gone by z ~ 140).  The measured cancellation picks between the
-        subtraction form and the large-z recurrence; if neither route can
-        promise the budget the point is refused rather than returned wrong.
+        This is the only evaluation of Tricomi's U(b; 1/2; z): the two-term
+        form pi [M~(b;1/2;z)/Gamma(b+1/2) - sqrt(z) M~(b+1/2;3/2;z)/Gamma(b)]
+        (DLMF 13.2.42) with sqrt(z) carried as a1^(1/4) y.  For y > 0 this
+        is the recessive direction, and the two terms cancel
+        catastrophically once z is large (14 digits gone by z ~ 140).  The
+        measured cancellation picks between the subtraction form and the
+        large-z recurrence; if neither route can promise the budget the
+        point is refused rather than returned wrong.
         """
-        if ker is None:
-            ker = self.kernels(x)
         b = self.b_param
-        y = x + self.y_offset
+        y = ker.y
         s = self.sqrt_a1
         root = math.sqrt(s)  # a1^(1/4)
         rg_b = self.rg_b
@@ -254,14 +258,11 @@ def _div(num: float, den: float) -> float:
     return math.copysign(math.inf, num)
 
 
-def abbreviations_at(basis: RegionIIBasis, x: float,
-                     ker: Optional[_Kernels] = None) -> AbbreviationSet:
-    """Printed shorthand set at one interface (x = 0 gives f, x = a gives g)."""
-    if ker is None:
-        ker = basis.kernels(x)
+def abbreviations_at(basis: RegionIIBasis, ker: _Kernels) -> AbbreviationSet:
+    """Printed shorthand set at ker's interface (x = 0 gives f, x = a gives g)."""
     b = basis.b_param
     s = basis.sqrt_a1
-    y = basis.y_of_x(x)
+    y = ker.y
     lam_over_root = 4.0 * b - 1.0  # lam / sqrt(a1), inverted from b_param
     pre = s * y * ker.damp
     f1 = pre * ker.m_val
@@ -347,18 +348,18 @@ def assemble_matching(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
     ai_a = airy_ai(rc.y3)
     ker0 = basis.kernels(0.0)
     kera = basis.kernels(pp.a)
-    fset = abbreviations_at(basis, 0.0, ker0)
-    gset = abbreviations_at(basis, pp.a, kera)
+    fset = abbreviations_at(basis, ker0)
+    gset = abbreviations_at(basis, kera)
     if printed_columns:
         v0, q0 = fset.f1p, fset.f7
         d0, qd0 = fset.f8, fset.f9
         va, qa = gset.f1p, gset.f7
         da, qda = gset.f8, gset.f9
     else:
-        v0, d0 = basis.first(0.0, ker0)
-        q0, qd0 = basis.second(0.0, ker0)
-        va, da = basis.first(pp.a, kera)
-        qa, qda = basis.second(pp.a, kera)
+        v0, d0 = basis.first(ker0)
+        q0, qd0 = basis.second(ker0)
+        va, da = basis.first(kera)
+        qa, qda = basis.second(kera)
     matrix = np.array([
         [ai0.value, bi0.value, -v0, -q0],
         [k * ai0.derivative, k * bi0.derivative, -d0, -qd0],

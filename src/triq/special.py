@@ -8,9 +8,7 @@ contracts instead of delegating to a library.
 Contracts (relative error unless stated):
     airy_ai / airy_bi   <= 1e-12 for |y| <= 30
     kummer_m            <= 1e-10 for |z| <= 300 (envelope; error beyond)
-    tricomi_u           <= 1e-9 where it returns; falls back to the large-z
-                        recurrence when the two-term construction loses more
-                        than 4 digits, AccuracyError where both routes fail
+    tricomi_u_large_z   returns its own relative error estimate
     recip_gamma / gamma <= 1e-13 on the real line away from poles
 
 Near an Airy oscillation zero "relative" is measured against the local pair
@@ -22,6 +20,10 @@ vanishing component.
 1/Gamma is the primitive: poles of Gamma map to exact zeros, which is what
 lets the Tricomi construction drop terms cleanly at non-positive integer
 parameters.
+
+Tricomi's U itself is made in one place, scatter.RegionIIBasis.second: the
+two-term form from the Kummer series here, or tricomi_u_large_z where the
+subtraction cancels, chosen by each route's error estimate.
 """
 
 from __future__ import annotations
@@ -39,7 +41,6 @@ __all__ = [
     "recip_gamma",
     "kummer_m",
     "kummer_m_regularized",
-    "tricomi_u",
     "tricomi_u_large_z",
     "KUMMER_ENVELOPE",
 ]
@@ -741,36 +742,6 @@ def tricomi_u_large_z(b: float, c: float, z: float) -> tuple[float, float]:
             high, low = low, (2.0 * a - c + z) * low - a * (a - c + 1.0) * high
             a -= 1.0
     return low, err
-
-
-def tricomi_u(b: float, c: float, z: float) -> float:
-    """Tricomi confluent function U(b; c; z) for z > 0 and non-integer c.
-
-    Built exactly from two regularized Kummer evaluations and reciprocal
-    Gamma factors; a Gamma pole in either denominator removes that term
-    (recip_gamma returns exact zero there).
-    """
-    b = _require_finite("b", b)
-    c = _require_finite("c", c)
-    z = _require_finite("z", z)
-    if c == math.floor(c):
-        raise DomainError(f"tricomi_u requires non-integer c, got {c!r}")
-    if z <= 0.0:
-        raise DomainError(f"tricomi_u requires z > 0, got {z!r}")
-    first = kummer_m_regularized(b, c, z) * recip_gamma(b - c + 1.0)
-    second = z ** (1.0 - c) * kummer_m_regularized(b - c + 1.0, 2.0 - c, z) * recip_gamma(b)
-    diff = first - second
-    # Both branches grow like e^z once z outruns |b|*log(z) while U itself
-    # stays algebraic, so the subtraction is the accuracy bottleneck here.
-    # The recurrence route takes over where the subtraction drowns.
-    if abs(diff) * 1.0e4 < max(abs(first), abs(second)):
-        value, err = tricomi_u_large_z(b, c, z)
-        if err <= 1.0e-10:
-            return value
-        raise AccuracyError(
-            f"tricomi_u cancellation too severe at b={b!r}, c={c!r}, z={z!r}",
-            value=z)
-    return math.pi / _sinpi(c) * diff
 
 
 # Module constants built from our own Gamma so the Airy series and the

@@ -16,7 +16,8 @@ import math
 import random
 from dataclasses import dataclass
 
-from .bound import energy_level
+from .bound import (TABLE1_PUBLISHED_EV, TABLE1_REFERENCE_EV, TABLE1_WELL,
+                    energy_level)
 from .model import (MassParams, PotentialProfile, UnitSystem, airy_argument,
                     airy_scale, barrier_coefficients, make_units)
 from .oracle import IntegrationSpec, integrate, matched_transmission, ode_residual
@@ -126,8 +127,8 @@ def suite_interior_equation() -> SuiteResult:
     first_vals, second_vals = [], []
     for x in xs:
         ker = basis.kernels(x)
-        first_vals.append(basis.first(x, ker)[0])
-        second_vals.append(basis.second(x, ker)[0])
+        first_vals.append(basis.first(ker)[0])
+        second_vals.append(basis.second(ker)[0])
     worst = 0.0
     for vals in (first_vals, second_vals):
         report = ode_residual(xs, vals, weight)
@@ -147,8 +148,8 @@ def suite_interior_wronskian() -> SuiteResult:
                  * recip_gamma(basis.b_param))
         for x in (0.0, 1.75, -basis.y_offset, 5.25, pp.a):
             ker = basis.kernels(x)
-            fv, fd = basis.first(x, ker)
-            sv, sd = basis.second(x, ker)
+            fv, fd = basis.first(ker)
+            sv, sd = basis.second(ker)
             worst = max(worst, abs((fv * sd - fd * sv) / exact - 1.0))
     return SuiteResult(name="interior-wronskian", worst=worst, budget=1e-8)
 
@@ -158,11 +159,11 @@ def suite_march_agreement() -> SuiteResult:
     u, mp, pp = _default_setup()
     E = 0.1
     basis = basis_for(barrier_coefficients(E, mp, pp, u))
-    v0, d0 = basis.first(0.0)
+    v0, d0 = basis.first(basis.kernels(0.0))
     spec = IntegrationSpec(x_start=0.0, x_end=pp.a, step=1e-3,
                            value=v0, derivative=d0)
     got = integrate(spec, E, mp, pp, u, interior=True)
-    va, da = basis.first(pp.a)
+    va, da = basis.first(basis.kernels(pp.a))
     scale = max(abs(va), abs(da))
     worst = max(abs(got.value - va), abs(got.derivative - da)) / scale
     return SuiteResult(name="march-agreement", worst=worst, budget=1e-7)
@@ -181,8 +182,7 @@ def suite_transmission_agreement() -> SuiteResult:
 def suite_bound_residuals() -> SuiteResult:
     u = make_units()
     mp = MassParams()
-    well = PotentialProfile(V0=0.45, alpha=0.0045, a=7.0, kind="well")
-    worst = max(energy_level(n, mp, well, u).residual for n in range(6))
+    worst = max(energy_level(n, mp, TABLE1_WELL, u).residual for n in range(6))
     return SuiteResult(name="bound-residuals", worst=worst, budget=1e-10)
 
 
@@ -212,8 +212,8 @@ def info_lines() -> list[str]:
     flipped = barrier_coefficients(E, mp, pp, u, printed_signs=True)
     basis = basis_for(rc)
     ker0 = basis.kernels(0.0)
-    fset = abbreviations_at(basis, 0.0, ker0)
-    dpdx0 = basis.first(0.0, ker0)[1]
+    fset = abbreviations_at(basis, ker0)
+    dpdx0 = basis.first(ker0)[1]
     b_alt = 0.25 * (1.0 + rc.lam / (4.0 * rc.a1))
     lines = [
         f"printed closed form at E = {E:g} eV: T_paper/T_solve = "
@@ -244,12 +244,13 @@ def info_lines() -> list[str]:
         shift = alt.T_solve / res.T_solve - 1.0
         lines.append(f"fidelity '{mode}': T_solve shifts by {shift:+.3e} "
                      f"relative at E = {E:g} eV")
-    well = PotentialProfile(V0=0.45, alpha=0.0045, a=7.0, kind="well")
-    e0 = energy_level(0, mp, well, u).E_n
-    e1 = energy_level(1, mp, well, u).E_n
+    e0 = energy_level(0, mp, TABLE1_WELL, u).E_n
+    e1 = energy_level(1, mp, TABLE1_WELL, u).E_n
     lines.append(
         f"lowest well levels: computed {e0:.5f}, {e1:.5f} eV; published "
-        f"-0.29407, -0.00871 eV; earlier reference -0.20986, -0.00630 eV; "
+        f"{TABLE1_PUBLISHED_EV[0]:.5f}, {TABLE1_PUBLISHED_EV[1]:.5f} eV; "
+        f"earlier reference {TABLE1_REFERENCE_EV[0]:.5f}, "
+        f"{TABLE1_REFERENCE_EV[1]:.5f} eV; "
         f"the unit reading behind the published column is unresolved, so "
         f"the gap is reported rather than rescaled away")
     shallow = PotentialProfile(V0=0.005, alpha=0.005 / 7.0, a=7.0)

@@ -115,8 +115,8 @@ def test_gate_3_closed_form_vs_oracle():
 
         def wave(x):
             ker = basis.kernels(x)
-            fv, fd = basis.first(x, ker)
-            sv, sd = basis.second(x, ker)
+            fv, fd = basis.first(ker)
+            sv, sd = basis.second(ker)
             return sol.b3 * fv + sol.b4 * sv, sol.b3 * fd + sol.b4 * sd
 
         # march in the growing direction (a -> 0): the solved wave decays

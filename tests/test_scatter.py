@@ -59,7 +59,7 @@ class TestRegionIIBasis:
         fn = getattr(basis, which)
         n = 7000
         xs = [BARRIER.a * i / n for i in range(n + 1)]
-        values = [fn(x)[0] for x in xs]
+        values = [fn(basis.kernels(x))[0] for x in xs]
         report = ode_residual(xs, values, interior_weight(0.1, BARRIER))
         assert report.conclusive
         assert report.residual <= 1e-6
@@ -70,19 +70,19 @@ class TestRegionIIBasis:
         expect = wronskian_exact(basis)
         for x in (0.0, 1.75, -basis.y_offset, 5.25, BARRIER.a):
             ker = basis.kernels(x)
-            p, pd = basis.first(x, ker)
-            q, qd = basis.second(x, ker)
+            p, pd = basis.first(ker)
+            q, qd = basis.second(ker)
             assert p * qd - q * pd == pytest.approx(expect, rel=1e-12)
 
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_trajectory_matches_marcher(self, which):
         basis = basis_for(barrier_coefficients(0.1, MASS, BARRIER, U))
         fn = getattr(basis, which)
-        v0, d0 = fn(0.0)
+        v0, d0 = fn(basis.kernels(0.0))
         spec = IntegrationSpec(x_start=0.0, x_end=BARRIER.a, step=1e-3,
                                value=v0, derivative=d0)
         got = integrate(spec, 0.1, MASS, BARRIER, U, interior=True)
-        va, da = fn(BARRIER.a)
+        va, da = fn(basis.kernels(BARRIER.a))
         scale = max(abs(va), abs(da))
         assert abs(got.value - va) <= 1e-8 * scale
         assert abs(got.derivative - da) <= 1e-8 * scale
@@ -93,9 +93,9 @@ class TestRegionIIBasis:
         basis = basis_for(barrier_coefficients(0.1, MASS, BARRIER, U))
         x0 = -basis.y_offset
         h = 1e-5
-        _, d_minus = basis.second(x0 - h)
-        q0, d0 = basis.second(x0)
-        _, d_plus = basis.second(x0 + h)
+        _, d_minus = basis.second(basis.kernels(x0 - h))
+        q0, d0 = basis.second(basis.kernels(x0))
+        _, d_plus = basis.second(basis.kernels(x0 + h))
         assert abs(d_plus - d_minus) <= 5.0 * h * max(1.0, abs(q0))
         # at the vertex the first solution is exactly (1, 0), so the
         # Wronskian collapses onto Q' alone
@@ -106,7 +106,7 @@ class TestRegionIIBasis:
         # and the failure must surface as an error, not a wrong number
         basis = RegionIIBasis(b_param=-24.833, sqrt_a1=1.0, y_offset=0.0)
         with pytest.raises(AccuracyError):
-            basis.second(math.sqrt(33.574))
+            basis.second(basis.kernels(math.sqrt(33.574)))
 
     def test_large_z_route_engaged(self):
         # at the far interface of the high-energy corner the subtraction
@@ -115,8 +115,8 @@ class TestRegionIIBasis:
         basis = basis_for(barrier_coefficients(2.25, MASS, BARRIER, U))
         ker = basis.kernels(BARRIER.a)
         assert ker.z > 100.0
-        p, pd = basis.first(BARRIER.a, ker)
-        q, qd = basis.second(BARRIER.a, ker)
+        p, pd = basis.first(ker)
+        q, qd = basis.second(ker)
         assert p * qd - q * pd == pytest.approx(wronskian_exact(basis), rel=1e-12)
 
 
@@ -124,16 +124,18 @@ class TestAbbreviations:
     def test_value_columns_consistent(self):
         # f1' and f3'-f5' reduce back to the basis values at the interface
         basis = basis_for(barrier_coefficients(0.1, MASS, BARRIER, U))
-        fset = abbreviations_at(basis, 0.0)
-        p0, _ = basis.first(0.0)
+        ker0 = basis.kernels(0.0)
+        fset = abbreviations_at(basis, ker0)
+        p0, _ = basis.first(ker0)
         assert fset.f1p == pytest.approx(p0, rel=1e-13)
 
     def test_printed_f8_gap(self):
         # printed f8 = f2 - f1 misses the 4b factor; the chain rule gives
         # P'(0) = f8 + (4b - 1) f2 exactly
         basis = basis_for(barrier_coefficients(0.1, MASS, BARRIER, U))
-        fset = abbreviations_at(basis, 0.0)
-        _, pd0 = basis.first(0.0)
+        ker0 = basis.kernels(0.0)
+        fset = abbreviations_at(basis, ker0)
+        _, pd0 = basis.first(ker0)
         recovered = fset.f8 + (4.0 * basis.b_param - 1.0) * fset.f2
         assert recovered == pytest.approx(pd0, rel=1e-12)
         assert abs(fset.f8 - pd0) > 1e-3 * abs(pd0)
@@ -153,8 +155,8 @@ class TestMatching:
 
         def wave(x):
             ker = basis.kernels(x)
-            fv, fd = basis.first(x, ker)
-            sv, sd = basis.second(x, ker)
+            fv, fd = basis.first(ker)
+            sv, sd = basis.second(ker)
             return sol.b3 * fv + sol.b4 * sv, sol.b3 * fd + sol.b4 * sd
 
         mid0 = wave(0.0)
@@ -269,6 +271,35 @@ class TestTransmission:
         assert math.isfinite(res.T_paper)
         assert res.T_paper == pytest.approx((res.t1 / res.t2) ** 2, rel=1e-12)
 
+    def test_printed_gamma_overflow_leaves_t_solve(self):
+        # b = -58.6 puts the printed f6 argument 4b - 3/4 past the 1/Gamma
+        # overflow.  T_solve never reads f6: the point solves and only the
+        # printed column goes NaN.  A mode that puts f6 into the matrix
+        # still refuses the point.
+        mp = MassParams(M1=0.02)
+        pp = PotentialProfile(V0=5.0, alpha=0.45 / 7.0, a=2.0)
+        E = 0.19073486328125
+        res = transmission(E, mp, pp, U)
+        oracle = matched_transmission(E, mp, pp, U)
+        assert res.T_solve == pytest.approx(oracle, rel=1e-6)
+        assert math.isnan(res.t1) and math.isnan(res.t2)
+        assert math.isnan(res.T_paper)
+        with pytest.raises(ConditioningError):
+            transmission(E, mp, pp, U, fidelity="t2")
+
+    def test_refusals_above_the_barrier_are_the_kummer_guards(self):
+        # the 100-point 2.25-3.9 eV grid of the CLI: the refused points are
+        # refused by the Kummer series, not by the printed f6's 1/Gamma
+        reasons = []
+        for i in range(100):
+            try:
+                transmission(2.25 + (3.9 - 2.25) * i / 99, MASS, BARRIER, U)
+            except AccuracyError as exc:
+                reasons.append(str(exc))
+        assert len(reasons) == 45
+        assert all(r.startswith("kummer_m cancellation too severe")
+                   for r in reasons)
+
 
 def reference_paper_form(E, fidelity):
     """(t1, t2, T_paper) with every interface quantity evaluated afresh."""
@@ -276,8 +307,8 @@ def reference_paper_form(E, fidelity):
                               printed_signs=fidelity in ("signs", "all"))
     basis = basis_for(rc)
     k = airy_scale(E, MASS, U)
-    fset = abbreviations_at(basis, 0.0)
-    gset = abbreviations_at(basis, rc.y4 - rc.y2)
+    fset = abbreviations_at(basis, basis.kernels(0.0))
+    gset = abbreviations_at(basis, basis.kernels(rc.y4 - rc.y2))
     ai_a = airy_ai(rc.y3)
     bi0 = airy_bi(rc.y1)
     t1 = k / math.pi * (gset.f1p * gset.f9 - gset.f8 * gset.f7)
