@@ -15,7 +15,7 @@ import hashlib
 import math
 import sys
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 from .bound import spectrum, table1_report
 from .errors import DomainError, TriqError
@@ -250,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--min", type=float)
     common.add_argument("--max", type=float)
     common.add_argument("--points", type=int)
-    common.add_argument("--paper-fidelity", dest="paper_fidelity",
+    common.add_argument("--paper_fidelity", "--paper-fidelity",
                         choices=FIDELITY_MODES)
     common.add_argument("--V0_eV", type=float)
     common.add_argument("--alpha_eV_per_nm", metavar="EV_PER_NM|auto")
@@ -277,11 +277,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     overrides = {}
     for field in dataclasses.fields(RunConfig):
         value = getattr(args, field.name, None)
-        if value is None:
-            continue
-        if field.name == "alpha_eV_per_nm" and value != "auto":
-            value = float(value)
-        overrides[field.name] = value
+        if value is not None:
+            overrides[field.name] = _coerce(field.name, value)
     config = dataclasses.replace(config, **overrides)
     validate_config(config)
     return config
@@ -307,10 +304,7 @@ def main(argv=None) -> int:
                    "tunnelling": cmd_tunnelling,
                    "bound": cmd_bound}[args.command]
         _emit(command(config), config.out)
-    except TriqError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (TriqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

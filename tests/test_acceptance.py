@@ -27,10 +27,9 @@ import numpy as np
 
 from triq.bound import count_bound_states, spectrum, table1_report
 from triq.cli import main
-from triq.model import (MassParams, PotentialProfile, airy_argument,
-                        airy_scale, barrier_coefficients, make_units,
-                        well_coefficients)
-from triq.oracle import IntegrationSpec, integrate, matched_transmission
+from triq.model import (MassParams, PotentialProfile, barrier_coefficients,
+                        make_units, well_coefficients)
+from triq.oracle import IntegrationSpec, integrate, matched_b1, matched_transmission
 from triq.scatter import (assemble_matching, basis_for, rescale_diagnostic,
                           solve_matching, sweep, transmission)
 from triq.special import airy_ai, airy_bi
@@ -120,23 +119,24 @@ def test_gate_3_closed_form_vs_oracle():
             return sol.b3 * fv + sol.b4 * sv, sol.b3 * fd + sol.b4 * sd
 
         # march in the growing direction (a -> 0): the solved wave decays
-        # toward x = a at these energies, which starves the halving gate
-        va, da = wave(BARRIER.a)
-        res = integrate(IntegrationSpec(BARRIER.a, 0.0, 1e-3, va, da),
-                        E, MASS, BARRIER, U, interior=True)
-        idx = range(0, len(res.xs), 50)
-        closed = [wave(res.xs[i])[0] for i in idx]
-        marched = [res.values[i] for i in idx]
-        scale = max(max(abs(v) for v in closed),
-                    max(abs(v) for v in marched))
-        gap = max(abs(c - m) for c, m in zip(closed, marched)) / scale
-        worst_wave = max(worst_wave, gap)
+        # toward x = a at these energies, which starves the halving gate;
+        # chained over 140 segments of 0.05 nm to compare at their ends
+        nodes = np.linspace(BARRIER.a, 0.0, 141).tolist()
+        states = [wave(nodes[0])]
+        for x0, x1 in zip(nodes, nodes[1:]):
+            res = integrate(IntegrationSpec(x0, x1, 1e-3, *states[-1]),
+                            E, MASS, BARRIER, U)
+            states.append((res.value, res.derivative))
+        closed = np.array([wave(x)[0] for x in nodes])
+        marched = np.array([v for v, _ in states])
+        scale = max(np.max(np.abs(closed)), np.max(np.abs(marched)))
+        worst_wave = max(worst_wave, np.max(np.abs(closed - marched)) / scale)
 
-    worst_t = 0.0
-    for E in np.linspace(0.05, 2.25, 50):
-        ts = transmission(float(E), MASS, BARRIER, U).T_solve
-        tm = matched_transmission(float(E), MASS, BARRIER, U)
-        worst_t = max(worst_t, abs(ts / tm - 1.0))
+    energies = np.linspace(0.05, 2.25, 50)
+    ts = np.array([transmission(float(E), MASS, BARRIER, U).T_solve
+                   for E in energies])
+    worst_t = float(np.max(np.abs(
+        ts / matched_transmission(energies, MASS, BARRIER, U) - 1.0)))
     dt = time.perf_counter() - t0
     ok = worst_wave <= 1e-6 and worst_t <= 1e-6 and dt <= 30.0
     _verdict(3, "closed form vs oracle", ok,
@@ -148,22 +148,12 @@ def test_gate_3_closed_form_vs_oracle():
     assert dt <= 30.0
 
 
-def _oracle_b1(E, pp):
-    """Signed b1 from the RK4 march, projected as matched_transmission does.
-
-    matched_transmission returns 1/b1^2, which hides the sign change at a
-    pole; this repeats its projection and keeps the sign.
-    """
-    k = airy_scale(E, MASS, U)
-    tail = airy_ai(airy_argument(pp.a, E, MASS, U))
-    n = max(2, math.ceil(pp.a / 1e-3))
-    got = integrate(IntegrationSpec(pp.a, 0.0, pp.a / n, tail.value,
-                                    k * tail.derivative),
-                    E, MASS, pp, U, interior=True)
-    y1 = airy_argument(0.0, E, MASS, U)
-    ai, bi = airy_ai(y1), airy_bi(y1)
-    det = k * (ai.value * bi.derivative - ai.derivative * bi.value)
-    return (got.value * k * bi.derivative - got.derivative * bi.value) / det
+def _oracle(fn, points):
+    """fn (matched_b1 or matched_transmission) at each (E, profile) point,
+    in one lockstep call when the profile is shared."""
+    if len({pp for _, pp in points}) == 1:
+        return fn(np.array([E for E, _ in points]), MASS, points[0][1], U)
+    return np.array([fn(E, MASS, pp, U) for E, pp in points])
 
 
 def _poles(points, rows):
@@ -174,18 +164,19 @@ def _poles(points, rows):
     between the oracle's signed b1 and the solved one over both ends of
     every bracket; a gap below 1 means the oracle reproduces the sign.
     """
-    b1 = [row.result.solution.b1 for row in rows]
+    b1 = np.array([row.result.solution.b1 for row in rows])
     brackets = [i for i in range(len(b1) - 1)
                 if (b1[i] > 0.0) != (b1[i + 1] > 0.0)]
-    gaps = [abs(_oracle_b1(*points[j]) / b1[j] - 1.0)
-            for i in brackets for j in (i, i + 1)]
+    ends = [j for i in brackets for j in (i, i + 1)]
+    gaps = np.abs(_oracle(matched_b1, [points[j] for j in ends])
+                  / b1[ends] - 1.0)
     return brackets, float(np.max(gaps, initial=0.0))
 
 
 def _oracle_gap(points, T):
     """Worst |T_solve / T_oracle - 1| over the given points."""
-    return float(np.max([abs(t / matched_transmission(E, MASS, pp, U) - 1.0)
-                         for (E, pp), t in zip(points, T)]))
+    return float(np.max(np.abs(T / _oracle(matched_transmission, points)
+                               - 1.0)))
 
 
 def _largest_step_beyond(T, brackets):

@@ -1,16 +1,13 @@
 """CLI tests: golden schema, byte determinism, config plumbing, error rows."""
 
 import hashlib
-import math
 
 import pytest
 
 from triq.cli import (
     CSV_HEADER,
     RunConfig,
-    cmd_bound,
     cmd_transmission,
-    cmd_tunnelling,
     config_hash,
     main,
     parse,
@@ -40,6 +37,9 @@ class TestGolden:
         ("transmission --min 0.02 --max 2.25 --points 200",
          "42b94fc88293c93947ce31bc298a8dac17e1355ce82f2ba7f4f648f76e3fc6a4"),
         ("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity all",
+         "576871dbea81512e1f1420619fdb08b2cba5b0a273d7e51ea6a588f6af58d613"),
+        # the config-key spelling of the flag, same bytes as its alias above
+        ("transmission --min 0.02 --max 2.25 --points 200 --paper_fidelity all",
          "576871dbea81512e1f1420619fdb08b2cba5b0a273d7e51ea6a588f6af58d613"),
         ("tunnelling --min 0.02 --max 0.44 --points 200",
          "a87c0a9bc20e456e8399ff7d42dc476dc32ae105d017799d47202799457a4a0b"),

@@ -16,10 +16,10 @@ import triq.special
 from triq.errors import AccuracyError, ConditioningError, DomainError
 from triq.model import (MassParams, PotentialProfile, airy_scale,
                         barrier_coefficients, make_units)
-from triq.oracle import IntegrationSpec, integrate, matched_transmission, ode_residual
+from triq.oracle import (IntegrationSpec, _make_weight, integrate,
+                         matched_transmission, ode_residual)
 from triq.scatter import (
     FIDELITY_MODES,
-    RESONANCE_RTOL,
     RegionIIBasis,
     _div,
     abbreviations_at,
@@ -41,10 +41,6 @@ BARRIER = PotentialProfile()
 T_DEFAULT = 132.54430898227582
 
 
-def interior_weight(E, pp):
-    return lambda x: U.H_per_m0 * MASS.mass_at(x) * (E - pp.edge_eV + pp.alpha * x)
-
-
 def wronskian_exact(basis: RegionIIBasis) -> float:
     # P(0.25-quirk-free) at the vertex is (1, 0), so W = Q'(vertex); in
     # closed form that is -2 sqrt(pi) a1^(1/4) / Gamma(b), constant in x.
@@ -60,7 +56,7 @@ class TestRegionIIBasis:
         n = 7000
         xs = [BARRIER.a * i / n for i in range(n + 1)]
         values = [fn(basis.kernels(x))[0] for x in xs]
-        report = ode_residual(xs, values, interior_weight(0.1, BARRIER))
+        report = ode_residual(xs, values, _make_weight(0.1, MASS, BARRIER, U))
         assert report.conclusive
         assert report.residual <= 1e-6
 
@@ -81,7 +77,7 @@ class TestRegionIIBasis:
         v0, d0 = fn(basis.kernels(0.0))
         spec = IntegrationSpec(x_start=0.0, x_end=BARRIER.a, step=1e-3,
                                value=v0, derivative=d0)
-        got = integrate(spec, 0.1, MASS, BARRIER, U, interior=True)
+        got = integrate(spec, 0.1, MASS, BARRIER, U)
         va, da = fn(basis.kernels(BARRIER.a))
         scale = max(abs(va), abs(da))
         assert abs(got.value - va) <= 1e-8 * scale
