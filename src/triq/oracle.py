@@ -16,7 +16,8 @@ is not.
 A march keeps only its endpoint.  E may be a float, marched in plain
 Python floats, or a 1-D array marched in lockstep with the same arithmetic
 per element (E enters only through the weight).  Lockstep pays numpy's
-overhead per step: it breaks even near 20 energies and is 8x faster at 200.
+overhead per step: it breaks even near 30 energies and is about 5x faster
+at 200.
 
 Every integration is gated: the run is repeated at half the step and the
 endpoint states must agree to the declared tolerance for every energy,
@@ -69,38 +70,72 @@ class IntegrationResult(NamedTuple):
     x_stop: float
 
 
-def _make_weight(E, mp: MassParams, pp: Optional[PotentialProfile],
-                 u: UnitSystem) -> Callable[[float], float]:
-    H = u.H_per_m0
+class Weight(NamedTuple):
+    """The weight w(x) = H m(x) (E - V(x)) of phi'' + w phi = 0.
+
+    On the profile's sloped branch, extended to the closed interval
+    (sampling the jump at an interface inside an RK4 stage would wreck
+    the order there), it is H (M0 - M1 x) (rel + alpha x) with
+    rel = E - V(0+); with no profile rel = E and alpha = 0.  rel is an
+    array for an array of energies.  _march writes this expression out at
+    its stage points instead of calling it.
+    """
+
+    H: float
+    M0: float
+    M1: float
+    rel: float
+    alpha: float
+
+    def __call__(self, x):
+        return self.H * (self.M0 - self.M1 * x) * (self.rel + self.alpha * x)
+
+
+def make_weight(E, mp: MassParams, pp: Optional[PotentialProfile],
+                u: UnitSystem) -> Weight:
+    """The interior weight at energy E (a float or an array) for pp, or
+    for V = 0 when pp is None."""
     if pp is None:
-        return lambda x: H * mp.mass_at(x) * E
-    # sloped branch extended to the closed interval: sampling the jump at
-    # an interface inside an RK4 stage would wreck the order there
-    rel, alpha = E - pp.edge_eV, pp.alpha
-    return lambda x: H * mp.mass_at(x) * (rel + alpha * x)
+        return Weight(u.H_per_m0, mp.M0, mp.M1, E, 0.0)
+    return Weight(u.H_per_m0, mp.M0, mp.M1, E - pp.edge_eV, pp.alpha)
 
 
-def _march(x0, x1, n, v, d, weight, friction):
-    """Endpoint (v, d) of RK4 over n uniform steps, friction the optional
-    phi' coefficient; states are rebound, so the caller's arrays persist."""
+def _march(x0, x1, n, v, d, weight: Weight, friction: bool):
+    """Endpoint (v, d) of RK4 over n uniform steps of phi'' = -w phi, plus
+    the mass-gradient term -(m'/m) phi' = M1/m phi' if friction is set.
+
+    The weight is evaluated inline at the step's three distinct points
+    x, x + h/2 and x + h, with the operations of Weight.__call__ (the sign
+    folded into H, which is exact).  States are rebound, so the caller's
+    arrays persist.
+    """
+    H, M0, M1, rel, alpha = weight
+    neg_h, neg_m1 = -H, -M1
     h = (x1 - x0) / n
-    if friction is None:
-        def f(xi, vi, di):
-            return -weight(xi) * vi
-    else:
-        def f(xi, vi, di):
-            return friction(xi) * di - weight(xi) * vi
+    half = 0.5 * h
+    sixth = h / 6.0
     for i in range(n):
         x = x0 + i * h
-        k1v, k1d = d, f(x, v, d)
-        k2v = d + 0.5 * h * k1d
-        k2d = f(x + 0.5 * h, v + 0.5 * h * k1v, k2v)
-        k3v = d + 0.5 * h * k2d
-        k3d = f(x + 0.5 * h, v + 0.5 * h * k2v, k3v)
+        xm = x + half
+        xe = x + h
+        m0, mm, me = M0 - M1 * x, M0 - M1 * xm, M0 - M1 * xe
+        # -w at the three points
+        w0 = neg_h * m0 * (rel + alpha * x)
+        wm = neg_h * mm * (rel + alpha * xm)
+        we = neg_h * me * (rel + alpha * xe)
+        k1v = d
+        k1d = neg_m1 / m0 * d + w0 * v if friction else w0 * v
+        k2v = d + half * k1d
+        k2d = (neg_m1 / mm * k2v + wm * (v + half * k1v) if friction
+               else wm * (v + half * k1v))
+        k3v = d + half * k2d
+        k3d = (neg_m1 / mm * k3v + wm * (v + half * k2v) if friction
+               else wm * (v + half * k2v))
         k4v = d + h * k3d
-        k4d = f(x + h, v + h * k3v, k4v)
-        v = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        d = d + h / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        k4d = (neg_m1 / me * k4v + we * (v + h * k3v) if friction
+               else we * (v + h * k3v))
+        v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        d = d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
     return v, d
 
 
@@ -121,12 +156,10 @@ def integrate(spec: IntegrationSpec, E, mp: MassParams,
     HALVING_GATE relative on the (value, derivative) scale of each energy;
     halving_gap is the worst such gap.
     """
-    weight = _make_weight(E, mp, pp, u)
-    friction = None
+    weight = make_weight(E, mp, pp, u)
     x_end, n = spec.x_end, spec.n_steps
-    if full_equation and mp.M1 > 0.0:  # with m' = 0 it is the plain one
-        def friction(x):
-            return -mp.M1 / mp.mass_at(x)
+    friction = full_equation and mp.M1 > 0.0  # with m' = 0 it is the plain one
+    if friction:
         xz, margin = mp.mass_zero_nm, 10.0 * spec.step
         if min(spec.x_start, spec.x_end) < xz < max(spec.x_start, spec.x_end):
             x_end = xz - margin if spec.x_end > xz else xz + margin
@@ -175,12 +208,17 @@ def ode_residual(xs, values, weight: Callable[[float], float],
         if abs((xs[i + 1] - xs[i]) - h) > 1e-9 * max(1.0, abs(h)):
             raise DomainError("sample grid must be uniform")
     max_f = max(abs(v) for v in values)
-    max_w = max(abs(weight(x)) for x in xs)
-    scale = max(1.0, max_f * max_w)
+    # one weight call per sample: max_w takes the samples in order, as
+    # max() over all of them would
+    max_w = abs(weight(xs[0]))
     worst = 0.0
     for i in range(1, m - 1):
+        w = weight(xs[i])
+        max_w = max(max_w, abs(w))
         second = (values[i - 1] - 2.0 * values[i] + values[i + 1]) / (h * h)
-        worst = max(worst, abs(second + weight(xs[i]) * values[i]))
+        worst = max(worst, abs(second + w * values[i]))
+    max_w = max(max_w, abs(weight(xs[m - 1])))
+    scale = max(1.0, max_f * max_w)
     fourth = 0.0
     for i in range(2, m - 2):
         d4 = (values[i - 2] - 4.0 * values[i - 1] + 6.0 * values[i]

@@ -38,15 +38,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import AccuracyError, ConditioningError, DomainError, TriqError
 from .model import (MassParams, PotentialProfile, RegionCoefficients,
                     UnitSystem, airy_scale, barrier_coefficients)
-from .special import (AiryPair, airy_ai, airy_bi, kummer_m, recip_gamma,
-                      tricomi_u_large_z)
+from .special import (AiryPair, _kummer_m_array, airy_ai, airy_bi,
+                      kummer_m, recip_gamma, tricomi_u_large_z)
 
 # |b1| below this fraction of the amplitude scale marks a resonance point
 RESONANCE_RTOL = 1e-12
@@ -71,6 +71,11 @@ _RG_THREE_HALVES = recip_gamma(1.5)
 _RG_FIVE_HALVES = recip_gamma(2.5)
 
 
+# _Kernels.points converts grid kernels to Python floats this many points
+# at a time
+_POINTS_BLOCK = 256
+
+
 class _Kernels(NamedTuple):
     """Kummer evaluations at one interior point, four series in all.
 
@@ -78,7 +83,9 @@ class _Kernels(NamedTuple):
     ones are a series times the constant 1/Gamma(c), the same doubles
     kummer_m_regularized would return.  One instance per interface feeds
     first(), second() and abbreviations_at(), which read y and z from it
-    and nothing else about the point.
+    and nothing else about the point.  Kernels over a grid hold a 1-D
+    array in every field; first() takes them as they are, points() splits
+    them into per-point records for second().
     """
 
     y: float         # x + y_offset, signed distance from the vertex
@@ -90,6 +97,17 @@ class _Kernels(NamedTuple):
     r_even_d: float  # regularized (b+1; 3/2; z)
     r_odd: float     # regularized (b+1/2; 3/2; z)
     r_odd_d: float   # regularized (b+3/2; 5/2; z)
+
+    def points(self) -> Iterator[_Kernels]:
+        """Per-point records of Python floats from grid kernels, in order.
+
+        Python floats, not np.float64: second() relies on float arithmetic
+        raising where numpy would only warn.  Converted a block at a time,
+        so a long grid is never held as Python floats all at once.
+        """
+        for i in range(0, len(self.y), _POINTS_BLOCK):
+            block = (f[i:i + _POINTS_BLOCK].tolist() for f in self)
+            yield from map(_Kernels._make, zip(*block))
 
 
 @dataclass(frozen=True)
@@ -136,7 +154,16 @@ class RegionIIBasis:
         except AccuracyError:
             return math.nan
 
-    def kernels(self, x: float) -> _Kernels:
+    def kernels(self, x) -> _Kernels:
+        """The four Kummer series at x, a float or a 1-D array of points.
+
+        Over an array each series is summed once for all points
+        (special._kummer_m_array), with every element the double a scalar
+        call gives; where a point is refused, the error raised is the one
+        the first refused point of a scalar loop raises.
+        """
+        if not (isinstance(x, float) or np.ndim(x) == 0):
+            return self._grid_kernels(np.asarray(x, dtype=float))
         b = self.b_param
         y = x + self.y_offset
         z = self.sqrt_a1 * y * y
@@ -148,6 +175,27 @@ class RegionIIBasis:
                         r_even_d=m_dval * _RG_THREE_HALVES,
                         r_odd=kummer_m(b + 0.5, 1.5, z) * _RG_THREE_HALVES,
                         r_odd_d=kummer_m(b + 1.5, 2.5, z) * _RG_FIVE_HALVES)
+
+    def _grid_kernels(self, x: np.ndarray) -> _Kernels:
+        b = self.b_param
+        y = x + self.y_offset
+        z = self.sqrt_a1 * y * y
+        series = [_kummer_m_array(bs, c, z) for bs, c in
+                  ((b, 0.5), (b + 1.0, 1.5), (b + 0.5, 1.5), (b + 1.5, 2.5))]
+        # a scalar loop stops at the first refused point, and there at the
+        # first of its four series that refuses
+        refused = [(fail[0], j, fail[1])
+                   for j, (_, fail) in enumerate(series) if fail]
+        if refused:
+            raise min(refused, key=lambda r: r[:2])[2]
+        m_val, m_dval, odd, odd_d = (values for values, _ in series)
+        # math.exp, not np.exp: the two differ in the last bit for some z
+        damp = np.array([math.exp(v) for v in (-0.5 * z).tolist()])
+        return _Kernels(y=y, z=z, damp=damp, m_val=m_val, m_dval=m_dval,
+                        r_even=m_val * _RG_HALF,
+                        r_even_d=m_dval * _RG_THREE_HALVES,
+                        r_odd=odd * _RG_THREE_HALVES,
+                        r_odd_d=odd_d * _RG_FIVE_HALVES)
 
     def first(self, ker: _Kernels) -> tuple[float, float]:
         """(value, d/dx) of the even basis solution at the kernels' point."""

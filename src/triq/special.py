@@ -31,7 +31,9 @@ from __future__ import annotations
 import math
 from typing import NamedTuple
 
-from .errors import AccuracyError, DomainError
+import numpy as np
+
+from .errors import AccuracyError, DomainError, TriqError
 
 __all__ = [
     "AiryPair",
@@ -410,7 +412,7 @@ def airy_ai(y: float) -> AiryPair:
         # March down from the asymptotic anchor: the decaying solution grows
         # in this direction, so Bi contamination dies off and the march is
         # numerically stable.
-        a0, a0p, _, _ = _airy_asym_pos(_AIRY_ASYM_POS)
+        a0, a0p, _, _ = _ASYM_POS_ANCHOR
         w, wp = _airy_march(y, _AIRY_ASYM_POS, a0, a0p)
         return AiryPair(w, wp)
     if y >= _AIRY_SERIES_LO:
@@ -419,7 +421,7 @@ def airy_ai(y: float) -> AiryPair:
     if y > _AIRY_ASYM_NEG:
         # Oscillatory region: no exponential dichotomy, marching from the
         # series anchor is stable in either direction.
-        a0, a0p, _, _ = _airy_series_pair(_AIRY_SERIES_LO)
+        a0, a0p, _, _ = _SERIES_LO_ANCHOR
         w, wp = _airy_march(y, _AIRY_SERIES_LO, a0, a0p)
         return AiryPair(w, wp)
     ai, aip, _, _ = _airy_asym_neg(y)
@@ -440,7 +442,7 @@ def airy_bi(y: float) -> AiryPair:
         _, _, bi, bip = _airy_series_pair(y)
         return AiryPair(bi, bip)
     if y > _AIRY_ASYM_NEG:
-        _, _, b0, b0p = _airy_series_pair(_AIRY_SERIES_LO)
+        _, _, b0, b0p = _SERIES_LO_ANCHOR
         w, wp = _airy_march(y, _AIRY_SERIES_LO, b0, b0p)
         return AiryPair(w, wp)
     _, _, bi, bip = _airy_asym_neg(y)
@@ -642,8 +644,64 @@ def _kummer_series_dd(b: float, c: float, z: float) -> tuple[float, float]:
     return sh + sl, ah
 
 
-def _kummer_sum(b: float, c: float, z: float) -> float:
-    value, abs_sum = _kummer_series(b, c, z)
+def _kummer_series_array(b: float, c: float, z: np.ndarray):
+    """_kummer_series over a 1-D array of z, in one pass for all elements.
+
+    Each element does the scalar loop's operations: the same term update,
+    Neumaier branch and stop rule, so it gets the same doubles.  An element
+    leaves the live arrays at the term where the scalar loop breaks.
+    Returns (sum, sum of |terms|, converged), converged False where the
+    scalar loop runs out of terms and raises.  Overflow and inf - inf are
+    silent, as they are for Python floats.
+    """
+    n = z.size
+    value, abs_out = np.empty(n), np.empty(n)
+    converged = np.zeros(n, dtype=bool)
+    live, zl = np.arange(n), z
+    s, comp, abs_sum = np.ones(n), np.zeros(n), np.ones(n)
+    term, prev_mag = np.ones(n), np.ones(n)
+
+    def retire(done):
+        nonlocal live, zl, s, comp, abs_sum, term, prev_mag
+        idx = live[done]
+        value[idx] = s[done] + comp[done]
+        abs_out[idx] = abs_sum[done]
+        converged[idx] = True
+        keep = ~done
+        live, zl, s, comp, abs_sum, term, prev_mag = (
+            a[keep] for a in (live, zl, s, comp, abs_sum, term, prev_mag))
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(1, _KUMMER_MAX_TERMS + 1):
+            # updated in place, so no state array is live twice
+            term *= (b + k - 1.0) * zl / ((c + k - 1.0) * k)
+            zero = term == 0.0
+            if zero.any():
+                retire(zero)  # terminating parameter: a polynomial
+            mag = np.abs(term)
+            t = s + term
+            comp += np.where(np.abs(s) >= mag, (s - t) + term, (term - t) + s)
+            s = t
+            abs_sum += mag
+            if k >= 4:
+                done = (mag < 1e-17 * abs_sum) & (mag <= prev_mag)
+                if done.any():
+                    retire(done)
+                    mag = mag[~done]
+            if not live.size:
+                break
+            prev_mag = mag
+    return value, abs_out, converged
+
+
+def _kummer_sum(b: float, c: float, z: float, plain=None) -> float:
+    """M(b; c; z), z > 0, from the plain series or its double-double rerun.
+
+    Both loss gates are decided here and only here.  plain is the
+    (sum, sum of |terms|) of the plain series at this z when it has
+    already been summed (over an array, by _kummer_m_array).
+    """
+    value, abs_sum = _kummer_series(b, c, z) if plain is None else plain
     loss = abs_sum / max(abs(value), 5e-324)
     if loss <= _KUMMER_ESCALATE_LOSS:
         return value
@@ -678,6 +736,38 @@ def kummer_m(b: float, c: float, z: float) -> float:
     if _is_nonpositive_integer(b) or z > 0.0:
         return _kummer_sum(b, c, z)
     return math.exp(z) * _kummer_sum(c - b, c, -z)
+
+
+def _kummer_m_array(b: float, c: float, z: np.ndarray):
+    """kummer_m(b, c, z_i) for every element of a 1-D array z.
+
+    Elements with 0 < z <= KUMMER_ENVELOPE sum the plain series in one
+    pass (_kummer_series_array) and then take _kummer_sum's loss gates
+    one by one; every other element, and one whose plain sum ran out of
+    terms, is a scalar kummer_m call.  Returns (values, failure): values
+    has the doubles the scalar calls give and NaN where one raises;
+    failure is None, or (index, error) of the first such element in
+    array order, with the error the scalar call raises.
+    """
+    if math.isfinite(b) and math.isfinite(c) and not _is_nonpositive_integer(c):
+        direct = (z > 0.0) & (z <= KUMMER_ENVELOPE)
+    else:  # kummer_m refuses every element
+        direct = np.zeros(z.shape, dtype=bool)
+    sums, abs_sums, converged = _kummer_series_array(b, c, z[direct])
+    plain = np.zeros(z.shape, dtype=bool)
+    plain[direct] = converged
+    # memoryviews hand out Python floats one at a time, never a list of them
+    pairs = zip(memoryview(sums[converged]), memoryview(abs_sums[converged]))
+    values = np.full(z.shape, math.nan)
+    failure = None
+    points = zip(memoryview(np.ascontiguousarray(z)), plain.tolist())
+    for i, (zi, summed) in enumerate(points):
+        try:
+            values[i] = (_kummer_sum(b, c, zi, next(pairs)) if summed
+                         else kummer_m(b, c, zi))
+        except TriqError as exc:
+            failure = failure or (i, exc)
+    return values, failure
 
 
 def kummer_m_regularized(b: float, c: float, z: float) -> float:
@@ -748,3 +838,9 @@ def tricomi_u_large_z(b: float, c: float, z: float) -> tuple[float, float]:
 # closed-form value tests share one source of truth.
 _AI_ZERO = 3.0 ** (-2.0 / 3.0) * recip_gamma(2.0 / 3.0)   # Ai(0)
 _AI_SLOPE = 3.0 ** (-1.0 / 3.0) * recip_gamma(1.0 / 3.0)  # -Ai'(0)
+
+# (Ai, Ai', Bi, Bi') at the two march anchors, evaluated once at import:
+# the negative-side march starts from the series, the positive-side Ai
+# march from the asymptotics
+_SERIES_LO_ANCHOR = _airy_series_pair(_AIRY_SERIES_LO)
+_ASYM_POS_ANCHOR = _airy_asym_pos(_AIRY_ASYM_POS)

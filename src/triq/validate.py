@@ -16,10 +16,13 @@ import math
 import random
 from dataclasses import dataclass
 
+import numpy as np
+
 from .bound import (TABLE1_PUBLISHED_EV, TABLE1_REFERENCE_EV, TABLE1_WELL,
                     energy_level)
 from .model import MassParams, PotentialProfile, barrier_coefficients, make_units
-from .oracle import IntegrationSpec, integrate, matched_transmission, ode_residual
+from .oracle import (IntegrationSpec, integrate, make_weight,
+                     matched_transmission, ode_residual)
 from .scatter import (abbreviations_at, basis_for, rescale_diagnostic,
                       transmission)
 from .special import (airy_ai, airy_bi, gamma, kummer_m, recip_gamma,
@@ -121,13 +124,11 @@ def suite_interior_equation() -> SuiteResult:
     u, mp, pp = _default_setup()
     E = 0.1
     basis = basis_for(barrier_coefficients(E, mp, pp, u))
-    weight = lambda x: u.H_per_m0 * mp.mass_at(x) * (E - pp.V0 + pp.alpha * x)
     xs = [i * 1e-3 for i in range(7001)]
-    first_vals, second_vals = [], []
-    for x in xs:
-        ker = basis.kernels(x)
-        first_vals.append(basis.first(ker)[0])
-        second_vals.append(basis.second(ker)[0])
+    ker = basis.kernels(np.array(xs))
+    first_vals = basis.first(ker)[0].tolist()
+    second_vals = [basis.second(point)[0] for point in ker.points()]
+    weight = make_weight(E, mp, pp, u)
     worst = 0.0
     for vals in (first_vals, second_vals):
         report = ode_residual(xs, vals, weight)
@@ -144,7 +145,7 @@ def suite_interior_wronskian() -> SuiteResult:
     for E in (0.1, 0.8, 2.25):
         basis = basis_for(barrier_coefficients(E, mp, pp, u))
         exact = (-2.0 * math.sqrt(math.pi) * math.sqrt(basis.sqrt_a1)
-                 * recip_gamma(basis.b_param))
+                 * basis.rg_b)
         for x in (0.0, 1.75, -basis.y_offset, 5.25, pp.a):
             ker = basis.kernels(x)
             fv, fd = basis.first(ker)

@@ -16,7 +16,9 @@ from triq.model import (
 from triq.oracle import (
     HALVING_GATE,
     IntegrationSpec,
+    _march,
     integrate,
+    make_weight,
     matched_b1,
     matched_transmission,
     ode_residual,
@@ -123,6 +125,57 @@ class TestIntegrate:
         with pytest.raises(AccuracyError, match=r" at E = 1\.0 eV") as grid:
             integrate(spec, np.array([1e-6, 1.0, 0.5]), CONST_MASS, None, U)
         assert grid.value.value == info.value.value
+
+
+def reference_march(x0, x1, n, v, d, weight, friction):
+    """_march as it read before the weight was written out: weight and
+    friction (None for the plain equation) called at each RK4 stage."""
+    h = (x1 - x0) / n
+    if friction is None:
+        def f(xi, vi, di):
+            return -weight(xi) * vi
+    else:
+        def f(xi, vi, di):
+            return friction(xi) * di - weight(xi) * vi
+    for i in range(n):
+        x = x0 + i * h
+        k1v, k1d = d, f(x, v, d)
+        k2v = d + 0.5 * h * k1d
+        k2d = f(x + 0.5 * h, v + 0.5 * h * k1v, k2v)
+        k3v = d + 0.5 * h * k2d
+        k3d = f(x + 0.5 * h, v + 0.5 * h * k2v, k3v)
+        k4v = d + h * k3d
+        k4d = f(x + h, v + h * k3v, k4v)
+        v = v + h / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        d = d + h / 6.0 * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+    return v, d
+
+
+class TestMarch:
+    @pytest.mark.parametrize("pp", [BARRIER, None])
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("x0, x1", [(0.0, 0.9), (7.0, 1.4), (-2.0, 0.0)])
+    def test_inline_weight_is_the_called_one(self, pp, full, x0, x1):
+        # the weights as integrate built them before, one lambda per profile
+        def called(E):
+            if pp is None:
+                return lambda x: U.H_per_m0 * MASS.mass_at(x) * E
+            rel = E - pp.edge_eV
+            return lambda x: U.H_per_m0 * MASS.mass_at(x) * (rel + pp.alpha * x)
+
+        friction = (lambda x: -MASS.M1 / MASS.mass_at(x)) if full else None
+        grid = np.array([0.07, 0.6, 2.1])
+        for E in grid.tolist() + [grid]:
+            want = reference_march(x0, x1, 700, 0.3, -1.1, called(E), friction)
+            got = _march(x0, x1, 700, 0.3, -1.1, make_weight(E, MASS, pp, U),
+                         full)
+            for w, g in zip(want, got):
+                assert ([a.hex() for a in np.ravel(w).tolist()]
+                        == [a.hex() for a in np.ravel(g).tolist()])
+        # the weight integrate passes on, as ode_residual sees it
+        weight, want = make_weight(0.6, MASS, pp, U), called(0.6)
+        for x in np.linspace(x0, x1, 9).tolist():
+            assert weight(x).hex() == want(x).hex()
 
 
 class TestFullEquation:

@@ -13,10 +13,11 @@ import pytest
 
 import triq.scatter
 import triq.special
-from triq.errors import AccuracyError, ConditioningError, DomainError
+from triq.errors import (AccuracyError, ConditioningError, DomainError,
+                         TriqError)
 from triq.model import (MassParams, PotentialProfile, airy_scale,
                         barrier_coefficients, make_units)
-from triq.oracle import (IntegrationSpec, _make_weight, integrate,
+from triq.oracle import (IntegrationSpec, integrate, make_weight,
                          matched_transmission, ode_residual)
 from triq.scatter import (
     FIDELITY_MODES,
@@ -55,8 +56,9 @@ class TestRegionIIBasis:
         fn = getattr(basis, which)
         n = 7000
         xs = [BARRIER.a * i / n for i in range(n + 1)]
-        values = [fn(basis.kernels(x))[0] for x in xs]
-        report = ode_residual(xs, values, _make_weight(0.1, MASS, BARRIER, U))
+        grid = basis.kernels(np.array(xs))
+        values = [fn(point)[0] for point in grid.points()]
+        report = ode_residual(xs, values, make_weight(0.1, MASS, BARRIER, U))
         assert report.conclusive
         assert report.residual <= 1e-6
 
@@ -103,6 +105,41 @@ class TestRegionIIBasis:
         basis = RegionIIBasis(b_param=-24.833, sqrt_a1=1.0, y_offset=0.0)
         with pytest.raises(AccuracyError):
             basis.second(basis.kernels(math.sqrt(33.574)))
+
+    @pytest.mark.parametrize("E, xs", [
+        (0.1, [i * 1e-3 for i in range(7001)]),  # validate's interior grid
+        (2.25, [BARRIER.a * i / 140 for i in range(141)]),  # DD reruns
+    ])
+    def test_grid_kernels_are_the_scalar_doubles(self, E, xs):
+        basis = basis_for(barrier_coefficients(E, MASS, BARRIER, U))
+        grid = basis.kernels(np.array(xs))
+        assert all(isinstance(f, np.ndarray) for f in grid)
+        for x, point in zip(xs, grid.points()):
+            assert ([f.hex() for f in point]
+                    == [f.hex() for f in basis.kernels(x)]), x
+
+    @pytest.mark.parametrize("zs", [
+        [200.0, 150.4, 148.8, 130.0],  # third series first, at 150.4
+        [200.0, 148.8, 130.0],  # fourth series only, at 148.8
+        [200.0, 130.0],  # all four refuse: the first one's error
+        [200.0, 301.0, 130.0],  # past the envelope
+        [200.0, math.nan, 130.0],  # not finite
+    ])
+    def test_grid_kernels_raise_the_first_scalar_error(self, zs):
+        # b = -40 with the vertex at x = 0, so z = x^2; each series refuses
+        # on its own band of z
+        basis = RegionIIBasis(b_param=-40.0, sqrt_a1=1.0, y_offset=0.0)
+        xs = [math.sqrt(z) for z in zs]
+        first = None
+        for x in xs:
+            try:
+                basis.kernels(x)
+            except TriqError as exc:
+                first = exc
+                break
+        with pytest.raises(type(first)) as grid:
+            basis.kernels(np.array(xs))
+        assert str(grid.value) == str(first)
 
     def test_large_z_route_engaged(self):
         # at the far interface of the high-energy corner the subtraction

@@ -7,10 +7,11 @@ frozen here, so the suite runs without any special-function dependency.
 import math
 import random
 
+import numpy as np
 import pytest
 
 import triq.special
-from triq.errors import AccuracyError, DomainError
+from triq.errors import AccuracyError, DomainError, TriqError
 from triq.model import MassParams, PotentialProfile, make_units
 from triq.scatter import RegionIIBasis, transmission
 from triq.special import (
@@ -19,6 +20,7 @@ from triq.special import (
     _dd_add,
     _dd_div,
     _dd_mul,
+    _kummer_m_array,
     _kummer_series,
     _kummer_series_dd,
     _two_sum,
@@ -410,6 +412,57 @@ class TestKummerKernelsBitIdentical:
         for b, c, z in seeded_box(2000) + sweep_dd_inputs(monkeypatch):
             assert (outcome(_kummer_series, b, c, z)
                     == outcome(reference_series, b, c, z)), (b, c, z)
+
+    def test_array_matches_scalar_calls(self, monkeypatch):
+        # one array per (b, c) of the box: 30 of its z, then the inputs
+        # kummer_m routes elsewhere (zero, negative, past the envelope, NaN);
+        # NaN where the scalar call raises, and its first error reported
+        reruns = []
+        dd = triq.special._kummer_series_dd
+        monkeypatch.setattr(triq.special, "_kummer_series_dd",
+                            lambda *args: reruns.append(args) or dd(*args))
+        box = seeded_box(240)
+        extra = [0.0, -3.5, 1.01 * KUMMER_ENVELOPE, math.nan]
+        refused = 0
+        for j in range(0, len(box), 30):
+            b, c, _ = box[j]
+            zs = [z for _, _, z in box[j:j + 30]] + extra
+            values, failure = _kummer_m_array(b, c, np.array(zs))
+            want = [scalar_outcome(b, c, z) for z in zs]
+            for v, w in zip(values.tolist(), want):
+                assert v.hex() == w if isinstance(w, str) else math.isnan(v)
+            first = next(i for i, w in enumerate(want) if not isinstance(w, str))
+            assert failure[0] == first
+            assert (type(failure[1]).__name__, str(failure[1])) == want[first]
+            refused += sum(not isinstance(w, str) for w in want[:30])
+        # both the double-double rerun and its refusal were reached
+        assert refused and len(reruns) > 2 * refused
+
+    @pytest.mark.parametrize("b", [0.0, -3.0, -17.0])
+    def test_array_sums_terminating_series(self, b):
+        # b a non-positive integer: the series stops at its first zero term
+        zs = [0.3, 7.5, 40.0, 120.0]
+        values, failure = _kummer_m_array(b, 1.5, np.array(zs))
+        assert failure is None
+        assert [v.hex() for v in values.tolist()] == \
+            [scalar_outcome(b, 1.5, z) for z in zs]
+
+    @pytest.mark.parametrize("b, c", [(math.nan, 0.5), (-2.5, math.inf),
+                                      (-2.5, -1.0)])
+    def test_array_refuses_parameters_as_scalar_calls(self, b, c):
+        values, failure = _kummer_m_array(b, c, np.array([0.5, 2.0]))
+        assert np.isnan(values).all()
+        assert failure[0] == 0
+        assert (type(failure[1]).__name__, str(failure[1])) == \
+            scalar_outcome(b, c, 0.5)
+
+
+def scalar_outcome(b, c, z):
+    """Hex of kummer_m(b, c, z), or the error's (class name, message)."""
+    try:
+        return kummer_m(b, c, z).hex()
+    except TriqError as exc:
+        return type(exc).__name__, str(exc)
 
 
 def companion_u(b, z):

@@ -6,6 +6,22 @@ import triq.validate
 from triq.special import AiryPair
 from triq.validate import info_lines, run_suites
 
+# worst deviation of every suite, frozen by .hex(): validate prints four
+# digits of each, too few to show a change in the last bits
+FROZEN_WORST = {
+    "airy-wronskian": "0x1.3c80000000000p-43",
+    "airy-equation": "0x1.3b5a27828baa9p-22",
+    "gamma-recurrence": "0x1.3000000000000p-47",
+    "kummer-derivative": "0x1.89868e730cfd2p-22",
+    "tricomi-shift": "0x1.bb3b5c60d2ce8p-52",
+    "interior-coefficients": "0x1.c000000000000p-51",
+    "interior-equation": "0x1.04330c162c390p-22",
+    "interior-wronskian": "0x1.3c46800000000p-33",
+    "march-agreement": "0x1.f4b6b1a3dc08ep-48",
+    "transmission-agreement": "0x1.77ba780000000p-29",
+    "bound-residuals": "0x1.8000000000000p-49",
+}
+
 
 class TestSuites:
     def test_clean_build_passes_everything(self):
@@ -14,6 +30,7 @@ class TestSuites:
         for suite in results:
             assert suite.passed, f"{suite.name}: {suite.worst} > {suite.budget}"
             assert math.isfinite(suite.worst) and suite.worst >= 0.0
+        assert {s.name: s.worst.hex() for s in results} == FROZEN_WORST
 
     def test_perturbed_airy_fails_wronskian_only(self, monkeypatch):
         # shift the suites' Ai values by 1e-8; nothing else may react
