@@ -199,34 +199,38 @@ def ode_residual(xs, values, weight: Callable[[float], float],
     points, scale = max(1, max|phi| * max|w|).  A fourth-difference estimate
     of the truncation floor h^2 |phi''''| / 12 decides whether the grid was
     fine enough for the verdict to count against the budget.
+
+    Elementwise numpy on the samples, with the doubles of a scalar loop:
+    the weight is called once on the array of xs (a float result stands
+    for every sample), and each maximum is the one Python's max() takes
+    over the samples in order, so a NaN sample is passed over unless it is
+    the first sample of phi or w.  Overflow is silent, as it is for floats.
     """
-    m = len(xs)
-    if m < 5:
+    xs = np.asarray(xs, dtype=float)
+    f = np.asarray(values, dtype=float)
+    if len(xs) < 5:
         raise DomainError("need at least 5 samples for a residual verdict")
-    h = xs[1] - xs[0]
-    for i in range(1, m - 1):
-        if abs((xs[i + 1] - xs[i]) - h) > 1e-9 * max(1.0, abs(h)):
+    h = float(xs[1] - xs[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.any(np.abs(np.diff(xs)[1:] - h) > 1e-9 * max(1.0, abs(h))):
             raise DomainError("sample grid must be uniform")
-    max_f = max(abs(v) for v in values)
-    # one weight call per sample: max_w takes the samples in order, as
-    # max() over all of them would
-    max_w = abs(weight(xs[0]))
-    worst = 0.0
-    for i in range(1, m - 1):
-        w = weight(xs[i])
-        max_w = max(max_w, abs(w))
-        second = (values[i - 1] - 2.0 * values[i] + values[i + 1]) / (h * h)
-        worst = max(worst, abs(second + w * values[i]))
-    max_w = max(max_w, abs(weight(xs[m - 1])))
-    scale = max(1.0, max_f * max_w)
-    fourth = 0.0
-    for i in range(2, m - 2):
-        d4 = (values[i - 2] - 4.0 * values[i - 1] + 6.0 * values[i]
-              - 4.0 * values[i + 1] + values[i + 2])
-        fourth = max(fourth, abs(d4) / h ** 4)
-    floor = h * h * fourth / 12.0 / scale
-    return ResidualReport(residual=worst / scale,
+        if h ** 4 == 0.0:
+            raise DomainError(f"sample step {h!r} too small for a residual verdict")
+        w = np.broadcast_to(np.asarray(weight(xs), dtype=float), xs.shape)
+        scale = max(1.0, _max_in_order(np.abs(f)) * _max_in_order(np.abs(w)))
+        second = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / (h * h)
+        worst = np.fmax.reduce(np.abs(second + w[1:-1] * f[1:-1]), initial=0.0)
+        d4 = f[:-4] - 4.0 * f[1:-3] + 6.0 * f[2:-2] - 4.0 * f[3:-1] + f[4:]
+        fourth = np.fmax.reduce(np.abs(d4) / h ** 4, initial=0.0)
+    floor = float(h * h * fourth / 12.0 / scale)
+    return ResidualReport(residual=float(worst / scale),
                           conclusive=floor <= budget, floor=floor)
+
+
+def _max_in_order(a: np.ndarray) -> float:
+    """max() of the elements in order: NaN if the first is, else NaNs skipped."""
+    first = float(a[0])
+    return first if math.isnan(first) else float(np.fmax.reduce(a))
 
 
 def matched_b1(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,

@@ -75,6 +75,15 @@ _RG_FIVE_HALVES = recip_gamma(2.5)
 # at a time
 _POINTS_BLOCK = 256
 
+# c of the four Kummer series of a point, in kernels() order; _series_b
+# gives their b
+_SERIES_C = (0.5, 1.5, 1.5, 2.5)
+
+
+def _series_b(b):
+    """b of the four series, in the order of _SERIES_C (a float or an array)."""
+    return b, b + 1.0, b + 0.5, b + 1.5
+
 
 class _Kernels(NamedTuple):
     """Kummer evaluations at one interior point, four series in all.
@@ -108,6 +117,25 @@ class _Kernels(NamedTuple):
         for i in range(0, len(self.y), _POINTS_BLOCK):
             block = (f[i:i + _POINTS_BLOCK].tolist() for f in self)
             yield from map(_Kernels._make, zip(*block))
+
+
+def _kernels_from(y, z, series) -> _Kernels:
+    """Kernels from y, z and the four series' values in _SERIES_C order.
+
+    Floats for one point, or 1-D arrays over a grid (series then the rows
+    of a (4, n) array), where damp is taken per element with math.exp, not
+    np.exp: the two differ in the last bit for some z.
+    """
+    m_val, m_dval, odd, odd_d = series
+    if np.ndim(z):
+        damp = np.array([math.exp(v) for v in (-0.5 * z).tolist()])
+    else:
+        damp = math.exp(-0.5 * z)
+    return _Kernels(y=y, z=z, damp=damp, m_val=m_val, m_dval=m_dval,
+                    r_even=m_val * _RG_HALF,
+                    r_even_d=m_dval * _RG_THREE_HALVES,
+                    r_odd=odd * _RG_THREE_HALVES,
+                    r_odd_d=odd_d * _RG_FIVE_HALVES)
 
 
 @dataclass(frozen=True)
@@ -162,40 +190,23 @@ class RegionIIBasis:
         call gives; where a point is refused, the error raised is the one
         the first refused point of a scalar loop raises.
         """
-        if not (isinstance(x, float) or np.ndim(x) == 0):
-            return self._grid_kernels(np.asarray(x, dtype=float))
-        b = self.b_param
+        grid = not (isinstance(x, float) or np.ndim(x) == 0)
+        if grid:
+            x = np.asarray(x, dtype=float)
         y = x + self.y_offset
         z = self.sqrt_a1 * y * y
-        m_val = kummer_m(b, 0.5, z)
-        m_dval = kummer_m(b + 1.0, 1.5, z)
-        return _Kernels(y=y, z=z, damp=math.exp(-0.5 * z),
-                        m_val=m_val, m_dval=m_dval,
-                        r_even=m_val * _RG_HALF,
-                        r_even_d=m_dval * _RG_THREE_HALVES,
-                        r_odd=kummer_m(b + 0.5, 1.5, z) * _RG_THREE_HALVES,
-                        r_odd_d=kummer_m(b + 1.5, 2.5, z) * _RG_FIVE_HALVES)
-
-    def _grid_kernels(self, x: np.ndarray) -> _Kernels:
-        b = self.b_param
-        y = x + self.y_offset
-        z = self.sqrt_a1 * y * y
-        series = [_kummer_m_array(bs, c, z) for bs, c in
-                  ((b, 0.5), (b + 1.0, 1.5), (b + 0.5, 1.5), (b + 1.5, 2.5))]
+        if not grid:
+            return _kernels_from(y, z, [kummer_m(b, c, z) for b, c in
+                                        zip(_series_b(self.b_param), _SERIES_C)])
+        series = [_kummer_m_array(b, c, z)
+                  for b, c in zip(_series_b(self.b_param), _SERIES_C)]
         # a scalar loop stops at the first refused point, and there at the
         # first of its four series that refuses
-        refused = [(fail[0], j, fail[1])
-                   for j, (_, fail) in enumerate(series) if fail]
+        refused = [(min(failures), j, failures[min(failures)])
+                   for j, (_, failures) in enumerate(series) if failures]
         if refused:
             raise min(refused, key=lambda r: r[:2])[2]
-        m_val, m_dval, odd, odd_d = (values for values, _ in series)
-        # math.exp, not np.exp: the two differ in the last bit for some z
-        damp = np.array([math.exp(v) for v in (-0.5 * z).tolist()])
-        return _Kernels(y=y, z=z, damp=damp, m_val=m_val, m_dval=m_dval,
-                        r_even=m_val * _RG_HALF,
-                        r_even_d=m_dval * _RG_THREE_HALVES,
-                        r_odd=odd * _RG_THREE_HALVES,
-                        r_odd_d=odd_d * _RG_FIVE_HALVES)
+        return _kernels_from(y, z, [values for values, _ in series])
 
     def first(self, ker: _Kernels) -> tuple[float, float]:
         """(value, d/dx) of the even basis solution at the kernels' point."""
@@ -390,12 +401,22 @@ def assemble_matching(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
     """
     rc = barrier_coefficients(E, mp, pp, u, printed_signs=printed_signs)
     basis = basis_for(rc)
-    k = airy_scale(E, mp, u)
-    ai0 = airy_ai(rc.y1)
-    bi0 = airy_bi(rc.y1)
-    ai_a = airy_ai(rc.y3)
-    ker0 = basis.kernels(0.0)
-    kera = basis.kernels(pp.a)
+    exterior = _exterior(E, mp, u, rc)
+    return _assemble(basis, exterior, basis.kernels(0.0), basis.kernels(pp.a),
+                     printed_columns, b5)
+
+
+def _exterior(E, mp: MassParams, u: UnitSystem,
+              rc: RegionCoefficients) -> tuple[float, AiryPair, AiryPair, AiryPair]:
+    """(k, Ai(y1), Bi(y1), Ai(y3)): a point's exterior Airy data, in this order."""
+    return airy_scale(E, mp, u), airy_ai(rc.y1), airy_bi(rc.y1), airy_ai(rc.y3)
+
+
+def _assemble(basis: RegionIIBasis, exterior, ker0: _Kernels, kera: _Kernels,
+              printed_columns: bool, b5: float) -> MatchingSystem:
+    """The matching system of one point from its basis, its _exterior data
+    and its kernels at x = 0 and x = a (assemble_matching and sweep)."""
+    k, ai0, bi0, ai_a = exterior
     fset = abbreviations_at(basis, ker0)
     gset = abbreviations_at(basis, kera)
     if printed_columns:
@@ -419,34 +440,83 @@ def assemble_matching(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
                           gset=gset, bi0=bi0, ai_a=ai_a)
 
 
-def solve_matching(system: MatchingSystem, E=None, b5: float = 1.0) -> MatchSolution:
-    a = system.matrix
-    if not np.all(np.isfinite(a)) or not np.all(np.isfinite(system.rhs)):
-        raise ConditioningError("matching system has non-finite entries",
-                                energy_eV=E)
+def solve_matching(system, E=None, b5: float = 1.0):
+    """Amplitudes (b1, b2, b3, b4) of a matching system, or of many.
+
+    One MatchingSystem gives a MatchSolution or raises ConditioningError.
+    A sequence of systems, with E the sequence of their energies, gives a
+    list holding a MatchSolution or the ConditioningError of each: a
+    non-finite system is refused before the rest are stacked and solved by
+    one np.linalg.solve; a singular member fails that solve as a whole, and
+    then each system is solved alone, so only that member is refused.
+    Either way every system gets the same doubles.
+    """
+    single = isinstance(system, MatchingSystem)
+    systems = [system] if single else list(system)
+    energies = [E] if single else (list(E) if E is not None
+                                   else [None] * len(systems))
+    out = [None] * len(systems)
+    a = np.array([s.matrix for s in systems]).reshape(-1, 4, 4)
+    rhs = np.array([s.rhs for s in systems]).reshape(-1, 4)
+    finite = np.isfinite(np.concatenate([a.reshape(-1, 16), rhs], axis=1)).all(axis=1)
+    stack = np.flatnonzero(finite).tolist()
+    if len(stack) < len(systems):
+        for i in np.flatnonzero(~finite).tolist():
+            out[i] = ConditioningError("matching system has non-finite entries",
+                                       energy_eV=energies[i])
+        a, rhs = a[stack], rhs[stack]
+    try:
+        parts = [(stack, *_solve_stack(a, rhs))] if stack else []
+    except np.linalg.LinAlgError:
+        parts = []
+        for j, i in enumerate(stack):
+            try:
+                parts.append(([i], *_solve_stack(a[j:j + 1], rhs[j:j + 1])))
+            except np.linalg.LinAlgError:
+                out[i] = ConditioningError("matching system is singular",
+                                           energy_eV=energies[i])
+    for rows, x, scaled, residuals in parts:
+        for j, i in enumerate(rows):
+            b1, b2, b3, b4 = x[j].tolist()
+            out[i] = MatchSolution(b1=b1, b2=b2, b3=b3, b4=b4, b5=b5,
+                                   residual=residuals[j], equilibrated=scaled[j])
+    if not single:
+        return out
+    if isinstance(out[0], ConditioningError):
+        raise out[0]
+    return out[0]
+
+
+def _solve_stack(a: np.ndarray, rhs: np.ndarray):
+    """(x, equilibrated matrices, worst residuals) of the (n, 4, 4) stack
+    a x = rhs."""
     # The recessive column spans ~15 orders of magnitude between the two
     # interfaces, so equilibrate rows then columns before factoring.  Powers
     # of two keep the scaling exact.
-    row = np.max(np.abs(a), axis=1)
+    row = np.max(np.abs(a), axis=2)
     row = np.exp2(-np.round(np.log2(np.where(row == 0.0, 1.0, row))))
-    scaled = a * row[:, None]
-    col = np.max(np.abs(scaled), axis=0)
+    scaled = a * row[:, :, None]
+    col = np.max(np.abs(scaled), axis=1)
     col = np.exp2(-np.round(np.log2(np.where(col == 0.0, 1.0, col))))
-    scaled = scaled * col[None, :]
-    try:
-        x = col * np.linalg.solve(scaled, system.rhs * row)
-    except np.linalg.LinAlgError:
-        raise ConditioningError("matching system is singular", energy_eV=E)
-    # backward-stable solve: measure the residual row-relative
-    worst = 0.0
-    for i in range(4):
-        arow = a[i]
-        scale = sum(abs(arow[j] * x[j]) for j in range(4)) + abs(system.rhs[i])
-        gap = abs(float(arow @ x) - system.rhs[i])
-        worst = max(worst, gap / max(scale, 1e-300))
-    return MatchSolution(b1=float(x[0]), b2=float(x[1]), b3=float(x[2]),
-                         b4=float(x[3]), b5=b5, residual=worst,
-                         equilibrated=scaled)
+    scaled = scaled * col[:, None, :]
+    x = col * np.linalg.solve(scaled, (rhs * row)[:, :, None])[:, :, 0]
+    return x, scaled, _residuals(a, rhs, x)
+
+
+def _residuals(a: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> list[float]:
+    """Worst row-relative residual of each solved system in a stack.
+
+    A backward-stable solve is measured row-relative: |a_i . x - rhs_i|
+    over sum_j |a_ij x_j| + |rhs_i|, the sum taken left to right and the
+    dot product one row at a time; the worst is taken as max() folds it
+    from 0, so a NaN ratio is passed over.
+    """
+    parts = np.abs(a * x[:, None, :])
+    scale = parts[..., 0] + parts[..., 1] + parts[..., 2] + parts[..., 3] + np.abs(rhs)
+    dots = [float(arow @ xs) for rows, xs in zip(a, x) for arow in rows]
+    gap = np.abs(np.reshape(dots, rhs.shape) - rhs)
+    return np.fmax.reduce(gap / np.maximum(scale, 1e-300), axis=1,
+                          initial=0.0).tolist()
 
 
 @dataclass(frozen=True)
@@ -485,21 +555,16 @@ def _paper_closed_form(system: MatchingSystem, b5: float) -> tuple[float, float,
     return t1, t2, ratio * ratio
 
 
-def transmission(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
-                 fidelity: str = "none", b5: float = 1.0) -> TransmissionResult:
-    """Solve the matching system and report both transmission conventions.
-
-    T_solve comes from the linear solve; |b1| below RESONANCE_RTOL of the
-    amplitude scale is reported as the +inf resonance sentinel.  T_paper is
-    the printed closed form, always computed for comparison.
-    """
+def _printed(fidelity: str) -> tuple[bool, bool]:
+    """(printed_signs, printed_columns) of a fidelity mode."""
     if fidelity not in FIDELITY_MODES:
         raise DomainError(f"fidelity must be one of {FIDELITY_MODES}, got {fidelity!r}")
-    printed_signs = fidelity in ("signs", "all")
-    printed_columns = fidelity in ("t2", "all")
-    system = assemble_matching(E, mp, pp, u, printed_signs=printed_signs,
-                               printed_columns=printed_columns, b5=b5)
-    sol = solve_matching(system, E=E, b5=b5)
+    return fidelity in ("signs", "all"), fidelity in ("t2", "all")
+
+
+def _result(E, system: MatchingSystem, sol: MatchSolution,
+            b5: float) -> TransmissionResult:
+    """Both transmission conventions from a solved matching system."""
     if abs(sol.b1) < RESONANCE_RTOL * sol.amplitude_scale:
         t_solve = math.inf
     else:
@@ -508,6 +573,20 @@ def transmission(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
     t1, t2, t_paper = _paper_closed_form(system, b5)
     return TransmissionResult(E=E, T_solve=t_solve, T_paper=t_paper,
                               t1=t1, t2=t2, residual=sol.residual, solution=sol)
+
+
+def transmission(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
+                 fidelity: str = "none", b5: float = 1.0) -> TransmissionResult:
+    """Solve the matching system and report both transmission conventions.
+
+    T_solve comes from the linear solve; |b1| below RESONANCE_RTOL of the
+    amplitude scale is reported as the +inf resonance sentinel.  T_paper is
+    the printed closed form, always computed for comparison.
+    """
+    printed_signs, printed_columns = _printed(fidelity)
+    system = assemble_matching(E, mp, pp, u, printed_signs=printed_signs,
+                               printed_columns=printed_columns, b5=b5)
+    return _result(E, system, solve_matching(system, E=E, b5=b5), b5)
 
 
 def rescale_diagnostic(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
@@ -539,6 +618,18 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
     triangle keeps touching zero at x = a; otherwise pp.alpha is used as
     given.  A point that fails with a TriqError or ArithmeticError is
     recorded in flags with NaN results; any other exception propagates.
+
+    Every row is the one transmission() gives at that point, double for
+    double and error for error, but the grid is worked in three stages.
+    Each point first takes its coefficients, basis and exterior Airy values
+    as transmission() does.  Then the 8 Kummer series of every point (4 at
+    each interface) are summed in one pass, and each point's sums are
+    checked in the order its own kernels() calls would make them, stopping
+    at its first refusal (special._kummer_m_array): the double-double
+    reruns are the ones a loop of transmission() calls runs, no more, and a
+    refused point reports the error that loop raises.  Last, each point's
+    system is assembled by the code assemble_matching uses, and all are
+    solved by one stacked solve_matching call.
     """
     if axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
@@ -548,25 +639,90 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
         if not values[i] < values[i + 1]:
             raise DomainError("sweep grid must be strictly increasing")
     rows = []
-    for v in values:
-        try:
-            if axis == "E":
-                point_E, point_pp = v, pp
-            elif axis == "V0":
-                point_E = E
-                point_pp = PotentialProfile(
-                    V0=v, alpha=(v / pp.a if auto_alpha else pp.alpha),
-                    a=pp.a, kind=pp.kind)
-            else:
-                point_E = E
-                point_pp = PotentialProfile(
-                    V0=pp.V0, alpha=(pp.V0 / v if auto_alpha else pp.alpha),
-                    a=v, kind=pp.kind)
-            result = transmission(point_E, mp, point_pp, u, fidelity=fidelity)
-        except (TriqError, ArithmeticError) as exc:
+    for v, got in zip(values, _sweep_outcomes(axis, values, mp, pp, u, E,
+                                              fidelity, auto_alpha)):
+        if isinstance(got, TransmissionResult):
+            flags = ("resonance",) if got.resonant else ()
+            rows.append(SweepRow(axis_value=v, result=got, flags=flags))
+        else:
             rows.append(SweepRow(axis_value=v, result=None,
-                                 flags=(type(exc).__name__,)))
-            continue
-        flags = ("resonance",) if result.resonant else ()
-        rows.append(SweepRow(axis_value=v, result=result, flags=flags))
+                                 flags=(type(got).__name__,)))
     return rows
+
+
+def _sweep_outcomes(axis, values, mp, pp, u, E, fidelity, auto_alpha) -> list:
+    """Per grid value, its TransmissionResult or the error that refused it."""
+    numeric = (TriqError, ArithmeticError)
+    outcome: list = [None] * len(values)
+    points = []  # (index, energy, width a, basis, exterior, printed_columns)
+    for i, v in enumerate(values):
+        try:
+            point_E, point_pp = _sweep_point(axis, v, E, pp, auto_alpha)
+            printed_signs, printed_columns = _printed(fidelity)
+            rc = barrier_coefficients(point_E, mp, point_pp, u,
+                                      printed_signs=printed_signs)
+            basis = basis_for(rc)
+            points.append((i, point_E, point_pp.a, basis,
+                           _exterior(point_E, mp, u, rc), printed_columns))
+        except numeric as exc:
+            outcome[i] = exc
+    kernels = _interface_kernels([p[3] for p in points], [p[2] for p in points])
+    solving, systems = [], []
+    for (i, point_E, _, basis, exterior, printed_columns), ker in zip(points, kernels):
+        if isinstance(ker, TriqError):
+            outcome[i] = ker
+            continue
+        try:
+            systems.append(_assemble(basis, exterior, *ker, printed_columns, 1.0))
+            solving.append((i, point_E))
+        except numeric as exc:
+            outcome[i] = exc
+    try:
+        solutions = solve_matching(systems, E=[e for _, e in solving])
+    except numeric as exc:
+        solutions = [exc] * len(systems)
+    for (i, point_E), system, sol in zip(solving, systems, solutions):
+        if isinstance(sol, Exception):
+            outcome[i] = sol
+            continue
+        try:
+            outcome[i] = _result(point_E, system, sol, 1.0)
+        except numeric as exc:
+            outcome[i] = exc
+    return outcome
+
+
+def _sweep_point(axis: str, v, E, pp: PotentialProfile,
+                 auto_alpha: bool) -> tuple[float, PotentialProfile]:
+    """(energy, profile) of the sweep point at axis value v."""
+    if axis == "E":
+        return v, pp
+    if axis == "V0":
+        return E, PotentialProfile(V0=v, alpha=(v / pp.a if auto_alpha else pp.alpha),
+                                   a=pp.a, kind=pp.kind)
+    return E, PotentialProfile(V0=pp.V0, alpha=(pp.V0 / v if auto_alpha else pp.alpha),
+                               a=v, kind=pp.kind)
+
+
+def _interface_kernels(bases: list[RegionIIBasis], widths: list[float]) -> list:
+    """(kernels at x = 0, kernels at x = a) of each basis, or its error.
+
+    All 8 series of every basis are one _kummer_m_array call, a row per
+    basis with x = 0's four series before x = a's, so a row stops where
+    kernels(0.0) then kernels(a) would first raise, and that error stands
+    in for the pair.
+    """
+    if not bases:
+        return []
+    b, s, offset = (np.array(v, dtype=float) for v in zip(
+        *((basis.b_param, basis.sqrt_a1, basis.y_offset) for basis in bases)))
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as floats are
+        y = np.stack([0.0 + offset, np.array(widths, dtype=float) + offset], axis=1)
+        z = s[:, None] * y * y
+    values, failures = _kummer_m_array(np.tile(np.stack(_series_b(b), axis=1), 2),
+                                       np.tile(_SERIES_C, 2),
+                                       np.repeat(z, 4, axis=1))
+    ker = _kernels_from(y.ravel(), z.ravel(), values.reshape(-1, 4).T)
+    pairs = zip(*[ker.points()] * 2)
+    return [failures.get(i) or pair for i, pair in enumerate(pairs)]
+

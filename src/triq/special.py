@@ -81,8 +81,10 @@ def _require_finite(name: str, x: float) -> float:
     return x
 
 
-def _is_nonpositive_integer(x: float) -> bool:
-    return x <= 0.0 and x == math.floor(x)
+def _is_nonpositive_integer(x):
+    """x <= 0 with no fraction, for a finite float or elementwise over an
+    array (x // 1.0 is floor(x) for finite x)."""
+    return (x <= 0.0) & (x == x // 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -644,25 +646,34 @@ def _kummer_series_dd(b: float, c: float, z: float) -> tuple[float, float]:
     return sh + sl, ah
 
 
-def _kummer_series_array(b: float, c: float, z: np.ndarray):
+def _kummer_series_array(b, c, z: np.ndarray):
     """_kummer_series over a 1-D array of z, in one pass for all elements.
 
-    Each element does the scalar loop's operations: the same term update,
-    Neumaier branch and stop rule, so it gets the same doubles.  An element
-    leaves the live arrays at the term where the scalar loop breaks.
-    Returns (sum, sum of |terms|, converged), converged False where the
-    scalar loop runs out of terms and raises.  Overflow and inf - inf are
+    b and c are floats, shared by every element, or arrays of z's shape,
+    one parameter pair per element: validate's x grid passes floats, one
+    call per series, and a transmission sweep passes the 8 series of all
+    its points in one call.  Each element does the scalar loop's
+    operations: the same term update, Neumaier branch and stop rule, so it
+    gets the same doubles.  An element leaves the live arrays at the term
+    where the scalar loop breaks.  Returns (sum, sum of |terms|,
+    converged); where the scalar loop runs out of terms and raises,
+    converged is False and both sums are NaN.  Overflow and inf - inf are
     silent, as they are for Python floats.
+
+    This is the only array summer, and it only sums: the loss gates stay
+    with _kummer_m_array, which walks each point's series in order and
+    stops at its first refusal, because a scalar loop never reruns (in
+    double-double, 12-15x the plain sum) a series past a refused one.
     """
     n = z.size
-    value, abs_out = np.empty(n), np.empty(n)
+    value, abs_out = np.full(n, math.nan), np.full(n, math.nan)
     converged = np.zeros(n, dtype=bool)
     live, zl = np.arange(n), z
     s, comp, abs_sum = np.ones(n), np.zeros(n), np.ones(n)
     term, prev_mag = np.ones(n), np.ones(n)
 
     def retire(done):
-        nonlocal live, zl, s, comp, abs_sum, term, prev_mag
+        nonlocal live, zl, s, comp, abs_sum, term, prev_mag, b, c
         idx = live[done]
         value[idx] = s[done] + comp[done]
         abs_out[idx] = abs_sum[done]
@@ -670,6 +681,7 @@ def _kummer_series_array(b: float, c: float, z: np.ndarray):
         keep = ~done
         live, zl, s, comp, abs_sum, term, prev_mag = (
             a[keep] for a in (live, zl, s, comp, abs_sum, term, prev_mag))
+        b, c = (p[keep] if np.ndim(p) else p for p in (b, c))
 
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(1, _KUMMER_MAX_TERMS + 1):
@@ -694,20 +706,39 @@ def _kummer_series_array(b: float, c: float, z: np.ndarray):
     return value, abs_out, converged
 
 
+def _plain_kept(value, abs_sum):
+    """Whether a plain Kummer sum stands without the double-double rerun.
+
+    True where the cancellation factor is at most _KUMMER_ESCALATE_LOSS;
+    the one place the escalation test is written.  Floats or arrays,
+    elementwise (an array caller silences numpy's overflow warning).
+    """
+    return _kummer_loss(value, abs_sum) <= _KUMMER_ESCALATE_LOSS
+
+
+def _kummer_loss(value, abs_sum):
+    """Cancellation factor sum|terms| / max(|sum|, 5e-324).
+
+    The max is written with operators so that it also holds elementwise:
+    no nonzero |sum| is below 5e-324, so it is |sum|, plus 5e-324 at 0.
+    """
+    return abs_sum / (abs(value) + (value == 0.0) * 5e-324)
+
+
 def _kummer_sum(b: float, c: float, z: float, plain=None) -> float:
     """M(b; c; z), z > 0, from the plain series or its double-double rerun.
 
-    Both loss gates are decided here and only here.  plain is the
-    (sum, sum of |terms|) of the plain series at this z when it has
-    already been summed (over an array, by _kummer_m_array).
+    Both loss gates are decided here and only here (the escalation test
+    through _plain_kept, which _kummer_m_array also reads to skip this
+    call where the plain sum stands).  plain is the (sum, sum of |terms|)
+    of the plain series at this z when it has already been summed (over an
+    array, by _kummer_m_array).
     """
     value, abs_sum = _kummer_series(b, c, z) if plain is None else plain
-    loss = abs_sum / max(abs(value), 5e-324)
-    if loss <= _KUMMER_ESCALATE_LOSS:
+    if _plain_kept(value, abs_sum):
         return value
     value, abs_sum = _kummer_series_dd(b, c, z)
-    loss = abs_sum / max(abs(value), 5e-324)
-    if loss > _KUMMER_FAIL_LOSS:
+    if _kummer_loss(value, abs_sum) > _KUMMER_FAIL_LOSS:
         raise AccuracyError(
             f"kummer_m cancellation too severe at b={b!r}, c={c!r}, z={z!r}",
             value=z)
@@ -738,36 +769,57 @@ def kummer_m(b: float, c: float, z: float) -> float:
     return math.exp(z) * _kummer_sum(c - b, c, -z)
 
 
-def _kummer_m_array(b: float, c: float, z: np.ndarray):
-    """kummer_m(b, c, z_i) for every element of a 1-D array z.
+def _kummer_m_array(b, c, z):
+    """kummer_m over an array of points, with the scalar calls' doubles.
 
-    Elements with 0 < z <= KUMMER_ENVELOPE sum the plain series in one
-    pass (_kummer_series_array) and then take _kummer_sum's loss gates
-    one by one; every other element, and one whose plain sum ran out of
-    terms, is a scalar kummer_m call.  Returns (values, failure): values
-    has the doubles the scalar calls give and NaN where one raises;
-    failure is None, or (index, error) of the first such element in
-    array order, with the error the scalar call raises.
+    z is 1-D, one point per element, or 2-D, one point per row with its
+    series in column order; b and c are floats or arrays broadcast against
+    z.  Every element with valid parameters and 0 < z <= KUMMER_ENVELOPE
+    sums its plain series in one pass (_kummer_series_array), and where
+    _plain_kept accepts the sum, that sum is its value.  Only the other
+    elements make a scalar call, point by point and along a row in column
+    order: _kummer_sum on the plain sum (the double-double rerun), or
+    kummer_m where the series was not summed or ran out of terms.  A row
+    stops at its first refusal, as a scalar loop over the point would, so
+    no rerun is made past it.  Returns (values, failures): values holds
+    what the scalar calls return, NaN from a refusal to the end of its row;
+    failures maps the index of each refused point, in index order, to the
+    error its scalar call raises.
     """
-    if math.isfinite(b) and math.isfinite(c) and not _is_nonpositive_integer(c):
-        direct = (z > 0.0) & (z <= KUMMER_ENVELOPE)
-    else:  # kummer_m refuses every element
-        direct = np.zeros(z.shape, dtype=bool)
-    sums, abs_sums, converged = _kummer_series_array(b, c, z[direct])
-    plain = np.zeros(z.shape, dtype=bool)
-    plain[direct] = converged
-    # memoryviews hand out Python floats one at a time, never a list of them
-    pairs = zip(memoryview(sums[converged]), memoryview(abs_sums[converged]))
-    values = np.full(z.shape, math.nan)
-    failure = None
-    points = zip(memoryview(np.ascontiguousarray(z)), plain.tolist())
-    for i, (zi, summed) in enumerate(points):
-        try:
-            values[i] = (_kummer_sum(b, c, zi, next(pairs)) if summed
-                         else kummer_m(b, c, zi))
-        except TriqError as exc:
-            failure = failure or (i, exc)
-    return values, failure
+    z = np.asarray(z, dtype=float)
+    bz, cz = np.broadcast_to(b, z.shape), np.broadcast_to(c, z.shape)
+    with np.errstate(invalid="ignore"):  # inf // 1.0 is NaN, not an integer
+        direct = (np.isfinite(bz) & np.isfinite(cz)
+                  & ~_is_nonpositive_integer(cz)
+                  & (z > 0.0) & (z <= KUMMER_ENVELOPE))
+    sums, abs_sums, converged = _kummer_series_array(
+        bz[direct] if np.ndim(b) else b, cz[direct] if np.ndim(c) else c,
+        z[direct])
+    plain, plain_abs = np.full(z.shape, math.nan), np.full(z.shape, math.nan)
+    plain[direct], plain_abs[direct] = sums, abs_sums
+    summed = np.zeros(z.shape, dtype=bool)
+    summed[direct] = converged
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as for floats
+        kept = _plain_kept(plain, plain_abs)  # NaN, so False, where not summed
+    values = np.where(kept, plain, math.nan)
+    failures = {}
+    grid = [a if a.ndim == 2 else a[:, None]
+            for a in (values, bz, cz, z, plain, plain_abs, summed, kept)]
+    for i in np.flatnonzero(~grid[-1].all(axis=1)).tolist():
+        out, *point = (a[i] for a in grid)
+        # Python floats from tolist: the scalar routes' own types
+        for j, (bj, cj, zj, sj, aj, summed_j, kept_j) in enumerate(
+                zip(*(a.tolist() for a in point))):
+            if kept_j:
+                continue
+            try:
+                out[j] = (_kummer_sum(bj, cj, zj, (sj, aj)) if summed_j
+                          else kummer_m(bj, cj, zj))
+            except TriqError as exc:
+                failures[i] = exc
+                out[j:] = math.nan
+                break
+    return values, failures
 
 
 def kummer_m_regularized(b: float, c: float, z: float) -> float:

@@ -43,6 +43,12 @@ class TestGolden:
          "576871dbea81512e1f1420619fdb08b2cba5b0a273d7e51ea6a588f6af58d613"),
         ("tunnelling --min 0.02 --max 0.44 --points 200",
          "a87c0a9bc20e456e8399ff7d42dc476dc32ae105d017799d47202799457a4a0b"),
+        # the V0 axis with the default auto alpha, and the refusal band
+        # (45 of 100 rows refused by the Kummer guards, 271 DD reruns)
+        ("transmission --axis V0 --min 0.05 --max 0.9 --points 120",
+         "33e19eacb74cb69a1de0f86e8f8fb720348a61f2e873d16eea23e331932c12b4"),
+        ("transmission --min 2.25 --max 3.9 --points 100",
+         "9fe9fce941f474b7d106abf16839f165ea8b1e8b4831506eaa535feb6ae54edb"),
         ("validate",
          "eaf83caf42e188c11c19556464efde4adec90a0c7c5ed1f20aca3597660925b2"),
     ])

@@ -1,6 +1,7 @@
 """Marcher tests: textbook limits, convergence order, and residual verdicts."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -43,6 +44,34 @@ ORACLE_TABLE = [
     (2.1018640002132267, '0x1.0222ad318e7b7p-1', '0x1.f7905a8b95720p+1'),
     (2.161580790473181, '0x1.043a72b2756a1p-1', '0x1.ef7f2a417a01bp+1'),
 ]
+
+
+def reference_ode_residual(xs, values, weight, budget=1e-6):
+    """ode_residual as the sample-by-sample loop it replaced."""
+    m = len(xs)
+    if m < 5:
+        raise DomainError("need at least 5 samples for a residual verdict")
+    h = xs[1] - xs[0]
+    for i in range(1, m - 1):
+        if abs((xs[i + 1] - xs[i]) - h) > 1e-9 * max(1.0, abs(h)):
+            raise DomainError("sample grid must be uniform")
+    max_f = max(abs(v) for v in values)
+    max_w = abs(weight(xs[0]))
+    worst = 0.0
+    for i in range(1, m - 1):
+        w = weight(xs[i])
+        max_w = max(max_w, abs(w))
+        second = (values[i - 1] - 2.0 * values[i] + values[i + 1]) / (h * h)
+        worst = max(worst, abs(second + w * values[i]))
+    max_w = max(max_w, abs(weight(xs[m - 1])))
+    scale = max(1.0, max_f * max_w)
+    fourth = 0.0
+    for i in range(2, m - 2):
+        d4 = (values[i - 2] - 4.0 * values[i - 1] + 6.0 * values[i]
+              - 4.0 * values[i + 1] + values[i + 2])
+        fourth = max(fourth, abs(d4) / h ** 4)
+    floor = h * h * fourth / 12.0 / scale
+    return worst / scale, floor <= budget, floor
 
 
 def airy_state(x, E):
@@ -246,6 +275,65 @@ class TestOdeResidual:
             ode_residual([0.0, 0.1, 0.2, 0.3], [1.0] * 4, lambda x: 1.0)
         with pytest.raises(DomainError):
             ode_residual([0.0, 0.1, 0.3, 0.4, 0.5], [1.0] * 5, lambda x: 1.0)
+        with pytest.raises(DomainError):
+            ode_residual([0.0] * 6, [1.0] * 6, lambda x: 1.0)  # zero step
+
+    def test_matches_the_sample_loop(self):
+        # seeded grids, some with NaN samples or a jittered node, against
+        # the loop: same doubles and verdict, or the same refusal
+        rng = random.Random(512)
+        weights = (lambda x: 1.0, lambda x: -x, make_weight(0.4, MASS, BARRIER, U))
+        for _ in range(150):
+            m, h = rng.choice((5, 6, 9, 60)), rng.choice((1e-3, 1e-2, 0.1))
+            xs = [i * h for i in range(m)]
+            vals = [math.cos(3.0 * x) + rng.uniform(-1e-4, 1e-4) for x in xs]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                vals[rng.randrange(m)] = math.nan
+            if rng.random() < 0.3:
+                xs[rng.randrange(1, m)] += rng.choice((1e-12, 1e-6, math.nan))
+            weight = rng.choice(weights)
+            try:
+                want = reference_ode_residual(xs, vals, weight)
+            except DomainError as exc:
+                with pytest.raises(DomainError, match=str(exc)):
+                    ode_residual(xs, vals, weight)
+                continue
+            got = ode_residual(xs, vals, weight)
+            assert (got.residual.hex(), got.conclusive, got.floor.hex()) == \
+                (want[0].hex(), want[1], want[2].hex())
+
+    def test_nan_samples_and_grid_checks_pinned(self):
+        # the doubles of the sample-by-sample loop this replaced, frozen
+        # from it: a NaN sample is passed over by every maximum, so a NaN
+        # in an all-zero function still reads as a conclusive 0 (only a NaN
+        # first sample changes max|phi|, and then scale falls back to 1)
+        xs = [i * 1e-2 for i in range(201)]
+        for i in (0, 57, 200):
+            zeros = [0.0] * 201
+            zeros[i] = math.nan
+            report = ode_residual(xs, zeros, lambda x: 1.0)
+            assert (report.residual, report.conclusive, report.floor) == \
+                (0.0, True, 0.0)
+        cosine = [math.cos(3.0 * x) for x in xs]
+        pinned = ("0x1.fff04f2a353a2p+2", False, "0x1.61d42d2e4a000p-11")
+        for i in (0, 57):
+            vals = cosine[:]
+            vals[i] = math.nan
+            report = ode_residual(xs, vals, lambda x: 1.0)
+            assert (report.residual.hex(), report.conclusive,
+                    report.floor.hex()) == pinned
+        # spacing within 1e-9 of the first step passes, a NaN spacing
+        # compares false and passes too, a 1e-6 departure is refused
+        for bump, passes in ((1e-12, True), (math.nan, True), (1e-6, False)):
+            grid = xs[:]
+            grid[100] += bump
+            if passes:
+                report = ode_residual(grid, cosine, lambda x: 1.0)
+                assert (report.residual.hex(), report.conclusive,
+                        report.floor.hex()) == pinned
+            else:
+                with pytest.raises(DomainError, match="uniform"):
+                    ode_residual(grid, cosine, lambda x: 1.0)
 
 
 class TestMatchedTransmission:

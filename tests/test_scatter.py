@@ -403,7 +403,160 @@ class TestInterfaceEvaluatedOnce:
             assert [v.hex() for v in got] == [v.hex() for v in want], E
 
 
+def loop_outcomes(axis, values, mp=MASS, pp=BARRIER, E=0.1, fidelity="none",
+                  auto_alpha=False):
+    """A transmission() call per grid value: its result, or its error."""
+    out = []
+    for v in values:
+        try:
+            if axis == "E":
+                point_E, point_pp = v, pp
+            elif axis == "V0":
+                point_E = E
+                point_pp = PotentialProfile(
+                    V0=v, alpha=(v / pp.a if auto_alpha else pp.alpha),
+                    a=pp.a, kind=pp.kind)
+            else:
+                point_E = E
+                point_pp = PotentialProfile(
+                    V0=pp.V0, alpha=(pp.V0 / v if auto_alpha else pp.alpha),
+                    a=v, kind=pp.kind)
+            out.append(transmission(point_E, mp, point_pp, U, fidelity=fidelity))
+        except (TriqError, ArithmeticError) as exc:
+            out.append(exc)
+    return out
+
+
+def outcome_key(got):
+    """Every double of a result by .hex(), or an error's class, message,
+    value and energy."""
+    if isinstance(got, TriqError | ArithmeticError):
+        return (type(got).__name__, str(got), getattr(got, "value", None),
+                getattr(got, "energy_eV", None))
+    s = got.solution
+    nums = (got.E, got.T_solve, got.T_paper, got.t1, got.t2, got.residual,
+            s.b1, s.b2, s.b3, s.b4, s.b5)
+    return [float(v).hex() for v in nums]
+
+
+def counted_routes(monkeypatch):
+    """Counters of the double-double Kummer reruns and large-z Tricomi calls."""
+    counts = {"dd": 0, "tricomi": 0}
+
+    def counter(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
+        return counted
+
+    monkeypatch.setattr(triq.special, "_kummer_series_dd",
+                        counter("dd", triq.special._kummer_series_dd))
+    monkeypatch.setattr(triq.scatter, "tricomi_u_large_z",
+                        counter("tricomi", triq.scatter.tricomi_u_large_z))
+    return counts
+
+
+def reference_solve(system):
+    """(b1..b4, residual, equilibrated matrix) of solve_matching as it read
+    for one system before systems were stacked."""
+    a = system.matrix
+    if not np.all(np.isfinite(a)) or not np.all(np.isfinite(system.rhs)):
+        raise ConditioningError("matching system has non-finite entries")
+    row = np.max(np.abs(a), axis=1)
+    row = np.exp2(-np.round(np.log2(np.where(row == 0.0, 1.0, row))))
+    scaled = a * row[:, None]
+    col = np.max(np.abs(scaled), axis=0)
+    col = np.exp2(-np.round(np.log2(np.where(col == 0.0, 1.0, col))))
+    scaled = scaled * col[None, :]
+    try:
+        x = col * np.linalg.solve(scaled, system.rhs * row)
+    except np.linalg.LinAlgError:
+        raise ConditioningError("matching system is singular")
+    worst = 0.0
+    for i in range(4):
+        arow = a[i]
+        scale = sum(abs(arow[j] * x[j]) for j in range(4)) + abs(system.rhs[i])
+        gap = abs(float(arow @ x) - system.rhs[i])
+        worst = max(worst, gap / max(scale, 1e-300))
+    return [float(v) for v in x], float(worst), scaled
+
+
+def linear_grid(lo, hi, n):
+    return [lo + (hi - lo) * i / (n - 1) for i in range(n)]
+
+
+# the steep-mass profile of test_printed_gamma_overflow_leaves_t_solve
+STEEP = (MassParams(M1=0.02), PotentialProfile(V0=5.0, alpha=0.45 / 7.0, a=2.0))
+
+
 class TestSweep:
+    @pytest.mark.parametrize("axis, values, fidelity, auto_alpha, setup", [
+        # E axis across plain sums, DD reruns and the refusal band
+        ("E", linear_grid(0.02, 6.0, 45), "none", False, None),
+        # the 100-point refusal band of the CLI, 45 points refused
+        ("E", linear_grid(2.25, 3.9, 100), "none", False, None),
+        ("E", linear_grid(0.02, 6.0, 45), "signs", False, None),
+        ("E", linear_grid(0.02, 6.0, 45), "t2", False, None),
+        ("E", linear_grid(0.02, 6.0, 45), "all", False, None),
+        ("V0", linear_grid(0.005, 1.5, 40), "none", True, None),
+        ("V0", linear_grid(0.005, 1.5, 40), "none", False, None),
+        ("a", linear_grid(1e-4, 14.0, 40), "none", True, None),
+        ("a", linear_grid(1e-4, 14.0, 40), "none", False, None),
+        # a DomainError point and NaN T_paper; under t2 the printed f6
+        # makes the other 4 systems non-finite (ConditioningError)
+        ("E", [-0.5] + linear_grid(0.15, 0.2, 4), "none", False, STEEP),
+        ("E", [-0.5] + linear_grid(0.15, 0.2, 4), "t2", False, STEEP),
+    ])
+    def test_grid_path_is_the_point_loop(self, monkeypatch, axis, values,
+                                         fidelity, auto_alpha, setup):
+        # every row, refusal and kernel route of the grid path is what a
+        # loop of transmission() calls gives, double for double
+        mp, pp = setup or (MASS, BARRIER)
+        counts = counted_routes(monkeypatch)
+        want = loop_outcomes(axis, values, mp, pp, fidelity=fidelity,
+                             auto_alpha=auto_alpha)
+        loop_counts = dict(counts)
+        counts.update(dd=0, tricomi=0)
+        got = triq.scatter._sweep_outcomes(axis, values, mp, pp, U,
+                                           0.1, fidelity, auto_alpha)
+        assert counts == loop_counts
+        assert [outcome_key(g) for g in got] == [outcome_key(w) for w in want]
+        rows = sweep(axis, values, mp, pp, U, E=0.1, fidelity=fidelity,
+                     auto_alpha=auto_alpha)
+        assert [outcome_key(r.result) if r.result else r.flags
+                for r in rows] == [
+            (type(g).__name__,) if isinstance(g, Exception) else outcome_key(g)
+            for g in got]
+        if values[0] == 2.25:
+            assert sum(isinstance(g, AccuracyError) for g in got) == 45
+            assert loop_counts["dd"] == 271
+
+    def test_stacked_solve_refuses_only_the_bad_members(self):
+        # 80 systems (both column modes) with a singular and a non-finite
+        # member, solved as one stack: every other system gets the doubles
+        # the single-system solve gave, and only the bad two are refused
+        energies = linear_grid(0.02, 2.25, 40) * 2
+        systems = [assemble_matching(E, MASS, BARRIER, U,
+                                     printed_columns=i >= 40)
+                   for i, E in enumerate(energies)]
+        systems[7] = systems[7]._replace(matrix=np.zeros((4, 4)))
+        systems[50] = systems[50]._replace(matrix=systems[50].matrix * math.nan)
+        got = solve_matching(systems, E=energies)
+        for i, (system, sol) in enumerate(zip(systems, got)):
+            if i in (7, 50):
+                with pytest.raises(ConditioningError) as want:
+                    reference_solve(system)
+                assert isinstance(sol, ConditioningError)
+                assert str(sol) == str(want.value)
+                assert sol.energy_eV == energies[i]
+                continue
+            x, residual, scaled = reference_solve(system)
+            assert [float(v).hex() for v in (sol.b1, sol.b2, sol.b3, sol.b4,
+                                             sol.residual)] == \
+                [v.hex() for v in x + [residual]]
+            assert (sol.equilibrated == scaled).all()
+        assert solve_matching([], E=[]) == []
+
     def test_error_rows_flagged_not_raised(self):
         rows = sweep("E", [-0.5, 0.1], MASS, BARRIER, U)
         assert rows[0].result is None
@@ -426,21 +579,19 @@ class TestSweep:
     def test_numpy_grid_matches_float_grid(self):
         # at x = a the two companion terms cancel to exactly 0 near 1.925 and
         # 2.037 eV; np.float64 energies must not overflow there, and must
-        # give the same doubles as Python floats
+        # give the same doubles as Python floats and as a transmission()
+        # call per np.float64 point
         grid = np.linspace(0.02, 2.25, 200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            rows_np = sweep("E", grid, MASS, BARRIER, U)
+            got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U,
+                                               0.1, "none", False)
+            want = loop_outcomes("E", grid)
         rows_py = sweep("E", [float(v) for v in grid], MASS, BARRIER, U)
-
-        def key(row):
-            r = row.result
-            s = r.solution
-            nums = (r.T_solve, r.T_paper, r.t1, r.t2, s.b1, s.b2, s.b3,
-                    s.b4, r.residual)
-            return [float(v).hex() for v in nums], row.flags
-
-        assert [key(r) for r in rows_np] == [key(r) for r in rows_py]
+        assert [outcome_key(g) for g in got] == [outcome_key(w) for w in want]
+        assert [outcome_key(g) for g in got] == \
+            [outcome_key(r.result) for r in rows_py]
+        assert all(not r.flags for r in rows_py)
 
     def test_only_numeric_faults_folded(self, monkeypatch):
         # 3.9 eV is in the Kummer refusal band: flagged, not raised

@@ -4,6 +4,7 @@ Reference values were computed once with mpmath at 50 significant digits and
 frozen here, so the suite runs without any special-function dependency.
 """
 
+import functools
 import math
 import random
 
@@ -13,7 +14,7 @@ import pytest
 import triq.special
 from triq.errors import AccuracyError, DomainError, TriqError
 from triq.model import MassParams, PotentialProfile, make_units
-from triq.scatter import RegionIIBasis, transmission
+from triq.scatter import RegionIIBasis, sweep
 from triq.special import (
     _KUMMER_MAX_TERMS,
     KUMMER_ENVELOPE,
@@ -378,8 +379,9 @@ def seeded_box(n=300, seed=20161):
              300.0 * (1.0 - rng.random())) for _ in range(n)]
 
 
-def sweep_dd_inputs(monkeypatch):
-    """Every double-double input of a 100-point 2.25-3.9 eV sweep."""
+@functools.cache
+def sweep_dd_inputs():
+    """Every double-double input of a 100-point 2.25-3.9 eV sweep, in order."""
     seen = []
     dd = triq.special._kummer_series_dd
 
@@ -387,36 +389,32 @@ def sweep_dd_inputs(monkeypatch):
         seen.append(args)
         return dd(*args)
 
-    monkeypatch.setattr(triq.special, "_kummer_series_dd", recorded)
-    u, mp, pp = make_units(), MassParams(), PotentialProfile()
-    for i in range(100):
-        try:
-            transmission(2.25 + (3.9 - 2.25) * i / 99, mp, pp, u)
-        except AccuracyError:
-            pass
-    monkeypatch.undo()
-    return seen
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(triq.special, "_kummer_series_dd", recorded)
+        sweep("E", [2.25 + (3.9 - 2.25) * i / 99 for i in range(100)],
+              MassParams(), PotentialProfile(), make_units())
+    return tuple(seen)
 
 
 class TestKummerKernelsBitIdentical:
     """The kernels are rewritten for speed only: same doubles, same errors."""
 
-    def test_double_double_matches_helper_form(self, monkeypatch):
-        dd_inputs = sweep_dd_inputs(monkeypatch)
+    def test_double_double_matches_helper_form(self):
+        dd_inputs = list(sweep_dd_inputs())
         assert len(dd_inputs) > 100
         for b, c, z in seeded_box() + dd_inputs:
             assert (outcome(_kummer_series_dd, b, c, z)
                     == outcome(reference_series_dd, b, c, z)), (b, c, z)
 
-    def test_plain_matches_reference(self, monkeypatch):
-        for b, c, z in seeded_box(2000) + sweep_dd_inputs(monkeypatch):
+    def test_plain_matches_reference(self):
+        for b, c, z in seeded_box(2000) + list(sweep_dd_inputs()):
             assert (outcome(_kummer_series, b, c, z)
                     == outcome(reference_series, b, c, z)), (b, c, z)
 
     def test_array_matches_scalar_calls(self, monkeypatch):
         # one array per (b, c) of the box: 30 of its z, then the inputs
         # kummer_m routes elsewhere (zero, negative, past the envelope, NaN);
-        # NaN where the scalar call raises, and its first error reported
+        # NaN where the scalar call raises, and every error reported
         reruns = []
         dd = triq.special._kummer_series_dd
         monkeypatch.setattr(triq.special, "_kummer_series_dd",
@@ -427,33 +425,60 @@ class TestKummerKernelsBitIdentical:
         for j in range(0, len(box), 30):
             b, c, _ = box[j]
             zs = [z for _, _, z in box[j:j + 30]] + extra
-            values, failure = _kummer_m_array(b, c, np.array(zs))
+            values, failures = _kummer_m_array(b, c, np.array(zs))
             want = [scalar_outcome(b, c, z) for z in zs]
             for v, w in zip(values.tolist(), want):
                 assert v.hex() == w if isinstance(w, str) else math.isnan(v)
-            first = next(i for i, w in enumerate(want) if not isinstance(w, str))
-            assert failure[0] == first
-            assert (type(failure[1]).__name__, str(failure[1])) == want[first]
+            assert list(failures) == [i for i, w in enumerate(want)
+                                      if not isinstance(w, str)]
+            assert all((type(exc).__name__, str(exc)) == want[i]
+                       for i, exc in failures.items())
             refused += sum(not isinstance(w, str) for w in want[:30])
         # both the double-double rerun and its refusal were reached
         assert refused and len(reruns) > 2 * refused
+
+        # mixed (b, c), one pair per element: the box as 60 points of 4
+        # series each, a row stopping at its first refusal as a scalar
+        # loop over the point does, with the same reruns in the same order
+        rows = [box[i:i + 4] for i in range(0, len(box), 4)]
+        b, c, z = np.array(rows).transpose(2, 0, 1)
+        del reruns[:]
+        values, failures = _kummer_m_array(b, c, z)
+        grid_reruns = reruns[:]
+        del reruns[:]
+        want_failures = {}
+        for i, row in enumerate(rows):
+            for j, (bj, cj, zj) in enumerate(row):
+                w = scalar_outcome(bj, cj, zj)
+                if not isinstance(w, str):
+                    want_failures[i] = w
+                    assert np.isnan(values[i, j:]).all()
+                    break
+                assert values[i, j].hex() == w
+        assert grid_reruns == reruns
+        assert {i: (type(exc).__name__, str(exc))
+                for i, exc in failures.items()} == want_failures
+        assert list(failures) == sorted(failures)
+        # rows refused before their last series, so reruns were skipped
+        assert 0 < len(want_failures) < len(rows)
+        assert any(not np.isnan(values[i]).all() for i in want_failures)
 
     @pytest.mark.parametrize("b", [0.0, -3.0, -17.0])
     def test_array_sums_terminating_series(self, b):
         # b a non-positive integer: the series stops at its first zero term
         zs = [0.3, 7.5, 40.0, 120.0]
-        values, failure = _kummer_m_array(b, 1.5, np.array(zs))
-        assert failure is None
+        values, failures = _kummer_m_array(b, 1.5, np.array(zs))
+        assert failures == {}
         assert [v.hex() for v in values.tolist()] == \
             [scalar_outcome(b, 1.5, z) for z in zs]
 
     @pytest.mark.parametrize("b, c", [(math.nan, 0.5), (-2.5, math.inf),
                                       (-2.5, -1.0)])
     def test_array_refuses_parameters_as_scalar_calls(self, b, c):
-        values, failure = _kummer_m_array(b, c, np.array([0.5, 2.0]))
+        values, failures = _kummer_m_array(b, c, np.array([0.5, 2.0]))
         assert np.isnan(values).all()
-        assert failure[0] == 0
-        assert (type(failure[1]).__name__, str(failure[1])) == \
+        assert list(failures) == [0, 1]
+        assert (type(failures[0]).__name__, str(failures[0])) == \
             scalar_outcome(b, c, 0.5)
 
 
