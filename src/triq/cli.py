@@ -28,12 +28,12 @@ CSV_HEADER = "axis,T_solve,T_paper,t1,t2,b1,b2,b3,b4,b5,residual,flags"
 
 @dataclass(frozen=True)
 class RunConfig:
-    V0_eV: float = 0.45
+    V0_eV: float = PotentialProfile.V0
     alpha_eV_per_nm: Union[float, str] = "auto"  # "auto" resolves to V0/a
-    a_nm: float = 7.0
-    kind: str = "barrier"
-    M0_m0: float = 0.067
-    M1_m0_per_nm: float = 0.067
+    a_nm: float = PotentialProfile.a
+    kind: str = PotentialProfile.kind
+    M0_m0: float = MassParams.M0
+    M1_m0_per_nm: float = MassParams.M1
     E_eV: float = 0.1  # fixed energy for V0- and a-axis sweeps
     axis: str = "E"
     min: float = 0.02
@@ -174,33 +174,32 @@ def _run_sweep(config: RunConfig, values: list[float]):
                  fidelity=config.paper_fidelity, auto_alpha=auto)
 
 
-def cmd_transmission(config: RunConfig) -> str:
+def _sweep_report(config: RunConfig, name: str, clip: bool = False) -> str:
+    """CSV report of a barrier sweep; clip keeps its energies 0 < E < V0."""
     if config.kind != "barrier":
-        raise DomainError("transmission sweeps need kind = barrier")
-    rows = _run_sweep(config, _grid(config))
-    lines = _metadata(config, "transmission sweep")
+        raise DomainError(f"{name} sweeps need kind = barrier")
+    lines = _metadata(config, f"{name} sweep")
+    values = full = _grid(config)
+    if clip:
+        if config.axis != "E":
+            raise DomainError(f"{name} is defined on the energy axis only")
+        values = [e for e in full if 0.0 < e < config.V0_eV]
+        if not values:
+            raise DomainError("no grid points fall inside 0 < E < V0")
+        lines.append(f"# note: {name} is read here as the sub-barrier branch "
+                     "of the transmission; grid clipped to 0 < E < V0, keeping "
+                     f"{len(values)} of {len(full)} points")
     lines.append(CSV_HEADER)
-    lines.extend(_csv_rows(rows))
+    lines.extend(_csv_rows(_run_sweep(config, values)))
     return "\n".join(lines) + "\n"
+
+
+def cmd_transmission(config: RunConfig) -> str:
+    return _sweep_report(config, "transmission")
 
 
 def cmd_tunnelling(config: RunConfig) -> str:
-    if config.kind != "barrier":
-        raise DomainError("tunnelling sweeps need kind = barrier")
-    if config.axis != "E":
-        raise DomainError("tunnelling is defined on the energy axis only")
-    full = _grid(config)
-    values = [e for e in full if 0.0 < e < config.V0_eV]
-    if not values:
-        raise DomainError("no grid points fall inside 0 < E < V0")
-    rows = _run_sweep(config, values)
-    lines = _metadata(config, "tunnelling sweep")
-    lines.append("# note: tunnelling is read here as the sub-barrier branch "
-                 "of the transmission; grid clipped to 0 < E < V0, keeping "
-                 f"{len(values)} of {len(full)} points")
-    lines.append(CSV_HEADER)
-    lines.extend(_csv_rows(rows))
-    return "\n".join(lines) + "\n"
+    return _sweep_report(config, "tunnelling", clip=True)
 
 
 def cmd_bound(config: RunConfig) -> str:

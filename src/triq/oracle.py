@@ -38,6 +38,9 @@ from .special import airy_ai, airy_bi
 
 HALVING_GATE = 1e-8
 
+# largest RK4 step (nm) of matched_b1's march across the profile
+MATCH_STEP = 1e-3
+
 
 @dataclass(frozen=True)
 class IntegrationSpec:
@@ -202,9 +205,9 @@ def ode_residual(xs, values, weight: Callable[[float], float],
 
     Elementwise numpy on the samples, with the doubles of a scalar loop:
     the weight is called once on the array of xs (a float result stands
-    for every sample), and each maximum is the one Python's max() takes
-    over the samples in order, so a NaN sample is passed over unless it is
-    the first sample of phi or w.  Overflow is silent, as it is for floats.
+    for every sample).  Every maximum propagates NaN, so a NaN sample or
+    weight value makes residual and floor NaN and the verdict
+    inconclusive.  Overflow is silent, as it is for floats.
     """
     xs = np.asarray(xs, dtype=float)
     f = np.asarray(values, dtype=float)
@@ -212,29 +215,23 @@ def ode_residual(xs, values, weight: Callable[[float], float],
         raise DomainError("need at least 5 samples for a residual verdict")
     h = float(xs[1] - xs[0])
     with np.errstate(over="ignore", invalid="ignore"):
-        if np.any(np.abs(np.diff(xs)[1:] - h) > 1e-9 * max(1.0, abs(h))):
+        # a NaN node spacing compares false and is refused too
+        if not np.all(np.abs(np.diff(xs) - h) <= 1e-9 * max(1.0, abs(h))):
             raise DomainError("sample grid must be uniform")
         if h ** 4 == 0.0:
             raise DomainError(f"sample step {h!r} too small for a residual verdict")
         w = np.broadcast_to(np.asarray(weight(xs), dtype=float), xs.shape)
-        scale = max(1.0, _max_in_order(np.abs(f)) * _max_in_order(np.abs(w)))
+        scale = np.maximum(1.0, np.max(np.abs(f)) * np.max(np.abs(w)))
         second = (f[:-2] - 2.0 * f[1:-1] + f[2:]) / (h * h)
-        worst = np.fmax.reduce(np.abs(second + w[1:-1] * f[1:-1]), initial=0.0)
+        worst = np.max(np.abs(second + w[1:-1] * f[1:-1]))
         d4 = f[:-4] - 4.0 * f[1:-3] + 6.0 * f[2:-2] - 4.0 * f[3:-1] + f[4:]
-        fourth = np.fmax.reduce(np.abs(d4) / h ** 4, initial=0.0)
+        fourth = np.max(np.abs(d4) / h ** 4)
     floor = float(h * h * fourth / 12.0 / scale)
     return ResidualReport(residual=float(worst / scale),
                           conclusive=floor <= budget, floor=floor)
 
 
-def _max_in_order(a: np.ndarray) -> float:
-    """max() of the elements in order: NaN if the first is, else NaNs skipped."""
-    first = float(a[0])
-    return first if math.isnan(first) else float(np.fmax.reduce(a))
-
-
-def matched_b1(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
-               step: float = 1e-3):
+def matched_b1(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem):
     """Signed b1 by integrating the interior instead of closed forms.
 
     Seeds the decaying exterior state at x = a, marches region II backward
@@ -259,14 +256,14 @@ def matched_b1(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
         v0, d0, k, bi_d, bi_v, det = np.array([exterior(e) for e in E.tolist()]).T
     else:
         v0, d0, k, bi_d, bi_v, det = exterior(E)
-    n = max(2, math.ceil(pp.a / step))
+    n = max(2, math.ceil(pp.a / MATCH_STEP))
     got = integrate(IntegrationSpec(pp.a, 0.0, pp.a / n, v0, d0), E, mp, pp, u)
     return (got.value * k * bi_d - got.derivative * bi_v) / det
 
 
 def matched_transmission(E, mp: MassParams, pp: PotentialProfile,
-                         u: UnitSystem, step: float = 1e-3):
+                         u: UnitSystem):
     """1/b1^2 of matched_b1 (inf where b1 = 0), a float or an array."""
     with np.errstate(divide="ignore"):
-        t = 1.0 / np.square(matched_b1(E, mp, pp, u, step))
+        t = 1.0 / np.square(matched_b1(E, mp, pp, u))
     return t if np.ndim(t) else float(t)

@@ -59,6 +59,12 @@ RESONANCE_RTOL = 1e-12
 _SECOND_BUDGET = 1e-4
 _LOSS_CAP = 1e200
 
+# b5 of the rescaled solve in rescale_diagnostic
+RESCALE = 2.0
+
+# the faults that refuse a point; any other exception is a bug and propagates
+_REFUSED = (TriqError, ArithmeticError)
+
 FIDELITY_MODES = ("none", "signs", "t2", "all")
 AXES = ("E", "V0", "a")
 
@@ -344,7 +350,7 @@ def abbreviations_at(basis: RegionIIBasis, ker: _Kernels) -> AbbreviationSet:
 class MatchingSystem(NamedTuple):
     """The 4x4 system plus the interface data the printed closed form reads.
 
-    assemble_matching evaluates everything here once per point: fset and
+    _matching_systems evaluates everything here once per point: fset and
     gset are the printed abbreviation sets at x = 0 and x = a, built from
     the same kernels as the basis columns; bi0 is Bi(y1) and ai_a is Ai(y3),
     the Airy pairs of matrix rows 1-2 and of the right-hand side.
@@ -397,25 +403,24 @@ def assemble_matching(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
     printed_columns swaps the interior columns for the published shorthand
     values; everything else is unchanged.  The kernels at each interface
     are evaluated once and shared by the columns and both abbreviation
-    sets, which travel in the system for the printed closed form.
+    sets, which travel in the system for the printed closed form.  This is
+    _matching_systems on the one-point grid [E]; a refusal is raised.
     """
-    rc = barrier_coefficients(E, mp, pp, u, printed_signs=printed_signs)
-    basis = basis_for(rc)
-    exterior = _exterior(E, mp, u, rc)
-    return _assemble(basis, exterior, basis.kernels(0.0), basis.kernels(pp.a),
-                     printed_columns, b5)
+    return _raised(_matching_systems([(E, pp)], mp, u,
+                                     (printed_signs, printed_columns), b5)[0])
 
 
-def _exterior(E, mp: MassParams, u: UnitSystem,
-              rc: RegionCoefficients) -> tuple[float, AiryPair, AiryPair, AiryPair]:
-    """(k, Ai(y1), Bi(y1), Ai(y3)): a point's exterior Airy data, in this order."""
-    return airy_scale(E, mp, u), airy_ai(rc.y1), airy_bi(rc.y1), airy_ai(rc.y3)
+def _raised(outcome):
+    """A point's outcome, raised if it is the error that refused the point."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
 
 
 def _assemble(basis: RegionIIBasis, exterior, ker0: _Kernels, kera: _Kernels,
               printed_columns: bool, b5: float) -> MatchingSystem:
-    """The matching system of one point from its basis, its _exterior data
-    and its kernels at x = 0 and x = a (assemble_matching and sweep)."""
+    """The matching system of one point from its basis, its exterior
+    (k, Ai(y1), Bi(y1), Ai(y3)) and its kernels at x = 0 and x = a."""
     k, ai0, bi0, ai_a = exterior
     fset = abbreviations_at(basis, ker0)
     gset = abbreviations_at(basis, kera)
@@ -440,31 +445,24 @@ def _assemble(basis: RegionIIBasis, exterior, ker0: _Kernels, kera: _Kernels,
                           gset=gset, bi0=bi0, ai_a=ai_a)
 
 
-def solve_matching(system, E=None, b5: float = 1.0):
-    """Amplitudes (b1, b2, b3, b4) of a matching system, or of many.
+def solve_matching(systems: Sequence[MatchingSystem], E: Sequence[float],
+                   b5: float = 1.0) -> list:
+    """A MatchSolution or the ConditioningError of each system, E their energies.
 
-    One MatchingSystem gives a MatchSolution or raises ConditioningError.
-    A sequence of systems, with E the sequence of their energies, gives a
-    list holding a MatchSolution or the ConditioningError of each: a
-    non-finite system is refused before the rest are stacked and solved by
-    one np.linalg.solve; a singular member fails that solve as a whole, and
-    then each system is solved alone, so only that member is refused.
-    Either way every system gets the same doubles.
+    A non-finite system is refused before the rest are stacked and solved
+    by one np.linalg.solve; a singular member fails that solve as a whole,
+    and then each is solved alone, so only it is refused.  Either way each
+    system gets the doubles it gets alone.
     """
-    single = isinstance(system, MatchingSystem)
-    systems = [system] if single else list(system)
-    energies = [E] if single else (list(E) if E is not None
-                                   else [None] * len(systems))
     out = [None] * len(systems)
     a = np.array([s.matrix for s in systems]).reshape(-1, 4, 4)
     rhs = np.array([s.rhs for s in systems]).reshape(-1, 4)
     finite = np.isfinite(np.concatenate([a.reshape(-1, 16), rhs], axis=1)).all(axis=1)
+    for i in np.flatnonzero(~finite).tolist():
+        out[i] = ConditioningError("matching system has non-finite entries",
+                                   energy_eV=E[i])
     stack = np.flatnonzero(finite).tolist()
-    if len(stack) < len(systems):
-        for i in np.flatnonzero(~finite).tolist():
-            out[i] = ConditioningError("matching system has non-finite entries",
-                                       energy_eV=energies[i])
-        a, rhs = a[stack], rhs[stack]
+    a, rhs = a[stack], rhs[stack]
     try:
         parts = [(stack, *_solve_stack(a, rhs))] if stack else []
     except np.linalg.LinAlgError:
@@ -474,17 +472,13 @@ def solve_matching(system, E=None, b5: float = 1.0):
                 parts.append(([i], *_solve_stack(a[j:j + 1], rhs[j:j + 1])))
             except np.linalg.LinAlgError:
                 out[i] = ConditioningError("matching system is singular",
-                                           energy_eV=energies[i])
+                                           energy_eV=E[i])
     for rows, x, scaled, residuals in parts:
         for j, i in enumerate(rows):
             b1, b2, b3, b4 = x[j].tolist()
             out[i] = MatchSolution(b1=b1, b2=b2, b3=b3, b4=b4, b5=b5,
                                    residual=residuals[j], equilibrated=scaled[j])
-    if not single:
-        return out
-    if isinstance(out[0], ConditioningError):
-        raise out[0]
-    return out[0]
+    return out
 
 
 def _solve_stack(a: np.ndarray, rhs: np.ndarray):
@@ -537,7 +531,7 @@ class TransmissionResult:
 def _paper_closed_form(system: MatchingSystem, b5: float) -> tuple[float, float, float]:
     """t1, t2 and (t1/t2)^2 from the published closed form, verbatim.
 
-    Pure arithmetic on what assemble_matching already evaluated: the
+    Pure arithmetic on what _matching_systems already evaluated: the
     abbreviation sets system.fset (x = 0) and system.gset (x = a), Bi(y1)
     as system.bi0 and Ai(y3) as system.ai_a.  b5 enters by scaling the
     transmitted Airy tail, which multiplies two of the four t2 brackets; t1
@@ -562,42 +556,29 @@ def _printed(fidelity: str) -> tuple[bool, bool]:
     return fidelity in ("signs", "all"), fidelity in ("t2", "all")
 
 
-def _result(E, system: MatchingSystem, sol: MatchSolution,
-            b5: float) -> TransmissionResult:
-    """Both transmission conventions from a solved matching system."""
-    if abs(sol.b1) < RESONANCE_RTOL * sol.amplitude_scale:
-        t_solve = math.inf
-    else:
-        ratio = sol.b5 / sol.b1
-        t_solve = ratio * ratio
-    t1, t2, t_paper = _paper_closed_form(system, b5)
-    return TransmissionResult(E=E, T_solve=t_solve, T_paper=t_paper,
-                              t1=t1, t2=t2, residual=sol.residual, solution=sol)
-
-
 def transmission(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
                  fidelity: str = "none", b5: float = 1.0) -> TransmissionResult:
     """Solve the matching system and report both transmission conventions.
 
     T_solve comes from the linear solve; |b1| below RESONANCE_RTOL of the
     amplitude scale is reported as the +inf resonance sentinel.  T_paper is
-    the printed closed form, always computed for comparison.
+    the printed closed form, always computed for comparison.  This is the
+    sweep's pipeline on the one-point grid [E]; a refusal is raised.
     """
-    printed_signs, printed_columns = _printed(fidelity)
-    system = assemble_matching(E, mp, pp, u, printed_signs=printed_signs,
-                               printed_columns=printed_columns, b5=b5)
-    return _result(E, system, solve_matching(system, E=E, b5=b5), b5)
+    points = [(E, pp)]
+    systems = _matching_systems(points, mp, u, _printed(fidelity), b5)
+    return _raised(_solved(points, systems, b5)[0])
 
 
-def rescale_diagnostic(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
-                       scale: float = 2.0) -> tuple[float, float]:
-    """Ratios (T_solve, T_paper) at b5 = scale over b5 = 1.
+def rescale_diagnostic(E, mp: MassParams, pp: PotentialProfile,
+                       u: UnitSystem) -> tuple[float, float]:
+    """Ratios (T_solve, T_paper) at b5 = RESCALE over b5 = 1.
 
     A normalization-independent transmission must give 1.0 in the first
-    slot; the printed closed form gives scale^-4 in the second.
+    slot; the printed closed form gives RESCALE^-4 in the second.
     """
     base = transmission(E, mp, pp, u)
-    scaled = transmission(E, mp, pp, u, b5=scale)
+    scaled = transmission(E, mp, pp, u, b5=RESCALE)
     return scaled.T_solve / base.T_solve, scaled.T_paper / base.T_paper
 
 
@@ -617,27 +598,20 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
     profile at fixed E.  auto_alpha re-slopes the profile per point so the
     triangle keeps touching zero at x = a; otherwise pp.alpha is used as
     given.  A point that fails with a TriqError or ArithmeticError is
-    recorded in flags with NaN results; any other exception propagates.
+    recorded in flags with NaN results; any other exception propagates, as
+    does the DomainError of an unknown axis or fidelity.
 
-    Every row is the one transmission() gives at that point, double for
-    double and error for error, but the grid is worked in three stages.
-    Each point first takes its coefficients, basis and exterior Airy values
-    as transmission() does.  Then the 8 Kummer series of every point (4 at
-    each interface) are summed in one pass, and each point's sums are
-    checked in the order its own kernels() calls would make them, stopping
-    at its first refusal (special._kummer_m_array): the double-double
-    reruns are the ones a loop of transmission() calls runs, no more, and a
-    refused point reports the error that loop raises.  Last, each point's
-    system is assembled by the code assemble_matching uses, and all are
-    solved by one stacked solve_matching call.
+    The grid runs transmission()'s stages, so each row is the one it gives
+    there, double for double and error for error; but each stage takes all
+    points at once: one Kummer pass over the 8 series of every point, each
+    point gated in its own order (special._kummer_m_array), and one solve.
     """
     if axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
     if len(values) < 1:
         raise DomainError("sweep needs at least one grid point")
-    for i in range(len(values) - 1):
-        if not values[i] < values[i + 1]:
-            raise DomainError("sweep grid must be strictly increasing")
+    if not all(lo < hi for lo, hi in zip(values[:-1], values[1:])):
+        raise DomainError("sweep grid must be strictly increasing")
     rows = []
     for v, got in zip(values, _sweep_outcomes(axis, values, mp, pp, u, E,
                                               fidelity, auto_alpha)):
@@ -652,68 +626,95 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
 
 def _sweep_outcomes(axis, values, mp, pp, u, E, fidelity, auto_alpha) -> list:
     """Per grid value, its TransmissionResult or the error that refused it."""
-    numeric = (TriqError, ArithmeticError)
-    outcome: list = [None] * len(values)
-    points = []  # (index, energy, width a, basis, exterior, printed_columns)
-    for i, v in enumerate(values):
+    printed = _printed(fidelity)
+    points = []  # per value, (energy, profile) or the error refusing it
+    for v in values:
+        if axis == "E":
+            points.append((v, pp))
+            continue
+        V0, a = (v, pp.a) if axis == "V0" else (pp.V0, v)
         try:
-            point_E, point_pp = _sweep_point(axis, v, E, pp, auto_alpha)
-            printed_signs, printed_columns = _printed(fidelity)
+            points.append((E, PotentialProfile(
+                V0=V0, alpha=(V0 / a if auto_alpha else pp.alpha), a=a,
+                kind=pp.kind)))
+        except _REFUSED as exc:
+            points.append(exc)
+    return _solved(points, _matching_systems(points, mp, u, printed, 1.0), 1.0)
+
+
+def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
+                      printed: tuple[bool, bool], b5: float) -> list:
+    """Per point, its MatchingSystem or the error that refused it.
+
+    A point is an (energy, profile) pair, or an error refusing it, passed
+    on; printed is (printed_signs, printed_columns).  Each point takes its
+    coefficients, basis and exterior Airy values in turn, then the kernels
+    of all points are evaluated together, then each system is assembled.
+    """
+    printed_signs, printed_columns = printed
+    out = list(points)
+    live = []  # (index, basis, exterior, width a)
+    for i, point in enumerate(points):
+        if isinstance(point, Exception):
+            continue
+        point_E, point_pp = point
+        try:
             rc = barrier_coefficients(point_E, mp, point_pp, u,
                                       printed_signs=printed_signs)
-            basis = basis_for(rc)
-            points.append((i, point_E, point_pp.a, basis,
-                           _exterior(point_E, mp, u, rc), printed_columns))
-        except numeric as exc:
-            outcome[i] = exc
-    kernels = _interface_kernels([p[3] for p in points], [p[2] for p in points])
-    solving, systems = [], []
-    for (i, point_E, _, basis, exterior, printed_columns), ker in zip(points, kernels):
-        if isinstance(ker, TriqError):
-            outcome[i] = ker
-            continue
+            exterior = (airy_scale(point_E, mp, u), airy_ai(rc.y1),
+                        airy_bi(rc.y1), airy_ai(rc.y3))
+            live.append((i, basis_for(rc), exterior, point_pp.a))
+        except _REFUSED as exc:
+            out[i] = exc
+    kernels = _interface_kernels([p[1] for p in live], [p[3] for p in live])
+    for (i, basis, exterior, _), ker in zip(live, kernels):
         try:
-            systems.append(_assemble(basis, exterior, *ker, printed_columns, 1.0))
-            solving.append((i, point_E))
-        except numeric as exc:
-            outcome[i] = exc
+            out[i] = _assemble(basis, exterior, *_raised(ker), printed_columns, b5)
+        except _REFUSED as exc:
+            out[i] = exc
+    return out
+
+
+def _solved(points: list, systems: list, b5: float) -> list:
+    """Per point, its TransmissionResult or the error that refused it, from
+    _matching_systems' list for the points: every system in it is solved
+    by one solve_matching call, and both transmission conventions taken."""
+    out = list(systems)
+    live = [i for i, s in enumerate(systems) if isinstance(s, MatchingSystem)]
+    energies = [points[i][0] for i in live]
     try:
-        solutions = solve_matching(systems, E=[e for _, e in solving])
-    except numeric as exc:
-        solutions = [exc] * len(systems)
-    for (i, point_E), system, sol in zip(solving, systems, solutions):
-        if isinstance(sol, Exception):
-            outcome[i] = sol
-            continue
+        solutions = solve_matching([systems[i] for i in live], energies, b5)
+    except _REFUSED as exc:
+        solutions = [exc] * len(live)
+    for i, point_E, sol in zip(live, energies, solutions):
         try:
-            outcome[i] = _result(point_E, system, sol, 1.0)
-        except numeric as exc:
-            outcome[i] = exc
-    return outcome
-
-
-def _sweep_point(axis: str, v, E, pp: PotentialProfile,
-                 auto_alpha: bool) -> tuple[float, PotentialProfile]:
-    """(energy, profile) of the sweep point at axis value v."""
-    if axis == "E":
-        return v, pp
-    if axis == "V0":
-        return E, PotentialProfile(V0=v, alpha=(v / pp.a if auto_alpha else pp.alpha),
-                                   a=pp.a, kind=pp.kind)
-    return E, PotentialProfile(V0=pp.V0, alpha=(pp.V0 / v if auto_alpha else pp.alpha),
-                               a=v, kind=pp.kind)
+            sol = _raised(sol)
+            resonant = abs(sol.b1) < RESONANCE_RTOL * sol.amplitude_scale
+            ratio = math.inf if resonant else sol.b5 / sol.b1
+            t1, t2, t_paper = _paper_closed_form(systems[i], b5)
+            out[i] = TransmissionResult(E=point_E, T_solve=ratio * ratio,
+                                        T_paper=t_paper, t1=t1, t2=t2,
+                                        residual=sol.residual, solution=sol)
+        except _REFUSED as exc:
+            out[i] = exc
+    return out
 
 
 def _interface_kernels(bases: list[RegionIIBasis], widths: list[float]) -> list:
     """(kernels at x = 0, kernels at x = a) of each basis, or its error.
 
-    All 8 series of every basis are one _kummer_m_array call, a row per
-    basis with x = 0's four series before x = a's, so a row stops where
-    kernels(0.0) then kernels(a) would first raise, and that error stands
-    in for the pair.
+    A lone basis takes the scalar kernels(0.0) and kernels(a), far cheaper
+    for one point than the array summer.  More bases make one
+    _kummer_m_array call, a row per basis with x = 0's four series before
+    x = a's, so a row stops where kernels(0.0) then kernels(a) would first
+    raise, and that error stands in for the pair.
     """
-    if not bases:
-        return []
+    if len(bases) < 2:
+        try:
+            return [(basis.kernels(0.0), basis.kernels(a))
+                    for basis, a in zip(bases, widths)]
+        except _REFUSED as exc:
+            return [exc]
     b, s, offset = (np.array(v, dtype=float) for v in zip(
         *((basis.b_param, basis.sqrt_a1, basis.y_offset) for basis in bases)))
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as floats are
@@ -725,4 +726,3 @@ def _interface_kernels(bases: list[RegionIIBasis], widths: list[float]) -> list:
     ker = _kernels_from(y.ravel(), z.ravel(), values.reshape(-1, 4).T)
     pairs = zip(*[ker.points()] * 2)
     return [failures.get(i) or pair for i, pair in enumerate(pairs)]
-

@@ -23,8 +23,8 @@ from .bound import (TABLE1_PUBLISHED_EV, TABLE1_REFERENCE_EV, TABLE1_WELL,
 from .model import MassParams, PotentialProfile, barrier_coefficients, make_units
 from .oracle import (IntegrationSpec, integrate, make_weight,
                      matched_transmission, ode_residual)
-from .scatter import (abbreviations_at, basis_for, rescale_diagnostic,
-                      transmission)
+from .scatter import (RESCALE, abbreviations_at, basis_for,
+                      rescale_diagnostic, transmission)
 from .special import (airy_ai, airy_bi, gamma, kummer_m, recip_gamma,
                       tricomi_u_large_z)
 
@@ -219,9 +219,9 @@ def info_lines() -> list[str]:
         f"printed closed form at E = {E:g} eV: T_paper/T_solve = "
         f"{res.T_paper / res.T_solve:.6g} (bracket degrees mismatch, "
         f"see the rescale line)",
-        f"transmitted-amplitude rescale s = 2: T_solve ratio {rs[0]:.6g} "
-        f"(scale-free), T_paper ratio {rs[1]:.6g} (printed form goes as "
-        f"s^-4 = {2.0 ** -4})",
+        f"transmitted-amplitude rescale s = {RESCALE:g}: T_solve ratio "
+        f"{rs[0]:.6g} (scale-free), T_paper ratio {rs[1]:.6g} (printed form "
+        f"goes as s^-4 = {RESCALE ** -4})",
         f"printed constant-term sign: a3 = {rc.a3:.6g} canonical vs "
         f"{flipped.a3:.6g} printed at E = {E:g} eV; fidelity 'signs' keeps "
         f"the printed sign",

@@ -109,7 +109,7 @@ def test_gate_3_closed_form_vs_oracle():
     t0 = time.perf_counter()
     worst_wave = 0.0
     for E in (0.05, 0.1, 0.2, 0.3, 0.45, 0.6):
-        sol = solve_matching(assemble_matching(E, MASS, BARRIER, U), E=E)
+        (sol,) = solve_matching([assemble_matching(E, MASS, BARRIER, U)], E=[E])
         basis = basis_for(barrier_coefficients(E, MASS, BARRIER, U))
 
         def wave(x):

@@ -49,6 +49,11 @@ class TestGolden:
          "33e19eacb74cb69a1de0f86e8f8fb720348a61f2e873d16eea23e331932c12b4"),
         ("transmission --min 2.25 --max 3.9 --points 100",
          "9fe9fce941f474b7d106abf16839f165ea8b1e8b4831506eaa535feb6ae54edb"),
+        # one-point runs: a double-double point and a refused row
+        ("transmission --min 2.2 --points 1",
+         "b19dcbaaa89f3a95225cd391db658909fa0ca65d86778ea4fab0626ce29ca9c8"),
+        ("transmission --min 3.9 --points 1",
+         "4c001cf2f8650c8638805d93c349761c599e7158eaf463a77a72e311436b132e"),
         ("validate",
          "eaf83caf42e188c11c19556464efde4adec90a0c7c5ed1f20aca3597660925b2"),
     ])

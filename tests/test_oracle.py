@@ -280,7 +280,9 @@ class TestOdeResidual:
 
     def test_matches_the_sample_loop(self):
         # seeded grids, some with NaN samples or a jittered node, against
-        # the loop: same doubles and verdict, or the same refusal
+        # the loop: same doubles and verdict, or the same refusal, on every
+        # NaN-free grid; a NaN sample makes the report NaN and inconclusive,
+        # and a NaN node is refused, where the loop passed over both
         rng = random.Random(512)
         weights = (lambda x: 1.0, lambda x: -x, make_weight(0.4, MASS, BARRIER, U))
         for _ in range(150):
@@ -292,6 +294,10 @@ class TestOdeResidual:
             if rng.random() < 0.3:
                 xs[rng.randrange(1, m)] += rng.choice((1e-12, 1e-6, math.nan))
             weight = rng.choice(weights)
+            if any(math.isnan(x) for x in xs):
+                with pytest.raises(DomainError, match="uniform"):
+                    ode_residual(xs, vals, weight)
+                continue
             try:
                 want = reference_ode_residual(xs, vals, weight)
             except DomainError as exc:
@@ -299,32 +305,38 @@ class TestOdeResidual:
                     ode_residual(xs, vals, weight)
                 continue
             got = ode_residual(xs, vals, weight)
+            if any(math.isnan(v) for v in vals):
+                assert math.isnan(got.residual) and math.isnan(got.floor)
+                assert got.conclusive is False
+                continue
             assert (got.residual.hex(), got.conclusive, got.floor.hex()) == \
                 (want[0].hex(), want[1], want[2].hex())
 
     def test_nan_samples_and_grid_checks_pinned(self):
-        # the doubles of the sample-by-sample loop this replaced, frozen
-        # from it: a NaN sample is passed over by every maximum, so a NaN
-        # in an all-zero function still reads as a conclusive 0 (only a NaN
-        # first sample changes max|phi|, and then scale falls back to 1)
+        # a NaN sample or weight value at any index makes every maximum
+        # NaN: the residual and the floor are NaN and the verdict is not
+        # conclusive, so a NaN can never read as a passing 0
         xs = [i * 1e-2 for i in range(201)]
-        for i in (0, 57, 200):
-            zeros = [0.0] * 201
-            zeros[i] = math.nan
-            report = ode_residual(xs, zeros, lambda x: 1.0)
-            assert (report.residual, report.conclusive, report.floor) == \
-                (0.0, True, 0.0)
         cosine = [math.cos(3.0 * x) for x in xs]
+        for i in (0, 57, 200):
+            for base in ([0.0] * 201, cosine):
+                vals = base[:]
+                vals[i] = math.nan
+                report = ode_residual(xs, vals, lambda x: 1.0)
+                assert math.isnan(report.residual)
+                assert math.isnan(report.floor)
+                assert report.conclusive is False
+            weight = lambda x, i=i: np.where(np.arange(201) == i, math.nan, 1.0)
+            report = ode_residual(xs, cosine, weight)
+            assert math.isnan(report.residual) and not report.conclusive
+        # the loop's doubles on the NaN-free cosine, frozen from it
         pinned = ("0x1.fff04f2a353a2p+2", False, "0x1.61d42d2e4a000p-11")
-        for i in (0, 57):
-            vals = cosine[:]
-            vals[i] = math.nan
-            report = ode_residual(xs, vals, lambda x: 1.0)
-            assert (report.residual.hex(), report.conclusive,
-                    report.floor.hex()) == pinned
-        # spacing within 1e-9 of the first step passes, a NaN spacing
-        # compares false and passes too, a 1e-6 departure is refused
-        for bump, passes in ((1e-12, True), (math.nan, True), (1e-6, False)):
+        report = ode_residual(xs, cosine, lambda x: 1.0)
+        assert (report.residual.hex(), report.conclusive,
+                report.floor.hex()) == pinned
+        # spacing within 1e-9 of the first step passes; a NaN spacing and
+        # a 1e-6 departure are refused
+        for bump, passes in ((1e-12, True), (math.nan, False), (1e-6, False)):
             grid = xs[:]
             grid[100] += bump
             if passes:

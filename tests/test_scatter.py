@@ -178,7 +178,7 @@ class TestMatching:
     def test_solution_satisfies_continuity(self):
         E = 0.1
         system = assemble_matching(E, MASS, BARRIER, U)
-        sol = solve_matching(system, E=E)
+        (sol,) = solve_matching([system], E=[E])
         rc = barrier_coefficients(E, MASS, BARRIER, U)
         basis = basis_for(rc)
         k = airy_scale(E, MASS, U)
@@ -201,7 +201,8 @@ class TestMatching:
 
     def test_residual_within_contract(self):
         for E in (0.1, 0.8, 2.25):
-            sol = solve_matching(assemble_matching(E, MASS, BARRIER, U), E=E)
+            (sol,) = solve_matching([assemble_matching(E, MASS, BARRIER, U)],
+                                    E=[E])
             assert sol.residual <= 1e-9
             assert sol.condition_estimate >= 1.0
 
@@ -221,7 +222,8 @@ class TestMatching:
         assert len(calls) == 1
 
     def test_frozen_amplitudes(self):
-        sol = solve_matching(assemble_matching(0.1, MASS, BARRIER, U), E=0.1)
+        (sol,) = solve_matching([assemble_matching(0.1, MASS, BARRIER, U)],
+                                E=[0.1])
         assert sol.b1 == pytest.approx(-0.086859926464917109, rel=1e-9)
         assert sol.b2 == pytest.approx(0.039951925436630502, rel=1e-9)
         assert sol.b3 == pytest.approx(-0.00015787698796240637, rel=1e-9)
@@ -230,14 +232,14 @@ class TestMatching:
     def test_nonfinite_system_rejected(self):
         system = assemble_matching(0.1, MASS, BARRIER, U)
         bad = system._replace(matrix=system.matrix * math.nan)
-        with pytest.raises(ConditioningError):
-            solve_matching(bad, E=0.1)
+        (sol,) = solve_matching([bad], E=[0.1])
+        assert isinstance(sol, ConditioningError)
 
     def test_singular_system_rejected(self):
         system = assemble_matching(0.1, MASS, BARRIER, U)
         bad = system._replace(matrix=np.zeros((4, 4)))
-        with pytest.raises(ConditioningError):
-            solve_matching(bad, E=0.1)
+        (sol,) = solve_matching([bad], E=[0.1])
+        assert isinstance(sol, ConditioningError)
 
     def test_well_profile_rejected(self):
         well = PotentialProfile(V0=0.45, alpha=0.0045, a=7.0, kind="well")
@@ -270,7 +272,7 @@ class TestTransmission:
         # must report the pole as +inf rather than a huge finite number
         lo, hi = 0.15, 0.19
         b1_at = lambda E: solve_matching(
-            assemble_matching(E, MASS, BARRIER, U), E=E).b1
+            [assemble_matching(E, MASS, BARRIER, U)], E=[E])[0].b1
         flo = b1_at(lo)
         assert flo * b1_at(hi) < 0.0
         for _ in range(60):
@@ -374,6 +376,27 @@ class TestInterfaceEvaluatedOnce:
                 del calls[:]
                 transmission(E, MASS, BARRIER, U, fidelity=mode)
                 assert len(calls) == 8
+
+    def test_one_point_takes_the_scalar_kernels(self, monkeypatch):
+        # a lone point, through transmission() or a one-point sweep, sums
+        # its 8 series in the scalar loop, never in the array summer
+        calls = {"scalar": 0, "array": 0}
+
+        def counter(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
+
+        monkeypatch.setattr(triq.special, "_kummer_series",
+                            counter("scalar", triq.special._kummer_series))
+        monkeypatch.setattr(triq.special, "_kummer_series_array",
+                            counter("array", triq.special._kummer_series_array))
+        for run in (lambda: transmission(2.2, MASS, BARRIER, U),
+                    lambda: sweep("E", [2.2], MASS, BARRIER, U)):
+            calls.update(scalar=0, array=0)
+            run()
+            assert calls == {"scalar": 8, "array": 0}
 
     def test_recip_gamma_per_point(self, monkeypatch):
         # 1/Gamma of b, b + 1/2 and the printed f6 argument, once per point
@@ -621,3 +644,5 @@ class TestSweep:
             sweep("E", [], MASS, BARRIER, U)
         with pytest.raises(DomainError):
             sweep("E", [0.2, 0.1], MASS, BARRIER, U)
+        with pytest.raises(DomainError, match="fidelity"):
+            sweep("E", [0.1, 0.2], MASS, BARRIER, U, fidelity="verbatim")

@@ -44,6 +44,18 @@ class TestSuites:
             if name != "airy-wronskian":
                 assert suite.passed
 
+    def test_nan_airy_sample_fails_the_equation_suite(self, monkeypatch):
+        # one NaN Ai value among the 7001 samples of airy-equation makes
+        # its residual report inconclusive, so the suite fails
+        exact = triq.validate.airy_ai
+        y_nan = -5.0 + 3500 * 1e-3  # the grid's sample at -1.5
+        monkeypatch.setattr(
+            triq.validate, "airy_ai",
+            lambda y: AiryPair(math.nan, math.nan) if y == y_nan else exact(y))
+        suite = triq.validate.suite_airy_equation()
+        assert suite.worst == math.inf
+        assert not suite.passed
+
     def test_suite_names_are_stable(self):
         names = [s.name for s in run_suites()]
         assert names == [
