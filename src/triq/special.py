@@ -3,7 +3,10 @@
 Everything here is hand-rolled on purpose: the scattering and spectrum
 modules are exercised against an integration oracle that is forbidden from
 sharing any of this code, so these kernels carry their own pinned accuracy
-contracts instead of delegating to a library.
+contracts instead of delegating to a library.  Only the arithmetic is
+borrowed: where doubles run out (the Kummer series under heavy cancellation
+and the Airy phase at large |y|), the standard library's decimal module
+carries 34 digits through one context of this module's own.
 
 Contracts (relative error unless stated):
     airy_ai / airy_bi   <= 1e-12 for |y| <= 30
@@ -28,6 +31,7 @@ subtraction cancels, chosen by each route's error estimate.
 
 from __future__ import annotations
 
+import decimal
 import math
 from typing import NamedTuple
 
@@ -55,8 +59,10 @@ _SQRT3 = math.sqrt(3.0)
 KUMMER_ENVELOPE = 300.0
 _KUMMER_MAX_TERMS = 1200
 # Above the first ratio the plain compensated sum has eaten ~4 of its 16
-# digits and the series is rerun in double-double arithmetic; above the
-# second even the ~32-digit rerun cannot honour the 1e-10 contract.
+# digits and the series is rerun in 34 digits (_kummer_series_dd); above the
+# second the point is refused.  The second limit sets the closed form's
+# domain (README, "Where the closed form refuses"), not the rerun's
+# precision: at 34 digits a loss of 1e12 still leaves ~20 correct digits.
 _KUMMER_ESCALATE_LOSS = 1.0e4
 _KUMMER_FAIL_LOSS = 1.0e12
 
@@ -88,58 +94,17 @@ def _is_nonpositive_integer(x):
 
 
 # ---------------------------------------------------------------------------
-# Double-double helpers (error-free transformations).  Used where a plain
-# double pipeline would breach a contract: the Kummer series under heavy
-# cancellation and the oscillatory Airy phase at large |y|.
+# Extended precision.  Used where a plain double pipeline would breach a
+# contract: the Kummer series under heavy cancellation and the oscillatory
+# Airy phase at large |y|.  Every operation goes through this context's
+# own methods, and floats enter by the exact Decimal.from_float (the
+# Decimal(float) constructor flags FloatOperation in the caller's context,
+# and raises where that is trapped), so the caller's decimal context
+# neither changes a result nor is changed.
 
-_SPLITTER = 134217729.0  # 2^27 + 1
-
-
-def _two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    bb = s - a
-    return s, (a - (s - bb)) + (b - bb)
-
-
-def _quick_two_sum(a: float, b: float) -> tuple[float, float]:
-    s = a + b
-    return s, b - (s - a)
-
-
-def _two_prod(a: float, b: float) -> tuple[float, float]:
-    p = a * b
-    t = _SPLITTER * a
-    ah = t - (t - a)
-    al = a - ah
-    t = _SPLITTER * b
-    bh = t - (t - b)
-    bl = b - bh
-    err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
-    return p, err
-
-
-def _dd_add(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    s, e = _two_sum(xh, yh)
-    e += xl + yl
-    return _quick_two_sum(s, e)
-
-
-def _dd_mul(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    p, e = _two_prod(xh, yh)
-    e += xh * yl + xl * yh
-    return _quick_two_sum(p, e)
-
-
-def _dd_div(xh: float, xl: float, yh: float, yl: float) -> tuple[float, float]:
-    q0 = xh / yh
-    ph, pl = _dd_mul(yh, yl, q0, 0.0)
-    rh, rl = _dd_add(xh, xl, -ph, -pl)
-    q1 = rh / yh
-    ph, pl = _dd_mul(yh, yl, q1, 0.0)
-    rh, rl = _dd_add(rh, rl, -ph, -pl)
-    q2 = rh / yh
-    s, e = _quick_two_sum(q0, q1)
-    return _quick_two_sum(s, e + q2)
+_DEC = decimal.Context(prec=34, rounding=decimal.ROUND_HALF_EVEN)
+_DEC_STOP = decimal.Decimal("1e-33")
+_DEC_PI4 = decimal.Decimal("0.7853981633974483096156608458198757")  # pi/4
 
 
 # ---------------------------------------------------------------------------
@@ -339,30 +304,22 @@ def _airy_asym_pos(y: float) -> tuple[float, float, float, float]:
     return ai, aip, bi, bip
 
 
-_PI4_HI = 0.7853981633974483
-_PI4_LO = 3.061616997868383e-17
-
-
 def _oscillatory_phase(t: float) -> tuple[float, float, float]:
     """(zeta, sin(omega), cos(omega)) with omega = (2/3)t^(3/2) - pi/4.
 
-    The phase is carried in double-double form: a plain double loses
+    The phase is carried in 34 digits (_DEC): a plain double loses
     eps*zeta of absolute phase, which near an oscillation zero is the whole
-    relative-error budget.
+    relative-error budget.  omega = wh + wl is split into its double and
+    the remainder, which enters to first order.
     """
-    s = math.sqrt(t)
-    p, pe = _two_prod(s, s)
-    s_lo = ((t - p) - pe) / (2.0 * s)  # sqrt correction: (s, s_lo)^2 = t
-    a = 2.0 * t  # exact
-    ph, pl = _two_prod(a, s)
-    pl += a * s_lo
-    zh, zl = _dd_div(ph, pl, 3.0, 0.0)
-    wh, we = _two_sum(zh, -_PI4_HI)
-    we += zl - _PI4_LO
-    wh, wl = _quick_two_sum(wh, we)
+    td = decimal.Decimal.from_float(t)
+    zeta = _DEC.divide(_DEC.multiply(_DEC.multiply(2, td), _DEC.sqrt(td)), 3)
+    omega = _DEC.subtract(zeta, _DEC_PI4)
+    wh = float(omega)
+    wl = float(_DEC.subtract(omega, decimal.Decimal.from_float(wh)))
     sw = math.sin(wh)
     cw = math.cos(wh)
-    return zh, sw + wl * cw, cw - wl * sw
+    return float(zeta), sw + wl * cw, cw - wl * sw
 
 
 def _airy_asym_neg(y: float) -> tuple[float, float, float, float]:
@@ -489,161 +446,34 @@ def _kummer_series(b: float, c: float, z: float) -> tuple[float, float]:
 
 
 def _kummer_series_dd(b: float, c: float, z: float) -> tuple[float, float]:
-    """Double-double rerun of the power series for heavy-cancellation inputs.
+    """_kummer_series rerun in 34 digits for heavy-cancellation inputs.
 
     Only reached when the compensated run reports a loss factor the
-    16-digit pipeline cannot absorb.  The term update is
-    t = t * (b + k - 1) * z / (c + k - 1) / k with _two_sum, _dd_mul,
-    _dd_div and _dd_add written out in place, operation for operation, so
-    every intermediate is the double the helpers give.  Only products with
-    an exact zero are left out (the zero low words of z and of the integer
-    k), the split of z is hoisted out of the loop, the split of c + k - 1
-    is taken once per term, and k < 2^26 splits exactly as (k, 0).
-    tests/test_special.py keeps the helper form as the bit-identity
-    reference.  Measured per call on the 83 double-double inputs of the
-    200-point 0.02-2.25 eV sweep (Python 3.11, 2-CPU host, best of 15):
-    18-22x the plain sum on the same input with the helper calls, 12-15x
-    written out; the rerun itself is 2.2-2.7x faster than the helper form.
+    16-digit pipeline cannot absorb: the plain series' term update and
+    stop rule, every operation rounded in _DEC, (sum, sum of |terms|)
+    returned as doubles.  The context's methods are bound once (looked up
+    per term, they made the loop 1.4-1.9x slower).  On the 83 reruns of
+    the 200-point 0.02-2.25 eV sweep (Python 3.11, 2-CPU host, best of 15
+    per input) a call is 10-11x the plain sum on its input, 0.23-0.41 ms.
     """
-    split = _SPLITTER
-    sh, sl = 1.0, 0.0
-    ah, al = 1.0, 0.0
-    th, tl = 1.0, 0.0
-    prev_mag = 1.0
-    p = split * z
-    zh = p - (p - z)
-    zl = z - zh
+    add, mul, div = _DEC.add, _DEC.multiply, _DEC.divide
+    bd, cd, zd = map(decimal.Decimal.from_float, (b, c, z))
+    s = abs_sum = term = prev_mag = decimal.Decimal(1)
     for k in range(1, _KUMMER_MAX_TERMS + 1):
-        km1 = k - 1.0
-        # n = b + (k - 1) and d = c + (k - 1) as double-doubles (_two_sum)
-        nh = b + km1
-        bb = nh - b
-        nl = (b - (nh - bb)) + (km1 - bb)
-        dh = c + km1
-        bb = dh - c
-        dl = (c - (dh - bb)) + (km1 - bb)
-        p = split * dh
-        dhh = p - (p - dh)
-        dhl = dh - dhh
-        # t *= n (_dd_mul)
-        p = th * nh
-        q = split * th
-        xh = q - (q - th)
-        xl = th - xh
-        q = split * nh
-        yh = q - (q - nh)
-        yl = nh - yh
-        e = ((xh * yh - p) + xh * yl + xl * yh) + xl * yl
-        e += th * nl + tl * nh
-        th = p + e
-        tl = e - (th - p)
-        # t *= z (_dd_mul with a zero low word)
-        p = th * z
-        q = split * th
-        xh = q - (q - th)
-        xl = th - xh
-        e = ((xh * zh - p) + xh * zl + xl * zh) + xl * zl
-        e += tl * z
-        th = p + e
-        tl = e - (th - p)
-        # t /= d (_dd_div): two correction steps, then renormalise
-        q0 = th / dh
-        p = dh * q0
-        q = split * q0
-        yh = q - (q - q0)
-        yl = q0 - yh
-        e = ((dhh * yh - p) + dhh * yl + dhl * yh) + dhl * yl
-        e += dl * q0
-        ph = p + e
-        pl = e - (ph - p)
-        s = th - ph
-        bb = s - th
-        e = (th - (s - bb)) + (-ph - bb)
-        e += tl - pl
-        rh = s + e
-        rl = e - (rh - s)
-        q1 = rh / dh
-        p = dh * q1
-        q = split * q1
-        yh = q - (q - q1)
-        yl = q1 - yh
-        e = ((dhh * yh - p) + dhh * yl + dhl * yh) + dhl * yl
-        e += dl * q1
-        ph = p + e
-        pl = e - (ph - p)
-        s = rh - ph
-        bb = s - rh
-        e = (rh - (s - bb)) + (-ph - bb)
-        e += rl - pl
-        rh = s + e
-        q2 = rh / dh
-        s = q0 + q1
-        e = (q1 - (s - q0)) + q2
-        th = s + e
-        tl = e - (th - s)
-        # t /= k (_dd_div by an integer k < 2^26: its split is (k, 0))
-        fk = float(k)
-        q0 = th / fk
-        p = fk * q0
-        q = split * q0
-        yh = q - (q - q0)
-        yl = q0 - yh
-        e = (fk * yh - p) + fk * yl
-        ph = p + e
-        pl = e - (ph - p)
-        s = th - ph
-        bb = s - th
-        e = (th - (s - bb)) + (-ph - bb)
-        e += tl - pl
-        rh = s + e
-        rl = e - (rh - s)
-        q1 = rh / fk
-        p = fk * q1
-        q = split * q1
-        yh = q - (q - q1)
-        yl = q1 - yh
-        e = (fk * yh - p) + fk * yl
-        ph = p + e
-        pl = e - (ph - p)
-        s = rh - ph
-        bb = s - rh
-        e = (rh - (s - bb)) + (-ph - bb)
-        e += rl - pl
-        rh = s + e
-        q2 = rh / fk
-        s = q0 + q1
-        e = (q1 - (s - q0)) + q2
-        th = s + e
-        tl = e - (th - s)
-        if th == 0.0:
-            break
-        # s += t (_dd_add)
-        s = sh + th
-        bb = s - sh
-        e = (sh - (s - bb)) + (th - bb)
-        e += sl + tl
-        sh = s + e
-        sl = e - (sh - s)
-        # a += |t| (_dd_add)
-        if th > 0.0:
-            xh, xl = th, tl
-        else:
-            xh, xl = -th, -tl
-        s = ah + xh
-        bb = s - ah
-        e = (ah - (s - bb)) + (xh - bb)
-        e += al + xl
-        ah = s + e
-        al = e - (ah - s)
-        mag = abs(th)
-        if k >= 4 and mag < 1e-33 * ah and mag <= prev_mag:
+        term = mul(term, div(mul(add(bd, k - 1), zd), mul(add(cd, k - 1), k)))
+        if not term:
+            break  # terminating parameter: the series is a polynomial
+        mag = term.copy_abs()
+        s = add(s, term)
+        abs_sum = add(abs_sum, mag)
+        if k >= 4 and mag <= prev_mag and mag < mul(_DEC_STOP, abs_sum):
             break
         prev_mag = mag
     else:
         raise AccuracyError(
             f"kummer_m series did not converge within {_KUMMER_MAX_TERMS} terms "
             f"at z={z!r}", value=z)
-    return sh + sl, ah
+    return float(s), float(abs_sum)
 
 
 def _kummer_series_array(b, c, z: np.ndarray):
@@ -662,8 +492,8 @@ def _kummer_series_array(b, c, z: np.ndarray):
 
     This is the only array summer, and it only sums: the loss gates stay
     with _kummer_m_array, which walks each point's series in order and
-    stops at its first refusal, because a scalar loop never reruns (in
-    double-double, 12-15x the plain sum) a series past a refused one.
+    stops at its first refusal, because a scalar loop never reruns (in 34
+    digits, 10-11x the plain sum) a series past a refused one.
     """
     n = z.size
     value, abs_out = np.full(n, math.nan), np.full(n, math.nan)
@@ -707,7 +537,7 @@ def _kummer_series_array(b, c, z: np.ndarray):
 
 
 def _plain_kept(value, abs_sum):
-    """Whether a plain Kummer sum stands without the double-double rerun.
+    """Whether a plain Kummer sum stands without the 34-digit rerun.
 
     True where the cancellation factor is at most _KUMMER_ESCALATE_LOSS;
     the one place the escalation test is written.  Floats or arrays,
@@ -726,7 +556,7 @@ def _kummer_loss(value, abs_sum):
 
 
 def _kummer_sum(b: float, c: float, z: float, plain=None) -> float:
-    """M(b; c; z), z > 0, from the plain series or its double-double rerun.
+    """M(b; c; z), z > 0, from the plain series or its 34-digit rerun.
 
     Both loss gates are decided here and only here (the escalation test
     through _plain_kept, which _kummer_m_array also reads to skip this
@@ -778,7 +608,7 @@ def _kummer_m_array(b, c, z):
     sums its plain series in one pass (_kummer_series_array), and where
     _plain_kept accepts the sum, that sum is its value.  Only the other
     elements make a scalar call, point by point and along a row in column
-    order: _kummer_sum on the plain sum (the double-double rerun), or
+    order: _kummer_sum on the plain sum (the 34-digit rerun), or
     kummer_m where the series was not summed or ran out of terms.  A row
     stops at its first refusal, as a scalar loop over the point would, so
     no rerun is made past it.  Returns (values, failures): values holds
