@@ -135,8 +135,7 @@ def _physics(config: RunConfig):
 
 
 def _metadata(config: RunConfig, title: str) -> list[str]:
-    mass_zero = (config.M0_m0 / config.M1_m0_per_nm
-                 if config.M1_m0_per_nm > 0.0 else math.inf)
+    mass_zero = MassParams(M0=config.M0_m0, M1=config.M1_m0_per_nm).mass_zero_nm
     auto = " (auto)" if config.alpha_eV_per_nm == "auto" else ""
     return [
         f"# {title}",
@@ -161,7 +160,7 @@ def _csv_rows(rows) -> list[str]:
             r = row.result
             s = r.solution
             nums = [row.axis_value, r.T_solve, r.T_paper, r.t1, r.t2,
-                    s.b1, s.b2, s.b3, s.b4, s.b5, r.residual]
+                    s.b1, s.b2, s.b3, s.b4, 1.0, r.residual]  # b5 = 1
         out.append(",".join(_fmt(float(v)) for v in nums)
                    + "," + ";".join(row.flags))
     return out

@@ -182,10 +182,10 @@ def barrier_coefficients(E, mp: MassParams, pp: PotentialProfile,
 
 
 def well_coefficients(E, mp: MassParams, pp: PotentialProfile,
-                      u: UnitSystem, printed_signs: bool = False) -> RegionCoefficients:
+                      u: UnitSystem) -> RegionCoefficients:
     """Interior coefficients for the well profile; E may be negative."""
     if pp.kind != "well":
         raise DomainError(f"well_coefficients needs kind='well', got {pp.kind!r}")
     if not math.isfinite(E):
         raise DomainError(f"energy must be finite, got {E!r}")
-    return _coefficients(E, mp, pp, u, -pp.V0, printed_signs)
+    return _coefficients(E, mp, pp, u, -pp.V0, False)

@@ -41,6 +41,9 @@ HALVING_GATE = 1e-8
 # largest RK4 step (nm) of matched_b1's march across the profile
 MATCH_STEP = 1e-3
 
+# truncation floor up to which an ode_residual verdict is conclusive
+RESIDUAL_FLOOR = 1e-6
+
 
 @dataclass(frozen=True)
 class IntegrationSpec:
@@ -194,14 +197,13 @@ class ResidualReport(NamedTuple):
     floor: float
 
 
-def ode_residual(xs, values, weight: Callable[[float], float],
-                 budget: float = 1e-6) -> ResidualReport:
+def ode_residual(xs, values, weight: Callable[[float], float]) -> ResidualReport:
     """Scaled central-difference residual of phi'' + w(x) phi = 0.
 
     The returned residual is max |phi''_fd + w phi| / scale over interior
     points, scale = max(1, max|phi| * max|w|).  A fourth-difference estimate
     of the truncation floor h^2 |phi''''| / 12 decides whether the grid was
-    fine enough for the verdict to count against the budget.
+    fine enough for the verdict to count (floor at most RESIDUAL_FLOOR).
 
     Elementwise numpy on the samples, with the doubles of a scalar loop:
     the weight is called once on the array of xs (a float result stands
@@ -228,7 +230,7 @@ def ode_residual(xs, values, weight: Callable[[float], float],
         fourth = np.max(np.abs(d4) / h ** 4)
     floor = float(h * h * fourth / 12.0 / scale)
     return ResidualReport(residual=float(worst / scale),
-                          conclusive=floor <= budget, floor=floor)
+                          conclusive=floor <= RESIDUAL_FLOOR, floor=floor)
 
 
 def matched_b1(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem):

@@ -4,20 +4,20 @@ Three regions: x < 0 and x > a carry the Airy pair in the stretched
 variable y(x) (model.airy_argument); 0 < x < a carries the Kummer pair of
 the completed-square interior equation phi'' = (a1 y^2 + lam) phi with
 y = x + a2/(2 a1).  Continuity of phi and phi' at x = 0 and x = a gives a
-4x4 linear system over (b1, b2, b3, b4) with the transmitted amplitude b5
-normalized; the canonical transmission is the amplitude ratio
+4x4 linear system over (b1, b2, b3, b4) with the transmitted amplitude
+fixed at b5 = 1; the canonical transmission is the amplitude ratio
 
-    T_solve = (b5 / b1)^2
+    T_solve = (1 / b1)^2
 
 with no flux weighting.  The Airy exterior keeps the mass m(x) = M0 - M1 x
 linear on the whole line, so past x* = M0/M1 the mass is negative, the
 transmitted wave is the decaying Ai and no transmitted current exists to
 normalize by.  What T_solve does promise: it is exactly 1 with no profile
-(the wave is b5 Ai on the whole line, so b1 = b5); it departs from 1 at
-first order in V0; it is not bounded by 1 (above the default barrier it
-settles near 4, the barrier slowing the evanescent decay); and it has a
-pole wherever b1 passes through zero.  |b1| below RESONANCE_RTOL of the
-amplitude scale is reported as T_solve = +inf.
+(the wave is Ai on the whole line, so b1 = 1); it departs from 1 at first
+order in V0; it is not bounded by 1 (above the default barrier it settles
+near 4, the barrier slowing the evanescent decay); and it has a pole
+wherever b1 passes through zero.  Near a pole T_solve is the large finite
+(1/b1)^2 the solve gives; it is +inf only where b1 is exactly 0.
 
 The published closed form T_paper = (t1/t2)^2 is carried alongside,
 evaluated exactly as printed, quirks included (t2 is a product of four
@@ -48,18 +48,17 @@ from .model import (MassParams, PotentialProfile, RegionCoefficients,
 from .special import (AiryPair, _kummer_m_array, airy_ai, airy_bi,
                       kummer_m, recip_gamma, tricomi_u_large_z)
 
-# |b1| below this fraction of the amplitude scale marks a resonance point
-RESONANCE_RTOL = 1e-12
-
 # Worst error estimate second() accepts before refusing the point.  Both
 # routes' estimates overshoot the observed error by orders of magnitude in
 # their crossover band, so this is a garbage gate, not a precision claim:
-# points that pass are delivered at ~1e-7 or better, points that fail would
-# come back with no correct digits at all.
+# against 50-digit mpmath the worst passing points seen are 7.4e-5 on the
+# subtraction route and 4.1e-5 on the recurrence route (b in [-45, 3], z up
+# to 250); points that fail would come back with no correct digits at all.
 _SECOND_BUDGET = 1e-4
 _LOSS_CAP = 1e200
 
-# b5 of the rescaled solve in rescale_diagnostic
+# transmitted amplitude of the scaled twin in rescale_diagnostic; a power
+# of two, so scaling the right-hand side by it is exact
 RESCALE = 2.0
 
 # the faults that refuse a point; any other exception is a bug and propagates
@@ -371,7 +370,6 @@ class MatchSolution:
     b2: float
     b3: float
     b4: float
-    b5: float
     residual: float
     # the row- and column-equilibrated matrix the amplitudes were solved from
     equilibrated: np.ndarray = field(compare=False, repr=False)
@@ -385,29 +383,22 @@ class MatchSolution:
         """
         return float(np.linalg.cond(self.equilibrated))
 
-    @property
-    def amplitude_scale(self) -> float:
-        return max(abs(self.b1), abs(self.b2), abs(self.b3),
-                   abs(self.b4), abs(self.b5))
-
 
 def assemble_matching(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
-                      printed_signs: bool = False,
-                      printed_columns: bool = False,
-                      b5: float = 1.0) -> MatchingSystem:
+                      fidelity: str = "none") -> MatchingSystem:
     """Continuity of value and derivative at x = 0 and x = a.
 
-    Unknowns are (b1, b2, b3, b4); the transmitted amplitude b5 is fixed by
-    the caller (default 1).  Rows 1-2 are the x = 0 interface, rows 3-4 the
-    x = a interface with the decaying Airy tail on the right-hand side.
-    printed_columns swaps the interior columns for the published shorthand
-    values; everything else is unchanged.  The kernels at each interface
-    are evaluated once and shared by the columns and both abbreviation
-    sets, which travel in the system for the printed closed form.  This is
-    _matching_systems on the one-point grid [E]; a refusal is raised.
+    Unknowns are (b1, b2, b3, b4); the transmitted amplitude is b5 = 1.
+    Rows 1-2 are the x = 0 interface, rows 3-4 the x = a interface with the
+    decaying Airy tail on the right-hand side.  fidelity is transmission()'s:
+    its printed columns swap the interior columns for the published
+    shorthand values, its printed signs flip a3.  The kernels at each
+    interface are evaluated once and shared by the columns and both
+    abbreviation sets, which travel in the system for the printed closed
+    form.  This is _matching_systems on the one-point grid [E]; a refusal
+    is raised.
     """
-    return _raised(_matching_systems([(E, pp)], mp, u,
-                                     (printed_signs, printed_columns), b5)[0])
+    return _raised(_matching_systems([(E, pp)], mp, u, _printed(fidelity))[0])
 
 
 def _raised(outcome):
@@ -418,7 +409,7 @@ def _raised(outcome):
 
 
 def _assemble(basis: RegionIIBasis, exterior, ker0: _Kernels, kera: _Kernels,
-              printed_columns: bool, b5: float) -> MatchingSystem:
+              printed_columns: bool) -> MatchingSystem:
     """The matching system of one point from its basis, its exterior
     (k, Ai(y1), Bi(y1), Ai(y3)) and its kernels at x = 0 and x = a."""
     k, ai0, bi0, ai_a = exterior
@@ -440,13 +431,12 @@ def _assemble(basis: RegionIIBasis, exterior, ker0: _Kernels, kera: _Kernels,
         [0.0, 0.0, va, qa],
         [0.0, 0.0, da, qda],
     ])
-    rhs = np.array([0.0, 0.0, b5 * ai_a.value, b5 * k * ai_a.derivative])
+    rhs = np.array([0.0, 0.0, ai_a.value, k * ai_a.derivative])
     return MatchingSystem(matrix=matrix, rhs=rhs, airy_scale=k, fset=fset,
                           gset=gset, bi0=bi0, ai_a=ai_a)
 
 
-def solve_matching(systems: Sequence[MatchingSystem], E: Sequence[float],
-                   b5: float = 1.0) -> list:
+def solve_matching(systems: Sequence[MatchingSystem], E: Sequence[float]) -> list:
     """A MatchSolution or the ConditioningError of each system, E their energies.
 
     A non-finite system is refused before the rest are stacked and solved
@@ -476,7 +466,7 @@ def solve_matching(systems: Sequence[MatchingSystem], E: Sequence[float],
     for rows, x, scaled, residuals in parts:
         for j, i in enumerate(rows):
             b1, b2, b3, b4 = x[j].tolist()
-            out[i] = MatchSolution(b1=b1, b2=b2, b3=b3, b4=b4, b5=b5,
+            out[i] = MatchSolution(b1=b1, b2=b2, b3=b3, b4=b4,
                                    residual=residuals[j], equilibrated=scaled[j])
     return out
 
@@ -523,23 +513,19 @@ class TransmissionResult:
     residual: float
     solution: MatchSolution
 
-    @property
-    def resonant(self) -> bool:
-        return math.isinf(self.T_solve)
 
-
-def _paper_closed_form(system: MatchingSystem, b5: float) -> tuple[float, float, float]:
+def _paper_closed_form(system: MatchingSystem) -> tuple[float, float, float]:
     """t1, t2 and (t1/t2)^2 from the published closed form, verbatim.
 
     Pure arithmetic on what _matching_systems already evaluated: the
     abbreviation sets system.fset (x = 0) and system.gset (x = a), Bi(y1)
-    as system.bi0 and Ai(y3) as system.ai_a.  b5 enters by scaling the
-    transmitted Airy tail, which multiplies two of the four t2 brackets; t1
-    has none, hence the s^-4 behaviour the rescale diagnostic exposes.
+    as system.bi0 and the transmitted tail Ai(y3) as system.ai_a.  Scaling
+    that tail scales two of the four t2 brackets and none of t1, hence the
+    s^-4 behaviour the rescale diagnostic exposes.
     """
     k = system.airy_scale
     fset, gset, bi0 = system.fset, system.gset, system.bi0
-    ai3, aip3 = b5 * system.ai_a.value, b5 * system.ai_a.derivative
+    ai3, aip3 = system.ai_a.value, system.ai_a.derivative
     t1 = k / math.pi * (gset.f1p * gset.f9 - gset.f8 * gset.f7)
     t2 = ((gset.f9 * ai3 - k * gset.f7 * aip3)
           * (k * fset.f1p * bi0.derivative - fset.f8 * bi0.value)
@@ -557,29 +543,36 @@ def _printed(fidelity: str) -> tuple[bool, bool]:
 
 
 def transmission(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
-                 fidelity: str = "none", b5: float = 1.0) -> TransmissionResult:
+                 fidelity: str = "none") -> TransmissionResult:
     """Solve the matching system and report both transmission conventions.
 
-    T_solve comes from the linear solve; |b1| below RESONANCE_RTOL of the
-    amplitude scale is reported as the +inf resonance sentinel.  T_paper is
-    the printed closed form, always computed for comparison.  This is the
-    sweep's pipeline on the one-point grid [E]; a refusal is raised.
+    T_solve = (1/b1)^2 comes from the linear solve, +inf where b1 is
+    exactly 0.  T_paper is the printed closed form, always computed for
+    comparison.  This is the sweep's pipeline on the one-point grid [E]; a
+    refusal is raised.
     """
     points = [(E, pp)]
-    systems = _matching_systems(points, mp, u, _printed(fidelity), b5)
-    return _raised(_solved(points, systems, b5)[0])
+    systems = _matching_systems(points, mp, u, _printed(fidelity))
+    return _raised(_solved(points, systems)[0])
 
 
 def rescale_diagnostic(E, mp: MassParams, pp: PotentialProfile,
                        u: UnitSystem) -> tuple[float, float]:
-    """Ratios (T_solve, T_paper) at b5 = RESCALE over b5 = 1.
+    """Ratios (T_solve, T_paper) at transmitted amplitude RESCALE over 1.
 
-    A normalization-independent transmission must give 1.0 in the first
-    slot; the printed closed form gives RESCALE^-4 in the second.
+    The scaled twin is the system with its right-hand side and Airy tail
+    times RESCALE; both are solved in one call.  A normalization-independent
+    transmission must give 1.0 in the first slot; the printed closed form
+    gives RESCALE^-4 in the second.
     """
-    base = transmission(E, mp, pp, u)
-    scaled = transmission(E, mp, pp, u, b5=RESCALE)
-    return scaled.T_solve / base.T_solve, scaled.T_paper / base.T_paper
+    base = assemble_matching(E, mp, pp, u)
+    scaled = base._replace(rhs=RESCALE * base.rhs,
+                           ai_a=AiryPair(RESCALE * base.ai_a.value,
+                                         RESCALE * base.ai_a.derivative))
+    sol, sol_scaled = map(_raised, solve_matching([base, scaled], [E, E]))
+    r, r_scaled = 1.0 / sol.b1, RESCALE / sol_scaled.b1
+    return ((r_scaled * r_scaled) / (r * r),
+            _paper_closed_form(scaled)[2] / _paper_closed_form(base)[2])
 
 
 @dataclass(frozen=True)
@@ -616,8 +609,7 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
     for v, got in zip(values, _sweep_outcomes(axis, values, mp, pp, u, E,
                                               fidelity, auto_alpha)):
         if isinstance(got, TransmissionResult):
-            flags = ("resonance",) if got.resonant else ()
-            rows.append(SweepRow(axis_value=v, result=got, flags=flags))
+            rows.append(SweepRow(axis_value=v, result=got, flags=()))
         else:
             rows.append(SweepRow(axis_value=v, result=None,
                                  flags=(type(got).__name__,)))
@@ -639,11 +631,11 @@ def _sweep_outcomes(axis, values, mp, pp, u, E, fidelity, auto_alpha) -> list:
                 kind=pp.kind)))
         except _REFUSED as exc:
             points.append(exc)
-    return _solved(points, _matching_systems(points, mp, u, printed, 1.0), 1.0)
+    return _solved(points, _matching_systems(points, mp, u, printed))
 
 
 def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
-                      printed: tuple[bool, bool], b5: float) -> list:
+                      printed: tuple[bool, bool]) -> list:
     """Per point, its MatchingSystem or the error that refused it.
 
     A point is an (energy, profile) pair, or an error refusing it, passed
@@ -669,13 +661,13 @@ def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
     kernels = _interface_kernels([p[1] for p in live], [p[3] for p in live])
     for (i, basis, exterior, _), ker in zip(live, kernels):
         try:
-            out[i] = _assemble(basis, exterior, *_raised(ker), printed_columns, b5)
+            out[i] = _assemble(basis, exterior, *_raised(ker), printed_columns)
         except _REFUSED as exc:
             out[i] = exc
     return out
 
 
-def _solved(points: list, systems: list, b5: float) -> list:
+def _solved(points: list, systems: list) -> list:
     """Per point, its TransmissionResult or the error that refused it, from
     _matching_systems' list for the points: every system in it is solved
     by one solve_matching call, and both transmission conventions taken."""
@@ -683,15 +675,14 @@ def _solved(points: list, systems: list, b5: float) -> list:
     live = [i for i, s in enumerate(systems) if isinstance(s, MatchingSystem)]
     energies = [points[i][0] for i in live]
     try:
-        solutions = solve_matching([systems[i] for i in live], energies, b5)
+        solutions = solve_matching([systems[i] for i in live], energies)
     except _REFUSED as exc:
         solutions = [exc] * len(live)
     for i, point_E, sol in zip(live, energies, solutions):
         try:
             sol = _raised(sol)
-            resonant = abs(sol.b1) < RESONANCE_RTOL * sol.amplitude_scale
-            ratio = math.inf if resonant else sol.b5 / sol.b1
-            t1, t2, t_paper = _paper_closed_form(systems[i], b5)
+            ratio = math.inf if sol.b1 == 0.0 else 1.0 / sol.b1
+            t1, t2, t_paper = _paper_closed_form(systems[i])
             out[i] = TransmissionResult(E=point_E, T_solve=ratio * ratio,
                                         T_paper=t_paper, t1=t1, t2=t2,
                                         residual=sol.residual, solution=sol)

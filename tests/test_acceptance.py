@@ -8,8 +8,8 @@ Gates 4 and 5 check the transmission the stated wave equation gives, not
 a flux probability.  The exterior is written in Airy functions, so the
 mass m(x) = M0 - M1 x stays linear on the whole line and turns negative
 beyond x* = M0/M1 (1 nm by default).  Past the profile the wave is the
-decaying Ai, no transmitted current exists, and T_solve = (b5/b1)^2 is a
-ratio of real amplitudes: it is not bounded by 1, it has a pole wherever
+decaying Ai, no transmitted current exists, and T_solve = (1/b1)^2 (the
+transmitted amplitude fixed at 1) is a ratio of real amplitudes: it is not bounded by 1, it has a pole wherever
 b1 crosses zero, and above the barrier it settles on a plateau near 4
 (the barrier slows the evanescent decay in the m < 0 region).  The gates
 therefore take the limits the model does promise and the independent RK4

@@ -106,9 +106,6 @@ class TestCoefficients:
         assert flipped.a1 == rc.a1
         assert flipped.a2 == rc.a2
         assert flipped.a3 == -rc.a3
-        rcw = well_coefficients(-0.2, MASS, WELL, U)
-        flippedw = well_coefficients(-0.2, MASS, WELL, U, printed_signs=True)
-        assert flippedw.a3 == -rcw.a3
 
     def test_well_is_barrier_with_negated_height(self):
         # field-by-field agreement under V0 -> -V0 at equal alpha

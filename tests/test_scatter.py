@@ -5,6 +5,7 @@ right (residual + Wronskian + trajectory agreement), then the assembled
 4x4 solve is checked against the independently marched transmission.
 """
 
+import dataclasses
 import math
 import warnings
 
@@ -267,9 +268,9 @@ class TestTransmission:
         assert solve_ratio == pytest.approx(1.0, abs=1e-12)
         assert paper_ratio == pytest.approx(2.0 ** -4, rel=1e-9)
 
-    def test_resonance_sentinel(self):
-        # b1 changes sign once in this bracket; pin it down and the solver
-        # must report the pole as +inf rather than a huge finite number
+    def test_pole_is_reported_huge_or_inf(self):
+        # b1 changes sign once in this bracket; pinned down, the pole's
+        # T_solve = (1/b1)^2 is huge, or +inf if b1 came out exactly 0
         lo, hi = 0.15, 0.19
         b1_at = lambda E: solve_matching(
             [assemble_matching(E, MASS, BARRIER, U)], E=[E])[0].b1
@@ -286,8 +287,24 @@ class TestTransmission:
             else:
                 hi = mid
         res = transmission(0.5 * (lo + hi), MASS, BARRIER, U)
-        assert res.resonant
-        assert math.isinf(res.T_solve)
+        assert res.T_solve > 1e20
+
+    def test_exact_zero_b1_is_inf(self, monkeypatch):
+        # a solve giving b1 == 0.0 exactly is the pole itself: T_solve is
+        # +inf, as oracle.matched_transmission reports it, not a refusal
+        solve = triq.scatter.solve_matching
+
+        def zero_b1(systems, E):
+            return [dataclasses.replace(sol, b1=0.0)
+                    for sol in solve(systems, E)]
+
+        monkeypatch.setattr(triq.scatter, "solve_matching", zero_b1)
+        res = transmission(0.1, MASS, BARRIER, U)
+        assert res.solution.b1 == 0.0
+        assert res.T_solve == math.inf
+        rows = sweep("E", [0.1, 0.2], MASS, BARRIER, U)
+        assert [r.flags for r in rows] == [(), ()]
+        assert all(r.result.T_solve == math.inf for r in rows)
 
     def test_fidelity_modes_run_and_diverge(self):
         results = {mode: transmission(0.1, MASS, BARRIER, U, fidelity=mode)
@@ -458,7 +475,7 @@ def outcome_key(got):
                 getattr(got, "energy_eV", None))
     s = got.solution
     nums = (got.E, got.T_solve, got.T_paper, got.t1, got.t2, got.residual,
-            s.b1, s.b2, s.b3, s.b4, s.b5)
+            s.b1, s.b2, s.b3, s.b4)
     return [float(v).hex() for v in nums]
 
 
@@ -560,7 +577,7 @@ class TestSweep:
         # the single-system solve gave, and only the bad two are refused
         energies = linear_grid(0.02, 2.25, 40) * 2
         systems = [assemble_matching(E, MASS, BARRIER, U,
-                                     printed_columns=i >= 40)
+                                     fidelity="t2" if i >= 40 else "none")
                    for i, E in enumerate(energies)]
         systems[7] = systems[7]._replace(matrix=np.zeros((4, 4)))
         systems[50] = systems[50]._replace(matrix=systems[50].matrix * math.nan)
@@ -579,6 +596,28 @@ class TestSweep:
                 [v.hex() for v in x + [residual]]
             assert (sol.equilibrated == scaled).all()
         assert solve_matching([], E=[]) == []
+
+    @pytest.mark.parametrize("fidelity, count", [("t2", 98), ("all", 122)])
+    def test_printed_column_rows_near_b1_zero_stay_finite(self, fidelity,
+                                                          count):
+        # in printed-column systems |b1..b4| ~ 1e-12 against the fixed
+        # b5 = 1, so these rows of the 0.02-2.25 eV sweep have |b1| below
+        # 1e-12 of max(|b1|..|b4|, 1); T_solve is their finite (1/b1)^2,
+        # unflagged, not an inf in place of a real number
+        rows = sweep("E", linear_grid(0.02, 2.25, 200), MASS, BARRIER, U,
+                     fidelity=fidelity)
+        small = []
+        for row in rows:
+            s = row.result.solution
+            scale = max(abs(s.b1), abs(s.b2), abs(s.b3), abs(s.b4), 1.0)
+            if abs(s.b1) < 1e-12 * scale:
+                small.append(row)
+        assert len(small) == count
+        for row in small:
+            r = 1.0 / row.result.solution.b1
+            assert math.isfinite(row.result.T_solve)
+            assert row.result.T_solve.hex() == (r * r).hex()
+            assert row.flags == ()
 
     def test_error_rows_flagged_not_raised(self):
         rows = sweep("E", [-0.5, 0.1], MASS, BARRIER, U)
