@@ -10,8 +10,8 @@ polynomial coefficient H m(x)(E - V(x)) and elementary arithmetic, so an
 agreement between the two paths is evidence, not tautology.  The single
 exception is matched_b1, which needs the exterior basis values at the
 interfaces to express its result in the same amplitude convention as the
-solver; those two boundary evaluations are imported, the interior crossing
-is not.
+solver; those two boundary evaluations are imported (for an array of
+energies, as one array call), the interior crossing is not.
 
 A march keeps only its endpoint.  E may be a float, marched in plain
 Python floats, or a 1-D array marched in lockstep with the same arithmetic
@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import AccuracyError, DomainError
 from .model import MassParams, PotentialProfile, UnitSystem, airy_argument, airy_scale
-from .special import airy_ai, airy_bi
+from .special import _airy_array, airy_ai, airy_bi
 
 HALVING_GATE = 1e-8
 
@@ -245,19 +245,30 @@ def matched_b1(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem):
     if pp.kind != "barrier":
         raise DomainError("matched_b1 is a barrier-side check")
 
-    def exterior(e):
-        k = airy_scale(e, mp, u)
-        tail = airy_ai(airy_argument(pp.a, e, mp, u))
-        y1 = airy_argument(0.0, e, mp, u)
-        ai, bi = airy_ai(y1), airy_bi(y1)
-        det = k * (ai.value * bi.derivative - ai.derivative * bi.value)  # = k/pi
-        return tail.value, k * tail.derivative, k, bi.derivative, bi.value, det
-
     if np.ndim(E):
         E = np.asarray(E, dtype=float)
-        v0, d0, k, bi_d, bi_v, det = np.array([exterior(e) for e in E.tolist()]).T
+        # k and the arguments per energy in Python floats, as the scalar
+        # route takes them; then Ai at every x = a and Ai, Bi at every x = 0
+        # from one array call
+        k, y_tail, y1 = (np.array(v) for v in zip(*(
+            (airy_scale(e, mp, u), airy_argument(pp.a, e, mp, u),
+             airy_argument(0.0, e, mp, u)) for e in E.tolist())))
+        g = _airy_array(np.concatenate([y_tail, y1]))
+        n = E.size
+        for i in range(n):  # the first refused energy raises its first error
+            err = (g.ai_failures.get(i) or g.ai_failures.get(n + i)
+                   or g.bi_failures.get(n + i))
+            if err:
+                raise err
+        v0, d0 = g.ai[:n], k * g.aip[:n]
+        ai, aip, bi_v, bi_d = g.ai[n:], g.aip[n:], g.bi[n:], g.bip[n:]
     else:
-        v0, d0, k, bi_d, bi_v, det = exterior(E)
+        k = airy_scale(E, mp, u)
+        tail = airy_ai(airy_argument(pp.a, E, mp, u))
+        y1 = airy_argument(0.0, E, mp, u)
+        (ai, aip), (bi_v, bi_d) = airy_ai(y1), airy_bi(y1)
+        v0, d0 = tail.value, k * tail.derivative
+    det = k * (ai * bi_d - aip * bi_v)  # = k/pi
     n = max(2, math.ceil(pp.a / MATCH_STEP))
     got = integrate(IntegrationSpec(pp.a, 0.0, pp.a / n, v0, d0), E, mp, pp, u)
     return (got.value * k * bi_d - got.derivative * bi_v) / det

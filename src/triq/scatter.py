@@ -45,8 +45,8 @@ import numpy as np
 from .errors import AccuracyError, ConditioningError, DomainError, TriqError
 from .model import (MassParams, PotentialProfile, RegionCoefficients,
                     UnitSystem, airy_scale, barrier_coefficients)
-from .special import (AiryPair, _kummer_m_array, airy_ai, airy_bi,
-                      kummer_m, recip_gamma, tricomi_u_large_z)
+from .special import (AiryPair, _airy_array, _kummer_m_array, airy_ai,
+                      airy_bi, kummer_m, recip_gamma, tricomi_u_large_z)
 
 # Worst error estimate second() accepts before refusing the point.  Both
 # routes' estimates overshoot the observed error by orders of magnitude in
@@ -640,12 +640,13 @@ def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
 
     A point is an (energy, profile) pair, or an error refusing it, passed
     on; printed is (printed_signs, printed_columns).  Each point takes its
-    coefficients, basis and exterior Airy values in turn, then the kernels
-    of all points are evaluated together, then each system is assembled.
+    coefficients in turn, then the exterior Airy values of all points are
+    evaluated together, then each point's basis, then the kernels of all
+    points together, then each system is assembled.
     """
     printed_signs, printed_columns = printed
     out = list(points)
-    live = []  # (index, basis, exterior, width a)
+    coefficients = []  # (index, coefficients, Airy scale k, width a)
     for i, point in enumerate(points):
         if isinstance(point, Exception):
             continue
@@ -653,9 +654,14 @@ def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
         try:
             rc = barrier_coefficients(point_E, mp, point_pp, u,
                                       printed_signs=printed_signs)
-            exterior = (airy_scale(point_E, mp, u), airy_ai(rc.y1),
-                        airy_bi(rc.y1), airy_ai(rc.y3))
-            live.append((i, basis_for(rc), exterior, point_pp.a))
+            coefficients.append((i, rc, airy_scale(point_E, mp, u), point_pp.a))
+        except _REFUSED as exc:
+            out[i] = exc
+    live = []  # (index, basis, exterior, width a)
+    airy = _exterior_airy([c[1] for c in coefficients])
+    for (i, rc, k, a), values in zip(coefficients, airy):
+        try:
+            live.append((i, basis_for(rc), (k, *_raised(values)), a))
         except _REFUSED as exc:
             out[i] = exc
     kernels = _interface_kernels([p[1] for p in live], [p[3] for p in live])
@@ -665,6 +671,31 @@ def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
         except _REFUSED as exc:
             out[i] = exc
     return out
+
+
+def _exterior_airy(coefficients: list[RegionCoefficients]) -> list:
+    """(Ai(y1), Bi(y1), Ai(y3)) of each point's coefficients, or its error.
+
+    A lone point takes the scalar airy_ai(y1), airy_bi(y1) and airy_ai(y3),
+    cheaper for one point than the array route.  More points make one
+    _airy_array call over every y1 then every y3, and a point is refused by
+    the first of its three scalar calls' errors.
+    """
+    if len(coefficients) < 2:
+        try:
+            return [(airy_ai(rc.y1), airy_bi(rc.y1), airy_ai(rc.y3))
+                    for rc in coefficients]
+        except _REFUSED as exc:
+            return [exc]
+    n = len(coefficients)
+    grid = _airy_array([rc.y1 for rc in coefficients]
+                       + [rc.y3 for rc in coefficients])
+    # Python floats from tolist: the scalar calls' own types
+    ai = list(map(AiryPair, grid.ai.tolist(), grid.aip.tolist()))
+    bi = list(map(AiryPair, grid.bi[:n].tolist(), grid.bip[:n].tolist()))
+    fail_ai, fail_bi = grid.ai_failures.get, grid.bi_failures.get
+    return [fail_ai(i) or fail_bi(i) or fail_ai(n + i) or (ai[i], bi[i], ai[n + i])
+            for i in range(n)]
 
 
 def _solved(points: list, systems: list) -> list:

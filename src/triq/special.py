@@ -27,6 +27,15 @@ parameters.
 Tricomi's U itself is made in one place, scatter.RegionIIBasis.second: the
 two-term form from the Kummer series here, or tricomi_u_large_z where the
 subtraction cancels, chosen by each route's error estimate.
+
+Two kernels also run over a 1-D array, element for element the doubles of
+the scalar calls: _kummer_m_array (one plain-series pass) and _airy_array.
+The Airy array makes one Maclaurin pass for Ai and Bi together and one
+lockstep Taylor march, each element with its own steps and stop rules.
+The asymptotic regimes stay one scalar call per element (though one for
+Ai and Bi together): they rest on libm's pow, exp and sin and on the
+34-digit phase, which numpy's ufuncs need not reproduce to the bit.  A
+single point is cheaper through the scalar calls, which stay.
 """
 
 from __future__ import annotations
@@ -406,6 +415,167 @@ def airy_bi(y: float) -> AiryPair:
         return AiryPair(w, wp)
     _, _, bi, bip = _airy_asym_neg(y)
     return AiryPair(bi, bip)
+
+
+class AiryGrid(NamedTuple):
+    """airy_ai and airy_bi over a 1-D array of points (_airy_array).
+
+    ai, aip, bi and bip hold the doubles the scalar calls give element by
+    element, NaN where the call refuses; ai_failures and bi_failures map
+    the index of each refused element, in index order, to the error its
+    airy_ai or airy_bi call raises.
+    """
+
+    ai: np.ndarray
+    aip: np.ndarray
+    bi: np.ndarray
+    bip: np.ndarray
+    ai_failures: dict
+    bi_failures: dict
+
+
+def _airy_array(y) -> AiryGrid:
+    """airy_ai and airy_bi over a 1-D array, one vector pass per regime.
+
+    Every element takes its scalar calls' routes and gets their doubles:
+    one Maclaurin pass gives Ai and Bi wherever either is on the series;
+    one lockstep march carries the Ai and Bi rows of (_AIRY_ASYM_NEG,
+    _AIRY_SERIES_LO) and the Ai rows of (_AIRY_SERIES_HI_AI,
+    _AIRY_ASYM_POS); each asymptotic element makes one _airy_asym_* call
+    for both functions.  An element no route takes (a non-finite y, and
+    for Bi a y above _AIRY_BI_OVERFLOW) makes the scalar call, and its
+    error is recorded.
+    """
+    y = np.asarray(y, dtype=float)
+    ys = y.tolist()  # Python floats: the asymptotic and scalar calls' own types
+    ai, aip, bi, bip = (np.full(y.size, math.nan) for _ in range(4))
+    series = np.flatnonzero((y >= _AIRY_SERIES_LO) & (y < _AIRY_ASYM_POS))
+    f, fp, g, gp = _airy_series_array(y[series])
+    bi[series] = _SQRT3 * (_AI_ZERO * f + _AI_SLOPE * g)
+    bip[series] = _SQRT3 * (_AI_ZERO * fp + _AI_SLOPE * gp)
+    on = y[series] <= _AIRY_SERIES_HI_AI  # above it, Ai marches down from 8
+    ai[series[on]] = (_AI_ZERO * f - _AI_SLOPE * g)[on]
+    aip[series[on]] = (_AI_ZERO * fp - _AI_SLOPE * gp)[on]
+
+    neg = np.flatnonzero((y > _AIRY_ASYM_NEG) & (y < _AIRY_SERIES_LO))
+    pos = np.flatnonzero((y > _AIRY_SERIES_HI_AI) & (y < _AIRY_ASYM_POS))
+    # march rows: Ai, then Bi, of (-9.5, -4.5) from the series anchor, then
+    # Ai of (3, 8) from the asymptotic one
+    rows = np.concatenate([neg, neg, pos])
+    sizes = (neg.size, neg.size, pos.size)
+    anchors = [(_AIRY_SERIES_LO, *_SERIES_LO_ANCHOR[:2]),
+               (_AIRY_SERIES_LO, *_SERIES_LO_ANCHOR[2:]),
+               (_AIRY_ASYM_POS, *_ASYM_POS_ANCHOR[:2])]
+    w, wp = _airy_march_array(y[rows], *(np.repeat(a, sizes) for a in zip(*anchors)))
+    ai[neg], bi[neg], ai[pos] = np.split(w, np.cumsum(sizes)[:2])
+    aip[neg], bip[neg], aip[pos] = np.split(wp, np.cumsum(sizes)[:2])
+
+    finite = np.isfinite(y)
+    asymptotic = finite & ((y >= _AIRY_ASYM_POS) | (y <= _AIRY_ASYM_NEG))
+    for i in np.flatnonzero(asymptotic).tolist():
+        asym = _airy_asym_pos if ys[i] >= _AIRY_ASYM_POS else _airy_asym_neg
+        ai[i], aip[i], b, bp = asym(ys[i])
+        if ys[i] <= _AIRY_BI_OVERFLOW:
+            bi[i], bip[i] = b, bp
+
+    ai_failures, bi_failures = {}, {}
+    for fn, refused, value, deriv, failures in (
+            (airy_ai, ~finite, ai, aip, ai_failures),
+            (airy_bi, ~finite | (y > _AIRY_BI_OVERFLOW), bi, bip, bi_failures)):
+        for i in np.flatnonzero(refused).tolist():
+            try:
+                value[i], deriv[i] = fn(ys[i])
+            except TriqError as exc:
+                failures[i] = exc
+    return AiryGrid(ai, aip, bi, bip, ai_failures, bi_failures)
+
+
+def _airy_series_array(y: np.ndarray):
+    """_airy_series over a 1-D array, each element retiring at its own stop.
+
+    Each element does the scalar loop's operations and leaves the live
+    arrays at the term where the scalar loop breaks (or runs out), so it
+    gets the same (f, f', g, g'); y == 0 takes the exact start.  Overflow
+    and inf * 0 are silent, as they are for floats (a subnormal y makes
+    1/y overflow).
+    """
+    out = [np.ones(y.size), np.zeros(y.size), np.zeros(y.size), np.ones(y.size)]
+    live = np.flatnonzero(y != 0.0)
+    yl = y[live]
+    with np.errstate(over="ignore"):
+        y3, inv_y = yl * yl * yl, 1.0 / yl
+    f, tf, g, tg = np.ones(yl.size), np.ones(yl.size), yl.copy(), yl.copy()
+    fp, gp = np.zeros(yl.size), np.ones(yl.size)
+    for k in range(1, 90):
+        if not live.size:
+            break
+        three_k = 3.0 * k
+        tf *= y3 / (three_k * (three_k - 1.0))
+        tg *= y3 / (three_k * (three_k + 1.0))
+        f += tf
+        g += tg
+        with np.errstate(invalid="ignore"):
+            fp += tf * three_k * inv_y
+            gp += tg * (three_k + 1.0) * inv_y
+        done = ((np.abs(tf) < 1e-18 * np.abs(f)) & (np.abs(tg) < 1e-18 * np.abs(g))
+                if k < 89 else np.ones(live.size, dtype=bool))
+        if done.any():
+            for o, v in zip(out, (f, fp, g, gp)):
+                o[live[done]] = v[done]
+            keep = ~done
+            live, y3, inv_y, f, tf, g, tg, fp, gp = (
+                a[keep] for a in (live, y3, inv_y, f, tf, g, tg, fp, gp))
+    return out
+
+
+def _airy_march_array(y, x0, w, wp):
+    """_airy_march of every row in lockstep, row r from x0[r] to y[r].
+
+    Each row keeps its own step count, h and x += h accumulation, and
+    leaves each Taylor step at its own stop rule, so it gets the scalar
+    march's (w, w').
+    """
+    n_steps = np.maximum(1.0, np.ceil(np.abs(y - x0) / _AIRY_MARCH_STEP))
+    h = (y - x0) / n_steps
+    x, w, wp = x0.copy(), w.copy(), wp.copy()
+    for s in range(int(n_steps.max(initial=0.0))):
+        rows = np.flatnonzero(n_steps > s)
+        w[rows], wp[rows] = _airy_taylor_step_array(x[rows], w[rows], wp[rows], h[rows])
+        x[rows] += h[rows]
+    return w, wp
+
+
+def _airy_taylor_step_array(x0, w, wp, h):
+    """_airy_taylor_step of every row, each leaving at its own stop rule.
+
+    The local series is kept as its last three coefficients, the only
+    ones the recurrence reads.
+    """
+    c_prev, c_cur, c_next = w, wp, 0.5 * x0 * w
+    value = w + h * (wp + h * c_next)
+    deriv = wp + 2.0 * c_next * h
+    hn = h * h
+    out_v, out_d = np.empty(w.size), np.empty(w.size)
+    live = np.arange(w.size)
+    for n in range(1, 60):
+        if not live.size:
+            break
+        a_next = (x0 * c_cur + c_prev) / ((n + 1.0) * (n + 2.0))
+        hn_next = hn * h
+        term_v = a_next * hn_next
+        value += term_v
+        deriv += a_next * (n + 2.0) * hn
+        hn = hn_next
+        c_prev, c_cur, c_next = c_cur, c_next, a_next
+        done = (np.abs(term_v) < 1e-18 * (np.abs(value) + np.abs(deriv) * np.abs(h))
+                if n < 59 else np.ones(live.size, dtype=bool))
+        if done.any():
+            out_v[live[done]], out_d[live[done]] = value[done], deriv[done]
+            keep = ~done
+            live, x0, h, value, deriv, hn, c_prev, c_cur, c_next = (
+                a[keep] for a in (live, x0, h, value, deriv, hn,
+                                  c_prev, c_cur, c_next))
+    return out_v, out_d
 
 
 # ---------------------------------------------------------------------------

@@ -12,8 +12,10 @@ import warnings
 import numpy as np
 import pytest
 
+import triq.oracle
 import triq.scatter
 import triq.special
+import triq.validate
 from triq.errors import (AccuracyError, ConditioningError, DomainError,
                          TriqError)
 from triq.model import (MassParams, PotentialProfile, airy_scale,
@@ -415,6 +417,31 @@ class TestInterfaceEvaluatedOnce:
             run()
             assert calls == {"scalar": 8, "array": 0}
 
+    def test_scalar_airy_only_for_lone_points_and_refusals(self, monkeypatch):
+        # both Airy suites and a sweep of two or more points take Airy from
+        # the array route; a scalar call is made only for an element that
+        # route refuses (non-finite y, or Bi past 103), and by a lone point
+        calls = scalar_airy_calls(monkeypatch)
+        triq.validate.suite_airy_wronskian()
+        triq.validate.suite_airy_equation()
+        sweep("E", TestInterfaceEvaluatedOnce.GRID, MASS, BARRIER, U)
+        assert calls == []
+        # 3000 and 1e4 eV put y3 past Bi's limit (the point is refused by
+        # its kernels, not by Airy); an infinite energy makes y1 and y3 NaN
+        grid = [0.1, 3000.0, 1e4, math.inf]
+        got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
+                                           "none", False)
+        assert [name for name, _ in calls] == ["airy_ai"] * 2 + ["airy_bi"] * 4
+        assert all(not math.isfinite(y) or (name == "airy_bi" and y > 103.0)
+                   for name, y in calls)
+        assert [outcome_key(g) for g in got] == \
+            [outcome_key(w) for w in loop_outcomes("E", grid)]
+        del calls[:]
+        transmission(0.1, MASS, BARRIER, U)
+        rc = barrier_coefficients(0.1, MASS, BARRIER, U)
+        assert calls == [("airy_ai", rc.y1), ("airy_bi", rc.y1),
+                         ("airy_ai", rc.y3)]
+
     def test_recip_gamma_per_point(self, monkeypatch):
         # 1/Gamma of b, b + 1/2 and the printed f6 argument, once per point
         # and shared by both interfaces; the 1/Gamma(c) constants of the
@@ -477,6 +504,23 @@ def outcome_key(got):
     nums = (got.E, got.T_solve, got.T_paper, got.t1, got.t2, got.residual,
             s.b1, s.b2, s.b3, s.b4)
     return [float(v).hex() for v in nums]
+
+
+def scalar_airy_calls(monkeypatch):
+    """(name, y) of every scalar airy_ai / airy_bi call, in order, spied on
+    in each module that binds the function."""
+    calls = []
+    for name in ("airy_ai", "airy_bi"):
+        fn = getattr(triq.special, name)
+
+        def counted(y, _name=name, _fn=fn):
+            calls.append((_name, y))
+            return _fn(y)
+
+        for module in (triq.special, triq.scatter, triq.oracle, triq.validate):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def counted_routes(monkeypatch):

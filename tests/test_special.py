@@ -23,6 +23,7 @@ from triq.special import (
     _KUMMER_FAIL_LOSS,
     _KUMMER_MAX_TERMS,
     KUMMER_ENVELOPE,
+    _airy_array,
     _kummer_loss,
     _kummer_m_array,
     _kummer_series,
@@ -213,6 +214,86 @@ class TestAiry:
             airy_ai(math.nan)
         with pytest.raises(DomainError):
             airy_bi(math.inf)
+
+
+def airy_outcomes(y):
+    """Per function, .hex() of the scalar (value, derivative) at y, or the
+    error's (class name, message)."""
+    out = []
+    for fn in (airy_ai, airy_bi):
+        try:
+            pair = fn(y)
+            out.append((float(pair.value).hex(), float(pair.derivative).hex()))
+        except TriqError as exc:
+            out.append((type(exc).__name__, str(exc)))
+    return out
+
+
+def array_outcomes(ys):
+    """airy_outcomes of every element, read from one _airy_array call."""
+    grid = _airy_array(ys)
+    out = []
+    for i in range(len(ys)):
+        row = []
+        for value, deriv, failures in ((grid.ai, grid.aip, grid.ai_failures),
+                                       (grid.bi, grid.bip, grid.bi_failures)):
+            if i in failures:
+                assert math.isnan(value[i]) and math.isnan(deriv[i])
+                row.append((type(failures[i]).__name__, str(failures[i])))
+            else:
+                row.append((float(value[i]).hex(), float(deriv[i]).hex()))
+        out.append(row)
+    return out
+
+
+# every regime boundary of airy_ai and airy_bi; 103 is Bi's overflow limit
+AIRY_BOUNDARIES = (-9.5, -4.5, 0.0, 3.0, 8.0, 103.0)
+
+
+class TestAiryArray:
+    """_airy_array against scalar airy_ai / airy_bi calls, bit for bit."""
+
+    def test_both_sides_of_every_boundary(self):
+        ys = [y for b in AIRY_BOUNDARIES for y in
+              (math.nextafter(b, -math.inf), b, math.nextafter(b, math.inf),
+               b - 1e-3, b + 1e-3)] + [-0.0]
+        assert array_outcomes(np.array(ys)) == [airy_outcomes(y) for y in ys]
+
+    def test_seeded_random_points(self):
+        rng = random.Random(12)
+        ys = [rng.uniform(-30.0, 30.0) for _ in range(3000)]
+        assert array_outcomes(np.array(ys)) == [airy_outcomes(y) for y in ys]
+
+    @pytest.mark.parametrize("ys", [
+        [-12.0 + 18.0 * i / 2000.0 for i in range(2001)],  # airy-wronskian
+        [-5.0 + i * 1e-3 for i in range(7001)],            # airy-equation
+    ])
+    def test_validate_grids(self, ys):
+        assert array_outcomes(np.array(ys)) == [airy_outcomes(y) for y in ys]
+
+    @pytest.mark.parametrize("ys", [[], [-6.0], [0.0], [5.0], [-20.0]])
+    def test_empty_and_single_element(self, ys):
+        grid = _airy_array(np.array(ys, dtype=float))
+        assert all(a.shape == (len(ys),) for a in grid[:4])
+        assert array_outcomes(np.array(ys, dtype=float)) == \
+            [airy_outcomes(y) for y in ys]
+
+    def test_float64_input_matches_float_input(self):
+        ys = [-11.0, -7.25, -1.5, 0.0, 4.0, 9.0]
+        from_floats = array_outcomes(ys)
+        assert array_outcomes([np.float64(y) for y in ys]) == from_floats
+        assert from_floats == [airy_outcomes(np.float64(y)) for y in ys]
+
+    def test_refused_elements_report_the_scalar_error(self):
+        # non-finite y refuses both functions, y past 103 Bi alone; the
+        # rest of the array is unaffected
+        ys = [math.nan, -1.0, math.inf, 120.0, -math.inf, 1e300, 7.0]
+        grid = _airy_array(np.array(ys))
+        assert list(grid.ai_failures) == [0, 2, 4]
+        assert list(grid.bi_failures) == [0, 2, 3, 4, 5]
+        assert isinstance(grid.ai_failures[0], DomainError)
+        assert isinstance(grid.bi_failures[3], AccuracyError)
+        assert array_outcomes(np.array(ys)) == [airy_outcomes(y) for y in ys]
 
 
 class TestGamma:

@@ -2,8 +2,9 @@
 
 import math
 
+import numpy as np
+
 import triq.validate
-from triq.special import AiryPair
 from triq.validate import info_lines, run_suites
 
 # worst deviation of every suite, frozen by .hex(): validate prints four
@@ -23,6 +24,17 @@ FROZEN_WORST = {
 }
 
 
+def nan_ai_at(exact, y_nan):
+    """_airy_array with Ai and Ai' NaN at the one sample equal to y_nan."""
+    def patched(y):
+        grid = exact(y)
+        hit = np.asarray(y) == y_nan
+        assert hit.sum() == 1
+        return grid._replace(ai=np.where(hit, math.nan, grid.ai),
+                             aip=np.where(hit, math.nan, grid.aip))
+    return patched
+
+
 class TestSuites:
     def test_clean_build_passes_everything(self):
         results = run_suites()
@@ -34,10 +46,13 @@ class TestSuites:
 
     def test_perturbed_airy_fails_wronskian_only(self, monkeypatch):
         # shift the suites' Ai values by 1e-8; nothing else may react
-        exact = triq.validate.airy_ai
-        monkeypatch.setattr(
-            triq.validate, "airy_ai",
-            lambda y: AiryPair(exact(y).value + 1e-8, exact(y).derivative))
+        exact = triq.validate._airy_array
+
+        def perturbed(y):
+            grid = exact(y)
+            return grid._replace(ai=grid.ai + 1e-8)
+
+        monkeypatch.setattr(triq.validate, "_airy_array", perturbed)
         results = {s.name: s for s in run_suites()}
         assert not results["airy-wronskian"].passed
         for name, suite in results.items():
@@ -47,13 +62,31 @@ class TestSuites:
     def test_nan_airy_sample_fails_the_equation_suite(self, monkeypatch):
         # one NaN Ai value among the 7001 samples of airy-equation makes
         # its residual report inconclusive, so the suite fails
-        exact = triq.validate.airy_ai
         y_nan = -5.0 + 3500 * 1e-3  # the grid's sample at -1.5
-        monkeypatch.setattr(
-            triq.validate, "airy_ai",
-            lambda y: AiryPair(math.nan, math.nan) if y == y_nan else exact(y))
+        monkeypatch.setattr(triq.validate, "_airy_array",
+                            nan_ai_at(triq.validate._airy_array, y_nan))
         suite = triq.validate.suite_airy_equation()
         assert suite.worst == math.inf
+        assert not suite.passed
+
+    def test_nan_airy_sample_fails_the_wronskian_suite(self, monkeypatch):
+        # a NaN Ai near y = 0 among the 2001 samples; a max() fold that
+        # drops it would report the clean 1.4e-13 and pass
+        y_nan = -12.0 + 18.0 * 1333 / 2000.0  # the grid's sample at -0.003
+        monkeypatch.setattr(triq.validate, "_airy_array",
+                            nan_ai_at(triq.validate._airy_array, y_nan))
+        suite = triq.validate.suite_airy_wronskian()
+        assert math.isnan(suite.worst)
+        assert not suite.passed
+
+    def test_nan_gamma_sample_fails_the_recurrence_suite(self, monkeypatch):
+        # gamma NaN past x = 11.9: the seeded draws reach that band, and
+        # a max() fold that drops the NaN would pass at 8.4e-15
+        exact = triq.validate.gamma
+        monkeypatch.setattr(triq.validate, "gamma",
+                            lambda x: math.nan if x > 11.9 else exact(x))
+        suite = triq.validate.suite_gamma_recurrence()
+        assert math.isnan(suite.worst)
         assert not suite.passed
 
     def test_suite_names_are_stable(self):
