@@ -13,11 +13,16 @@ interfaces to express its result in the same amplitude convention as the
 solver; those two boundary evaluations are imported (for an array of
 energies, as one array call), the interior crossing is not.
 
-A march keeps only its endpoint.  E may be a float, marched in plain
-Python floats, or a 1-D array marched in lockstep with the same arithmetic
-per element (E enters only through the weight).  Lockstep pays numpy's
-overhead per step: it breaks even near 30 energies and is about 5x faster
-at 200.
+A march keeps only its endpoint.  The equation is linear, so an RK4 step
+is a 2x2 matrix on (phi, phi'): a block of step matrices is built in numpy
+at once and multiplied pairwise down to one.  E may be a float or a 1-D
+array of energies, with the same bits per energy either way (E enters only
+through the weight).  One matched_b1 (7000 steps and the 14000 of the
+half-step rerun) takes about 2.5 ms, against 12-17 ms stepping in Python
+floats; 200 energies take about 0.5 s, as a step-by-step lockstep march
+did (Python 3.11 on a 2-CPU host).  The product rounds in another order
+than the step loop; over 0.02-2.25 eV, b1 moved by at most 7.6e-14
+relative.
 
 Every integration is gated: the run is repeated at half the step and the
 endpoint states must agree to the declared tolerance for every energy,
@@ -43,6 +48,19 @@ MATCH_STEP = 1e-3
 
 # truncation floor up to which an ode_residual verdict is conclusive
 RESIDUAL_FLOOR = 1e-6
+
+# most RK4 steps in one block of _march's matrix product; the split
+# depends on the step count alone
+_MARCH_BLOCK = 2048
+
+# energies per column chunk of a block: its stack of step matrices holds
+# at most 4 * _MARCH_BLOCK * _MARCH_COLUMNS = 2**15 doubles
+_MARCH_COLUMNS = 4
+
+# the unit states (1, 0) and (0, 1), stacked on a leading axis: one step
+# applied to them gives the columns of its matrix
+_UNIT_V = np.array([1.0, 0.0]).reshape(2, 1, 1)
+_UNIT_D = np.array([0.0, 1.0]).reshape(2, 1, 1)
 
 
 @dataclass(frozen=True)
@@ -83,8 +101,8 @@ class Weight(NamedTuple):
     (sampling the jump at an interface inside an RK4 stage would wreck
     the order there), it is H (M0 - M1 x) (rel + alpha x) with
     rel = E - V(0+); with no profile rel = E and alpha = 0.  rel is an
-    array for an array of energies.  _march writes this expression out at
-    its stage points instead of calling it.
+    array for an array of energies.  _step_matrices writes this expression
+    out at its stage points instead of calling it.
     """
 
     H: float
@@ -106,43 +124,79 @@ def make_weight(E, mp: MassParams, pp: Optional[PotentialProfile],
     return Weight(u.H_per_m0, mp.M0, mp.M1, E - pp.edge_eV, pp.alpha)
 
 
+def _step_matrices(x, rel, h, weight: Weight, friction: bool):
+    """RK4 step matrices m[row, column, step, energy] of _march.
+
+    Step i runs from x[i] (a column) at every rel (a row): its columns are
+    the step applied to the unit states (1, 0) and (0, 1), with the weight
+    evaluated inline at x, x + h/2 and x + h with the operations of
+    Weight.__call__ (the sign folded into H, which is exact).
+    """
+    H, M0, M1, _, alpha = weight
+    neg_h, neg_m1 = -H, -M1
+    half = 0.5 * h
+    sixth = h / 6.0
+    xm = x + half
+    xe = x + h
+    m0, mm, me = M0 - M1 * x, M0 - M1 * xm, M0 - M1 * xe
+    # -w at the three points
+    w0 = neg_h * m0 * (rel + alpha * x)
+    wm = neg_h * mm * (rel + alpha * xm)
+    we = neg_h * me * (rel + alpha * xe)
+    if friction:
+        f0, fm, fe = neg_m1 / m0, neg_m1 / mm, neg_m1 / me
+    v, d = _UNIT_V, _UNIT_D
+    k1v = d
+    k1d = f0 * d + w0 * v if friction else w0 * v
+    k2v = d + half * k1d
+    k2d = (fm * k2v + wm * (v + half * k1v) if friction
+           else wm * (v + half * k1v))
+    k3v = d + half * k2d
+    k3d = (fm * k3v + wm * (v + half * k2v) if friction
+           else wm * (v + half * k2v))
+    k4v = d + h * k3d
+    k4d = (fe * k4v + we * (v + h * k3v) if friction
+           else we * (v + h * k3v))
+    return np.stack([v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+                     d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)])
+
+
 def _march(x0, x1, n, v, d, weight: Weight, friction: bool):
     """Endpoint (v, d) of RK4 over n uniform steps of phi'' = -w phi, plus
     the mass-gradient term -(m'/m) phi' = M1/m phi' if friction is set.
 
-    The weight is evaluated inline at the step's three distinct points
-    x, x + h/2 and x + h, with the operations of Weight.__call__ (the sign
-    folded into H, which is exact).  States are rebound, so the caller's
-    arrays persist.
+    The equation is linear, so a step is a 2x2 matrix on (v, d)
+    (_step_matrices).  The steps go in blocks of at most _MARCH_BLOCK: a
+    block's matrices are built at once, multiplied in adjacent pairs
+    (later step on the left) down to one, and applied to the state.  The
+    blocks depend on n alone and the energies go in chunks of
+    _MARCH_COLUMNS that change no element's arithmetic, so a float and an
+    array march give each energy the same bits.  Float E and state give
+    floats; overflow is silent, as it is for floats.  The caller's arrays
+    are not written.
     """
-    H, M0, M1, rel, alpha = weight
-    neg_h, neg_m1 = -H, -M1
+    scalar = not (np.ndim(weight.rel) or np.ndim(v) or np.ndim(d))
+    rel, v, d = (a.astype(float) for a in
+                 np.broadcast_arrays(*map(np.atleast_1d, (weight.rel, v, d))))
     h = (x1 - x0) / n
-    half = 0.5 * h
-    sixth = h / 6.0
-    for i in range(n):
-        x = x0 + i * h
-        xm = x + half
-        xe = x + h
-        m0, mm, me = M0 - M1 * x, M0 - M1 * xm, M0 - M1 * xe
-        # -w at the three points
-        w0 = neg_h * m0 * (rel + alpha * x)
-        wm = neg_h * mm * (rel + alpha * xm)
-        we = neg_h * me * (rel + alpha * xe)
-        k1v = d
-        k1d = neg_m1 / m0 * d + w0 * v if friction else w0 * v
-        k2v = d + half * k1d
-        k2d = (neg_m1 / mm * k2v + wm * (v + half * k1v) if friction
-               else wm * (v + half * k1v))
-        k3v = d + half * k2d
-        k3d = (neg_m1 / mm * k3v + wm * (v + half * k2v) if friction
-               else wm * (v + half * k2v))
-        k4v = d + h * k3d
-        k4d = (neg_m1 / me * k4v + we * (v + h * k3v) if friction
-               else we * (v + h * k3v))
-        v = v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        d = d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-    return v, d
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _MARCH_BLOCK):
+            # step i starts at x0 + i*h
+            x = x0 + np.arange(start, min(n, start + _MARCH_BLOCK))[:, None] * h
+            for c in range(0, rel.size, _MARCH_COLUMNS):
+                cols = slice(c, c + _MARCH_COLUMNS)
+                m = _step_matrices(x, rel[cols], h, weight, friction)
+                while m.shape[2] > 1:
+                    k = m.shape[2] // 2 * 2
+                    later, earlier = m[:, :, 1:k:2], m[:, :, 0:k:2]
+                    pairs = (later[:, :1] * earlier[:1]
+                             + later[:, 1:] * earlier[1:])
+                    m = (np.concatenate([pairs, m[:, :, k:]], axis=2)
+                         if k < m.shape[2] else pairs)
+                (mvv, mvd), (mdv, mdd) = m[:, :, 0]
+                v[cols], d[cols] = (mvv * v[cols] + mvd * d[cols],
+                                    mdv * v[cols] + mdd * d[cols])
+    return (float(v[0]), float(d[0])) if scalar else (v, d)
 
 
 def integrate(spec: IntegrationSpec, E, mp: MassParams,

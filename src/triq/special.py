@@ -9,7 +9,7 @@ and the Airy phase at large |y|), the standard library's decimal module
 carries 34 digits through one context of this module's own.
 
 Contracts (relative error unless stated):
-    airy_ai / airy_bi   <= 1e-12 for |y| <= 30
+    airy_ai / airy_bi   <= 1e-12 for |y| <= 30 (refused below y = -1e6)
     kummer_m            <= 1e-10 for |z| <= 300 (envelope; error beyond)
     tricomi_u_large_z   returns its own relative error estimate
     recip_gamma / gamma <= 1e-13 on the real line away from poles
@@ -87,6 +87,10 @@ _AIRY_ASYM_NEG = -9.5
 _AIRY_MARCH_STEP = 0.75
 # Bi overflows IEEE doubles near y ~ 104; the contract range is |y| <= 30.
 _AIRY_BI_OVERFLOW = 103.0
+# Below this both functions refuse: the oscillatory phase's remainder enters
+# to first order and grows with ulp(zeta), so the 1e-12 envelope bound holds
+# at -1e6 and not at -1e7 (1.5e-12 there, 55 at -1e12, against mpmath).
+_AIRY_NEG_LIMIT = -1.0e6
 
 
 def _require_finite(name: str, x: float) -> float:
@@ -212,12 +216,16 @@ def _airy_series(y: float) -> tuple[float, float, float, float]:
     """
     if y == 0.0:
         return 1.0, 0.0, 0.0, 1.0
+    inv_y = 1.0 / y
+    if math.isinf(inv_y):
+        # subnormal y: every term past the first rounds to 0, but the
+        # derivatives would take 0 * inf
+        return 1.0, 0.0, y, 1.0
     y3 = y * y * y
     f = tf = 1.0
     g = tg = y
     fp = 0.0
     gp = 1.0
-    inv_y = 1.0 / y
     for k in range(1, 90):
         three_k = 3.0 * k
         tf *= y3 / (three_k * (three_k - 1.0))
@@ -373,6 +381,9 @@ def _airy_asym_neg(y: float) -> tuple[float, float, float, float]:
 def airy_ai(y: float) -> AiryPair:
     """Airy Ai and Ai' at a finite real point."""
     y = _require_finite("y", y)
+    if y < _AIRY_NEG_LIMIT:
+        raise AccuracyError(f"airy_ai accuracy lost at y={y!r}, "
+                            f"below {_AIRY_NEG_LIMIT!r}", value=y)
     if y >= _AIRY_ASYM_POS:
         ai, aip, _, _ = _airy_asym_pos(y)
         return AiryPair(ai, aip)
@@ -401,6 +412,9 @@ def airy_bi(y: float) -> AiryPair:
     y = _require_finite("y", y)
     if y > _AIRY_BI_OVERFLOW:
         raise AccuracyError(f"airy_bi overflow at y={y!r}", value=y)
+    if y < _AIRY_NEG_LIMIT:
+        raise AccuracyError(f"airy_bi accuracy lost at y={y!r}, "
+                            f"below {_AIRY_NEG_LIMIT!r}", value=y)
     if y >= _AIRY_ASYM_POS:
         _, _, bi, bip = _airy_asym_pos(y)
         return AiryPair(bi, bip)
@@ -442,9 +456,9 @@ def _airy_array(y) -> AiryGrid:
     one lockstep march carries the Ai and Bi rows of (_AIRY_ASYM_NEG,
     _AIRY_SERIES_LO) and the Ai rows of (_AIRY_SERIES_HI_AI,
     _AIRY_ASYM_POS); each asymptotic element makes one _airy_asym_* call
-    for both functions.  An element no route takes (a non-finite y, and
-    for Bi a y above _AIRY_BI_OVERFLOW) makes the scalar call, and its
-    error is recorded.
+    for both functions.  An element no route takes (a non-finite y, a y
+    below _AIRY_NEG_LIMIT, and for Bi a y above _AIRY_BI_OVERFLOW) makes
+    the scalar call, and its error is recorded.
     """
     y = np.asarray(y, dtype=float)
     ys = y.tolist()  # Python floats: the asymptotic and scalar calls' own types
@@ -470,8 +484,8 @@ def _airy_array(y) -> AiryGrid:
     ai[neg], bi[neg], ai[pos] = np.split(w, np.cumsum(sizes)[:2])
     aip[neg], bip[neg], aip[pos] = np.split(wp, np.cumsum(sizes)[:2])
 
-    finite = np.isfinite(y)
-    asymptotic = finite & ((y >= _AIRY_ASYM_POS) | (y <= _AIRY_ASYM_NEG))
+    refused = ~np.isfinite(y) | (y < _AIRY_NEG_LIMIT)
+    asymptotic = ~refused & ((y >= _AIRY_ASYM_POS) | (y <= _AIRY_ASYM_NEG))
     for i in np.flatnonzero(asymptotic).tolist():
         asym = _airy_asym_pos if ys[i] >= _AIRY_ASYM_POS else _airy_asym_neg
         ai[i], aip[i], b, bp = asym(ys[i])
@@ -479,10 +493,10 @@ def _airy_array(y) -> AiryGrid:
             bi[i], bip[i] = b, bp
 
     ai_failures, bi_failures = {}, {}
-    for fn, refused, value, deriv, failures in (
-            (airy_ai, ~finite, ai, aip, ai_failures),
-            (airy_bi, ~finite | (y > _AIRY_BI_OVERFLOW), bi, bip, bi_failures)):
-        for i in np.flatnonzero(refused).tolist():
+    for fn, calls, value, deriv, failures in (
+            (airy_ai, refused, ai, aip, ai_failures),
+            (airy_bi, refused | (y > _AIRY_BI_OVERFLOW), bi, bip, bi_failures)):
+        for i in np.flatnonzero(calls).tolist():
             try:
                 value[i], deriv[i] = fn(ys[i])
             except TriqError as exc:
@@ -495,15 +509,18 @@ def _airy_series_array(y: np.ndarray):
 
     Each element does the scalar loop's operations and leaves the live
     arrays at the term where the scalar loop breaks (or runs out), so it
-    gets the same (f, f', g, g'); y == 0 takes the exact start.  Overflow
-    and inf * 0 are silent, as they are for floats (a subnormal y makes
-    1/y overflow).
+    gets the same (f, f', g, g'); y == 0 and a subnormal y, where 1/y
+    overflows, take the scalar loop's exact start.  Overflow and inf * 0
+    are silent, as they are for floats.
     """
     out = [np.ones(y.size), np.zeros(y.size), np.zeros(y.size), np.ones(y.size)]
     live = np.flatnonzero(y != 0.0)
     yl = y[live]
     with np.errstate(over="ignore"):
         y3, inv_y = yl * yl * yl, 1.0 / yl
+    subnormal = np.isinf(inv_y)
+    out[2][live[subnormal]] = yl[subnormal]
+    live, yl, y3, inv_y = (a[~subnormal] for a in (live, yl, y3, inv_y))
     f, tf, g, tg = np.ones(yl.size), np.ones(yl.size), yl.copy(), yl.copy()
     fp, gp = np.zeros(yl.size), np.ones(yl.size)
     for k in range(1, 90):

@@ -15,6 +15,7 @@ from triq.model import (
     make_units,
 )
 from triq.oracle import (
+    _MARCH_BLOCK,
     HALVING_GATE,
     IntegrationSpec,
     _march,
@@ -32,17 +33,28 @@ BARRIER = PotentialProfile()
 CONST_MASS = MassParams(M0=0.067, M1=0.0)
 
 # (E, b1.hex(), T.hex()) of the scalar oracle at 0.1 eV and at 8 energies
-# of random.Random(2094).uniform(0.02, 2.25), sorted; b1 < 0 below the pole
+# of random.Random(2094).uniform(0.02, 2.25), sorted; b1 < 0 below the pole.
+# The last two are the (b1, T) the step-by-step march gave, kept as an
+# approximate reference for the product march
 ORACLE_TABLE = [
-    (0.05042571650522533, '-0x1.4346844acb058p-3', '0x1.4112cf1af154bp+5'),
-    (0.1, '-0x1.63c73bf7ff250p-4', '0x1.0916afaabb8b0p+7'),
-    (0.1347147285142501, '-0x1.270157e1aea3dp-5', '0x1.818f014e3c182p+9'),
-    (0.1944721481704037, '0x1.2e1f53e7fca99p-5', '0x1.6f9b774c74246p+9'),
-    (0.4282323117754124, '0x1.ac87982154e13p-3', '0x1.6d71135a5d13ep+4'),
-    (0.8508635454386844, '0x1.68003cc423dd4p-2', '0x1.02e804a11b4cfp+3'),
-    (2.0038573936543607, '0x1.fd0faead279f7p-2', '0x1.02f6d8414dec1p+2'),
-    (2.1018640002132267, '0x1.0222ad318e7b7p-1', '0x1.f7905a8b95720p+1'),
-    (2.161580790473181, '0x1.043a72b2756a1p-1', '0x1.ef7f2a417a01bp+1'),
+    (0.05042571650522533, '-0x1.4346844acafc3p-3', '0x1.4112cf1af1673p+5',
+     '-0x1.4346844acb058p-3', '0x1.4112cf1af154bp+5'),
+    (0.1, '-0x1.63c73bf7ff18dp-4', '0x1.0916afaabb9d3p+7',
+     '-0x1.63c73bf7ff250p-4', '0x1.0916afaabb8b0p+7'),
+    (0.1347147285142501, '-0x1.270157e1ae97dp-5', '0x1.818f014e3c378p+9',
+     '-0x1.270157e1aea3dp-5', '0x1.818f014e3c182p+9'),
+    (0.1944721481704037, '0x1.2e1f53e7fcaa4p-5', '0x1.6f9b774c7422bp+9',
+     '0x1.2e1f53e7fca99p-5', '0x1.6f9b774c74246p+9'),
+    (0.4282323117754124, '0x1.ac87982154d4ap-3', '0x1.6d71135a5d296p+4',
+     '0x1.ac87982154e13p-3', '0x1.6d71135a5d13ep+4'),
+    (0.8508635454386844, '0x1.68003cc423d84p-2', '0x1.02e804a11b542p+3',
+     '0x1.68003cc423dd4p-2', '0x1.02e804a11b4cfp+3'),
+    (2.0038573936543607, '0x1.fd0faead279efp-2', '0x1.02f6d8414dec9p+2',
+     '0x1.fd0faead279f7p-2', '0x1.02f6d8414dec1p+2'),
+    (2.1018640002132267, '0x1.0222ad318e73bp-1', '0x1.f7905a8b95904p+1',
+     '0x1.0222ad318e7b7p-1', '0x1.f7905a8b95720p+1'),
+    (2.161580790473181, '0x1.043a72b275687p-1', '0x1.ef7f2a417a07fp+1',
+     '0x1.043a72b2756a1p-1', '0x1.ef7f2a417a01bp+1'),
 ]
 
 
@@ -157,8 +169,9 @@ class TestIntegrate:
 
 
 def reference_march(x0, x1, n, v, d, weight, friction):
-    """_march as it read before the weight was written out: weight and
-    friction (None for the plain equation) called at each RK4 stage."""
+    """_march as the step-by-step loop it was before the product form, with
+    weight and friction (None for the plain equation) called at each RK4
+    stage; the loop that wrote the weight out gave the same bits."""
     h = (x1 - x0) / n
     if friction is None:
         def f(xi, vi, di):
@@ -180,31 +193,106 @@ def reference_march(x0, x1, n, v, d, weight, friction):
     return v, d
 
 
+def called_weight(E, pp):
+    """The weight as integrate built it before, one lambda per profile."""
+    if pp is None:
+        return lambda x: U.H_per_m0 * MASS.mass_at(x) * E
+    rel = E - pp.edge_eV
+    return lambda x: U.H_per_m0 * MASS.mass_at(x) * (rel + pp.alpha * x)
+
+
+def called_friction(full):
+    return (lambda x: -MASS.M1 / MASS.mass_at(x)) if full else None
+
+
+def assert_near_loop(want, got, rel=1e-12):
+    """Endpoints within rel of the loop's on each energy's state scale:
+    the product march rounds in another order."""
+    wv, wd, gv, gd = (np.ravel(a) for a in (*want, *got))
+    scale = np.maximum(np.abs(wv), np.abs(wd))
+    assert np.all(np.abs(gv - wv) <= rel * scale), (wv, gv)
+    assert np.all(np.abs(gd - wd) <= rel * scale), (wd, gd)
+
+
+def march_box(seed=4093):
+    """Seeded march cases: (x0, x1, n, E, v, d, pp, full) for every step
+    count around the block size, friction on and off, on each side of the
+    mass zero x* = 1 nm (friction is singular there) and in both
+    directions.  E, v and d are 1-D arrays of 1, 5 or 9 energies, not
+    multiples of the column chunk."""
+    rng = random.Random(seed)
+    cases = []
+    for n in (1, _MARCH_BLOCK - 1, _MARCH_BLOCK, _MARCH_BLOCK + 1,
+              3 * _MARCH_BLOCK + 7):
+        for full in (False, True):
+            for left in (True, False):
+                span = n * rng.uniform(1e-4, 2e-3)
+                if left:
+                    hi = rng.uniform(-1.0, 0.9)
+                    lo = hi - span
+                else:
+                    lo = rng.uniform(1.1, 3.0)
+                    hi = lo + span
+                x0, x1 = (lo, hi) if rng.random() < 0.5 else (hi, lo)
+                m = rng.choice((1, 5, 9))
+                E, v, d = (np.array([rng.uniform(*box) for _ in range(m)])
+                           for box in ((0.02, 2.25), (-1.0, 1.0), (-1.0, 1.0)))
+                cases.append((x0, x1, n, E, v, d,
+                              rng.choice((BARRIER, None)), full))
+    return cases
+
+
+def hexes(*arrays):
+    return [[a.hex() for a in np.ravel(x).tolist()] for x in arrays]
+
+
 class TestMarch:
     @pytest.mark.parametrize("pp", [BARRIER, None])
     @pytest.mark.parametrize("full", [False, True])
     @pytest.mark.parametrize("x0, x1", [(0.0, 0.9), (7.0, 1.4), (-2.0, 0.0)])
     def test_inline_weight_is_the_called_one(self, pp, full, x0, x1):
-        # the weights as integrate built them before, one lambda per profile
-        def called(E):
-            if pp is None:
-                return lambda x: U.H_per_m0 * MASS.mass_at(x) * E
-            rel = E - pp.edge_eV
-            return lambda x: U.H_per_m0 * MASS.mass_at(x) * (rel + pp.alpha * x)
-
-        friction = (lambda x: -MASS.M1 / MASS.mass_at(x)) if full else None
         grid = np.array([0.07, 0.6, 2.1])
         for E in grid.tolist() + [grid]:
-            want = reference_march(x0, x1, 700, 0.3, -1.1, called(E), friction)
+            want = reference_march(x0, x1, 700, 0.3, -1.1, called_weight(E, pp),
+                                   called_friction(full))
             got = _march(x0, x1, 700, 0.3, -1.1, make_weight(E, MASS, pp, U),
                          full)
-            for w, g in zip(want, got):
-                assert ([a.hex() for a in np.ravel(w).tolist()]
-                        == [a.hex() for a in np.ravel(g).tolist()])
+            assert_near_loop(want, got)
         # the weight integrate passes on, as ode_residual sees it
-        weight, want = make_weight(0.6, MASS, pp, U), called(0.6)
+        weight, want = make_weight(0.6, MASS, pp, U), called_weight(0.6, pp)
         for x in np.linspace(x0, x1, 9).tolist():
             assert weight(x).hex() == want(x).hex()
+
+    def test_product_agrees_with_the_step_loop(self):
+        for x0, x1, n, E, v, d, pp, full in march_box():
+            e, v0, d0 = E[0].item(), v[0].item(), d[0].item()
+            want = reference_march(x0, x1, n, v0, d0, called_weight(e, pp),
+                                   called_friction(full))
+            got = _march(x0, x1, n, v0, d0, make_weight(e, MASS, pp, U), full)
+            assert all(type(g) is float for g in got)
+            assert_near_loop(want, got)
+
+    def test_lockstep_is_the_scalar_march(self):
+        # the block split depends on n alone and the column chunks change
+        # no element's arithmetic: every energy gets the scalar bits,
+        # whether the state is shared or one per energy
+        for x0, x1, n, E, v, d, pp, full in march_box():
+            start = hexes(v, d)
+            alone = [_march(x0, x1, n, vi, di, make_weight(e, MASS, pp, U), full)
+                     for e, vi, di in zip(E.tolist(), v.tolist(), d.tolist())]
+            lockstep = _march(x0, x1, n, v, d, make_weight(E, MASS, pp, U), full)
+            assert hexes(*lockstep) == hexes(*zip(*alone))
+            assert hexes(v, d) == start  # the caller's states persist
+            shared = _march(x0, x1, n, v[0], d[0], make_weight(E, MASS, pp, U),
+                            full)
+            assert hexes(shared[0][:1], shared[1][:1]) == hexes(*alone[0])
+
+    def test_nan_energy_fails_the_gate_by_name(self):
+        spec = IntegrationSpec(0.0, 7.0, 1e-3, 0.3, -1.1)
+        grid = np.array([0.4, 1.3, math.nan, 2.0, 0.1])
+        with pytest.raises(AccuracyError, match=r" at E = nan eV") as info:
+            integrate(spec, grid, MASS, BARRIER, U)
+        assert math.isnan(info.value.value)
 
 
 class TestFullEquation:
@@ -359,13 +447,19 @@ class TestMatchedTransmission:
         assert abs(matched_transmission(0.1, MASS, thin, U) - 1.0) < 1e-3
 
     def test_frozen_signed_amplitudes(self):
-        # scalar calls give the doubles frozen before the march took
-        # arrays, and one lockstep march over the grid gives the same bits
-        grid = np.array([E for E, _, _ in ORACLE_TABLE])
+        # scalar calls give the frozen doubles, one lockstep march over the
+        # grid gives the same bits, and both are within 1e-12 of the step
+        # loop's
+        grid = np.array([row[0] for row in ORACLE_TABLE])
         lockstep = zip(matched_b1(grid, MASS, BARRIER, U),
                        matched_transmission(grid, MASS, BARRIER, U))
-        for (E, b1, t), (grid_b1, grid_t) in zip(ORACLE_TABLE, lockstep):
+        for (E, b1, t, loop_b1, loop_t), (grid_b1, grid_t) in zip(ORACLE_TABLE,
+                                                                   lockstep):
             assert matched_b1(E, MASS, BARRIER, U).hex() == b1 == grid_b1.hex()
             assert (matched_transmission(E, MASS, BARRIER, U).hex() == t
                     == grid_t.hex())
-        assert grid.tolist() == [E for E, _, _ in ORACLE_TABLE]  # untouched
+            assert float.fromhex(b1) == pytest.approx(float.fromhex(loop_b1),
+                                                      rel=1e-12, abs=0.0)
+            assert float.fromhex(t) == pytest.approx(float.fromhex(loop_t),
+                                                     rel=1e-12, abs=0.0)
+        assert grid.tolist() == [row[0] for row in ORACLE_TABLE]  # untouched

@@ -10,6 +10,7 @@ import decimal
 import functools
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from triq.errors import AccuracyError, DomainError, TriqError
 from triq.model import MassParams, PotentialProfile, make_units
 from triq.scatter import _SECOND_BUDGET, RegionIIBasis, sweep
 from triq.special import (
+    _AIRY_NEG_LIMIT,
     _KUMMER_FAIL_LOSS,
     _KUMMER_MAX_TERMS,
     KUMMER_ENVELOPE,
     _airy_array,
+    _airy_asym_neg,
     _kummer_loss,
     _kummer_m_array,
     _kummer_series,
@@ -293,6 +296,30 @@ class TestAiryArray:
         assert list(grid.bi_failures) == [0, 2, 3, 4, 5]
         assert isinstance(grid.ai_failures[0], DomainError)
         assert isinstance(grid.bi_failures[3], AccuracyError)
+        assert array_outcomes(np.array(ys)) == [airy_outcomes(y) for y in ys]
+
+    def test_subnormal_argument_is_the_origin(self):
+        # 1/y overflows below about 5.6e-309: the Maclaurin start is exact
+        # there, where the loop took 0 * inf into both derivatives
+        ys = [5e-324, -5e-324, 2.2e-308, -2.2e-308]
+        origin = airy_outcomes(0.0)
+        assert [airy_outcomes(y) for y in ys] == [origin] * 4
+        assert array_outcomes(np.array(ys)) == [origin] * 4
+
+    def test_far_negative_argument_is_refused(self):
+        # below the limit the phase misses the contract; both routes refuse
+        # with the scalar error, and the limit itself is evaluated
+        ys = [_AIRY_NEG_LIMIT, math.nextafter(_AIRY_NEG_LIMIT, -math.inf),
+              -1e7, -1e308, -2.0]
+        for y in ys[1:4]:
+            for fn in (airy_ai, airy_bi):
+                with pytest.raises(AccuracyError, match=(
+                        rf"^{fn.__name__} accuracy lost at y={re.escape(repr(y))}, "
+                        r"below -1000000\.0$")) as info:
+                    fn(y)
+                assert info.value.value == y
+        grid = _airy_array(np.array(ys))
+        assert list(grid.ai_failures) == list(grid.bi_failures) == [1, 2, 3]
         assert array_outcomes(np.array(ys)) == [airy_outcomes(y) for y in ys]
 
 
@@ -773,6 +800,15 @@ def mp():
     return ctx
 
 
+def airy_within_contract(pair, ref, y):
+    """Whether (value, derivative) meets the 1e-12 envelope contract against
+    the mpmath function ref at y."""
+    value, deriv = ref(y), ref(y, derivative=1)
+    scale = envelope(value, deriv, y)
+    return (abs(pair[0] - value) <= 1e-12 * scale
+            and abs(pair[1] - deriv) <= 1e-12 * scale * math.sqrt(max(1.0, abs(y))))
+
+
 class TestContractsAgainstMpmath:
     """The documented contracts (module docstring of triq.special and
     scatter._SECOND_BUDGET) on seeded boxes; refused inputs carry none."""
@@ -806,12 +842,23 @@ class TestContractsAgainstMpmath:
         rng = random.Random(20164)
         for y in [lo, hi] + [rng.uniform(lo, hi) for _ in range(40)]:
             for kernel, ref in ((airy_ai, mp.airyai), (airy_bi, mp.airybi)):
-                got = kernel(y)
-                value, deriv = ref(y), ref(y, derivative=1)
-                scale = envelope(value, deriv, y)
-                assert abs(got.value - value) <= 1e-12 * scale, (kernel, y)
-                assert (abs(got.derivative - deriv)
-                        <= 1e-12 * scale * math.sqrt(max(1.0, abs(y)))), (kernel, y)
+                assert airy_within_contract(kernel(y), ref, y), (kernel, y)
+
+    def test_airy_refusal_limit(self, mp):
+        # _AIRY_NEG_LIMIT is the most negative power of ten where the
+        # contract still holds: every one down to it passes, and the
+        # asymptotics ten times further out miss it
+        k = 1
+        while -10.0 ** k >= _AIRY_NEG_LIMIT:
+            y = -10.0 ** k
+            for kernel, ref in ((airy_ai, mp.airyai), (airy_bi, mp.airybi)):
+                assert airy_within_contract(kernel(y), ref, y), (kernel, y)
+            k += 1
+        assert -10.0 ** (k - 1) == _AIRY_NEG_LIMIT
+        y = 10.0 * _AIRY_NEG_LIMIT
+        ai, aip, bi, bip = _airy_asym_neg(y)
+        assert not (airy_within_contract((ai, aip), mp.airyai, y)
+                    and airy_within_contract((bi, bip), mp.airybi, y))
 
     def test_companion_solution(self, mp, monkeypatch):
         # second() on each route: the route is the recurrence where the

@@ -18,8 +18,10 @@ FROZEN_WORST = {
     "interior-coefficients": "0x1.c000000000000p-51",
     "interior-equation": "0x1.04330c162c390p-22",
     "interior-wronskian": "0x1.3c46800000000p-33",
-    "march-agreement": "0x1.f4b6b1a3dc08ep-48",
-    "transmission-agreement": "0x1.77ba780000000p-29",
+    # the step-by-step march gave 0x1.f4b6b1a3dc08ep-48 (6.95e-15) and
+    # 0x1.77ba780000000p-29; the product march rounds in another order
+    "march-agreement": "0x1.0ea7f151a75ecp-45",
+    "transmission-agreement": "0x1.77bd340000000p-29",
     "bound-residuals": "0x1.8000000000000p-49",
 }
 
