@@ -29,6 +29,10 @@ TABLE1_PUBLISHED_EV = (-0.29407, -0.00871)
 TABLE1_REFERENCE_EV = (-0.20986, -0.00630)
 TABLE1_WELL = PotentialProfile(V0=0.45, alpha=0.0045, a=7.0, kind="well")
 
+# Most bound levels spectrum() lists.  The count grows as alpha^(-3/2):
+# 57 for TABLE1_WELL, 16 855 at alpha = 1e-4 eV/nm, about 1.7e7 at 1e-6.
+MAX_LISTED_LEVELS = 100_000
+
 
 @dataclass(frozen=True)
 class SpectrumResult:
@@ -60,15 +64,23 @@ def level_spacing_scale(mp: MassParams, pp: PotentialProfile,
     return 2.0 * (pp.alpha ** 3 / (u.H_per_m0 * mp.M1)) ** 0.25
 
 
+def _ladder_floor(mp: MassParams, pp: PotentialProfile) -> float:
+    """-V0 - M0 alpha / M1: E_n less its n-dependent term."""
+    return -pp.V0 - mp.M0 * pp.alpha / mp.M1
+
+
 def energy_level(n: int, mp: MassParams, pp: PotentialProfile,
                  u: UnitSystem) -> SpectrumResult:
     _require_well(pp)
-    if n != int(n) or n < 0:
+    try:
+        natural = n == int(n) and n >= 0
+    except (ValueError, OverflowError):  # int() of NaN or of an infinity
+        natural = False
+    if not natural:
         raise DomainError(f"level index must be a natural number, got {n!r}")
     n = int(n)
     spacing = level_spacing_scale(mp, pp, u)  # validates M1 before we divide
-    e = (-pp.V0 - mp.M0 * pp.alpha / mp.M1
-         + spacing * math.sqrt(1.0 + 4.0 * n))
+    e = _ladder_floor(mp, pp) + spacing * math.sqrt(1.0 + 4.0 * n)
     rc = well_coefficients(e, mp, pp, u)
     return SpectrumResult(n=n, E_n=e, residual=abs(rc.b_param + n),
                           below_zero=e < 0.0)
@@ -76,12 +88,28 @@ def energy_level(n: int, mp: MassParams, pp: PotentialProfile,
 
 def count_bound_states(mp: MassParams, pp: PotentialProfile,
                        u: UnitSystem) -> int:
-    """Number of levels below zero; finite for every alpha > 0.
+    """Number of levels below zero, from the ladder in closed form.
 
-    Spacing grows like alpha^(3/4) while the well floor rises only
-    linearly, so the scan always terminates.
+    E_n < 0 exactly when sqrt(1 + 4n) < depth = -floor / spacing, that is
+    n < (depth^2 - 1) / 4, with floor = _ladder_floor.  Rounding can put
+    that bound one level off where a level sits near zero, so the boundary
+    is confirmed by energy_level's own below_zero.  The count is finite
+    for every alpha > 0 but grows as alpha^(-3/2), which is why no level
+    is listed to find it.
     """
-    return len(spectrum(mp, pp, u)) - 1
+    _require_well(pp)
+    spacing = level_spacing_scale(mp, pp, u)
+    # the spacing is 0 only where alpha^3 underflows
+    depth = -_ladder_floor(mp, pp) / spacing if spacing > 0.0 else math.inf
+    bound = (depth * depth - 1.0) / 4.0
+    if not math.isfinite(bound):
+        raise DomainError(f"level count overflows at alpha = {pp.alpha!r} eV/nm")
+    n = max(0, math.ceil(bound))
+    if n > 0 and not energy_level(n - 1, mp, pp, u).below_zero:
+        n -= 1
+    elif energy_level(n, mp, pp, u).below_zero:
+        n += 1
+    return n
 
 
 def spectrum(mp: MassParams, pp: PotentialProfile,
@@ -89,17 +117,14 @@ def spectrum(mp: MassParams, pp: PotentialProfile,
     """Every bound level plus the first unbound one, in order.
 
     The trailing below_zero=False row makes the count cutoff visible in
-    reports without a separate marker line.
+    reports without a separate marker line.  A well with more than
+    MAX_LISTED_LEVELS bound levels is refused before the list is built.
     """
-    _require_well(pp)
-    levels = []
-    n = 0
-    while True:
-        level = energy_level(n, mp, pp, u)
-        levels.append(level)
-        if not level.below_zero:
-            return levels
-        n += 1
+    count = count_bound_states(mp, pp, u)
+    if count > MAX_LISTED_LEVELS:
+        raise DomainError(f"{count} bound levels, more than the "
+                          f"{MAX_LISTED_LEVELS} a spectrum lists")
+    return [energy_level(n, mp, pp, u) for n in range(count + 1)]
 
 
 def table1_report(mp: MassParams, pp: PotentialProfile,

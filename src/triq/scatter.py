@@ -68,9 +68,9 @@ FIDELITY_MODES = ("none", "signs", "t2", "all")
 AXES = ("E", "V0", "a")
 
 
-# 1/Gamma(c) of the three kernel c values: the regularized kernels are the
-# plain series times these (DLMF 13.2.4: M~(b;c;z) = M(b;c;z)/Gamma(c)),
-# the same doubles kummer_m_regularized returns
+# 1/Gamma(c) of the three kernel c values, evaluated once at import: a
+# regularized kernel is its plain Kummer series times one of these (DLMF
+# 13.2.4: M~(b;c;z) = M(b;c;z)/Gamma(c)), so no kernel calls recip_gamma
 _RG_HALF = recip_gamma(0.5)
 _RG_THREE_HALVES = recip_gamma(1.5)
 _RG_FIVE_HALVES = recip_gamma(2.5)
@@ -79,6 +79,10 @@ _RG_FIVE_HALVES = recip_gamma(2.5)
 # _Kernels.points converts grid kernels to Python floats this many points
 # at a time
 _POINTS_BLOCK = 256
+
+# second() takes grid kernels this many points at a time, which keeps its
+# temporaries small next to a long grid
+_SECOND_BLOCK = 1024
 
 # c of the four Kummer series of a point, in kernels() order; _series_b
 # gives their b
@@ -94,12 +98,13 @@ class _Kernels(NamedTuple):
     """Kummer evaluations at one interior point, four series in all.
 
     m_val, m_dval, r_odd and r_odd_d are one series each; the regularized
-    ones are a series times the constant 1/Gamma(c), the same doubles
-    kummer_m_regularized would return.  One instance per interface feeds
-    first(), second() and abbreviations_at(), which read y and z from it
-    and nothing else about the point.  Kernels over a grid hold a 1-D
-    array in every field; first() takes them as they are, points() splits
-    them into per-point records for second().
+    ones are a series times the constant 1/Gamma(c) (the _RG_* constants).
+    One instance per interface feeds first(), second() and
+    abbreviations_at(), which read y and z from it and nothing else about
+    the point.  Kernels over a grid hold a 1-D array in every field;
+    first() and second() take them as they are, and points() splits them
+    into per-point records for the sweep, which assembles each point's
+    matching system on its own.
     """
 
     y: float         # x + y_offset, signed distance from the vertex
@@ -115,9 +120,10 @@ class _Kernels(NamedTuple):
     def points(self) -> Iterator[_Kernels]:
         """Per-point records of Python floats from grid kernels, in order.
 
-        Python floats, not np.float64: second() relies on float arithmetic
-        raising where numpy would only warn.  Converted a block at a time,
-        so a long grid is never held as Python floats all at once.
+        Python floats, not np.float64: a point's assembly relies on float
+        arithmetic raising where numpy would only warn.  Converted a block
+        at a time, so a long grid is never held as Python floats all at
+        once.
         """
         for i in range(0, len(self.y), _POINTS_BLOCK):
             block = (f[i:i + _POINTS_BLOCK].tolist() for f in self)
@@ -221,7 +227,7 @@ class RegionIIBasis:
         deriv = self.sqrt_a1 * y * ker.damp * (4.0 * b * ker.m_dval - ker.m_val)
         return value, deriv
 
-    def second(self, ker: _Kernels) -> tuple[float, float]:
+    def second(self, ker: _Kernels):
         """(value, d/dx) of the companion solution (signed odd branch).
 
         This is the only evaluation of Tricomi's U(b; 1/2; z): the two-term
@@ -232,7 +238,13 @@ class RegionIIBasis:
         measured cancellation picks between the subtraction form and the
         large-z recurrence; if neither route can promise the budget the
         point is refused rather than returned wrong.
+
+        Kernels of Python floats give Python floats.  Grid kernels give two
+        arrays (_second_grid), every element the double the float route
+        gives at that point.
         """
+        if type(ker.y) is not float:
+            return self._second_grid(ker)
         b = self.b_param
         y = ker.y
         s = self.sqrt_a1
@@ -259,12 +271,89 @@ class RegionIIBasis:
                 du_dy = -2.0 * s * y * b * u_slope  # dU/dz chain through z(y)
                 est = max(e_val, e_slope)
         if est > _SECOND_BUDGET:
-            raise AccuracyError(
-                f"companion solution unreliable at y={y!r}, z={ker.z!r}: "
-                f"best error estimate {est:.1e}", value=ker.z)
+            raise _second_refusal(y, ker.z, est)
         value = ker.damp * u
         deriv = ker.damp * (du_dy - s * y * u)
         return value, deriv
+
+    def _second_grid(self, ker: _Kernels) -> tuple[np.ndarray, np.ndarray]:
+        """second() over kernels of 1-D arrays, or of np.float64 scalars.
+
+        Every element is the double the float route gives at that point.
+        Where a point is refused, the error raised is the one the first
+        refused point of a loop of float-route calls raises: the grid is
+        taken _SECOND_BLOCK points at a time, in order, and a block raises
+        its own first refusal.  np.float64 scalars are taken to Python
+        floats and the float route.
+        """
+        if np.ndim(ker.y) == 0:
+            return self.second(_Kernels._make(map(float, ker)))
+        n = len(ker.y)
+        value, deriv = np.empty(n), np.empty(n)
+        for i in range(0, n, _SECOND_BLOCK):
+            block = slice(i, i + _SECOND_BLOCK)
+            value[block], deriv[block] = self._second_block(
+                _Kernels._make(f[block] for f in ker))
+        return value, deriv
+
+    def _second_block(self, ker: _Kernels) -> tuple[np.ndarray, np.ndarray]:
+        """second() over a non-empty block of grid kernels.
+
+        The subtraction form and both cancellation factors are taken for
+        all points at once, in the float route's operation order; the
+        large-z recurrence is then tried point by point, in order, by the
+        same scalar tricomi_u_large_z calls.
+        """
+        b = self.b_param
+        y = ker.y
+        s = self.sqrt_a1
+        root = math.sqrt(s)  # a1^(1/4)
+        rg_b = self.rg_b
+        rg_bh = self.rg_bh
+        # products overflow to inf, and inf - inf is NaN, silently in the
+        # float route; numpy is made as silent
+        with np.errstate(all="ignore"):
+            va = ker.r_even * rg_bh
+            vb = root * y * ker.r_odd * rg_b
+            da = 2.0 * s * y * b * ker.r_even_d * rg_bh
+            db = root * ker.r_odd * rg_b
+            dc = 2.0 * s * root * y * y * (b + 0.5) * ker.r_odd_d * rg_b
+            u = math.pi * (va - vb)
+            du_dy = math.pi * (da - db - dc)
+            l1 = _grid_loss(np.abs(va) + np.abs(vb), va - vb)
+            l2 = _grid_loss(np.abs(da) + np.abs(db) + np.abs(dc), da - db - dc)
+            est = 1e-15 * np.where(l2 > l1, l2, l1)  # max(l1, l2)
+        for i in np.flatnonzero((y > 0.0) & (est > 1e-11)).tolist():
+            y_i, z_i, est_i = y[i].item(), ker.z[i].item(), est[i].item()
+            try:
+                u_val, e_val = tricomi_u_large_z(b, 0.5, z_i)
+                u_slope, e_slope = tricomi_u_large_z(b + 1.0, 1.5, z_i)
+            except _REFUSED:
+                # a loop would have stopped at a point refused before this one
+                _refuse_first(y[:i], ker.z[:i], est[:i])
+                raise
+            if max(e_val, e_slope) < est_i:
+                u[i] = u_val
+                du_dy[i] = -2.0 * s * y_i * b * u_slope
+                est[i] = max(e_val, e_slope)
+        _refuse_first(y, ker.z, est)
+        with np.errstate(all="ignore"):
+            return ker.damp * u, ker.damp * (du_dy - s * y * u)
+
+
+def _second_refusal(y: float, z: float, est: float) -> AccuracyError:
+    """The error second() refuses the point (y, z) with, est its best estimate."""
+    return AccuracyError(
+        f"companion solution unreliable at y={y!r}, z={z!r}: "
+        f"best error estimate {est:.1e}", value=z)
+
+
+def _refuse_first(y: np.ndarray, z: np.ndarray, est: np.ndarray) -> None:
+    """Raise second()'s refusal of the first point whose est is over budget."""
+    over = np.flatnonzero(est > _SECOND_BUDGET)
+    if len(over):
+        i = over[0]
+        raise _second_refusal(y[i].item(), z[i].item(), est[i].item())
 
 
 def _loss(parts: float, net: float) -> float:
@@ -282,6 +371,15 @@ def _loss(parts: float, net: float) -> float:
     if parts * (1.0 / _LOSS_CAP) < den:
         return parts / den
     return _LOSS_CAP
+
+
+def _grid_loss(parts: np.ndarray, net: np.ndarray) -> np.ndarray:
+    """_loss elementwise, each element its double: max(a, b) is taken as
+    np.where(b > a, b, a), which keeps a NaN a the way max does.  The
+    caller silences numpy's warnings."""
+    den = np.abs(net)
+    den = np.where(1e-300 > den, 1e-300, den)
+    return np.where(parts * (1.0 / _LOSS_CAP) < den, parts / den, _LOSS_CAP)
 
 
 def basis_for(rc: RegionCoefficients) -> RegionIIBasis:

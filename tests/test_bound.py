@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import triq.bound
 from triq.bound import (
     TABLE1_PUBLISHED_EV,
     TABLE1_REFERENCE_EV,
@@ -69,6 +70,10 @@ class TestLevels:
         with pytest.raises(DomainError):
             energy_level(1.5, MASS, WELL, U)
         with pytest.raises(DomainError):
+            energy_level(math.nan, MASS, WELL, U)
+        with pytest.raises(DomainError):
+            energy_level(math.inf, MASS, WELL, U)
+        with pytest.raises(DomainError):
             energy_level(0, MASS, BARRIER, U)
         with pytest.raises(DomainError):
             energy_level(0, MassParams(M1=0.0), WELL, U)
@@ -107,6 +112,46 @@ class TestSpectrum:
     def test_steep_well_nearly_empty(self):
         pp = PotentialProfile(V0=0.45, alpha=45.0, a=7.0, kind="well")
         assert count_bound_states(MASS, pp, U) <= 1
+
+    @pytest.mark.parametrize("alpha", [1e-4, 3e-4, 1e-3, 0.0045, 0.01,
+                                       0.0643, 0.45, 45.0])
+    def test_count_is_the_level_walk(self, alpha):
+        # the closed-form count is where a walk up the ladder first meets
+        # a level at or above zero
+        pp = PotentialProfile(V0=0.45, alpha=alpha, a=7.0, kind="well")
+        n = 0
+        while energy_level(n, MASS, pp, U).below_zero:
+            n += 1
+        assert count_bound_states(MASS, pp, U) == n
+        assert [lev.n for lev in spectrum(MASS, pp, U)] == list(range(n + 1))
+
+    def test_shallow_slope_refused_before_listing(self, monkeypatch):
+        # about 1.7e7 levels at alpha = 1e-6 and 1.7e10 at 1e-8: counted
+        # in closed form, refused by spectrum without evaluating a level
+        evaluated = []
+        monkeypatch.setattr(triq.bound, "energy_level",
+                            lambda n, *args: evaluated.append(n)
+                            or energy_level(n, *args))
+        for alpha, count in ((1e-6, 16846979), (1e-8, 16846904592)):
+            pp = PotentialProfile(V0=0.45, alpha=alpha, a=7.0, kind="well")
+            assert count_bound_states(MASS, pp, U) == count
+            assert len(evaluated) <= 2
+            with pytest.raises(DomainError, match=f"^{count} bound levels"):
+                spectrum(MASS, pp, U)
+            assert len(evaluated) <= 4
+            del evaluated[:]
+
+    def test_listing_limit(self, monkeypatch):
+        monkeypatch.setattr(triq.bound, "MAX_LISTED_LEVELS", 56)
+        with pytest.raises(DomainError, match="^57 bound levels"):
+            spectrum(MASS, WELL, U)
+        monkeypatch.setattr(triq.bound, "MAX_LISTED_LEVELS", 57)
+        assert len(spectrum(MASS, WELL, U)) == 58
+
+    def test_underflowing_spacing_refused(self):
+        pp = PotentialProfile(V0=0.45, alpha=1e-200, a=7.0, kind="well")
+        with pytest.raises(DomainError, match="overflows"):
+            count_bound_states(MASS, pp, U)
 
 
 class TestTableReport:

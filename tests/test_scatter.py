@@ -26,6 +26,7 @@ from triq.scatter import (
     FIDELITY_MODES,
     RegionIIBasis,
     _div,
+    _Kernels,
     abbreviations_at,
     assemble_matching,
     basis_for,
@@ -143,6 +144,63 @@ class TestRegionIIBasis:
         with pytest.raises(type(first)) as grid:
             basis.kernels(np.array(xs))
         assert str(grid.value) == str(first)
+
+    @pytest.mark.parametrize("E, recurrences", [
+        (0.1, 0), (0.8, 3206), (2.25, 3463)])
+    def test_grid_second_is_the_point_loop(self, monkeypatch, E, recurrences):
+        # validate's interior grid at one energy with the subtraction form
+        # alone and at two where about half the points try the recurrence:
+        # every double, and every large-z Tricomi call, of a point loop
+        basis = basis_for(barrier_coefficients(E, MASS, BARRIER, U))
+        grid = basis.kernels(np.array([i * 1e-3 for i in range(7001)]))
+        counts = counted_routes(monkeypatch)
+        want = second_outcome(lambda: second_loop(basis, grid))
+        assert counts["tricomi"] == 2 * recurrences
+        counts["tricomi"] = 0
+        assert second_outcome(lambda: basis.second(grid)) == want
+        assert counts["tricomi"] == 2 * recurrences
+
+    @pytest.mark.parametrize("zs, error", [
+        ([1.0, 4.0, 14.0, 20.0], AccuracyError),  # the guard case, mid-grid
+        ([14.5, 14.0], AccuracyError),  # two refusals: the first one's
+        ([1.0, 14.0, 17.0, 16.0], AccuracyError),  # before a failing recurrence
+        ([1.0, 17.0, 14.0], DomainError),  # a failing recurrence first
+    ])
+    def test_grid_second_raises_the_first_scalar_error(self, monkeypatch, zs,
+                                                       error):
+        # b = 2.2 with the vertex at x = 0, so z = x^2: z = 14 is too large
+        # for the subtraction form and too small for the recurrence's seed,
+        # and at z = 17 the spied recurrence raises
+        basis = RegionIIBasis(b_param=2.2, sqrt_a1=1.0, y_offset=0.0)
+        tricomi = triq.scatter.tricomi_u_large_z
+
+        def spied(b, c, z):
+            if z == 17.0:
+                raise DomainError("spied recurrence failure")
+            return tricomi(b, c, z)
+
+        monkeypatch.setattr(triq.scatter, "tricomi_u_large_z", spied)
+        grid = basis.kernels(np.sqrt(zs))
+        want = second_outcome(lambda: second_loop(basis, grid))
+        assert want[0] == error.__name__
+        assert second_outcome(lambda: basis.second(grid)) == want
+
+    def test_grid_second_small_and_numpy_scalar_kernels(self):
+        # empty and one-point grids, and kernels of np.float64 scalars,
+        # which take the float route and give Python floats
+        basis = basis_for(barrier_coefficients(2.25, MASS, BARRIER, U))
+        grid = basis.kernels(np.array([0.5, BARRIER.a]))
+        value, deriv = basis.second(_Kernels._make(f[:0] for f in grid))
+        assert value.shape == deriv.shape == (0,)
+        for i, point in enumerate(grid.points()):
+            want = [v.hex() for v in basis.second(point)]
+            one = basis.second(_Kernels._make(f[i:i + 1] for f in grid))
+            assert [v.hex() for v in np.concatenate(one).tolist()] == want
+            scalars = _Kernels._make(f[i] for f in grid)
+            assert all(type(f) is np.float64 for f in scalars)
+            got = basis.second(scalars)
+            assert [type(v) for v in got] == [float, float]
+            assert [v.hex() for v in got] == want
 
     def test_large_z_route_engaged(self):
         # at the far interface of the high-energy corner the subtraction
@@ -538,6 +596,23 @@ def counted_routes(monkeypatch):
     monkeypatch.setattr(triq.scatter, "tricomi_u_large_z",
                         counter("tricomi", triq.scatter.tricomi_u_large_z))
     return counts
+
+
+def second_loop(basis, grid):
+    """(values, derivatives) of second() on each point of grid kernels in
+    turn, as lists of Python floats; the first refusal is raised."""
+    pairs = [basis.second(point) for point in grid.points()]
+    return [v for v, _ in pairs], [d for _, d in pairs]
+
+
+def second_outcome(run):
+    """Hex of the (values, derivatives) run returns, or the error's class
+    name, message and offending value."""
+    try:
+        values, derivs = run()
+    except TriqError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "value", None)
+    return [[float(v).hex() for v in vs] for vs in (values, derivs)]
 
 
 def reference_solve(system):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+import triq.scatter
 import triq.validate
 from triq.validate import info_lines, run_suites
 
@@ -45,6 +46,25 @@ class TestSuites:
             assert suite.passed, f"{suite.name}: {suite.worst} > {suite.budget}"
             assert math.isfinite(suite.worst) and suite.worst >= 0.0
         assert {s.name: s.worst.hex() for s in results} == FROZEN_WORST
+
+    def test_interior_equation_takes_one_grid_second(self, monkeypatch):
+        # the companion solution over the suite's 7001 points is one
+        # second() call on the grid kernels, never split into points
+        calls = []
+        second = triq.scatter.RegionIIBasis.second
+
+        def spied(basis, ker):
+            calls.append(len(ker.y))
+            return second(basis, ker)
+
+        def points(ker):
+            raise AssertionError("grid kernels split into points")
+
+        monkeypatch.setattr(triq.scatter.RegionIIBasis, "second", spied)
+        monkeypatch.setattr(triq.scatter._Kernels, "points", points)
+        suite = triq.validate.suite_interior_equation()
+        assert calls == [7001]
+        assert suite.worst.hex() == FROZEN_WORST["interior-equation"]
 
     def test_perturbed_airy_fails_wronskian_only(self, monkeypatch):
         # shift the suites' Ai values by 1e-8; nothing else may react
