@@ -101,8 +101,8 @@ class Weight(NamedTuple):
     (sampling the jump at an interface inside an RK4 stage would wreck
     the order there), it is H (M0 - M1 x) (rel + alpha x) with
     rel = E - V(0+); with no profile rel = E and alpha = 0.  rel is an
-    array for an array of energies.  _step_matrices writes this expression
-    out at its stage points instead of calling it.
+    array for an array of energies.  _step_factors and _step_matrices write
+    this expression out at the stage points instead of calling it.
     """
 
     H: float
@@ -124,27 +124,37 @@ def make_weight(E, mp: MassParams, pp: Optional[PotentialProfile],
     return Weight(u.H_per_m0, mp.M0, mp.M1, E - pp.edge_eV, pp.alpha)
 
 
-def _step_matrices(x, rel, h, weight: Weight, friction: bool):
-    """RK4 step matrices m[row, column, step, energy] of _march.
+def _step_factors(x, h, weight: Weight, friction: bool):
+    """The factors of _march's step matrices that depend on the steps alone.
 
-    Step i runs from x[i] (a column) at every rel (a row): its columns are
-    the step applied to the unit states (1, 0) and (0, 1), with the weight
-    evaluated inline at x, x + h/2 and x + h with the operations of
-    Weight.__call__ (the sign folded into H, which is exact).
+    Step i runs from x[i] (a column).  At x, x + h/2 and x + h: -H m(x)
+    and alpha x, the pieces of Weight.__call__ (the sign folded into H,
+    which is exact), and with friction the quotients M1/m (else None).
+    Built once per block and shared by every column chunk of energies.
     """
     H, M0, M1, _, alpha = weight
     neg_h, neg_m1 = -H, -M1
+    points = (x, x + 0.5 * h, x + h)
+    masses = [M0 - M1 * p for p in points]
+    return ([neg_h * m for m in masses], [alpha * p for p in points],
+            [neg_m1 / m for m in masses] if friction else None)
+
+
+def _step_matrices(factors, rel, h):
+    """RK4 step matrices m[row, column, step, energy] of _march.
+
+    factors are _step_factors of the steps; each rel is a row.  The
+    columns of step i are the step applied to the unit states (1, 0) and
+    (0, 1), with -w = (-H m) (rel + alpha x) at x, x + h/2 and x + h.
+    """
+    neg_hm, alpha_x, quotients = factors
+    friction = quotients is not None
     half = 0.5 * h
     sixth = h / 6.0
-    xm = x + half
-    xe = x + h
-    m0, mm, me = M0 - M1 * x, M0 - M1 * xm, M0 - M1 * xe
     # -w at the three points
-    w0 = neg_h * m0 * (rel + alpha * x)
-    wm = neg_h * mm * (rel + alpha * xm)
-    we = neg_h * me * (rel + alpha * xe)
+    w0, wm, we = (a * (rel + ax) for a, ax in zip(neg_hm, alpha_x))
     if friction:
-        f0, fm, fe = neg_m1 / m0, neg_m1 / mm, neg_m1 / me
+        f0, fm, fe = quotients
     v, d = _UNIT_V, _UNIT_D
     k1v = d
     k1d = f0 * d + w0 * v if friction else w0 * v
@@ -167,7 +177,8 @@ def _march(x0, x1, n, v, d, weight: Weight, friction: bool):
 
     The equation is linear, so a step is a 2x2 matrix on (v, d)
     (_step_matrices).  The steps go in blocks of at most _MARCH_BLOCK: a
-    block's matrices are built at once, multiplied in adjacent pairs
+    block's step-only factors are built once (_step_factors) and its
+    matrices at once for each column chunk, multiplied in adjacent pairs
     (later step on the left) down to one, and applied to the state.  The
     blocks depend on n alone and the energies go in chunks of
     _MARCH_COLUMNS that change no element's arithmetic, so a float and an
@@ -183,9 +194,10 @@ def _march(x0, x1, n, v, d, weight: Weight, friction: bool):
         for start in range(0, n, _MARCH_BLOCK):
             # step i starts at x0 + i*h
             x = x0 + np.arange(start, min(n, start + _MARCH_BLOCK))[:, None] * h
+            factors = _step_factors(x, h, weight, friction)
             for c in range(0, rel.size, _MARCH_COLUMNS):
                 cols = slice(c, c + _MARCH_COLUMNS)
-                m = _step_matrices(x, rel[cols], h, weight, friction)
+                m = _step_matrices(factors, rel[cols], h)
                 while m.shape[2] > 1:
                     k = m.shape[2] // 2 * 2
                     later, earlier = m[:, :, 1:k:2], m[:, :, 0:k:2]

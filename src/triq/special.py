@@ -3,10 +3,11 @@
 Everything here is hand-rolled on purpose: the scattering and spectrum
 modules are exercised against an integration oracle that is forbidden from
 sharing any of this code, so these kernels carry their own pinned accuracy
-contracts instead of delegating to a library.  Only the arithmetic is
-borrowed: where doubles run out (the Kummer series under heavy cancellation
-and the Airy phase at large |y|), the standard library's decimal module
-carries 34 digits through one context of this module's own.
+contracts instead of delegating to a library.  Where doubles run out,
+the arithmetic is carried wider: the Kummer series under heavy cancellation
+is rerun in exact Python integers as fixed point, and the Airy phase at
+large |y| in 34 digits of the standard library's decimal module, through
+one context of this module's own.
 
 Contracts (relative error unless stated):
     airy_ai / airy_bi   <= 1e-12 for |y| <= 30 (refused below y = -1e6)
@@ -68,12 +69,17 @@ _SQRT3 = math.sqrt(3.0)
 KUMMER_ENVELOPE = 300.0
 _KUMMER_MAX_TERMS = 1200
 # Above the first ratio the plain compensated sum has eaten ~4 of its 16
-# digits and the series is rerun in 34 digits (_kummer_series_dd); above the
-# second the point is refused.  The second limit sets the closed form's
-# domain (README, "Where the closed form refuses"), not the rerun's
-# precision: at 34 digits a loss of 1e12 still leaves ~20 correct digits.
+# digits and the series is rerun in integer fixed point (_kummer_series_dd);
+# above the second the point is refused.  The second limit sets the closed
+# form's domain (README, "Where the closed form refuses"), not the rerun's
+# precision: with 2^-160 fixed-point steps a loss of 1e12 still leaves the
+# sum within ~2^-93 relative (the bound in _kummer_series_dd's docstring).
 _KUMMER_ESCALATE_LOSS = 1.0e4
 _KUMMER_FAIL_LOSS = 1.0e12
+# the rerun's fixed-point bits for b, z >= 1 (more for tiny b or z), and
+# its stop rule's 1e-33 as the integer ratio of sum|terms| to a term
+_KUMMER_FIXED_BITS = 160
+_KUMMER_FIXED_STOP = 10 ** 33
 
 # Airy evaluation regimes: Maclaurin series around 0, Taylor marching along
 # the ODE in the mid range, asymptotics beyond.  Boundaries sized so series
@@ -107,16 +113,15 @@ def _is_nonpositive_integer(x):
 
 
 # ---------------------------------------------------------------------------
-# Extended precision.  Used where a plain double pipeline would breach a
-# contract: the Kummer series under heavy cancellation and the oscillatory
-# Airy phase at large |y|.  Every operation goes through this context's
-# own methods, and floats enter by the exact Decimal.from_float (the
-# Decimal(float) constructor flags FloatOperation in the caller's context,
-# and raises where that is trapped), so the caller's decimal context
-# neither changes a result nor is changed.
+# Extended precision for the oscillatory Airy phase at large |y|, where a
+# plain double pipeline would breach the contract (the Kummer rerun is
+# integer fixed point, _kummer_series_dd).  Every operation goes through
+# this context's own methods, and floats enter by the exact
+# Decimal.from_float (the Decimal(float) constructor flags FloatOperation
+# in the caller's context, and raises where that is trapped), so the
+# caller's decimal context neither changes a result nor is changed.
 
 _DEC = decimal.Context(prec=34, rounding=decimal.ROUND_HALF_EVEN)
-_DEC_STOP = decimal.Decimal("1e-33")
 _DEC_PI4 = decimal.Decimal("0.7853981633974483096156608458198757")  # pi/4
 
 
@@ -633,34 +638,73 @@ def _kummer_series(b: float, c: float, z: float) -> tuple[float, float]:
 
 
 def _kummer_series_dd(b: float, c: float, z: float) -> tuple[float, float]:
-    """_kummer_series rerun in 34 digits for heavy-cancellation inputs.
+    """_kummer_series rerun in integer fixed point for heavy cancellation.
 
     Only reached when the compensated run reports a loss factor the
     16-digit pipeline cannot absorb: the plain series' term update and
-    stop rule, every operation rounded in _DEC, (sum, sum of |terms|)
-    returned as doubles.  The context's methods are bound once (looked up
-    per term, they made the loop 1.4-1.9x slower).  On the 83 reruns of
-    the 200-point 0.02-2.25 eV sweep (Python 3.11, 2-CPU host, best of 15
-    per input) a call is 10-11x the plain sum on its input, 0.23-0.41 ms.
+    stop rule, (sum, sum of |terms|) returned as doubles.  b, c and z enter
+    exactly (float.as_integer_ratio, power-of-two denominators) and every
+    term is an integer scaled by 2^P: term_k = floor(term_(k-1) * r_k) for
+    the exact ratio r_k = (b + k - 1) z / ((c + k - 1) k), one big-int
+    multiply, a shift by the denominators' exponents and one floor
+    division by the small integer (c + k - 1) k times c's denominator.
+    The sums are exact integers, rounded once each by int / int.
+
+    A term's shift and floor cost less than 2^(1-P) together (less than
+    2^-P where c + k - 1 > 0), and an earlier term's error grows with the
+    terms after it, so with t_k the exact terms (t_0 = 1) and n the terms
+    summed
+        |sum - exact| <= 2^(1-P) * sum_k sum_(j <= k) |t_k / t_j|,
+    and the same for the sum of |terms|.  P is _KUMMER_FIXED_BITS plus the
+    binary exponents by which b and z fall below 1, so that the first term
+    b z / c keeps its bits when b or z is tiny (with P fixed, b = 1e-300
+    at z = 1000 floors to a zero term and stops, where the exact terms
+    rise to the last one and raise).  Where the terms rise to their largest
+    without dipping below min(1, |t_1|) and then fall, and c <= 2.5, a
+    kept sum (loss <= _KUMMER_FAIL_LOSS, n <= 1200) is within
+    n^2 * 2^(5-160) * 1e12 < 2^-93 of the exact sum, relative.
+
+    The name stays from the double-double rerun of earlier versions,
+    because the tracer (as special.kummer.dd) and the tests bind it.  On
+    the 83 reruns of the 200-point 0.02-2.25 eV sweep (Python 3.11, 2-CPU
+    host, best of 15 per input) a call takes 0.07-0.15 ms, 1.8-3.9x the
+    plain sum on its input, and all 83 take 9.7 ms.
     """
-    add, mul, div = _DEC.add, _DEC.multiply, _DEC.divide
-    bd, cd, zd = map(decimal.Decimal.from_float, (b, c, z))
-    s = abs_sum = term = prev_mag = decimal.Decimal(1)
+    bn, bd = b.as_integer_ratio()
+    cn, cd = c.as_integer_ratio()
+    zn, zd = z.as_integer_ratio()
+    p = (_KUMMER_FIXED_BITS + max(0, -math.frexp(b)[1])
+         + max(0, -math.frexp(z)[1]))
+    shift = bd.bit_length() + zd.bit_length() - 2  # log2(bd * zd)
+    # r_k = (bn + (k-1) bd) zn cd / ((cn + (k-1) cd) k bd zd)
+    num, num_step = bn * zn * cd, bd * zn * cd
+    den = cn
+    s = abs_sum = term = prev_mag = 1 << p
     for k in range(1, _KUMMER_MAX_TERMS + 1):
-        term = mul(term, div(mul(add(bd, k - 1), zd), mul(add(cd, k - 1), k)))
+        term = (term * num >> shift) // (den * k)
         if not term:
-            break  # terminating parameter: the series is a polynomial
-        mag = term.copy_abs()
-        s = add(s, term)
-        abs_sum = add(abs_sum, mag)
-        if k >= 4 and mag <= prev_mag and mag < mul(_DEC_STOP, abs_sum):
+            break  # terminating parameter (or a term below 2^-P)
+        mag = abs(term)
+        s += term
+        abs_sum += mag
+        if k >= 4 and mag <= prev_mag and mag * _KUMMER_FIXED_STOP < abs_sum:
             break
         prev_mag = mag
+        num += num_step
+        den += cd
     else:
         raise AccuracyError(
             f"kummer_m series did not converge within {_KUMMER_MAX_TERMS} terms "
             f"at z={z!r}", value=z)
-    return float(s), float(abs_sum)
+    return _fixed_to_float(s, p), _fixed_to_float(abs_sum, p)
+
+
+def _fixed_to_float(n: int, p: int) -> float:
+    """n / 2^p correctly rounded, +-inf past the double range."""
+    try:
+        return n / (1 << p)
+    except OverflowError:
+        return math.inf if n > 0 else -math.inf
 
 
 def _kummer_series_array(b, c, z: np.ndarray):
@@ -679,8 +723,8 @@ def _kummer_series_array(b, c, z: np.ndarray):
 
     This is the only array summer, and it only sums: the loss gates stay
     with _kummer_m_array, which walks each point's series in order and
-    stops at its first refusal, because a scalar loop never reruns (in 34
-    digits, 10-11x the plain sum) a series past a refused one.
+    stops at its first refusal, because a scalar loop never reruns (in
+    fixed point, 2-4x the plain sum) a series past a refused one.
     """
     n = z.size
     value, abs_out = np.full(n, math.nan), np.full(n, math.nan)
@@ -724,7 +768,7 @@ def _kummer_series_array(b, c, z: np.ndarray):
 
 
 def _plain_kept(value, abs_sum):
-    """Whether a plain Kummer sum stands without the 34-digit rerun.
+    """Whether a plain Kummer sum stands without the fixed-point rerun.
 
     True where the cancellation factor is at most _KUMMER_ESCALATE_LOSS;
     the one place the escalation test is written.  Floats or arrays,
@@ -743,7 +787,7 @@ def _kummer_loss(value, abs_sum):
 
 
 def _kummer_sum(b: float, c: float, z: float, plain=None) -> float:
-    """M(b; c; z), z > 0, from the plain series or its 34-digit rerun.
+    """M(b; c; z), z > 0, from the plain series or its fixed-point rerun.
 
     Both loss gates are decided here and only here (the escalation test
     through _plain_kept, which _kummer_m_array also reads to skip this
@@ -795,7 +839,7 @@ def _kummer_m_array(b, c, z):
     sums its plain series in one pass (_kummer_series_array), and where
     _plain_kept accepts the sum, that sum is its value.  Only the other
     elements make a scalar call, point by point and along a row in column
-    order: _kummer_sum on the plain sum (the 34-digit rerun), or
+    order: _kummer_sum on the plain sum (the fixed-point rerun), or
     kummer_m where the series was not summed or ran out of terms.  A row
     stops at its first refusal, as a scalar loop over the point would, so
     no rerun is made past it.  Returns (values, failures): values holds

@@ -18,8 +18,9 @@ import pytest
 import triq.scatter
 import triq.special
 from triq.errors import AccuracyError, DomainError, TriqError
-from triq.model import MassParams, PotentialProfile, make_units
-from triq.scatter import _SECOND_BUDGET, RegionIIBasis, sweep
+from triq.model import (MassParams, PotentialProfile, barrier_coefficients,
+                        make_units)
+from triq.scatter import _SECOND_BUDGET, RegionIIBasis, basis_for, sweep
 from triq.special import (
     _AIRY_NEG_LIMIT,
     _KUMMER_FAIL_LOSS,
@@ -520,8 +521,10 @@ def reference_phase(t):
     return zh, sw + wl * cw, cw - wl * sw
 
 
+@functools.cache
 def reference_series_dd(b, c, z):
-    """_kummer_series_dd in double-double form."""
+    """_kummer_series_dd in double-double form (cached: two tests judge the
+    same inputs against it)."""
     sh, sl = 1.0, 0.0
     ah, al = 1.0, 0.0
     th, tl = 1.0, 0.0
@@ -551,6 +554,34 @@ def reference_series_dd(b, c, z):
     return sh + sl, ah
 
 
+# The 34-digit decimal form of the rerun, before it moved to integer fixed
+# point: every operation rounded in one context of its own.
+_DEC34 = decimal.Context(prec=34, rounding=decimal.ROUND_HALF_EVEN)
+_DEC34_STOP = decimal.Decimal("1e-33")
+
+
+def reference_series_decimal(b, c, z):
+    """_kummer_series_dd in 34-digit decimal."""
+    add, mul, div = _DEC34.add, _DEC34.multiply, _DEC34.divide
+    bd, cd, zd = map(decimal.Decimal.from_float, (b, c, z))
+    s = abs_sum = term = prev_mag = decimal.Decimal(1)
+    for k in range(1, _KUMMER_MAX_TERMS + 1):
+        term = mul(term, div(mul(add(bd, k - 1), zd), mul(add(cd, k - 1), k)))
+        if not term:
+            break
+        mag = term.copy_abs()
+        s = add(s, term)
+        abs_sum = add(abs_sum, mag)
+        if k >= 4 and mag <= prev_mag and mag < mul(_DEC34_STOP, abs_sum):
+            break
+        prev_mag = mag
+    else:
+        raise AccuracyError(
+            f"kummer_m series did not converge within {_KUMMER_MAX_TERMS} terms "
+            f"at z={z!r}", value=z)
+    return float(s), float(abs_sum)
+
+
 def outcome(fn, b, c, z):
     """Hex of (value, abs_sum), or the AccuracyError message."""
     try:
@@ -565,9 +596,18 @@ def seeded_box(n=300, seed=20161):
              300.0 * (1.0 - rng.random())) for _ in range(n)]
 
 
-@functools.cache
-def sweep_dd_inputs():
-    """Every double-double input of a 100-point 2.25-3.9 eV sweep, in order."""
+def judged(fn, b, c, z):
+    """outcome of fn as _kummer_sum judges it: the hex pair where the sum is
+    kept, "refused" where its loss refuses it, or the AccuracyError."""
+    got = outcome(fn, b, c, z)
+    if (got[0] != "AccuracyError"
+            and _kummer_loss(*map(float.fromhex, got)) > _KUMMER_FAIL_LOSS):
+        return "refused"
+    return got
+
+
+def recorded_reruns(run):
+    """The rerun inputs of run(), in order."""
     seen = []
     dd = triq.special._kummer_series_dd
 
@@ -577,9 +617,35 @@ def sweep_dd_inputs():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(triq.special, "_kummer_series_dd", recorded)
-        sweep("E", [2.25 + (3.9 - 2.25) * i / 99 for i in range(100)],
-              MassParams(), PotentialProfile(), make_units())
+        run()
     return tuple(seen)
+
+
+def sweep_reruns(lo, hi, n):
+    return recorded_reruns(lambda: sweep(
+        "E", [lo + (hi - lo) * i / (n - 1) for i in range(n)],
+        MassParams(), PotentialProfile(), make_units()))
+
+
+@functools.cache
+def sweep_dd_inputs():
+    """Every rerun input of a 100-point 2.25-3.9 eV sweep, in order."""
+    return sweep_reruns(2.25, 3.9, 100)
+
+
+@functools.cache
+def wide_sweep_reruns():
+    """Every rerun input of the 200-point 0.02-2.25 eV sweep, in order."""
+    return sweep_reruns(0.02, 2.25, 200)
+
+
+@functools.cache
+def validate_grid_reruns():
+    """Every rerun input of validate's 7001-point interior grid at 2.25 eV."""
+    basis = basis_for(barrier_coefficients(2.25, MassParams(), PotentialProfile(),
+                                           make_units()))
+    return recorded_reruns(
+        lambda: basis.kernels(np.array([i * 1e-3 for i in range(7001)])))
 
 
 class TestKummerKernelsBitIdentical:
@@ -607,6 +673,50 @@ class TestKummerKernelsBitIdentical:
         assert outcome(_kummer_series_dd, b, c, z)[0] == "AccuracyError"
         assert (outcome(_kummer_series_dd, b, c, z)
                 == outcome(reference_series_dd, b, c, z))
+
+    def test_fixed_point_matches_both_references(self):
+        # the integer rerun against the 34-digit decimal and the
+        # double-double ones over every rerun corpus: the same doubles where
+        # the sum is kept, a refusal where it is refused, the same errors
+        wide = wide_sweep_reruns()
+        grid = validate_grid_reruns()
+        assert len(wide) == 83 and len(grid) == 3472
+        grid_sample = random.Random(20163).sample(grid, 500)
+        verdicts = []
+        for b, c, z in (seeded_box() + list(sweep_dd_inputs()) + list(wide)
+                        + grid_sample):
+            got = judged(_kummer_series_dd, b, c, z)
+            assert got == judged(reference_series_decimal, b, c, z), (b, c, z)
+            assert got == judged(reference_series_dd, b, c, z), (b, c, z)
+            verdicts.append(got if isinstance(got, str) else "kept")
+        assert verdicts.count("kept") > 800 and verdicts.count("refused") > 200
+
+    @pytest.mark.parametrize("b, c, z", [
+        (-3.0, 1.5, 30.0),  # polynomials
+        (0.0, 0.5, 10.0),
+        (-17.0, 2.5, 120.0),
+        (math.nextafter(-3.0, 0.0), 1.5, 30.0),  # one ulp either side of -3
+        (math.nextafter(-3.0, -math.inf), 1.5, 30.0),
+        (1e-300, 0.5, 1000.0),  # terms still rising at the last one
+        (5e-324, 0.5, 1000.0),
+        (1e-140, 0.5, 300.0),  # tiny b whose rising terms reach the sum
+        (-0.3, 1.5, 5e-324),  # subnormal z
+        (-40.0, 0.5, 1e-310),
+        (-120.0, 2.5, 300.0),  # the envelope corner, refused
+        (1e3, 0.5, 300.0),  # terms past the double range: inf
+    ])
+    def test_fixed_point_edge_cases(self, b, c, z):
+        want = judged(reference_series_decimal, b, c, z)
+        assert judged(_kummer_series_dd, b, c, z) == want
+        # np.float64 inputs: the same bits (an error's message shows the
+        # argument's repr, as the reference's does)
+        args = tuple(map(np.float64, (b, c, z)))
+        got = judged(_kummer_series_dd, *args)
+        assert got == judged(reference_series_decimal, *args)
+        if z == 1000.0:
+            assert want[0] == got[0] == "AccuracyError"
+        else:
+            assert got == want
 
     def test_phase_matches_double_double(self):
         rng = random.Random(20162)
