@@ -46,6 +46,17 @@ def make_units() -> UnitSystem:
     return UnitSystem(hbar2_over_2m0=value)
 
 
+def _take_floats(params, names) -> None:
+    """Store the fields names of a frozen dataclass as Python floats.
+
+    Parameters are taken to float once, where they are checked, so that
+    np.float64 input runs the same float arithmetic as Python floats:
+    that raises where numpy would only warn, and prints the same reprs.
+    """
+    for name in names:
+        object.__setattr__(params, name, float(getattr(params, name)))
+
+
 @dataclass(frozen=True)
 class MassParams:
     """Linear mass profile m(x) = M0 - M1*x, M0 in m0, M1 in m0/nm."""
@@ -58,6 +69,7 @@ class MassParams:
             raise DomainError(f"M0 must be positive, got {self.M0!r}")
         if not (self.M1 >= 0.0 and math.isfinite(self.M1)):
             raise DomainError(f"M1 must be non-negative, got {self.M1!r}")
+        _take_floats(self, ("M0", "M1"))
 
     @property
     def mass_zero_nm(self) -> float:
@@ -91,16 +103,12 @@ class PotentialProfile:
             v = getattr(self, name)
             if not (v > 0.0 and math.isfinite(v)):
                 raise DomainError(f"{name} must be positive, got {v!r}")
+        _take_floats(self, ("V0", "alpha", "a"))
 
     @property
     def edge_eV(self) -> float:
         """Signed potential value at x = 0+."""
         return self.V0 if self.kind == "barrier" else -self.V0
-
-    def value_at(self, x: float) -> float:
-        if x <= 0.0 or x >= self.a:
-            return 0.0
-        return self.edge_eV - self.alpha * x
 
 
 @dataclass(frozen=True)

@@ -38,15 +38,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .errors import AccuracyError, ConditioningError, DomainError, TriqError
 from .model import (MassParams, PotentialProfile, RegionCoefficients,
                     UnitSystem, airy_scale, barrier_coefficients)
-from .special import (AiryPair, _airy_array, _kummer_m_array, airy_ai,
-                      airy_bi, kummer_m, recip_gamma, tricomi_u_large_z)
+from .special import (AiryPair, _airy_array, _kummer_m_array,
+                      _recip_gamma_array, _tricomi_u_array, airy_ai, airy_bi,
+                      kummer_m, recip_gamma, tricomi_u_large_z)
 
 # Worst error estimate second() accepts before refusing the point.  Both
 # routes' estimates overshoot the observed error by orders of magnitude in
@@ -76,14 +77,6 @@ _RG_THREE_HALVES = recip_gamma(1.5)
 _RG_FIVE_HALVES = recip_gamma(2.5)
 
 
-# _Kernels.points converts grid kernels to Python floats this many points
-# at a time
-_POINTS_BLOCK = 256
-
-# second() takes grid kernels this many points at a time, which keeps its
-# temporaries small next to a long grid
-_SECOND_BLOCK = 1024
-
 # c of the four Kummer series of a point, in kernels() order; _series_b
 # gives their b
 _SERIES_C = (0.5, 1.5, 1.5, 2.5)
@@ -101,10 +94,11 @@ class _Kernels(NamedTuple):
     ones are a series times the constant 1/Gamma(c) (the _RG_* constants).
     One instance per interface feeds first(), second() and
     abbreviations_at(), which read y and z from it and nothing else about
-    the point.  Kernels over a grid hold a 1-D array in every field;
-    first() and second() take them as they are, and points() splits them
-    into per-point records for the sweep, which assembles each point's
-    matching system on its own.
+    the point.  Kernels over a grid hold a 1-D array in every field, one
+    entry per point: the x grid of one basis (RegionIIBasis.kernels over
+    an array), or one interface of every point of a sweep
+    (_interface_kernels).  Grid kernels are never split into per-point
+    records; every consumer takes the arrays whole.
     """
 
     y: float         # x + y_offset, signed distance from the vertex
@@ -116,18 +110,6 @@ class _Kernels(NamedTuple):
     r_even_d: float  # regularized (b+1; 3/2; z)
     r_odd: float     # regularized (b+1/2; 3/2; z)
     r_odd_d: float   # regularized (b+3/2; 5/2; z)
-
-    def points(self) -> Iterator[_Kernels]:
-        """Per-point records of Python floats from grid kernels, in order.
-
-        Python floats, not np.float64: a point's assembly relies on float
-        arithmetic raising where numpy would only warn.  Converted a block
-        at a time, so a long grid is never held as Python floats all at
-        once.
-        """
-        for i in range(0, len(self.y), _POINTS_BLOCK):
-            block = (f[i:i + _POINTS_BLOCK].tolist() for f in self)
-            yield from map(_Kernels._make, zip(*block))
 
 
 def _kernels_from(y, z, series) -> _Kernels:
@@ -221,11 +203,7 @@ class RegionIIBasis:
 
     def first(self, ker: _Kernels) -> tuple[float, float]:
         """(value, d/dx) of the even basis solution at the kernels' point."""
-        b = self.b_param
-        y = ker.y
-        value = ker.damp * ker.m_val
-        deriv = self.sqrt_a1 * y * ker.damp * (4.0 * b * ker.m_dval - ker.m_val)
-        return value, deriv
+        return _first(self.b_param, self.sqrt_a1, ker)
 
     def second(self, ker: _Kernels):
         """(value, d/dx) of the companion solution (signed odd branch).
@@ -279,66 +257,81 @@ class RegionIIBasis:
     def _second_grid(self, ker: _Kernels) -> tuple[np.ndarray, np.ndarray]:
         """second() over kernels of 1-D arrays, or of np.float64 scalars.
 
-        Every element is the double the float route gives at that point.
-        Where a point is refused, the error raised is the one the first
-        refused point of a loop of float-route calls raises: the grid is
-        taken _SECOND_BLOCK points at a time, in order, and a block raises
-        its own first refusal.  np.float64 scalars are taken to Python
-        floats and the float route.
+        Every element is the double the float route gives at that point
+        (_companion_grid).  Where points are refused, the error raised is
+        the one the first refused point of a loop of float-route calls
+        raises.  np.float64 scalars are taken to Python floats and the
+        float route.
         """
         if np.ndim(ker.y) == 0:
             return self.second(_Kernels._make(map(float, ker)))
-        n = len(ker.y)
-        value, deriv = np.empty(n), np.empty(n)
-        for i in range(0, n, _SECOND_BLOCK):
-            block = slice(i, i + _SECOND_BLOCK)
-            value[block], deriv[block] = self._second_block(
-                _Kernels._make(f[block] for f in ker))
+        value, deriv, failures = _companion_grid(
+            self.b_param, self.sqrt_a1, self.rg_b, self.rg_bh, ker)
+        if failures:
+            raise failures[min(failures)]
         return value, deriv
 
-    def _second_block(self, ker: _Kernels) -> tuple[np.ndarray, np.ndarray]:
-        """second() over a non-empty block of grid kernels.
 
-        The subtraction form and both cancellation factors are taken for
-        all points at once, in the float route's operation order; the
-        large-z recurrence is then tried point by point, in order, by the
-        same scalar tricomi_u_large_z calls.
-        """
-        b = self.b_param
-        y = ker.y
-        s = self.sqrt_a1
-        root = math.sqrt(s)  # a1^(1/4)
-        rg_b = self.rg_b
-        rg_bh = self.rg_bh
-        # products overflow to inf, and inf - inf is NaN, silently in the
-        # float route; numpy is made as silent
-        with np.errstate(all="ignore"):
-            va = ker.r_even * rg_bh
-            vb = root * y * ker.r_odd * rg_b
-            da = 2.0 * s * y * b * ker.r_even_d * rg_bh
-            db = root * ker.r_odd * rg_b
-            dc = 2.0 * s * root * y * y * (b + 0.5) * ker.r_odd_d * rg_b
-            u = math.pi * (va - vb)
-            du_dy = math.pi * (da - db - dc)
-            l1 = _grid_loss(np.abs(va) + np.abs(vb), va - vb)
-            l2 = _grid_loss(np.abs(da) + np.abs(db) + np.abs(dc), da - db - dc)
-            est = 1e-15 * np.where(l2 > l1, l2, l1)  # max(l1, l2)
-        for i in np.flatnonzero((y > 0.0) & (est > 1e-11)).tolist():
-            y_i, z_i, est_i = y[i].item(), ker.z[i].item(), est[i].item()
-            try:
-                u_val, e_val = tricomi_u_large_z(b, 0.5, z_i)
-                u_slope, e_slope = tricomi_u_large_z(b + 1.0, 1.5, z_i)
-            except _REFUSED:
-                # a loop would have stopped at a point refused before this one
-                _refuse_first(y[:i], ker.z[:i], est[:i])
-                raise
-            if max(e_val, e_slope) < est_i:
-                u[i] = u_val
-                du_dy[i] = -2.0 * s * y_i * b * u_slope
-                est[i] = max(e_val, e_slope)
-        _refuse_first(y, ker.z, est)
-        with np.errstate(all="ignore"):
-            return ker.damp * u, ker.damp * (du_dy - s * y * u)
+def _first(b, s, ker: _Kernels):
+    """RegionIIBasis.first from b and sqrt(a1): floats for one point, or
+    arrays with one entry per kernel point, elementwise."""
+    value = ker.damp * ker.m_val
+    deriv = s * ker.y * ker.damp * (4.0 * b * ker.m_dval - ker.m_val)
+    return value, deriv
+
+
+def _companion_grid(b, s, rg_b, rg_bh, ker: _Kernels):
+    """second() over grid kernels: (values, derivatives, failures).
+
+    b, s = sqrt(a1), rg_b = 1/Gamma(b) and rg_bh = 1/Gamma(b + 1/2) are
+    one basis's floats (an x grid) or arrays with one entry per kernel
+    point (one interface of a sweep).  Every element is the double the
+    float route gives at that point: the subtraction form and both
+    cancellation factors are taken for all points at once, in the float
+    route's operation order, and every point that tries the large-z
+    recurrence takes it in one _tricomi_u_array call, its (b, 1/2) call
+    before its (b + 1, 3/2) call.  failures maps the index of each refused
+    point, in index order, to the error second() raises there alone: the
+    recurrence's, else the refusal of an estimate over _SECOND_BUDGET.
+    """
+    y, z = ker.y, ker.z
+    root = np.sqrt(s)  # a1^(1/4)
+    # products overflow to inf, and inf - inf is NaN, silently in the
+    # float route; numpy is made as silent
+    with np.errstate(all="ignore"):
+        va = ker.r_even * rg_bh
+        vb = root * y * ker.r_odd * rg_b
+        da = 2.0 * s * y * b * ker.r_even_d * rg_bh
+        db = root * ker.r_odd * rg_b
+        dc = 2.0 * s * root * y * y * (b + 0.5) * ker.r_odd_d * rg_b
+        u = math.pi * (va - vb)
+        du_dy = math.pi * (da - db - dc)
+        l1 = _grid_loss(np.abs(va) + np.abs(vb), va - vb)
+        l2 = _grid_loss(np.abs(da) + np.abs(db) + np.abs(dc), da - db - dc)
+        est = 1e-15 * np.where(l2 > l1, l2, l1)  # max(l1, l2)
+    tried = np.flatnonzero((y > 0.0) & (est > 1e-11))
+    m = tried.size
+    bt, st = (np.broadcast_to(v, y.shape)[tried] for v in (b, s))
+    pair, errors, failed = _tricomi_u_array(
+        np.concatenate([bt, bt + 1.0]), np.repeat([0.5, 1.5], m),
+        np.tile(z[tried], 2))
+    with np.errstate(all="ignore"):
+        err = np.where(errors[m:] > errors[:m], errors[m:], errors[:m])
+        take = err < est[tried]  # False where a call failed (NaN)
+        slope = -2.0 * st * y[tried] * bt * pair[m:]  # dU/dz chain through z(y)
+    better = tried[take]
+    u[better] = pair[:m][take]
+    du_dy[better] = slope[take]
+    est[better] = err[take]
+    failures = {}
+    for j, exc in failed.items():  # in index order: (b, 1/2) calls first
+        failures.setdefault(int(tried[j % m]), exc)
+    for i in np.flatnonzero(est > _SECOND_BUDGET).tolist():
+        if i not in failures:
+            failures[i] = _second_refusal(y[i].item(), z[i].item(), est[i].item())
+    with np.errstate(all="ignore"):
+        return (ker.damp * u, ker.damp * (du_dy - s * y * u),
+                dict(sorted(failures.items())))
 
 
 def _second_refusal(y: float, z: float, est: float) -> AccuracyError:
@@ -346,14 +339,6 @@ def _second_refusal(y: float, z: float, est: float) -> AccuracyError:
     return AccuracyError(
         f"companion solution unreliable at y={y!r}, z={z!r}: "
         f"best error estimate {est:.1e}", value=z)
-
-
-def _refuse_first(y: np.ndarray, z: np.ndarray, est: np.ndarray) -> None:
-    """Raise second()'s refusal of the first point whose est is over budget."""
-    over = np.flatnonzero(est > _SECOND_BUDGET)
-    if len(over):
-        i = over[0]
-        raise _second_refusal(y[i].item(), z[i].item(), est[i].item())
 
 
 def _loss(parts: float, net: float) -> float:
@@ -411,8 +396,17 @@ class AbbreviationSet(NamedTuple):
     f9: float
 
 
-def _div(num: float, den: float) -> float:
-    # printed shorthands divide by sqrt(a1) y; keep IEEE semantics at y = 0
+def _div(num, den):
+    """num / den, but num / 0 is NaN where num is 0 or NaN and inf of
+    num's sign otherwise (the printed shorthands divide by sqrt(a1) y,
+    which is 0 at the vertex).  Floats, or arrays elementwise, each
+    element the float's double."""
+    if np.ndim(num) or np.ndim(den):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            quotient = num / den
+        at_zero = np.where((num == 0.0) | np.isnan(num), math.nan,
+                           np.copysign(math.inf, num))
+        return np.where(den != 0.0, quotient, at_zero)
     if den != 0.0:
         return num / den
     if num == 0.0 or math.isnan(num):
@@ -422,23 +416,29 @@ def _div(num: float, den: float) -> float:
 
 def abbreviations_at(basis: RegionIIBasis, ker: _Kernels) -> AbbreviationSet:
     """Printed shorthand set at ker's interface (x = 0 gives f, x = a gives g)."""
-    b = basis.b_param
-    s = basis.sqrt_a1
+    return _abbreviations(basis.b_param, basis.sqrt_a1, basis.rg_bh,
+                          basis.rg_b, basis.rg_f6, ker)
+
+
+def _abbreviations(b, s, rg_bh, rg_b, rg_f6, ker: _Kernels) -> AbbreviationSet:
+    """abbreviations_at from b, sqrt(a1) and the basis's three 1/Gamma:
+    floats for one point, or arrays with one entry per kernel point,
+    elementwise (the caller silences numpy)."""
     y = ker.y
     lam_over_root = 4.0 * b - 1.0  # lam / sqrt(a1), inverted from b_param
     pre = s * y * ker.damp
     f1 = pre * ker.m_val
     f2 = pre * ker.m_dval
-    f3 = math.pi * pre * basis.rg_bh * ker.r_even
-    f4 = (math.pi * pre * basis.rg_bh / 2.0
+    f3 = math.pi * pre * rg_bh * ker.r_even
+    f4 = (math.pi * pre * rg_bh / 2.0
           * (1.0 + lam_over_root) * ker.r_even_d)
-    f5 = math.pi * pre * basis.rg_b * ker.r_odd
+    f5 = math.pi * pre * rg_b * ker.r_odd
     # the printed gamma argument here is 1/4 + lam/sqrt(a1), not b
-    f6 = (math.pi * pre * basis.rg_f6 / 2.0
+    f6 = (math.pi * pre * rg_f6 / 2.0
           * (3.0 + lam_over_root) * ker.r_odd_d)
     f1p = _div(f1, s * y)
     f3p = _div(f3, s * y)
-    f5p = _div(f5, math.sqrt(s) * y)
+    f5p = _div(f5, (np.sqrt(s) if np.ndim(s) else math.sqrt(s)) * y)
     return AbbreviationSet(f1=f1, f2=f2, f3=f3, f4=f4, f5=f5, f6=f6,
                            f1p=f1p, f3p=f3p, f5p=f5p,
                            f7=f3p - f5p, f8=f2 - f1, f9=f4 + f5 - f3 - f6)
@@ -496,7 +496,8 @@ def assemble_matching(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
     form.  This is _matching_systems on the one-point grid [E]; a refusal
     is raised.
     """
-    return _raised(_matching_systems([(E, pp)], mp, u, _printed(fidelity))[0])
+    points = _grid_points("E", [E], pp, E, False)
+    return _raised(_matching_systems(points, mp, u, _printed(fidelity))[0])
 
 
 def _raised(outcome):
@@ -508,8 +509,9 @@ def _raised(outcome):
 
 def _assemble(basis: RegionIIBasis, exterior, ker0: _Kernels, kera: _Kernels,
               printed_columns: bool) -> MatchingSystem:
-    """The matching system of one point from its basis, its exterior
-    (k, Ai(y1), Bi(y1), Ai(y3)) and its kernels at x = 0 and x = a."""
+    """The matching system of a lone point from its basis, its exterior
+    (k, Ai(y1), Bi(y1), Ai(y3)) and its kernels at x = 0 and x = a; more
+    points take _assemble_grid, which gives each the same doubles."""
     k, ai0, bi0, ai_a = exterior
     fset = abbreviations_at(basis, ker0)
     gset = abbreviations_at(basis, kera)
@@ -649,7 +651,7 @@ def transmission(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
     comparison.  This is the sweep's pipeline on the one-point grid [E]; a
     refusal is raised.
     """
-    points = [(E, pp)]
+    points = _grid_points("E", [E], pp, E, False)
     systems = _matching_systems(points, mp, u, _printed(fidelity))
     return _raised(_solved(points, systems)[0])
 
@@ -693,9 +695,12 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
     does the DomainError of an unknown axis or fidelity.
 
     The grid runs transmission()'s stages, so each row is the one it gives
-    there, double for double and error for error; but each stage takes all
-    points at once: one Kummer pass over the 8 series of every point, each
-    point gated in its own order (special._kummer_m_array), and one solve.
+    there, double for double and error for error; but from two points on,
+    each stage takes all points at once (_matching_systems): one Airy pass,
+    one Kummer pass over the 8 series of every point, one pass each for
+    the reciprocal Gammas, the interface columns and abbreviation sets and
+    the companion solution at each interface, one matrix stack and one
+    solve.  A point keeps the error it raises alone, in its own order.
     """
     if axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
@@ -717,19 +722,31 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
 def _sweep_outcomes(axis, values, mp, pp, u, E, fidelity, auto_alpha) -> list:
     """Per grid value, its TransmissionResult or the error that refused it."""
     printed = _printed(fidelity)
-    points = []  # per value, (energy, profile) or the error refusing it
+    points = _grid_points(axis, values, pp, E, auto_alpha)
+    return _solved(points, _matching_systems(points, mp, u, printed))
+
+
+def _grid_points(axis, values, pp, E, auto_alpha) -> list:
+    """Per grid value, its (energy, profile) point or the error refusing it.
+
+    The pipeline's one entry for energies: each is taken to a Python float
+    here, as PotentialProfile and MassParams take their fields, so that a
+    np.float64 input runs the float arithmetic, which raises where numpy
+    would only warn, and its messages print the same.
+    """
+    points = []
     for v in values:
         if axis == "E":
-            points.append((v, pp))
+            points.append((float(v), pp))
             continue
         V0, a = (v, pp.a) if axis == "V0" else (pp.V0, v)
         try:
-            points.append((E, PotentialProfile(
+            points.append((float(E), PotentialProfile(
                 V0=V0, alpha=(V0 / a if auto_alpha else pp.alpha), a=a,
                 kind=pp.kind)))
         except _REFUSED as exc:
             points.append(exc)
-    return _solved(points, _matching_systems(points, mp, u, printed))
+    return points
 
 
 def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
@@ -739,8 +756,10 @@ def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
     A point is an (energy, profile) pair, or an error refusing it, passed
     on; printed is (printed_signs, printed_columns).  Each point takes its
     coefficients in turn, then the exterior Airy values of all points are
-    evaluated together, then each point's basis, then the kernels of all
-    points together, then each system is assembled.
+    evaluated together.  A lone point left then takes the scalar route:
+    its basis, its kernels at x = 0 and x = a, and _assemble.  Two or more
+    take the grid route, _assemble_grid, where each gets the doubles and
+    the error of the scalar route.
     """
     printed_signs, printed_columns = printed
     out = list(points)
@@ -755,20 +774,98 @@ def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
             coefficients.append((i, rc, airy_scale(point_E, mp, u), point_pp.a))
         except _REFUSED as exc:
             out[i] = exc
-    live = []  # (index, basis, exterior, width a)
+    live = []  # (index, coefficients, exterior, width a)
     airy = _exterior_airy([c[1] for c in coefficients])
     for (i, rc, k, a), values in zip(coefficients, airy):
+        if isinstance(values, Exception):
+            out[i] = values
+        else:
+            live.append((i, rc, (k, *values), a))
+    if len(live) > 1:
+        index, rcs, exteriors, widths = zip(*live)
+        for i, system in zip(index, _assemble_grid(rcs, exteriors, widths,
+                                                   printed_columns)):
+            out[i] = system
+        return out
+    for i, rc, exterior, a in live:
         try:
-            live.append((i, basis_for(rc), (k, *_raised(values)), a))
-        except _REFUSED as exc:
-            out[i] = exc
-    kernels = _interface_kernels([p[1] for p in live], [p[3] for p in live])
-    for (i, basis, exterior, _), ker in zip(live, kernels):
-        try:
-            out[i] = _assemble(basis, exterior, *_raised(ker), printed_columns)
+            basis = basis_for(rc)
+            out[i] = _assemble(basis, exterior, basis.kernels(0.0),
+                               basis.kernels(a), printed_columns)
         except _REFUSED as exc:
             out[i] = exc
     return out
+
+
+def _assemble_grid(rcs, exteriors, widths, printed_columns: bool) -> list:
+    """_assemble over two or more points in grid passes.
+
+    rcs, exteriors and widths hold each point's coefficients, exterior
+    (k, Ai(y1), Bi(y1), Ai(y3)) and width a.  Each pass takes every point
+    still standing at once: the kernels (_interface_kernels), the three
+    reciprocal Gammas (one _recip_gamma_array call), both abbreviation
+    sets and first() at both interfaces, second() at x = 0 and then at
+    x = a (_companion_grid), and one (n, 4, 4) matrix stack with its
+    right-hand sides.  Returns per point its MatchingSystem, every double
+    the one _assemble gives it alone, or the first error the scalar route
+    raises there: its kernels', 1/Gamma(b + 1/2)'s, 1/Gamma(b)'s (both read
+    by abbreviations_at), the f6 1/Gamma's unless an overflow (which gives
+    NaN), then second()'s at x = 0, then at x = a.  second() is taken only
+    under the canonical columns, and only at points nothing refused
+    before, so each recurrence runs as often as in the scalar route.
+    """
+    n = len(rcs)
+    b, s, offset = (np.array(v, dtype=float) for v in zip(*(
+        (basis.b_param, basis.sqrt_a1, basis.y_offset)
+        for basis in map(basis_for, rcs))))
+    ker0, kera, failures = _interface_kernels(b, s, offset,
+                                              np.array(widths, dtype=float))
+    rg, rg_failures = _recip_gamma_array(
+        np.concatenate([b + 0.5, b, 0.25 + (4.0 * b - 1.0)]))
+    rg_bh, rg_b, rg_f6 = np.split(rg, 3)  # NaN where refused
+    for j, exc in rg_failures.items():  # index order is the reading order
+        if j < 2 * n or not isinstance(exc, AccuracyError):
+            failures.setdefault(j % n, exc)
+    k, ai0, ai0p, bi0, bi0p, ai_a, ai_ap = (np.array(v, dtype=float) for v in zip(*(
+        (e[0], *e[1], *e[2], *e[3]) for e in exteriors)))
+    with np.errstate(all="ignore"):  # silent, as the float route is
+        fset = _abbreviations(b, s, rg_bh, rg_b, rg_f6, ker0)
+        gset = _abbreviations(b, s, rg_bh, rg_b, rg_f6, kera)
+        if printed_columns:
+            v0, q0, d0, qd0 = fset.f1p, fset.f7, fset.f8, fset.f9
+            va, qa, da, qda = gset.f1p, gset.f7, gset.f8, gset.f9
+        else:
+            v0, d0 = _first(b, s, ker0)
+            va, da = _first(b, s, kera)
+            q0, qd0 = _second_points(b, s, rg_b, rg_bh, ker0, failures)
+            qa, qda = _second_points(b, s, rg_b, rg_bh, kera, failures)
+        zero = np.zeros(n)
+        matrix = np.stack([ai0, bi0, -v0, -q0,
+                           k * ai0p, k * bi0p, -d0, -qd0,
+                           zero, zero, va, qa,
+                           zero, zero, da, qda], axis=1).reshape(n, 4, 4)
+        rhs = np.stack([zero, zero, ai_a, k * ai_ap], axis=1)
+    # Python floats from tolist: _paper_closed_form's arithmetic raises
+    # where numpy would only warn
+    fsets, gsets = (map(AbbreviationSet._make, zip(*(f.tolist() for f in sets)))
+                    for sets in (fset, gset))
+    return [failures[j] if j in failures else MatchingSystem(
+                matrix=matrix[j], rhs=rhs[j], airy_scale=ext[0], fset=fs,
+                gset=gs, bi0=ext[2], ai_a=ext[3])
+            for j, (ext, fs, gs) in enumerate(zip(exteriors, fsets, gsets))]
+
+
+def _second_points(b, s, rg_b, rg_bh, ker: _Kernels, failures: dict):
+    """(values, derivatives) of second() at the points of per-point arrays
+    that failures does not refuse yet, NaN elsewhere; their refusals are
+    added to failures."""
+    go = np.array([j for j in range(len(b)) if j not in failures], dtype=int)
+    value, deriv = np.full(len(b), math.nan), np.full(len(b), math.nan)
+    value[go], deriv[go], refused = _companion_grid(
+        b[go], s[go], rg_b[go], rg_bh[go], _Kernels._make(f[go] for f in ker))
+    for j, exc in refused.items():
+        failures[int(go[j])] = exc
+    return value, deriv
 
 
 def _exterior_airy(coefficients: list[RegionCoefficients]) -> list:
@@ -820,29 +917,21 @@ def _solved(points: list, systems: list) -> list:
     return out
 
 
-def _interface_kernels(bases: list[RegionIIBasis], widths: list[float]) -> list:
-    """(kernels at x = 0, kernels at x = a) of each basis, or its error.
+def _interface_kernels(b, s, offset, widths):
+    """(kernels at x = 0, kernels at x = a, failures) of per-point arrays
+    of b, sqrt(a1), y offset and width a.
 
-    A lone basis takes the scalar kernels(0.0) and kernels(a), far cheaper
-    for one point than the array summer.  More bases make one
-    _kummer_m_array call, a row per basis with x = 0's four series before
-    x = a's, so a row stops where kernels(0.0) then kernels(a) would first
-    raise, and that error stands in for the pair.
+    One _kummer_m_array call, a row per point with x = 0's four series
+    before x = a's, so a row stops where kernels(0.0) then kernels(a)
+    would first raise; failures maps each refused point's index to that
+    error, and its kernels are NaN.
     """
-    if len(bases) < 2:
-        try:
-            return [(basis.kernels(0.0), basis.kernels(a))
-                    for basis, a in zip(bases, widths)]
-        except _REFUSED as exc:
-            return [exc]
-    b, s, offset = (np.array(v, dtype=float) for v in zip(
-        *((basis.b_param, basis.sqrt_a1, basis.y_offset) for basis in bases)))
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as floats are
-        y = np.stack([0.0 + offset, np.array(widths, dtype=float) + offset], axis=1)
+        y = np.stack([0.0 + offset, widths + offset], axis=1)
         z = s[:, None] * y * y
     values, failures = _kummer_m_array(np.tile(np.stack(_series_b(b), axis=1), 2),
                                        np.tile(_SERIES_C, 2),
                                        np.repeat(z, 4, axis=1))
     ker = _kernels_from(y.ravel(), z.ravel(), values.reshape(-1, 4).T)
-    pairs = zip(*[ker.points()] * 2)
-    return [failures.get(i) or pair for i, pair in enumerate(pairs)]
+    return (_Kernels._make(f[0::2] for f in ker),
+            _Kernels._make(f[1::2] for f in ker), failures)

@@ -29,14 +29,17 @@ Tricomi's U itself is made in one place, scatter.RegionIIBasis.second: the
 two-term form from the Kummer series here, or tricomi_u_large_z where the
 subtraction cancels, chosen by each route's error estimate.
 
-Two kernels also run over a 1-D array, element for element the doubles of
-the scalar calls: _kummer_m_array (one plain-series pass) and _airy_array.
-The Airy array makes one Maclaurin pass for Ai and Bi together and one
-lockstep Taylor march, each element with its own steps and stop rules.
-The asymptotic regimes stay one scalar call per element (though one for
-Ai and Bi together): they rest on libm's pow, exp and sin and on the
-34-digit phase, which numpy's ufuncs need not reproduce to the bit.  A
-single point is cheaper through the scalar calls, which stay.
+Four kernels also run over a 1-D array, element for element the doubles
+of the scalar calls: _kummer_m_array (one plain-series pass), _airy_array,
+_recip_gamma_array and _tricomi_u_array.  The Airy array makes one
+Maclaurin pass for Ai and Bi together and one lockstep Taylor march, each
+element with its own steps and stop rules.  The asymptotic regimes stay
+one scalar call per element (though one for Ai and Bi together): they
+rest on libm's pow, exp and sin and on the 34-digit phase, which numpy's
+ufuncs need not reproduce to the bit.  For the same reason the Gamma and
+Tricomi arrays do their + - * / in numpy, in the scalar operation order,
+and take log, exp, sin(pi x) and z ** (-a) per element on Python floats.
+A single point is cheaper through the scalar calls, which stay.
 """
 
 from __future__ import annotations
@@ -182,9 +185,81 @@ def recip_gamma(x: float) -> float:
     # Reflection: 1/Gamma(x) = Gamma(1-x) * sin(pi x) / pi
     ln_reflected = _lngamma_positive(1.0 - x)
     if ln_reflected > 700.0:
-        raise AccuracyError(
-            f"recip_gamma overflow at x={x!r}", value=x)
+        raise _recip_gamma_overflow(x)
     return _sinpi(x) / math.pi * math.exp(ln_reflected)
+
+
+def _recip_gamma_overflow(x: float) -> AccuracyError:
+    """The error recip_gamma refuses x with, where Gamma(1 - x) overflows."""
+    return AccuracyError(f"recip_gamma overflow at x={x!r}", value=x)
+
+
+# |x| up to which _recip_gamma_array sums an element itself; past it the
+# Stirling series' z * z overflows (the scalar call then divides 0 by 0)
+_RG_ARRAY_LIMIT = 2.0 ** 500
+
+
+def _lngamma_positive_array(x: np.ndarray) -> np.ndarray:
+    """_lngamma_positive over a 1-D array of x >= 0.5, |x| <= _RG_ARRAY_LIMIT.
+
+    The upward shift runs until every element is past 12, each element
+    stopping at its own; + - * / run in numpy in the scalar order and
+    math.log per element, so each element gets the scalar double.
+    """
+    shift, z = np.ones(x.size), x.copy()
+    low = np.flatnonzero(z < 12.0)
+    while low.size:
+        shift[low] *= z[low]
+        z[low] += 1.0
+        low = low[z[low] < 12.0]
+    zz = 1.0 / (z * z)
+    series = np.zeros(x.size)
+    for coeff in reversed(_STIRLING):
+        series = (series + coeff) * zz
+    series /= zz * z
+    log_z = np.array([math.log(v) for v in z.tolist()])
+    log_shift = np.array([math.log(v) for v in shift.tolist()])
+    return (z - 0.5) * log_z - z + _LN_SQRT_2PI + series - log_shift
+
+
+def _recip_gamma_array(x):
+    """recip_gamma over a 1-D array, with the scalar calls' doubles.
+
+    ln Gamma is taken for all elements in one pass
+    (_lngamma_positive_array), then math.exp and _sinpi per element on
+    Python floats, as the scalar call takes them: numpy's libm need not
+    agree with the C library's in the last bit.  A pole gives 0.0, and a
+    reflected element past the overflow the scalar call's error.  An
+    element this route does not take (non-finite, or past
+    _RG_ARRAY_LIMIT) makes the scalar call.  Returns (values, failures):
+    values holds what the scalar calls return, NaN where one raises;
+    failures maps the index of each such element, in index order, to its
+    error.
+    """
+    x = np.asarray(x, dtype=float)
+    values = np.full(x.size, math.nan)
+    with np.errstate(invalid="ignore"):  # NaN and inf compare False here
+        own = np.abs(x) <= _RG_ARRAY_LIMIT
+        pole = own & _is_nonpositive_integer(x)
+    values[pole] = 0.0
+    run = np.flatnonzero(own & ~pole)
+    xs = x[run]
+    direct = xs >= 0.5
+    ln = _lngamma_positive_array(np.where(direct, xs, 1.0 - xs))
+    failures = {}
+    for i, xi, li in zip(run.tolist(), xs.tolist(), ln.tolist()):
+        if xi >= 0.5:
+            values[i] = math.exp(-li)
+        elif li > 700.0:
+            failures[i] = _recip_gamma_overflow(xi)
+        else:
+            values[i] = _sinpi(xi) / math.pi * math.exp(li)
+    for i in np.flatnonzero(~own).tolist():
+        try:
+            values[i] = recip_gamma(x[i].item())
+        except (TriqError, ArithmeticError) as exc:
+            failures[i] = exc
+    return values, dict(sorted(failures.items()))
 
 
 def gamma(x: float) -> float:
@@ -917,6 +992,104 @@ def _tricomi_tail(a: float, c: float, z: float) -> tuple[float, float]:
         if smallest < 1e-18 * abs(total):
             break
     return z ** (-a) * total, smallest / max(abs(total), 1e-300)
+
+
+def _tricomi_tail_array(a: np.ndarray, c: np.ndarray, z: np.ndarray):
+    """_tricomi_tail over 1-D arrays, each element stopping at its own term.
+
+    Each element does the scalar loop's operations and leaves the live
+    arrays at the term where the scalar loop breaks, so it gets the same
+    sum and smallest term; z ** (-a) is taken per element on Python
+    floats, as the scalar call takes it.  Returns (values, errors,
+    failures): failures maps the index of each element whose power
+    overflows, and so raises in the scalar call, to that error, and its
+    value and error are NaN.  z > 0 everywhere.
+    """
+    n = z.size
+    power = np.full(n, math.nan)
+    failures = {}
+    for i, (ai, zi) in enumerate(zip(a.tolist(), z.tolist())):
+        try:
+            power[i] = zi ** (-ai)
+        except ArithmeticError as exc:
+            failures[i] = exc
+    total_out, smallest_out = np.empty(n), np.empty(n)
+    live = np.arange(n)
+    term, total, smallest = np.ones(n), np.ones(n), np.ones(n)
+
+    def retire(done):
+        nonlocal live, a, c, z, term, total, smallest
+        total_out[live[done]] = total[done]
+        smallest_out[live[done]] = smallest[done]
+        keep = ~done
+        live, a, c, z, term, total, smallest = (
+            v[keep] for v in (live, a, c, z, term, total, smallest))
+
+    with np.errstate(over="ignore", invalid="ignore"):  # silent, as for floats
+        for k in range(500):
+            if not live.size:
+                break
+            term *= (a + k) * (a - c + 1.0 + k) / ((k + 1.0) * (-z))
+            retire(np.abs(term) >= smallest)
+            total += term
+            smallest = np.abs(term)
+            retire(smallest < 1e-18 * np.abs(total))
+        retire(np.ones(live.size, dtype=bool))
+        return (power * total_out,
+                smallest_out / np.maximum(np.abs(total_out), 1e-300), failures)
+
+
+def _tricomi_u_array(b, c, z):
+    """tricomi_u_large_z over 1-D arrays, with the scalar calls' doubles.
+
+    b, c and z hold one call per element.  Every seed tail of the pass,
+    at a and, where the recurrence runs, at a + 1, is summed in one
+    _tricomi_tail_array call; the downward recurrence then runs in
+    lockstep, each element for its own number of steps, in the scalar
+    operation order.  An element with a non-finite argument or z <= 0
+    makes the scalar call for its error.  Returns (values, errors,
+    failures): failures maps the index of each refused element, in index
+    order, to the error its scalar call raises, and its value and error
+    are NaN.
+    """
+    b, c, z = (np.asarray(v, dtype=float) for v in (b, c, z))
+    values, errors = np.full(z.size, math.nan), np.full(z.size, math.nan)
+    failures = {}
+    with np.errstate(invalid="ignore"):
+        valid = np.isfinite(b) & np.isfinite(c) & np.isfinite(z) & (z > 0.0)
+    for i in np.flatnonzero(~valid).tolist():
+        try:
+            tricomi_u_large_z(b[i].item(), c[i].item(), z[i].item())
+        except TriqError as exc:
+            failures[i] = exc
+    run = np.flatnonzero(valid)
+    b, c, z = b[run], c[run], z[run]
+    steps = np.where(b < 0.0, np.ceil(-b), 0.0)
+    a = b + steps
+    rec = np.flatnonzero(steps > 0.0)  # these also seed at a + 1
+    m = run.size
+    tails, errs, tail_failures = _tricomi_tail_array(
+        np.concatenate([a, a[rec] + 1.0]), np.concatenate([c, c[rec]]),
+        np.concatenate([z, z[rec]]))
+    low, err = tails[:m], errs[:m]
+    high, err_high = tails[m:], errs[m:]
+    err[rec] = np.where(err_high > err[rec], err_high, err[rec])  # max()
+    a, c, z, steps, low_r = a[rec], c[rec], z[rec], steps[rec], low[rec]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for s in range(int(steps.max(initial=0.0))):
+            go = np.flatnonzero(steps > s)
+            ag, cg, lo = a[go], c[go], low_r[go]
+            low_r[go] = (2.0 * ag - cg + z[go]) * lo - ag * (ag - cg + 1.0) * high[go]
+            high[go] = lo
+            a[go] = ag - 1.0
+    low[rec] = low_r
+    values[run], errors[run] = low, err
+    for j, exc in sorted(tail_failures.items()):
+        i = int(run[j if j < m else rec[j - m]])
+        if i not in failures:
+            failures[i] = exc
+            values[i] = errors[i] = math.nan
+    return values, errors, dict(sorted(failures.items()))
 
 
 def tricomi_u_large_z(b: float, c: float, z: float) -> tuple[float, float]:

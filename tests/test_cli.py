@@ -51,6 +51,12 @@ class TestGolden:
         # (45 of 100 rows refused by the Kummer guards, 271 DD reruns)
         ("transmission --axis V0 --min 0.05 --max 0.9 --points 120",
          "33e19eacb74cb69a1de0f86e8f8fb720348a61f2e873d16eea23e331932c12b4"),
+        # the width axis, where the x = a interface moves from point to point
+        ("transmission --axis a --min 1 --max 12 --points 120",
+         "d99e01f4b957d3620bb47eb45927ddc23839965d93e151e87596142f5b751756"),
+        # the printed-sign interior with the canonical columns
+        ("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity signs",
+         "f7305021ccfe36eba1f8fd52dbcb24332d0a6bc52fa8811275043ef347f7b211"),
         ("transmission --min 2.25 --max 3.9 --points 100",
          "9fe9fce941f474b7d106abf16839f165ea8b1e8b4831506eaa535feb6ae54edb"),
         # one-point runs: a double-double point and a refused row

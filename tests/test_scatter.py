@@ -7,6 +7,7 @@ right (residual + Wronskian + trajectory agreement), then the assembled
 
 import dataclasses
 import math
+import random
 import warnings
 
 import numpy as np
@@ -61,7 +62,7 @@ class TestRegionIIBasis:
         n = 7000
         xs = [BARRIER.a * i / n for i in range(n + 1)]
         grid = basis.kernels(np.array(xs))
-        values = [fn(point)[0] for point in grid.points()]
+        values = [fn(point)[0] for point in kernel_points(grid)]
         report = ode_residual(xs, values, make_weight(0.1, MASS, BARRIER, U))
         assert report.conclusive
         assert report.residual <= 1e-6
@@ -118,7 +119,7 @@ class TestRegionIIBasis:
         basis = basis_for(barrier_coefficients(E, MASS, BARRIER, U))
         grid = basis.kernels(np.array(xs))
         assert all(isinstance(f, np.ndarray) for f in grid)
-        for x, point in zip(xs, grid.points()):
+        for x, point in zip(xs, kernel_points(grid)):
             assert ([f.hex() for f in point]
                     == [f.hex() for f in basis.kernels(x)]), x
 
@@ -172,17 +173,12 @@ class TestRegionIIBasis:
         # for the subtraction form and too small for the recurrence's seed,
         # and at z = 17 the spied recurrence raises
         basis = RegionIIBasis(b_param=2.2, sqrt_a1=1.0, y_offset=0.0)
-        tricomi = triq.scatter.tricomi_u_large_z
-
-        def spied(b, c, z):
-            if z == 17.0:
-                raise DomainError("spied recurrence failure")
-            return tricomi(b, c, z)
-
-        monkeypatch.setattr(triq.scatter, "tricomi_u_large_z", spied)
+        failing_recurrence(monkeypatch, {17.0})
         grid = basis.kernels(np.sqrt(zs))
         want = second_outcome(lambda: second_loop(basis, grid))
         assert want[0] == error.__name__
+        if error is DomainError:  # the (b, 1/2) call's, made first
+            assert want[1] == "spied recurrence failure at c=0.5, z=17.0"
         assert second_outcome(lambda: basis.second(grid)) == want
 
     def test_grid_second_small_and_numpy_scalar_kernels(self):
@@ -192,7 +188,7 @@ class TestRegionIIBasis:
         grid = basis.kernels(np.array([0.5, BARRIER.a]))
         value, deriv = basis.second(_Kernels._make(f[:0] for f in grid))
         assert value.shape == deriv.shape == (0,)
-        for i, point in enumerate(grid.points()):
+        for i, point in enumerate(kernel_points(grid)):
             want = [v.hex() for v in basis.second(point)]
             one = basis.second(_Kernels._make(f[i:i + 1] for f in grid))
             assert [v.hex() for v in np.concatenate(one).tolist()] == want
@@ -215,6 +211,37 @@ class TestRegionIIBasis:
 
 
 class TestAbbreviations:
+    def test_grid_abbreviations_at_the_vertex(self):
+        # y = 0 at x = 0: the printed f1', f3' and f5' divide by
+        # sqrt(a1) y = 0, and each grid element must be the scalar double
+        bases = [RegionIIBasis(b_param=b, sqrt_a1=s, y_offset=0.0)
+                 for b, s in ((0.3, 1.0), (-2.7, 0.4), (1.5, 2.0), (-0.5, 0.7))]
+        b, s, offset = (np.array(v) for v in zip(
+            *((p.b_param, p.sqrt_a1, p.y_offset) for p in bases)))
+        ker0, _, failures = triq.scatter._interface_kernels(b, s, offset,
+                                                            np.ones(len(b)))
+        assert failures == {}
+        rg = [getattr(p, name) for p in bases for name in ("rg_bh", "rg_b", "rg_f6")]
+        rg_bh, rg_b, rg_f6 = np.reshape(rg, (-1, 3)).T
+        grid = triq.scatter._abbreviations(b, s, rg_bh, rg_b, rg_f6, ker0)
+        for j, basis in enumerate(bases):
+            want = abbreviations_at(basis, basis.kernels(0.0))
+            assert want.f1p != want.f1p  # 0/0, the NaN branch
+            for name in ("f1p", "f3p", "f5p", "f7"):
+                assert getattr(grid, name)[j].item().hex() == \
+                    getattr(want, name).hex(), (j, name)
+
+    def test_grid_div_is_the_scalar_div(self):
+        # 0/0 and NaN/0 are NaN, x/0 an inf of x's sign whatever the sign
+        # of the zero, and any other quotient the IEEE one
+        num = [0.0, -0.0, math.nan, 1.5, -2.0, math.inf, -math.inf, 3.0,
+               -3.0, 1e-300, math.nan]
+        den = [0.0, -0.0, 0.0, -0.0, 0.0, -0.0, 0.0, 7.0, -0.5, 1e300,
+               math.inf]
+        got = _div(np.array(num), np.array(den)).tolist()
+        assert [v.hex() for v in got] == \
+            [_div(n, d).hex() for n, d in zip(num, den)]
+
     def test_value_columns_consistent(self):
         # f1' and f3'-f5' reduce back to the basis values at the interface
         basis = basis_for(barrier_coefficients(0.1, MASS, BARRIER, U))
@@ -519,6 +546,34 @@ class TestInterfaceEvaluatedOnce:
                 transmission(E, MASS, BARRIER, U, fidelity=mode)
                 assert len(calls) == 3
 
+    def test_grid_makes_no_per_point_calls(self, monkeypatch):
+        # a sweep of two or more points builds its systems in grid passes:
+        # no per-point _assemble, abbreviations_at, second() or scalar
+        # 1/Gamma; a lone point takes the scalar route and makes them all
+        calls = []
+
+        def spy(name, fn):
+            def spied(*args):
+                calls.append(name)
+                return fn(*args)
+            return spied
+
+        for owner, name in ((triq.scatter, "_assemble"),
+                            (triq.scatter, "abbreviations_at"),
+                            (triq.scatter.RegionIIBasis, "second"),
+                            (triq.scatter, "recip_gamma"),
+                            (triq.special, "recip_gamma")):
+            monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+        for mode in FIDELITY_MODES:
+            sweep("E", self.GRID, MASS, BARRIER, U, fidelity=mode)
+            sweep("E", [0.1, 3.9], MASS, BARRIER, U, fidelity=mode)
+        assert calls == []
+        transmission(2.25, MASS, BARRIER, U)
+        assert sorted(calls) == sorted(["_assemble", "abbreviations_at",
+                                        "abbreviations_at", "second", "second",
+                                        "recip_gamma", "recip_gamma",
+                                        "recip_gamma"])
+
     @pytest.mark.parametrize("mode", FIDELITY_MODES)
     def test_paper_form_matches_fresh_evaluation(self, mode):
         for E in self.GRID:
@@ -582,12 +637,14 @@ def scalar_airy_calls(monkeypatch):
 
 
 def counted_routes(monkeypatch):
-    """Counters of the double-double Kummer reruns and large-z Tricomi calls."""
+    """Counters of the fixed-point Kummer reruns and of the large-z Tricomi
+    recurrences: a scalar tricomi_u_large_z call counts one, an array call
+    one per element."""
     counts = {"dd": 0, "tricomi": 0}
 
-    def counter(name, fn):
+    def counter(name, fn, size=lambda *args: 1):
         def counted(*args):
-            counts[name] += 1
+            counts[name] += size(*args)
             return fn(*args)
         return counted
 
@@ -595,13 +652,79 @@ def counted_routes(monkeypatch):
                         counter("dd", triq.special._kummer_series_dd))
     monkeypatch.setattr(triq.scatter, "tricomi_u_large_z",
                         counter("tricomi", triq.scatter.tricomi_u_large_z))
+    monkeypatch.setattr(triq.scatter, "_tricomi_u_array",
+                        counter("tricomi", triq.scatter._tricomi_u_array,
+                                lambda b, c, z: len(z)))
     return counts
+
+
+def failing_recurrence(monkeypatch, zs, cs=(0.5, 1.5)):
+    """Make the large-z recurrence fail at every z in zs for c in cs, in
+    the scalar calls and element by element in the array calls."""
+    tricomi = triq.scatter.tricomi_u_large_z
+    tricomi_array = triq.scatter._tricomi_u_array
+
+    def failure(c, z):
+        return DomainError(f"spied recurrence failure at c={c!r}, z={z!r}")
+
+    def spied(b, c, z):
+        if z in zs and c in cs:
+            raise failure(c, z)
+        return tricomi(b, c, z)
+
+    def spied_array(b, c, z):
+        values, errors, failures = tricomi_array(b, c, z)
+        for i, (ci, zi) in enumerate(zip(np.asarray(c).tolist(),
+                                         np.asarray(z).tolist())):
+            if zi in zs and ci in cs:
+                values[i] = errors[i] = math.nan
+                failures.setdefault(i, failure(ci, zi))
+        return values, errors, dict(sorted(failures.items()))
+
+    monkeypatch.setattr(triq.scatter, "tricomi_u_large_z", spied)
+    monkeypatch.setattr(triq.scatter, "_tricomi_u_array", spied_array)
+
+
+def failing_recip_gamma(monkeypatch, failing):
+    """Make 1/Gamma raise failing[x] at every x in failing, in the scalar
+    calls and element by element in the array calls."""
+    rg, rg_array = triq.scatter.recip_gamma, triq.scatter._recip_gamma_array
+
+    def spied(x):
+        if x in failing:
+            raise failing[x]
+        return rg(x)
+
+    def spied_array(x):
+        values, failures = rg_array(x)
+        for i, xi in enumerate(np.asarray(x).tolist()):
+            if xi in failing:
+                values[i] = math.nan
+                failures.setdefault(i, failing[xi])
+        return values, dict(sorted(failures.items()))
+
+    monkeypatch.setattr(triq.scatter, "recip_gamma", spied)
+    monkeypatch.setattr(triq.scatter, "_recip_gamma_array", spied_array)
+
+
+# kernel_points converts grid kernels to Python floats this many points at
+# a time
+POINTS_BLOCK = 256
+
+
+def kernel_points(ker):
+    """Per-point kernels of Python floats from grid kernels, in order: the
+    scalar route's own input.  Converted a block at a time, so a long grid
+    is never held as Python floats all at once."""
+    for i in range(0, len(ker.y), POINTS_BLOCK):
+        block = (f[i:i + POINTS_BLOCK].tolist() for f in ker)
+        yield from map(_Kernels._make, zip(*block))
 
 
 def second_loop(basis, grid):
     """(values, derivatives) of second() on each point of grid kernels in
     turn, as lists of Python floats; the first refusal is raised."""
-    pairs = [basis.second(point) for point in grid.points()]
+    pairs = [basis.second(point) for point in kernel_points(grid)]
     return [v for v, _ in pairs], [d for _, d in pairs]
 
 
@@ -689,6 +812,98 @@ class TestSweep:
         if values[0] == 2.25:
             assert sum(isinstance(g, AccuracyError) for g in got) == 45
             assert loop_counts["dd"] == 271
+
+    @pytest.mark.parametrize("fidelity", FIDELITY_MODES)
+    def test_each_point_keeps_its_first_error(self, monkeypatch, fidelity):
+        # faults planted at single points of a 12-point grid: each refused
+        # point reports the error _assemble raises first there alone
+        # (1/Gamma(b + 1/2), then 1/Gamma(b), then a non-overflow fault of
+        # f6's 1/Gamma, then second() at x = 0, then at x = a), and its
+        # neighbours keep their rows.  The printed-column modes never call
+        # second(), so none of its faults refuses a point there.
+        grid = linear_grid(0.5, 2.25, 12)
+        printed_signs = fidelity in ("signs", "all")
+        bases = [basis_for(barrier_coefficients(E, MASS, BARRIER, U,
+                                                printed_signs=printed_signs))
+                 for E in grid]
+        b = [basis.b_param for basis in bases]
+        z0 = [basis.kernels(0.0).z for basis in bases]
+        za = [basis.kernels(BARRIER.a).z for basis in bases]
+
+        def overflow(x):
+            return AccuracyError(f"spied 1/Gamma overflow at x={x!r}", value=x)
+
+        f6 = [0.25 + (4.0 * v - 1.0) for v in b]
+        failing_recip_gamma(monkeypatch, {
+            b[1] + 0.5: overflow(b[1] + 0.5), b[1]: overflow(b[1]),
+            b[3]: overflow(b[3]),
+            f6[4]: overflow(f6[4]),  # f6 goes NaN; the point stands
+            f6[6]: ZeroDivisionError("spied f6 fault")})
+        # on the (b + 1, 3/2) call, so that the scalar route makes both
+        # calls of the pair, as the array route does
+        failing_recurrence(monkeypatch, {za[3], za[10]}, cs=(1.5,))
+        refused = {z0[6], za[5], z0[8], za[8]}
+        second, companion = RegionIIBasis.second, triq.scatter._companion_grid
+
+        def refusal(z):
+            return AccuracyError(f"spied refusal at z={z!r}", value=z)
+
+        def spied_second(basis, ker):
+            got = second(basis, ker)
+            if ker.z in refused:
+                raise refusal(ker.z)
+            return got
+
+        def spied_companion(b, s, rg_b, rg_bh, ker):
+            value, deriv, failures = companion(b, s, rg_b, rg_bh, ker)
+            for i, z in enumerate(ker.z.tolist()):
+                if z in refused:
+                    failures.setdefault(i, refusal(z))
+            return value, deriv, dict(sorted(failures.items()))
+
+        monkeypatch.setattr(RegionIIBasis, "second", spied_second)
+        monkeypatch.setattr(triq.scatter, "_companion_grid", spied_companion)
+        counts = counted_routes(monkeypatch)
+        want = loop_outcomes("E", grid, fidelity=fidelity)
+        loop_counts = dict(counts)
+        counts.update(dd=0, tricomi=0)
+        got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
+                                           fidelity, False)
+        assert counts == loop_counts
+        assert [outcome_key(g) for g in got] == [outcome_key(w) for w in want]
+        errors = {i: str(g) for i, g in enumerate(got) if isinstance(g, Exception)}
+        expect = {1: str(overflow(b[1] + 0.5)), 3: str(overflow(b[3])),
+                  6: "spied f6 fault"}
+        if fidelity in ("none", "signs"):
+            expect.update({5: str(refusal(za[5])), 8: str(refusal(z0[8])),
+                           10: f"spied recurrence failure at c=1.5, z={za[10]!r}"})
+            assert math.isnan(got[4].T_paper) and math.isfinite(got[4].T_solve)
+        else:
+            # the printed f6 column is NaN: a non-finite system
+            expect[4] = "matching system has non-finite entries"
+        assert errors == expect
+
+    def test_numpy_parameters_give_the_float_outcome(self):
+        # a seeded GaAs-like box: energies and every mass and profile
+        # parameter as np.float64 give the doubles, or the error class and
+        # message, of Python floats, and raise no warning
+        rng = random.Random(20261018)
+        for _ in range(200):
+            V0 = rng.uniform(0.05, 1.0)
+            a = rng.uniform(1.0, 12.0)
+            M0 = rng.uniform(0.03, 0.2)
+            params = (rng.uniform(0.02, 3.0), M0, M0 * rng.uniform(0.0, 1.5),
+                      V0, V0 / a * rng.uniform(0.3, 1.5), a)
+            outcomes = []
+            for E, M0, M1, V0, alpha, a in (params, map(np.float64, params)):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    outcomes.append(loop_outcomes(
+                        "E", [E], MassParams(M0=M0, M1=M1),
+                        PotentialProfile(V0=V0, alpha=alpha, a=a))[0])
+            want, got = (outcome_key(o)[:2] if isinstance(o, Exception)
+                         else outcome_key(o) for o in outcomes)
+            assert got == want, params
 
     def test_stacked_solve_refuses_only_the_bad_members(self):
         # 80 systems (both column modes) with a singular and a non-finite

