@@ -102,6 +102,10 @@ def validate_config(config: RunConfig) -> None:
                           f"got {config.paper_fidelity!r}")
     if config.points < 1:
         raise DomainError(f"points must be >= 1, got {config.points}")
+    for name in ("min", "max", "E_eV"):
+        value = getattr(config, name)
+        if not math.isfinite(value):
+            raise DomainError(f"{name} must be finite, got {value!r}")
     if config.points > 1 and not config.min < config.max:
         raise DomainError("min must be below max for a multi-point sweep")
     for name in ("V0_eV", "a_nm", "M0_m0", "M1_m0_per_nm"):

@@ -141,6 +141,8 @@ def airy_scale(E, mp: MassParams, u: UnitSystem) -> float:
     """Chain-rule factor (H E M1)^(1/3) linking x to the exterior variable."""
     if not E > 0.0:
         raise DomainError(f"exterior Airy form needs E > 0, got {E!r}")
+    if E == math.inf:
+        raise DomainError(f"exterior Airy form needs a finite E, got {E!r}")
     if mp.M1 == 0.0:
         raise DomainError("M1 = 0 has no Airy exterior; use the oracle path")
     return (u.H_per_m0 * E * mp.M1) ** (1.0 / 3.0)
@@ -186,6 +188,8 @@ def barrier_coefficients(E, mp: MassParams, pp: PotentialProfile,
         raise DomainError(f"barrier_coefficients needs kind='barrier', got {pp.kind!r}")
     if not E > 0.0:
         raise DomainError(f"scattering energy must be positive, got {E!r}")
+    if E == math.inf:
+        raise DomainError(f"scattering energy must be finite, got {E!r}")
     return _coefficients(E, mp, pp, u, pp.V0, printed_signs)
 
 

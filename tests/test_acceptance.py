@@ -137,8 +137,9 @@ def test_gate_3_closed_form_vs_oracle():
     energies = np.linspace(0.05, 2.25, 50)
     ts = np.array([transmission(float(E), MASS, BARRIER, U).T_solve
                    for E in energies])
-    worst_t = float(np.max(np.abs(
-        ts / matched_transmission(energies, MASS, BARRIER, U) - 1.0)))
+    oracle_ts = np.array([matched_transmission(E, MASS, BARRIER, U)
+                          for E in energies])
+    worst_t = float(np.max(np.abs(ts / oracle_ts - 1.0)))
     dt = time.perf_counter() - t0
     ok = worst_wave <= 1e-6 and worst_t <= 1e-6 and dt <= 30.0
     _verdict(3, "closed form vs oracle", ok,
@@ -150,17 +151,8 @@ def test_gate_3_closed_form_vs_oracle():
     assert dt <= 30.0
 
 
-# From this many energies on, one lockstep march beats one march per
-# energy (break-even measured on the default barrier, see triq.oracle)
-LOCKSTEP_MIN = 30
-
-
 def _oracle(fn, points):
-    """fn (matched_b1 or matched_transmission) at each (E, profile) point,
-    in one lockstep call when at least LOCKSTEP_MIN points share the
-    profile."""
-    if len(points) >= LOCKSTEP_MIN and len({pp for _, pp in points}) == 1:
-        return fn(np.array([E for E, _ in points]), MASS, points[0][1], U)
+    """fn (matched_b1 or matched_transmission) at each (E, profile) point."""
     return np.array([fn(E, MASS, pp, U) for E, pp in points])
 
 

@@ -1,6 +1,7 @@
 """CLI tests: golden schema, byte determinism, config plumbing, error rows."""
 
 import hashlib
+import math
 
 import pytest
 
@@ -114,6 +115,28 @@ class TestConfig:
             with pytest.raises(DomainError):
                 validate_config(bad)
         validate_config(RunConfig(points=1, min=0.5, max=0.1))  # single point
+
+    @pytest.mark.parametrize("name", ["min", "max", "E_eV"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_grid_values_refused_by_name(self, name, value):
+        for points in (1, 3):
+            config = RunConfig(points=points, **{name: value})
+            with pytest.raises(DomainError,
+                               match=f"^{name} must be finite, got {value!r}$"):
+                validate_config(config)
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--max", "inf", "--points", "3"], "max must be finite, got inf"),
+        (["--points", "1", "--min", "nan"], "min must be finite, got nan"),
+        (["--axis", "V0", "--E_eV=-inf", "--min", "0.1", "--max", "0.4",
+          "--points", "2"], "E_eV must be finite, got -inf"),
+    ])
+    def test_non_finite_grid_flags_exit_two(self, tmp_path, capsys, argv,
+                                            message):
+        out = tmp_path / "t.csv"
+        assert main(["transmission", "--out", str(out)] + argv) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
     def test_hash_is_git_blob_sha1(self):
         body = render(RunConfig()).encode()

@@ -162,6 +162,22 @@ class TestCoefficients:
         with pytest.raises(DomainError):
             barrier_coefficients(-0.1, MASS, BARRIER, U)
 
+    def test_energy_refusals_name_the_energy(self):
+        # +inf is refused where E enters; E <= 0 and NaN keep their message
+        with pytest.raises(DomainError,
+                           match="^scattering energy must be finite, got inf$"):
+            barrier_coefficients(math.inf, MASS, BARRIER, U)
+        with pytest.raises(DomainError,
+                           match="^exterior Airy form needs a finite E, got inf$"):
+            airy_scale(math.inf, MASS, U)
+        for E in (0.0, -0.1, -math.inf, math.nan):
+            with pytest.raises(DomainError, match=(
+                    f"^scattering energy must be positive, got {E!r}$")):
+                barrier_coefficients(E, MASS, BARRIER, U)
+            with pytest.raises(DomainError, match=(
+                    f"^exterior Airy form needs E > 0, got {E!r}$")):
+                airy_scale(E, MASS, U)
+
 
 class TestAiryArgument:
     def test_interface_values(self):

@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -107,6 +108,13 @@ class TestSpecValidation:
         with pytest.raises(DomainError):
             IntegrationSpec(0.0, 1.0, 0.3, 1.0, 0.0)
 
+    @pytest.mark.parametrize("end", ["x_start", "x_end"])
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_ends(self, end, x):
+        ends = {"x_start": 0.0, "x_end": 1.0, end: x}
+        with pytest.raises(DomainError, match=f"{end} must be finite, got {x!r}"):
+            IntegrationSpec(ends["x_start"], ends["x_end"], 1e-3, 1.0, 0.0)
+
     def test_step_count(self):
         assert IntegrationSpec(0.0, 2.0, 1e-3, 1.0, 0.0).n_steps == 2000
         assert IntegrationSpec(2.0, 0.0, 0.5, 1.0, 0.0).n_steps == 4
@@ -161,11 +169,13 @@ class TestIntegrate:
         with pytest.raises(AccuracyError) as info:
             integrate(spec, 1.0, CONST_MASS, None, U)
         assert info.value.value > HALVING_GATE
-        # on a grid every energy is gated and the worst one named (the gap
-        # grows with k; 1e-6 eV alone passes)
-        with pytest.raises(AccuracyError, match=r" at E = 1\.0 eV") as grid:
-            integrate(spec, np.array([1e-6, 1.0, 0.5]), CONST_MASS, None, U)
-        assert grid.value.value == info.value.value
+        assert f"gap {info.value.value!r}" in str(info.value)
+        # the gap grows with k: 0.5 eV fails by less, 1e-6 eV passes
+        with pytest.raises(AccuracyError) as lower:
+            integrate(spec, 0.5, CONST_MASS, None, U)
+        assert HALVING_GATE < lower.value.value < info.value.value
+        assert integrate(spec, 1e-6, CONST_MASS, None, U).halving_gap \
+            <= HALVING_GATE
 
 
 def reference_march(x0, x1, n, v, d, weight, friction):
@@ -206,20 +216,19 @@ def called_friction(full):
 
 
 def assert_near_loop(want, got, rel=1e-12):
-    """Endpoints within rel of the loop's on each energy's state scale:
-    the product march rounds in another order."""
-    wv, wd, gv, gd = (np.ravel(a) for a in (*want, *got))
-    scale = np.maximum(np.abs(wv), np.abs(wd))
-    assert np.all(np.abs(gv - wv) <= rel * scale), (wv, gv)
-    assert np.all(np.abs(gd - wd) <= rel * scale), (wd, gd)
+    """Endpoints within rel of the loop's on its state scale: the product
+    march rounds in another order."""
+    (wv, wd), (gv, gd) = want, got
+    scale = max(abs(wv), abs(wd))
+    assert abs(gv - wv) <= rel * scale, (wv, gv)
+    assert abs(gd - wd) <= rel * scale, (wd, gd)
 
 
 def march_box(seed=4093):
     """Seeded march cases: (x0, x1, n, E, v, d, pp, full) for every step
     count around the block size, friction on and off, on each side of the
     mass zero x* = 1 nm (friction is singular there) and in both
-    directions.  E, v and d are 1-D arrays of 1, 5 or 9 energies, not
-    multiples of the column chunk."""
+    directions."""
     rng = random.Random(seed)
     cases = []
     for n in (1, _MARCH_BLOCK - 1, _MARCH_BLOCK, _MARCH_BLOCK + 1,
@@ -234,16 +243,11 @@ def march_box(seed=4093):
                     lo = rng.uniform(1.1, 3.0)
                     hi = lo + span
                 x0, x1 = (lo, hi) if rng.random() < 0.5 else (hi, lo)
-                m = rng.choice((1, 5, 9))
-                E, v, d = (np.array([rng.uniform(*box) for _ in range(m)])
+                E, v, d = (rng.uniform(*box)
                            for box in ((0.02, 2.25), (-1.0, 1.0), (-1.0, 1.0)))
                 cases.append((x0, x1, n, E, v, d,
                               rng.choice((BARRIER, None)), full))
     return cases
-
-
-def hexes(*arrays):
-    return [[a.hex() for a in np.ravel(x).tolist()] for x in arrays]
 
 
 class TestMarch:
@@ -251,8 +255,7 @@ class TestMarch:
     @pytest.mark.parametrize("full", [False, True])
     @pytest.mark.parametrize("x0, x1", [(0.0, 0.9), (7.0, 1.4), (-2.0, 0.0)])
     def test_inline_weight_is_the_called_one(self, pp, full, x0, x1):
-        grid = np.array([0.07, 0.6, 2.1])
-        for E in grid.tolist() + [grid]:
+        for E in (0.07, 0.6, 2.1):
             want = reference_march(x0, x1, 700, 0.3, -1.1, called_weight(E, pp),
                                    called_friction(full))
             got = _march(x0, x1, 700, 0.3, -1.1, make_weight(E, MASS, pp, U),
@@ -265,33 +268,16 @@ class TestMarch:
 
     def test_product_agrees_with_the_step_loop(self):
         for x0, x1, n, E, v, d, pp, full in march_box():
-            e, v0, d0 = E[0].item(), v[0].item(), d[0].item()
-            want = reference_march(x0, x1, n, v0, d0, called_weight(e, pp),
+            want = reference_march(x0, x1, n, v, d, called_weight(E, pp),
                                    called_friction(full))
-            got = _march(x0, x1, n, v0, d0, make_weight(e, MASS, pp, U), full)
+            got = _march(x0, x1, n, v, d, make_weight(E, MASS, pp, U), full)
             assert all(type(g) is float for g in got)
             assert_near_loop(want, got)
 
-    def test_lockstep_is_the_scalar_march(self):
-        # the block split depends on n alone and the column chunks change
-        # no element's arithmetic: every energy gets the scalar bits,
-        # whether the state is shared or one per energy
-        for x0, x1, n, E, v, d, pp, full in march_box():
-            start = hexes(v, d)
-            alone = [_march(x0, x1, n, vi, di, make_weight(e, MASS, pp, U), full)
-                     for e, vi, di in zip(E.tolist(), v.tolist(), d.tolist())]
-            lockstep = _march(x0, x1, n, v, d, make_weight(E, MASS, pp, U), full)
-            assert hexes(*lockstep) == hexes(*zip(*alone))
-            assert hexes(v, d) == start  # the caller's states persist
-            shared = _march(x0, x1, n, v[0], d[0], make_weight(E, MASS, pp, U),
-                            full)
-            assert hexes(shared[0][:1], shared[1][:1]) == hexes(*alone[0])
-
-    def test_nan_energy_fails_the_gate_by_name(self):
+    def test_nan_energy_fails_the_gate(self):
         spec = IntegrationSpec(0.0, 7.0, 1e-3, 0.3, -1.1)
-        grid = np.array([0.4, 1.3, math.nan, 2.0, 0.1])
-        with pytest.raises(AccuracyError, match=r" at E = nan eV") as info:
-            integrate(spec, grid, MASS, BARRIER, U)
+        with pytest.raises(AccuracyError, match=r"gap nan$") as info:
+            integrate(spec, math.nan, MASS, BARRIER, U)
         assert math.isnan(info.value.value)
 
 
@@ -309,6 +295,30 @@ class TestFullEquation:
         got = integrate(IntegrationSpec(2.0, 0.0, 1e-3, 1.0, 0.0),
                         0.1, MASS, BARRIER, U, full_equation=True)
         assert got.x_stop == pytest.approx(MASS.mass_zero_nm + 0.01, abs=1e-12)
+
+    @pytest.mark.parametrize("x0, x1, x_stop", [(0.0, 1.0, 0.99),
+                                                 (2.0, 1.0, 1.01)])
+    def test_range_ending_at_mass_zero_stops_short(self, x0, x1, x_stop):
+        # the mass zero x* = 1 nm is an end of the range: the march stops
+        # ten steps short of it, as a crossing does, without a warning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = integrate(IntegrationSpec(x0, x1, 1e-3, 1.0, 0.0),
+                            0.1, MASS, BARRIER, U, full_equation=True)
+        assert got.x_stop == pytest.approx(x_stop, abs=1e-12)
+        # the same as the range that ends there
+        want = integrate(IntegrationSpec(x0, got.x_stop, 1e-3, 1.0, 0.0),
+                         0.1, MASS, BARRIER, U, full_equation=True)
+        assert (got.value, got.derivative) == (want.value, want.derivative)
+
+    @pytest.mark.parametrize("x0, x1", [(1.0, 0.0), (1.0, 2.0), (1.005, 0.0)])
+    def test_range_starting_at_mass_zero_is_refused(self, x0, x1):
+        # from x* (or within ten steps of it) there is nothing to march
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=r"mass zero x\* = 1\.0 nm"):
+                integrate(IntegrationSpec(x0, x1, 1e-3, 1.0, 0.0),
+                          0.1, MASS, BARRIER, U, full_equation=True)
 
     def test_constant_mass_reduces_to_plain(self):
         spec = IntegrationSpec(0.0, 2.0, 1e-3, 1.0, 0.0)
@@ -446,20 +456,21 @@ class TestMatchedTransmission:
         thin = PotentialProfile(V0=0.45, alpha=0.45 / 1e-4, a=1e-4)
         assert abs(matched_transmission(0.1, MASS, thin, U) - 1.0) < 1e-3
 
+    def test_infinite_energy_is_refused_by_name(self):
+        for fn in (matched_b1, matched_transmission):
+            with pytest.raises(DomainError, match="finite E, got inf"):
+                fn(math.inf, MASS, BARRIER, U)
+
     def test_frozen_signed_amplitudes(self):
-        # scalar calls give the frozen doubles, one lockstep march over the
-        # grid gives the same bits, and both are within 1e-12 of the step
-        # loop's
-        grid = np.array([row[0] for row in ORACLE_TABLE])
-        lockstep = zip(matched_b1(grid, MASS, BARRIER, U),
-                       matched_transmission(grid, MASS, BARRIER, U))
-        for (E, b1, t, loop_b1, loop_t), (grid_b1, grid_t) in zip(ORACLE_TABLE,
-                                                                   lockstep):
-            assert matched_b1(E, MASS, BARRIER, U).hex() == b1 == grid_b1.hex()
-            assert (matched_transmission(E, MASS, BARRIER, U).hex() == t
-                    == grid_t.hex())
+        # the frozen doubles, as Python floats or np.float64, within 1e-12
+        # of the step loop's
+        for E, b1, t, loop_b1, loop_t in ORACLE_TABLE:
+            for e in (E, np.float64(E)):
+                got_b1 = matched_b1(e, MASS, BARRIER, U)
+                got_t = matched_transmission(e, MASS, BARRIER, U)
+                assert type(got_b1) is float and type(got_t) is float
+                assert (got_b1.hex(), got_t.hex()) == (b1, t)
             assert float.fromhex(b1) == pytest.approx(float.fromhex(loop_b1),
                                                       rel=1e-12, abs=0.0)
             assert float.fromhex(t) == pytest.approx(float.fromhex(loop_t),
                                                      rel=1e-12, abs=0.0)
-        assert grid.tolist() == [row[0] for row in ORACLE_TABLE]  # untouched

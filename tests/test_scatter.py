@@ -21,7 +21,7 @@ from triq.errors import (AccuracyError, ConditioningError, DomainError,
                          TriqError)
 from triq.model import (MassParams, PotentialProfile, airy_scale,
                         barrier_coefficients, make_units)
-from triq.oracle import (IntegrationSpec, integrate, make_weight,
+from triq.oracle import (IntegrationSpec, integrate, make_weight, matched_b1,
                          matched_transmission, ode_residual)
 from triq.scatter import (
     FIDELITY_MODES,
@@ -41,6 +41,24 @@ from triq.special import airy_ai, airy_bi, recip_gamma
 U = make_units()
 MASS = MassParams()
 BARRIER = PotentialProfile()
+
+# most of parameter_box(0)'s 200 points the closed form may refuse; at 31
+# when pinned, all of them AccuracyErrors
+BOX_REFUSALS = 31
+
+
+def parameter_box(seed, n=200):
+    """Seeded GaAs-like points (E, M0, M1, V0, alpha, a): E 0.02-3 eV, V0
+    0.05-1 eV, a 1-12 nm, alpha 0.3-1.5 times V0/a, M0 0.03-0.2 and M1/M0
+    0-1.5."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        V0 = rng.uniform(0.05, 1.0)
+        a = rng.uniform(1.0, 12.0)
+        M0 = rng.uniform(0.03, 0.2)
+        yield (rng.uniform(0.02, 3.0), M0, M0 * rng.uniform(0.0, 1.5),
+               V0, V0 / a * rng.uniform(0.3, 1.5), a)
+
 
 # Transmission at the published operating point, frozen from this solver
 # after it agreed with the marching oracle to 3.9e-14.
@@ -350,6 +368,42 @@ class TestTransmission:
         oracle = matched_transmission(E, MASS, BARRIER, U)
         assert res.T_solve == pytest.approx(oracle, rel=1e-6)
 
+    def test_parameter_box_agrees_with_the_oracle(self):
+        # over a seeded box, each point is computed by both routes with the
+        # same signed b1 to 1e-6, or refused by a TriqError naming its value
+        refused = {"closed form": 0, "oracle": 0}
+        for E, M0, M1, V0, alpha, a in parameter_box(0):
+            mp = MassParams(M0=M0, M1=M1)
+            pp = PotentialProfile(V0=V0, alpha=alpha, a=a)
+            routes = {"closed form": lambda: transmission(E, mp, pp,
+                                                          U).solution.b1,
+                      "oracle": lambda: matched_b1(E, mp, pp, U)}
+            got = {}
+            for route, fn in routes.items():
+                try:
+                    got[route] = fn()
+                except TriqError as exc:
+                    refused[route] += 1
+                    value = (exc.value if isinstance(exc, AccuracyError)
+                             else getattr(exc, "energy_eV", None))
+                    assert value is not None and repr(value) in str(exc), exc
+            if len(got) == 2:
+                b1, oracle = got["closed form"], got["oracle"]
+                assert abs(oracle / b1 - 1.0) <= 1e-6, (E, M0, M1, V0, alpha, a)
+        assert refused["closed form"] <= BOX_REFUSALS
+        assert refused["oracle"] == 0
+
+    def test_infinite_energy_is_refused_by_name(self):
+        # refused where the energy enters, not by the Airy kernel's NaN
+        message = "scattering energy must be finite, got inf"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            transmission(math.inf, MASS, BARRIER, U)
+        rows = sweep("E", [0.1, math.inf], MASS, BARRIER, U)
+        assert [row.flags for row in rows] == [(), ("DomainError",)]
+        got = triq.scatter._sweep_outcomes("E", [0.1, math.inf], MASS, BARRIER,
+                                           U, 0.1, "none", False)
+        assert str(got[1]) == message
+
     def test_rescale_invariance(self):
         solve_ratio, paper_ratio = rescale_diagnostic(0.1, MASS, BARRIER, U)
         assert solve_ratio == pytest.approx(1.0, abs=1e-12)
@@ -512,8 +566,9 @@ class TestInterfaceEvaluatedOnce:
         sweep("E", TestInterfaceEvaluatedOnce.GRID, MASS, BARRIER, U)
         assert calls == []
         # 3000 and 1e4 eV put y3 past Bi's limit (the point is refused by
-        # its kernels, not by Airy); an infinite energy makes y1 and y3 NaN
-        grid = [0.1, 3000.0, 1e4, math.inf]
+        # its kernels, not by Airy); at 1e308 eV, H E overflows and makes
+        # y1 and y3 NaN (an infinite energy is refused before Airy)
+        grid = [0.1, 3000.0, 1e4, 1e308]
         got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
                                            "none", False)
         assert [name for name, _ in calls] == ["airy_ai"] * 2 + ["airy_bi"] * 4
@@ -887,13 +942,7 @@ class TestSweep:
         # a seeded GaAs-like box: energies and every mass and profile
         # parameter as np.float64 give the doubles, or the error class and
         # message, of Python floats, and raise no warning
-        rng = random.Random(20261018)
-        for _ in range(200):
-            V0 = rng.uniform(0.05, 1.0)
-            a = rng.uniform(1.0, 12.0)
-            M0 = rng.uniform(0.03, 0.2)
-            params = (rng.uniform(0.02, 3.0), M0, M0 * rng.uniform(0.0, 1.5),
-                      V0, V0 / a * rng.uniform(0.3, 1.5), a)
+        for params in parameter_box(20261018):
             outcomes = []
             for E, M0, M1, V0, alpha, a in (params, map(np.float64, params)):
                 with warnings.catch_warnings():
