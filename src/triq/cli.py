@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from .bound import spectrum, table1_report
-from .errors import DomainError, TriqError
+from .errors import DomainError, TriqError, require_finite
 from .model import KINDS, MassParams, PotentialProfile, make_units
 from .scatter import AXES, FIDELITY_MODES, sweep
 from .validate import info_lines, run_suites
@@ -102,10 +102,11 @@ def validate_config(config: RunConfig) -> None:
                           f"got {config.paper_fidelity!r}")
     if config.points < 1:
         raise DomainError(f"points must be >= 1, got {config.points}")
-    for name in ("min", "max", "E_eV"):
-        value = getattr(config, name)
-        if not math.isfinite(value):
-            raise DomainError(f"{name} must be finite, got {value!r}")
+    numeric = ["min", "max", "E_eV", "V0_eV", "a_nm", "M0_m0", "M1_m0_per_nm"]
+    if config.alpha_eV_per_nm != "auto":
+        numeric.append("alpha_eV_per_nm")
+    for name in numeric:
+        require_finite(name, getattr(config, name))
     if config.points > 1 and not config.min < config.max:
         raise DomainError("min must be below max for a multi-point sweep")
     for name in ("V0_eV", "a_nm", "M0_m0", "M1_m0_per_nm"):
@@ -155,18 +156,21 @@ def _metadata(config: RunConfig, title: str) -> list[str]:
     ]
 
 
+# the 11 numeric columns as _fmt prints a float, then the flags
+_CSV_ROW = "%.17g," * 11
+
+
 def _csv_rows(rows) -> list[str]:
     out = []
     for row in rows:
         if row.result is None:
-            nums = [row.axis_value] + [math.nan] * 10
+            nums = (row.axis_value,) + (math.nan,) * 10
         else:
             r = row.result
             s = r.solution
-            nums = [row.axis_value, r.T_solve, r.T_paper, r.t1, r.t2,
-                    s.b1, s.b2, s.b3, s.b4, 1.0, r.residual]  # b5 = 1
-        out.append(",".join(_fmt(float(v)) for v in nums)
-                   + "," + ";".join(row.flags))
+            nums = (row.axis_value, r.T_solve, r.T_paper, r.t1, r.t2,
+                    s.b1, s.b2, s.b3, s.b4, 1.0, r.residual)  # b5 = 1
+        out.append(_CSV_ROW % nums + ";".join(row.flags))
     return out
 
 

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the finite-input check."""
+
+import math
 
 
 class TriqError(Exception):
@@ -29,3 +31,12 @@ class ConditioningError(TriqError, ArithmeticError):
     def __init__(self, message: str, energy_eV: float | None = None):
         super().__init__(message)
         self.energy_eV = energy_eV
+
+
+def require_finite(name: str, x) -> float:
+    """x as a Python float, or a DomainError naming it if it is infinite or
+    NaN."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"{name} must be finite, got {x!r}")
+    return x

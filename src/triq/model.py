@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, require_finite
 
 # CODATA-free on purpose: rounded constants pin the numeric convention.
 _HBAR_JS = 1.05e-34
@@ -47,14 +47,15 @@ def make_units() -> UnitSystem:
 
 
 def _take_floats(params, names) -> None:
-    """Store the fields names of a frozen dataclass as Python floats.
+    """Store the fields names of a frozen dataclass as Python floats,
+    refusing an infinite or NaN one by name.
 
     Parameters are taken to float once, where they are checked, so that
     np.float64 input runs the same float arithmetic as Python floats:
     that raises where numpy would only warn, and prints the same reprs.
     """
     for name in names:
-        object.__setattr__(params, name, float(getattr(params, name)))
+        object.__setattr__(params, name, require_finite(name, getattr(params, name)))
 
 
 @dataclass(frozen=True)
@@ -65,11 +66,11 @@ class MassParams:
     M1: float = 0.067
 
     def __post_init__(self):
-        if not (self.M0 > 0.0 and math.isfinite(self.M0)):
-            raise DomainError(f"M0 must be positive, got {self.M0!r}")
-        if not (self.M1 >= 0.0 and math.isfinite(self.M1)):
-            raise DomainError(f"M1 must be non-negative, got {self.M1!r}")
         _take_floats(self, ("M0", "M1"))
+        if not self.M0 > 0.0:
+            raise DomainError(f"M0 must be positive, got {self.M0!r}")
+        if not self.M1 >= 0.0:
+            raise DomainError(f"M1 must be non-negative, got {self.M1!r}")
 
     @property
     def mass_zero_nm(self) -> float:
@@ -99,11 +100,11 @@ class PotentialProfile:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise DomainError(f"kind must be 'barrier' or 'well', got {self.kind!r}")
+        _take_floats(self, ("V0", "alpha", "a"))
         for name in ("V0", "alpha", "a"):
             v = getattr(self, name)
-            if not (v > 0.0 and math.isfinite(v)):
+            if not v > 0.0:
                 raise DomainError(f"{name} must be positive, got {v!r}")
-        _take_floats(self, ("V0", "alpha", "a"))
 
     @property
     def edge_eV(self) -> float:
@@ -145,6 +146,9 @@ def airy_scale(E, mp: MassParams, u: UnitSystem) -> float:
         raise DomainError(f"exterior Airy form needs a finite E, got {E!r}")
     if mp.M1 == 0.0:
         raise DomainError("M1 = 0 has no Airy exterior; use the oracle path")
+    # airy_argument takes H E M0 as well as H E M1
+    if not math.isfinite(u.H_per_m0 * float(E) * max(mp.M0, mp.M1)):
+        raise DomainError(f"exterior Airy form overflows at E = {E!r}")
     return (u.H_per_m0 * E * mp.M1) ** (1.0 / 3.0)
 
 
@@ -190,7 +194,12 @@ def barrier_coefficients(E, mp: MassParams, pp: PotentialProfile,
         raise DomainError(f"scattering energy must be positive, got {E!r}")
     if E == math.inf:
         raise DomainError(f"scattering energy must be finite, got {E!r}")
-    return _coefficients(E, mp, pp, u, pp.V0, printed_signs)
+    rc = _coefficients(E, mp, pp, u, pp.V0, printed_signs)
+    # lam carries a2^2 and a3: the first coefficient to overflow as E grows
+    if not math.isfinite(rc.lam):
+        raise DomainError(
+            f"scattering energy overflows the interior coefficients, got {E!r}")
+    return rc
 
 
 def well_coefficients(E, mp: MassParams, pp: PotentialProfile,

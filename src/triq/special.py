@@ -30,10 +30,11 @@ two-term form from the Kummer series here, or tricomi_u_large_z where the
 subtraction cancels, chosen by each route's error estimate.
 
 Four kernels also run over a 1-D array, element for element the doubles
-of the scalar calls: _kummer_m_array (one plain-series pass), _airy_array,
-_recip_gamma_array and _tricomi_u_array.  The Airy array makes one
-Maclaurin pass for Ai and Bi together and one lockstep Taylor march, each
-element with its own steps and stop rules.  The asymptotic regimes stay
+of the scalar calls: _kummer_m_array (one plain-series pass, summing a
+block of terms per numpy step), _airy_array, _recip_gamma_array and
+_tricomi_u_array.  The Airy array makes one Maclaurin pass for Ai and Bi
+together and one lockstep Taylor march, each element with its own steps
+and stop rules.  The asymptotic regimes stay
 one scalar call per element (though one for Ai and Bi together): they
 rest on libm's pow, exp and sin and on the 34-digit phase, which numpy's
 ufuncs need not reproduce to the bit.  For the same reason the Gamma and
@@ -50,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import AccuracyError, DomainError, TriqError
+from .errors import AccuracyError, DomainError, TriqError, require_finite
 
 __all__ = [
     "AiryPair",
@@ -83,6 +84,19 @@ _KUMMER_FAIL_LOSS = 1.0e12
 # its stop rule's 1e-33 as the integer ratio of sum|terms| to a term
 _KUMMER_FIXED_BITS = 160
 _KUMMER_FIXED_STOP = 10 ** 33
+# _kummer_series_array's blocks: at most this many doubles per buffer, the
+# carried row included, and from _MIN to _MAX terms per block.  A smaller
+# budget cuts validate's 7001-point grid into more, shorter numpy calls
+# (8192 left its four calls no faster than one term per pass); 12288 was
+# 4% faster there but read validate's peak RSS 0.6 MB higher, memory the
+# C allocator kept after the call
+_KUMMER_BLOCK_BUDGET = 11264
+_KUMMER_BLOCK_MIN = 4
+_KUMMER_BLOCK_MAX = 32
+_KUMMER_K = np.arange(1.0, _KUMMER_MAX_TERMS + 1.0)[:, None]  # k, a column
+# weight B + 1 - j of a block's row j; the largest stopped weight marks
+# the first stop (int8 keeps the pass over the block's mask short)
+_KUMMER_ROW_WEIGHTS = np.arange(_KUMMER_BLOCK_MAX, 0, -1, dtype=np.int8)[:, None]
 
 # Airy evaluation regimes: Maclaurin series around 0, Taylor marching along
 # the ODE in the mid range, asymptotics beyond.  Boundaries sized so series
@@ -100,13 +114,6 @@ _AIRY_BI_OVERFLOW = 103.0
 # to first order and grows with ulp(zeta), so the 1e-12 envelope bound holds
 # at -1e6 and not at -1e7 (1.5e-12 there, 55 at -1e12, against mpmath).
 _AIRY_NEG_LIMIT = -1.0e6
-
-
-def _require_finite(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x):
-        raise DomainError(f"{name} must be finite, got {x!r}")
-    return x
 
 
 def _is_nonpositive_integer(x):
@@ -177,7 +184,7 @@ def _lngamma_positive(x: float) -> float:
 
 def recip_gamma(x: float) -> float:
     """1/Gamma(x); exactly 0.0 at the poles x = 0, -1, -2, ..."""
-    x = _require_finite("x", x)
+    x = require_finite("x", x)
     if _is_nonpositive_integer(x):
         return 0.0
     if x >= 0.5:
@@ -460,7 +467,7 @@ def _airy_asym_neg(y: float) -> tuple[float, float, float, float]:
 
 def airy_ai(y: float) -> AiryPair:
     """Airy Ai and Ai' at a finite real point."""
-    y = _require_finite("y", y)
+    y = require_finite("y", y)
     if y < _AIRY_NEG_LIMIT:
         raise AccuracyError(f"airy_ai accuracy lost at y={y!r}, "
                             f"below {_AIRY_NEG_LIMIT!r}", value=y)
@@ -489,7 +496,7 @@ def airy_ai(y: float) -> AiryPair:
 
 def airy_bi(y: float) -> AiryPair:
     """Airy Bi and Bi' at a finite real point."""
-    y = _require_finite("y", y)
+    y = require_finite("y", y)
     if y > _AIRY_BI_OVERFLOW:
         raise AccuracyError(f"airy_bi overflow at y={y!r}", value=y)
     if y < _AIRY_NEG_LIMIT:
@@ -783,18 +790,37 @@ def _fixed_to_float(n: int, p: int) -> float:
 
 
 def _kummer_series_array(b, c, z: np.ndarray):
-    """_kummer_series over a 1-D array of z, in one pass for all elements.
+    """_kummer_series over a 1-D array of z, every element with the scalar
+    loop's doubles.
 
     b and c are floats, shared by every element, or arrays of z's shape,
     one parameter pair per element: validate's x grid passes floats, one
     call per series, and a transmission sweep passes the 8 series of all
-    its points in one call.  Each element does the scalar loop's
-    operations: the same term update, Neumaier branch and stop rule, so it
-    gets the same doubles.  An element leaves the live arrays at the term
-    where the scalar loop breaks.  Returns (sum, sum of |terms|,
-    converged); where the scalar loop runs out of terms and raises,
-    converged is False and both sums are NaN.  Overflow and inf - inf are
-    silent, as they are for Python floats.
+    its points in one call.  Returns (sum, sum of |terms|, converged);
+    where the scalar loop runs out of terms and raises, converged is False
+    and both sums are NaN.  Overflow and inf - inf are silent, as they are
+    for Python floats.
+
+    The sum runs in blocks: one numpy pass computes B terms of every live
+    element, B from 4 to 32 as the live count allows.  A block holds, for
+    each element, its state after the previous block (row 0) and its next
+    B terms (rows 1..B): the ratios r_k = (b + k - 1) z / ((c + k - 1) k)
+    for all B rows at once, then the term product and the Neumaier sum
+    row after row, the compensation terms for all rows at once and their
+    running sum and sum of |terms| row after row, and the stop rule and
+    the zero-term exit for all rows at once.  Each row is one scalar
+    iteration, its operations in the scalar loop's order, so each element
+    gets the scalar loop's doubles: it retires at its first stop, with the
+    sums of that row, and the rows it computed past that are dropped.  The
+    scalar loop breaks at a zero term before adding it, but adding it
+    changes no sum (s + 0 is s, and the compensation term (s - s) + 0 is
+    +0; once s has overflowed, s + comp is NaN either way), so the zero
+    term's row holds the sums from before it.  Live arrays are compacted
+    once per block, not per term.
+
+    A block's buffers hold at most _KUMMER_BLOCK_BUDGET doubles each (5
+    buffers and their masks, about 0.5 MB); a longer z is summed in equal
+    parts of at most the budget over 5 elements, so that B >= 4.
 
     This is the only array summer, and it only sums: the loss gates stay
     with _kummer_m_array, which walks each point's series in order and
@@ -804,41 +830,97 @@ def _kummer_series_array(b, c, z: np.ndarray):
     n = z.size
     value, abs_out = np.full(n, math.nan), np.full(n, math.nan)
     converged = np.zeros(n, dtype=bool)
-    live, zl = np.arange(n), z
-    s, comp, abs_sum = np.ones(n), np.zeros(n), np.ones(n)
-    term, prev_mag = np.ones(n), np.ones(n)
-
-    def retire(done):
-        nonlocal live, zl, s, comp, abs_sum, term, prev_mag, b, c
-        idx = live[done]
-        value[idx] = s[done] + comp[done]
-        abs_out[idx] = abs_sum[done]
-        converged[idx] = True
-        keep = ~done
-        live, zl, s, comp, abs_sum, term, prev_mag = (
-            a[keep] for a in (live, zl, s, comp, abs_sum, term, prev_mag))
-        b, c = (p[keep] if np.ndim(p) else p for p in (b, c))
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(1, _KUMMER_MAX_TERMS + 1):
-            # updated in place, so no state array is live twice
-            term *= (b + k - 1.0) * zl / ((c + k - 1.0) * k)
-            zero = term == 0.0
-            if zero.any():
-                retire(zero)  # terminating parameter: a polynomial
-            mag = np.abs(term)
-            t = s + term
-            comp += np.where(np.abs(s) >= mag, (s - t) + term, (term - t) + s)
-            s = t
-            abs_sum += mag
-            if k >= 4:
-                done = (mag < 1e-17 * abs_sum) & (mag <= prev_mag)
-                if done.any():
-                    retire(done)
-                    mag = mag[~done]
-            if not live.size:
-                break
-            prev_mag = mag
+    if not n:
+        return value, abs_out, converged
+    ks = _KUMMER_K
+    # the factors of r_k that a float parameter fixes, for every k
+    num = None if np.ndim(b) else (b + ks) - 1.0
+    den = None if np.ndim(c) else ((c + ks) - 1.0) * ks
+    # term, sum, compensation, sum of |terms| and |term|, one row per term
+    work = np.empty((5, _KUMMER_BLOCK_BUDGET))
+    parts = -(-n // (_KUMMER_BLOCK_BUDGET // (_KUMMER_BLOCK_MIN + 1)))
+    step = -(-n // parts)
+    mul, add = np.multiply, np.add
+    # the rows an element computes past its stop may overflow or divide by
+    # c + k - 1 = 0; they are dropped
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for lo in range(0, n, step):
+            live = np.arange(lo, min(n, lo + step))
+            zl = z[live]
+            bl, cl = (p[live] if np.ndim(p) else p for p in (b, c))
+            m = live.size
+            work[:4, :m] = ((1.0,), (1.0,), (0.0,), (1.0,))
+            k = 1  # the first row's term
+            while True:
+                rows = min(_KUMMER_BLOCK_MAX, _KUMMER_BLOCK_BUDGET // m - 1,
+                           _KUMMER_MAX_TERMS + 1 - k)
+                size = (rows + 1) * m
+                term, s, comp, abs_sum, mag = (
+                    w[:size].reshape(rows + 1, m) for w in work)
+                new, s0, s1, comp1, mag1 = term[1:], s[:-1], s[1:], comp[1:], mag[1:]
+                kk = ks[k - 1:k - 1 + rows]
+                if num is None:
+                    add(bl, kk, new)
+                    new -= 1.0
+                    new *= zl
+                else:
+                    mul(num[k - 1:k - 1 + rows], zl, new)
+                if den is None:
+                    add(cl, kk, s1)  # s1 is written only below
+                    s1 -= 1.0
+                    s1 *= kk
+                    new /= s1
+                else:
+                    new /= den[k - 1:k - 1 + rows]
+                for t0, t1, sa, sb in zip(term, new, s0, s1):
+                    mul(t0, t1, t1)
+                    add(sa, t1, sb)
+                np.abs(term, out=mag)
+                # Neumaier: (s - t) + term where |s| >= |term|, else
+                # (term - t) + s; comp1 is scratch until it holds them
+                swap = ~(np.abs(s0, out=comp1) >= mag1)
+                np.subtract(s0, s1, out=comp1)
+                comp1 += new
+                flip = np.flatnonzero(swap)
+                if flip.size:
+                    comp1.put(flip, (new.take(flip) - s1.take(flip)) + s0.take(flip))
+                for c0, c1, a0, a1, m1 in zip(comp, comp1, abs_sum, abs_sum[1:], mag1):
+                    add(c0, c1, c1)
+                    add(a0, m1, a1)
+                # the stop rule, with rows 0..B-1 of term as scratch (the
+                # carried term is row B).  From k = 4 a zero term meets it
+                # too (no NaN comes before a zero term, and sum|terms| >= 1),
+                # so stop marks both exits; below k = 4 only a zero term stops
+                stop = mag1 < mul(abs_sum[1:], 1e-17, term[:-1])
+                stop &= mag1 <= mag[:-1]
+                if k < 4:
+                    np.equal(mag1[:4 - k], 0.0, out=stop[:4 - k])
+                # B + 1 - (row of the first stop), 0 where none stops
+                first = mul(stop, _KUMMER_ROW_WEIGHTS[-rows:], dtype=np.int8).max(axis=0)
+                hit = first > 0
+                k += rows
+                carried = work[:4, rows * m:size]
+                if hit.any():
+                    cols = np.flatnonzero(hit)
+                    at = (rows + 1 - first[cols]).astype(np.intp)
+                    at *= m
+                    at += cols
+                    s_at, comp_at, abs_at = work[1:4].take(at, axis=1)
+                    done = live[cols]
+                    value[done] = s_at + comp_at
+                    abs_out[done] = abs_at
+                    converged[done] = True
+                    keep = np.flatnonzero(~hit)
+                    if not keep.size or k > _KUMMER_MAX_TERMS:
+                        break
+                    live, zl = live[keep], zl[keep]
+                    bl, cl = (p[keep] if np.ndim(p) else p for p in (bl, cl))
+                    m = keep.size
+                    carried.take(keep, axis=1, out=work[:4, :m])
+                else:
+                    if k > _KUMMER_MAX_TERMS:
+                        break
+                    work[:4, :m] = carried
     return value, abs_out, converged
 
 
@@ -889,9 +971,9 @@ def kummer_m(b: float, c: float, z: float) -> float:
     (b a non-positive integer), in which case the exact polynomial is
     summed directly.  |z| beyond the envelope raises AccuracyError.
     """
-    b = _require_finite("b", b)
-    c = _require_finite("c", c)
-    z = _require_finite("z", z)
+    b = require_finite("b", b)
+    c = require_finite("c", c)
+    z = require_finite("z", z)
     if _is_nonpositive_integer(c):
         raise DomainError(f"kummer_m undefined at non-positive integer c={c!r}")
     if abs(z) > KUMMER_ENVELOPE:
@@ -965,7 +1047,7 @@ def kummer_m_regularized(b: float, c: float, z: float) -> float:
     continuous in c (the pole of Gamma cancels the vanishing denominator
     pattern of the series).
     """
-    c = _require_finite("c", c)
+    c = require_finite("c", c)
     if _is_nonpositive_integer(c):
         m = int(-c)
         lead = _pochhammer(b, m + 1) * z ** (m + 1)
@@ -1103,9 +1185,9 @@ def tricomi_u_large_z(b: float, c: float, z: float) -> tuple[float, float]:
     at full precision once z is past roughly 40 and degrades honestly
     below, so callers choose between this and the subtraction form.
     """
-    b = _require_finite("b", b)
-    c = _require_finite("c", c)
-    z = _require_finite("z", z)
+    b = require_finite("b", b)
+    c = require_finite("c", c)
+    z = require_finite("z", z)
     if z <= 0.0:
         raise DomainError(f"tricomi_u_large_z requires z > 0, got {z!r}")
     steps = max(0, math.ceil(-b)) if b < 0.0 else 0

@@ -2,11 +2,15 @@
 
 import hashlib
 import math
+import random
 
+import numpy as np
 import pytest
 
 from triq.cli import (
+    _CSV_ROW,
     CSV_HEADER,
+    _fmt,
     RunConfig,
     cmd_transmission,
     config_hash,
@@ -125,11 +129,31 @@ class TestConfig:
                                match=f"^{name} must be finite, got {value!r}$"):
                 validate_config(config)
 
+    @pytest.mark.parametrize("name", ["V0_eV", "a_nm", "M0_m0", "M1_m0_per_nm",
+                                      "alpha_eV_per_nm"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_parameters_refused_by_name(self, name, value):
+        with pytest.raises(DomainError,
+                           match=f"^{name} must be finite, got {value!r}$"):
+            validate_config(RunConfig(**{name: value}))
+
+    def test_non_positive_parameters_keep_their_message(self):
+        for name in ("V0_eV", "a_nm", "M0_m0", "M1_m0_per_nm"):
+            with pytest.raises(DomainError, match=f"^{name} must be positive$"):
+                validate_config(RunConfig(**{name: 0.0}))
+        with pytest.raises(DomainError,
+                           match="^alpha_eV_per_nm must be positive or 'auto'$"):
+            validate_config(RunConfig(alpha_eV_per_nm=-0.1))
+
     @pytest.mark.parametrize("argv, message", [
         (["--max", "inf", "--points", "3"], "max must be finite, got inf"),
         (["--points", "1", "--min", "nan"], "min must be finite, got nan"),
         (["--axis", "V0", "--E_eV=-inf", "--min", "0.1", "--max", "0.4",
           "--points", "2"], "E_eV must be finite, got -inf"),
+        (["--V0_eV", "inf", "--points", "1", "--min", "0.1"],
+         "V0_eV must be finite, got inf"),
+        (["--alpha_eV_per_nm", "nan"], "alpha_eV_per_nm must be finite, got nan"),
+        (["--M0_m0=-inf"], "M0_m0 must be finite, got -inf"),
     ])
     def test_non_finite_grid_flags_exit_two(self, tmp_path, capsys, argv,
                                             message):
@@ -189,6 +213,17 @@ class TestTransmissionCommand:
         assert rows[0][1] == "nan"
         assert rows[-1][-1] == ""
         assert float(rows[-1][1]) == pytest.approx(132.54430898227582, rel=1e-10)
+
+    def test_row_template_is_fmt_of_each_column(self):
+        # one "%.17g," template per row prints what _fmt(float(v)) did,
+        # nan, inf and -0 included, for Python floats and np.float64
+        rng = random.Random(20183)
+        rows = [(0.1, math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
+                 1.7976931348623157e308, -1e-300, 1.0, 0.30000000000000004)]
+        rows += [tuple(rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-320, 308)
+                       for _ in range(11)) for _ in range(200)]
+        for row in rows + [tuple(map(np.float64, row)) for row in rows]:
+            assert _CSV_ROW % row == "".join(_fmt(float(v)) + "," for v in row)
 
     def test_stdout_when_no_out(self, capsys):
         assert main(["transmission", "--points", "1", "--min", "0.1"]) == 0

@@ -1,6 +1,8 @@
 import math
 import random
+import re
 
+import numpy as np
 import pytest
 
 from triq.errors import DomainError
@@ -59,10 +61,18 @@ class TestMassParams:
         assert MassParams(M0=0.067, M1=0.0).mass_zero_nm == math.inf
 
     def test_validation(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^M0 must be positive, got 0.0$"):
             MassParams(M0=0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^M1 must be non-negative, got -0.1$"):
             MassParams(M1=-0.1)
+
+    @pytest.mark.parametrize("name", ["M0", "M1"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_refused_by_name(self, name, value):
+        # np.float64 input gets the Python float's message
+        for v in (value, np.float64(value)):
+            with pytest.raises(DomainError, match=f"^{name} must be finite, got {value!r}$"):
+                MassParams(**{name: v})
 
 
 class TestPotentialProfile:
@@ -79,10 +89,18 @@ class TestPotentialProfile:
     def test_validation(self):
         with pytest.raises(DomainError):
             PotentialProfile(kind="step")
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^alpha must be positive, got 0.0$"):
             PotentialProfile(alpha=0.0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^a must be positive, got -1.0$"):
             PotentialProfile(a=-1.0)
+
+    @pytest.mark.parametrize("name", ["V0", "alpha", "a"])
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_refused_by_name(self, name, value):
+        # np.float64 input gets the Python float's message
+        for v in (value, np.float64(value)):
+            with pytest.raises(DomainError, match=f"^{name} must be finite, got {value!r}$"):
+                PotentialProfile(**{name: v})
 
 
 class TestCoefficients:
@@ -177,6 +195,26 @@ class TestCoefficients:
             with pytest.raises(DomainError, match=(
                     f"^exterior Airy form needs E > 0, got {E!r}$")):
                 airy_scale(E, MASS, U)
+
+    def test_overflowing_energy_refused_by_name(self):
+        # a2^2 overflows lam from about 7.6e153 eV, H E from about 6.8e306
+        assert math.isfinite(barrier_coefficients(1e153, MASS, BARRIER, U).lam)
+        for E in (1e155, 1e300, 6.7e306):
+            with pytest.raises(DomainError, match=re.escape(
+                    f"scattering energy overflows the interior coefficients, "
+                    f"got {E!r}") + "$"):
+                barrier_coefficients(E, MASS, BARRIER, U)
+        assert math.isfinite(airy_scale(6.7e306, MASS, U))
+        for E in (6.9e306, 1e308, 1.7976931348623157e308):
+            for refuse in (lambda: airy_scale(E, MASS, U),
+                           lambda: barrier_coefficients(E, MASS, BARRIER, U)):
+                with pytest.raises(DomainError, match=re.escape(
+                        f"exterior Airy form overflows at E = {E!r}") + "$"):
+                    refuse()
+        # M0 above M1: H E M0 overflows first, and airy_argument takes it
+        heavy = MassParams(M0=2.0, M1=0.067)
+        with pytest.raises(DomainError, match="^exterior Airy form overflows"):
+            airy_scale(3.5e306, heavy, U)
 
 
 class TestAiryArgument:

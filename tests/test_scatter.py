@@ -8,6 +8,7 @@ right (residual + Wronskian + trajectory agreement), then the assembled
 import dataclasses
 import math
 import random
+import re
 import warnings
 
 import numpy as np
@@ -404,6 +405,22 @@ class TestTransmission:
                                            U, 0.1, "none", False)
         assert str(got[1]) == message
 
+    @pytest.mark.parametrize("E, message", [
+        (1e155, "scattering energy overflows the interior coefficients, got 1e+155"),
+        (7e306, "exterior Airy form overflows at E = 7e+306"),
+        (1e308, "exterior Airy form overflows at E = 1e+308"),
+    ])
+    def test_overflowing_energy_is_refused_by_name(self, E, message):
+        # refused where the coefficients overflow, not by the Airy kernel's
+        # NaN or its accuracy limit, alone and as a sweep row
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            transmission(E, MASS, BARRIER, U)
+        rows = sweep("E", [0.1, E], MASS, BARRIER, U)
+        assert [row.flags for row in rows] == [(), ("DomainError",)]
+        got = triq.scatter._sweep_outcomes("E", [0.1, E], MASS, BARRIER,
+                                           U, 0.1, "none", False)
+        assert str(got[1]) == message
+
     def test_rescale_invariance(self):
         solve_ratio, paper_ratio = rescale_diagnostic(0.1, MASS, BARRIER, U)
         assert solve_ratio == pytest.approx(1.0, abs=1e-12)
@@ -566,9 +583,18 @@ class TestInterfaceEvaluatedOnce:
         sweep("E", TestInterfaceEvaluatedOnce.GRID, MASS, BARRIER, U)
         assert calls == []
         # 3000 and 1e4 eV put y3 past Bi's limit (the point is refused by
-        # its kernels, not by Airy); at 1e308 eV, H E overflows and makes
-        # y1 and y3 NaN (an infinite energy is refused before Airy)
-        grid = [0.1, 3000.0, 1e4, 1e308]
+        # its kernels, not by Airy); no energy makes y1 or y3 NaN (one whose
+        # H E overflows is refused with its coefficients, before Airy), so
+        # NaN is planted in those of 2 eV
+        coefficients = triq.scatter.barrier_coefficients
+
+        def planted(E, *args, **kwargs):
+            rc = coefficients(E, *args, **kwargs)
+            return (dataclasses.replace(rc, y1=math.nan, y3=math.nan)
+                    if E == 2.0 else rc)
+
+        monkeypatch.setattr(triq.scatter, "barrier_coefficients", planted)
+        grid = [0.1, 3000.0, 1e4, 1e308, 2.0]
         got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
                                            "none", False)
         assert [name for name, _ in calls] == ["airy_ai"] * 2 + ["airy_bi"] * 4

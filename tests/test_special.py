@@ -17,12 +17,16 @@ import pytest
 
 import triq.scatter
 import triq.special
+import triq.validate
 from triq.errors import AccuracyError, DomainError, TriqError
 from triq.model import (MassParams, PotentialProfile, barrier_coefficients,
                         make_units)
 from triq.scatter import _SECOND_BUDGET, RegionIIBasis, basis_for, sweep
 from triq.special import (
     _AIRY_NEG_LIMIT,
+    _KUMMER_BLOCK_BUDGET,
+    _KUMMER_BLOCK_MAX,
+    _KUMMER_BLOCK_MIN,
     _KUMMER_FAIL_LOSS,
     _KUMMER_MAX_TERMS,
     KUMMER_ENVELOPE,
@@ -31,6 +35,7 @@ from triq.special import (
     _kummer_loss,
     _kummer_m_array,
     _kummer_series,
+    _kummer_series_array,
     _kummer_series_dd,
     _oscillatory_phase,
     _plain_kept,
@@ -630,23 +635,36 @@ def judged(fn, b, c, z):
     return got
 
 
-def recorded_reruns(run):
-    """The rerun inputs of run(), in order."""
-    seen = []
-    dd = triq.special._kummer_series_dd
+def recorded_calls(run):
+    """The (b, c, z) of every plain array sum and every rerun of run(), in
+    order, as two tuples."""
+    sums, reruns = [], []
+    array, dd = triq.special._kummer_series_array, triq.special._kummer_series_dd
 
-    def recorded(*args):
-        seen.append(args)
+    def summed(b, c, z):
+        sums.append(tuple(np.array(p) if np.ndim(p) else p for p in (b, c, z)))
+        return array(b, c, z)
+
+    def rerun(*args):
+        reruns.append(args)
         return dd(*args)
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(triq.special, "_kummer_series_dd", recorded)
+        patch.setattr(triq.special, "_kummer_series_array", summed)
+        patch.setattr(triq.special, "_kummer_series_dd", rerun)
         run()
-    return tuple(seen)
+    return tuple(sums), tuple(reruns)
 
 
-def sweep_reruns(lo, hi, n):
-    return recorded_reruns(lambda: sweep(
+def recorded_reruns(run):
+    """The rerun inputs of run(), in order."""
+    return recorded_calls(run)[1]
+
+
+@functools.cache
+def sweep_calls(lo, hi, n):
+    """recorded_calls of an n-point lo-hi eV sweep on the CLI's grid."""
+    return recorded_calls(lambda: sweep(
         "E", [lo + (hi - lo) * i / (n - 1) for i in range(n)],
         MassParams(), PotentialProfile(), make_units()))
 
@@ -654,13 +672,20 @@ def sweep_reruns(lo, hi, n):
 @functools.cache
 def sweep_dd_inputs():
     """Every rerun input of a 100-point 2.25-3.9 eV sweep, in order."""
-    return sweep_reruns(2.25, 3.9, 100)
+    return sweep_calls(2.25, 3.9, 100)[1]
 
 
 @functools.cache
 def wide_sweep_reruns():
     """Every rerun input of the 200-point 0.02-2.25 eV sweep, in order."""
-    return sweep_reruns(0.02, 2.25, 200)
+    return sweep_calls(0.02, 2.25, 200)[1]
+
+
+@functools.cache
+def validate_grid_sums():
+    """The plain array sums of validate's interior-equation grid (four
+    series over 7001 points), in order."""
+    return recorded_calls(triq.validate.suite_interior_equation)[0]
 
 
 @functools.cache
@@ -842,6 +867,151 @@ class TestKummerKernelsBitIdentical:
         assert list(failures) == [0, 1]
         assert (type(failures[0]).__name__, str(failures[0])) == \
             scalar_outcome(b, c, 0.5)
+
+
+def series_exit(b, c, z):
+    """(k, how) of the term where _kummer_series stops: "zero" for a zero
+    term, "stop" for its stop rule; None where it runs out of terms."""
+    abs_sum = term = prev_mag = 1.0
+    for k in range(1, _KUMMER_MAX_TERMS + 1):
+        term *= (b + k - 1.0) * z / ((c + k - 1.0) * k)
+        if term == 0.0:
+            return k, "zero"
+        mag = abs(term)
+        abs_sum += mag
+        if k >= 4 and mag < 1e-17 * abs_sum and mag <= prev_mag:
+            return k, "stop"
+        prev_mag = mag
+    return None
+
+
+def array_sums(b, c, z):
+    """(sum, sum of |terms|) by .hex() and the converged flag of each element
+    of _kummer_series_array."""
+    value, abs_sum, converged = _kummer_series_array(b, c, np.asarray(z, dtype=float))
+    return list(zip([v.hex() for v in value.tolist()],
+                    [v.hex() for v in abs_sum.tolist()], converged.tolist()))
+
+
+def scalar_sums(b, c, z):
+    """array_sums from one _kummer_series call per element: NaN sums and
+    False where the call raises."""
+    z = np.asarray(z, dtype=float)
+    out = []
+    for bj, cj, zj in zip(*(np.broadcast_to(p, z.shape).tolist() for p in (b, c, z))):
+        try:
+            out.append((*(v.hex() for v in _kummer_series(bj, cj, zj)), True))
+        except AccuracyError:
+            out.append(("nan", "nan", False))
+    return out
+
+
+class TestKummerSeriesArray:
+    """The block sum is the scalar loop, element by element, at every edge
+    of a block: a few live elements take blocks of _KUMMER_BLOCK_MAX terms,
+    k = 1..B, B+1..2B, and so on."""
+
+    B = _KUMMER_BLOCK_MAX
+
+    @pytest.mark.parametrize("k", [1, B, B + 1, B + B // 2, 2 * B])
+    def test_zero_term_on_each_row_of_a_block(self, k):
+        # b = 1 - k makes term k zero: the first and last rows of the first
+        # block, and the first, a middle and the last row of the second;
+        # the short series beside it stop on their own
+        b, zs = 1.0 - k, [60.0, 1e-3, 120.0, 5.0, 0.5]
+        assert series_exit(b, 1.5, 60.0) == series_exit(b, 1.5, 120.0) == (k, "zero")
+        assert array_sums(b, 1.5, zs) == scalar_sums(b, 1.5, zs)
+
+    def test_stop_at_the_first_term_the_rule_allows(self):
+        zs = [1e-6, 1e-5, 3e-6, 2.0]
+        assert [series_exit(0.3, 1.5, z)[0] for z in zs[:3]] == [4, 4, 4]
+        assert array_sums(0.3, 1.5, zs) == scalar_sums(0.3, 1.5, zs)
+        # b one ulp above -2 makes term 3 tiny, and this z cancels the sum
+        # to 2e-16 of its terms: term 3 already meets the stop rule, and
+        # term 4, summed only because the rule starts at k = 4, moves the
+        # sum's last bits
+        b, z = math.nextafter(-2.0, 0.0), 0.27525512860841095
+        assert series_exit(b, 0.5, z) == (4, "stop")
+        assert array_sums(b, 0.5, [z, 2.0]) == scalar_sums(b, 0.5, [z, 2.0])
+
+    def test_long_series_among_short_ones_across_the_budget(self):
+        # the longest series of the 0.02-2.25 eV sweep (234 terms) among
+        # 5000 short ones: the array is summed in parts, and the live count
+        # falls through every block size from the floor to the cap
+        b, c, z_long = -17.489782963331226, 0.5, 141.833888995766
+        assert series_exit(b, c, z_long) == (234, "stop")
+        n = 5000
+        assert n * (_KUMMER_BLOCK_MIN + 1) > _KUMMER_BLOCK_BUDGET
+        rng = random.Random(20181)
+        zs = [rng.uniform(0.01, 20.0) for _ in range(n)]
+        zs[1234] = z_long
+        assert array_sums(b, c, zs) == scalar_sums(b, c, zs)
+        # and with a parameter pair per element
+        bs = np.array([rng.uniform(-40.0, 3.0) for _ in range(n)])
+        cs = np.array([rng.choice((0.5, 1.5)) for _ in range(n)])
+        bs[1234], cs[1234] = b, c
+        assert array_sums(bs, cs, zs) == scalar_sums(bs, cs, zs)
+
+    def test_series_stopping_in_the_block_cut_at_the_term_cap(self):
+        # the last block is cut at _KUMMER_MAX_TERMS (1200 is not a multiple
+        # of B): series stopping on its first, a middle and its last row
+        # but one, and one still short of its stop at 1200, which the scalar
+        # loop raises for and the array reports unconverged with NaN sums
+        assert _KUMMER_MAX_TERMS % self.B
+        last = _KUMMER_MAX_TERMS - _KUMMER_MAX_TERMS % self.B + 1
+        cz = [20250.0, 20500.0, 20750.0, 21000.0, 3.0]
+        assert [series_exit(1.0, x, x) for x in cz[:4]] == [
+            (last, "stop"), (1192, "stop"), (1199, "stop"), None]
+        got = array_sums(1.0, np.array(cz), cz)
+        assert got == scalar_sums(1.0, np.array(cz), cz)
+        assert got[3] == ("nan", "nan", False)
+
+    @pytest.mark.parametrize("b, c, z", [
+        (math.nan, 0.5, 2.0),  # NaN terms
+        (0.5, math.nan, 2.0),
+        (0.5, 1.5, math.nan),
+        (0.5, 1.5, math.inf),  # an infinite first term
+        (1e3, 0.5, 300.0),  # terms past the double range
+        (-2.5, 0.5, -math.inf),
+        (0.5, 1.5, 5e-324),  # a first term that underflows to zero
+    ])
+    def test_nan_and_inf_terms(self, b, c, z):
+        bs = np.array([b, 0.5, -3.0])
+        cs = np.array([c, 1.5, 2.5])
+        zs = [z, 7.0, 40.0]
+        got = array_sums(bs, cs, zs)
+        assert got == scalar_sums(bs, cs, zs)
+        assert got[0][2] == (z == 5e-324)
+
+    def test_empty_z(self):
+        for b, c in ((0.5, 1.5), (np.array([]), np.array([]))):
+            value, abs_sum, converged = _kummer_series_array(b, c, np.array([]))
+            assert value.shape == abs_sum.shape == converged.shape == (0,)
+            assert value.dtype == abs_sum.dtype == float
+            assert converged.dtype == bool
+
+    @pytest.mark.parametrize("form", ["floats", "float64", "arrays",
+                                      "b array", "c array"])
+    def test_parameter_forms(self, form):
+        rng = random.Random(20182)
+        zs = [300.0 * (1.0 - rng.random()) for _ in range(40)]
+        b, c = -7.25, 1.5
+        bs = np.array([rng.uniform(-60.0, 3.0) for _ in zs])
+        cs = np.array([rng.choice((0.5, 1.5, 2.5)) for _ in zs])
+        b, c = {"floats": (b, c), "float64": (np.float64(b), np.float64(c)),
+                "arrays": (bs, cs), "b array": (bs, c), "c array": (b, cs)}[form]
+        assert array_sums(b, c, zs) == scalar_sums(b, c, zs)
+
+    def test_workload_corpora(self):
+        # every plain sum of the 0.02-2.25, 0.02-0.44 and 2.25-3.9 eV
+        # sweeps and of validate's 4 x 7001 interior grid
+        corpora = [sweep_calls(0.02, 2.25, 200)[0], sweep_calls(0.02, 0.44, 200)[0],
+                   sweep_calls(2.25, 3.9, 100)[0], validate_grid_sums()]
+        assert [[z.size for _, _, z in calls] for calls in corpora] == \
+            [[1600], [1600], [688], [7001] * 4]
+        for calls in corpora:
+            for b, c, z in calls:
+                assert array_sums(b, c, z) == scalar_sums(b, c, z)
 
 
 def scalar_outcome(b, c, z):
