@@ -171,7 +171,7 @@ class RegionIIBasis:
         into the matrix, whose non-finite entry still refuses the point.
         """
         try:
-            return recip_gamma(0.25 + (4.0 * self.b_param - 1.0))
+            return recip_gamma(_f6_gamma_argument(self.b_param))
         except AccuracyError:
             return math.nan
 
@@ -420,12 +420,22 @@ def abbreviations_at(basis: RegionIIBasis, ker: _Kernels) -> AbbreviationSet:
                           basis.rg_b, basis.rg_f6, ker)
 
 
+def _lam_over_root(b):
+    """lam / sqrt(a1) = 4b - 1, inverted from b_param (a float or an array)."""
+    return 4.0 * b - 1.0
+
+
+def _f6_gamma_argument(b):
+    """1/4 + lam/sqrt(a1), f6's printed Gamma argument (a float or an array)."""
+    return 0.25 + _lam_over_root(b)
+
+
 def _abbreviations(b, s, rg_bh, rg_b, rg_f6, ker: _Kernels) -> AbbreviationSet:
     """abbreviations_at from b, sqrt(a1) and the basis's three 1/Gamma:
     floats for one point, or arrays with one entry per kernel point,
     elementwise (the caller silences numpy)."""
     y = ker.y
-    lam_over_root = 4.0 * b - 1.0  # lam / sqrt(a1), inverted from b_param
+    lam_over_root = _lam_over_root(b)
     pre = s * y * ker.damp
     f1 = pre * ker.m_val
     f2 = pre * ker.m_dval
@@ -821,7 +831,7 @@ def _assemble_grid(rcs, exteriors, widths, printed_columns: bool) -> list:
     ker0, kera, failures = _interface_kernels(b, s, offset,
                                               np.array(widths, dtype=float))
     rg, rg_failures = _recip_gamma_array(
-        np.concatenate([b + 0.5, b, 0.25 + (4.0 * b - 1.0)]))
+        np.concatenate([b + 0.5, b, _f6_gamma_argument(b)]))
     rg_bh, rg_b, rg_f6 = np.split(rg, 3)  # NaN where refused
     for j, exc in rg_failures.items():  # index order is the reading order
         if j < 2 * n or not isinstance(exc, AccuracyError):

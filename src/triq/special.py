@@ -4,10 +4,9 @@ Everything here is hand-rolled on purpose: the scattering and spectrum
 modules are exercised against an integration oracle that is forbidden from
 sharing any of this code, so these kernels carry their own pinned accuracy
 contracts instead of delegating to a library.  Where doubles run out,
-the arithmetic is carried wider: the Kummer series under heavy cancellation
-is rerun in exact Python integers as fixed point, and the Airy phase at
-large |y| in 34 digits of the standard library's decimal module, through
-one context of this module's own.
+the arithmetic is carried in exact Python integers as fixed point: the
+rerun of a Kummer series under heavy cancellation, and the Airy phase at
+large |y|.
 
 Contracts (relative error unless stated):
     airy_ai / airy_bi   <= 1e-12 for |y| <= 30 (refused below y = -1e6)
@@ -34,18 +33,17 @@ of the scalar calls: _kummer_m_array (one plain-series pass, summing a
 block of terms per numpy step), _airy_array, _recip_gamma_array and
 _tricomi_u_array.  The Airy array makes one Maclaurin pass for Ai and Bi
 together and one lockstep Taylor march, each element with its own steps
-and stop rules.  The asymptotic regimes stay
-one scalar call per element (though one for Ai and Bi together): they
-rest on libm's pow, exp and sin and on the 34-digit phase, which numpy's
-ufuncs need not reproduce to the bit.  For the same reason the Gamma and
-Tricomi arrays do their + - * / in numpy, in the scalar operation order,
-and take log, exp, sin(pi x) and z ** (-a) per element on Python floats.
+and stop rules.  The asymptotic regimes stay one scalar call per element
+(though one for Ai and Bi together): they rest on libm's pow, exp and sin,
+which numpy's ufuncs need not reproduce to the bit, and on the fixed-point
+phase.  For the same reason the Gamma and Tricomi arrays do their + - * /
+in numpy, in the scalar operation order, and take log, exp, sin(pi x) and
+z ** (-a) per element on Python floats.
 A single point is cheaper through the scalar calls, which stay.
 """
 
 from __future__ import annotations
 
-import decimal
 import math
 from typing import NamedTuple
 
@@ -123,19 +121,6 @@ def _is_nonpositive_integer(x):
 
 
 # ---------------------------------------------------------------------------
-# Extended precision for the oscillatory Airy phase at large |y|, where a
-# plain double pipeline would breach the contract (the Kummer rerun is
-# integer fixed point, _kummer_series_dd).  Every operation goes through
-# this context's own methods, and floats enter by the exact
-# Decimal.from_float (the Decimal(float) constructor flags FloatOperation
-# in the caller's context, and raises where that is trapped), so the
-# caller's decimal context neither changes a result nor is changed.
-
-_DEC = decimal.Context(prec=34, rounding=decimal.ROUND_HALF_EVEN)
-_DEC_PI4 = decimal.Decimal("0.7853981633974483096156608458198757")  # pi/4
-
-
-# ---------------------------------------------------------------------------
 # Gamma
 
 
@@ -185,8 +170,8 @@ def _lngamma_positive(x: float) -> float:
 def recip_gamma(x: float) -> float:
     """1/Gamma(x); exactly 0.0 at the poles x = 0, -1, -2, ..."""
     x = require_finite("x", x)
-    if _is_nonpositive_integer(x):
-        return 0.0
+    if _is_nonpositive_integer(x) or x > _RG_ARRAY_LIMIT:
+        return 0.0  # 1/Gamma underflows from x ~ 178
     if x >= 0.5:
         return math.exp(-_lngamma_positive(x))
     # Reflection: 1/Gamma(x) = Gamma(1-x) * sin(pi x) / pi
@@ -201,8 +186,8 @@ def _recip_gamma_overflow(x: float) -> AccuracyError:
     return AccuracyError(f"recip_gamma overflow at x={x!r}", value=x)
 
 
-# |x| up to which _recip_gamma_array sums an element itself; past it the
-# Stirling series' z * z overflows (the scalar call then divides 0 by 0)
+# |x| up to which ln Gamma is summed: past it the Stirling series' z * z
+# may overflow, and recip_gamma gives 0.0 (a pole, or 1/Gamma underflowed)
 _RG_ARRAY_LIMIT = 2.0 ** 500
 
 
@@ -264,17 +249,21 @@ def _recip_gamma_array(x):
     for i in np.flatnonzero(~own).tolist():
         try:
             values[i] = recip_gamma(x[i].item())
-        except (TriqError, ArithmeticError) as exc:
+        except TriqError as exc:
             failures[i] = exc
     return values, dict(sorted(failures.items()))
 
 
 def gamma(x: float) -> float:
-    """Gamma(x) on the real line; raises DomainError at the poles."""
-    rg = recip_gamma(x)
-    if rg == 0.0:
+    """Gamma(x) on the real line; refuses poles and values past the double range."""
+    x = require_finite("x", x)
+    if _is_nonpositive_integer(x):
         raise DomainError(f"gamma pole at x={x!r}")
-    return 1.0 / rg
+    rg = recip_gamma(x)
+    g = 1.0 / rg if rg != 0.0 else math.inf
+    if math.isinf(g):
+        raise AccuracyError(f"gamma overflow at x={x!r}", value=x)
+    return g
 
 
 def _pochhammer(x: float, n: int) -> float:
@@ -371,27 +360,35 @@ def _airy_march(y: float, x0: float, w: float, wp: float) -> tuple[float, float]
     return w, wp
 
 
-def _airy_asym_pos(y: float) -> tuple[float, float, float, float]:
-    """(Ai, Ai', Bi, Bi') for y >= _AIRY_ASYM_POS from the exponential asymptotics."""
-    zeta = (2.0 / 3.0) * y * math.sqrt(y)
-    # Sums S(+-) = sum (+-1)^k u_k / zeta^k and the v_k companions.
-    su_m = su_p = 1.0
-    sv_m = sv_p = 1.0
+def _asym_terms(zeta: float):
+    """Yield (k, u_k / zeta^k, v_k / zeta^k) of the Airy asymptotic series
+    (DLMF 9.7.2), the one place for its recurrence and stop rule: it is
+    asymptotic, so it stops before the first term that does not shrink, or
+    after one below 1e-18."""
     u_term = 1.0
     prev = math.inf
     for k in range(1, 60):
         u_term *= (6.0 * k - 1.0) * (6.0 * k - 5.0) / (72.0 * k * zeta)
-        v_term = u_term * (6.0 * k + 1.0) / (1.0 - 6.0 * k)
-        if abs(u_term) >= prev:
-            break  # asymptotic tail started growing; stop at the floor
-        prev = abs(u_term)
+        mag = abs(u_term)
+        if mag >= prev:
+            return  # asymptotic tail started growing; stop at the floor
+        yield k, u_term, u_term * (6.0 * k + 1.0) / (1.0 - 6.0 * k)
+        if mag < 1e-18:
+            return
+        prev = mag
+
+
+def _airy_asym_pos(y: float) -> tuple[float, float, float, float]:
+    """(Ai, Ai', Bi, Bi') for y >= _AIRY_ASYM_POS from the exponential asymptotics."""
+    zeta = (2.0 / 3.0) * y * math.sqrt(y)
+    # Sums S(+-) = sum (+-1)^k u_k / zeta^k and the v_k companions.
+    su_m = su_p = sv_m = sv_p = 1.0
+    for k, u_term, v_term in _asym_terms(zeta):
         sgn = -1.0 if (k & 1) else 1.0
         su_m += sgn * u_term
         su_p += u_term
         sv_m += sgn * v_term
         sv_p += v_term
-        if abs(u_term) < 1e-18:
-            break
     root4 = y ** 0.25
     e_neg = math.exp(-zeta)
     ai = 0.5 * e_neg * su_m / (_SQRT_PI * root4)
@@ -399,8 +396,7 @@ def _airy_asym_pos(y: float) -> tuple[float, float, float, float]:
     if zeta > 700.0:
         # Growing pair not representable; airy_bi guards against reaching
         # this point, airy_ai just discards these.
-        bi = math.inf
-        bip = math.inf
+        bi = bip = math.inf
     else:
         e_pos = math.exp(zeta)
         bi = e_pos * su_p / (_SQRT_PI * root4)
@@ -408,22 +404,33 @@ def _airy_asym_pos(y: float) -> tuple[float, float, float, float]:
     return ai, aip, bi, bip
 
 
+# the Airy phase's fixed-point bits, and pi/4 (0.C90FDAA2... hex) in them, rounded
+_PHASE_BITS = 256
+_PI4_FIXED = 0xC90FDAA22168C234C4C6628B80DC1CD129024E088A67CC74020BBEA63B139B22
+
+
 def _oscillatory_phase(t: float) -> tuple[float, float, float]:
     """(zeta, sin(omega), cos(omega)) with omega = (2/3)t^(3/2) - pi/4.
 
-    The phase is carried in 34 digits (_DEC): a plain double loses
-    eps*zeta of absolute phase, which near an oscillation zero is the whole
-    relative-error budget.  omega = wh + wl is split into its double and
-    the remainder, which enters to first order.
+    A double loses eps*zeta of absolute phase, near an oscillation zero the
+    whole error budget, so zeta and omega are integers scaled by 2^P (P =
+    _PHASE_BITS), as in the Kummer rerun: t = n / 2^e enters exactly, and
+    zeta = floor(2n isqrt(n 2^(2P - e)) / (3 2^e)).  For 9.5 <= t <= 1e6
+    (the caller's range) omega is within (2t/3 + 3/2) 2^-P < 2^-236 of the
+    exact phase: under 2t/3 units from the square root's floor, 3/2 from
+    zeta's floor and pi/4's rounding.  zeta, omega's double wh and the
+    remainder wl = omega - wh are each rounded once, so wh + wl is within
+    2^-54 ulp(wh) + 2^-236 of omega; wl enters to first order.
     """
-    td = decimal.Decimal.from_float(t)
-    zeta = _DEC.divide(_DEC.multiply(_DEC.multiply(2, td), _DEC.sqrt(td)), 3)
-    omega = _DEC.subtract(zeta, _DEC_PI4)
-    wh = float(omega)
-    wl = float(_DEC.subtract(omega, decimal.Decimal.from_float(wh)))
-    sw = math.sin(wh)
-    cw = math.cos(wh)
-    return float(zeta), sw + wl * cw, cw - wl * sw
+    n, d = t.as_integer_ratio()
+    root = math.isqrt(n << (2 * _PHASE_BITS - d.bit_length() + 1))
+    zeta = 2 * n * root // (3 * d)
+    omega = zeta - _PI4_FIXED
+    wh = _fixed_to_float(omega, _PHASE_BITS)
+    hn, hd = wh.as_integer_ratio()
+    wl = _fixed_to_float(omega - (hn << _PHASE_BITS) // hd, _PHASE_BITS)
+    sw, cw = math.sin(wh), math.cos(wh)
+    return _fixed_to_float(zeta, _PHASE_BITS), sw + wl * cw, cw - wl * sw
 
 
 def _airy_asym_neg(y: float) -> tuple[float, float, float, float]:
@@ -431,38 +438,23 @@ def _airy_asym_neg(y: float) -> tuple[float, float, float, float]:
     t = -y
     zeta, s, c = _oscillatory_phase(t)
     # Even/odd splits of sum (-1)^k u_k / zeta^k and the v companion.
-    ue = 1.0
-    uo = 0.0
-    ve = 1.0
-    vo = 0.0
-    u_term = 1.0
-    prev = math.inf
-    for k in range(1, 60):
-        u_term *= (6.0 * k - 1.0) * (6.0 * k - 5.0) / (72.0 * k * zeta)
-        v_term = u_term * (6.0 * k + 1.0) / (1.0 - 6.0 * k)
-        if abs(u_term) >= prev:
-            break
-        prev = abs(u_term)
+    ue = ve = 1.0
+    uo = vo = 0.0
+    for k, u_term, v_term in _asym_terms(zeta):
         # (-1)^k applied to the full alternating series sum (-1)^j c_j/zeta^j
         # splits as (-1)^m on even j=2m and odd j=2m+1 entries alike.
-        m, rem = divmod(k, 2)
-        sgn = -1.0 if (m & 1) else 1.0
-        if rem == 0:
-            ue += sgn * u_term
-            ve += sgn * v_term
-        else:
+        sgn = -1.0 if (k & 2) else 1.0
+        if k & 1:
             uo += sgn * u_term
             vo += sgn * v_term
-        if abs(u_term) < 1e-18:
-            break
+        else:
+            ue += sgn * u_term
+            ve += sgn * v_term
     root4 = t ** 0.25
     inv = 1.0 / (_SQRT_PI * root4)
-    ai = inv * (c * ue + s * uo)
-    bi = inv * (-s * ue + c * uo)
     fac = root4 / _SQRT_PI
-    aip = fac * (s * ve - c * vo)
-    bip = fac * (c * ve + s * vo)
-    return ai, aip, bi, bip
+    return (inv * (c * ue + s * uo), fac * (s * ve - c * vo),
+            inv * (-s * ue + c * uo), fac * (c * ve + s * vo))
 
 
 def airy_ai(y: float) -> AiryPair:
@@ -747,10 +739,7 @@ def _kummer_series_dd(b: float, c: float, z: float) -> tuple[float, float]:
     n^2 * 2^(5-160) * 1e12 < 2^-93 of the exact sum, relative.
 
     The name stays from the double-double rerun of earlier versions,
-    because the tracer (as special.kummer.dd) and the tests bind it.  On
-    the 83 reruns of the 200-point 0.02-2.25 eV sweep (Python 3.11, 2-CPU
-    host, best of 15 per input) a call takes 0.07-0.15 ms, 1.8-3.9x the
-    plain sum on its input, and all 83 take 9.7 ms.
+    because the tracer (as special.kummer.dd) and the tests bind it.
     """
     bn, bd = b.as_integer_ratio()
     cn, cd = c.as_integer_ratio()
@@ -963,6 +952,14 @@ def _kummer_sum(b: float, c: float, z: float, plain=None) -> float:
     return value
 
 
+def _vanishing_denominator(c):
+    """Whether a plain-series denominator (c + k) - 1.0 rounds to 0, as for
+    -2^-54 <= c <= 2^-53 or c one ulp above -1 (only k = floor(1.5 - c)
+    can).  A finite float, or an array elementwise (numpy silenced)."""
+    k = (1.5 - c) // 1.0
+    return (k >= 1.0) & (k <= _KUMMER_MAX_TERMS) & ((c + k) - 1.0 == 0.0)
+
+
 def kummer_m(b: float, c: float, z: float) -> float:
     """Confluent hypergeometric 1F1(b; c; z) on the real line.
 
@@ -976,6 +973,8 @@ def kummer_m(b: float, c: float, z: float) -> float:
     z = require_finite("z", z)
     if _is_nonpositive_integer(c):
         raise DomainError(f"kummer_m undefined at non-positive integer c={c!r}")
+    if _vanishing_denominator(c):
+        raise DomainError(f"kummer_m series denominator rounds to 0 at c={c!r}")
     if abs(z) > KUMMER_ENVELOPE:
         raise AccuracyError(
             f"kummer_m envelope |z| <= {KUMMER_ENVELOPE} exceeded at z={z!r}",
@@ -1008,7 +1007,7 @@ def _kummer_m_array(b, c, z):
     bz, cz = np.broadcast_to(b, z.shape), np.broadcast_to(c, z.shape)
     with np.errstate(invalid="ignore"):  # inf // 1.0 is NaN, not an integer
         direct = (np.isfinite(bz) & np.isfinite(cz)
-                  & ~_is_nonpositive_integer(cz)
+                  & ~_is_nonpositive_integer(cz) & ~_vanishing_denominator(cz)
                   & (z > 0.0) & (z <= KUMMER_ENVELOPE))
     sums, abs_sums, converged = _kummer_series_array(
         bz[direct] if np.ndim(b) else b, cz[direct] if np.ndim(c) else c,

@@ -9,8 +9,11 @@ skips where it is not installed.
 import decimal
 import functools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -29,9 +32,12 @@ from triq.special import (
     _KUMMER_BLOCK_MIN,
     _KUMMER_FAIL_LOSS,
     _KUMMER_MAX_TERMS,
+    _PHASE_BITS,
+    _PI4_FIXED,
     KUMMER_ENVELOPE,
     _airy_array,
     _airy_asym_neg,
+    _airy_asym_pos,
     _kummer_loss,
     _kummer_m_array,
     _kummer_series,
@@ -39,6 +45,7 @@ from triq.special import (
     _kummer_series_dd,
     _oscillatory_phase,
     _plain_kept,
+    _recip_gamma_array,
     airy_ai,
     airy_bi,
     gamma,
@@ -353,10 +360,29 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma(-3.0)
 
+    @pytest.mark.parametrize("x", [171.7, 200.0, 1e308, 1e-320, -1e-320, 5e-324])
+    def test_overflow_refused_by_name(self, x):
+        # Gamma(x) past the double range: an AccuracyError naming x, not inf
+        for arg in (x, np.float64(x)):
+            with pytest.raises(AccuracyError, match=re.escape(f"x={x!r}")) as info:
+                gamma(arg)
+            assert info.value.value == x
+        assert math.isfinite(gamma(171.6)) and math.isfinite(gamma(1e-300))
+
+    def test_recip_gamma_underflows_past_the_limit(self):
+        # 1/Gamma underflows from x ~ 178; past _RG_ARRAY_LIMIT, where the
+        # Stirling series' z * z may overflow, both routes give 0.0
+        xs = [180.0, 2.0 ** 500, 2.0 ** 501, 1e200, 1e308, 1.7976931348623157e308]
+        for x in xs:
+            assert recip_gamma(x) == recip_gamma(np.float64(x)) == 0.0
+        for arg in (np.array(xs), np.array(xs, dtype=np.float64)):
+            values, failures = _recip_gamma_array(arg)
+            assert values.tolist() == [0.0] * len(xs) and failures == {}
+
     def test_recip_gamma_array_is_the_scalar_calls(self):
         # both branches, poles, the reflected overflow near -170, and the
         # elements the array route hands to the scalar call: non-finite,
-        # and past 2^500, where the scalar call divides 0 by 0
+        # and past 2^500, where the scalar call gives 0.0
         rng = random.Random(20261018)
         xs = ([rng.uniform(-190.0, 190.0) for _ in range(400)]
               + [rng.uniform(-6.0, 6.0) for _ in range(400)]
@@ -429,6 +455,46 @@ class TestKummer:
     def test_nonpositive_integer_c_raises(self):
         with pytest.raises(DomainError):
             kummer_m(0.5, -2.0, 1.0)
+
+    @pytest.mark.parametrize("c", [1e-17, -1e-17, 1e-16, 2.5e-308, 5e-324,
+                                   -5e-324, math.nextafter(-1.0, 0.0)])
+    def test_c_with_a_vanishing_series_denominator_raises(self, c, monkeypatch):
+        # (c + k) - 1.0 rounds to 0 for k = 1 or 2: a DomainError naming c
+        # on every route, for floats and np.float64 alike; the array route
+        # hands such an element to the scalar call without summing it
+        assert (c + 1.0) - 1.0 == 0.0 or (c + 2.0) - 1.0 == 0.0
+        for b, z in [(-3.0, 1.0), (0.5, 2.0), (0.5, -2.0), (0.5, 0.0)]:
+            for args in ((b, c, z), tuple(map(np.float64, (b, c, z)))):
+                with pytest.raises(DomainError, match=re.escape(f"c={c!r}")):
+                    kummer_m(*args)
+        want = scalar_outcome(-3.0, c, 1.0)
+        assert want[0] == "DomainError"
+        for cs in (c, np.float64(c), np.array([c, c])):
+            values, failures = _kummer_m_array(-3.0, cs, np.array([1.0, 250.0]))
+            assert np.isnan(values).all() and list(failures) == [0, 1]
+            assert all((type(e).__name__, str(e)) == want for e in failures.values())
+        # beside a usable c, only the unusable element is refused
+        summed = []
+        array_sum = triq.special._kummer_series_array
+
+        def recorded(b, c, z):
+            summed.append(z.tolist())
+            return array_sum(b, c, z)
+
+        monkeypatch.setattr(triq.special, "_kummer_series_array", recorded)
+        values, failures = _kummer_m_array(-3.0, np.array([0.5, c]),
+                                           np.array([1.0, 2.0]))
+        assert values[0].item().hex() == kummer_m(-3.0, 0.5, 1.0).hex()
+        assert list(failures) == [1] and summed == [[1.0]]
+
+    @pytest.mark.parametrize("c", [1.2e-16, math.nextafter(-1.0, -2.0),
+                                   math.nextafter(-2.0, 0.0), 0.5])
+    def test_c_next_to_a_vanishing_denominator_is_summed(self, c):
+        assert (c + 1.0) - 1.0 != 0.0 and (c + 2.0) - 1.0 != 0.0
+        got = kummer_m(-3.0, c, 1.0)
+        assert math.isfinite(got)
+        values, failures = _kummer_m_array(-3.0, c, np.array([1.0]))
+        assert failures == {} and values[0].item().hex() == got.hex()
 
     def test_hopeless_cancellation_raises(self):
         # Loss beyond what the double-double rerun can absorb must surface
@@ -611,6 +677,92 @@ def reference_series_decimal(b, c, z):
     return float(s), float(abs_sum)
 
 
+# The 34-digit decimal form of the phase, before it moved to integer fixed
+# point.
+_DEC34_PI4 = decimal.Decimal("0.7853981633974483096156608458198757")
+
+
+def reference_phase_decimal(t):
+    """_oscillatory_phase in 34-digit decimal."""
+    td = decimal.Decimal.from_float(t)
+    zeta = _DEC34.divide(_DEC34.multiply(_DEC34.multiply(2, td), _DEC34.sqrt(td)), 3)
+    omega = _DEC34.subtract(zeta, _DEC34_PI4)
+    wh = float(omega)
+    wl = float(_DEC34.subtract(omega, decimal.Decimal.from_float(wh)))
+    sw = math.sin(wh)
+    cw = math.cos(wh)
+    return float(zeta), sw + wl * cw, cw - wl * sw
+
+
+# The two Airy asymptotic loops as they were written before they shared one
+# term generator, the oscillatory one on the decimal phase.
+_SQRT_PI = math.sqrt(math.pi)
+
+
+def reference_asym_pos(y):
+    """_airy_asym_pos with its own term loop."""
+    zeta = (2.0 / 3.0) * y * math.sqrt(y)
+    su_m = su_p = 1.0
+    sv_m = sv_p = 1.0
+    u_term = 1.0
+    prev = math.inf
+    for k in range(1, 60):
+        u_term *= (6.0 * k - 1.0) * (6.0 * k - 5.0) / (72.0 * k * zeta)
+        v_term = u_term * (6.0 * k + 1.0) / (1.0 - 6.0 * k)
+        if abs(u_term) >= prev:
+            break
+        prev = abs(u_term)
+        sgn = -1.0 if (k & 1) else 1.0
+        su_m += sgn * u_term
+        su_p += u_term
+        sv_m += sgn * v_term
+        sv_p += v_term
+        if abs(u_term) < 1e-18:
+            break
+    root4 = y ** 0.25
+    e_neg = math.exp(-zeta)
+    ai = 0.5 * e_neg * su_m / (_SQRT_PI * root4)
+    aip = -0.5 * root4 * e_neg * sv_m / _SQRT_PI
+    if zeta > 700.0:
+        return ai, aip, math.inf, math.inf
+    e_pos = math.exp(zeta)
+    return (ai, aip, e_pos * su_p / (_SQRT_PI * root4),
+            root4 * e_pos * sv_p / _SQRT_PI)
+
+
+def reference_asym_neg(y):
+    """_airy_asym_neg with its own term loop and the decimal phase."""
+    t = -y
+    zeta, s, c = reference_phase_decimal(t)
+    ue = 1.0
+    uo = 0.0
+    ve = 1.0
+    vo = 0.0
+    u_term = 1.0
+    prev = math.inf
+    for k in range(1, 60):
+        u_term *= (6.0 * k - 1.0) * (6.0 * k - 5.0) / (72.0 * k * zeta)
+        v_term = u_term * (6.0 * k + 1.0) / (1.0 - 6.0 * k)
+        if abs(u_term) >= prev:
+            break
+        prev = abs(u_term)
+        m, rem = divmod(k, 2)
+        sgn = -1.0 if (m & 1) else 1.0
+        if rem == 0:
+            ue += sgn * u_term
+            ve += sgn * v_term
+        else:
+            uo += sgn * u_term
+            vo += sgn * v_term
+        if abs(u_term) < 1e-18:
+            break
+    root4 = t ** 0.25
+    inv = 1.0 / (_SQRT_PI * root4)
+    fac = root4 / _SQRT_PI
+    return (inv * (c * ue + s * uo), fac * (s * ve - c * vo),
+            inv * (-s * ue + c * uo), fac * (c * ve + s * vo))
+
+
 def outcome(fn, b, c, z):
     """Hex of (value, abs_sum), or the AccuracyError message."""
     try:
@@ -768,13 +920,54 @@ class TestKummerKernelsBitIdentical:
             assert got == want
 
     def test_phase_matches_double_double(self):
+        # the fixed-point phase against the double-double and the 34-digit
+        # decimal ones, from the asymptotic switch to the refusal limit
         rng = random.Random(20162)
-        ts = [9.5, 1e4] + [rng.uniform(9.5, 1e4) for _ in range(2000)] + [
-            math.exp(rng.uniform(math.log(9.5), math.log(1e4)))
-            for _ in range(2000)]
+        hi = -_AIRY_NEG_LIMIT
+        ts = [9.5, math.nextafter(9.5, hi), 1e4, hi] + [
+            rng.uniform(9.5, hi) for _ in range(2000)] + [
+            math.exp(rng.uniform(math.log(9.5), math.log(hi)))
+            for _ in range(4000)]
         for t in ts:
-            assert ([v.hex() for v in _oscillatory_phase(t)]
-                    == [v.hex() for v in reference_phase(t)]), t
+            got = [v.hex() for v in _oscillatory_phase(t)]
+            assert got == [v.hex() for v in reference_phase(t)], t
+            assert got == [v.hex() for v in reference_phase_decimal(t)], t
+        assert ([v.hex() for v in _oscillatory_phase(np.float64(1e3))]
+                == [v.hex() for v in _oscillatory_phase(1e3)])
+
+    def test_asymptotic_airy_matches_the_separate_loops(self):
+        # the shared term generator gives both regimes the doubles of
+        # their former loops, on each side of the switches and far out
+        rng = random.Random(20163)
+        neg = [-9.5, _AIRY_NEG_LIMIT, -12.0, -28.7] + [
+            -math.exp(rng.uniform(math.log(9.5), math.log(-_AIRY_NEG_LIMIT)))
+            for _ in range(1500)]
+        pos = [8.0, math.nextafter(8.0, 9.0), 103.0, 700.0] + [
+            rng.uniform(8.0, 700.0) for _ in range(1500)]
+        for y in neg:
+            assert ([v.hex() for v in _airy_asym_neg(y)]
+                    == [v.hex() for v in reference_asym_neg(y)]), y
+        for y in pos:
+            assert ([v.hex() for v in _airy_asym_pos(y)]
+                    == [v.hex() for v in reference_asym_pos(y)]), y
+
+    def test_pi_over_four_constant(self):
+        # pi/4 scaled by 2^_PHASE_BITS, rounded to nearest, at twice the bits
+        ctx = pytest.importorskip("mpmath").MPContext()
+        ctx.prec = 2 * _PHASE_BITS
+        scaled = ctx.ldexp(ctx.pi / 4, _PHASE_BITS)
+        assert _PI4_FIXED == int(ctx.nint(scaled))
+        assert abs(_PI4_FIXED - scaled) < 0.5
+
+    def test_import_leaves_decimal_unloaded(self):
+        # the package and its CLI run without the decimal module
+        code = ("import sys, triq, triq.cli; "
+                "sys.exit('decimal' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(triq.special.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        assert done.returncode == 0, done.stderr
 
     def test_independent_of_the_callers_decimal_context(self):
         inputs = list(sweep_dd_inputs())
