@@ -23,7 +23,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, require_finite
+from .special import _each
 
 # CODATA-free on purpose: rounded constants pin the numeric convention.
 _HBAR_JS = 1.05e-34
@@ -135,7 +138,13 @@ class RegionCoefficients:
     @property
     def b_param(self) -> float:
         """First Kummer parameter of the interior basis."""
-        return 0.25 * (1.0 + self.lam / math.sqrt(self.a1))
+        return _kummer_b(self.lam, math.sqrt(self.a1))
+
+
+def _kummer_b(lam, sqrt_a1):
+    """First Kummer parameter 1/4 (1 + lam/sqrt(a1)) of the interior basis:
+    floats, or arrays elementwise."""
+    return 0.25 * (1.0 + lam / sqrt_a1)
 
 
 def airy_scale(E, mp: MassParams, u: UnitSystem) -> float:
@@ -149,35 +158,59 @@ def airy_scale(E, mp: MassParams, u: UnitSystem) -> float:
     # airy_argument takes H E M0 as well as H E M1
     if not math.isfinite(u.H_per_m0 * float(E) * max(mp.M0, mp.M1)):
         raise DomainError(f"exterior Airy form overflows at E = {E!r}")
-    return (u.H_per_m0 * E * mp.M1) ** (1.0 / 3.0)
+    return _unchecked_airy_scale(E, mp, u)
+
+
+def _unchecked_airy_scale(E, mp: MassParams, u: UnitSystem):
+    """(H E M1)^(1/3), unchecked: a float, or an array elementwise, the
+    root taken per element (special._each)."""
+    return _each(_cube_root, u.H_per_m0 * E * mp.M1)
+
+
+def _cube_root(x: float) -> float:
+    return x ** (1.0 / 3.0)
 
 
 def airy_argument(x, E, mp: MassParams, u: UnitSystem) -> float:
     """Exterior variable y(x); y = 0 exactly at the mass zero x* = M0/M1."""
-    k = airy_scale(E, mp, u)
+    return _airy_argument(airy_scale(E, mp, u), x, E, mp, u)
+
+
+def _airy_argument(k, x, E, mp: MassParams, u: UnitSystem):
+    """airy_argument from the Airy scale k at E: floats, or arrays
+    elementwise."""
     return k * x - u.H_per_m0 * E * mp.M0 / (k * k)
 
 
-def _coefficients(E, mp, pp, u, edge, printed_signs):
+def _coefficients(E, mp, alpha, a, u, edge, printed_signs):
+    """((a1, a2, a3, lam, y1, y2, y3, y4), k) at energy E for a profile of
+    slope alpha, width a and signed edge potential edge, k the Airy scale.
+
+    Floats, where every refusal is raised in the order the lone point
+    meets it, and E <= 0 gives k = None and NaN y1 and y3.  Or arrays
+    elementwise (numpy silenced by the caller), E among them, at points
+    that pass airy_scale's checks: k then takes the same root per element,
+    once per point.
+    """
     if mp.M1 == 0.0:
         raise DomainError("interior quadratic degenerates at M1 = 0")
     H = u.H_per_m0
     gap = edge - E  # potential edge minus energy, sign folded into edge
-    a1 = H * mp.M1 * pp.alpha
-    a2 = -H * (mp.M0 * pp.alpha + mp.M1 * gap)
+    a1 = H * mp.M1 * alpha
+    a2 = -H * (mp.M0 * alpha + mp.M1 * gap)
     a3 = H * mp.M0 * gap
     if printed_signs:
         a3 = -a3
     lam = (4.0 * a1 * a3 - a2 * a2) / (4.0 * a1)
     y2 = a2 / (2.0 * a1)
-    if E > 0.0:
-        y1 = airy_argument(0.0, E, mp, u)
-        y3 = airy_argument(pp.a, E, mp, u)
+    if np.ndim(E):
+        k = _unchecked_airy_scale(E, mp, u)
+    elif E > 0.0:
+        k = airy_scale(E, mp, u)
     else:
-        y1 = math.nan
-        y3 = math.nan
-    return RegionCoefficients(a1=a1, a2=a2, a3=a3, lam=lam,
-                              y1=y1, y2=y2, y3=y3, y4=pp.a + y2)
+        return (a1, a2, a3, lam, math.nan, y2, math.nan, a + y2), None
+    return (a1, a2, a3, lam, _airy_argument(k, 0.0, E, mp, u), y2,
+            _airy_argument(k, a, E, mp, u), a + y2), k
 
 
 def barrier_coefficients(E, mp: MassParams, pp: PotentialProfile,
@@ -194,7 +227,8 @@ def barrier_coefficients(E, mp: MassParams, pp: PotentialProfile,
         raise DomainError(f"scattering energy must be positive, got {E!r}")
     if E == math.inf:
         raise DomainError(f"scattering energy must be finite, got {E!r}")
-    rc = _coefficients(E, mp, pp, u, pp.V0, printed_signs)
+    rc = RegionCoefficients(
+        *_coefficients(E, mp, pp.alpha, pp.a, u, pp.V0, printed_signs)[0])
     # lam carries a2^2 and a3: the first coefficient to overflow as E grows
     if not math.isfinite(rc.lam):
         raise DomainError(
@@ -209,4 +243,5 @@ def well_coefficients(E, mp: MassParams, pp: PotentialProfile,
         raise DomainError(f"well_coefficients needs kind='well', got {pp.kind!r}")
     if not math.isfinite(E):
         raise DomainError(f"energy must be finite, got {E!r}")
-    return _coefficients(E, mp, pp, u, -pp.V0, False)
+    return RegionCoefficients(
+        *_coefficients(E, mp, pp.alpha, pp.a, u, -pp.V0, False)[0])

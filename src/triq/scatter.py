@@ -44,8 +44,9 @@ import numpy as np
 
 from .errors import AccuracyError, ConditioningError, DomainError, TriqError
 from .model import (MassParams, PotentialProfile, RegionCoefficients,
-                    UnitSystem, airy_scale, barrier_coefficients)
-from .special import (AiryPair, _airy_array, _kummer_m_array,
+                    UnitSystem, _coefficients, _kummer_b, airy_scale,
+                    barrier_coefficients)
+from .special import (AiryPair, _airy_array, _each, _kummer_m_array,
                       _recip_gamma_array, _tricomi_u_array, airy_ai, airy_bi,
                       kummer_m, recip_gamma, tricomi_u_large_z)
 
@@ -120,11 +121,8 @@ def _kernels_from(y, z, series) -> _Kernels:
     np.exp: the two differ in the last bit for some z.
     """
     m_val, m_dval, odd, odd_d = series
-    if np.ndim(z):
-        damp = np.array([math.exp(v) for v in (-0.5 * z).tolist()])
-    else:
-        damp = math.exp(-0.5 * z)
-    return _Kernels(y=y, z=z, damp=damp, m_val=m_val, m_dval=m_dval,
+    return _Kernels(y=y, z=z, damp=_each(math.exp, -0.5 * z),
+                    m_val=m_val, m_dval=m_dval,
                     r_even=m_val * _RG_HALF,
                     r_even_d=m_dval * _RG_THREE_HALVES,
                     r_odd=odd * _RG_THREE_HALVES,
@@ -460,7 +458,10 @@ class MatchingSystem(NamedTuple):
     _matching_systems evaluates everything here once per point: fset and
     gset are the printed abbreviation sets at x = 0 and x = a, built from
     the same kernels as the basis columns; bi0 is Bi(y1) and ai_a is Ai(y3),
-    the Airy pairs of matrix rows 1-2 and of the right-hand side.
+    the Airy pairs of matrix rows 1-2 and of the right-hand side.  The
+    system of a lone point holds floats; over a grid (_assemble_grid) every
+    field holds a 1-D array, one entry per point, the matrices one (n, 4, 4)
+    stack and the right-hand sides one (n, 4) array.
     """
 
     matrix: np.ndarray
@@ -507,7 +508,9 @@ def assemble_matching(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
     is raised.
     """
     points = _grid_points("E", [E], pp, E, False)
-    return _raised(_matching_systems(points, mp, u, _printed(fidelity))[0])
+    outcomes, system = _matching_systems(points, mp, u, _printed(fidelity))
+    _raised(outcomes[0])
+    return system
 
 
 def _raised(outcome):
@@ -546,17 +549,24 @@ def _assemble(basis: RegionIIBasis, exterior, ker0: _Kernels, kera: _Kernels,
                           gset=gset, bi0=bi0, ai_a=ai_a)
 
 
-def solve_matching(systems: Sequence[MatchingSystem], E: Sequence[float]) -> list:
+def solve_matching(systems: Sequence[MatchingSystem] | MatchingSystem,
+                   E: Sequence[float]) -> list:
     """A MatchSolution or the ConditioningError of each system, E their energies.
 
-    A non-finite system is refused before the rest are stacked and solved
+    systems is a sequence of MatchingSystem, or one MatchingSystem (of a
+    lone point, or over a grid, whose matrix stack is solved as built).  A
+    non-finite system is refused before the rest are stacked and solved
     by one np.linalg.solve; a singular member fails that solve as a whole,
     and then each is solved alone, so only it is refused.  Either way each
     system gets the doubles it gets alone.
     """
-    out = [None] * len(systems)
-    a = np.array([s.matrix for s in systems]).reshape(-1, 4, 4)
-    rhs = np.array([s.rhs for s in systems]).reshape(-1, 4)
+    if isinstance(systems, MatchingSystem):
+        a, rhs = systems.matrix, systems.rhs
+    else:
+        a = np.array([s.matrix for s in systems])
+        rhs = np.array([s.rhs for s in systems])
+    a, rhs = a.reshape(-1, 4, 4), rhs.reshape(-1, 4)
+    out = [None] * len(a)
     finite = np.isfinite(np.concatenate([a.reshape(-1, 16), rhs], axis=1)).all(axis=1)
     for i in np.flatnonzero(~finite).tolist():
         out[i] = ConditioningError("matching system has non-finite entries",
@@ -602,13 +612,13 @@ def _residuals(a: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> list[float]:
 
     A backward-stable solve is measured row-relative: |a_i . x - rhs_i|
     over sum_j |a_ij x_j| + |rhs_i|, the sum taken left to right and the
-    dot product one row at a time; the worst is taken as max() folds it
-    from 0, so a NaN ratio is passed over.
+    dot products of all rows in one np.vecdot call, the BLAS dot that
+    arow @ x takes for one row; the worst is taken as max() folds it from
+    0, so a NaN ratio is passed over.
     """
     parts = np.abs(a * x[:, None, :])
     scale = parts[..., 0] + parts[..., 1] + parts[..., 2] + parts[..., 3] + np.abs(rhs)
-    dots = [float(arow @ xs) for rows, xs in zip(a, x) for arow in rows]
-    gap = np.abs(np.reshape(dots, rhs.shape) - rhs)
+    gap = np.abs(np.vecdot(a, x[:, None, :]) - rhs)
     return np.fmax.reduce(gap / np.maximum(scale, 1e-300), axis=1,
                           initial=0.0).tolist()
 
@@ -631,18 +641,21 @@ def _paper_closed_form(system: MatchingSystem) -> tuple[float, float, float]:
     abbreviation sets system.fset (x = 0) and system.gset (x = a), Bi(y1)
     as system.bi0 and the transmitted tail Ai(y3) as system.ai_a.  Scaling
     that tail scales two of the four t2 brackets and none of t1, hence the
-    s^-4 behaviour the rescale diagnostic exposes.
+    s^-4 behaviour the rescale diagnostic exposes.  Floats for a lone
+    point's system, or arrays over a grid's, elementwise, with numpy as
+    silent as float arithmetic.
     """
     k = system.airy_scale
     fset, gset, bi0 = system.fset, system.gset, system.bi0
     ai3, aip3 = system.ai_a.value, system.ai_a.derivative
-    t1 = k / math.pi * (gset.f1p * gset.f9 - gset.f8 * gset.f7)
-    t2 = ((gset.f9 * ai3 - k * gset.f7 * aip3)
-          * (k * fset.f1p * bi0.derivative - fset.f8 * bi0.value)
-          * (k * gset.f1p * aip3 - gset.f8 * ai3)
-          * (k * fset.f7 * bi0.derivative - fset.f9 * bi0.value))
-    ratio = _div(t1, t2)
-    return t1, t2, ratio * ratio
+    with np.errstate(all="ignore"):
+        t1 = k / math.pi * (gset.f1p * gset.f9 - gset.f8 * gset.f7)
+        t2 = ((gset.f9 * ai3 - k * gset.f7 * aip3)
+              * (k * fset.f1p * bi0.derivative - fset.f8 * bi0.value)
+              * (k * gset.f1p * aip3 - gset.f8 * ai3)
+              * (k * fset.f7 * bi0.derivative - fset.f9 * bi0.value))
+        ratio = _div(t1, t2)
+        return t1, t2, ratio * ratio
 
 
 def _printed(fidelity: str) -> tuple[bool, bool]:
@@ -663,7 +676,7 @@ def transmission(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
     """
     points = _grid_points("E", [E], pp, E, False)
     systems = _matching_systems(points, mp, u, _printed(fidelity))
-    return _raised(_solved(points, systems)[0])
+    return _raised(_solved(points, *systems)[0])
 
 
 def rescale_diagnostic(E, mp: MassParams, pp: PotentialProfile,
@@ -706,11 +719,13 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
 
     The grid runs transmission()'s stages, so each row is the one it gives
     there, double for double and error for error; but from two points on,
-    each stage takes all points at once (_matching_systems): one Airy pass,
-    one Kummer pass over the 8 series of every point, one pass each for
-    the reciprocal Gammas, the interface columns and abbreviation sets and
-    the companion solution at each interface, one matrix stack and one
-    solve.  A point keeps the error it raises alone, in its own order.
+    each stage takes all points at once (_matching_systems): one pass for
+    the coefficients, one Airy pass, one Kummer pass over the 8 series of
+    every point, one pass each for the reciprocal Gammas, the interface
+    columns and abbreviation sets and the companion solution at each
+    interface, one matrix stack, one solve with its residuals and one
+    printed closed form.  A point keeps the error it raises alone, in its
+    own order.
     """
     if axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
@@ -733,7 +748,7 @@ def _sweep_outcomes(axis, values, mp, pp, u, E, fidelity, auto_alpha) -> list:
     """Per grid value, its TransmissionResult or the error that refused it."""
     printed = _printed(fidelity)
     points = _grid_points(axis, values, pp, E, auto_alpha)
-    return _solved(points, _matching_systems(points, mp, u, printed))
+    return _solved(points, *_matching_systems(points, mp, u, printed))
 
 
 def _grid_points(axis, values, pp, E, auto_alpha) -> list:
@@ -760,84 +775,159 @@ def _grid_points(axis, values, pp, E, auto_alpha) -> list:
 
 
 def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
-                      printed: tuple[bool, bool]) -> list:
-    """Per point, its MatchingSystem or the error that refused it.
+                      printed: tuple[bool, bool]):
+    """(outcomes, system) of the points of a grid.
 
     A point is an (energy, profile) pair, or an error refusing it, passed
-    on; printed is (printed_signs, printed_columns).  Each point takes its
-    coefficients in turn, then the exterior Airy values of all points are
-    evaluated together.  A lone point left then takes the scalar route:
-    its basis, its kernels at x = 0 and x = a, and _assemble.  Two or more
-    take the grid route, _assemble_grid, where each gets the doubles and
-    the error of the scalar route.
+    on; printed is (printed_signs, printed_columns).  outcomes holds per
+    point the error that refused it, or None; system is the MatchingSystem
+    of the points left, in order, or None where none is.  A lone point
+    takes the scalar route (_point_system), and its system holds floats.
+    Two or more take grid passes, each over the points still standing: the
+    coefficients (_grid_coefficients), the exterior Airy values
+    (_exterior_airy) and _assemble_grid.  Each point gets the doubles and
+    the error of the scalar route, and the system holds arrays.
     """
     printed_signs, printed_columns = printed
-    out = list(points)
-    coefficients = []  # (index, coefficients, Airy scale k, width a)
-    for i, point in enumerate(points):
-        if isinstance(point, Exception):
-            continue
-        point_E, point_pp = point
-        try:
-            rc = barrier_coefficients(point_E, mp, point_pp, u,
-                                      printed_signs=printed_signs)
-            coefficients.append((i, rc, airy_scale(point_E, mp, u), point_pp.a))
-        except _REFUSED as exc:
-            out[i] = exc
-    live = []  # (index, coefficients, exterior, width a)
-    airy = _exterior_airy([c[1] for c in coefficients])
-    for (i, rc, k, a), values in zip(coefficients, airy):
-        if isinstance(values, Exception):
-            out[i] = values
-        else:
-            live.append((i, rc, (k, *values), a))
-    if len(live) > 1:
-        index, rcs, exteriors, widths = zip(*live)
-        for i, system in zip(index, _assemble_grid(rcs, exteriors, widths,
-                                                   printed_columns)):
-            out[i] = system
-        return out
-    for i, rc, exterior, a in live:
-        try:
-            basis = basis_for(rc)
-            out[i] = _assemble(basis, exterior, basis.kernels(0.0),
-                               basis.kernels(a), printed_columns)
-        except _REFUSED as exc:
-            out[i] = exc
-    return out
+    out = [p if isinstance(p, Exception) else None for p in points]
+    live = [i for i, p in enumerate(out) if p is None]
+    if len(live) < 2:
+        system = None
+        for i in live:
+            try:
+                system = _point_system(points[i], mp, u, printed)
+            except _REFUSED as exc:
+                out[i] = exc
+        return out, system
+    n = len(live)
+    a, y1, y2, y3, b, s, k, failures = _grid_coefficients(
+        [points[i] for i in live], mp, u, printed_signs)
+    airy = np.full((6, n), math.nan)  # Ai, Ai', Bi, Bi' at y1; Ai, Ai' at y3
+    system = None
+    go = _standing(n, failures)
+    if go.size:
+        airy[:, go], refused = _exterior_airy(y1[go], y3[go])
+        failures.update((int(go[j]), exc) for j, exc in refused.items())
+        go = _standing(n, failures)
+    if go.size:
+        system, refused = _assemble_grid(b[go], s[go], y2[go], a[go], k[go],
+                                         airy[:, go], printed_columns)
+        failures.update((int(go[j]), exc) for j, exc in refused.items())
+    for j, exc in failures.items():
+        out[live[j]] = exc
+    return out, system
 
 
-def _assemble_grid(rcs, exteriors, widths, printed_columns: bool) -> list:
-    """_assemble over two or more points in grid passes.
+def _standing(n: int, failures: dict) -> np.ndarray:
+    """The indices 0..n-1 that failures does not refuse, in order."""
+    return np.array([j for j in range(n) if j not in failures], dtype=int)
 
-    rcs, exteriors and widths hold each point's coefficients, exterior
-    (k, Ai(y1), Bi(y1), Ai(y3)) and width a.  Each pass takes every point
-    still standing at once: the kernels (_interface_kernels), the three
-    reciprocal Gammas (one _recip_gamma_array call), both abbreviation
-    sets and first() at both interfaces, second() at x = 0 and then at
-    x = a (_companion_grid), and one (n, 4, 4) matrix stack with its
-    right-hand sides.  Returns per point its MatchingSystem, every double
-    the one _assemble gives it alone, or the first error the scalar route
-    raises there: its kernels', 1/Gamma(b + 1/2)'s, 1/Gamma(b)'s (both read
-    by abbreviations_at), the f6 1/Gamma's unless an overflow (which gives
-    NaN), then second()'s at x = 0, then at x = a.  second() is taken only
-    under the canonical columns, and only at points nothing refused
-    before, so each recurrence runs as often as in the scalar route.
+
+def _point_system(point, mp: MassParams, u: UnitSystem,
+                  printed: tuple[bool, bool]) -> MatchingSystem:
+    """The MatchingSystem of a lone (energy, profile) point by the scalar
+    route: barrier_coefficients, airy_scale, airy_ai(y1), airy_bi(y1) and
+    airy_ai(y3), the basis and its kernels at x = 0 and x = a, and
+    _assemble; the first refusal is raised."""
+    printed_signs, printed_columns = printed
+    point_E, pp = point
+    rc = barrier_coefficients(point_E, mp, pp, u, printed_signs=printed_signs)
+    exterior = (airy_scale(point_E, mp, u), airy_ai(rc.y1), airy_bi(rc.y1),
+                airy_ai(rc.y3))
+    basis = basis_for(rc)
+    return _assemble(basis, exterior, basis.kernels(0.0), basis.kernels(pp.a),
+                     printed_columns)
+
+
+def _grid_coefficients(points: list, mp: MassParams, u: UnitSystem,
+                       printed_signs: bool):
+    """barrier_coefficients and airy_scale over the (energy, profile)
+    points of a grid: (a, y1, y2, y3, b, sqrt(a1), k, failures).
+
+    Each of the first seven is an array with one entry per point, NaN at a
+    refused point but for the width a; failures maps the index of each
+    refused point, in index order, to the error its scalar calls raise.
+    The points that pass the scalar checks on the profile kind, the mass
+    and the energy take model._coefficients over arrays, one Airy scale
+    per point.  A point those checks refuse, or one whose lam is not
+    finite or whose k^2 is 0 (the scalar route divides by it), makes the
+    calls of the lone point, barrier_coefficients then airy_scale, and
+    keeps their error.
     """
-    n = len(rcs)
-    b, s, offset = (np.array(v, dtype=float) for v in zip(*(
-        (basis.b_param, basis.sqrt_a1, basis.y_offset)
-        for basis in map(basis_for, rcs))))
-    ker0, kera, failures = _interface_kernels(b, s, offset,
-                                              np.array(widths, dtype=float))
+    E, V0, alpha, a = (np.array(v, dtype=float) for v in zip(*(
+        (point_E, pp.V0, pp.alpha, pp.a) for point_E, pp in points)))
+    values = np.full((6, E.size), math.nan)  # y1, y2, y3, b, sqrt(a1), k
+    with np.errstate(all="ignore"):  # silent, as floats are
+        fits = ((E > 0.0) & (E != math.inf) & (mp.M1 != 0.0)
+                & np.isfinite(u.H_per_m0 * E * max(mp.M0, mp.M1))
+                & np.array([pp.kind == "barrier" for _, pp in points]))
+        go = np.flatnonzero(fits)
+        if go.size:
+            (a1, _, _, lam, y1, y2, y3, _), k = _coefficients(
+                E[go], mp, alpha[go], a[go], u, V0[go], printed_signs)
+            s = np.sqrt(a1)
+            values[:, go] = y1, y2, y3, _kummer_b(lam, s), s, k
+            fits[go] = np.isfinite(lam) & (k * k != 0.0)
+    failures = {}
+    for i in np.flatnonzero(~fits).tolist():
+        point_E, pp = points[i]
+        try:
+            barrier_coefficients(point_E, mp, pp, u, printed_signs=printed_signs)
+            airy_scale(point_E, mp, u)
+        except _REFUSED as exc:
+            failures[i] = exc
+            values[:, i] = math.nan
+    return (a, *values, failures)
+
+
+def _exterior_airy(y1: np.ndarray, y3: np.ndarray):
+    """(values, failures) of the exterior Airy functions over per-point
+    arrays of y1 and y3, from one _airy_array call over every y1 then
+    every y3.
+
+    values is a (6, n) array: Ai, Ai', Bi and Bi' at y1, then Ai and Ai'
+    at y3.  failures maps each refused point's index, in index order, to
+    the first error of its three scalar calls, airy_ai(y1), airy_bi(y1)
+    and airy_ai(y3).
+    """
+    n = y1.size
+    grid = _airy_array(np.concatenate([y1, y3]))
+    fail_ai, fail_bi = grid.ai_failures.get, grid.bi_failures.get
+    refused = sorted({j % n for j in grid.ai_failures}
+                     | {j for j in grid.bi_failures if j < n})
+    values = np.stack([grid.ai[:n], grid.aip[:n], grid.bi[:n], grid.bip[:n],
+                       grid.ai[n:], grid.aip[n:]])
+    return values, {i: fail_ai(i) or fail_bi(i) or fail_ai(n + i) for i in refused}
+
+
+def _assemble_grid(b, s, offset, widths, k, airy, printed_columns: bool):
+    """_assemble over per-point arrays in grid passes: (system, failures).
+
+    b, s = sqrt(a1), offset = y2, widths and the Airy scale k hold one
+    entry per point, and airy the (6, n) exterior values of _exterior_airy.
+    Each pass takes every point still standing at once: the kernels
+    (_interface_kernels), the three reciprocal Gammas (one
+    _recip_gamma_array call), both abbreviation sets and first() at both
+    interfaces, second() at x = 0 and then at x = a (_companion_grid), and
+    one (n, 4, 4) matrix stack with its right-hand sides.  system is the
+    MatchingSystem of the points not refused, every double the one
+    _assemble gives the point alone; failures maps each refused point's
+    index to the first error the scalar route raises there: its kernels',
+    1/Gamma(b + 1/2)'s, 1/Gamma(b)'s (both read by abbreviations_at), the
+    f6 1/Gamma's unless an overflow (which gives NaN), then second()'s at
+    x = 0, then at x = a.  second() is taken only under the canonical
+    columns, and only at points nothing refused before, so each recurrence
+    runs as often as in the scalar route.
+    """
+    n = b.size
+    ker0, kera, failures = _interface_kernels(b, s, offset, widths)
     rg, rg_failures = _recip_gamma_array(
         np.concatenate([b + 0.5, b, _f6_gamma_argument(b)]))
     rg_bh, rg_b, rg_f6 = np.split(rg, 3)  # NaN where refused
     for j, exc in rg_failures.items():  # index order is the reading order
         if j < 2 * n or not isinstance(exc, AccuracyError):
             failures.setdefault(j % n, exc)
-    k, ai0, ai0p, bi0, bi0p, ai_a, ai_ap = (np.array(v, dtype=float) for v in zip(*(
-        (e[0], *e[1], *e[2], *e[3]) for e in exteriors)))
+    ai0, ai0p, bi0, bi0p, ai_a, ai_ap = airy
     with np.errstate(all="ignore"):  # silent, as the float route is
         fset = _abbreviations(b, s, rg_bh, rg_b, rg_f6, ker0)
         gset = _abbreviations(b, s, rg_bh, rg_b, rg_f6, kera)
@@ -855,21 +945,22 @@ def _assemble_grid(rcs, exteriors, widths, printed_columns: bool) -> list:
                            zero, zero, va, qa,
                            zero, zero, da, qda], axis=1).reshape(n, 4, 4)
         rhs = np.stack([zero, zero, ai_a, k * ai_ap], axis=1)
-    # Python floats from tolist: _paper_closed_form's arithmetic raises
-    # where numpy would only warn
-    fsets, gsets = (map(AbbreviationSet._make, zip(*(f.tolist() for f in sets)))
-                    for sets in (fset, gset))
-    return [failures[j] if j in failures else MatchingSystem(
-                matrix=matrix[j], rhs=rhs[j], airy_scale=ext[0], fset=fs,
-                gset=gs, bi0=ext[2], ai_a=ext[3])
-            for j, (ext, fs, gs) in enumerate(zip(exteriors, fsets, gsets))]
+    system = MatchingSystem(matrix=matrix, rhs=rhs, airy_scale=k, fset=fset,
+                            gset=gset, bi0=AiryPair(bi0, bi0p),
+                            ai_a=AiryPair(ai_a, ai_ap))
+    if failures:
+        rows = _standing(n, failures)
+        system = MatchingSystem._make(
+            type(f)._make(g[rows] for g in f) if isinstance(f, tuple) else f[rows]
+            for f in system)
+    return system, dict(sorted(failures.items()))
 
 
 def _second_points(b, s, rg_b, rg_bh, ker: _Kernels, failures: dict):
     """(values, derivatives) of second() at the points of per-point arrays
     that failures does not refuse yet, NaN elsewhere; their refusals are
     added to failures."""
-    go = np.array([j for j in range(len(b)) if j not in failures], dtype=int)
+    go = _standing(len(b), failures)
     value, deriv = np.full(len(b), math.nan), np.full(len(b), math.nan)
     value[go], deriv[go], refused = _companion_grid(
         b[go], s[go], rg_b[go], rg_bh[go], _Kernels._make(f[go] for f in ker))
@@ -878,52 +969,30 @@ def _second_points(b, s, rg_b, rg_bh, ker: _Kernels, failures: dict):
     return value, deriv
 
 
-def _exterior_airy(coefficients: list[RegionCoefficients]) -> list:
-    """(Ai(y1), Bi(y1), Ai(y3)) of each point's coefficients, or its error.
-
-    A lone point takes the scalar airy_ai(y1), airy_bi(y1) and airy_ai(y3),
-    cheaper for one point than the array route.  More points make one
-    _airy_array call over every y1 then every y3, and a point is refused by
-    the first of its three scalar calls' errors.
-    """
-    if len(coefficients) < 2:
-        try:
-            return [(airy_ai(rc.y1), airy_bi(rc.y1), airy_ai(rc.y3))
-                    for rc in coefficients]
-        except _REFUSED as exc:
-            return [exc]
-    n = len(coefficients)
-    grid = _airy_array([rc.y1 for rc in coefficients]
-                       + [rc.y3 for rc in coefficients])
-    # Python floats from tolist: the scalar calls' own types
-    ai = list(map(AiryPair, grid.ai.tolist(), grid.aip.tolist()))
-    bi = list(map(AiryPair, grid.bi[:n].tolist(), grid.bip[:n].tolist()))
-    fail_ai, fail_bi = grid.ai_failures.get, grid.bi_failures.get
-    return [fail_ai(i) or fail_bi(i) or fail_ai(n + i) or (ai[i], bi[i], ai[n + i])
-            for i in range(n)]
-
-
-def _solved(points: list, systems: list) -> list:
+def _solved(points: list, outcomes: list, system) -> list:
     """Per point, its TransmissionResult or the error that refused it, from
-    _matching_systems' list for the points: every system in it is solved
-    by one solve_matching call, and both transmission conventions taken."""
-    out = list(systems)
-    live = [i for i, s in enumerate(systems) if isinstance(s, MatchingSystem)]
+    _matching_systems' outcomes and system for the points: the system is
+    solved by one solve_matching call and the printed closed form is taken
+    over it once, then both transmission conventions are read per point."""
+    out = list(outcomes)
+    live = [i for i, outcome in enumerate(out) if outcome is None]
+    if not live:
+        return out
     energies = [points[i][0] for i in live]
     try:
-        solutions = solve_matching([systems[i] for i in live], energies)
+        solutions = solve_matching(system, energies)
     except _REFUSED as exc:
         solutions = [exc] * len(live)
-    for i, point_E, sol in zip(live, energies, solutions):
-        try:
-            sol = _raised(sol)
-            ratio = math.inf if sol.b1 == 0.0 else 1.0 / sol.b1
-            t1, t2, t_paper = _paper_closed_form(systems[i])
-            out[i] = TransmissionResult(E=point_E, T_solve=ratio * ratio,
-                                        T_paper=t_paper, t1=t1, t2=t2,
-                                        residual=sol.residual, solution=sol)
-        except _REFUSED as exc:
-            out[i] = exc
+    # Python floats from tolist, the scalar route's own type
+    paper = zip(*(np.atleast_1d(v).tolist() for v in _paper_closed_form(system)))
+    for i, point_E, sol, (t1, t2, t_paper) in zip(live, energies, solutions, paper):
+        if isinstance(sol, Exception):
+            out[i] = sol
+            continue
+        ratio = math.inf if sol.b1 == 0.0 else 1.0 / sol.b1
+        out[i] = TransmissionResult(E=point_E, T_solve=ratio * ratio,
+                                    T_paper=t_paper, t1=t1, t2=t2,
+                                    residual=sol.residual, solution=sol)
     return out
 
 

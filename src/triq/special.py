@@ -33,12 +33,13 @@ of the scalar calls: _kummer_m_array (one plain-series pass, summing a
 block of terms per numpy step), _airy_array, _recip_gamma_array and
 _tricomi_u_array.  The Airy array makes one Maclaurin pass for Ai and Bi
 together and one lockstep Taylor march, each element with its own steps
-and stop rules.  The asymptotic regimes stay one scalar call per element
-(though one for Ai and Bi together): they rest on libm's pow, exp and sin,
-which numpy's ufuncs need not reproduce to the bit, and on the fixed-point
-phase.  For the same reason the Gamma and Tricomi arrays do their + - * /
-in numpy, in the scalar operation order, and take log, exp, sin(pi x) and
-z ** (-a) per element on Python floats.
+and stop rules.  The asymptotic regimes take every element's series terms
+at once (_asym_sums), each element keeping those up to its own stop, but
+the libm pow, exp, sin and cos they rest on, which numpy's ufuncs need not
+reproduce to the bit, and the fixed-point phase per element.  For the same
+reason the Gamma and Tricomi arrays do their + - * / in numpy, in the
+scalar operation order, and take log, exp, sin(pi x) and z ** (-a) per
+element on Python floats.
 A single point is cheaper through the scalar calls, which stay.
 """
 
@@ -92,6 +93,7 @@ _KUMMER_BLOCK_BUDGET = 11264
 _KUMMER_BLOCK_MIN = 4
 _KUMMER_BLOCK_MAX = 32
 _KUMMER_K = np.arange(1.0, _KUMMER_MAX_TERMS + 1.0)[:, None]  # k, a column
+_KUMMER_K_LESS = _KUMMER_K - 1.0  # k - 1: c's part of r_k is c + (k - 1)
 # weight B + 1 - j of a block's row j; the largest stopped weight marks
 # the first stop (int8 keeps the pass over the block's mask short)
 _KUMMER_ROW_WEIGHTS = np.arange(_KUMMER_BLOCK_MAX, 0, -1, dtype=np.int8)[:, None]
@@ -360,14 +362,18 @@ def _airy_march(y: float, x0: float, w: float, wp: float) -> tuple[float, float]
     return w, wp
 
 
+# the asymptotic series' terms k = 1 .. _ASYM_TERMS at most
+_ASYM_TERMS = 59
+
+
 def _asym_terms(zeta: float):
     """Yield (k, u_k / zeta^k, v_k / zeta^k) of the Airy asymptotic series
     (DLMF 9.7.2), the one place for its recurrence and stop rule: it is
     asymptotic, so it stops before the first term that does not shrink, or
-    after one below 1e-18."""
+    after one below 1e-18.  _asym_sums takes the same terms over arrays."""
     u_term = 1.0
     prev = math.inf
-    for k in range(1, 60):
+    for k in range(1, _ASYM_TERMS + 1):
         u_term *= (6.0 * k - 1.0) * (6.0 * k - 5.0) / (72.0 * k * zeta)
         mag = abs(u_term)
         if mag >= prev:
@@ -378,29 +384,106 @@ def _asym_terms(zeta: float):
         prev = mag
 
 
-def _airy_asym_pos(y: float) -> tuple[float, float, float, float]:
-    """(Ai, Ai', Bi, Bi') for y >= _AIRY_ASYM_POS from the exponential asymptotics."""
-    zeta = (2.0 / 3.0) * y * math.sqrt(y)
-    # Sums S(+-) = sum (+-1)^k u_k / zeta^k and the v_k companions.
-    su_m = su_p = sv_m = sv_p = 1.0
-    for k, u_term, v_term in _asym_terms(zeta):
-        sgn = -1.0 if (k & 1) else 1.0
-        su_m += sgn * u_term
-        su_p += u_term
-        sv_m += sgn * v_term
-        sv_p += v_term
-    root4 = y ** 0.25
-    e_neg = math.exp(-zeta)
+# k as a column, and the signs each regime's sums give term k: the
+# exponential pair sums (-1)^k and 1; the oscillatory pair splits
+# (-1)^floor(k/2) by even and odd k, 0 for the other parity
+_ASYM_K = np.arange(1.0, _ASYM_TERMS + 1.0)[:, None]
+_ASYM_POS_SIGNS = np.hstack([np.where(_ASYM_K % 2.0 == 1.0, -1.0, 1.0),
+                             np.ones_like(_ASYM_K)])
+_ASYM_NEG_SIGNS = (np.where(_ASYM_K % 4.0 < 2.0, 1.0, -1.0)
+                   * (_ASYM_K % 2.0 == np.array([0.0, 1.0])))
+
+
+def _asym_sums(zeta: np.ndarray, signs: np.ndarray, start) -> np.ndarray:
+    """The four sums of the _asym_terms of a 1-D array of zeta: start +
+    sum_k signs[k, j] u_k / zeta^k for j = 0, 1, then the same two of the
+    v_k, as a (4, n) array.
+
+    Every element's terms are taken for all k at once in _asym_terms'
+    operations (u_k as the running product of the ratios), and each
+    element keeps those its generator yields: term k where it and every
+    term before it shrank, and none before it fell below 1e-18.  The sums
+    are added left to right from start, as the scalar loops add.  A term
+    an element does not take, or a sum does not count (sign 0), is added
+    as +0.0, which changes no sum: none is -0.0, as each starts at 1.0 or
+    +0.0 and a rounded sum is -0.0 only of two -0.0.
+    """
+    k = _ASYM_K
+    # the terms past an element's stop may overflow; they are dropped
+    with np.errstate(all="ignore"):
+        u = np.multiply.accumulate(
+            (6.0 * k - 1.0) * (6.0 * k - 5.0) / (72.0 * k * zeta), axis=0)
+    mag = np.abs(u)
+    # term k is yielded where it shrinks and every term before it shrank
+    # without falling below 1e-18
+    taken = np.empty(u.shape, dtype=bool)
+    taken[0] = ~(mag[0] >= math.inf)
+    np.greater_equal(mag[1:], mag[:-1], out=taken[1:])
+    np.logical_not(taken[1:], out=taken[1:])
+    go_on = np.logical_and.accumulate(taken & ~(mag < 1e-18), axis=0)
+    taken[1:] &= go_on[:-1]
+    rows = max(1, int(taken.any(axis=1).sum()))  # the most terms taken
+    u, taken = u[:rows], taken[:rows]
+    # row i holds term i + 1 of the four sums, +0.0 where not counted
+    sums = np.zeros((rows, 4, zeta.size))
+    with np.errstate(all="ignore"):
+        v = u * (6.0 * k[:rows] + 1.0) / (1.0 - 6.0 * k[:rows])
+        for j, (t, sign) in enumerate((t, sign) for t in (u, v) for sign in (
+                signs[:rows, :1], signs[:rows, 1:])):
+            np.multiply(sign, t, out=sums[:, j], where=taken & (sign != 0.0))
+    sums[0] += np.reshape(start, (-1, 1))
+    for i in range(1, rows):
+        sums[i] += sums[i - 1]
+    return sums[-1]
+
+
+def _each(fn, x):
+    """fn(x) of a float, or fn of each Python float of an array: roots,
+    exponentials, sines and cosines are taken per element with math and
+    Python's **, as numpy's differ from them in the last bit for some
+    inputs."""
+    if np.ndim(x):
+        return np.array([fn(v) for v in x.tolist()])
+    return fn(x)
+
+
+def _quarter_power(x: float) -> float:
+    return x ** 0.25
+
+
+def _exp_growth(zeta: float) -> float:
+    """e^zeta, inf past zeta = 700, where the growing pair is not wanted."""
+    return math.inf if zeta > 700.0 else math.exp(zeta)
+
+
+def _airy_asym_pos(y):
+    """(Ai, Ai', Bi, Bi') for y >= _AIRY_ASYM_POS from the exponential
+    asymptotics: a float, or a 1-D array elementwise (_asym_sums).
+
+    Past zeta = 700 Bi and Bi' are inf: airy_bi refuses before this point,
+    airy_ai discards them.
+    """
+    if np.ndim(y):
+        with np.errstate(over="ignore"):  # inf past 1e205, as for floats
+            zeta = (2.0 / 3.0) * y * np.sqrt(y)
+        su_m, su_p, sv_m, sv_p = _asym_sums(zeta, _ASYM_POS_SIGNS, 1.0)
+    else:
+        zeta = (2.0 / 3.0) * y * math.sqrt(y)
+        # Sums S(+-) = sum (+-1)^k u_k / zeta^k and the v_k companions.
+        su_m = su_p = sv_m = sv_p = 1.0
+        for k, u_term, v_term in _asym_terms(zeta):
+            sgn = -1.0 if (k & 1) else 1.0
+            su_m += sgn * u_term
+            su_p += u_term
+            sv_m += sgn * v_term
+            sv_p += v_term
+    root4 = _each(_quarter_power, y)
+    e_neg = _each(math.exp, -zeta)
+    e_pos = _each(_exp_growth, zeta)
     ai = 0.5 * e_neg * su_m / (_SQRT_PI * root4)
     aip = -0.5 * root4 * e_neg * sv_m / _SQRT_PI
-    if zeta > 700.0:
-        # Growing pair not representable; airy_bi guards against reaching
-        # this point, airy_ai just discards these.
-        bi = bip = math.inf
-    else:
-        e_pos = math.exp(zeta)
-        bi = e_pos * su_p / (_SQRT_PI * root4)
-        bip = root4 * e_pos * sv_p / _SQRT_PI
+    bi = e_pos * su_p / (_SQRT_PI * root4)
+    bip = root4 * e_pos * sv_p / _SQRT_PI
     return ai, aip, bi, bip
 
 
@@ -433,24 +516,30 @@ def _oscillatory_phase(t: float) -> tuple[float, float, float]:
     return _fixed_to_float(zeta, _PHASE_BITS), sw + wl * cw, cw - wl * sw
 
 
-def _airy_asym_neg(y: float) -> tuple[float, float, float, float]:
-    """(Ai, Ai', Bi, Bi') for y <= _AIRY_ASYM_NEG from the oscillatory asymptotics."""
+def _airy_asym_neg(y):
+    """(Ai, Ai', Bi, Bi') for y <= _AIRY_ASYM_NEG from the oscillatory
+    asymptotics: a float, or a 1-D array elementwise (_asym_sums, and the
+    phase per element)."""
     t = -y
-    zeta, s, c = _oscillatory_phase(t)
-    # Even/odd splits of sum (-1)^k u_k / zeta^k and the v companion.
-    ue = ve = 1.0
-    uo = vo = 0.0
-    for k, u_term, v_term in _asym_terms(zeta):
-        # (-1)^k applied to the full alternating series sum (-1)^j c_j/zeta^j
-        # splits as (-1)^m on even j=2m and odd j=2m+1 entries alike.
-        sgn = -1.0 if (k & 2) else 1.0
-        if k & 1:
-            uo += sgn * u_term
-            vo += sgn * v_term
-        else:
-            ue += sgn * u_term
-            ve += sgn * v_term
-    root4 = t ** 0.25
+    if np.ndim(y):
+        zeta, s, c = map(np.array, zip(*map(_oscillatory_phase, t.tolist())))
+        ue, uo, ve, vo = _asym_sums(zeta, _ASYM_NEG_SIGNS, (1.0, 0.0, 1.0, 0.0))
+    else:
+        zeta, s, c = _oscillatory_phase(t)
+        # Even/odd splits of sum (-1)^k u_k / zeta^k and the v companion.
+        ue = ve = 1.0
+        uo = vo = 0.0
+        for k, u_term, v_term in _asym_terms(zeta):
+            # (-1)^k applied to the full alternating series sum (-1)^j c_j/zeta^j
+            # splits as (-1)^m on even j=2m and odd j=2m+1 entries alike.
+            sgn = -1.0 if (k & 2) else 1.0
+            if k & 1:
+                uo += sgn * u_term
+                vo += sgn * v_term
+            else:
+                ue += sgn * u_term
+                ve += sgn * v_term
+    root4 = _each(_quarter_power, t)
     inv = 1.0 / (_SQRT_PI * root4)
     fac = root4 / _SQRT_PI
     return (inv * (c * ue + s * uo), fac * (s * ve - c * vo),
@@ -534,13 +623,13 @@ def _airy_array(y) -> AiryGrid:
     one Maclaurin pass gives Ai and Bi wherever either is on the series;
     one lockstep march carries the Ai and Bi rows of (_AIRY_ASYM_NEG,
     _AIRY_SERIES_LO) and the Ai rows of (_AIRY_SERIES_HI_AI,
-    _AIRY_ASYM_POS); each asymptotic element makes one _airy_asym_* call
-    for both functions.  An element no route takes (a non-finite y, a y
+    _AIRY_ASYM_POS); one _airy_asym_pos and one _airy_asym_neg call take
+    the asymptotic elements of each side, for both functions.  An element no route takes (a non-finite y, a y
     below _AIRY_NEG_LIMIT, and for Bi a y above _AIRY_BI_OVERFLOW) makes
     the scalar call, and its error is recorded.
     """
     y = np.asarray(y, dtype=float)
-    ys = y.tolist()  # Python floats: the asymptotic and scalar calls' own types
+    ys = y.tolist()  # Python floats: the scalar calls' own types
     ai, aip, bi, bip = (np.full(y.size, math.nan) for _ in range(4))
     series = np.flatnonzero((y >= _AIRY_SERIES_LO) & (y < _AIRY_ASYM_POS))
     f, fp, g, gp = _airy_series_array(y[series])
@@ -564,12 +653,13 @@ def _airy_array(y) -> AiryGrid:
     aip[neg], bip[neg], aip[pos] = np.split(wp, np.cumsum(sizes)[:2])
 
     refused = ~np.isfinite(y) | (y < _AIRY_NEG_LIMIT)
-    asymptotic = ~refused & ((y >= _AIRY_ASYM_POS) | (y <= _AIRY_ASYM_NEG))
-    for i in np.flatnonzero(asymptotic).tolist():
-        asym = _airy_asym_pos if ys[i] >= _AIRY_ASYM_POS else _airy_asym_neg
-        ai[i], aip[i], b, bp = asym(ys[i])
-        if ys[i] <= _AIRY_BI_OVERFLOW:
-            bi[i], bip[i] = b, bp
+    for asym, at in ((_airy_asym_pos, ~refused & (y >= _AIRY_ASYM_POS)),
+                     (_airy_asym_neg, ~refused & (y <= _AIRY_ASYM_NEG))):
+        at = np.flatnonzero(at)
+        if at.size:
+            ai[at], aip[at], b, bp = asym(y[at])
+            keep = y[at] <= _AIRY_BI_OVERFLOW
+            bi[at[keep]], bip[at[keep]] = b[keep], bp[keep]
 
     ai_failures, bi_failures = {}, {}
     for fn, calls, value, deriv, failures in (
@@ -690,7 +780,8 @@ def _kummer_series(b: float, c: float, z: float) -> tuple[float, float]:
     term = 1.0
     prev_mag = 1.0
     for k in range(1, _KUMMER_MAX_TERMS + 1):
-        term *= (b + k - 1.0) * z / ((c + k - 1.0) * k)
+        # c's part as c + (k - 1): c + k - 1.0 would drop a tiny c's bits
+        term *= (b + k - 1.0) * z / ((c + (k - 1)) * k)
         if term == 0.0:
             break  # terminating parameter: the series is a polynomial
         mag = abs(term)
@@ -824,7 +915,7 @@ def _kummer_series_array(b, c, z: np.ndarray):
     ks = _KUMMER_K
     # the factors of r_k that a float parameter fixes, for every k
     num = None if np.ndim(b) else (b + ks) - 1.0
-    den = None if np.ndim(c) else ((c + ks) - 1.0) * ks
+    den = None if np.ndim(c) else (c + _KUMMER_K_LESS) * ks
     # term, sum, compensation, sum of |terms| and |term|, one row per term
     work = np.empty((5, _KUMMER_BLOCK_BUDGET))
     parts = -(-n // (_KUMMER_BLOCK_BUDGET // (_KUMMER_BLOCK_MIN + 1)))
@@ -855,8 +946,8 @@ def _kummer_series_array(b, c, z: np.ndarray):
                 else:
                     mul(num[k - 1:k - 1 + rows], zl, new)
                 if den is None:
-                    add(cl, kk, s1)  # s1 is written only below
-                    s1 -= 1.0
+                    # (c + (k - 1)) k; s1 is written only below
+                    add(cl, _KUMMER_K_LESS[k - 1:k - 1 + rows], s1)
                     s1 *= kk
                     new /= s1
                 else:
@@ -952,14 +1043,6 @@ def _kummer_sum(b: float, c: float, z: float, plain=None) -> float:
     return value
 
 
-def _vanishing_denominator(c):
-    """Whether a plain-series denominator (c + k) - 1.0 rounds to 0, as for
-    -2^-54 <= c <= 2^-53 or c one ulp above -1 (only k = floor(1.5 - c)
-    can).  A finite float, or an array elementwise (numpy silenced)."""
-    k = (1.5 - c) // 1.0
-    return (k >= 1.0) & (k <= _KUMMER_MAX_TERMS) & ((c + k) - 1.0 == 0.0)
-
-
 def kummer_m(b: float, c: float, z: float) -> float:
     """Confluent hypergeometric 1F1(b; c; z) on the real line.
 
@@ -973,8 +1056,6 @@ def kummer_m(b: float, c: float, z: float) -> float:
     z = require_finite("z", z)
     if _is_nonpositive_integer(c):
         raise DomainError(f"kummer_m undefined at non-positive integer c={c!r}")
-    if _vanishing_denominator(c):
-        raise DomainError(f"kummer_m series denominator rounds to 0 at c={c!r}")
     if abs(z) > KUMMER_ENVELOPE:
         raise AccuracyError(
             f"kummer_m envelope |z| <= {KUMMER_ENVELOPE} exceeded at z={z!r}",
@@ -1007,7 +1088,7 @@ def _kummer_m_array(b, c, z):
     bz, cz = np.broadcast_to(b, z.shape), np.broadcast_to(c, z.shape)
     with np.errstate(invalid="ignore"):  # inf // 1.0 is NaN, not an integer
         direct = (np.isfinite(bz) & np.isfinite(cz)
-                  & ~_is_nonpositive_integer(cz) & ~_vanishing_denominator(cz)
+                  & ~_is_nonpositive_integer(cz)
                   & (z > 0.0) & (z <= KUMMER_ENVELOPE))
     sums, abs_sums, converged = _kummer_series_array(
         bz[direct] if np.ndim(b) else b, cz[direct] if np.ndim(c) else c,

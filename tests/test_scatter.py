@@ -5,7 +5,9 @@ right (residual + Wronskian + trajectory agreement), then the assembled
 4x4 solve is checked against the independently marched transmission.
 """
 
+import contextlib
 import dataclasses
+import io
 import math
 import random
 import re
@@ -14,10 +16,12 @@ import warnings
 import numpy as np
 import pytest
 
+import triq.model
 import triq.oracle
 import triq.scatter
 import triq.special
 import triq.validate
+from triq.cli import main
 from triq.errors import (AccuracyError, ConditioningError, DomainError,
                          TriqError)
 from triq.model import (MassParams, PotentialProfile, airy_scale,
@@ -26,6 +30,8 @@ from triq.oracle import (IntegrationSpec, integrate, make_weight, matched_b1,
                          matched_transmission, ode_residual)
 from triq.scatter import (
     FIDELITY_MODES,
+    AbbreviationSet,
+    MatchingSystem,
     RegionIIBasis,
     _div,
     _Kernels,
@@ -575,25 +581,34 @@ class TestInterfaceEvaluatedOnce:
 
     def test_scalar_airy_only_for_lone_points_and_refusals(self, monkeypatch):
         # both Airy suites and a sweep of two or more points take Airy from
-        # the array route; a scalar call is made only for an element that
-        # route refuses (non-finite y, or Bi past 103), and by a lone point
+        # the array route, its asymptotic regimes over arrays too; a scalar
+        # call is made only for an element that route refuses (non-finite
+        # y, or Bi past 103), and by a lone point
         calls = scalar_airy_calls(monkeypatch)
+        asym = asymptotic_airy_calls(monkeypatch)
         triq.validate.suite_airy_wronskian()
         triq.validate.suite_airy_equation()
         sweep("E", TestInterfaceEvaluatedOnce.GRID, MASS, BARRIER, U)
         assert calls == []
+        assert sorted(set(asym)) == [("_airy_asym_neg", "array"),
+                                     ("_airy_asym_pos", "array")]
         # 3000 and 1e4 eV put y3 past Bi's limit (the point is refused by
         # its kernels, not by Airy); no energy makes y1 or y3 NaN (one whose
         # H E overflows is refused with its coefficients, before Airy), so
-        # NaN is planted in those of 2 eV
-        coefficients = triq.scatter.barrier_coefficients
+        # NaN is planted in those of 2 eV, where the grid's coefficient pass
+        # and the scalar route take them
+        coefficients = triq.model._coefficients
 
-        def planted(E, *args, **kwargs):
-            rc = coefficients(E, *args, **kwargs)
-            return (dataclasses.replace(rc, y1=math.nan, y3=math.nan)
-                    if E == 2.0 else rc)
+        def planted(E, *args):
+            (a1, a2, a3, lam, y1, y2, y3, y4), k = coefficients(E, *args)
+            if np.ndim(E):
+                y1, y3 = (np.where(E == 2.0, math.nan, y) for y in (y1, y3))
+            elif E == 2.0:
+                y1 = y3 = math.nan
+            return (a1, a2, a3, lam, y1, y2, y3, y4), k
 
-        monkeypatch.setattr(triq.scatter, "barrier_coefficients", planted)
+        for module in (triq.model, triq.scatter):
+            monkeypatch.setattr(module, "_coefficients", planted)
         grid = [0.1, 3000.0, 1e4, 1e308, 2.0]
         got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
                                            "none", False)
@@ -603,10 +618,15 @@ class TestInterfaceEvaluatedOnce:
         assert [outcome_key(g) for g in got] == \
             [outcome_key(w) for w in loop_outcomes("E", grid)]
         del calls[:]
+        del asym[:]
         transmission(0.1, MASS, BARRIER, U)
         rc = barrier_coefficients(0.1, MASS, BARRIER, U)
         assert calls == [("airy_ai", rc.y1), ("airy_bi", rc.y1),
                          ("airy_ai", rc.y3)]
+        # past 8, the lone point's y3 takes the scalar asymptotic call
+        transmission(2.25, MASS, BARRIER, U)
+        assert barrier_coefficients(2.25, MASS, BARRIER, U).y3 > 8.0
+        assert asym == [("_airy_asym_pos", "scalar")]
 
     def test_recip_gamma_per_point(self, monkeypatch):
         # 1/Gamma of b, b + 1/2 and the printed f6 argument, once per point
@@ -629,31 +649,52 @@ class TestInterfaceEvaluatedOnce:
 
     def test_grid_makes_no_per_point_calls(self, monkeypatch):
         # a sweep of two or more points builds its systems in grid passes:
-        # no per-point _assemble, abbreviations_at, second() or scalar
-        # 1/Gamma; a lone point takes the scalar route and makes them all
+        # no per-point barrier_coefficients, basis_for, _assemble,
+        # abbreviations_at, second(), scalar 1/Gamma or scalar asymptotic
+        # Airy call, and its one _paper_closed_form call takes the whole
+        # grid; a lone point takes the scalar route and makes them all
         calls = []
+        asym = asymptotic_airy_calls(monkeypatch)
 
         def spy(name, fn):
-            def spied(*args):
+            def spied(*args, **kwargs):
                 calls.append(name)
-                return fn(*args)
+                return fn(*args, **kwargs)
             return spied
 
-        for owner, name in ((triq.scatter, "_assemble"),
+        for owner, name in ((triq.scatter, "barrier_coefficients"),
+                            (triq.scatter, "basis_for"),
+                            (triq.scatter, "_assemble"),
                             (triq.scatter, "abbreviations_at"),
                             (triq.scatter.RegionIIBasis, "second"),
                             (triq.scatter, "recip_gamma"),
                             (triq.special, "recip_gamma")):
             monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+        paper = []
+        closed_form = triq.scatter._paper_closed_form
+
+        def spied_paper(system):
+            paper.append(np.shape(system.airy_scale))
+            return closed_form(system)
+
+        monkeypatch.setattr(triq.scatter, "_paper_closed_form", spied_paper)
         for mode in FIDELITY_MODES:
             sweep("E", self.GRID, MASS, BARRIER, U, fidelity=mode)
             sweep("E", [0.1, 3.9], MASS, BARRIER, U, fidelity=mode)
         assert calls == []
+        assert set(asym) == {("_airy_asym_pos", "array")}
+        # one call per sweep; 3.9 eV is refused before the closed form
+        assert paper == [(200,), (1,)] * len(FIDELITY_MODES)
+        del paper[:]
+        del asym[:]
         transmission(2.25, MASS, BARRIER, U)
-        assert sorted(calls) == sorted(["_assemble", "abbreviations_at",
+        assert sorted(calls) == sorted(["barrier_coefficients", "basis_for",
+                                        "_assemble", "abbreviations_at",
                                         "abbreviations_at", "second", "second",
                                         "recip_gamma", "recip_gamma",
                                         "recip_gamma"])
+        assert paper == [()]
+        assert asym == [("_airy_asym_pos", "scalar")]
 
     @pytest.mark.parametrize("mode", FIDELITY_MODES)
     def test_paper_form_matches_fresh_evaluation(self, mode):
@@ -714,6 +755,21 @@ def scalar_airy_calls(monkeypatch):
         for module in (triq.special, triq.scatter, triq.oracle, triq.validate):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def asymptotic_airy_calls(monkeypatch):
+    """(name, "scalar" or "array") of every _airy_asym_pos / _airy_asym_neg
+    call, in order."""
+    calls = []
+    for name in ("_airy_asym_pos", "_airy_asym_neg"):
+        fn = getattr(triq.special, name)
+
+        def counted(y, _name=name, _fn=fn):
+            calls.append((_name, "array" if np.ndim(y) else "scalar"))
+            return _fn(y)
+
+        monkeypatch.setattr(triq.special, name, counted)
     return calls
 
 
@@ -869,6 +925,9 @@ class TestSweep:
         # makes the other 4 systems non-finite (ConditioningError)
         ("E", [-0.5] + linear_grid(0.15, 0.2, 4), "none", False, STEEP),
         ("E", [-0.5] + linear_grid(0.15, 0.2, 4), "t2", False, STEEP),
+        # one point left after the coefficient pass, then none
+        ("E", [-0.5, 0.1], "none", False, None),
+        ("E", [-0.5, -0.1], "none", False, None),
     ])
     def test_grid_path_is_the_point_loop(self, monkeypatch, axis, values,
                                          fidelity, auto_alpha, setup):
@@ -1094,3 +1153,193 @@ class TestSweep:
             sweep("E", [0.2, 0.1], MASS, BARRIER, U)
         with pytest.raises(DomainError, match="fidelity"):
             sweep("E", [0.1, 0.2], MASS, BARRIER, U, fidelity="verbatim")
+
+
+# the runs whose output bytes test_cli.py pins
+PINNED_CLI_RUNS = [
+    "transmission --min 0.02 --max 2.25 --points 200",
+    "transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity t2",
+    "transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity all",
+    "transmission --min 0.02 --max 2.25 --points 200 --paper_fidelity all",
+    "tunnelling --min 0.02 --max 0.44 --points 200",
+    "transmission --axis V0 --min 0.05 --max 0.9 --points 120",
+    "transmission --axis a --min 1 --max 12 --points 120",
+    "transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity signs",
+    "transmission --min 2.25 --max 3.9 --points 100",
+    "transmission --min 2.2 --points 1",
+    "transmission --min 3.9 --points 1",
+    "validate",
+]
+
+
+def reference_residuals(a, rhs, x):
+    """_residuals as it read with one float(arow @ xs) dot per matrix row."""
+    parts = np.abs(a * x[:, None, :])
+    scale = parts[..., 0] + parts[..., 1] + parts[..., 2] + parts[..., 3] + np.abs(rhs)
+    dots = [float(arow @ xs) for rows, xs in zip(a, x) for arow in rows]
+    gap = np.abs(np.reshape(dots, rhs.shape) - rhs)
+    return np.fmax.reduce(gap / np.maximum(scale, 1e-300), axis=1,
+                          initial=0.0).tolist()
+
+
+def reference_coefficients(points, mp, u, printed_signs):
+    """Per (energy, profile) point, .hex() of (a, y1, y2, y3, b, sqrt(a1),
+    k) from the per-point loop the grid had, barrier_coefficients,
+    airy_scale and basis_for, or the error's class name and message."""
+    out = []
+    for E, pp in points:
+        try:
+            rc = barrier_coefficients(E, mp, pp, u, printed_signs=printed_signs)
+            k = airy_scale(E, mp, u)
+        except (TriqError, ArithmeticError) as exc:
+            out.append((type(exc).__name__, str(exc)))
+            continue
+        basis = basis_for(rc)
+        out.append([v.hex() for v in (pp.a, rc.y1, rc.y2, rc.y3, basis.b_param,
+                                      basis.sqrt_a1, k)])
+    return out
+
+
+def grid_coefficients(points, mp, u, printed_signs):
+    """reference_coefficients' form of one _grid_coefficients call."""
+    *values, failures = triq.scatter._grid_coefficients(points, mp, u,
+                                                        printed_signs)
+    return [(type(failures[i]).__name__, str(failures[i])) if i in failures
+            else [v[i].item().hex() for v in values] for i in range(len(points))]
+
+
+def reference_closed_form(k, fset, gset, bi0, ai_a):
+    """(t1, t2, T_paper) of one point as _paper_closed_form read on Python
+    floats, a call per point."""
+    ai3, aip3 = ai_a
+    t1 = k / math.pi * (gset.f1p * gset.f9 - gset.f8 * gset.f7)
+    t2 = ((gset.f9 * ai3 - k * gset.f7 * aip3)
+          * (k * fset.f1p * bi0.derivative - fset.f8 * bi0.value)
+          * (k * gset.f1p * aip3 - gset.f8 * ai3)
+          * (k * fset.f7 * bi0.derivative - fset.f9 * bi0.value))
+    ratio = _div(t1, t2)
+    return t1, t2, ratio * ratio
+
+
+def closed_form_points(system):
+    """Per point of a system (floats, or arrays over a grid), .hex() of
+    _paper_closed_form's values and of reference_closed_form's."""
+    got = [np.atleast_1d(v).tolist()
+           for v in triq.scatter._paper_closed_form(system)]
+    if not np.ndim(system.airy_scale):
+        per_point = [system]
+    else:
+        per_point = [MatchingSystem._make(
+            type(f)._make(g[i].item() for g in f) if isinstance(f, tuple)
+            else f[i].item() if f.ndim == 1 else f[i] for f in system) for i in range(len(system.airy_scale))]
+    want = [reference_closed_form(p.airy_scale, p.fset, p.gset, p.bi0, p.ai_a)
+            for p in per_point]
+    return ([[v.hex() for v in point] for point in zip(*got)],
+            [[v.hex() for v in point] for point in want])
+
+
+class TestGridPassesAreThePointLoops:
+    """The grid passes of a sweep against the per-point loops they
+    replace, .hex() for .hex(), or error for error."""
+
+    @pytest.mark.parametrize("argv", PINNED_CLI_RUNS)
+    def test_pinned_cli_runs(self, monkeypatch, argv):
+        # every coefficient pass, closed form and residual stack of the run
+        seen = {"_grid_coefficients": [], "_paper_closed_form": [],
+                "_residuals": []}
+        for name, calls in seen.items():
+            def recorded(*args, _fn=getattr(triq.scatter, name), _calls=calls):
+                _calls.append(args)
+                return _fn(*args)
+            monkeypatch.setattr(triq.scatter, name, recorded)
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(argv.split()) == 0
+        monkeypatch.undo()
+        lone = argv.endswith("--points 1") or argv == "validate"
+        assert len(seen["_grid_coefficients"]) == (not lone)
+        # all but the refused lone point solve and take the closed form
+        solved = argv != "transmission --min 3.9 --points 1"
+        assert bool(seen["_paper_closed_form"]) == bool(seen["_residuals"]) == solved
+        for args in seen["_grid_coefficients"]:
+            assert grid_coefficients(*args) == reference_coefficients(*args)
+        for (system,) in seen["_paper_closed_form"]:
+            got, want = closed_form_points(system)
+            assert got == want
+        for a, rhs, x in seen["_residuals"]:
+            assert [v.hex() for v in triq.scatter._residuals(a, rhs, x)] == \
+                [v.hex() for v in reference_residuals(a, rhs, x)]
+
+    def test_residuals_on_random_stacks(self):
+        # 4x4 systems with exponents +-60, and rows of NaN, +-inf and zeros
+        rng = np.random.default_rng(20261019)
+        n = 2000
+        a = rng.uniform(-1.0, 1.0, (n, 4, 4)) * 2.0 ** rng.integers(-60, 61, (n, 4, 4))
+        rhs = rng.uniform(-1.0, 1.0, (n, 4)) * 2.0 ** rng.integers(-60, 61, (n, 4))
+        x = rng.uniform(-1.0, 1.0, (n, 4)) * 2.0 ** rng.integers(-60, 61, (n, 4))
+        for value, rows in ((math.nan, rng.integers(0, n, 40)),
+                            (math.inf, rng.integers(0, n, 40)),
+                            (-math.inf, rng.integers(0, n, 40)),
+                            (0.0, rng.integers(0, n, 40))):
+            a[rows, rng.integers(0, 4, rows.size)] = value
+        a[rng.integers(0, n, 20), :, 2] = 0.0
+        x[rng.integers(0, n, 20), 1] = math.nan
+        with np.errstate(all="ignore"):
+            got = triq.scatter._residuals(a, rhs, x)
+            want = reference_residuals(a, rhs, x)
+        assert [v.hex() for v in got] == [v.hex() for v in want]
+
+    def test_coefficients_on_random_points(self):
+        # points each pass refuses, in the scalar order: E <= 0, NaN or
+        # inf, an overflowing H E, a well, M1 = 0, a1 underflowing to 0
+        # (lam divides by it) and k underflowing (y1 divides by k^2)
+        rng = random.Random(20261019)
+        energies = ([rng.uniform(0.001, 5.0) for _ in range(60)]
+                    + [0.0, -0.2, math.nan, math.inf, 1e-300, 5e-324,
+                       6.9e306, 1e307, 1e308])
+        profiles = [PotentialProfile(V0=rng.uniform(0.05, 1.0),
+                                     alpha=rng.uniform(0.005, 0.2),
+                                     a=rng.uniform(1.0, 12.0))
+                    for _ in energies]
+        points = list(zip(energies, profiles))
+        well = PotentialProfile(kind="well")
+        for mp, pts in ((MASS, points), (MassParams(M0=0.2, M1=0.1), points),
+                        (MassParams(M1=0.0), points[:5]),
+                        (MassParams(M1=5e-324), [(0.1, PotentialProfile(
+                            alpha=1e-300)), (0.1, BARRIER)]),
+                        (MassParams(M1=1e-300), [(5e-324, BARRIER), (0.1, BARRIER)]),
+                        (MASS, [(0.1, well), (0.2, BARRIER)])):
+            for printed_signs in (False, True):
+                want = reference_coefficients(pts, mp, U, printed_signs)
+                assert grid_coefficients(pts, mp, U, printed_signs) == want
+        kinds = {w[0] for w in reference_coefficients(
+            points[-9:] + [(0.1, well)], MASS, U, False) if isinstance(w, tuple)}
+        assert kinds == {"DomainError"}
+        assert reference_coefficients([(0.1, PotentialProfile(alpha=1e-300))],
+                                      MassParams(M1=5e-324), U, False)[0][0] == \
+            reference_coefficients([(5e-324, BARRIER)], MassParams(M1=1e-300),
+                                   U, False)[0][0] == "ZeroDivisionError"
+
+    def test_closed_form_on_random_systems(self):
+        # abbreviation sets, Airy pairs and k with zeros (t2 = 0 takes
+        # _div's branch), NaN, +-inf and overflowing products
+        rng = np.random.default_rng(20261020)
+        n = 3000
+
+        def column():
+            v = rng.uniform(-1.0, 1.0, n) * 2.0 ** rng.integers(-300, 301, n)
+            for value in (0.0, math.nan, math.inf, -math.inf):
+                v[rng.integers(0, n, 60)] = value
+            return v
+
+        abbreviations = [AbbreviationSet._make(column() for _ in range(12))
+                         for _ in range(2)]
+        zero = rng.integers(0, n, 100)
+        for f in ("f1p", "f8", "f9", "f7"):
+            getattr(abbreviations[1], f)[zero] = 0.0
+        system = MatchingSystem(
+            matrix=np.zeros((n, 4, 4)), rhs=np.zeros((n, 4)),
+            airy_scale=np.abs(column()), fset=abbreviations[0],
+            gset=abbreviations[1], bi0=triq.special.AiryPair(column(), column()),
+            ai_a=triq.special.AiryPair(column(), column()))
+        got, want = closed_form_points(system)
+        assert got == want

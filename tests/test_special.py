@@ -458,34 +458,70 @@ class TestKummer:
 
     @pytest.mark.parametrize("c", [1e-17, -1e-17, 1e-16, 2.5e-308, 5e-324,
                                    -5e-324, math.nextafter(-1.0, 0.0)])
-    def test_c_with_a_vanishing_series_denominator_raises(self, c, monkeypatch):
-        # (c + k) - 1.0 rounds to 0 for k = 1 or 2: a DomainError naming c
-        # on every route, for floats and np.float64 alike; the array route
-        # hands such an element to the scalar call without summing it
+    def test_c_with_a_vanishing_series_denominator_raises(self, c):
+        # at these c the plain-series denominator (c + k) - 1.0 rounds to 0
+        # for k = 1 or 2, so they were refused; written c + (k - 1), it
+        # does not.  Every route now gives the scalar call's outcome, for
+        # floats and np.float64 alike: a finite value within 1e-10 of
+        # mpmath, an inf where the true value is past the double range,
+        # or an AccuracyError refusal, never a number silently wrong
+        ctx = pytest.importorskip("mpmath").MPContext()
+        ctx.dps = 50
         assert (c + 1.0) - 1.0 == 0.0 or (c + 2.0) - 1.0 == 0.0
+        outcomes = []
         for b, z in [(-3.0, 1.0), (0.5, 2.0), (0.5, -2.0), (0.5, 0.0)]:
-            for args in ((b, c, z), tuple(map(np.float64, (b, c, z)))):
-                with pytest.raises(DomainError, match=re.escape(f"c={c!r}")):
-                    kummer_m(*args)
-        want = scalar_outcome(-3.0, c, 1.0)
-        assert want[0] == "DomainError"
-        for cs in (c, np.float64(c), np.array([c, c])):
-            values, failures = _kummer_m_array(-3.0, cs, np.array([1.0, 250.0]))
-            assert np.isnan(values).all() and list(failures) == [0, 1]
-            assert all((type(e).__name__, str(e)) == want for e in failures.values())
-        # beside a usable c, only the unusable element is refused
-        summed = []
-        array_sum = triq.special._kummer_series_array
+            want = scalar_outcome(b, c, z)
+            assert scalar_outcome(*map(np.float64, (b, c, z))) == want
+            for cs in (c, np.float64(c), np.array([c, c])):
+                values, failures = _kummer_m_array(b, cs, np.array([z, z]))
+                assert [(type(failures[i]).__name__, str(failures[i]))
+                        if i in failures else values[i].item().hex()
+                        for i in range(2)] == [want, want]
+            if isinstance(want, tuple):
+                assert want[0] == "AccuracyError"
+                outcomes.append(want)
+                continue
+            got, ref = float.fromhex(want), ctx.hyp1f1(b, c, z)
+            if math.isinf(got):
+                assert abs(ref) > sys.float_info.max and got * ref > 0
+            else:
+                assert abs(got - ref) <= 1e-10 * abs(ref), (b, z)
+            outcomes.append(got)
+        # the refusals: at 2.5e-308 the sum of |terms| for (-3, 1) overflows
+        # (the loss gate refuses) and M(0.5; c; 2) is past the double
+        # range; at +-5e-324 the terms overflow and the series runs out of
+        # terms, as one past the double range does at b = 1000, z = 300
+        if c == 2.5e-308:
+            assert outcomes[:2] == [
+                ("AccuracyError", "kummer_m cancellation too severe at "
+                 "b=-3.0, c=2.5e-308, z=1.0"), math.inf]
+        elif abs(c) == 5e-324:
+            assert all(o[0] == "AccuracyError" and "did not converge" in o[1]
+                       for o in outcomes[:3])
+            assert scalar_outcome(1000.0, 0.5, 300.0)[1] == (
+                "kummer_m series did not converge within 1200 terms at z=300.0")
+        else:
+            assert all(math.isfinite(o) for o in outcomes)
 
-        def recorded(b, c, z):
-            summed.append(z.tolist())
-            return array_sum(b, c, z)
-
-        monkeypatch.setattr(triq.special, "_kummer_series_array", recorded)
-        values, failures = _kummer_m_array(-3.0, np.array([0.5, c]),
-                                           np.array([1.0, 2.0]))
-        assert values[0].item().hex() == kummer_m(-3.0, 0.5, 1.0).hex()
-        assert list(failures) == [1] and summed == [[1.0]]
+    def test_tiny_c_meets_the_contract(self):
+        # c's part of the denominators is c + (k - 1): c + k - 1.0 dropped a
+        # tiny c's low bits, M(-3; c; 1) off by 46% at c = 1.2e-16 and 8e-8
+        # at 1e-10 with no error.  Now both routes meet 1e-10 against
+        # mpmath from c = 1e-300 to 0.3, either sign
+        ctx = pytest.importorskip("mpmath").MPContext()
+        ctx.dps = 50
+        rng = random.Random(20261019)
+        inputs = [(-3.0, c, 1.0) for c in (1.2e-16, 1e-15, 1e-13, 1e-10, -1e-16)]
+        inputs += [(rng.uniform(-6.0, 3.0),
+                    rng.choice((1.0, -1.0))
+                    * math.exp(rng.uniform(math.log(1e-300), math.log(0.3))),
+                    rng.uniform(-20.0, 20.0)) for _ in range(60)]
+        for b, c, z in inputs:
+            got = kummer_m(b, c, z)
+            ref = ctx.hyp1f1(b, c, z)
+            assert abs(got - ref) <= 1e-10 * abs(ref), (b, c, z)
+            values, failures = _kummer_m_array(b, c, np.array([z]))
+            assert failures == {} and values[0].item().hex() == got.hex()
 
     @pytest.mark.parametrize("c", [1.2e-16, math.nextafter(-1.0, -2.0),
                                    math.nextafter(-2.0, 0.0), 0.5])
@@ -950,6 +986,31 @@ class TestKummerKernelsBitIdentical:
         for y in pos:
             assert ([v.hex() for v in _airy_asym_pos(y)]
                     == [v.hex() for v in reference_asym_pos(y)]), y
+
+    def test_asymptotic_regimes_over_arrays(self):
+        # over an array each regime retires every element at its own stop:
+        # the scalar call's doubles and the former loop's, on a dense and a
+        # log-uniform corpus each, past zeta = 700 (Bi = inf from y ~ 103.5)
+        # and next to the -1e6 limit
+        rng = random.Random(20261021)
+        pos = ([8.0 + 100.0 * i / 2000 for i in range(2001)]
+               + [math.exp(rng.uniform(math.log(8.0), math.log(1e300)))
+                  for _ in range(1000)]
+               + [math.nextafter(8.0, 9.0), 103.0, 103.5, 104.0, 1.7e308])
+        neg = ([-9.5 - 40.0 * i / 2000 for i in range(2001)]
+               + [-math.exp(rng.uniform(math.log(9.5), math.log(1e6)))
+                  for _ in range(1000)]
+               + [math.nextafter(-9.5, -10.0), -999999.5,
+                  math.nextafter(_AIRY_NEG_LIMIT, 0.0), _AIRY_NEG_LIMIT])
+        for fn, reference, ys in ((_airy_asym_pos, reference_asym_pos, pos),
+                                  (_airy_asym_neg, reference_asym_neg, neg)):
+            grid = [v.tolist() for v in fn(np.array(ys))]
+            for i, y in enumerate(ys):
+                want = [v.hex() for v in fn(y)]
+                assert [v[i].hex() for v in grid] == want, y
+                assert [v.hex() for v in reference(y)] == want, y
+        assert [v[-1] for v in _airy_asym_pos(np.array([103.5, 104.0]))[2:]] \
+            == [math.inf, math.inf]
 
     def test_pi_over_four_constant(self):
         # pi/4 scaled by 2^_PHASE_BITS, rounded to nearest, at twice the bits
