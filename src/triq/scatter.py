@@ -47,8 +47,8 @@ from .model import (MassParams, PotentialProfile, RegionCoefficients,
                     UnitSystem, _coefficients, _kummer_b, airy_scale,
                     barrier_coefficients)
 from .special import (AiryPair, _airy_array, _each, _kummer_m_array,
-                      _recip_gamma_array, _tricomi_u_array, airy_ai, airy_bi,
-                      kummer_m, recip_gamma, tricomi_u_large_z)
+                      _recip_gamma_array, _scalar, _tricomi_u_array, airy_ai,
+                      airy_bi, kummer_m, recip_gamma, tricomi_u_large_z)
 
 # Worst error estimate second() accepts before refusing the point.  Both
 # routes' estimates overshoot the observed error by orders of magnitude in
@@ -181,7 +181,7 @@ class RegionIIBasis:
         call gives; where a point is refused, the error raised is the one
         the first refused point of a scalar loop raises.
         """
-        grid = not (isinstance(x, float) or np.ndim(x) == 0)
+        grid = not _scalar(x)
         if grid:
             x = np.asarray(x, dtype=float)
         y = x + self.y_offset
@@ -208,37 +208,30 @@ class RegionIIBasis:
 
         This is the only evaluation of Tricomi's U(b; 1/2; z): the two-term
         form pi [M~(b;1/2;z)/Gamma(b+1/2) - sqrt(z) M~(b+1/2;3/2;z)/Gamma(b)]
-        (DLMF 13.2.42) with sqrt(z) carried as a1^(1/4) y.  For y > 0 this
-        is the recessive direction, and the two terms cancel
+        (DLMF 13.2.42) with sqrt(z) carried as a1^(1/4) y (_two_term).  For
+        y > 0 this is the recessive direction, and the two terms cancel
         catastrophically once z is large (14 digits gone by z ~ 140).  The
         measured cancellation picks between the subtraction form and the
         large-z recurrence; if neither route can promise the budget the
         point is refused rather than returned wrong.
 
-        Kernels of Python floats give Python floats.  Grid kernels give two
-        arrays (_second_grid), every element the double the float route
-        gives at that point.
+        Kernels of Python floats give Python floats, and np.float64 scalars
+        are taken to Python floats.  Grid kernels give two arrays, every
+        element the double the float route gives at that point
+        (_companion_grid); where points are refused, the error raised is
+        the one the first refused point of a loop of float-route calls
+        raises.
         """
         if type(ker.y) is not float:
-            return self._second_grid(ker)
-        b = self.b_param
-        y = ker.y
-        s = self.sqrt_a1
-        root = math.sqrt(s)  # a1^(1/4)
-        rg_b = self.rg_b
-        rg_bh = self.rg_bh
-        va = ker.r_even * rg_bh
-        vb = root * y * ker.r_odd * rg_b
-        da = 2.0 * s * y * b * ker.r_even_d * rg_bh
-        db = root * ker.r_odd * rg_b
-        dc = 2.0 * s * root * y * y * (b + 0.5) * ker.r_odd_d * rg_b
-        u = math.pi * (va - vb)
-        du_dy = math.pi * (da - db - dc)
-        loss = max(_loss(abs(va) + abs(vb), va - vb),
-                   _loss(abs(da) + abs(db) + abs(dc), da - db - dc))
-        # ~10x above the observed error per unit loss in the moderate-z band;
-        # past z ~ 25 the recurrence route wins the comparison regardless.
-        est = 1e-15 * loss
+            if not _scalar(ker.y):
+                value, deriv, failures = _companion_grid(
+                    self.b_param, self.sqrt_a1, self.rg_b, self.rg_bh, ker)
+                if failures:
+                    raise failures[min(failures)]
+                return value, deriv
+            ker = _Kernels._make(map(float, ker))
+        b, s, y = self.b_param, self.sqrt_a1, ker.y
+        u, du_dy, est = _two_term(b, s, self.rg_b, self.rg_bh, ker)
         if y > 0.0 and est > 1e-11:
             u_val, e_val = tricomi_u_large_z(b, 0.5, ker.z)
             u_slope, e_slope = tricomi_u_large_z(b + 1.0, 1.5, ker.z)
@@ -248,26 +241,7 @@ class RegionIIBasis:
                 est = max(e_val, e_slope)
         if est > _SECOND_BUDGET:
             raise _second_refusal(y, ker.z, est)
-        value = ker.damp * u
-        deriv = ker.damp * (du_dy - s * y * u)
-        return value, deriv
-
-    def _second_grid(self, ker: _Kernels) -> tuple[np.ndarray, np.ndarray]:
-        """second() over kernels of 1-D arrays, or of np.float64 scalars.
-
-        Every element is the double the float route gives at that point
-        (_companion_grid).  Where points are refused, the error raised is
-        the one the first refused point of a loop of float-route calls
-        raises.  np.float64 scalars are taken to Python floats and the
-        float route.
-        """
-        if np.ndim(ker.y) == 0:
-            return self.second(_Kernels._make(map(float, ker)))
-        value, deriv, failures = _companion_grid(
-            self.b_param, self.sqrt_a1, self.rg_b, self.rg_bh, ker)
-        if failures:
-            raise failures[min(failures)]
-        return value, deriv
+        return ker.damp * u, ker.damp * (du_dy - s * y * u)
 
 
 def _first(b, s, ker: _Kernels):
@@ -278,35 +252,53 @@ def _first(b, s, ker: _Kernels):
     return value, deriv
 
 
+def _two_term(b, s, rg_b, rg_bh, ker: _Kernels):
+    """(U, dU/dy, error estimate) of second()'s two-term form, before the
+    damping e^(-z/2).
+
+    b, s = sqrt(a1), rg_b = 1/Gamma(b) and rg_bh = 1/Gamma(b + 1/2) are
+    floats or arrays with one entry per kernel point, and the kernels
+    floats or arrays: floats give floats, arrays give every element the
+    float's double (the caller silences numpy).  The estimate is 1e-15
+    times the worse cancellation factor of the value and the slope.
+    """
+    y = ker.y
+    root = math.sqrt(s) if _scalar(s) else np.sqrt(s)  # a1^(1/4)
+    va = ker.r_even * rg_bh
+    vb = root * y * ker.r_odd * rg_b
+    da = 2.0 * s * y * b * ker.r_even_d * rg_bh
+    db = root * ker.r_odd * rg_b
+    dc = 2.0 * s * root * y * y * (b + 0.5) * ker.r_odd_d * rg_b
+    l1 = _loss(abs(va) + abs(vb), va - vb)
+    l2 = _loss(abs(da) + abs(db) + abs(dc), da - db - dc)
+    # Not an upper bound: against 50-digit mpmath, at 3 of 15 energies in
+    # 0.40-0.75 eV on the default barrier, it read below the true error
+    # (4.3e-10 against 2.5e-9 at 0.400 eV, 3.4e-9 against 1.4e-8 at 0.475
+    # eV, 6.0e-9 against 3.0e-8 at 0.500 eV).  Past z ~ 25 the recurrence
+    # route wins the comparison regardless.  max(l1, l2) over arrays is
+    # np.where(l2 > l1, l2, l1), which keeps a NaN l1 the way max does.
+    est = 1e-15 * (max(l1, l2) if _scalar(l1) else np.where(l2 > l1, l2, l1))
+    return math.pi * (va - vb), math.pi * (da - db - dc), est
+
+
 def _companion_grid(b, s, rg_b, rg_bh, ker: _Kernels):
     """second() over grid kernels: (values, derivatives, failures).
 
     b, s = sqrt(a1), rg_b = 1/Gamma(b) and rg_bh = 1/Gamma(b + 1/2) are
     one basis's floats (an x grid) or arrays with one entry per kernel
     point (one interface of a sweep).  Every element is the double the
-    float route gives at that point: the subtraction form and both
-    cancellation factors are taken for all points at once, in the float
-    route's operation order, and every point that tries the large-z
+    float route gives at that point: the two-term form is taken for all
+    points at once (_two_term), and every point that tries the large-z
     recurrence takes it in one _tricomi_u_array call, its (b, 1/2) call
     before its (b + 1, 3/2) call.  failures maps the index of each refused
     point, in index order, to the error second() raises there alone: the
     recurrence's, else the refusal of an estimate over _SECOND_BUDGET.
     """
     y, z = ker.y, ker.z
-    root = np.sqrt(s)  # a1^(1/4)
     # products overflow to inf, and inf - inf is NaN, silently in the
     # float route; numpy is made as silent
     with np.errstate(all="ignore"):
-        va = ker.r_even * rg_bh
-        vb = root * y * ker.r_odd * rg_b
-        da = 2.0 * s * y * b * ker.r_even_d * rg_bh
-        db = root * ker.r_odd * rg_b
-        dc = 2.0 * s * root * y * y * (b + 0.5) * ker.r_odd_d * rg_b
-        u = math.pi * (va - vb)
-        du_dy = math.pi * (da - db - dc)
-        l1 = _grid_loss(np.abs(va) + np.abs(vb), va - vb)
-        l2 = _grid_loss(np.abs(da) + np.abs(db) + np.abs(dc), da - db - dc)
-        est = 1e-15 * np.where(l2 > l1, l2, l1)  # max(l1, l2)
+        u, du_dy, est = _two_term(b, s, rg_b, rg_bh, ker)
     tried = np.flatnonzero((y > 0.0) & (est > 1e-11))
     m = tried.size
     bt, st = (np.broadcast_to(v, y.shape)[tried] for v in (b, s))
@@ -339,7 +331,7 @@ def _second_refusal(y: float, z: float, est: float) -> AccuracyError:
         f"best error estimate {est:.1e}", value=z)
 
 
-def _loss(parts: float, net: float) -> float:
+def _loss(parts, net):
     """Cancellation factor parts / |net| of second(), |net| floored at 1e-300.
 
     Saturates at _LOSS_CAP instead of overflowing: the two terms can cancel
@@ -349,17 +341,15 @@ def _loss(parts: float, net: float) -> float:
     subtraction form over _SECOND_BUDGET: the point then stands or falls by
     the recurrence's own estimate, which beats the capped one exactly when
     it beats the uncapped one within budget, so no route decision moves.
+    Floats, or arrays elementwise with each element the float's double
+    (the caller silences numpy): np.where(1e-300 > den, 1e-300, den) keeps
+    a NaN den, as max does.
     """
-    den = max(abs(net), 1e-300)
-    if parts * (1.0 / _LOSS_CAP) < den:
-        return parts / den
-    return _LOSS_CAP
-
-
-def _grid_loss(parts: np.ndarray, net: np.ndarray) -> np.ndarray:
-    """_loss elementwise, each element its double: max(a, b) is taken as
-    np.where(b > a, b, a), which keeps a NaN a the way max does.  The
-    caller silences numpy's warnings."""
+    if _scalar(parts):
+        den = max(abs(net), 1e-300)
+        if parts * (1.0 / _LOSS_CAP) < den:
+            return parts / den
+        return _LOSS_CAP
     den = np.abs(net)
     den = np.where(1e-300 > den, 1e-300, den)
     return np.where(parts * (1.0 / _LOSS_CAP) < den, parts / den, _LOSS_CAP)
@@ -399,17 +389,17 @@ def _div(num, den):
     num's sign otherwise (the printed shorthands divide by sqrt(a1) y,
     which is 0 at the vertex).  Floats, or arrays elementwise, each
     element the float's double."""
-    if np.ndim(num) or np.ndim(den):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            quotient = num / den
-        at_zero = np.where((num == 0.0) | np.isnan(num), math.nan,
-                           np.copysign(math.inf, num))
-        return np.where(den != 0.0, quotient, at_zero)
-    if den != 0.0:
-        return num / den
-    if num == 0.0 or math.isnan(num):
-        return math.nan
-    return math.copysign(math.inf, num)
+    if _scalar(num) and _scalar(den):
+        if den != 0.0:
+            return num / den
+        if num == 0.0 or math.isnan(num):
+            return math.nan
+        return math.copysign(math.inf, num)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        quotient = num / den
+    at_zero = np.where((num == 0.0) | np.isnan(num), math.nan,
+                       np.copysign(math.inf, num))
+    return np.where(den != 0.0, quotient, at_zero)
 
 
 def abbreviations_at(basis: RegionIIBasis, ker: _Kernels) -> AbbreviationSet:
@@ -446,7 +436,7 @@ def _abbreviations(b, s, rg_bh, rg_b, rg_f6, ker: _Kernels) -> AbbreviationSet:
           * (3.0 + lam_over_root) * ker.r_odd_d)
     f1p = _div(f1, s * y)
     f3p = _div(f3, s * y)
-    f5p = _div(f5, (np.sqrt(s) if np.ndim(s) else math.sqrt(s)) * y)
+    f5p = _div(f5, (math.sqrt(s) if _scalar(s) else np.sqrt(s)) * y)
     return AbbreviationSet(f1=f1, f2=f2, f3=f3, f4=f4, f5=f5, f6=f6,
                            f1p=f1p, f3p=f3p, f5p=f5p,
                            f7=f3p - f5p, f8=f2 - f1, f9=f4 + f5 - f3 - f6)
@@ -526,27 +516,38 @@ def _assemble(basis: RegionIIBasis, exterior, ker0: _Kernels, kera: _Kernels,
     (k, Ai(y1), Bi(y1), Ai(y3)) and its kernels at x = 0 and x = a; more
     points take _assemble_grid, which gives each the same doubles."""
     k, ai0, bi0, ai_a = exterior
-    fset = abbreviations_at(basis, ker0)
-    gset = abbreviations_at(basis, kera)
-    if printed_columns:
-        v0, q0 = fset.f1p, fset.f7
-        d0, qd0 = fset.f8, fset.f9
-        va, qa = gset.f1p, gset.f7
-        da, qda = gset.f8, gset.f9
-    else:
-        v0, d0 = basis.first(ker0)
-        q0, qd0 = basis.second(ker0)
-        va, da = basis.first(kera)
-        qa, qda = basis.second(kera)
-    matrix = np.array([
-        [ai0.value, bi0.value, -v0, -q0],
-        [k * ai0.derivative, k * bi0.derivative, -d0, -qd0],
-        [0.0, 0.0, va, qa],
-        [0.0, 0.0, da, qda],
-    ])
-    rhs = np.array([0.0, 0.0, ai_a.value, k * ai_a.derivative])
+    return _system(k, (*ai0, *bi0, *ai_a), abbreviations_at(basis, ker0),
+                   abbreviations_at(basis, kera), printed_columns,
+                   lambda: [(*basis.first(ker), *basis.second(ker))
+                            for ker in (ker0, kera)])
+
+
+def _system(k, airy, fset, gset, printed_columns: bool,
+            canonical) -> MatchingSystem:
+    """The MatchingSystem of a lone point (floats) or of a grid (arrays
+    with one entry per point): its Airy scale k, its exterior values airy
+    (Ai, Ai', Bi and Bi' at y1, then Ai and Ai' at y3), its abbreviation
+    sets at x = 0 and x = a, and its interior columns.
+
+    The columns are the printed shorthands under printed_columns, else
+    canonical(), called only then: (value, derivative) of first() and then
+    of second(), at x = 0 and then at x = a.  The matrices are one (4, 4)
+    array per point, one (n, 4, 4) stack over a grid.
+    """
+    ai0, ai0p, bi0, bi0p, ai_a, ai_ap = airy
+    (v0, d0, q0, qd0), (va, da, qa, qda) = (
+        [(ab.f1p, ab.f8, ab.f7, ab.f9) for ab in (fset, gset)]
+        if printed_columns else canonical())
+    shape = np.shape(k)
+    zero = np.zeros(shape)
+    matrix = np.stack([ai0, bi0, -v0, -q0,
+                       k * ai0p, k * bi0p, -d0, -qd0,
+                       zero, zero, va, qa,
+                       zero, zero, da, qda], axis=-1).reshape(shape + (4, 4))
+    rhs = np.stack([zero, zero, ai_a, k * ai_ap], axis=-1)
     return MatchingSystem(matrix=matrix, rhs=rhs, airy_scale=k, fset=fset,
-                          gset=gset, bi0=bi0, ai_a=ai_a)
+                          gset=gset, bi0=AiryPair(bi0, bi0p),
+                          ai_a=AiryPair(ai_a, ai_ap))
 
 
 def solve_matching(systems: Sequence[MatchingSystem] | MatchingSystem,
@@ -927,27 +928,13 @@ def _assemble_grid(b, s, offset, widths, k, airy, printed_columns: bool):
     for j, exc in rg_failures.items():  # index order is the reading order
         if j < 2 * n or not isinstance(exc, AccuracyError):
             failures.setdefault(j % n, exc)
-    ai0, ai0p, bi0, bi0p, ai_a, ai_ap = airy
     with np.errstate(all="ignore"):  # silent, as the float route is
-        fset = _abbreviations(b, s, rg_bh, rg_b, rg_f6, ker0)
-        gset = _abbreviations(b, s, rg_bh, rg_b, rg_f6, kera)
-        if printed_columns:
-            v0, q0, d0, qd0 = fset.f1p, fset.f7, fset.f8, fset.f9
-            va, qa, da, qda = gset.f1p, gset.f7, gset.f8, gset.f9
-        else:
-            v0, d0 = _first(b, s, ker0)
-            va, da = _first(b, s, kera)
-            q0, qd0 = _second_points(b, s, rg_b, rg_bh, ker0, failures)
-            qa, qda = _second_points(b, s, rg_b, rg_bh, kera, failures)
-        zero = np.zeros(n)
-        matrix = np.stack([ai0, bi0, -v0, -q0,
-                           k * ai0p, k * bi0p, -d0, -qd0,
-                           zero, zero, va, qa,
-                           zero, zero, da, qda], axis=1).reshape(n, 4, 4)
-        rhs = np.stack([zero, zero, ai_a, k * ai_ap], axis=1)
-    system = MatchingSystem(matrix=matrix, rhs=rhs, airy_scale=k, fset=fset,
-                            gset=gset, bi0=AiryPair(bi0, bi0p),
-                            ai_a=AiryPair(ai_a, ai_ap))
+        system = _system(
+            k, airy, _abbreviations(b, s, rg_bh, rg_b, rg_f6, ker0),
+            _abbreviations(b, s, rg_bh, rg_b, rg_f6, kera), printed_columns,
+            lambda: [(*_first(b, s, ker),
+                      *_second_points(b, s, rg_b, rg_bh, ker, failures))
+                     for ker in (ker0, kera)])
     if failures:
         rows = _standing(n, failures)
         system = MatchingSystem._make(

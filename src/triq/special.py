@@ -31,16 +31,22 @@ subtraction cancels, chosen by each route's error estimate.
 Four kernels also run over a 1-D array, element for element the doubles
 of the scalar calls: _kummer_m_array (one plain-series pass, summing a
 block of terms per numpy step), _airy_array, _recip_gamma_array and
-_tricomi_u_array.  The Airy array makes one Maclaurin pass for Ai and Bi
-together and one lockstep Taylor march, each element with its own steps
-and stop rules.  The asymptotic regimes take every element's series terms
-at once (_asym_sums), each element keeping those up to its own stop, but
-the libm pow, exp, sin and cos they rest on, which numpy's ufuncs need not
-reproduce to the bit, and the fixed-point phase per element.  For the same
-reason the Gamma and Tricomi arrays do their + - * / in numpy, in the
-scalar operation order, and take log, exp, sin(pi x) and z ** (-a) per
-element on Python floats.
-A single point is cheaper through the scalar calls, which stay.
+_tricomi_u_array.  Their + - * / run in numpy in the scalar operation
+order; libm's pow, exp, log, sin and cos, which numpy's ufuncs need not
+reproduce to the bit, and the fixed-point Airy phase are taken per
+element on Python floats (_each).
+
+A scalar/array pair is kept only for a per-element loop, where a lone
+point is cheaper on its own (a one-element _tricomi_u_array call took
+0.65-1.1 ms against 16-23 us for tricomi_u_large_z on a 2-CPU host):
+the series loops (_airy_series, _kummer_series, _tricomi_tail), the
+Taylor step and march, the Tricomi recurrence and the ln Gamma shift.
+The formulas around them are written once for a float or an array: the
+Maclaurin combination, the Stirling tail, the 1/Gamma reflection
+decision (_recip_gamma_of) and the asymptotic Airy sums (_asym_sums).
+A float takes the last as a one-element array, 46-126 us a call against
+10-31 us for a term loop of its own; a sweep takes the asymptotic
+regimes over arrays, and a validate pass makes 4 such float calls.
 """
 
 from __future__ import annotations
@@ -122,6 +128,23 @@ def _is_nonpositive_integer(x):
     return (x <= 0.0) & (x == x // 1.0)
 
 
+def _scalar(x) -> bool:
+    """Whether x is one value (a float, np.float64 or 0-d array), not a 1-D
+    array.  isinstance comes first: np.ndim of a float costs ~2 us, which
+    the float route of a float-or-array routine should not pay."""
+    return isinstance(x, float) or not np.ndim(x)
+
+
+def _each(fn, x):
+    """fn(x) of a float, or fn of each Python float of an array: roots,
+    exponentials, sines and cosines are taken per element with math and
+    Python's **, as numpy's differ from them in the last bit for some
+    inputs."""
+    if _scalar(x):
+        return fn(x)
+    return np.array([fn(v) for v in x.tolist()])
+
+
 # ---------------------------------------------------------------------------
 # Gamma
 
@@ -153,20 +176,46 @@ _STIRLING = (
 )
 
 
-def _lngamma_positive(x: float) -> float:
-    """ln Gamma(x) for x >= 0.5 via upward shift + Stirling series."""
-    shift = 1.0
-    z = x
-    while z < 12.0:
-        shift *= z
-        z += 1.0
+def _lngamma_positive(x):
+    """ln Gamma(x) for x >= 0.5 via upward shift + Stirling series: a float,
+    or elementwise over a 1-D array with |x| <= _RG_ARRAY_LIMIT.
+
+    Over an array the shift runs until every element is past 12, each
+    element stopping at its own; + - * / run in numpy in the float order
+    and the logs per element (_each), so each element gets the float's
+    double.
+    """
+    if _scalar(x):
+        shift, z = 1.0, x
+        while z < 12.0:
+            shift *= z
+            z += 1.0
+    else:
+        shift, z = np.ones(x.size), x.copy()
+        low = np.flatnonzero(z < 12.0)
+        while low.size:
+            shift[low] *= z[low]
+            z[low] += 1.0
+            low = low[z[low] < 12.0]
     zz = 1.0 / (z * z)
     series = 0.0
     for coeff in reversed(_STIRLING):
         series = (series + coeff) * zz
     series /= zz * z  # undo one power: series terms are c_k * z^(1-2k)
-    result = (z - 0.5) * math.log(z) - z + _LN_SQRT_2PI + series
-    return result - math.log(shift)
+    return ((z - 0.5) * _each(math.log, z) - z + _LN_SQRT_2PI + series
+            - _each(math.log, shift))
+
+
+def _recip_gamma_of(x: float, ln: float) -> float:
+    """1/Gamma(x) of a finite x that is not a pole, from ln = ln Gamma of
+    max(x, 1 - x): x itself from 0.5 up, else the reflected 1 - x, whose
+    Gamma refuses x where it overflows."""
+    if x >= 0.5:
+        return math.exp(-ln)
+    # Reflection: 1/Gamma(x) = Gamma(1-x) * sin(pi x) / pi
+    if ln > 700.0:
+        raise AccuracyError(f"recip_gamma overflow at x={x!r}", value=x)
+    return _sinpi(x) / math.pi * math.exp(ln)
 
 
 def recip_gamma(x: float) -> float:
@@ -174,18 +223,7 @@ def recip_gamma(x: float) -> float:
     x = require_finite("x", x)
     if _is_nonpositive_integer(x) or x > _RG_ARRAY_LIMIT:
         return 0.0  # 1/Gamma underflows from x ~ 178
-    if x >= 0.5:
-        return math.exp(-_lngamma_positive(x))
-    # Reflection: 1/Gamma(x) = Gamma(1-x) * sin(pi x) / pi
-    ln_reflected = _lngamma_positive(1.0 - x)
-    if ln_reflected > 700.0:
-        raise _recip_gamma_overflow(x)
-    return _sinpi(x) / math.pi * math.exp(ln_reflected)
-
-
-def _recip_gamma_overflow(x: float) -> AccuracyError:
-    """The error recip_gamma refuses x with, where Gamma(1 - x) overflows."""
-    return AccuracyError(f"recip_gamma overflow at x={x!r}", value=x)
+    return _recip_gamma_of(x, _lngamma_positive(max(x, 1.0 - x)))
 
 
 # |x| up to which ln Gamma is summed: past it the Stirling series' z * z
@@ -193,42 +231,17 @@ def _recip_gamma_overflow(x: float) -> AccuracyError:
 _RG_ARRAY_LIMIT = 2.0 ** 500
 
 
-def _lngamma_positive_array(x: np.ndarray) -> np.ndarray:
-    """_lngamma_positive over a 1-D array of x >= 0.5, |x| <= _RG_ARRAY_LIMIT.
-
-    The upward shift runs until every element is past 12, each element
-    stopping at its own; + - * / run in numpy in the scalar order and
-    math.log per element, so each element gets the scalar double.
-    """
-    shift, z = np.ones(x.size), x.copy()
-    low = np.flatnonzero(z < 12.0)
-    while low.size:
-        shift[low] *= z[low]
-        z[low] += 1.0
-        low = low[z[low] < 12.0]
-    zz = 1.0 / (z * z)
-    series = np.zeros(x.size)
-    for coeff in reversed(_STIRLING):
-        series = (series + coeff) * zz
-    series /= zz * z
-    log_z = np.array([math.log(v) for v in z.tolist()])
-    log_shift = np.array([math.log(v) for v in shift.tolist()])
-    return (z - 0.5) * log_z - z + _LN_SQRT_2PI + series - log_shift
-
-
 def _recip_gamma_array(x):
     """recip_gamma over a 1-D array, with the scalar calls' doubles.
 
-    ln Gamma is taken for all elements in one pass
-    (_lngamma_positive_array), then math.exp and _sinpi per element on
-    Python floats, as the scalar call takes them: numpy's libm need not
-    agree with the C library's in the last bit.  A pole gives 0.0, and a
-    reflected element past the overflow the scalar call's error.  An
-    element this route does not take (non-finite, or past
-    _RG_ARRAY_LIMIT) makes the scalar call.  Returns (values, failures):
-    values holds what the scalar calls return, NaN where one raises;
-    failures maps the index of each such element, in index order, to its
-    error.
+    ln Gamma is taken for all elements in one pass (_lngamma_positive),
+    then _recip_gamma_of per element on Python floats, as the scalar call
+    takes it: numpy's libm need not agree with the C library's in the last
+    bit.  A pole gives 0.0.  An element this route does not take
+    (non-finite, or past _RG_ARRAY_LIMIT) makes the scalar call.  Returns
+    (values, failures): values holds what the scalar calls return, NaN
+    where one raises; failures maps the index of each such element, in
+    index order, to its error.
     """
     x = np.asarray(x, dtype=float)
     values = np.full(x.size, math.nan)
@@ -238,16 +251,13 @@ def _recip_gamma_array(x):
     values[pole] = 0.0
     run = np.flatnonzero(own & ~pole)
     xs = x[run]
-    direct = xs >= 0.5
-    ln = _lngamma_positive_array(np.where(direct, xs, 1.0 - xs))
+    ln = _lngamma_positive(np.maximum(xs, 1.0 - xs))
     failures = {}
     for i, xi, li in zip(run.tolist(), xs.tolist(), ln.tolist()):
-        if xi >= 0.5:
-            values[i] = math.exp(-li)
-        elif li > 700.0:
-            failures[i] = _recip_gamma_overflow(xi)
-        else:
-            values[i] = _sinpi(xi) / math.pi * math.exp(li)
+        try:
+            values[i] = _recip_gamma_of(xi, li)
+        except AccuracyError as exc:
+            failures[i] = exc
     for i in np.flatnonzero(~own).tolist():
         try:
             values[i] = recip_gamma(x[i].item())
@@ -317,9 +327,10 @@ def _airy_series(y: float) -> tuple[float, float, float, float]:
     return f, fp, g, gp
 
 
-def _airy_series_pair(y: float) -> tuple[float, float, float, float]:
-    """(Ai, Ai', Bi, Bi') from the Maclaurin pair."""
-    f, fp, g, gp = _airy_series(y)
+def _airy_series_pair(y):
+    """(Ai, Ai', Bi, Bi') from the Maclaurin pair: a float, or a 1-D array
+    elementwise (_airy_series_array)."""
+    f, fp, g, gp = _airy_series(y) if _scalar(y) else _airy_series_array(y)
     ai = _AI_ZERO * f - _AI_SLOPE * g
     aip = _AI_ZERO * fp - _AI_SLOPE * gp
     bi = _SQRT3 * (_AI_ZERO * f + _AI_SLOPE * g)
@@ -365,25 +376,6 @@ def _airy_march(y: float, x0: float, w: float, wp: float) -> tuple[float, float]
 # the asymptotic series' terms k = 1 .. _ASYM_TERMS at most
 _ASYM_TERMS = 59
 
-
-def _asym_terms(zeta: float):
-    """Yield (k, u_k / zeta^k, v_k / zeta^k) of the Airy asymptotic series
-    (DLMF 9.7.2), the one place for its recurrence and stop rule: it is
-    asymptotic, so it stops before the first term that does not shrink, or
-    after one below 1e-18.  _asym_sums takes the same terms over arrays."""
-    u_term = 1.0
-    prev = math.inf
-    for k in range(1, _ASYM_TERMS + 1):
-        u_term *= (6.0 * k - 1.0) * (6.0 * k - 5.0) / (72.0 * k * zeta)
-        mag = abs(u_term)
-        if mag >= prev:
-            return  # asymptotic tail started growing; stop at the floor
-        yield k, u_term, u_term * (6.0 * k + 1.0) / (1.0 - 6.0 * k)
-        if mag < 1e-18:
-            return
-        prev = mag
-
-
 # k as a column, and the signs each regime's sums give term k: the
 # exponential pair sums (-1)^k and 1; the oscillatory pair splits
 # (-1)^floor(k/2) by even and odd k, 0 for the other parity
@@ -394,27 +386,33 @@ _ASYM_NEG_SIGNS = (np.where(_ASYM_K % 4.0 < 2.0, 1.0, -1.0)
                    * (_ASYM_K % 2.0 == np.array([0.0, 1.0])))
 
 
-def _asym_sums(zeta: np.ndarray, signs: np.ndarray, start) -> np.ndarray:
-    """The four sums of the _asym_terms of a 1-D array of zeta: start +
-    sum_k signs[k, j] u_k / zeta^k for j = 0, 1, then the same two of the
-    v_k, as a (4, n) array.
+def _asym_sums(zeta, signs, start):
+    """The four sums of the Airy asymptotic series (DLMF 9.7.2) of zeta, a
+    float or a 1-D array: start + sum_k signs[k, j] u_k / zeta^k for j =
+    0, 1, then the same two of the v_k; four floats for a float, else a
+    (4, n) array.  This is the one place for the terms' recurrence and
+    their stop rule.
 
-    Every element's terms are taken for all k at once in _asym_terms'
-    operations (u_k as the running product of the ratios), and each
-    element keeps those its generator yields: term k where it and every
-    term before it shrank, and none before it fell below 1e-18.  The sums
-    are added left to right from start, as the scalar loops add.  A term
-    an element does not take, or a sum does not count (sign 0), is added
-    as +0.0, which changes no sum: none is -0.0, as each starts at 1.0 or
-    +0.0 and a rounded sum is -0.0 only of two -0.0.
+    u_k / zeta^k is the running product of the ratios (6k - 1)(6k - 5) /
+    (72 k zeta), and v_k / zeta^k is u_k / zeta^k (6k + 1) / (1 - 6k).
+    The series is asymptotic, so an element takes term k where it and
+    every term before it shrank, and none before it fell below 1e-18: it
+    stops before the first term that does not shrink, or after one below
+    1e-18.  Every element's terms are taken for all k at once, and the
+    sums are added left to right from start.  A term an element does not
+    take, or a sum does not count (sign 0), is added as +0.0, which
+    changes no sum: none is -0.0, as each starts at 1.0 or +0.0 and a
+    rounded sum is -0.0 only of two -0.0.
     """
+    lone = _scalar(zeta)
+    zeta = np.atleast_1d(zeta)
     k = _ASYM_K
     # the terms past an element's stop may overflow; they are dropped
     with np.errstate(all="ignore"):
         u = np.multiply.accumulate(
             (6.0 * k - 1.0) * (6.0 * k - 5.0) / (72.0 * k * zeta), axis=0)
     mag = np.abs(u)
-    # term k is yielded where it shrinks and every term before it shrank
+    # term k is taken where it shrinks and every term before it shrank
     # without falling below 1e-18
     taken = np.empty(u.shape, dtype=bool)
     taken[0] = ~(mag[0] >= math.inf)
@@ -434,17 +432,7 @@ def _asym_sums(zeta: np.ndarray, signs: np.ndarray, start) -> np.ndarray:
     sums[0] += np.reshape(start, (-1, 1))
     for i in range(1, rows):
         sums[i] += sums[i - 1]
-    return sums[-1]
-
-
-def _each(fn, x):
-    """fn(x) of a float, or fn of each Python float of an array: roots,
-    exponentials, sines and cosines are taken per element with math and
-    Python's **, as numpy's differ from them in the last bit for some
-    inputs."""
-    if np.ndim(x):
-        return np.array([fn(v) for v in x.tolist()])
-    return fn(x)
+    return sums[-1, :, 0].tolist() if lone else sums[-1]
 
 
 def _quarter_power(x: float) -> float:
@@ -458,25 +446,18 @@ def _exp_growth(zeta: float) -> float:
 
 def _airy_asym_pos(y):
     """(Ai, Ai', Bi, Bi') for y >= _AIRY_ASYM_POS from the exponential
-    asymptotics: a float, or a 1-D array elementwise (_asym_sums).
+    asymptotics: a float, or a 1-D array elementwise.
 
     Past zeta = 700 Bi and Bi' are inf: airy_bi refuses before this point,
     airy_ai discards them.
     """
-    if np.ndim(y):
+    if _scalar(y):
+        zeta = (2.0 / 3.0) * y * math.sqrt(y)
+    else:
         with np.errstate(over="ignore"):  # inf past 1e205, as for floats
             zeta = (2.0 / 3.0) * y * np.sqrt(y)
-        su_m, su_p, sv_m, sv_p = _asym_sums(zeta, _ASYM_POS_SIGNS, 1.0)
-    else:
-        zeta = (2.0 / 3.0) * y * math.sqrt(y)
-        # Sums S(+-) = sum (+-1)^k u_k / zeta^k and the v_k companions.
-        su_m = su_p = sv_m = sv_p = 1.0
-        for k, u_term, v_term in _asym_terms(zeta):
-            sgn = -1.0 if (k & 1) else 1.0
-            su_m += sgn * u_term
-            su_p += u_term
-            sv_m += sgn * v_term
-            sv_p += v_term
+    # S(+-) = sum (+-1)^k u_k / zeta^k and the v_k companions
+    su_m, su_p, sv_m, sv_p = _asym_sums(zeta, _ASYM_POS_SIGNS, 1.0)
     root4 = _each(_quarter_power, y)
     e_neg = _each(math.exp, -zeta)
     e_pos = _each(_exp_growth, zeta)
@@ -518,27 +499,16 @@ def _oscillatory_phase(t: float) -> tuple[float, float, float]:
 
 def _airy_asym_neg(y):
     """(Ai, Ai', Bi, Bi') for y <= _AIRY_ASYM_NEG from the oscillatory
-    asymptotics: a float, or a 1-D array elementwise (_asym_sums, and the
-    phase per element)."""
+    asymptotics: a float, or a 1-D array elementwise (the phase per
+    element)."""
     t = -y
-    if np.ndim(y):
-        zeta, s, c = map(np.array, zip(*map(_oscillatory_phase, t.tolist())))
-        ue, uo, ve, vo = _asym_sums(zeta, _ASYM_NEG_SIGNS, (1.0, 0.0, 1.0, 0.0))
-    else:
+    if _scalar(y):
         zeta, s, c = _oscillatory_phase(t)
-        # Even/odd splits of sum (-1)^k u_k / zeta^k and the v companion.
-        ue = ve = 1.0
-        uo = vo = 0.0
-        for k, u_term, v_term in _asym_terms(zeta):
-            # (-1)^k applied to the full alternating series sum (-1)^j c_j/zeta^j
-            # splits as (-1)^m on even j=2m and odd j=2m+1 entries alike.
-            sgn = -1.0 if (k & 2) else 1.0
-            if k & 1:
-                uo += sgn * u_term
-                vo += sgn * v_term
-            else:
-                ue += sgn * u_term
-                ve += sgn * v_term
+    else:
+        zeta, s, c = map(np.array, zip(*map(_oscillatory_phase, t.tolist())))
+    # even/odd splits of sum (-1)^k u_k / zeta^k and the v companion:
+    # (-1)^k of the alternating series splits as (-1)^m on k = 2m and 2m + 1
+    ue, uo, ve, vo = _asym_sums(zeta, _ASYM_NEG_SIGNS, (1.0, 0.0, 1.0, 0.0))
     root4 = _each(_quarter_power, t)
     inv = 1.0 / (_SQRT_PI * root4)
     fac = root4 / _SQRT_PI
@@ -632,12 +602,9 @@ def _airy_array(y) -> AiryGrid:
     ys = y.tolist()  # Python floats: the scalar calls' own types
     ai, aip, bi, bip = (np.full(y.size, math.nan) for _ in range(4))
     series = np.flatnonzero((y >= _AIRY_SERIES_LO) & (y < _AIRY_ASYM_POS))
-    f, fp, g, gp = _airy_series_array(y[series])
-    bi[series] = _SQRT3 * (_AI_ZERO * f + _AI_SLOPE * g)
-    bip[series] = _SQRT3 * (_AI_ZERO * fp + _AI_SLOPE * gp)
+    a, ap, bi[series], bip[series] = _airy_series_pair(y[series])
     on = y[series] <= _AIRY_SERIES_HI_AI  # above it, Ai marches down from 8
-    ai[series[on]] = (_AI_ZERO * f - _AI_SLOPE * g)[on]
-    aip[series[on]] = (_AI_ZERO * fp - _AI_SLOPE * gp)[on]
+    ai[series[on]], aip[series[on]] = a[on], ap[on]
 
     neg = np.flatnonzero((y > _AIRY_ASYM_NEG) & (y < _AIRY_SERIES_LO))
     pos = np.flatnonzero((y > _AIRY_SERIES_HI_AI) & (y < _AIRY_ASYM_POS))
@@ -796,9 +763,11 @@ def _kummer_series(b: float, c: float, z: float) -> tuple[float, float]:
             break
         prev_mag = mag
     else:
-        raise AccuracyError(
-            f"kummer_m series did not converge within {_KUMMER_MAX_TERMS} terms "
-            f"at z={z!r}", value=z)
+        # a term past the double range leaves inf or NaN in every sum after
+        # it, and no stop rule holds: the series runs out of terms
+        cause = (f"did not converge within {_KUMMER_MAX_TERMS} terms"
+                 if abs_sum < math.inf else "terms overflow a double")
+        raise AccuracyError(f"kummer_m series {cause} at z={z!r}", value=z)
     return s + comp, abs_sum
 
 
@@ -1037,9 +1006,10 @@ def _kummer_sum(b: float, c: float, z: float, plain=None) -> float:
         return value
     value, abs_sum = _kummer_series_dd(b, c, z)
     if _kummer_loss(value, abs_sum) > _KUMMER_FAIL_LOSS:
-        raise AccuracyError(
-            f"kummer_m cancellation too severe at b={b!r}, c={c!r}, z={z!r}",
-            value=z)
+        cause = ("cancellation too severe" if abs_sum < math.inf
+                 else "sum of |terms| overflows a double")
+        raise AccuracyError(f"kummer_m {cause} at b={b!r}, c={c!r}, z={z!r}",
+                            value=z)
     return value
 
 

@@ -24,7 +24,8 @@ import triq.validate
 from triq.errors import AccuracyError, DomainError, TriqError
 from triq.model import (MassParams, PotentialProfile, barrier_coefficients,
                         make_units)
-from triq.scatter import _SECOND_BUDGET, RegionIIBasis, basis_for, sweep
+from triq.scatter import (_SECOND_BUDGET, RegionIIBasis, _Kernels, basis_for,
+                          sweep)
 from triq.special import (
     _AIRY_NEG_LIMIT,
     _KUMMER_BLOCK_BUDGET,
@@ -299,6 +300,18 @@ class TestAiryArray:
         from_floats = array_outcomes(ys)
         assert array_outcomes([np.float64(y) for y in ys]) == from_floats
         assert from_floats == [airy_outcomes(np.float64(y)) for y in ys]
+        # the scalar calls give Python floats in every regime, the
+        # asymptotic ones included, and refuse with a float's repr
+        for y in (8.0, 9.5, 50.0, 103.0, -9.5, -20.0, -1e6):
+            for fn in (airy_ai, airy_bi):
+                pairs = [fn(y), fn(np.float64(y))]
+                assert all(type(v) is float for pair in pairs for v in pair)
+                assert [v.hex() for v in pairs[0]] == [v.hex() for v in pairs[1]]
+        for fn, y in ((airy_bi, 120.0), (airy_ai, -1e7), (airy_bi, -1e7)):
+            with pytest.raises(AccuracyError, match=rf"at y={re.escape(repr(y))}"
+                               r"(,|$)") as info:
+                fn(np.float64(y))
+            assert type(info.value.value) is float
 
     def test_refused_elements_report_the_scalar_error(self):
         # non-finite y refuses both functions, y past 103 Bi alone; the
@@ -378,6 +391,24 @@ class TestGamma:
         for arg in (np.array(xs), np.array(xs, dtype=np.float64)):
             values, failures = _recip_gamma_array(arg)
             assert values.tolist() == [0.0] * len(xs) and failures == {}
+
+    def test_scalar_calls_give_python_floats(self):
+        # either side of the reflection edge at 0.5, the last reflected x
+        # before Gamma(1 - x) overflows and the first after, and Gamma's
+        # own overflow and underflow: a float for a float or an np.float64,
+        # and a refusal that prints the float's repr
+        for x in (0.5, math.nextafter(0.5, 0.0), -168.5, 171.6, 180.0,
+                  -3.0, 2.0 ** 501):
+            want = recip_gamma(x)
+            for arg in (x, np.float64(x)):
+                got = recip_gamma(arg)
+                assert type(got) is float and got.hex() == want.hex(), x
+        for x in (-169.25, -171.5):
+            for arg in (x, np.float64(x)):
+                with pytest.raises(AccuracyError) as info:
+                    recip_gamma(arg)
+                assert str(info.value) == f"recip_gamma overflow at x={x!r}"
+                assert type(info.value.value) is float
 
     def test_recip_gamma_array_is_the_scalar_calls(self):
         # both branches, poles, the reflected overflow near -170, and the
@@ -487,19 +518,21 @@ class TestKummer:
             else:
                 assert abs(got - ref) <= 1e-10 * abs(ref), (b, z)
             outcomes.append(got)
-        # the refusals: at 2.5e-308 the sum of |terms| for (-3, 1) overflows
-        # (the loss gate refuses) and M(0.5; c; 2) is past the double
-        # range; at +-5e-324 the terms overflow and the series runs out of
-        # terms, as one past the double range does at b = 1000, z = 300
+        # the refusals, each naming the overflow: at 2.5e-308 the sum of
+        # |terms| for (-3, 1) overflows (the loss gate refuses) and
+        # M(0.5; c; 2) is past the double range; at +-5e-324 the terms
+        # overflow and the series runs out of terms, as one past the double
+        # range does at b = 1000, z = 300
         if c == 2.5e-308:
             assert outcomes[:2] == [
-                ("AccuracyError", "kummer_m cancellation too severe at "
-                 "b=-3.0, c=2.5e-308, z=1.0"), math.inf]
+                ("AccuracyError", "kummer_m sum of |terms| overflows a double "
+                 "at b=-3.0, c=2.5e-308, z=1.0"), math.inf]
         elif abs(c) == 5e-324:
-            assert all(o[0] == "AccuracyError" and "did not converge" in o[1]
+            assert all(o[0] == "AccuracyError"
+                       and "series terms overflow a double" in o[1]
                        for o in outcomes[:3])
             assert scalar_outcome(1000.0, 0.5, 300.0)[1] == (
-                "kummer_m series did not converge within 1200 terms at z=300.0")
+                "kummer_m series terms overflow a double at z=300.0")
         else:
             assert all(math.isfinite(o) for o in outcomes)
 
@@ -1006,7 +1039,9 @@ class TestKummerKernelsBitIdentical:
                                   (_airy_asym_neg, reference_asym_neg, neg)):
             grid = [v.tolist() for v in fn(np.array(ys))]
             for i, y in enumerate(ys):
-                want = [v.hex() for v in fn(y)]
+                lone = fn(y)
+                assert all(type(v) is float for v in lone), y
+                want = [v.hex() for v in lone]
                 assert [v[i].hex() for v in grid] == want, y
                 assert [v.hex() for v in reference(y)] == want, y
         assert [v[-1] for v in _airy_asym_pos(np.array([103.5, 104.0]))[2:]] \
@@ -1318,6 +1353,50 @@ class TestTricomi:
         # asymptotic seed, so there is nothing honest to return.
         with pytest.raises(AccuracyError, match="companion solution"):
             companion_u(2.2, 14.0)
+
+    def test_float_kernels_give_python_floats(self):
+        # second() of float kernels, or of np.float64 ones, on the
+        # subtraction route, the recurrence route and a refusal
+        for b, z in ((-2.3, 1.5), (-12.7, 180.0), (2.2, 14.0)):
+            basis = RegionIIBasis(b_param=b, sqrt_a1=1.0, y_offset=0.0)
+            ker = basis.kernels(math.sqrt(z))
+            outcomes = []
+            for point in (ker, _Kernels._make(map(np.float64, ker))):
+                try:
+                    got = basis.second(point)
+                except AccuracyError as exc:
+                    assert "np.float64" not in str(exc)
+                    assert type(exc.value) is float
+                    outcomes.append(str(exc))
+                    continue
+                assert all(type(v) is float for v in got), (b, z)
+                outcomes.append([v.hex() for v in got])
+            assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], str)
+
+
+def test_transmission_gives_python_floats():
+    # every float field of a TransmissionResult, below and above the
+    # barrier, for a float and an np.float64 energy; a refused energy
+    # prints float reprs
+    units, mass, barrier = make_units(), MassParams(), PotentialProfile()
+
+    def fields(res):
+        s = res.solution
+        return (res.E, res.T_solve, res.T_paper, res.t1, res.t2,
+                res.residual, s.b1, s.b2, s.b3, s.b4)
+
+    for E in (0.1, 0.5, 2.25):
+        got = [fields(triq.scatter.transmission(v, mass, barrier, units))
+               for v in (E, np.float64(E))]
+        assert all(type(v) is float for row in got for v in row), E
+        assert [v.hex() for v in got[0]] == [v.hex() for v in got[1]]
+    messages = []
+    for E in (3.9, np.float64(3.9)):
+        with pytest.raises(AccuracyError) as info:
+            triq.scatter.transmission(E, mass, barrier, units)
+        messages.append(str(info.value))
+    assert "np.float64" not in messages[0] and messages[0] == messages[1]
 
 
 class TestTricomiLargeZ:
