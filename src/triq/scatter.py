@@ -50,12 +50,14 @@ from .special import (AiryPair, _airy_array, _each, _kummer_m_array,
                       _recip_gamma_array, _scalar, _tricomi_u_array, airy_ai,
                       airy_bi, kummer_m, recip_gamma, tricomi_u_large_z)
 
-# Worst error estimate second() accepts before refusing the point.  Both
-# routes' estimates overshoot the observed error by orders of magnitude in
-# their crossover band, so this is a garbage gate, not a precision claim:
-# against 50-digit mpmath the worst passing points seen are 7.4e-5 on the
-# subtraction route and 4.1e-5 on the recurrence route (b in [-45, 3], z up
-# to 250); points that fail would come back with no correct digits at all.
+# Worst error estimate second() accepts before refusing the point.  This is
+# a gate against garbage, not a precision claim: a point it refuses would
+# come back with no correct digits at all.  Neither route's estimate is an
+# upper bound on the error: against 50-digit mpmath the subtraction
+# estimate read below the true error at 3 of 15 energies in 0.40-0.75 eV
+# on the default barrier (_two_term), and the worst passing points seen
+# carry errors of 7.4e-5 on the subtraction route and 4.1e-5 on the
+# recurrence route (b in [-45, 3], z up to 250).
 _SECOND_BUDGET = 1e-4
 _LOSS_CAP = 1e200
 
@@ -178,8 +180,9 @@ class RegionIIBasis:
 
         Over an array each series is summed once for all points
         (special._kummer_m_array), with every element the double a scalar
-        call gives; where a point is refused, the error raised is the one
-        the first refused point of a scalar loop raises.
+        call gives.  A refused element is NaN; the scalar calls are then
+        made at each such point in order, so the error raised is the one a
+        scalar loop over x raises first.
         """
         grid = not _scalar(x)
         if grid:
@@ -191,13 +194,10 @@ class RegionIIBasis:
                                         zip(_series_b(self.b_param), _SERIES_C)])
         series = [_kummer_m_array(b, c, z)
                   for b, c in zip(_series_b(self.b_param), _SERIES_C)]
-        # a scalar loop stops at the first refused point, and there at the
-        # first of its four series that refuses
-        refused = [(min(failures), j, failures[min(failures)])
-                   for j, (_, failures) in enumerate(series) if failures]
-        if refused:
-            raise min(refused, key=lambda r: r[:2])[2]
-        return _kernels_from(y, z, [values for values, _ in series])
+        refused = np.logical_or.reduce([np.isnan(v) for v in series])
+        for i in np.flatnonzero(refused).tolist():
+            self.kernels(x[i].item())
+        return _kernels_from(y, z, series)
 
     def first(self, ker: _Kernels) -> tuple[float, float]:
         """(value, d/dx) of the even basis solution at the kernels' point."""
@@ -218,16 +218,16 @@ class RegionIIBasis:
         Kernels of Python floats give Python floats, and np.float64 scalars
         are taken to Python floats.  Grid kernels give two arrays, every
         element the double the float route gives at that point
-        (_companion_grid); where points are refused, the error raised is
-        the one the first refused point of a loop of float-route calls
-        raises.
+        (_companion_grid), NaN where it refuses; the float route is then
+        taken at each NaN point in order, so the error raised is the one a
+        loop of float-route calls raises first.
         """
         if type(ker.y) is not float:
             if not _scalar(ker.y):
-                value, deriv, failures = _companion_grid(
+                value, deriv = _companion_grid(
                     self.b_param, self.sqrt_a1, self.rg_b, self.rg_bh, ker)
-                if failures:
-                    raise failures[min(failures)]
+                for i in np.flatnonzero(np.isnan(value)).tolist():
+                    self.second(_Kernels._make(f[i] for f in ker))
                 return value, deriv
             ker = _Kernels._make(map(float, ker))
         b, s, y = self.b_param, self.sqrt_a1, ker.y
@@ -240,7 +240,9 @@ class RegionIIBasis:
                 du_dy = -2.0 * s * y * b * u_slope  # dU/dz chain through z(y)
                 est = max(e_val, e_slope)
         if est > _SECOND_BUDGET:
-            raise _second_refusal(y, ker.z, est)
+            raise AccuracyError(
+                f"companion solution unreliable at y={y!r}, z={ker.z!r}: "
+                f"best error estimate {est:.1e}", value=ker.z)
         return ker.damp * u, ker.damp * (du_dy - s * y * u)
 
 
@@ -282,7 +284,7 @@ def _two_term(b, s, rg_b, rg_bh, ker: _Kernels):
 
 
 def _companion_grid(b, s, rg_b, rg_bh, ker: _Kernels):
-    """second() over grid kernels: (values, derivatives, failures).
+    """second() over grid kernels: (values, derivatives).
 
     b, s = sqrt(a1), rg_b = 1/Gamma(b) and rg_bh = 1/Gamma(b + 1/2) are
     one basis's floats (an x grid) or arrays with one entry per kernel
@@ -290,9 +292,9 @@ def _companion_grid(b, s, rg_b, rg_bh, ker: _Kernels):
     float route gives at that point: the two-term form is taken for all
     points at once (_two_term), and every point that tries the large-z
     recurrence takes it in one _tricomi_u_array call, its (b, 1/2) call
-    before its (b + 1, 3/2) call.  failures maps the index of each refused
-    point, in index order, to the error second() raises there alone: the
-    recurrence's, else the refusal of an estimate over _SECOND_BUDGET.
+    before its (b + 1, 3/2) call.  Both are NaN at a point second()
+    refuses: where a recurrence call fails, or where the best estimate
+    exceeds _SECOND_BUDGET.
     """
     y, z = ker.y, ker.z
     # products overflow to inf, and inf - inf is NaN, silently in the
@@ -302,33 +304,24 @@ def _companion_grid(b, s, rg_b, rg_bh, ker: _Kernels):
     tried = np.flatnonzero((y > 0.0) & (est > 1e-11))
     m = tried.size
     bt, st = (np.broadcast_to(v, y.shape)[tried] for v in (b, s))
-    pair, errors, failed = _tricomi_u_array(
+    pair, errors = _tricomi_u_array(
         np.concatenate([bt, bt + 1.0]), np.repeat([0.5, 1.5], m),
         np.tile(z[tried], 2))
+    # max() of the pair's estimates, NaN where either call fails
+    err = np.maximum(errors[:m], errors[m:])
     with np.errstate(all="ignore"):
-        err = np.where(errors[m:] > errors[:m], errors[m:], errors[:m])
-        take = err < est[tried]  # False where a call failed (NaN)
+        take = err < est[tried]  # False where a call failed
         slope = -2.0 * st * y[tried] * bt * pair[m:]  # dU/dz chain through z(y)
     better = tried[take]
     u[better] = pair[:m][take]
     du_dy[better] = slope[take]
     est[better] = err[take]
-    failures = {}
-    for j, exc in failed.items():  # in index order: (b, 1/2) calls first
-        failures.setdefault(int(tried[j % m]), exc)
-    for i in np.flatnonzero(est > _SECOND_BUDGET).tolist():
-        if i not in failures:
-            failures[i] = _second_refusal(y[i].item(), z[i].item(), est[i].item())
+    refused = est > _SECOND_BUDGET
+    refused[tried[np.isnan(err)]] = True
     with np.errstate(all="ignore"):
-        return (ker.damp * u, ker.damp * (du_dy - s * y * u),
-                dict(sorted(failures.items())))
-
-
-def _second_refusal(y: float, z: float, est: float) -> AccuracyError:
-    """The error second() refuses the point (y, z) with, est its best estimate."""
-    return AccuracyError(
-        f"companion solution unreliable at y={y!r}, z={z!r}: "
-        f"best error estimate {est:.1e}", value=z)
+        value, deriv = ker.damp * u, ker.damp * (du_dy - s * y * u)
+    value[refused] = deriv[refused] = math.nan
+    return value, deriv
 
 
 def _loss(parts, net):
@@ -494,13 +487,11 @@ def assemble_matching(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
     shorthand values, its printed signs flip a3.  The kernels at each
     interface are evaluated once and shared by the columns and both
     abbreviation sets, which travel in the system for the printed closed
-    form.  This is _matching_systems on the one-point grid [E]; a refusal
-    is raised.
+    form.  This is the lone-point route's system (_point_system); a
+    refusal is raised.
     """
-    points = _grid_points("E", [E], pp, E, False)
-    outcomes, system = _matching_systems(points, mp, u, _printed(fidelity))
-    _raised(outcomes[0])
-    return system
+    return _point_system(_grid_points("E", [E], pp, E, False)[0], mp, u,
+                         _printed(fidelity))
 
 
 def _raised(outcome):
@@ -672,12 +663,11 @@ def transmission(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
 
     T_solve = (1/b1)^2 comes from the linear solve, +inf where b1 is
     exactly 0.  T_paper is the printed closed form, always computed for
-    comparison.  This is the sweep's pipeline on the one-point grid [E]; a
-    refusal is raised.
+    comparison.  This is the lone-point route (_alone) that a sweep takes
+    for every point its grid does not deliver; a refusal is raised.
     """
-    points = _grid_points("E", [E], pp, E, False)
-    systems = _matching_systems(points, mp, u, _printed(fidelity))
-    return _raised(_solved(points, *systems)[0])
+    return _raised(_alone(_grid_points("E", [E], pp, E, False)[0], mp, u,
+                          _printed(fidelity)))
 
 
 def rescale_diagnostic(E, mp: MassParams, pp: PotentialProfile,
@@ -718,15 +708,16 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
     recorded in flags with NaN results; any other exception propagates, as
     does the DomainError of an unknown axis or fidelity.
 
-    The grid runs transmission()'s stages, so each row is the one it gives
-    there, double for double and error for error; but from two points on,
-    each stage takes all points at once (_matching_systems): one pass for
-    the coefficients, one Airy pass, one Kummer pass over the 8 series of
-    every point, one pass each for the reciprocal Gammas, the interface
-    columns and abbreviation sets and the companion solution at each
-    interface, one matrix stack, one solve with its residuals and one
-    printed closed form.  A point keeps the error it raises alone, in its
-    own order.
+    Each row is the one transmission() gives there, double for double and
+    error for error.  From two points on, each stage takes all points at
+    once (_matching_systems): one pass for the coefficients, one Airy
+    pass, one Kummer pass over the 8 series of every point, one pass each
+    for the reciprocal Gammas, the interface columns and abbreviation sets
+    and the companion solution at each interface, one matrix stack, one
+    solve with its residuals and one printed closed form.  The grid
+    decides only whether it can deliver a point; a point it refuses, or
+    whose system holds a non-finite number, is solved alone by
+    transmission()'s route, and that route's result or error is its row.
     """
     if axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
@@ -780,48 +771,55 @@ def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
     """(outcomes, system) of the points of a grid.
 
     A point is an (energy, profile) pair, or an error refusing it, passed
-    on; printed is (printed_signs, printed_columns).  outcomes holds per
-    point the error that refused it, or None; system is the MatchingSystem
-    of the points left, in order, or None where none is.  A lone point
-    takes the scalar route (_point_system), and its system holds floats.
-    Two or more take grid passes, each over the points still standing: the
+    on; printed is (printed_signs, printed_columns).  system is the
+    MatchingSystem of the points the grid delivers, in order, with an
+    array in every field (None where no grid runs); outcomes holds None
+    for each of those, and for every other point its TransmissionResult
+    or the error refusing it.  Two or more points take
+    grid passes, each over the points no earlier pass refused, so that a
+    point's grid work stops where its lone route would stop: the
     coefficients (_grid_coefficients), the exterior Airy values
-    (_exterior_airy) and _assemble_grid.  Each point gets the doubles and
-    the error of the scalar route, and the system holds arrays.
+    (_exterior_airy) and _assemble_grid, which give each point the
+    doubles of the lone route and a NaN where it refuses.  A point is
+    delivered only if every number in its system is finite.  Every other
+    point, and a lone point, is solved alone (_alone).
     """
     printed_signs, printed_columns = printed
     out = [p if isinstance(p, Exception) else None for p in points]
     live = [i for i, p in enumerate(out) if p is None]
     if len(live) < 2:
-        system = None
         for i in live:
-            try:
-                system = _point_system(points[i], mp, u, printed)
-            except _REFUSED as exc:
-                out[i] = exc
-        return out, system
-    n = len(live)
-    a, y1, y2, y3, b, s, k, failures = _grid_coefficients(
+            out[i] = _alone(points[i], mp, u, printed)
+        return out, None
+    a, y1, y2, y3, b, s, k, fits = _grid_coefficients(
         [points[i] for i in live], mp, u, printed_signs)
-    airy = np.full((6, n), math.nan)  # Ai, Ai', Bi, Bi' at y1; Ai, Ai' at y3
-    system = None
-    go = _standing(n, failures)
-    if go.size:
-        airy[:, go], refused = _exterior_airy(y1[go], y3[go])
-        failures.update((int(go[j]), exc) for j, exc in refused.items())
-        go = _standing(n, failures)
-    if go.size:
-        system, refused = _assemble_grid(b[go], s[go], y2[go], a[go], k[go],
-                                         airy[:, go], printed_columns)
-        failures.update((int(go[j]), exc) for j, exc in refused.items())
-    for j, exc in failures.items():
-        out[live[j]] = exc
+    go = np.flatnonzero(fits)
+    airy = _exterior_airy(y1[go], y3[go])
+    standing = ~np.isnan(airy).any(axis=0)
+    go, airy = go[standing], airy[:, standing]
+    system = _assemble_grid(b[go], s[go], y2[go], a[go], k[go], airy,
+                            printed_columns)
+    delivered = np.isfinite(np.column_stack([
+        system.matrix.reshape(-1, 16), system.rhs, system.airy_scale,
+        *system.fset, *system.gset, *system.bi0, *system.ai_a])).all(axis=1)
+    alone = np.ones(len(live), dtype=bool)
+    alone[go[delivered]] = False
+    for j in np.flatnonzero(alone).tolist():
+        out[live[j]] = _alone(points[live[j]], mp, u, printed)
+    system = MatchingSystem._make(
+        type(f)._make(g[delivered] for g in f) if isinstance(f, tuple)
+        else f[delivered] for f in system)
     return out, system
 
 
-def _standing(n: int, failures: dict) -> np.ndarray:
-    """The indices 0..n-1 that failures does not refuse, in order."""
-    return np.array([j for j in range(n) if j not in failures], dtype=int)
+def _alone(point, mp: MassParams, u: UnitSystem, printed: tuple[bool, bool]):
+    """The TransmissionResult of a lone (energy, profile) point, or the
+    error refusing it, by the lone route: _point_system, then _solved."""
+    try:
+        system = _point_system(point, mp, u, printed)
+    except _REFUSED as exc:
+        return exc
+    return _solved([point], [None], system)[0]
 
 
 def _point_system(point, mp: MassParams, u: UnitSystem,
@@ -843,17 +841,14 @@ def _point_system(point, mp: MassParams, u: UnitSystem,
 def _grid_coefficients(points: list, mp: MassParams, u: UnitSystem,
                        printed_signs: bool):
     """barrier_coefficients and airy_scale over the (energy, profile)
-    points of a grid: (a, y1, y2, y3, b, sqrt(a1), k, failures).
+    points of a grid: (a, y1, y2, y3, b, sqrt(a1), k, fits).
 
-    Each of the first seven is an array with one entry per point, NaN at a
-    refused point but for the width a; failures maps the index of each
-    refused point, in index order, to the error its scalar calls raise.
-    The points that pass the scalar checks on the profile kind, the mass
-    and the energy take model._coefficients over arrays, one Airy scale
-    per point.  A point those checks refuse, or one whose lam is not
-    finite or whose k^2 is 0 (the scalar route divides by it), makes the
-    calls of the lone point, barrier_coefficients then airy_scale, and
-    keeps their error.
+    Each of the first seven is an array with one entry per point.  fits
+    marks the points that pass the scalar checks on the profile kind, the
+    mass and the energy and take model._coefficients over arrays, one Airy
+    scale per point, and whose lam is finite and k^2 is not 0 (the scalar
+    route divides by it).  The rest are the points the scalar calls
+    refuse, and are NaN but for the width a.
     """
     E, V0, alpha, a = (np.array(v, dtype=float) for v in zip(*(
         (point_E, pp.V0, pp.alpha, pp.a) for point_E, pp in points)))
@@ -869,98 +864,70 @@ def _grid_coefficients(points: list, mp: MassParams, u: UnitSystem,
             s = np.sqrt(a1)
             values[:, go] = y1, y2, y3, _kummer_b(lam, s), s, k
             fits[go] = np.isfinite(lam) & (k * k != 0.0)
-    failures = {}
-    for i in np.flatnonzero(~fits).tolist():
-        point_E, pp = points[i]
-        try:
-            barrier_coefficients(point_E, mp, pp, u, printed_signs=printed_signs)
-            airy_scale(point_E, mp, u)
-        except _REFUSED as exc:
-            failures[i] = exc
-            values[:, i] = math.nan
-    return (a, *values, failures)
+    values[:, ~fits] = math.nan
+    return (a, *values, fits)
 
 
-def _exterior_airy(y1: np.ndarray, y3: np.ndarray):
-    """(values, failures) of the exterior Airy functions over per-point
-    arrays of y1 and y3, from one _airy_array call over every y1 then
-    every y3.
-
-    values is a (6, n) array: Ai, Ai', Bi and Bi' at y1, then Ai and Ai'
-    at y3.  failures maps each refused point's index, in index order, to
-    the first error of its three scalar calls, airy_ai(y1), airy_bi(y1)
-    and airy_ai(y3).
-    """
+def _exterior_airy(y1: np.ndarray, y3: np.ndarray) -> np.ndarray:
+    """The exterior Airy values over per-point arrays of y1 and y3, from
+    one _airy_array call over every y1 then every y3: a (6, n) array of
+    Ai, Ai', Bi and Bi' at y1, then Ai and Ai' at y3, NaN where the scalar
+    call refuses."""
     n = y1.size
     grid = _airy_array(np.concatenate([y1, y3]))
-    fail_ai, fail_bi = grid.ai_failures.get, grid.bi_failures.get
-    refused = sorted({j % n for j in grid.ai_failures}
-                     | {j for j in grid.bi_failures if j < n})
-    values = np.stack([grid.ai[:n], grid.aip[:n], grid.bi[:n], grid.bip[:n],
-                       grid.ai[n:], grid.aip[n:]])
-    return values, {i: fail_ai(i) or fail_bi(i) or fail_ai(n + i) for i in refused}
+    return np.stack([grid.ai[:n], grid.aip[:n], grid.bi[:n], grid.bip[:n],
+                     grid.ai[n:], grid.aip[n:]])
 
 
 def _assemble_grid(b, s, offset, widths, k, airy, printed_columns: bool):
-    """_assemble over per-point arrays in grid passes: (system, failures).
+    """_assemble over per-point arrays in grid passes: the MatchingSystem
+    of the points, every double the one _assemble gives the point alone,
+    and a NaN in the system of every point the scalar route refuses.
 
     b, s = sqrt(a1), offset = y2, widths and the Airy scale k hold one
     entry per point, and airy the (6, n) exterior values of _exterior_airy.
-    Each pass takes every point still standing at once: the kernels
-    (_interface_kernels), the three reciprocal Gammas (one
-    _recip_gamma_array call), both abbreviation sets and first() at both
-    interfaces, second() at x = 0 and then at x = a (_companion_grid), and
-    one (n, 4, 4) matrix stack with its right-hand sides.  system is the
-    MatchingSystem of the points not refused, every double the one
-    _assemble gives the point alone; failures maps each refused point's
-    index to the first error the scalar route raises there: its kernels',
-    1/Gamma(b + 1/2)'s, 1/Gamma(b)'s (both read by abbreviations_at), the
-    f6 1/Gamma's unless an overflow (which gives NaN), then second()'s at
-    x = 0, then at x = a.  second() is taken only under the canonical
-    columns, and only at points nothing refused before, so each recurrence
-    runs as often as in the scalar route.
+    Each pass takes every point at once: the kernels (_interface_kernels),
+    the three reciprocal Gammas (one _recip_gamma_array call), both
+    abbreviation sets and first() at both interfaces, second() at x = 0
+    and then at x = a (_companion_grid), and one (n, 4, 4) matrix stack
+    with its right-hand sides.  second() is taken only under the canonical
+    columns, and only at the points where the scalar route reaches it:
+    neither the kernels, 1/Gamma(b + 1/2), 1/Gamma(b) (both read by
+    abbreviations_at) nor second() at x = 0 refused them.  So each
+    recurrence runs as often as in the scalar route.  A NaN f6 1/Gamma
+    stops nothing: the scalar route reads its overflow as NaN.
     """
-    n = b.size
-    ker0, kera, failures = _interface_kernels(b, s, offset, widths)
-    rg, rg_failures = _recip_gamma_array(
-        np.concatenate([b + 0.5, b, _f6_gamma_argument(b)]))
-    rg_bh, rg_b, rg_f6 = np.split(rg, 3)  # NaN where refused
-    for j, exc in rg_failures.items():  # index order is the reading order
-        if j < 2 * n or not isinstance(exc, AccuracyError):
-            failures.setdefault(j % n, exc)
+    ker0, kera, go = _interface_kernels(b, s, offset, widths)
+    rg_bh, rg_b, rg_f6 = np.split(_recip_gamma_array(
+        np.concatenate([b + 0.5, b, _f6_gamma_argument(b)])), 3)
+    go &= ~np.isnan(rg_bh) & ~np.isnan(rg_b)
     with np.errstate(all="ignore"):  # silent, as the float route is
-        system = _system(
+        return _system(
             k, airy, _abbreviations(b, s, rg_bh, rg_b, rg_f6, ker0),
             _abbreviations(b, s, rg_bh, rg_b, rg_f6, kera), printed_columns,
             lambda: [(*_first(b, s, ker),
-                      *_second_points(b, s, rg_b, rg_bh, ker, failures))
+                      *_second_points(b, s, rg_b, rg_bh, ker, go))
                      for ker in (ker0, kera)])
-    if failures:
-        rows = _standing(n, failures)
-        system = MatchingSystem._make(
-            type(f)._make(g[rows] for g in f) if isinstance(f, tuple) else f[rows]
-            for f in system)
-    return system, dict(sorted(failures.items()))
 
 
-def _second_points(b, s, rg_b, rg_bh, ker: _Kernels, failures: dict):
+def _second_points(b, s, rg_b, rg_bh, ker: _Kernels, go: np.ndarray):
     """(values, derivatives) of second() at the points of per-point arrays
-    that failures does not refuse yet, NaN elsewhere; their refusals are
-    added to failures."""
-    go = _standing(len(b), failures)
-    value, deriv = np.full(len(b), math.nan), np.full(len(b), math.nan)
-    value[go], deriv[go], refused = _companion_grid(
-        b[go], s[go], rg_b[go], rg_bh[go], _Kernels._make(f[go] for f in ker))
-    for j, exc in refused.items():
-        failures[int(go[j])] = exc
+    that the mask go marks, NaN elsewhere; go loses the points second()
+    refuses."""
+    at = np.flatnonzero(go)
+    value, deriv = np.full((2, go.size), math.nan)
+    value[at], deriv[at] = _companion_grid(
+        b[at], s[at], rg_b[at], rg_bh[at], _Kernels._make(f[at] for f in ker))
+    go &= ~np.isnan(value)
     return value, deriv
 
 
 def _solved(points: list, outcomes: list, system) -> list:
     """Per point, its TransmissionResult or the error that refused it, from
-    _matching_systems' outcomes and system for the points: the system is
-    solved by one solve_matching call and the printed closed form is taken
-    over it once, then both transmission conventions are read per point."""
+    _matching_systems' outcomes and system for the points: the system of
+    the points whose outcome is None is solved by one solve_matching call
+    and the printed closed form is taken over it once, then both
+    transmission conventions are read per point."""
     out = list(outcomes)
     live = [i for i, outcome in enumerate(out) if outcome is None]
     if not live:
@@ -984,20 +951,20 @@ def _solved(points: list, outcomes: list, system) -> list:
 
 
 def _interface_kernels(b, s, offset, widths):
-    """(kernels at x = 0, kernels at x = a, failures) of per-point arrays
-    of b, sqrt(a1), y offset and width a.
+    """(kernels at x = 0, kernels at x = a, go) of per-point arrays of b,
+    sqrt(a1), y offset and width a.
 
     One _kummer_m_array call, a row per point with x = 0's four series
     before x = a's, so a row stops where kernels(0.0) then kernels(a)
-    would first raise; failures maps each refused point's index to that
-    error, and its kernels are NaN.
+    would first raise, and its kernels are NaN from there on; go marks
+    the points whose eight series all stand.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as floats are
         y = np.stack([0.0 + offset, widths + offset], axis=1)
         z = s[:, None] * y * y
-    values, failures = _kummer_m_array(np.tile(np.stack(_series_b(b), axis=1), 2),
-                                       np.tile(_SERIES_C, 2),
-                                       np.repeat(z, 4, axis=1))
+    values = _kummer_m_array(np.tile(np.stack(_series_b(b), axis=1), 2),
+                             np.tile(_SERIES_C, 2), np.repeat(z, 4, axis=1))
     ker = _kernels_from(y.ravel(), z.ravel(), values.reshape(-1, 4).T)
     return (_Kernels._make(f[0::2] for f in ker),
-            _Kernels._make(f[1::2] for f in ker), failures)
+            _Kernels._make(f[1::2] for f in ker),
+            ~np.isnan(values).any(axis=1))

@@ -34,7 +34,10 @@ block of terms per numpy step), _airy_array, _recip_gamma_array and
 _tricomi_u_array.  Their + - * / run in numpy in the scalar operation
 order; libm's pow, exp, log, sin and cos, which numpy's ufuncs need not
 reproduce to the bit, and the fixed-point Airy phase are taken per
-element on Python floats (_each).
+element on Python floats (_each).  An element whose scalar call raises is
+NaN, and the array call raises nothing: a caller that needs the error
+makes the scalar call at that element (scatter's lone-point route, or a
+validate grid).
 
 A scalar/array pair is kept only for a per-element loop, where a lone
 point is cheaper on its own (a one-element _tricomi_u_array call took
@@ -237,11 +240,9 @@ def _recip_gamma_array(x):
     ln Gamma is taken for all elements in one pass (_lngamma_positive),
     then _recip_gamma_of per element on Python floats, as the scalar call
     takes it: numpy's libm need not agree with the C library's in the last
-    bit.  A pole gives 0.0.  An element this route does not take
-    (non-finite, or past _RG_ARRAY_LIMIT) makes the scalar call.  Returns
-    (values, failures): values holds what the scalar calls return, NaN
-    where one raises; failures maps the index of each such element, in
-    index order, to its error.
+    bit.  A pole gives 0.0, and an element past _RG_ARRAY_LIMIT makes the
+    scalar call for its 0.0.  An element is NaN exactly where its scalar
+    call raises.
     """
     x = np.asarray(x, dtype=float)
     values = np.full(x.size, math.nan)
@@ -252,18 +253,14 @@ def _recip_gamma_array(x):
     run = np.flatnonzero(own & ~pole)
     xs = x[run]
     ln = _lngamma_positive(np.maximum(xs, 1.0 - xs))
-    failures = {}
     for i, xi, li in zip(run.tolist(), xs.tolist(), ln.tolist()):
         try:
             values[i] = _recip_gamma_of(xi, li)
-        except AccuracyError as exc:
-            failures[i] = exc
-    for i in np.flatnonzero(~own).tolist():
-        try:
-            values[i] = recip_gamma(x[i].item())
-        except TriqError as exc:
-            failures[i] = exc
-    return values, dict(sorted(failures.items()))
+        except AccuracyError:
+            pass  # stays NaN
+    for i in np.flatnonzero(~own & np.isfinite(x)).tolist():
+        values[i] = recip_gamma(x[i].item())
+    return values
 
 
 def gamma(x: float) -> float:
@@ -572,18 +569,14 @@ def airy_bi(y: float) -> AiryPair:
 class AiryGrid(NamedTuple):
     """airy_ai and airy_bi over a 1-D array of points (_airy_array).
 
-    ai, aip, bi and bip hold the doubles the scalar calls give element by
-    element, NaN where the call refuses; ai_failures and bi_failures map
-    the index of each refused element, in index order, to the error its
-    airy_ai or airy_bi call raises.
+    Each field holds the doubles the scalar calls give element by element,
+    NaN exactly where the call raises.
     """
 
     ai: np.ndarray
     aip: np.ndarray
     bi: np.ndarray
     bip: np.ndarray
-    ai_failures: dict
-    bi_failures: dict
 
 
 def _airy_array(y) -> AiryGrid:
@@ -594,12 +587,12 @@ def _airy_array(y) -> AiryGrid:
     one lockstep march carries the Ai and Bi rows of (_AIRY_ASYM_NEG,
     _AIRY_SERIES_LO) and the Ai rows of (_AIRY_SERIES_HI_AI,
     _AIRY_ASYM_POS); one _airy_asym_pos and one _airy_asym_neg call take
-    the asymptotic elements of each side, for both functions.  An element no route takes (a non-finite y, a y
-    below _AIRY_NEG_LIMIT, and for Bi a y above _AIRY_BI_OVERFLOW) makes
-    the scalar call, and its error is recorded.
+    the asymptotic elements of each side, for both functions.  An element
+    no route takes is one the scalar call refuses (a non-finite y, a y
+    below _AIRY_NEG_LIMIT, and for Bi a y above _AIRY_BI_OVERFLOW), and
+    stays NaN.
     """
     y = np.asarray(y, dtype=float)
-    ys = y.tolist()  # Python floats: the scalar calls' own types
     ai, aip, bi, bip = (np.full(y.size, math.nan) for _ in range(4))
     series = np.flatnonzero((y >= _AIRY_SERIES_LO) & (y < _AIRY_ASYM_POS))
     a, ap, bi[series], bip[series] = _airy_series_pair(y[series])
@@ -619,25 +612,15 @@ def _airy_array(y) -> AiryGrid:
     ai[neg], bi[neg], ai[pos] = np.split(w, np.cumsum(sizes)[:2])
     aip[neg], bip[neg], aip[pos] = np.split(wp, np.cumsum(sizes)[:2])
 
-    refused = ~np.isfinite(y) | (y < _AIRY_NEG_LIMIT)
-    for asym, at in ((_airy_asym_pos, ~refused & (y >= _AIRY_ASYM_POS)),
-                     (_airy_asym_neg, ~refused & (y <= _AIRY_ASYM_NEG))):
+    taken = np.isfinite(y) & (y >= _AIRY_NEG_LIMIT)
+    for asym, at in ((_airy_asym_pos, taken & (y >= _AIRY_ASYM_POS)),
+                     (_airy_asym_neg, taken & (y <= _AIRY_ASYM_NEG))):
         at = np.flatnonzero(at)
         if at.size:
             ai[at], aip[at], b, bp = asym(y[at])
             keep = y[at] <= _AIRY_BI_OVERFLOW
             bi[at[keep]], bip[at[keep]] = b[keep], bp[keep]
-
-    ai_failures, bi_failures = {}, {}
-    for fn, calls, value, deriv, failures in (
-            (airy_ai, refused, ai, aip, ai_failures),
-            (airy_bi, refused | (y > _AIRY_BI_OVERFLOW), bi, bip, bi_failures)):
-        for i in np.flatnonzero(calls).tolist():
-            try:
-                value[i], deriv[i] = fn(ys[i])
-            except TriqError as exc:
-                failures[i] = exc
-    return AiryGrid(ai, aip, bi, bip, ai_failures, bi_failures)
+    return AiryGrid(ai, aip, bi, bip)
 
 
 def _airy_series_array(y: np.ndarray):
@@ -1044,50 +1027,53 @@ def _kummer_m_array(b, c, z):
     series in column order; b and c are floats or arrays broadcast against
     z.  Every element with valid parameters and 0 < z <= KUMMER_ENVELOPE
     sums its plain series in one pass (_kummer_series_array), and where
-    _plain_kept accepts the sum, that sum is its value.  Only the other
-    elements make a scalar call, point by point and along a row in column
-    order: _kummer_sum on the plain sum (the fixed-point rerun), or
-    kummer_m where the series was not summed or ran out of terms.  A row
-    stops at its first refusal, as a scalar loop over the point would, so
-    no rerun is made past it.  Returns (values, failures): values holds
-    what the scalar calls return, NaN from a refusal to the end of its row;
-    failures maps the index of each refused point, in index order, to the
-    error its scalar call raises.
+    _plain_kept accepts the sum, that sum is its value.  The other
+    elements are taken point by point, along a row in column order.  One
+    that kummer_m refuses before summing (a non-finite argument, c a
+    non-positive integer, |z| past the envelope) or whose series runs out
+    of terms is refused; any other makes the scalar call for its value:
+    _kummer_sum on the plain sum (the fixed-point rerun), or kummer_m
+    (z <= 0).  A row stops at its first refusal, as a scalar loop over the
+    point would, so no rerun is made past it.  Returns the values, NaN
+    from a refusal to the end of its row; an element is NaN exactly where
+    a scalar loop over its row raises at or before it.
     """
     z = np.asarray(z, dtype=float)
     bz, cz = np.broadcast_to(b, z.shape), np.broadcast_to(c, z.shape)
     with np.errstate(invalid="ignore"):  # inf // 1.0 is NaN, not an integer
-        direct = (np.isfinite(bz) & np.isfinite(cz)
-                  & ~_is_nonpositive_integer(cz)
-                  & (z > 0.0) & (z <= KUMMER_ENVELOPE))
+        refused = ~(np.isfinite(bz) & np.isfinite(cz)
+                    & ~_is_nonpositive_integer(cz)
+                    & (np.abs(z) <= KUMMER_ENVELOPE))
+    direct = ~refused & (z > 0.0)
     sums, abs_sums, converged = _kummer_series_array(
         bz[direct] if np.ndim(b) else b, cz[direct] if np.ndim(c) else c,
         z[direct])
     plain, plain_abs = np.full(z.shape, math.nan), np.full(z.shape, math.nan)
     plain[direct], plain_abs[direct] = sums, abs_sums
-    summed = np.zeros(z.shape, dtype=bool)
-    summed[direct] = converged
+    refused[direct] = ~converged
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as for floats
         kept = _plain_kept(plain, plain_abs)  # NaN, so False, where not summed
     values = np.where(kept, plain, math.nan)
-    failures = {}
     grid = [a if a.ndim == 2 else a[:, None]
-            for a in (values, bz, cz, z, plain, plain_abs, summed, kept)]
+            for a in (values, bz, cz, z, plain, plain_abs, direct, refused, kept)]
     for i in np.flatnonzero(~grid[-1].all(axis=1)).tolist():
         out, *point = (a[i] for a in grid)
         # Python floats from tolist: the scalar routes' own types
-        for j, (bj, cj, zj, sj, aj, summed_j, kept_j) in enumerate(
+        for j, (bj, cj, zj, sj, aj, direct_j, refused_j, kept_j) in enumerate(
                 zip(*(a.tolist() for a in point))):
             if kept_j:
                 continue
-            try:
-                out[j] = (_kummer_sum(bj, cj, zj, (sj, aj)) if summed_j
-                          else kummer_m(bj, cj, zj))
-            except TriqError as exc:
-                failures[i] = exc
-                out[j:] = math.nan
+            if refused_j:
                 break
-    return values, failures
+            try:
+                out[j] = (_kummer_sum(bj, cj, zj, (sj, aj)) if direct_j
+                          else kummer_m(bj, cj, zj))
+            except TriqError:
+                break
+        else:
+            continue
+        out[j:] = math.nan
+    return values
 
 
 def kummer_m_regularized(b: float, c: float, z: float) -> float:
@@ -1132,19 +1118,17 @@ def _tricomi_tail_array(a: np.ndarray, c: np.ndarray, z: np.ndarray):
     Each element does the scalar loop's operations and leaves the live
     arrays at the term where the scalar loop breaks, so it gets the same
     sum and smallest term; z ** (-a) is taken per element on Python
-    floats, as the scalar call takes it.  Returns (values, errors,
-    failures): failures maps the index of each element whose power
-    overflows, and so raises in the scalar call, to that error, and its
-    value and error are NaN.  z > 0 everywhere.
+    floats, as the scalar call takes it.  Returns (values, errors), both
+    NaN exactly where the power overflows, and so the scalar call raises.
+    z > 0 everywhere.
     """
     n = z.size
     power = np.full(n, math.nan)
-    failures = {}
     for i, (ai, zi) in enumerate(zip(a.tolist(), z.tolist())):
         try:
             power[i] = zi ** (-ai)
-        except ArithmeticError as exc:
-            failures[i] = exc
+        except ArithmeticError:
+            pass  # stays NaN
     total_out, smallest_out = np.empty(n), np.empty(n)
     live = np.arange(n)
     term, total, smallest = np.ones(n), np.ones(n), np.ones(n)
@@ -1167,8 +1151,8 @@ def _tricomi_tail_array(a: np.ndarray, c: np.ndarray, z: np.ndarray):
             smallest = np.abs(term)
             retire(smallest < 1e-18 * np.abs(total))
         retire(np.ones(live.size, dtype=bool))
-        return (power * total_out,
-                smallest_out / np.maximum(np.abs(total_out), 1e-300), failures)
+        errors = smallest_out / np.maximum(np.abs(total_out), 1e-300)
+        return power * total_out, np.where(np.isnan(power), math.nan, errors)
 
 
 def _tricomi_u_array(b, c, z):
@@ -1178,34 +1162,27 @@ def _tricomi_u_array(b, c, z):
     at a and, where the recurrence runs, at a + 1, is summed in one
     _tricomi_tail_array call; the downward recurrence then runs in
     lockstep, each element for its own number of steps, in the scalar
-    operation order.  An element with a non-finite argument or z <= 0
-    makes the scalar call for its error.  Returns (values, errors,
-    failures): failures maps the index of each refused element, in index
-    order, to the error its scalar call raises, and its value and error
-    are NaN.
+    operation order.  Returns (values, errors), both NaN exactly where the
+    scalar call raises: a non-finite argument, z <= 0, or a seed tail
+    whose power overflows.  An error estimate is never NaN otherwise.
     """
     b, c, z = (np.asarray(v, dtype=float) for v in (b, c, z))
     values, errors = np.full(z.size, math.nan), np.full(z.size, math.nan)
-    failures = {}
     with np.errstate(invalid="ignore"):
-        valid = np.isfinite(b) & np.isfinite(c) & np.isfinite(z) & (z > 0.0)
-    for i in np.flatnonzero(~valid).tolist():
-        try:
-            tricomi_u_large_z(b[i].item(), c[i].item(), z[i].item())
-        except TriqError as exc:
-            failures[i] = exc
-    run = np.flatnonzero(valid)
+        run = np.flatnonzero(np.isfinite(b) & np.isfinite(c) & np.isfinite(z)
+                             & (z > 0.0))
     b, c, z = b[run], c[run], z[run]
     steps = np.where(b < 0.0, np.ceil(-b), 0.0)
     a = b + steps
     rec = np.flatnonzero(steps > 0.0)  # these also seed at a + 1
     m = run.size
-    tails, errs, tail_failures = _tricomi_tail_array(
+    tails, errs = _tricomi_tail_array(
         np.concatenate([a, a[rec] + 1.0]), np.concatenate([c, c[rec]]),
         np.concatenate([z, z[rec]]))
     low, err = tails[:m], errs[:m]
-    high, err_high = tails[m:], errs[m:]
-    err[rec] = np.where(err_high > err[rec], err_high, err[rec])  # max()
+    high = tails[m:]
+    # max() of the two seeds' estimates, NaN where either seed refuses
+    err[rec] = np.maximum(err[rec], errs[m:])
     a, c, z, steps, low_r = a[rec], c[rec], z[rec], steps[rec], low[rec]
     with np.errstate(over="ignore", invalid="ignore"):
         for s in range(int(steps.max(initial=0.0))):
@@ -1215,13 +1192,9 @@ def _tricomi_u_array(b, c, z):
             high[go] = lo
             a[go] = ag - 1.0
     low[rec] = low_r
-    values[run], errors[run] = low, err
-    for j, exc in sorted(tail_failures.items()):
-        i = int(run[j if j < m else rec[j - m]])
-        if i not in failures:
-            failures[i] = exc
-            values[i] = errors[i] = math.nan
-    return values, errors, dict(sorted(failures.items()))
+    values[run] = np.where(np.isnan(err), math.nan, low)
+    errors[run] = err
+    return values, errors
 
 
 def tricomi_u_large_z(b: float, c: float, z: float) -> tuple[float, float]:

@@ -25,8 +25,8 @@ from .oracle import (IntegrationSpec, integrate, make_weight,
                      matched_transmission, ode_residual)
 from .scatter import (RESCALE, abbreviations_at, basis_for,
                       rescale_diagnostic, transmission)
-from .special import (_airy_array, gamma, kummer_m, recip_gamma,
-                      tricomi_u_large_z)
+from .special import (_airy_array, airy_ai, airy_bi, gamma, kummer_m,
+                      recip_gamma, tricomi_u_large_z)
 
 __all__ = ["SuiteResult", "run_suites", "info_lines"]
 
@@ -50,11 +50,13 @@ def _worst(deviations) -> float:
 
 
 def _airy_grid(ys):
-    """_airy_array over a suite's grid; a refused sample raises its error."""
+    """_airy_array over a suite's grid.  A refused sample is NaN: the scalar
+    calls are made at each such sample in order, so the error raised is the
+    one a loop of them raises first."""
     grid = _airy_array(ys)
-    for failures in (grid.ai_failures, grid.bi_failures):
-        if failures:
-            raise failures[min(failures)]
+    for i in np.flatnonzero(np.isnan(grid.ai) | np.isnan(grid.bi)).tolist():
+        airy_ai(ys[i])
+        airy_bi(ys[i])
     return grid
 
 

@@ -191,19 +191,22 @@ class TestRegionIIBasis:
         ([14.5, 14.0], AccuracyError),  # two refusals: the first one's
         ([1.0, 14.0, 17.0, 16.0], AccuracyError),  # before a failing recurrence
         ([1.0, 17.0, 14.0], DomainError),  # a failing recurrence first
+        # the subtraction's 1.9e-6 at z = 9 is within budget, but tries the
+        # recurrence, whose failure refuses the point
+        ([1.0, 9.0, 17.0], DomainError),
     ])
     def test_grid_second_raises_the_first_scalar_error(self, monkeypatch, zs,
                                                        error):
         # b = 2.2 with the vertex at x = 0, so z = x^2: z = 14 is too large
         # for the subtraction form and too small for the recurrence's seed,
-        # and at z = 17 the spied recurrence raises
+        # and at z = 9 and 17 the spied recurrence raises
         basis = RegionIIBasis(b_param=2.2, sqrt_a1=1.0, y_offset=0.0)
-        failing_recurrence(monkeypatch, {17.0})
+        failing_recurrence(monkeypatch, {9.0, 17.0})
         grid = basis.kernels(np.sqrt(zs))
         want = second_outcome(lambda: second_loop(basis, grid))
         assert want[0] == error.__name__
         if error is DomainError:  # the (b, 1/2) call's, made first
-            assert want[1] == "spied recurrence failure at c=0.5, z=17.0"
+            assert want[1] == f"spied recurrence failure at c=0.5, z={zs[1]!r}"
         assert second_outcome(lambda: basis.second(grid)) == want
 
     def test_grid_second_small_and_numpy_scalar_kernels(self):
@@ -243,9 +246,9 @@ class TestAbbreviations:
                  for b, s in ((0.3, 1.0), (-2.7, 0.4), (1.5, 2.0), (-0.5, 0.7))]
         b, s, offset = (np.array(v) for v in zip(
             *((p.b_param, p.sqrt_a1, p.y_offset) for p in bases)))
-        ker0, _, failures = triq.scatter._interface_kernels(b, s, offset,
-                                                            np.ones(len(b)))
-        assert failures == {}
+        ker0, _, go = triq.scatter._interface_kernels(b, s, offset,
+                                                      np.ones(len(b)))
+        assert go.all()
         rg = [getattr(p, name) for p in bases for name in ("rg_bh", "rg_b", "rg_f6")]
         rg_bh, rg_b, rg_f6 = np.reshape(rg, (-1, 3)).T
         grid = triq.scatter._abbreviations(b, s, rg_bh, rg_b, rg_f6, ker0)
@@ -582,8 +585,8 @@ class TestInterfaceEvaluatedOnce:
     def test_scalar_airy_only_for_lone_points_and_refusals(self, monkeypatch):
         # both Airy suites and a sweep of two or more points take Airy from
         # the array route, its asymptotic regimes over arrays too; a scalar
-        # call is made only for an element that route refuses (non-finite
-        # y, or Bi past 103), and by a lone point
+        # call is made only by a lone point, or by the lone route of a point
+        # the grid refuses
         calls = scalar_airy_calls(monkeypatch)
         asym = asymptotic_airy_calls(monkeypatch)
         triq.validate.suite_airy_wronskian()
@@ -610,13 +613,24 @@ class TestInterfaceEvaluatedOnce:
         for module in (triq.model, triq.scatter):
             monkeypatch.setattr(module, "_coefficients", planted)
         grid = [0.1, 3000.0, 1e4, 1e308, 2.0]
+        sent = points_sent_alone(monkeypatch)
+        counts = counted_routes(monkeypatch)
         got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
                                            "none", False)
-        assert [name for name, _ in calls] == ["airy_ai"] * 2 + ["airy_bi"] * 4
-        assert all(not math.isfinite(y) or (name == "airy_bi" and y > 103.0)
-                   for name, y in calls)
+        assert [E for E, _ in sent] == grid[1:]
+        grid_calls, grid_counts = calls[:], dict(counts)
+        del calls[:]
+        counts.update(dd=0, tricomi=0)
+        loop_outcomes("E", grid[1:])
+        assert grid_calls == calls
+        assert [name for name, _ in calls] == ["airy_ai", "airy_bi",
+                                               "airy_ai"] * 2 + ["airy_ai"]
+        # the grid stops 2 eV at its Airy values, before its Kummer reruns
+        alone_counts = dict(counts)
+        counts.update(dd=0, tricomi=0)
         assert [outcome_key(g) for g in got] == \
             [outcome_key(w) for w in loop_outcomes("E", grid)]
+        assert grid_counts == {k: counts[k] + alone_counts[k] for k in counts}
         del calls[:]
         del asym[:]
         transmission(0.1, MASS, BARRIER, U)
@@ -652,7 +666,8 @@ class TestInterfaceEvaluatedOnce:
         # no per-point barrier_coefficients, basis_for, _assemble,
         # abbreviations_at, second(), scalar 1/Gamma or scalar asymptotic
         # Airy call, and its one _paper_closed_form call takes the whole
-        # grid; a lone point takes the scalar route and makes them all
+        # grid.  A lone point takes the scalar route and makes them all, and
+        # so does each point the grid refuses and sends alone
         calls = []
         asym = asymptotic_airy_calls(monkeypatch)
 
@@ -680,11 +695,25 @@ class TestInterfaceEvaluatedOnce:
         monkeypatch.setattr(triq.scatter, "_paper_closed_form", spied_paper)
         for mode in FIDELITY_MODES:
             sweep("E", self.GRID, MASS, BARRIER, U, fidelity=mode)
-            sweep("E", [0.1, 3.9], MASS, BARRIER, U, fidelity=mode)
         assert calls == []
         assert set(asym) == {("_airy_asym_pos", "array")}
-        # one call per sweep; 3.9 eV is refused before the closed form
-        assert paper == [(200,), (1,)] * len(FIDELITY_MODES)
+        del asym[:]
+        # 3.9 eV is refused by its kernels: its calls are its lone route's,
+        # which stops before the closed form
+        for mode in FIDELITY_MODES:
+            sweep("E", [0.1, 3.9], MASS, BARRIER, U, fidelity=mode)
+        sent = calls[:], [a for a in asym if a[1] == "scalar"]
+        del calls[:]
+        del asym[:]
+        for mode in FIDELITY_MODES:
+            with pytest.raises(AccuracyError):
+                transmission(3.9, MASS, BARRIER, U, fidelity=mode)
+        assert sent == (calls, asym)
+        assert calls and set(asym) == {("_airy_asym_pos", "scalar")}
+        # one call per sweep
+        modes = len(FIDELITY_MODES)
+        assert paper == [(200,)] * modes + [(1,)] * modes
+        del calls[:]
         del paper[:]
         del asym[:]
         transmission(2.25, MASS, BARRIER, U)
@@ -795,9 +824,31 @@ def counted_routes(monkeypatch):
     return counts
 
 
+def points_sent_alone(monkeypatch):
+    """The (energy, profile) points given to the lone-point route
+    (scatter._alone), in call order."""
+    sent = []
+    alone = triq.scatter._alone
+
+    def spied(point, *args):
+        sent.append(point)
+        return alone(point, *args)
+
+    monkeypatch.setattr(triq.scatter, "_alone", spied)
+    return sent
+
+
+def finite_system(system):
+    """Whether every number in a lone point's MatchingSystem is finite."""
+    return all(map(math.isfinite, [
+        *system.matrix.ravel().tolist(), *system.rhs.tolist(),
+        system.airy_scale, *system.fset, *system.gset, *system.bi0,
+        *system.ai_a]))
+
+
 def failing_recurrence(monkeypatch, zs, cs=(0.5, 1.5)):
-    """Make the large-z recurrence fail at every z in zs for c in cs, in
-    the scalar calls and element by element in the array calls."""
+    """Make the large-z recurrence fail at every z in zs for c in cs: the
+    scalar calls raise, and the array calls give NaN there."""
     tricomi = triq.scatter.tricomi_u_large_z
     tricomi_array = triq.scatter._tricomi_u_array
 
@@ -810,21 +861,20 @@ def failing_recurrence(monkeypatch, zs, cs=(0.5, 1.5)):
         return tricomi(b, c, z)
 
     def spied_array(b, c, z):
-        values, errors, failures = tricomi_array(b, c, z)
+        values, errors = tricomi_array(b, c, z)
         for i, (ci, zi) in enumerate(zip(np.asarray(c).tolist(),
                                          np.asarray(z).tolist())):
             if zi in zs and ci in cs:
                 values[i] = errors[i] = math.nan
-                failures.setdefault(i, failure(ci, zi))
-        return values, errors, dict(sorted(failures.items()))
+        return values, errors
 
     monkeypatch.setattr(triq.scatter, "tricomi_u_large_z", spied)
     monkeypatch.setattr(triq.scatter, "_tricomi_u_array", spied_array)
 
 
 def failing_recip_gamma(monkeypatch, failing):
-    """Make 1/Gamma raise failing[x] at every x in failing, in the scalar
-    calls and element by element in the array calls."""
+    """Make 1/Gamma fail at every x in failing: the scalar calls raise
+    failing[x], and the array calls give NaN there."""
     rg, rg_array = triq.scatter.recip_gamma, triq.scatter._recip_gamma_array
 
     def spied(x):
@@ -833,12 +883,11 @@ def failing_recip_gamma(monkeypatch, failing):
         return rg(x)
 
     def spied_array(x):
-        values, failures = rg_array(x)
+        values = rg_array(x)
         for i, xi in enumerate(np.asarray(x).tolist()):
             if xi in failing:
                 values[i] = math.nan
-                failures.setdefault(i, failing[xi])
-        return values, dict(sorted(failures.items()))
+        return values
 
     monkeypatch.setattr(triq.scatter, "recip_gamma", spied)
     monkeypatch.setattr(triq.scatter, "_recip_gamma_array", spied_array)
@@ -931,18 +980,39 @@ class TestSweep:
     ])
     def test_grid_path_is_the_point_loop(self, monkeypatch, axis, values,
                                          fidelity, auto_alpha, setup):
-        # every row, refusal and kernel route of the grid path is what a
-        # loop of transmission() calls gives, double for double
+        # every row and refusal of the grid path is what a loop of
+        # transmission() calls gives, double for double.  The grid sends
+        # alone exactly the refused points and those whose system holds a
+        # non-finite number; it makes each rerun and recurrence of the loop
+        # once, and the lone route makes those of the points sent alone
         mp, pp = setup or (MASS, BARRIER)
         counts = counted_routes(monkeypatch)
+        sent = points_sent_alone(monkeypatch)
         want = loop_outcomes(axis, values, mp, pp, fidelity=fidelity,
                              auto_alpha=auto_alpha)
         loop_counts = dict(counts)
         counts.update(dd=0, tricomi=0)
+        del sent[:]
         got = triq.scatter._sweep_outcomes(axis, values, mp, pp, U,
                                            0.1, fidelity, auto_alpha)
-        assert counts == loop_counts
+        grid_counts = dict(counts)
         assert [outcome_key(g) for g in got] == [outcome_key(w) for w in want]
+        points = triq.scatter._grid_points(axis, values, pp, 0.1, auto_alpha)
+        alone = [points.index(p) for p in sent]
+        refused = [i for i, w in enumerate(want) if isinstance(w, Exception)]
+        non_finite = [i for i, w in enumerate(want)
+                      if not isinstance(w, Exception) and not finite_system(
+                          assemble_matching(points[i][0], mp, points[i][1], U,
+                                            fidelity))]
+        assert alone == sorted(refused + non_finite)
+        if setup:
+            assert non_finite == [i for i, w in enumerate(want)
+                                  if not isinstance(w, Exception)
+                                  and math.isnan(w.T_paper)]
+        counts.update(dd=0, tricomi=0)
+        loop_outcomes(axis, [values[i] for i in alone], mp, pp,
+                      fidelity=fidelity, auto_alpha=auto_alpha)
+        assert grid_counts == {k: loop_counts[k] + counts[k] for k in counts}
         rows = sweep(axis, values, mp, pp, U, E=0.1, fidelity=fidelity,
                      auto_alpha=auto_alpha)
         assert [outcome_key(r.result) if r.result else r.flags
@@ -951,12 +1021,16 @@ class TestSweep:
             for g in got]
         if values[0] == 2.25:
             assert sum(isinstance(g, AccuracyError) for g in got) == 45
+            assert len(alone) == 45 and not non_finite
             assert loop_counts["dd"] == 271
+            # the 45 lone routes rerun 51 series before their refusals
+            assert grid_counts["dd"] == 271 + 51
 
     @pytest.mark.parametrize("fidelity", FIDELITY_MODES)
     def test_each_point_keeps_its_first_error(self, monkeypatch, fidelity):
-        # faults planted at single points of a 12-point grid: each refused
-        # point reports the error _assemble raises first there alone
+        # faults planted at single points of a 12-point grid, a NaN in the
+        # grid passes and an error in the scalar route: each such point is
+        # sent alone and reports the error _assemble raises first there
         # (1/Gamma(b + 1/2), then 1/Gamma(b), then a non-overflow fault of
         # f6's 1/Gamma, then second() at x = 0, then at x = a), and its
         # neighbours keep their rows.  The printed-column modes never call
@@ -995,22 +1069,28 @@ class TestSweep:
             return got
 
         def spied_companion(b, s, rg_b, rg_bh, ker):
-            value, deriv, failures = companion(b, s, rg_b, rg_bh, ker)
+            value, deriv = companion(b, s, rg_b, rg_bh, ker)
             for i, z in enumerate(ker.z.tolist()):
                 if z in refused:
-                    failures.setdefault(i, refusal(z))
-            return value, deriv, dict(sorted(failures.items()))
+                    value[i] = deriv[i] = math.nan
+            return value, deriv
 
         monkeypatch.setattr(RegionIIBasis, "second", spied_second)
         monkeypatch.setattr(triq.scatter, "_companion_grid", spied_companion)
         counts = counted_routes(monkeypatch)
+        sent = points_sent_alone(monkeypatch)
         want = loop_outcomes("E", grid, fidelity=fidelity)
         loop_counts = dict(counts)
         counts.update(dd=0, tricomi=0)
+        del sent[:]
         got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
                                            fidelity, False)
-        assert counts == loop_counts
+        grid_counts = dict(counts)
         assert [outcome_key(g) for g in got] == [outcome_key(w) for w in want]
+        alone = [grid.index(E) for E, _ in sent]
+        counts.update(dd=0, tricomi=0)
+        loop_outcomes("E", [grid[i] for i in alone], fidelity=fidelity)
+        assert grid_counts == {k: loop_counts[k] + counts[k] for k in counts}
         errors = {i: str(g) for i, g in enumerate(got) if isinstance(g, Exception)}
         expect = {1: str(overflow(b[1] + 0.5)), 3: str(overflow(b[3])),
                   6: "spied f6 fault"}
@@ -1022,6 +1102,32 @@ class TestSweep:
             # the printed f6 column is NaN: a non-finite system
             expect[4] = "matching system has non-finite entries"
         assert errors == expect
+        # point 4 stands, but its NaN f6 puts a NaN in its system
+        assert alone == sorted({4, *expect})
+
+    @pytest.mark.parametrize("fidelity", FIDELITY_MODES)
+    def test_point_sent_alone_keeps_its_row(self, monkeypatch, fidelity):
+        # a NaN planted in one grid kernel value of a point that its lone
+        # route solves: the grid sends that point alone, its row is a lone
+        # transmission() call's bit for bit, and its neighbours keep theirs
+        grid = linear_grid(0.02, 2.25, 12)
+        want = [outcome_key(g) for g in triq.scatter._sweep_outcomes(
+            "E", grid, MASS, BARRIER, U, 0.1, fidelity, False)]
+        kummer = triq.scatter._kummer_m_array
+
+        def planted(b, c, z):
+            values = kummer(b, c, z)
+            values[5, 6] = math.nan  # point 5's third series at x = a
+            return values
+
+        monkeypatch.setattr(triq.scatter, "_kummer_m_array", planted)
+        sent = points_sent_alone(monkeypatch)
+        got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
+                                           fidelity, False)
+        assert [E for E, _ in sent] == [grid[5]]
+        assert [outcome_key(g) for g in got] == want
+        lone = transmission(grid[5], MASS, BARRIER, U, fidelity=fidelity)
+        assert outcome_key(got[5]) == outcome_key(lone)
 
     def test_numpy_parameters_give_the_float_outcome(self):
         # a seeded GaAs-like box: energies and every mass and profile
@@ -1201,11 +1307,23 @@ def reference_coefficients(points, mp, u, printed_signs):
 
 
 def grid_coefficients(points, mp, u, printed_signs):
-    """reference_coefficients' form of one _grid_coefficients call."""
-    *values, failures = triq.scatter._grid_coefficients(points, mp, u,
-                                                        printed_signs)
-    return [(type(failures[i]).__name__, str(failures[i])) if i in failures
-            else [v[i].item().hex() for v in values] for i in range(len(points))]
+    """reference_coefficients' form of one _grid_coefficients call, with
+    "refused" for a point it does not fit (whose values but the width are
+    NaN)."""
+    *values, fits = triq.scatter._grid_coefficients(points, mp, u,
+                                                     printed_signs)
+    out = []
+    for i, fit in enumerate(fits.tolist()):
+        point = [v[i].item() for v in values]
+        assert fit or all(map(math.isnan, point[1:]))
+        out.append([v.hex() for v in point] if fit else "refused")
+    return out
+
+
+def refused_coefficients(points, mp, u, printed_signs):
+    """reference_coefficients with each error read as "refused"."""
+    return [w if isinstance(w, list) else "refused"
+            for w in reference_coefficients(points, mp, u, printed_signs)]
 
 
 def reference_closed_form(k, fset, gset, bi0, ai_a):
@@ -1261,7 +1379,7 @@ class TestGridPassesAreThePointLoops:
         solved = argv != "transmission --min 3.9 --points 1"
         assert bool(seen["_paper_closed_form"]) == bool(seen["_residuals"]) == solved
         for args in seen["_grid_coefficients"]:
-            assert grid_coefficients(*args) == reference_coefficients(*args)
+            assert grid_coefficients(*args) == refused_coefficients(*args)
         for (system,) in seen["_paper_closed_form"]:
             got, want = closed_form_points(system)
             assert got == want
@@ -1309,7 +1427,7 @@ class TestGridPassesAreThePointLoops:
                         (MassParams(M1=1e-300), [(5e-324, BARRIER), (0.1, BARRIER)]),
                         (MASS, [(0.1, well), (0.2, BARRIER)])):
             for printed_signs in (False, True):
-                want = reference_coefficients(pts, mp, U, printed_signs)
+                want = refused_coefficients(pts, mp, U, printed_signs)
                 assert grid_coefficients(pts, mp, U, printed_signs) == want
         kinds = {w[0] for w in reference_coefficients(
             points[-9:] + [(0.1, well)], MASS, U, False) if isinstance(w, tuple)}

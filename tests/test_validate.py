@@ -3,9 +3,11 @@
 import math
 
 import numpy as np
+import pytest
 
 import triq.scatter
 import triq.validate
+from triq.errors import AccuracyError
 from triq.validate import info_lines, run_suites
 
 # worst deviation of every suite, frozen by .hex(): validate prints four
@@ -106,6 +108,21 @@ class TestSuites:
         suite = triq.validate.suite_gamma_recurrence()
         assert math.isnan(suite.worst)
         assert not suite.passed
+
+    @pytest.mark.parametrize("ys, message", [
+        # Bi's overflow at 120, not Ai's refusal of the later sample
+        ([0.0, 120.0, -1e7], "airy_bi overflow at y=120.0"),
+        # both refuse -1e7: Ai's call comes first
+        ([0.0, -1e7], "airy_ai accuracy lost at y=-10000000.0, below "
+                      "-1000000.0"),
+    ])
+    def test_refused_airy_sample_raises_the_scalar_loops_error(self, ys,
+                                                               message):
+        # the array marks each refused sample NaN; the scalar calls made
+        # there raise what a loop of airy_ai, airy_bi calls raises first
+        with pytest.raises(AccuracyError) as info:
+            triq.validate._airy_grid(ys)
+        assert str(info.value) == message
 
     def test_suite_names_are_stable(self):
         names = [s.name for s in run_suites()]
