@@ -870,11 +870,11 @@ def _grid_coefficients(points: list, mp: MassParams, u: UnitSystem,
 
 def _exterior_airy(y1: np.ndarray, y3: np.ndarray) -> np.ndarray:
     """The exterior Airy values over per-point arrays of y1 and y3, from
-    one _airy_array call over every y1 then every y3: a (6, n) array of
-    Ai, Ai', Bi and Bi' at y1, then Ai and Ai' at y3, NaN where the scalar
-    call refuses."""
+    one _airy_array call over every y1 then every y3, Bi at y1 only: a
+    (6, n) array of Ai, Ai', Bi and Bi' at y1, then Ai and Ai' at y3, NaN
+    where the scalar call refuses."""
     n = y1.size
-    grid = _airy_array(np.concatenate([y1, y3]))
+    grid = _airy_array(np.concatenate([y1, y3]), np.repeat([True, False], n))
     return np.stack([grid.ai[:n], grid.aip[:n], grid.bi[:n], grid.bip[:n],
                      grid.ai[n:], grid.aip[n:]])
 

@@ -39,21 +39,30 @@ NaN, and the array call raises nothing: a caller that needs the error
 makes the scalar call at that element (scatter's lone-point route, or a
 validate grid).
 
+The Airy march is a ladder of nodes built at import (_airy_ladder):
+whole steps of _AIRY_MARCH_STEP down from each anchor, Ai from the
+asymptotics at 8 and Ai and Bi from the series at -4.5.  A point of a
+march band takes one Taylor step down from the nearest node at or above
+it, a float by _airy_march and every march element of an array in one
+_airy_taylor_step_array call.
+
 A scalar/array pair is kept only for a per-element loop, where a lone
 point is cheaper on its own (a one-element _tricomi_u_array call took
 0.65-1.1 ms against 16-23 us for tricomi_u_large_z on a 2-CPU host):
 the series loops (_airy_series, _kummer_series, _tricomi_tail), the
-Taylor step and march, the Tricomi recurrence and the ln Gamma shift.
-The formulas around them are written once for a float or an array: the
+Taylor step, the Tricomi recurrence and the ln Gamma shift.  The
+formulas around them are written once for a float or an array: the
 Maclaurin combination, the Stirling tail, the 1/Gamma reflection
 decision (_recip_gamma_of) and the asymptotic Airy sums (_asym_sums).
-A float takes the last as a one-element array, 46-126 us a call against
-10-31 us for a term loop of its own; a sweep takes the asymptotic
-regimes over arrays, and a validate pass makes 4 such float calls.
+A float takes the last as a one-element array: a float _airy_asym_pos
+call takes about 24 us, against about 20 us with a term loop of its own
+(2-CPU host); a sweep takes the asymptotic regimes over arrays, and a
+validate pass makes 4 such float calls.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from typing import NamedTuple
 
@@ -339,7 +348,9 @@ def _airy_taylor_step(x0: float, w: float, wp: float, h: float) -> tuple[float, 
     """One Taylor step of w'' = x*w from x0 to x0+h.
 
     The local series is entire, so the only requirement on h is that the
-    ~60-term budget reaches 1e-18 relative; |h| <= 0.8 is ample.
+    ~60-term budget reaches 1e-18 relative; |h| <= 0.8 is ample, and the
+    march steps by at most _AIRY_MARCH_STEP = 0.75 (a ladder node to the
+    next, or a node down to a point).
     """
     # Coefficients a_n of the local Taylor series; a_{n+2} = (x0*a_n + a_{n-1}) / ((n+1)(n+2))
     coeffs = [w, wp, 0.5 * x0 * w]
@@ -359,36 +370,57 @@ def _airy_taylor_step(x0: float, w: float, wp: float, h: float) -> tuple[float, 
     return value, deriv
 
 
-def _airy_march(y: float, x0: float, w: float, wp: float) -> tuple[float, float]:
-    """Taylor-march (w, w') of the Airy ODE from anchor x0 to y."""
-    n_steps = max(1, math.ceil(abs(y - x0) / _AIRY_MARCH_STEP))
-    h = (y - x0) / n_steps
-    x = x0
-    for _ in range(n_steps):
-        w, wp = _airy_taylor_step(x, w, wp, h)
-        x += h
-    return w, wp
+def _airy_ladder(x0: float, w: float, wp: float, lo: float):
+    """The march's nodes from the anchor (x0, w, w') down to the last one
+    above lo, as (x, w, w') lists in ascending x.
+
+    The nodes lie whole steps of _AIRY_MARCH_STEP below x0, each one
+    Taylor step from the node above it, so each holds the doubles a
+    step-by-step march from x0 gives there.
+    """
+    xs, ws, wps = [x0], [w], [wp]
+    while xs[-1] - _AIRY_MARCH_STEP > lo:
+        w, wp = _airy_taylor_step(xs[-1], w, wp, -_AIRY_MARCH_STEP)
+        xs.append(xs[-1] - _AIRY_MARCH_STEP)
+        ws.append(w)
+        wps.append(wp)
+    return xs[::-1], ws[::-1], wps[::-1]
+
+
+def _airy_march(y: float, ladder) -> tuple[float, float]:
+    """(w, w') at a float y from an _airy_ladder: one Taylor step down
+    from the nearest node at or above y, so |h| < _AIRY_MARCH_STEP.
+    _airy_march_array takes the same step over arrays."""
+    xs, ws, wps = ladder
+    i = bisect.bisect_left(xs, y)
+    return _airy_taylor_step(xs[i], ws[i], wps[i], y - xs[i])
 
 
 # the asymptotic series' terms k = 1 .. _ASYM_TERMS at most
 _ASYM_TERMS = 59
 
-# k as a column, and the signs each regime's sums give term k: the
+# k as a column; the ratio (6k - 1)(6k - 5) / (72 k zeta) of term k to
+# term k - 1 as its numerator and 72 k; and (u_k, v_k) / u_k, as the
+# numerators (1, 6k + 1) over (1, 1 - 6k), one row per k
+_ASYM_K = np.arange(1.0, _ASYM_TERMS + 1.0)[:, None]
+_ASYM_RATIO = ((6.0 * _ASYM_K - 1.0) * (6.0 * _ASYM_K - 5.0), 72.0 * _ASYM_K)
+_ASYM_UV = (np.hstack([np.ones_like(_ASYM_K), 6.0 * _ASYM_K + 1.0])[:, :, None],
+            np.hstack([np.ones_like(_ASYM_K), 1.0 - 6.0 * _ASYM_K])[:, :, None])
+# the signs each regime's sums give term k, shaped (k, 1, j, 1): the
 # exponential pair sums (-1)^k and 1; the oscillatory pair splits
 # (-1)^floor(k/2) by even and odd k, 0 for the other parity
-_ASYM_K = np.arange(1.0, _ASYM_TERMS + 1.0)[:, None]
 _ASYM_POS_SIGNS = np.hstack([np.where(_ASYM_K % 2.0 == 1.0, -1.0, 1.0),
-                             np.ones_like(_ASYM_K)])
+                             np.ones_like(_ASYM_K)])[:, None, :, None]
 _ASYM_NEG_SIGNS = (np.where(_ASYM_K % 4.0 < 2.0, 1.0, -1.0)
-                   * (_ASYM_K % 2.0 == np.array([0.0, 1.0])))
+                   * (_ASYM_K % 2.0 == np.array([0.0, 1.0])))[:, None, :, None]
 
 
 def _asym_sums(zeta, signs, start):
     """The four sums of the Airy asymptotic series (DLMF 9.7.2) of zeta, a
-    float or a 1-D array: start + sum_k signs[k, j] u_k / zeta^k for j =
-    0, 1, then the same two of the v_k; four floats for a float, else a
-    (4, n) array.  This is the one place for the terms' recurrence and
-    their stop rule.
+    float or a 1-D array: start + sum_k s_kj u_k / zeta^k for j = 0, 1,
+    then the same two of the v_k, with s_kj = signs[k - 1, 0, j, 0]; four
+    floats for a float, else a (4, n) array.  This is the one place for
+    the terms' recurrence and their stop rule.
 
     u_k / zeta^k is the running product of the ratios (6k - 1)(6k - 5) /
     (72 k zeta), and v_k / zeta^k is u_k / zeta^k (6k + 1) / (1 - 6k).
@@ -396,40 +428,39 @@ def _asym_sums(zeta, signs, start):
     every term before it shrank, and none before it fell below 1e-18: it
     stops before the first term that does not shrink, or after one below
     1e-18.  Every element's terms are taken for all k at once, and the
-    sums are added left to right from start.  A term an element does not
-    take, or a sum does not count (sign 0), is added as +0.0, which
-    changes no sum: none is -0.0, as each starts at 1.0 or +0.0 and a
-    rounded sum is -0.0 only of two -0.0.
+    sums are built, and added left to right from start, only up to the
+    last term any element takes.  A term an element does not take, or a
+    sum does not count (sign 0), is added as +0.0 or -0.0, which changes
+    no sum: none is -0.0, as each starts at 1.0 or +0.0 and a rounded sum
+    is -0.0 only of two -0.0.  The call costs about 20 numpy calls
+    whatever the number of terms, the same code for a float as for an
+    array.
     """
-    lone = _scalar(zeta)
-    zeta = np.atleast_1d(zeta)
-    k = _ASYM_K
-    # the terms past an element's stop may overflow; they are dropped
-    with np.errstate(all="ignore"):
-        u = np.multiply.accumulate(
-            (6.0 * k - 1.0) * (6.0 * k - 5.0) / (72.0 * k * zeta), axis=0)
+    num, den = _ASYM_RATIO
+    # 72 k zeta is inf past zeta ~ 4e304, and the terms past an element's
+    # stop may overflow; they are dropped
+    with np.errstate(over="ignore"):
+        u = np.multiply.accumulate(num / (den * zeta), axis=0)
     mag = np.abs(u)
-    # term k is taken where it shrinks and every term before it shrank
-    # without falling below 1e-18
-    taken = np.empty(u.shape, dtype=bool)
-    taken[0] = ~(mag[0] >= math.inf)
-    np.greater_equal(mag[1:], mag[:-1], out=taken[1:])
-    np.logical_not(taken[1:], out=taken[1:])
-    go_on = np.logical_and.accumulate(taken & ~(mag < 1e-18), axis=0)
-    taken[1:] &= go_on[:-1]
-    rows = max(1, int(taken.any(axis=1).sum()))  # the most terms taken
-    u, taken = u[:rows], taken[:rows]
-    # row i holds term i + 1 of the four sums, +0.0 where not counted
-    sums = np.zeros((rows, 4, zeta.size))
-    with np.errstate(all="ignore"):
-        v = u * (6.0 * k[:rows] + 1.0) / (1.0 - 6.0 * k[:rows])
-        for j, (t, sign) in enumerate((t, sign) for t in (u, v) for sign in (
-                signs[:rows, :1], signs[:rows, 1:])):
-            np.multiply(sign, t, out=sums[:, j], where=taken & (sign != 0.0))
+    # term k is taken where neither it grew, nor the term before it fell
+    # below 1e-18, nor did either happen at any term before it
+    stop = np.empty(u.shape, dtype=bool)
+    np.greater_equal(mag[0], math.inf, out=stop[0])
+    np.greater_equal(mag[1:], mag[:-1], out=stop[1:])
+    stop[1:] |= mag[:-1] < 1e-18
+    taken = np.logical_and.accumulate(~stop, axis=0)
+    rows = max(1, np.count_nonzero(taken.any(axis=1)))  # the most terms taken
+    # row i holds term i + 1 of u and v, +0.0 where not taken, then of
+    # the four sums
+    uv_num, uv_den = _ASYM_UV
+    terms = np.where(taken[:rows], u[:rows], 0.0)[:, None] * uv_num[:rows]
+    terms /= uv_den[:rows]
+    sums = (terms[:, :, None] * signs[:rows]).reshape(rows, 4, -1)
     sums[0] += np.reshape(start, (-1, 1))
-    for i in range(1, rows):
-        sums[i] += sums[i - 1]
-    return sums[-1, :, 0].tolist() if lone else sums[-1]
+    # a reduction over the outer axis adds row after row (numpy sums
+    # pairwise only along the innermost axis)
+    sums = np.add.reduce(sums, axis=0)
+    return sums[:, 0].tolist() if _scalar(zeta) else sums
 
 
 def _quarter_power(x: float) -> float:
@@ -523,21 +554,17 @@ def airy_ai(y: float) -> AiryPair:
         ai, aip, _, _ = _airy_asym_pos(y)
         return AiryPair(ai, aip)
     if y > _AIRY_SERIES_HI_AI:
-        # March down from the asymptotic anchor: the decaying solution grows
-        # in this direction, so Bi contamination dies off and the march is
-        # numerically stable.
-        a0, a0p, _, _ = _ASYM_POS_ANCHOR
-        w, wp = _airy_march(y, _AIRY_ASYM_POS, a0, a0p)
-        return AiryPair(w, wp)
+        # One step down from the ladder marched from the asymptotic anchor:
+        # the decaying solution grows in this direction, so Bi
+        # contamination dies off and the march is numerically stable.
+        return AiryPair(*_airy_march(y, _AI_POS_LADDER))
     if y >= _AIRY_SERIES_LO:
         ai, aip, _, _ = _airy_series_pair(y)
         return AiryPair(ai, aip)
     if y > _AIRY_ASYM_NEG:
         # Oscillatory region: no exponential dichotomy, marching from the
         # series anchor is stable in either direction.
-        a0, a0p, _, _ = _SERIES_LO_ANCHOR
-        w, wp = _airy_march(y, _AIRY_SERIES_LO, a0, a0p)
-        return AiryPair(w, wp)
+        return AiryPair(*_airy_march(y, _AI_NEG_LADDER))
     ai, aip, _, _ = _airy_asym_neg(y)
     return AiryPair(ai, aip)
 
@@ -559,9 +586,7 @@ def airy_bi(y: float) -> AiryPair:
         _, _, bi, bip = _airy_series_pair(y)
         return AiryPair(bi, bip)
     if y > _AIRY_ASYM_NEG:
-        _, _, b0, b0p = _SERIES_LO_ANCHOR
-        w, wp = _airy_march(y, _AIRY_SERIES_LO, b0, b0p)
-        return AiryPair(w, wp)
+        return AiryPair(*_airy_march(y, _BI_NEG_LADDER))
     _, _, bi, bip = _airy_asym_neg(y)
     return AiryPair(bi, bip)
 
@@ -579,13 +604,15 @@ class AiryGrid(NamedTuple):
     bip: np.ndarray
 
 
-def _airy_array(y) -> AiryGrid:
+def _airy_array(y, bi_at=True) -> AiryGrid:
     """airy_ai and airy_bi over a 1-D array, one vector pass per regime.
 
-    Every element takes its scalar calls' routes and gets their doubles:
-    one Maclaurin pass gives Ai and Bi wherever either is on the series;
-    one lockstep march carries the Ai and Bi rows of (_AIRY_ASYM_NEG,
-    _AIRY_SERIES_LO) and the Ai rows of (_AIRY_SERIES_HI_AI,
+    bi_at marks the elements whose Bi is wanted, a boolean array or True
+    for all; Bi and Bi' are NaN at the others.  Every element takes its
+    scalar calls' routes and gets their doubles: one Maclaurin pass gives
+    Ai and Bi wherever either is wanted on the series; one
+    _airy_march_array call, a single Taylor step per row, gives Ai and Bi
+    on (_AIRY_ASYM_NEG, _AIRY_SERIES_LO) and Ai on (_AIRY_SERIES_HI_AI,
     _AIRY_ASYM_POS); one _airy_asym_pos and one _airy_asym_neg call take
     the asymptotic elements of each side, for both functions.  An element
     no route takes is one the scalar call refuses (a non-finite y, a y
@@ -593,24 +620,25 @@ def _airy_array(y) -> AiryGrid:
     stays NaN.
     """
     y = np.asarray(y, dtype=float)
+    bi_at = np.broadcast_to(bi_at, y.shape)
     ai, aip, bi, bip = (np.full(y.size, math.nan) for _ in range(4))
-    series = np.flatnonzero((y >= _AIRY_SERIES_LO) & (y < _AIRY_ASYM_POS))
-    a, ap, bi[series], bip[series] = _airy_series_pair(y[series])
-    on = y[series] <= _AIRY_SERIES_HI_AI  # above it, Ai marches down from 8
+    ai_series = y <= _AIRY_SERIES_HI_AI  # above it, Ai marches down from 8
+    series = np.flatnonzero((y >= _AIRY_SERIES_LO) & (y < _AIRY_ASYM_POS)
+                            & (ai_series | bi_at))
+    a, ap, b, bp = _airy_series_pair(y[series])
+    on, want = ai_series[series], bi_at[series]
     ai[series[on]], aip[series[on]] = a[on], ap[on]
+    bi[series[want]], bip[series[want]] = b[want], bp[want]
 
-    neg = np.flatnonzero((y > _AIRY_ASYM_NEG) & (y < _AIRY_SERIES_LO))
-    pos = np.flatnonzero((y > _AIRY_SERIES_HI_AI) & (y < _AIRY_ASYM_POS))
-    # march rows: Ai, then Bi, of (-9.5, -4.5) from the series anchor, then
-    # Ai of (3, 8) from the asymptotic one
-    rows = np.concatenate([neg, neg, pos])
-    sizes = (neg.size, neg.size, pos.size)
-    anchors = [(_AIRY_SERIES_LO, *_SERIES_LO_ANCHOR[:2]),
-               (_AIRY_SERIES_LO, *_SERIES_LO_ANCHOR[2:]),
-               (_AIRY_ASYM_POS, *_ASYM_POS_ANCHOR[:2])]
-    w, wp = _airy_march_array(y[rows], *(np.repeat(a, sizes) for a in zip(*anchors)))
-    ai[neg], bi[neg], ai[pos] = np.split(w, np.cumsum(sizes)[:2])
-    aip[neg], bip[neg], aip[pos] = np.split(wp, np.cumsum(sizes)[:2])
+    neg = (y > _AIRY_ASYM_NEG) & (y < _AIRY_SERIES_LO)
+    ai_neg, bi_neg = np.flatnonzero(neg), np.flatnonzero(neg & bi_at)
+    ai_pos = np.flatnonzero((y > _AIRY_SERIES_HI_AI) & (y < _AIRY_ASYM_POS))
+    w, wp = _airy_march_array([(y[ai_neg], _AI_NEG_LADDER),
+                               (y[bi_neg], _BI_NEG_LADDER),
+                               (y[ai_pos], _AI_POS_LADDER)])
+    cuts = (ai_neg.size, ai_neg.size + bi_neg.size)
+    ai[ai_neg], bi[bi_neg], ai[ai_pos] = np.split(w, cuts)
+    aip[ai_neg], bip[bi_neg], aip[ai_pos] = np.split(wp, cuts)
 
     taken = np.isfinite(y) & (y >= _AIRY_NEG_LIMIT)
     for asym, at in ((_airy_asym_pos, taken & (y >= _AIRY_ASYM_POS)),
@@ -618,7 +646,7 @@ def _airy_array(y) -> AiryGrid:
         at = np.flatnonzero(at)
         if at.size:
             ai[at], aip[at], b, bp = asym(y[at])
-            keep = y[at] <= _AIRY_BI_OVERFLOW
+            keep = (y[at] <= _AIRY_BI_OVERFLOW) & bi_at[at]
             bi[at[keep]], bip[at[keep]] = b[keep], bp[keep]
     return AiryGrid(ai, aip, bi, bip)
 
@@ -664,21 +692,15 @@ def _airy_series_array(y: np.ndarray):
     return out
 
 
-def _airy_march_array(y, x0, w, wp):
-    """_airy_march of every row in lockstep, row r from x0[r] to y[r].
-
-    Each row keeps its own step count, h and x += h accumulation, and
-    leaves each Taylor step at its own stop rule, so it gets the scalar
-    march's (w, w').
-    """
-    n_steps = np.maximum(1.0, np.ceil(np.abs(y - x0) / _AIRY_MARCH_STEP))
-    h = (y - x0) / n_steps
-    x, w, wp = x0.copy(), w.copy(), wp.copy()
-    for s in range(int(n_steps.max(initial=0.0))):
-        rows = np.flatnonzero(n_steps > s)
-        w[rows], wp[rows] = _airy_taylor_step_array(x[rows], w[rows], wp[rows], h[rows])
-        x[rows] += h[rows]
-    return w, wp
+def _airy_march_array(marches):
+    """_airy_march of every element of every (y, ladder) pair in marches,
+    all in one _airy_taylor_step_array call: (w, w') of the elements, the
+    pairs' in order.  Each element steps from the node the scalar march
+    picks, so it gets the scalar march's doubles."""
+    x0, w, wp = np.hstack([np.array(ladder)[:, np.searchsorted(ladder[0], y)]
+                           for y, ladder in marches])
+    y = np.concatenate([y for y, _ in marches])
+    return _airy_taylor_step_array(x0, w, wp, y - x0)
 
 
 def _airy_taylor_step_array(x0, w, wp, h):
@@ -1230,8 +1252,12 @@ def tricomi_u_large_z(b: float, c: float, z: float) -> tuple[float, float]:
 _AI_ZERO = 3.0 ** (-2.0 / 3.0) * recip_gamma(2.0 / 3.0)   # Ai(0)
 _AI_SLOPE = 3.0 ** (-1.0 / 3.0) * recip_gamma(1.0 / 3.0)  # -Ai'(0)
 
-# (Ai, Ai', Bi, Bi') at the two march anchors, evaluated once at import:
-# the negative-side march starts from the series, the positive-side Ai
-# march from the asymptotics
+# The march ladders, built once at import: Ai from the asymptotics at
+# _AIRY_ASYM_POS down to the last node above _AIRY_SERIES_HI_AI, and Ai and
+# Bi from the series at _AIRY_SERIES_LO down to the last above
+# _AIRY_ASYM_NEG
+_AI_POS_LADDER = _airy_ladder(_AIRY_ASYM_POS, *_airy_asym_pos(_AIRY_ASYM_POS)[:2],
+                              _AIRY_SERIES_HI_AI)
 _SERIES_LO_ANCHOR = _airy_series_pair(_AIRY_SERIES_LO)
-_ASYM_POS_ANCHOR = _airy_asym_pos(_AIRY_ASYM_POS)
+_AI_NEG_LADDER = _airy_ladder(_AIRY_SERIES_LO, *_SERIES_LO_ANCHOR[:2], _AIRY_ASYM_NEG)
+_BI_NEG_LADDER = _airy_ladder(_AIRY_SERIES_LO, *_SERIES_LO_ANCHOR[2:], _AIRY_ASYM_NEG)

@@ -40,28 +40,28 @@ class TestGolden:
 
     @pytest.mark.parametrize("argv, digest", [
         ("transmission --min 0.02 --max 2.25 --points 200",
-         "42b94fc88293c93947ce31bc298a8dac17e1355ce82f2ba7f4f648f76e3fc6a4"),
+         "f25c8831cd76846bbb80c8280a96141bcd2eba0fd7009cd874863157adc4b0c8"),
         # the printed-column modes: rows near a b1 zero print the finite
         # (1/b1)^2, up to 1.5e44, unflagged
         ("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity t2",
-         "98ff56e07434bfeb59c7db74b3571802e9c4cb9bae8cc74b131d34c43af0b4d9"),
+         "db5c0645a98e27300b428b56db267da65b926c9d4e8261c94828bc08be8305dc"),
         ("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity all",
-         "58477269e8d5703cff10b23437b061807ca369e01f11351ac0865d1f4400c46f"),
+         "c44fb6e2de05e9a0f2136b82dbe74a585a61ac93c7a5d8b84294b3e9f824c165"),
         # the config-key spelling of the flag, same bytes as its alias above
         ("transmission --min 0.02 --max 2.25 --points 200 --paper_fidelity all",
-         "58477269e8d5703cff10b23437b061807ca369e01f11351ac0865d1f4400c46f"),
+         "c44fb6e2de05e9a0f2136b82dbe74a585a61ac93c7a5d8b84294b3e9f824c165"),
         ("tunnelling --min 0.02 --max 0.44 --points 200",
-         "a87c0a9bc20e456e8399ff7d42dc476dc32ae105d017799d47202799457a4a0b"),
+         "7c77c72e4a8948e2ce1ab741127f51be1f66e5bb42ef09993d80d8a57ed6e4ea"),
         # the V0 axis with the default auto alpha, and the refusal band
         # (45 of 100 rows refused by the Kummer guards, 271 DD reruns)
         ("transmission --axis V0 --min 0.05 --max 0.9 --points 120",
-         "33e19eacb74cb69a1de0f86e8f8fb720348a61f2e873d16eea23e331932c12b4"),
+         "16b21d9a07552dc7ae0a4338110f6ef1949f2bc020c07f826697780af11323ad"),
         # the width axis, where the x = a interface moves from point to point
         ("transmission --axis a --min 1 --max 12 --points 120",
-         "d99e01f4b957d3620bb47eb45927ddc23839965d93e151e87596142f5b751756"),
+         "ef100e504d65731e8e3adee1ed8fa44c3d55429f3dfab5bf847f4791e8c9ffc6"),
         # the printed-sign interior with the canonical columns
         ("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity signs",
-         "f7305021ccfe36eba1f8fd52dbcb24332d0a6bc52fa8811275043ef347f7b211"),
+         "fc758e65ff5190c41578339493b8f9c67defe9af5da5ec1ce1d835351b80dacd"),
         ("transmission --min 2.25 --max 3.9 --points 100",
          "9fe9fce941f474b7d106abf16839f165ea8b1e8b4831506eaa535feb6ae54edb"),
         # one-point runs: a double-double point and a refused row

@@ -1145,6 +1145,21 @@ class TestSweep:
                          else outcome_key(o) for o in outcomes)
             assert got == want, params
 
+    def test_exterior_airy_takes_bi_at_y1_only(self, monkeypatch):
+        # one _airy_array call over every y1 then every y3, asking Bi at
+        # the y1 alone: nothing reads Bi at y3
+        calls = []
+        airy = triq.scatter._airy_array
+
+        def spy(y, bi_at=True):
+            calls.append((y.size, np.broadcast_to(bi_at, y.shape).tolist()))
+            return airy(y, bi_at)
+        monkeypatch.setattr(triq.scatter, "_airy_array", spy)
+        rows = sweep("E", [0.02 + 0.42 * i / 49 for i in range(50)],
+                     MASS, BARRIER, U)
+        assert calls == [(100, [True] * 50 + [False] * 50)]
+        assert all(r.result is not None for r in rows)
+
     def test_stacked_solve_refuses_only_the_bad_members(self):
         # 80 systems (both column modes) with a singular and a non-finite
         # member, solved as one stack: every other system gets the doubles
