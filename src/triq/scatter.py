@@ -46,20 +46,20 @@ from .errors import AccuracyError, ConditioningError, DomainError, TriqError
 from .model import (MassParams, PotentialProfile, RegionCoefficients,
                     UnitSystem, _coefficients, _kummer_b, airy_scale,
                     barrier_coefficients)
-from .special import (AiryPair, _airy_array, _each, _kummer_m_array,
-                      _recip_gamma_array, _scalar, _tricomi_u_array, airy_ai,
-                      airy_bi, kummer_m, recip_gamma, tricomi_u_large_z)
+from .special import (TRICOMI_CF_LEAST, AiryPair, _airy_array, _each,
+                      _kummer_m_array, _loss, _recip_gamma_array, _scalar,
+                      airy_ai, airy_bi, kummer_m, recip_gamma, tricomi_u_cf)
 
 # Worst error estimate second() accepts before refusing the point.  This is
 # a gate against garbage, not a precision claim: a point it refuses would
-# come back with no correct digits at all.  Neither route's estimate is an
-# upper bound on the error: against 50-digit mpmath the subtraction
-# estimate read below the true error at 3 of 15 energies in 0.40-0.75 eV
-# on the default barrier (_two_term), and the worst passing points seen
-# carry errors of 7.4e-5 on the subtraction route and 4.1e-5 on the
-# recurrence route (b in [-45, 3], z up to 250).
+# come back with no correct digits at all.  The continued fraction's
+# estimate bounds its own error (special.tricomi_u_cf); the subtraction's
+# does not (_two_term).  On 600 seeded points (b in [-45, 3], z up to 250)
+# the worst passing errors were 2.8e-12 on the subtraction route and
+# 1.9e-13 on the continued fraction, and none of the 446 the kernels took
+# was refused (the large-z recurrence refused 7, and passed errors up to
+# 7.4e-5).
 _SECOND_BUDGET = 1e-4
-_LOSS_CAP = 1e200
 
 # transmitted amplitude of the scaled twin in rescale_diagnostic; a power
 # of two, so scaling the right-hand side by it is exact
@@ -210,10 +210,14 @@ class RegionIIBasis:
         form pi [M~(b;1/2;z)/Gamma(b+1/2) - sqrt(z) M~(b+1/2;3/2;z)/Gamma(b)]
         (DLMF 13.2.42) with sqrt(z) carried as a1^(1/4) y (_two_term).  For
         y > 0 this is the recessive direction, and the two terms cancel
-        catastrophically once z is large (14 digits gone by z ~ 140).  The
-        measured cancellation picks between the subtraction form and the
-        large-z recurrence; if neither route can promise the budget the
-        point is refused rather than returned wrong.
+        catastrophically once z is large (14 digits gone by z ~ 140).  So
+        at y > 0 special.tricomi_u_cf also takes U from a continued
+        fraction and the Wronskian, from the kernels' regularized
+        M~(b; 1/2; z) and M~(b+1; 3/2; z), and the route with the lower
+        error estimate is kept; it is not called where the two-term
+        estimate is at most TRICOMI_CF_LEAST, the least it can give.  If
+        neither route can promise _SECOND_BUDGET the point is refused
+        rather than returned wrong.
 
         Kernels of Python floats give Python floats, and np.float64 scalars
         are taken to Python floats.  Grid kernels give two arrays, every
@@ -232,13 +236,12 @@ class RegionIIBasis:
             ker = _Kernels._make(map(float, ker))
         b, s, y = self.b_param, self.sqrt_a1, ker.y
         u, du_dy, est = _two_term(b, s, self.rg_b, self.rg_bh, ker)
-        if y > 0.0 and est > 1e-11:
-            u_val, e_val = tricomi_u_large_z(b, 0.5, ker.z)
-            u_slope, e_slope = tricomi_u_large_z(b + 1.0, 1.5, ker.z)
-            if max(e_val, e_slope) < est:
-                u = u_val
-                du_dy = -2.0 * s * y * b * u_slope  # dU/dz chain through z(y)
-                est = max(e_val, e_slope)
+        if y > 0.0 and est > TRICOMI_CF_LEAST:
+            u_cf, du_dz, est_cf = tricomi_u_cf(b, 0.5, ker.z, ker.r_even,
+                                               ker.r_even_d, self.rg_b)
+            if est_cf < est:
+                u, est = u_cf, est_cf
+                du_dy = 2.0 * s * y * du_dz  # dU/dz chain through z(y)
         if est > _SECOND_BUDGET:
             raise AccuracyError(
                 f"companion solution unreliable at y={y!r}, z={ker.z!r}: "
@@ -271,14 +274,15 @@ def _two_term(b, s, rg_b, rg_bh, ker: _Kernels):
     da = 2.0 * s * y * b * ker.r_even_d * rg_bh
     db = root * ker.r_odd * rg_b
     dc = 2.0 * s * root * y * y * (b + 0.5) * ker.r_odd_d * rg_b
-    l1 = _loss(abs(va) + abs(vb), va - vb)
-    l2 = _loss(abs(da) + abs(db) + abs(dc), da - db - dc)
+    l1 = _loss(va - vb, abs(va) + abs(vb))
+    l2 = _loss(da - db - dc, abs(da) + abs(db) + abs(dc))
     # Not an upper bound: against 50-digit mpmath, at 3 of 15 energies in
     # 0.40-0.75 eV on the default barrier, it read below the true error
     # (4.3e-10 against 2.5e-9 at 0.400 eV, 3.4e-9 against 1.4e-8 at 0.475
-    # eV, 6.0e-9 against 3.0e-8 at 0.500 eV).  Past z ~ 25 the recurrence
-    # route wins the comparison regardless.  max(l1, l2) over arrays is
-    # np.where(l2 > l1, l2, l1), which keeps a NaN l1 the way max does.
+    # eV, 6.0e-9 against 3.0e-8 at 0.500 eV); there the continued fraction
+    # wins the comparison with an estimate near 1e-14.  max(l1, l2) over
+    # arrays is np.where(l2 > l1, l2, l1), which keeps a NaN l1 the way
+    # max does.
     est = 1e-15 * (max(l1, l2) if _scalar(l1) else np.where(l2 > l1, l2, l1))
     return math.pi * (va - vb), math.pi * (da - db - dc), est
 
@@ -290,62 +294,36 @@ def _companion_grid(b, s, rg_b, rg_bh, ker: _Kernels):
     one basis's floats (an x grid) or arrays with one entry per kernel
     point (one interface of a sweep).  Every element is the double the
     float route gives at that point: the two-term form is taken for all
-    points at once (_two_term), and every point that tries the large-z
-    recurrence takes it in one _tricomi_u_array call, its (b, 1/2) call
-    before its (b + 1, 3/2) call.  Both are NaN at a point second()
-    refuses: where a recurrence call fails, or where the best estimate
-    exceeds _SECOND_BUDGET.
+    points at once (_two_term), and every point where second() tries the
+    continued fraction takes it in one tricomi_u_cf call.  Both are NaN at
+    a point second() refuses: where that call fails (a NaN estimate, where
+    the float call would raise), or where the best estimate exceeds
+    _SECOND_BUDGET.
     """
     y, z = ker.y, ker.z
     # products overflow to inf, and inf - inf is NaN, silently in the
     # float route; numpy is made as silent
     with np.errstate(all="ignore"):
         u, du_dy, est = _two_term(b, s, rg_b, rg_bh, ker)
-    tried = np.flatnonzero((y > 0.0) & (est > 1e-11))
-    m = tried.size
-    bt, st = (np.broadcast_to(v, y.shape)[tried] for v in (b, s))
-    pair, errors = _tricomi_u_array(
-        np.concatenate([bt, bt + 1.0]), np.repeat([0.5, 1.5], m),
-        np.tile(z[tried], 2))
-    # max() of the pair's estimates, NaN where either call fails
-    err = np.maximum(errors[:m], errors[m:])
-    with np.errstate(all="ignore"):
-        take = err < est[tried]  # False where a call failed
-        slope = -2.0 * st * y[tried] * bt * pair[m:]  # dU/dz chain through z(y)
-    better = tried[take]
-    u[better] = pair[:m][take]
-    du_dy[better] = slope[take]
-    est[better] = err[take]
-    refused = est > _SECOND_BUDGET
-    refused[tried[np.isnan(err)]] = True
+    refused = np.zeros(y.size, dtype=bool)
+    tried = np.flatnonzero((y > 0.0) & (est > TRICOMI_CF_LEAST))
+    if tried.size:
+        bt, st, rt = (v if _scalar(v) else v[tried] for v in (b, s, rg_b))
+        u_cf, du_dz, est_cf = tricomi_u_cf(bt, 0.5, z[tried], ker.r_even[tried],
+                                           ker.r_even_d[tried], rt)
+        with np.errstate(all="ignore"):
+            take = est_cf < est[tried]  # False where the route failed
+            slope = 2.0 * st * y[tried] * du_dz  # dU/dz chain through z(y)
+        better = tried[take]
+        u[better] = u_cf[take]
+        du_dy[better] = slope[take]
+        est[better] = est_cf[take]
+        refused[tried[np.isnan(est_cf)]] = True
+    refused |= est > _SECOND_BUDGET
     with np.errstate(all="ignore"):
         value, deriv = ker.damp * u, ker.damp * (du_dy - s * y * u)
     value[refused] = deriv[refused] = math.nan
     return value, deriv
-
-
-def _loss(parts, net):
-    """Cancellation factor parts / |net| of second(), |net| floored at 1e-300.
-
-    Saturates at _LOSS_CAP instead of overflowing: the two terms can cancel
-    to exactly zero (at x = a near E = 1.925 and 2.037 eV on the default
-    barrier), where parts / 1e-300 would be inf, and a np.float64 input
-    would raise an overflow warning.  Any loss past 1e11 already puts the
-    subtraction form over _SECOND_BUDGET: the point then stands or falls by
-    the recurrence's own estimate, which beats the capped one exactly when
-    it beats the uncapped one within budget, so no route decision moves.
-    Floats, or arrays elementwise with each element the float's double
-    (the caller silences numpy): np.where(1e-300 > den, 1e-300, den) keeps
-    a NaN den, as max does.
-    """
-    if _scalar(parts):
-        den = max(abs(net), 1e-300)
-        if parts * (1.0 / _LOSS_CAP) < den:
-            return parts / den
-        return _LOSS_CAP
-    den = np.abs(net)
-    den = np.where(1e-300 > den, 1e-300, den)
-    return np.where(parts * (1.0 / _LOSS_CAP) < den, parts / den, _LOSS_CAP)
 
 
 def basis_for(rc: RegionCoefficients) -> RegionIIBasis:
@@ -893,9 +871,9 @@ def _assemble_grid(b, s, offset, widths, k, airy, printed_columns: bool):
     with its right-hand sides.  second() is taken only under the canonical
     columns, and only at the points where the scalar route reaches it:
     neither the kernels, 1/Gamma(b + 1/2), 1/Gamma(b) (both read by
-    abbreviations_at) nor second() at x = 0 refused them.  So each
-    recurrence runs as often as in the scalar route.  A NaN f6 1/Gamma
-    stops nothing: the scalar route reads its overflow as NaN.
+    abbreviations_at) nor second() at x = 0 refused them.  So the
+    continued fraction runs as often as in the scalar route.  A NaN f6
+    1/Gamma stops nothing: the scalar route reads its overflow as NaN.
     """
     ker0, kera, go = _interface_kernels(b, s, offset, widths)
     rg_bh, rg_b, rg_f6 = np.split(_recip_gamma_array(

@@ -139,15 +139,17 @@ def test_gate_3_closed_form_vs_oracle():
                    for E in energies])
     oracle_ts = np.array([matched_transmission(E, MASS, BARRIER, U)
                           for E in energies])
+    # 4.6e-12, the oracle's own error; 4.9e-9 with the large-z
+    # recurrence in the companion solution's continued fraction's place
     worst_t = float(np.max(np.abs(ts / oracle_ts - 1.0)))
     dt = time.perf_counter() - t0
-    ok = worst_wave <= 1e-6 and worst_t <= 1e-6 and dt <= 30.0
+    ok = worst_wave <= 1e-6 and worst_t <= 1e-10 and dt <= 30.0
     _verdict(3, "closed form vs oracle", ok,
              f"interior wave vs integration {worst_wave:.3e} <= 1e-6 over "
              f"six energies, transmission vs independent march {worst_t:.3e}"
-             f" <= 1e-6 on 50 pts, {dt:.1f}s <= 30s")
+             f" <= 1e-10 on 50 pts, {dt:.1f}s <= 30s")
     assert worst_wave <= 1e-6
-    assert worst_t <= 1e-6
+    assert worst_t <= 1e-10
     assert dt <= 30.0
 
 

@@ -171,42 +171,42 @@ class TestRegionIIBasis:
             basis.kernels(np.array(xs))
         assert str(grid.value) == str(first)
 
-    @pytest.mark.parametrize("E, recurrences", [
-        (0.1, 0), (0.8, 3206), (2.25, 3463)])
-    def test_grid_second_is_the_point_loop(self, monkeypatch, E, recurrences):
-        # validate's interior grid at one energy with the subtraction form
-        # alone and at two where about half the points try the recurrence:
-        # every double, and every large-z Tricomi call, of a point loop
+    @pytest.mark.parametrize("E, fractions", [
+        (0.1, 2461), (0.8, 6144), (2.25, 5044)])
+    def test_grid_second_is_the_point_loop(self, monkeypatch, E, fractions):
+        # validate's interior grid at three energies, where most points at
+        # y > 0 try the continued fraction: every double, and every
+        # continued fraction, of a point loop
         basis = basis_for(barrier_coefficients(E, MASS, BARRIER, U))
         grid = basis.kernels(np.array([i * 1e-3 for i in range(7001)]))
         counts = counted_routes(monkeypatch)
         want = second_outcome(lambda: second_loop(basis, grid))
-        assert counts["tricomi"] == 2 * recurrences
+        assert counts["tricomi"] == fractions
         counts["tricomi"] = 0
         assert second_outcome(lambda: basis.second(grid)) == want
-        assert counts["tricomi"] == 2 * recurrences
+        assert counts["tricomi"] == fractions
 
     @pytest.mark.parametrize("zs, error", [
         ([1.0, 4.0, 14.0, 20.0], AccuracyError),  # the guard case, mid-grid
         ([14.5, 14.0], AccuracyError),  # two refusals: the first one's
-        ([1.0, 14.0, 17.0, 16.0], AccuracyError),  # before a failing recurrence
-        ([1.0, 17.0, 14.0], DomainError),  # a failing recurrence first
+        ([1.0, 14.0, 17.0, 16.0], AccuracyError),  # before a failing route
+        ([1.0, 17.0, 14.0], DomainError),  # a failing route first
         # the subtraction's 1.9e-6 at z = 9 is within budget, but tries the
-        # recurrence, whose failure refuses the point
+        # continued fraction, whose failure refuses the point
         ([1.0, 9.0, 17.0], DomainError),
     ])
     def test_grid_second_raises_the_first_scalar_error(self, monkeypatch, zs,
                                                        error):
-        # b = 2.2 with the vertex at x = 0, so z = x^2: z = 14 is too large
-        # for the subtraction form and too small for the recurrence's seed,
-        # and at z = 9 and 17 the spied recurrence raises
+        # b = 2.2 with the vertex at x = 0, so z = x^2: z = 14 and 14.5 are
+        # too large for the subtraction form, and there the spied continued
+        # fraction cannot help; at z = 9 and 17 it fails
         basis = RegionIIBasis(b_param=2.2, sqrt_a1=1.0, y_offset=0.0)
-        failing_recurrence(monkeypatch, {9.0, 17.0})
+        failing_continued_fraction(monkeypatch, {9.0, 17.0}, {14.0, 14.5})
         grid = basis.kernels(np.sqrt(zs))
         want = second_outcome(lambda: second_loop(basis, grid))
         assert want[0] == error.__name__
-        if error is DomainError:  # the (b, 1/2) call's, made first
-            assert want[1] == f"spied recurrence failure at c=0.5, z={zs[1]!r}"
+        if error is DomainError:
+            assert want[1] == f"spied continued-fraction failure at z={zs[1]!r}"
         assert second_outcome(lambda: basis.second(grid)) == want
 
     def test_grid_second_small_and_numpy_scalar_kernels(self):
@@ -364,23 +364,29 @@ class TestMatching:
 
 
 class TestTransmission:
+    # each oracle check's budget is at least 10x above its measured worst
     def test_matches_oracle_at_default(self):
+        # 2.7e-14
         res = transmission(0.1, MASS, BARRIER, U)
         oracle = matched_transmission(0.1, MASS, BARRIER, U)
-        assert res.T_solve == pytest.approx(oracle, rel=1e-6)
+        assert res.T_solve == pytest.approx(oracle, rel=1e-12)
         assert res.T_solve == pytest.approx(T_DEFAULT, rel=1e-10)
 
     @pytest.mark.parametrize("E", [0.45, 1.0, 1.7, 2.25])
     def test_matches_oracle_past_crossover(self, E):
-        # the regression that motivated the large-z route: these energies
-        # used to come back with no correct digits
+        # the regression that motivated the companion's second route: these
+        # energies used to come back with no correct digits.  At most
+        # 4.6e-12 (2.25 eV), the oracle's own error; 2.7e-9 at 0.45 eV with
+        # the large-z recurrence as that route
         res = transmission(E, MASS, BARRIER, U)
         oracle = matched_transmission(E, MASS, BARRIER, U)
-        assert res.T_solve == pytest.approx(oracle, rel=1e-6)
+        assert res.T_solve == pytest.approx(oracle, rel=1e-10)
 
     def test_parameter_box_agrees_with_the_oracle(self):
         # over a seeded box, each point is computed by both routes with the
-        # same signed b1 to 1e-6, or refused by a TriqError naming its value
+        # same signed b1 to 1e-8, or refused by a TriqError naming its
+        # value.  The worst is 1.6e-10, the oracle's own error
+        # (test_reference.py)
         refused = {"closed form": 0, "oracle": 0}
         for E, M0, M1, V0, alpha, a in parameter_box(0):
             mp = MassParams(M0=M0, M1=M1)
@@ -399,7 +405,7 @@ class TestTransmission:
                     assert value is not None and repr(value) in str(exc), exc
             if len(got) == 2:
                 b1, oracle = got["closed form"], got["oracle"]
-                assert abs(oracle / b1 - 1.0) <= 1e-6, (E, M0, M1, V0, alpha, a)
+                assert abs(oracle / b1 - 1.0) <= 1e-8, (E, M0, M1, V0, alpha, a)
         assert refused["closed form"] <= BOX_REFUSALS
         assert refused["oracle"] == 0
 
@@ -500,7 +506,7 @@ class TestTransmission:
         E = 0.19073486328125
         res = transmission(E, mp, pp, U)
         oracle = matched_transmission(E, mp, pp, U)
-        assert res.T_solve == pytest.approx(oracle, rel=1e-6)
+        assert res.T_solve == pytest.approx(oracle, rel=1e-12)  # 5.0e-14
         assert math.isnan(res.t1) and math.isnan(res.t2)
         assert math.isnan(res.T_paper)
         with pytest.raises(ConditioningError):
@@ -803,9 +809,9 @@ def asymptotic_airy_calls(monkeypatch):
 
 
 def counted_routes(monkeypatch):
-    """Counters of the fixed-point Kummer reruns and of the large-z Tricomi
-    recurrences: a scalar tricomi_u_large_z call counts one, an array call
-    one per element."""
+    """Counters of the fixed-point Kummer reruns and of the companion's
+    continued fractions: a float tricomi_u_cf call counts one, an array
+    call one per element."""
     counts = {"dd": 0, "tricomi": 0}
 
     def counter(name, fn, size=lambda *args: 1):
@@ -816,11 +822,9 @@ def counted_routes(monkeypatch):
 
     monkeypatch.setattr(triq.special, "_kummer_series_dd",
                         counter("dd", triq.special._kummer_series_dd))
-    monkeypatch.setattr(triq.scatter, "tricomi_u_large_z",
-                        counter("tricomi", triq.scatter.tricomi_u_large_z))
-    monkeypatch.setattr(triq.scatter, "_tricomi_u_array",
-                        counter("tricomi", triq.scatter._tricomi_u_array,
-                                lambda b, c, z: len(z)))
+    monkeypatch.setattr(triq.scatter, "tricomi_u_cf",
+                        counter("tricomi", triq.scatter.tricomi_u_cf,
+                                lambda b, c, z, *inputs: np.size(z)))
     return counts
 
 
@@ -846,30 +850,25 @@ def finite_system(system):
         *system.ai_a]))
 
 
-def failing_recurrence(monkeypatch, zs, cs=(0.5, 1.5)):
-    """Make the large-z recurrence fail at every z in zs for c in cs: the
-    scalar calls raise, and the array calls give NaN there."""
-    tricomi = triq.scatter.tricomi_u_large_z
-    tricomi_array = triq.scatter._tricomi_u_array
+def failing_continued_fraction(monkeypatch, failing, unreliable=()):
+    """Make the companion's continued fraction fail at every z in failing,
+    where a float call raises and an array call gives a NaN estimate, and
+    give an infinite estimate at every z in unreliable, as it does where it
+    cannot help."""
+    cf = triq.scatter.tricomi_u_cf
 
-    def failure(c, z):
-        return DomainError(f"spied recurrence failure at c={c!r}, z={z!r}")
+    def spied(b, c, z, *inputs):
+        u, du, est = cf(b, c, z, *inputs)
+        if np.ndim(z):
+            for i, zi in enumerate(z.tolist()):
+                if zi in failing or zi in unreliable:
+                    est[i] = math.nan if zi in failing else math.inf
+            return u, du, est
+        if z in failing:
+            raise DomainError(f"spied continued-fraction failure at z={z!r}")
+        return u, du, (math.inf if z in unreliable else est)
 
-    def spied(b, c, z):
-        if z in zs and c in cs:
-            raise failure(c, z)
-        return tricomi(b, c, z)
-
-    def spied_array(b, c, z):
-        values, errors = tricomi_array(b, c, z)
-        for i, (ci, zi) in enumerate(zip(np.asarray(c).tolist(),
-                                         np.asarray(z).tolist())):
-            if zi in zs and ci in cs:
-                values[i] = errors[i] = math.nan
-        return values, errors
-
-    monkeypatch.setattr(triq.scatter, "tricomi_u_large_z", spied)
-    monkeypatch.setattr(triq.scatter, "_tricomi_u_array", spied_array)
+    monkeypatch.setattr(triq.scatter, "tricomi_u_cf", spied)
 
 
 def failing_recip_gamma(monkeypatch, failing):
@@ -983,7 +982,7 @@ class TestSweep:
         # every row and refusal of the grid path is what a loop of
         # transmission() calls gives, double for double.  The grid sends
         # alone exactly the refused points and those whose system holds a
-        # non-finite number; it makes each rerun and recurrence of the loop
+        # non-finite number; it makes each rerun and continued fraction of the loop
         # once, and the lone route makes those of the points sent alone
         mp, pp = setup or (MASS, BARRIER)
         counts = counted_routes(monkeypatch)
@@ -1052,11 +1051,12 @@ class TestSweep:
             b[1] + 0.5: overflow(b[1] + 0.5), b[1]: overflow(b[1]),
             b[3]: overflow(b[3]),
             f6[4]: overflow(f6[4]),  # f6 goes NaN; the point stands
-            f6[6]: ZeroDivisionError("spied f6 fault")})
-        # on the (b + 1, 3/2) call, so that the scalar route makes both
-        # calls of the pair, as the array route does
-        failing_recurrence(monkeypatch, {za[3], za[10]}, cs=(1.5,))
-        refused = {z0[6], za[5], z0[8], za[8]}
+            # at point 0, where y < 0 at x = 0: the grid reads the NaN as
+            # an overflow and takes second() there, which tries no
+            # continued fraction
+            f6[0]: ZeroDivisionError("spied f6 fault")})
+        failing_continued_fraction(monkeypatch, {za[3], za[10]})
+        refused = {z0[0], za[5], z0[8], za[8]}
         second, companion = RegionIIBasis.second, triq.scatter._companion_grid
 
         def refusal(z):
@@ -1093,10 +1093,10 @@ class TestSweep:
         assert grid_counts == {k: loop_counts[k] + counts[k] for k in counts}
         errors = {i: str(g) for i, g in enumerate(got) if isinstance(g, Exception)}
         expect = {1: str(overflow(b[1] + 0.5)), 3: str(overflow(b[3])),
-                  6: "spied f6 fault"}
+                  0: "spied f6 fault"}
         if fidelity in ("none", "signs"):
             expect.update({5: str(refusal(za[5])), 8: str(refusal(z0[8])),
-                           10: f"spied recurrence failure at c=1.5, z={za[10]!r}"})
+                           10: f"spied continued-fraction failure at z={za[10]!r}"})
             assert math.isnan(got[4].T_paper) and math.isfinite(got[4].T_solve)
         else:
             # the printed f6 column is NaN: a non-finite system

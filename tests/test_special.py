@@ -40,15 +40,16 @@ from triq.special import (
     _PHASE_BITS,
     _PI4_FIXED,
     KUMMER_ENVELOPE,
+    TRICOMI_CF_LEAST,
     _airy_array,
     _airy_asym_neg,
     _airy_asym_pos,
     _airy_taylor_step,
-    _kummer_loss,
     _kummer_m_array,
     _kummer_series,
     _kummer_series_array,
     _kummer_series_dd,
+    _loss,
     _oscillatory_phase,
     _plain_kept,
     _recip_gamma_array,
@@ -58,6 +59,7 @@ from triq.special import (
     kummer_m,
     kummer_m_regularized,
     recip_gamma,
+    tricomi_u_cf,
     tricomi_u_large_z,
 )
 
@@ -153,6 +155,9 @@ TRICOMI_LARGE_Z_TABLE = [
     (-2.0, 1.5, 40.0, 1403.75),
     (0.4, 1.5, 60.0, 0.1945476409338998),
 ]
+
+# U(2.2; 1/2; 14), where the two-term form cancels past the budget
+HYPERU_2_2_14 = 0.0021044460477685400
 
 
 def envelope(value, derivative, y):
@@ -977,7 +982,7 @@ def judged(fn, b, c, z):
     kept, "refused" where its loss refuses it, or the AccuracyError."""
     got = outcome(fn, b, c, z)
     if (got[0] != "AccuracyError"
-            and _kummer_loss(*map(float.fromhex, got)) > _KUMMER_FAIL_LOSS):
+            and _loss(*map(float.fromhex, got)) > _KUMMER_FAIL_LOSS):
         return "refused"
     return got
 
@@ -1057,12 +1062,12 @@ class TestKummerKernelsBitIdentical:
         for b, c, z in seeded_box() + dd_inputs:
             want = reference_series_dd(b, c, z)
             got = _kummer_series_dd(b, c, z)
-            if _kummer_loss(*want) <= _KUMMER_FAIL_LOSS:
+            if _loss(*want) <= _KUMMER_FAIL_LOSS:
                 kept += 1
                 assert [v.hex() for v in got] == [v.hex() for v in want], (b, c, z)
             else:
                 refused += 1
-                assert _kummer_loss(*got) > _KUMMER_FAIL_LOSS, (b, c, z)
+                assert _loss(*got) > _KUMMER_FAIL_LOSS, (b, c, z)
         assert kept > 200 and refused > 100
         # terms still rising at the last one: both raise the same error
         b, c, z = 1e-300, 0.5, 1000.0
@@ -1455,9 +1460,16 @@ def companion_u(b, z):
     return u, -(deriv / ker.damp + ker.y * u) / (2.0 * ker.y)
 
 
+def unreliable_continued_fraction(monkeypatch):
+    """Make second()'s continued fraction return an infinite estimate, as
+    it does where it cannot help: only the two-term form is left."""
+    monkeypatch.setattr(triq.scatter, "tricomi_u_cf",
+                        lambda *args: (math.nan, math.nan, math.inf))
+
+
 class TestTricomi:
     # c = 1/2 rows check the value, c = 3/2 rows the derivative, on both
-    # the subtraction and the recurrence route
+    # the subtraction and the continued-fraction route
     @pytest.mark.parametrize("b,c,z,ref", TRICOMI_TABLE + TRICOMI_LARGE_Z_TABLE)
     def test_frozen(self, b, c, z, ref):
         if c == 0.5:
@@ -1477,16 +1489,22 @@ class TestTricomi:
     def test_b_zero_is_one(self):
         assert companion_u(0.0, 5.0)[0] == pytest.approx(1.0, rel=1e-13)
 
-    def test_guard_raises_when_both_routes_fail(self):
-        # z is too large for the subtraction and too small for the
-        # asymptotic seed, so there is nothing honest to return.
+    def test_guard_raises_when_both_routes_fail(self, monkeypatch):
+        # z is too large for the subtraction, and the continued fraction
+        # is made to fail, so there is nothing honest to return.  Without
+        # that failure it returns U there to within 2e-15
+        value = companion_u(2.2, 14.0)[0]
+        assert value == pytest.approx(HYPERU_2_2_14, rel=2e-15)
+        unreliable_continued_fraction(monkeypatch)
         with pytest.raises(AccuracyError, match="companion solution"):
             companion_u(2.2, 14.0)
 
-    def test_float_kernels_give_python_floats(self):
+    def test_float_kernels_give_python_floats(self, monkeypatch):
         # second() of float kernels, or of np.float64 ones, on the
-        # subtraction route, the recurrence route and a refusal
+        # subtraction route, the continued-fraction route and a refusal
         for b, z in ((-2.3, 1.5), (-12.7, 180.0), (2.2, 14.0)):
+            if z == 14.0:
+                unreliable_continued_fraction(monkeypatch)
             basis = RegionIIBasis(b_param=b, sqrt_a1=1.0, y_offset=0.0)
             ker = basis.kernels(math.sqrt(z))
             outcomes = []
@@ -1555,34 +1573,6 @@ class TestTricomiLargeZ:
     def test_rejects_nonpositive_z(self):
         with pytest.raises(DomainError):
             tricomi_u_large_z(0.5, 0.5, 0.0)
-
-    def test_array_is_the_scalar_calls(self):
-        # every element the scalar (value, estimate) or error: seeds with
-        # and without the recurrence, tails that run long or stop at once,
-        # a power z^(-a) that overflows, and invalid arguments
-        rng = random.Random(20261019)
-        args = [(rng.uniform(-45.0, 5.0), rng.choice((0.5, 1.5)),
-                 rng.choice((rng.uniform(0.01, 5.0), rng.uniform(5.0, 300.0))))
-                for _ in range(600)]
-        args += [(-3.0, 0.5, 10.0), (0.0, 0.5, 1.0), (-0.0, 1.5, 2.0),
-                 (200.0, 0.5, 0.01), (300.0, 1.5, 0.5), (-2.5, 0.5, 1e-320),
-                 (-20.3, 1.5, 1e-5), (1.0, 0.5, 0.0), (1.0, 0.5, -1.0),
-                 (math.nan, 0.5, 1.0), (1.0, 0.5, math.inf)]
-        b, c, z = (np.array(v) for v in zip(*args))
-        values, errors = triq.special._tricomi_u_array(b, c, z)
-        refused = 0
-        for i, arg in enumerate(args):
-            try:
-                want = [v.hex() for v in tricomi_u_large_z(*arg)]
-            except (TriqError, ArithmeticError):
-                want = "refused"
-                refused += 1
-            got = [values[i].item(), errors[i].item()]
-            assert ("refused" if all(map(math.isnan, got))
-                    else [v.hex() for v in got]) == want, arg
-        assert refused == 6
-        empty = triq.special._tricomi_u_array(*(np.zeros(0),) * 3)
-        assert [v.size for v in empty] == [0, 0]
 
 
 @pytest.fixture(scope="module")
@@ -1670,8 +1660,8 @@ class TestContractsAgainstMpmath:
                     and airy_within_contract((bi, bip), mp.airybi, y))
 
     def test_companion_solution(self, mp, monkeypatch):
-        # second() on each route: the route is the recurrence where the
-        # result changes once the recurrence can never win
+        # second() on each route: the route is the continued fraction where
+        # the result changes once the continued fraction can never win
         def evaluated(b, z):
             try:
                 return companion_u(b, z)
@@ -1679,7 +1669,7 @@ class TestContractsAgainstMpmath:
                 return None
 
         rng = random.Random(20165)
-        checked = {"subtraction": 0, "recurrence": 0}
+        checked = {"subtraction": 0, "continued fraction": 0}
         for i in range(300):
             b = rng.uniform(-45.0, 3.0)
             z = rng.uniform(0.05, 250.0 if i % 2 else 30.0)
@@ -1687,12 +1677,74 @@ class TestContractsAgainstMpmath:
             if got is None:
                 continue
             with monkeypatch.context() as patch:
-                patch.setattr(triq.scatter, "tricomi_u_large_z",
-                              lambda *args: (math.nan, math.inf))
+                unreliable_continued_fraction(patch)
                 alone = evaluated(b, z)
-            checked["subtraction" if alone == got else "recurrence"] += 1
+            checked["subtraction" if alone == got else "continued fraction"] += 1
             # (U(b; 1/2; z), -dU/dz)
             for part, ref in zip(got, (mp.hyperu(b, 0.5, z),
                                        b * mp.hyperu(b + 1.0, 1.5, z))):
                 assert abs(part - ref) <= _SECOND_BUDGET * abs(ref), (b, z)
         assert min(checked.values()) > 50, checked
+
+    def test_continued_fraction_estimate_bounds_its_error(self, mp):
+        # tricomi_u_cf from exact inputs (the regularized M pair and
+        # 1/Gamma(b) rounded once from mpmath): its estimate bounds the
+        # error of U and of dU/dz on a seeded box, b in [-45, 3] and z in
+        # [0.05, 300], on small z, where the continued fraction converges
+        # slowly, and next to the poles b = -n, where the Wronskian
+        # vanishes and the denominator cancels
+        rng = random.Random(20261019)
+        points = [(rng.uniform(-45.0, 3.0), rng.uniform(0.05, 300.0))
+                  for _ in range(150)]
+        points += [(rng.uniform(-45.0, 3.0), rng.uniform(0.05, 3.0))
+                   for _ in range(50)]
+        points += [(-n + sign * 10.0 ** -e, rng.uniform(0.05, 300.0))
+                   for n in range(1, 41) for e in (3, 6, 9) for sign in (1, -1)]
+        worst = 0.0
+        for b, z in points:
+            m = float(mp.hyp1f1(b, 0.5, z) / mp.gamma(0.5))
+            m_next = float(mp.hyp1f1(b + 1, 1.5, z) / mp.gamma(1.5))
+            u, du, est = tricomi_u_cf(b, 0.5, z, m, m_next, float(mp.rgamma(b)))
+            assert TRICOMI_CF_LEAST <= est < math.inf, (b, z)
+            ref = mp.hyperu(b, 0.5, z)
+            err = max(abs(u / ref - 1), abs(du / (-b * mp.hyperu(b + 1, 1.5, z)) - 1))
+            worst = max(worst, float(err) / est)
+        # the largest ratio seen over 690 such points was 0.56
+        assert worst <= 1.0
+
+
+class TestTricomiContinuedFraction:
+    @staticmethod
+    def inputs(b, z):
+        """The regularized M pair and 1/Gamma(b) as the kernels give them."""
+        return (kummer_m(b, 0.5, z) * recip_gamma(0.5),
+                kummer_m(b + 1.0, 1.5, z) * recip_gamma(1.5), recip_gamma(b))
+
+    def test_array_is_the_float_calls(self):
+        # one body for a float and an array: every element the float call's
+        # doubles, with b an array or a float shared by all.  b = 0 divides
+        # 0 by 0, which gives an infinite estimate, and a pole of Gamma(b)
+        # leaves a denominator of rounding dust and an estimate above 1
+        rng = random.Random(20261020)
+        args = [(rng.uniform(-15.0, 3.0), rng.uniform(0.05, 40.0))
+                for _ in range(200)]
+        args += [(0.0, 5.0), (-3.0, 12.0), (-7.0, 40.0), (2.5, 1e-3)]
+        b = np.array([p for p, _ in args])
+        z = np.array([q for _, q in args])
+        m, m_next, rg_b = (np.array(v) for v in zip(*(self.inputs(*p) for p in args)))
+        grid = tricomi_u_cf(b, 0.5, z, m, m_next, rg_b)
+        for i, point in enumerate(args):
+            want = tricomi_u_cf(point[0], 0.5, point[1], m[i].item(),
+                                m_next[i].item(), rg_b[i].item())
+            assert all(type(v) is float for v in want)
+            assert [v.hex() for v in want] == [v[i].item().hex() for v in grid], point
+        assert tricomi_u_cf(0.0, 0.5, 5.0, *self.inputs(0.0, 5.0))[2] == math.inf
+        assert tricomi_u_cf(-3.0, 0.5, 12.0, *self.inputs(-3.0, 12.0))[2] > 1.0
+        shared = tricomi_u_cf(-2.3, 0.5, z, *(np.array(v) for v in zip(
+            *(self.inputs(-2.3, q) for q in z.tolist()))))
+        for i, q in enumerate(z.tolist()):
+            want = tricomi_u_cf(-2.3, 0.5, q, *self.inputs(-2.3, q))
+            assert [v.hex() for v in want] == [v[i].item().hex() for v in shared]
+        empty = tricomi_u_cf(np.zeros(0), 0.5, np.zeros(0), np.zeros(0),
+                             np.zeros(0), np.zeros(0))
+        assert [v.size for v in empty] == [0, 0, 0]

@@ -17,14 +17,17 @@ FROZEN_WORST = {
     "airy-equation": "0x1.3b5a27828baa9p-22",
     "gamma-recurrence": "0x1.3000000000000p-47",
     "kummer-derivative": "0x1.89868e730cfd2p-22",
-    "tricomi-shift": "0x1.bb3b5c60d2ce8p-52",
+    # the companion's continued fraction moved these three; the large-z
+    # recurrence gave 0x1.bb3b5c60d2ce8p-52 (3.8e-16), 0x1.3c46800000000p-33
+    # (1.4e-10) and 0x1.77bd340000000p-29 (2.7e-9)
+    "tricomi-shift": "0x1.f0b1cc717eb4fp-48",
     "interior-coefficients": "0x1.c000000000000p-51",
     "interior-equation": "0x1.04330c162c390p-22",
-    "interior-wronskian": "0x1.3c46800000000p-33",
+    "interior-wronskian": "0x1.2e80000000000p-44",
     # the step-by-step march gave 0x1.f4b6b1a3dc08ep-48 (6.95e-15) and
     # 0x1.77ba780000000p-29; the product march rounds in another order
     "march-agreement": "0x1.0ea7f151a75ecp-45",
-    "transmission-agreement": "0x1.77bd340000000p-29",
+    "transmission-agreement": "0x1.41ba000000000p-38",
     "bound-residuals": "0x1.8000000000000p-49",
 }
 
