@@ -17,10 +17,11 @@ Every entry takes one energy, as a Python float, and returns floats.  A
 march keeps only its endpoint.  The equation is linear, so an RK4 step is
 a 2x2 matrix on (phi, phi'): a block of step matrices is built in numpy at
 once and multiplied pairwise down to one.  One matched_b1 (7000 steps and
-the 14000 of the half-step rerun) takes about 2.5 ms, against 12-17 ms
-stepping in Python floats (Python 3.11 on a 2-CPU host).  The product
-rounds in another order than the step loop; over 0.02-2.25 eV, b1 moved by
-at most 7.6e-14 relative.
+the 14000 of the half-step rerun) takes about 2-3 ms, against 15-21 ms
+stepping in Python floats (best of 7; Python 3.11 and numpy 2.4 on a
+2-CPU host whose speed drifts across those ranges).  The product rounds
+in another order than the step loop; over 0.02-2.25 eV, b1 moved by at
+most 7.6e-14 relative.
 
 Every integration is gated: the run is repeated at half the step and the
 endpoint states must agree to the declared tolerance, otherwise an
@@ -29,6 +30,7 @@ AccuracyError carries the gap out.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Optional
@@ -47,14 +49,10 @@ MATCH_STEP = 1e-3
 # truncation floor up to which an ode_residual verdict is conclusive
 RESIDUAL_FLOOR = 1e-6
 
-# most RK4 steps in one block of _march's matrix product; the split
-# depends on the step count alone
+# most RK4 steps in one block of _march's matrix product; the split into
+# blocks, and each block's pair layout (_pair_layout), depend on the step
+# count alone
 _MARCH_BLOCK = 2048
-
-# the unit states (1, 0) and (0, 1), stacked on a leading axis: one step
-# applied to them gives the columns of its matrix
-_UNIT_V = np.array([1.0, 0.0]).reshape(2, 1)
-_UNIT_D = np.array([0.0, 1.0]).reshape(2, 1)
 
 
 @dataclass(frozen=True)
@@ -126,35 +124,83 @@ def _step_matrices(x, h, weight: Weight, friction: bool):
     """RK4 step matrices m[row, column, step] of _march, step i from x[i].
 
     The columns of step i are the step applied to the unit states (1, 0)
-    and (0, 1).  At x, x + h/2 and x + h the weight enters as
+    and (0, 1), each entry written out.  Only the terms that multiply by
+    an exact 1 or add an exact 0 are dropped (and a value the step takes
+    twice is taken once); every other operation is the step's own, in its
+    order.  At x, x + h/2 and x + h the weight enters as
     -w = (-H m(x)) (rel + alpha x), the pieces of Weight.__call__ with the
     sign folded into H (which is exact), and with friction -M1/m, the
     factor of phi' in phi''.
     """
     H, M0, M1, rel, alpha = weight
-    neg_h, neg_m1 = -H, -M1
     half = 0.5 * h
     sixth = h / 6.0
-    points = (x, x + half, x + h)
-    masses = [M0 - M1 * p for p in points]
+    points = np.stack((x, x + half, x + h))
+    masses = M0 - M1 * points
     # -w at the three points
-    w0, wm, we = (neg_h * m * (rel + alpha * p) for m, p in zip(masses, points))
+    w0, wm, we = -H * masses * (rel + alpha * points)
+    # RK4 takes the stages (0, w0), (a2v, a2d), (a3v, a3d), (a4v, a4d) on
+    # column (1, 0) and (1, f0), (b2v, b2d), (b3v, b3d), (b4v, b4d) on
+    # column (0, 1); the sums are k1 + 2 k2 + 2 k3 + k4 of each entry
+    a2v = half * w0
     if friction:
-        f0, fm, fe = (neg_m1 / m for m in masses)
-    v, d = _UNIT_V, _UNIT_D
-    k1v = d
-    k1d = f0 * d + w0 * v if friction else w0 * v
-    k2v = d + half * k1d
-    k2d = (fm * k2v + wm * (v + half * k1v) if friction
-           else wm * (v + half * k1v))
-    k3v = d + half * k2d
-    k3d = (fm * k3v + wm * (v + half * k2v) if friction
-           else wm * (v + half * k2v))
-    k4v = d + h * k3d
-    k4d = (fe * k4v + we * (v + h * k3v) if friction
-           else we * (v + h * k3v))
-    return np.stack([v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
-                     d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)])
+        f0, fm, fe = -M1 / masses
+        a2d = fm * a2v + wm
+        a3v = half * a2d
+        a3d = fm * a3v + wm * (1.0 + half * a2v)
+        a4v = h * a3d
+        a4d = fe * a4v + we * (1.0 + h * a3v)
+        b2v = 1.0 + half * f0
+        b2d = fm * b2v + wm * half
+        b3v = 1.0 + half * b2d
+        b3d = fm * b3v + wm * (half * b2v)
+        b4v = 1.0 + h * b3d
+        b4d = fe * b4v + we * (h * b3v)
+        vv = 2.0 * a2v + 2.0 * a3v + a4v
+        dv = w0 + 2.0 * a2d + 2.0 * a3d + a4d
+        vd = 1.0 + 2.0 * b2v + 2.0 * b3v + b4v
+        dd = f0 + 2.0 * b2d + 2.0 * b3d + b4d
+    else:
+        # a2d = wm and b2v = 1; a3v, b2d and b3d are all (h/2) wm, so
+        # that a4d = we (1 + h a3v) is we b4v
+        q = half * wm
+        two_q = 2.0 * q
+        a3d = wm * (1.0 + half * a2v)
+        b3v = 1.0 + half * q
+        b4v = 1.0 + h * q
+        vv = 2.0 * a2v + two_q + h * a3d
+        dv = w0 + 2.0 * wm + 2.0 * a3d + we * b4v
+        vd = 3.0 + 2.0 * b3v + b4v
+        dd = two_q + two_q + we * (h * b3v)
+    m = np.empty((2, 2, len(x)))
+    m[0, 0] = 1.0 + sixth * vv
+    m[1, 0] = sixth * dv
+    m[0, 1] = sixth * vd
+    m[1, 1] = 1.0 + sixth * dd
+    return m
+
+
+@functools.lru_cache(maxsize=32)
+def _pair_layout(k):
+    """Step ids 0..k-1 of a block of k steps in the order _march lays
+    them out (read-only).
+
+    Level by level, the pairwise product then finds its pairs (2j, 2j + 1)
+    as the two contiguous halves of its array, earlier step first, with an
+    odd level's carried step last, and writes its products in the layout
+    of the next level.  For k a power of two it is the bit reversal.
+    """
+    sizes = [k]
+    while sizes[-1] > 1:
+        sizes.append((sizes[-1] + 1) // 2)
+    ids = np.zeros(1, dtype=np.intp)
+    for size in reversed(sizes[:-1]):
+        # id j of the level above is the pair (2j, 2j + 1), or the carry
+        # 2j = size - 1 when size is odd and j is its last
+        pairs = 2 * ids[:size // 2]
+        ids = np.concatenate([pairs, pairs + 1, 2 * ids[size // 2:]])
+    ids.flags.writeable = False
+    return ids
 
 
 def _march(x0, x1, n, v, d, weight: Weight, friction: bool):
@@ -162,25 +208,30 @@ def _march(x0, x1, n, v, d, weight: Weight, friction: bool):
     the mass-gradient term -(m'/m) phi' = M1/m phi' if friction is set.
 
     The equation is linear, so a step is a 2x2 matrix on (v, d)
-    (_step_matrices).  The steps go in blocks of at most _MARCH_BLOCK,
-    split by n alone: a block's matrices are built at once, multiplied in
-    adjacent pairs (later step on the left) down to one, and applied to
-    the state.  The endpoint is a pair of floats; overflow is silent, as
-    it is for floats.
+    (_step_matrices).  The steps go in blocks of at most _MARCH_BLOCK: a
+    block's matrices are built at once, multiplied in adjacent pairs
+    (later step on the left, an odd count's last step carried) down to
+    one, and applied to the state.  Each block is built in _pair_layout
+    order, so that every level reads its pairs as its array's two
+    contiguous halves; the split and the pairing depend on n alone.  The
+    endpoint is a pair of floats; overflow is silent, as it is for floats.
     """
     v, d = float(v), float(d)
     h = (x1 - x0) / n
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, n, _MARCH_BLOCK):
+            k = min(n - start, _MARCH_BLOCK)
             # step i starts at x0 + i*h
-            x = x0 + np.arange(start, min(n, start + _MARCH_BLOCK)) * h
-            m = _step_matrices(x, h, weight, friction)
-            while m.shape[2] > 1:
-                k = m.shape[2] // 2 * 2
-                later, earlier = m[:, :, 1:k:2], m[:, :, 0:k:2]
-                pairs = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
-                m = (np.concatenate([pairs, m[:, :, k:]], axis=2)
-                     if k < m.shape[2] else pairs)
+            m = _step_matrices(x0 + (start + _pair_layout(k)) * h, h,
+                               weight, friction)
+            while k > 1:
+                p = k // 2
+                # terms[r, j, c] = later[r, j] * earlier[j, c]
+                terms = m[:, :, None, p:2 * p] * m[None, :, :, :p]
+                pairs = terms[:, 0] + terms[:, 1]
+                m = (np.concatenate([pairs, m[:, :, 2 * p:]], axis=2)
+                     if k % 2 else pairs)
+                k -= p
             (mvv, mvd), (mdv, mdd) = m[:, :, 0]
             v, d = mvv * v + mvd * d, mdv * v + mdd * d
     return float(v), float(d)

@@ -736,9 +736,11 @@ def _grid_points(axis, values, pp, E, auto_alpha) -> list:
             continue
         V0, a = (v, pp.a) if axis == "V0" else (pp.V0, v)
         try:
+            # auto alpha slopes only a positive width: PotentialProfile
+            # refuses any other by name, not by the division V0 / a
             points.append((float(E), PotentialProfile(
-                V0=V0, alpha=(V0 / a if auto_alpha else pp.alpha), a=a,
-                kind=pp.kind)))
+                V0=V0, alpha=(V0 / a if auto_alpha and a > 0.0 else pp.alpha),
+                a=a, kind=pp.kind)))
         except _REFUSED as exc:
             points.append(exc)
     return points

@@ -219,6 +219,19 @@ class TestTransmissionCommand:
         assert rows[-1][-1] == ""
         assert float(rows[-1][1]) == pytest.approx(132.54430898227582, rel=1e-10)
 
+    @pytest.mark.parametrize("points, rows", [("3", ["0", "1", "2"]),
+                                              ("1", ["0"])])
+    def test_zero_width_row_is_refused_by_name(self, tmp_path, points, rows):
+        # auto alpha on the width axis: a = 0 is refused as a = -1 is,
+        # as a DomainError, not by the division V0 / a
+        out = tmp_path / "t.csv"
+        assert main(["transmission", "--axis", "a", "--min", "0", "--max", "2",
+                     "--points", points, "--out", str(out)]) == 0
+        got = data_rows(out.read_text())
+        assert [r[0] for r in got] == rows
+        assert got[0][1:] == ["nan"] * 10 + ["DomainError"]
+        assert all(r[-1] == "" for r in got[1:])
+
     def test_row_template_is_fmt_of_each_column(self):
         # one "%.17g," template per row prints what _fmt(float(v)) did,
         # nan, inf and -0 included, for Python floats and np.float64

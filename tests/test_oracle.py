@@ -20,6 +20,8 @@ from triq.oracle import (
     HALVING_GATE,
     IntegrationSpec,
     _march,
+    _pair_layout,
+    _step_matrices,
     integrate,
     make_weight,
     matched_b1,
@@ -214,6 +216,58 @@ def reference_march(x0, x1, n, v, d, weight, friction):
     return v, d
 
 
+def reference_step_matrices(x, h, weight, friction):
+    """_step_matrices as it was before its entries were written out: RK4
+    applied to the unit states (1, 0) and (0, 1) at once, as (2, n)
+    broadcasts, stacked to m[row, column, step]."""
+    H, M0, M1, rel, alpha = weight
+    neg_h, neg_m1 = -H, -M1
+    half = 0.5 * h
+    sixth = h / 6.0
+    points = (x, x + half, x + h)
+    masses = [M0 - M1 * p for p in points]
+    w0, wm, we = (neg_h * m * (rel + alpha * p) for m, p in zip(masses, points))
+    if friction:
+        f0, fm, fe = (neg_m1 / m for m in masses)
+    v = np.array([1.0, 0.0]).reshape(2, 1)
+    d = np.array([0.0, 1.0]).reshape(2, 1)
+    k1v = d
+    k1d = f0 * d + w0 * v if friction else w0 * v
+    k2v = d + half * k1d
+    k2d = (fm * k2v + wm * (v + half * k1v) if friction
+           else wm * (v + half * k1v))
+    k3v = d + half * k2d
+    k3d = (fm * k3v + wm * (v + half * k2v) if friction
+           else wm * (v + half * k2v))
+    k4v = d + h * k3d
+    k4d = (fe * k4v + we * (v + h * k3v) if friction
+           else we * (v + h * k3v))
+    return np.stack([v + sixth * (k1v + 2.0 * k2v + 2.0 * k3v + k4v),
+                     d + sixth * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)])
+
+
+def reference_product_march(x0, x1, n, v, d, weight, friction):
+    """_march as it was before the pair layout: each block's matrices in
+    step order (reference_step_matrices), multiplied by stride-2 views of
+    the even and odd steps, with a concatenate carrying an odd level's
+    last step."""
+    v, d = float(v), float(d)
+    h = (x1 - x0) / n
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _MARCH_BLOCK):
+            x = x0 + np.arange(start, min(n, start + _MARCH_BLOCK)) * h
+            m = reference_step_matrices(x, h, weight, friction)
+            while m.shape[2] > 1:
+                k = m.shape[2] // 2 * 2
+                later, earlier = m[:, :, 1:k:2], m[:, :, 0:k:2]
+                pairs = later[:, :1] * earlier[:1] + later[:, 1:] * earlier[1:]
+                m = (np.concatenate([pairs, m[:, :, k:]], axis=2)
+                     if k < m.shape[2] else pairs)
+            (mvv, mvd), (mdv, mdd) = m[:, :, 0]
+            v, d = mvv * v + mvd * d, mdv * v + mdd * d
+    return float(v), float(d)
+
+
 def called_weight(E, pp):
     """The weight as integrate built it before, one lambda per profile."""
     if pp is None:
@@ -235,15 +289,15 @@ def assert_near_loop(want, got, rel=1e-12):
     assert abs(gd - wd) <= rel * scale, (wd, gd)
 
 
-def march_box(seed=4093):
+def march_box(seed=4093, counts=(1, _MARCH_BLOCK - 1, _MARCH_BLOCK,
+                                  _MARCH_BLOCK + 1, 3 * _MARCH_BLOCK + 7)):
     """Seeded march cases: (x0, x1, n, E, v, d, pp, full) for every step
-    count around the block size, friction on and off, on each side of the
-    mass zero x* = 1 nm (friction is singular there) and in both
-    directions."""
+    count in counts (by default around the block size), friction on and
+    off, on each side of the mass zero x* = 1 nm (friction is singular
+    there) and in both directions."""
     rng = random.Random(seed)
     cases = []
-    for n in (1, _MARCH_BLOCK - 1, _MARCH_BLOCK, _MARCH_BLOCK + 1,
-              3 * _MARCH_BLOCK + 7):
+    for n in counts:
         for full in (False, True):
             for left in (True, False):
                 span = n * rng.uniform(1e-4, 2e-3)
@@ -285,11 +339,76 @@ class TestMarch:
             assert all(type(g) is float for g in got)
             assert_near_loop(want, got)
 
+    def test_product_is_the_unit_state_product(self):
+        # the written-out step matrices and the pair layout give the bits
+        # of the unit-state product with stride-2 pairs, at every block
+        # size; 856 and 1712 are matched_b1's partial blocks
+        cases = march_box() + march_box(
+            seed=4094, counts=(2, 3, 5, 856, 1712, 4096, 14000))
+        assert {pp for *_, pp, _ in cases} == {BARRIER, None}
+        for x0, x1, n, E, v, d, pp, full in cases:
+            weight = make_weight(E, MASS, pp, U)
+            want = reference_product_march(x0, x1, n, v, d, weight, full)
+            got = _march(x0, x1, n, v, d, weight, full)
+            assert [g.hex() for g in got] == [w.hex() for w in want], \
+                (x0, x1, n, full)
+
+    def test_step_matrices_are_the_unit_state_steps(self):
+        # steps up to 0.8 nm, so that the diagonal 1 + (h/6)(...) keeps
+        # the low bits of its sum
+        x = np.linspace(-2.0, 0.1, 301)
+        for E, pp, full in ((0.07, BARRIER, False), (2.1, None, True),
+                            (0.6, BARRIER, True), (1.3, None, False)):
+            weight = make_weight(E, MASS, pp, U)
+            for h in (1e-3, -7e-4, 0.3, -0.8):
+                want = reference_step_matrices(x, h, weight, full)
+                got = _step_matrices(x, h, weight, full)
+                assert got.shape == want.shape == (2, 2, len(x))
+                assert got.tobytes() == want.tobytes()
+
     def test_nan_energy_fails_the_gate(self):
         spec = IntegrationSpec(0.0, 7.0, 1e-3, 0.3, -1.1)
         with pytest.raises(AccuracyError, match=r"gap nan$") as info:
             integrate(spec, math.nan, MASS, BARRIER, U)
         assert math.isnan(info.value.value)
+
+
+class TestPairLayout:
+    @staticmethod
+    def replay(k):
+        """The levels of _march's product replayed on step ids: per level
+        its (earlier, later, carried) ids."""
+        ids = _pair_layout(k).tolist()
+        levels = []
+        while len(ids) > 1:
+            p = len(ids) // 2
+            levels.append((ids[:p], ids[p:2 * p], ids[2 * p:]))
+            ids = [i // 2 for i in ids[:p] + ids[2 * p:]]
+        return levels
+
+    @pytest.mark.parametrize("k", [*range(1, 65), 856, 1712, _MARCH_BLOCK])
+    def test_is_a_permutation(self, k):
+        layout = _pair_layout(k)
+        assert layout.dtype == np.intp and not layout.flags.writeable
+        assert sorted(layout.tolist()) == list(range(k))
+
+    def test_full_block_is_the_bit_reversal(self):
+        bits = _MARCH_BLOCK.bit_length() - 1
+        assert _MARCH_BLOCK == 1 << bits
+        assert _pair_layout(_MARCH_BLOCK).tolist() == [
+            int(format(i, f"0{bits}b")[::-1], 2) for i in range(_MARCH_BLOCK)]
+
+    @pytest.mark.parametrize("k", [*range(1, 65), 856, 1712, _MARCH_BLOCK])
+    def test_levels_pair_adjacent_ids(self, k):
+        # each level pairs id 2i (earlier, first half) with 2i + 1 (later,
+        # second half) and carries an odd level's last id last
+        size = k
+        for earlier, later, carried in self.replay(k):
+            assert all(e % 2 == 0 for e in earlier)
+            assert later == [e + 1 for e in earlier]
+            assert carried == ([size - 1] if size % 2 else [])
+            size = (size + 1) // 2
+        assert size == 1
 
 
 class TestFullEquation:
@@ -330,6 +449,26 @@ class TestFullEquation:
             with pytest.raises(DomainError, match=r"mass zero x\* = 1\.0 nm"):
                 integrate(IntegrationSpec(x0, x1, 1e-3, 1.0, 0.0),
                           0.1, MASS, BARRIER, U, full_equation=True)
+
+    @pytest.mark.parametrize("E", [5e307, 1.7e308])
+    @pytest.mark.parametrize("pp", [BARRIER, None])
+    def test_overflow_is_refused(self, E, pp):
+        # the weight overflows the step matrices: the endpoints are not
+        # finite and the halving gate refuses them with a NaN gap.  The
+        # last two read (nan, nan) when the matrices came from the unit
+        # states, whose exact zeros met an infinite stage as 0 * inf
+        for spec, endpoint in (
+                (IntegrationSpec(0.0, 0.5, 1e-3, 1.0, 0.0), "nan, nan"),
+                (IntegrationSpec(2.0, 0.0, 1e-3, 0.3, -1.1), "nan, nan"),
+                (IntegrationSpec(5.56, 6.26, 1e-3, 0.4, 0.3), "inf, inf"),
+                (IntegrationSpec(3.737, 3.738, 1e-3, -0.7, -0.6),
+                 "-inf, -inf")):
+            with pytest.raises(AccuracyError) as info:
+                integrate(spec, E, MASS, pp, U, full_equation=True)
+            assert str(info.value) == (
+                f"halving gate failed: endpoint ({endpoint}) vs "
+                f"coarse ({endpoint}), gap nan")
+            assert math.isnan(info.value.value)
 
     def test_constant_mass_reduces_to_plain(self):
         spec = IntegrationSpec(0.0, 2.0, 1e-3, 1.0, 0.0)

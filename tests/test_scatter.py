@@ -1129,6 +1129,23 @@ class TestSweep:
         lone = transmission(grid[5], MASS, BARRIER, U, fidelity=fidelity)
         assert outcome_key(got[5]) == outcome_key(lone)
 
+    @pytest.mark.parametrize("auto_alpha", [True, False])
+    def test_non_positive_width_is_refused_by_name(self, auto_alpha):
+        # a width that is not positive is the profile's refusal, whether
+        # alpha is re-sloped per point or kept
+        values = [0.0, -0.0, -1.0, 2.0]
+        points = triq.scatter._grid_points("a", values, BARRIER, 0.1,
+                                           auto_alpha)
+        for a, point in zip(values[:3], points):
+            assert isinstance(point, DomainError)
+            assert str(point) == f"a must be positive, got {a!r}"
+        assert points[3] == (0.1, PotentialProfile(
+            alpha=0.225 if auto_alpha else BARRIER.alpha, a=2.0))
+        rows = sweep("a", [-1.0, 0.0, 2.0], MASS, BARRIER, U,
+                     auto_alpha=auto_alpha)
+        assert [r.flags for r in rows] == [("DomainError",)] * 2 + [()]
+        assert rows[2].result is not None
+
     def test_numpy_parameters_give_the_float_outcome(self):
         # a seeded GaAs-like box: energies and every mass and profile
         # parameter as np.float64 give the doubles, or the error class and
