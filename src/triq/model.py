@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, require_finite
-from .special import _each
+from .special import _libm
 
 # CODATA-free on purpose: rounded constants pin the numeric convention.
 _HBAR_JS = 1.05e-34
@@ -162,13 +162,8 @@ def airy_scale(E, mp: MassParams, u: UnitSystem) -> float:
 
 
 def _unchecked_airy_scale(E, mp: MassParams, u: UnitSystem):
-    """(H E M1)^(1/3), unchecked: a float, or an array elementwise, the
-    root taken per element (special._each)."""
-    return _each(_cube_root, u.H_per_m0 * E * mp.M1)
-
-
-def _cube_root(x: float) -> float:
-    return x ** (1.0 / 3.0)
+    """(H E M1)^(1/3), unchecked: a float, or an array elementwise."""
+    return _libm(np.cbrt, u.H_per_m0 * E * mp.M1)
 
 
 def airy_argument(x, E, mp: MassParams, u: UnitSystem) -> float:
@@ -219,8 +214,10 @@ def barrier_coefficients(E, mp: MassParams, pp: PotentialProfile,
 
     printed_signs flips a3 to the sign convention of the reference closed
     form; the default sign is the one fixed by expanding H m(x)(E - V(x))
-    directly, and is what every canonical computation uses.
+    directly, and is what every canonical computation uses.  E is taken
+    to a Python float, so the coefficients are floats for an np.float64.
     """
+    E = float(E)
     if pp.kind != "barrier":
         raise DomainError(f"barrier_coefficients needs kind='barrier', got {pp.kind!r}")
     if not E > 0.0:

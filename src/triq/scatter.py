@@ -46,9 +46,10 @@ from .errors import AccuracyError, ConditioningError, DomainError, TriqError
 from .model import (MassParams, PotentialProfile, RegionCoefficients,
                     UnitSystem, _coefficients, _kummer_b, airy_scale,
                     barrier_coefficients)
-from .special import (TRICOMI_CF_LEAST, AiryPair, _airy_array, _each,
-                      _kummer_m_array, _loss, _recip_gamma_array, _scalar,
-                      airy_ai, airy_bi, kummer_m, recip_gamma, tricomi_u_cf)
+from .special import (TRICOMI_CF_LEAST, AiryPair, _airy_array,
+                      _kummer_m_array, _libm, _loss, _recip_gamma_array,
+                      _scalar, _where, airy_ai, airy_bi, kummer_m,
+                      recip_gamma, tricomi_u_cf)
 
 # Worst error estimate second() accepts before refusing the point.  This is
 # a gate against garbage, not a precision claim: a point it refuses would
@@ -119,11 +120,10 @@ def _kernels_from(y, z, series) -> _Kernels:
     """Kernels from y, z and the four series' values in _SERIES_C order.
 
     Floats for one point, or 1-D arrays over a grid (series then the rows
-    of a (4, n) array), where damp is taken per element with math.exp, not
-    np.exp: the two differ in the last bit for some z.
+    of a (4, n) array).
     """
     m_val, m_dval, odd, odd_d = series
-    return _Kernels(y=y, z=z, damp=_each(math.exp, -0.5 * z),
+    return _Kernels(y=y, z=z, damp=_libm(np.exp, -0.5 * z),
                     m_val=m_val, m_dval=m_dval,
                     r_even=m_val * _RG_HALF,
                     r_even_d=m_dval * _RG_THREE_HALVES,
@@ -268,7 +268,7 @@ def _two_term(b, s, rg_b, rg_bh, ker: _Kernels):
     times the worse cancellation factor of the value and the slope.
     """
     y = ker.y
-    root = math.sqrt(s) if _scalar(s) else np.sqrt(s)  # a1^(1/4)
+    root = _libm(np.sqrt, s)  # a1^(1/4)
     va = ker.r_even * rg_bh
     vb = root * y * ker.r_odd * rg_b
     da = 2.0 * s * y * b * ker.r_even_d * rg_bh
@@ -280,10 +280,10 @@ def _two_term(b, s, rg_b, rg_bh, ker: _Kernels):
     # 0.40-0.75 eV on the default barrier, it read below the true error
     # (4.3e-10 against 2.5e-9 at 0.400 eV, 3.4e-9 against 1.4e-8 at 0.475
     # eV, 6.0e-9 against 3.0e-8 at 0.500 eV); there the continued fraction
-    # wins the comparison with an estimate near 1e-14.  max(l1, l2) over
-    # arrays is np.where(l2 > l1, l2, l1), which keeps a NaN l1 the way
+    # wins the comparison with an estimate near 1e-14.  max(l1, l2) is
+    # written as l2 where l2 > l1, else l1, which keeps a NaN l1 the way
     # max does.
-    est = 1e-15 * (max(l1, l2) if _scalar(l1) else np.where(l2 > l1, l2, l1))
+    est = 1e-15 * _where(l2 > l1, l2, l1)
     return math.pi * (va - vb), math.pi * (da - db - dc), est
 
 
@@ -407,7 +407,7 @@ def _abbreviations(b, s, rg_bh, rg_b, rg_f6, ker: _Kernels) -> AbbreviationSet:
           * (3.0 + lam_over_root) * ker.r_odd_d)
     f1p = _div(f1, s * y)
     f3p = _div(f3, s * y)
-    f5p = _div(f5, (math.sqrt(s) if _scalar(s) else np.sqrt(s)) * y)
+    f5p = _div(f5, _libm(np.sqrt, s) * y)
     return AbbreviationSet(f1=f1, f2=f2, f3=f3, f4=f4, f5=f5, f6=f6,
                            f1p=f1p, f3p=f3p, f5p=f5p,
                            f7=f3p - f5p, f8=f2 - f1, f9=f4 + f5 - f3 - f6)

@@ -35,13 +35,19 @@ stays, scalar only, while bench/tracing.py binds its name.
 Three kernels also run over a 1-D array, element for element the doubles
 of the scalar calls: _kummer_m_array (one plain-series pass, summing a
 block of terms per numpy step), _airy_array and _recip_gamma_array.
-Their + - * / run in numpy in the scalar operation order; libm's pow,
-exp, log, sin and cos, which numpy's ufuncs need not reproduce to the
-bit, and the fixed-point Airy phase are taken per element on Python
-floats (_each).  An element whose scalar call raises is NaN, and the
-array call raises nothing: a caller that needs the error makes the
-scalar call at that element (scatter's lone-point route, or a validate
-grid).
+Their + - * / run in numpy in the scalar operation order.  One libm
+serves both routes: every exp, log, root, power and sine that a lone
+point and a grid element share is numpy's, taken of a float as of an
+array (_libm hands a float back a Python float), so the routes agree
+without a per-element loop.  That rests on numpy giving one double
+whatever the call's shape, which tests/test_special.py checks on the
+host; the pinned outputs pin the host's numpy dispatch.  Code with no
+array twin keeps math: kummer_m's z < 0 transformation,
+tricomi_u_large_z, the import-time constants, and the fixed-point Airy
+phase, which both routes take per element.  An element whose scalar
+call raises is NaN, and the array call raises nothing: a caller that
+needs the error makes the scalar call at that element (scatter's
+lone-point route, or a validate grid).
 
 The Airy march is a ladder of nodes built at import (_airy_ladder):
 whole steps of _AIRY_MARCH_STEP down from each anchor, Ai from the
@@ -54,13 +60,13 @@ A scalar/array pair is kept only for a per-element loop, where a lone
 point is cheaper on its own: the series loops (_airy_series,
 _kummer_series), the Taylor step and the ln Gamma shift.  The formulas
 around them are written once for a float or an array: the Maclaurin
-combination, the Stirling tail, the 1/Gamma reflection decision
-(_recip_gamma_of), tricomi_u_cf, whose backward steps run in lockstep
-over every element, and the asymptotic Airy sums (_asym_sums).  A float
-takes the last as a one-element array: a float _airy_asym_pos call takes
-about 24 us, against about 20 us with a term loop of its own (2-CPU
-host); a sweep takes the asymptotic regimes over arrays, and a validate
-pass makes 4 such float calls.
+combination, the Stirling tail, the 1/Gamma reflection and overflow
+decision (_recip_gamma_of, _sinpi), tricomi_u_cf, whose backward steps
+run in lockstep over every element, and the asymptotic Airy sums
+(_asym_sums).  A float takes the last as a one-element array: a float
+_airy_asym_pos call takes about 24 us, against about 20 us with a term
+loop of its own (2-CPU host); a sweep takes the asymptotic regimes over
+arrays, and a validate pass makes 4 such float calls.
 """
 
 from __future__ import annotations
@@ -152,32 +158,36 @@ def _scalar(x) -> bool:
     return isinstance(x, float) or not np.ndim(x)
 
 
-def _each(fn, x):
-    """fn(x) of a float, or fn of each Python float of an array: roots,
-    exponentials, sines and cosines are taken per element with math and
-    Python's **, as numpy's differ from them in the last bit for some
-    inputs."""
-    if _scalar(x):
-        return fn(x)
-    return np.array([fn(v) for v in x.tolist()])
+def _libm(ufunc, x, *args):
+    """numpy's ufunc(x, *args): a Python float for a float x (or an
+    np.float64), else the array.  The one way both routes take exp, log,
+    roots, powers and sines."""
+    value = ufunc(x, *args)
+    return value if isinstance(value, np.ndarray) else float(value)
+
+
+def _where(cond, a, b):
+    """np.where(cond, a, b) over arrays; for one bool, Python's a if cond
+    else b, which keeps a float's values and costs none of np.where's
+    microsecond."""
+    return np.where(cond, a, b) if isinstance(cond, np.ndarray) else (a if cond else b)
 
 
 # ---------------------------------------------------------------------------
 # Gamma
 
 
-def _sinpi(x: float) -> float:
-    """sin(pi*x) with argument reduction done on x itself.
+def _sinpi(x):
+    """sin(pi*x) with argument reduction done on x itself: a finite float,
+    or elementwise over an array.
 
     Reducing before multiplying by pi keeps full relative accuracy near
     integer x, where the reflection formula needs it most.
     """
-    n = math.floor(x)
+    n = x // 1.0  # floor(x)
     r = x - n
-    if r > 0.5:
-        r = 1.0 - r
-    s = math.sin(math.pi * r)
-    return -s if (int(n) & 1) else s
+    s = _libm(np.sin, math.pi * _where(r > 0.5, 1.0 - r, r))
+    return s * (1.0 - 2.0 * (n % 2.0))  # -s for odd n
 
 
 # Stirling series coefficients B_2k / (2k*(2k-1)) for ln Gamma, z >= 12.
@@ -198,9 +208,8 @@ def _lngamma_positive(x):
     or elementwise over a 1-D array with |x| <= _RG_ARRAY_LIMIT.
 
     Over an array the shift runs until every element is past 12, each
-    element stopping at its own; + - * / run in numpy in the float order
-    and the logs per element (_each), so each element gets the float's
-    double.
+    element stopping at its own, and the rest runs in numpy in the float
+    order, so each element gets the float's double.
     """
     if _scalar(x):
         shift, z = 1.0, x
@@ -219,20 +228,22 @@ def _lngamma_positive(x):
     for coeff in reversed(_STIRLING):
         series = (series + coeff) * zz
     series /= zz * z  # undo one power: series terms are c_k * z^(1-2k)
-    return ((z - 0.5) * _each(math.log, z) - z + _LN_SQRT_2PI + series
-            - _each(math.log, shift))
+    return ((z - 0.5) * _libm(np.log, z) - z + _LN_SQRT_2PI + series
+            - _libm(np.log, shift))
 
 
-def _recip_gamma_of(x: float, ln: float) -> float:
-    """1/Gamma(x) of a finite x that is not a pole, from ln = ln Gamma of
-    max(x, 1 - x): x itself from 0.5 up, else the reflected 1 - x, whose
-    Gamma refuses x where it overflows."""
-    if x >= 0.5:
-        return math.exp(-ln)
-    # Reflection: 1/Gamma(x) = Gamma(1-x) * sin(pi x) / pi
-    if ln > 700.0:
-        raise AccuracyError(f"recip_gamma overflow at x={x!r}", value=x)
-    return _sinpi(x) / math.pi * math.exp(ln)
+def _recip_gamma_of(x, ln):
+    """1/Gamma(x) of a finite x that is not a pole, a float or elementwise
+    over an array, from ln = ln Gamma of max(x, 1 - x): e^-ln from 0.5 up,
+    else the reflection 1/Gamma(x) = Gamma(1 - x) sin(pi x) / pi, and NaN
+    where that Gamma(1 - x) overflows (ln > 700), which recip_gamma
+    refuses."""
+    reflected = x < 0.5
+    power = _where(reflected, ln, -ln)
+    over = power > 700.0  # only where reflected: -ln is below 0.13
+    value = (_where(reflected, _sinpi(x) / math.pi, 1.0)
+             * _libm(np.exp, _where(over, 0.0, power)))
+    return _where(over, math.nan, value)
 
 
 def recip_gamma(x: float) -> float:
@@ -240,7 +251,10 @@ def recip_gamma(x: float) -> float:
     x = require_finite("x", x)
     if _is_nonpositive_integer(x) or x > _RG_ARRAY_LIMIT:
         return 0.0  # 1/Gamma underflows from x ~ 178
-    return _recip_gamma_of(x, _lngamma_positive(max(x, 1.0 - x)))
+    value = _recip_gamma_of(x, _lngamma_positive(max(x, 1.0 - x)))
+    if value != value:
+        raise AccuracyError(f"recip_gamma overflow at x={x!r}", value=x)
+    return value
 
 
 # |x| up to which ln Gamma is summed: past it the Stirling series' z * z
@@ -251,29 +265,20 @@ _RG_ARRAY_LIMIT = 2.0 ** 500
 def _recip_gamma_array(x):
     """recip_gamma over a 1-D array, with the scalar calls' doubles.
 
-    ln Gamma is taken for all elements in one pass (_lngamma_positive),
-    then _recip_gamma_of per element on Python floats, as the scalar call
-    takes it: numpy's libm need not agree with the C library's in the last
-    bit.  A pole gives 0.0, and an element past _RG_ARRAY_LIMIT makes the
-    scalar call for its 0.0.  An element is NaN exactly where its scalar
-    call raises.
+    ln Gamma and the reflection are taken for all elements at once
+    (_lngamma_positive, _recip_gamma_of).  A pole gives 0.0, and so does a
+    finite element past _RG_ARRAY_LIMIT, as in the scalar call: above
+    2^500 1/Gamma has underflowed, and every double below -2^500 is a
+    negative integer.  An element is NaN exactly where its scalar call
+    raises.
     """
     x = np.asarray(x, dtype=float)
-    values = np.full(x.size, math.nan)
+    values = np.where(np.isfinite(x), 0.0, math.nan)
     with np.errstate(invalid="ignore"):  # NaN and inf compare False here
-        own = np.abs(x) <= _RG_ARRAY_LIMIT
-        pole = own & _is_nonpositive_integer(x)
-    values[pole] = 0.0
-    run = np.flatnonzero(own & ~pole)
+        run = np.flatnonzero((np.abs(x) <= _RG_ARRAY_LIMIT)
+                             & ~_is_nonpositive_integer(x))
     xs = x[run]
-    ln = _lngamma_positive(np.maximum(xs, 1.0 - xs))
-    for i, xi, li in zip(run.tolist(), xs.tolist(), ln.tolist()):
-        try:
-            values[i] = _recip_gamma_of(xi, li)
-        except AccuracyError:
-            pass  # stays NaN
-    for i in np.flatnonzero(~own & np.isfinite(x)).tolist():
-        values[i] = recip_gamma(x[i].item())
+    values[run] = _recip_gamma_of(xs, _lngamma_positive(np.maximum(xs, 1.0 - xs)))
     return values
 
 
@@ -468,13 +473,10 @@ def _asym_sums(zeta, signs, start):
     return sums[:, 0].tolist() if _scalar(zeta) else sums
 
 
-def _quarter_power(x: float) -> float:
-    return x ** 0.25
-
-
-def _exp_growth(zeta: float) -> float:
-    """e^zeta, inf past zeta = 700, where the growing pair is not wanted."""
-    return math.inf if zeta > 700.0 else math.exp(zeta)
+def _exp_growth(zeta):
+    """e^zeta, inf past zeta = 700, where the growing pair is not wanted:
+    a float, or elementwise over an array."""
+    return _libm(np.exp, _where(zeta > 700.0, math.inf, zeta))
 
 
 def _airy_asym_pos(y):
@@ -484,16 +486,13 @@ def _airy_asym_pos(y):
     Past zeta = 700 Bi and Bi' are inf: airy_bi refuses before this point,
     airy_ai discards them.
     """
-    if _scalar(y):
-        zeta = (2.0 / 3.0) * y * math.sqrt(y)
-    else:
-        with np.errstate(over="ignore"):  # inf past 1e205, as for floats
-            zeta = (2.0 / 3.0) * y * np.sqrt(y)
+    with np.errstate(over="ignore"):  # inf past 1e205, as for floats
+        zeta = (2.0 / 3.0) * y * _libm(np.sqrt, y)
     # S(+-) = sum (+-1)^k u_k / zeta^k and the v_k companions
     su_m, su_p, sv_m, sv_p = _asym_sums(zeta, _ASYM_POS_SIGNS, 1.0)
-    root4 = _each(_quarter_power, y)
-    e_neg = _each(math.exp, -zeta)
-    e_pos = _each(_exp_growth, zeta)
+    root4 = _libm(np.power, y, 0.25)
+    e_neg = _libm(np.exp, -zeta)
+    e_pos = _exp_growth(zeta)
     ai = 0.5 * e_neg * su_m / (_SQRT_PI * root4)
     aip = -0.5 * root4 * e_neg * sv_m / _SQRT_PI
     bi = e_pos * su_p / (_SQRT_PI * root4)
@@ -542,7 +541,7 @@ def _airy_asym_neg(y):
     # even/odd splits of sum (-1)^k u_k / zeta^k and the v companion:
     # (-1)^k of the alternating series splits as (-1)^m on k = 2m and 2m + 1
     ue, uo, ve, vo = _asym_sums(zeta, _ASYM_NEG_SIGNS, (1.0, 0.0, 1.0, 0.0))
-    root4 = _each(_quarter_power, t)
+    root4 = _libm(np.power, t, 0.25)
     inv = 1.0 / (_SQRT_PI * root4)
     fac = root4 / _SQRT_PI
     return (inv * (c * ue + s * uo), fac * (s * ve - c * vo),
@@ -1163,9 +1162,8 @@ def tricomi_u_cf(b, c, z, m, m_next, rg_b):
 
     Floats for one point, or 1-D arrays with one entry per point (b and
     rg_b may be floats shared by all), elementwise with the float's
-    doubles: + - * / run in numpy, e^z and z^c per element (_each), and a
-    float divided by zero is taken again as a one-element array, so that
-    it gets numpy's inf or NaN too.  z > 0 and c > 0.
+    doubles; a float divided by zero is taken again as a one-element
+    array, so that it gets numpy's inf or NaN too.  z > 0 and c > 0.
 
     U is the minimal solution of its recurrence in the first parameter
     (DLMF 13.3.7; Temme, Numer. Math. 41, 1983), so the ratio r = U(b + 1)
@@ -1189,7 +1187,6 @@ def tricomi_u_cf(b, c, z, m, m_next, rg_b):
     of -1 .. -40).  It is at least TRICOMI_CF_LEAST, and inf, never NaN,
     wherever U or dU/dz is not finite.
     """
-    grid = not _scalar(z)
     # k = b + j, a row per step, then t = k (k - c + 1) and a = 2k - c in place
     a = b + (_CF_J[:, None] if np.ndim(b) else _CF_J)
     t = a - c
@@ -1216,18 +1213,15 @@ def tricomi_u_cf(b, c, z, m, m_next, rg_b):
             mq = m * q
             dm = b * m_next  # m'
             d = mq - dm
-            u = -_each(_exp_growth, z) / _each(lambda v: v ** c, z) * rg_b / d
+            u = -_exp_growth(z) / _libm(np.power, z, c) * rg_b / d
             du = u * q
             est = ((_loss(d, abs(mq) + abs(dm)) + 1.0)
                    * (_CF_ROUND + _loss(ratio + 1.0, abs(ratio) + 1.0) * e))
     except ZeroDivisionError:
         u, du, est = tricomi_u_cf(b, c, np.array([z]), m, m_next, rg_b)
         return u.item(), du.item(), est.item()
-    if grid:
-        return u, du, np.where(np.isfinite(u) & np.isfinite(du) & (est == est),
-                               est, math.inf)
-    return u, du, (est if math.isfinite(u) and math.isfinite(du) and est == est
-                   else math.inf)
+    return u, du, _where(np.isfinite(u) & np.isfinite(du) & (est == est),
+                         est, math.inf)
 
 
 def tricomi_u_large_z(b: float, c: float, z: float) -> tuple[float, float]:

@@ -43,41 +43,47 @@ class TestGolden:
     # the large-z recurrence gave, in order: f25c8831..., 7c77c72e...,
     # 16b21d9a..., ef100e50..., fc758e65..., 9fe9fce9..., b19dcbaa... and
     # validate 28fddb6d...
+    # numpy's exp, log and roots in place of the C library's moved every
+    # digest but the two one-point runs, at rounding level; math's gave, in
+    # order: a01b8571..., db5c0645..., c44fb6e2... (both spellings),
+    # 3f4c3c29..., 2798dc82..., b0015c53..., 85064be0..., 48c77af0... and
+    # validate 488dba1a... (interior-equation worst 2.423e-07)
     @pytest.mark.parametrize("argv, digest", [
         ("transmission --min 0.02 --max 2.25 --points 200",
-         "a01b8571467af38df21b8fac8a686e54e7b537ffc1c6272b2544c090bea11209"),
+         "389876aff3533b46166c54483e8a111cb2378d6cedb2bb88405a91d731899011"),
         # the printed-column modes: rows near a b1 zero print the finite
         # (1/b1)^2, up to 1.5e44, unflagged
         ("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity t2",
-         "db5c0645a98e27300b428b56db267da65b926c9d4e8261c94828bc08be8305dc"),
+         "9eba2f7dddfa38e4a2d0c3588e177d3b425279f5376f0964cf39cc535f9cdc46"),
         ("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity all",
-         "c44fb6e2de05e9a0f2136b82dbe74a585a61ac93c7a5d8b84294b3e9f824c165"),
+         "8b0451c60286d6ad150f662b3af2871299dbf49fb396a745c616859f4ce98dca"),
         # the config-key spelling of the flag, same bytes as its alias above
         ("transmission --min 0.02 --max 2.25 --points 200 --paper_fidelity all",
-         "c44fb6e2de05e9a0f2136b82dbe74a585a61ac93c7a5d8b84294b3e9f824c165"),
+         "8b0451c60286d6ad150f662b3af2871299dbf49fb396a745c616859f4ce98dca"),
         ("tunnelling --min 0.02 --max 0.44 --points 200",
-         "3f4c3c29d42354d42d3ea871bbb1d86f7ad040e2d28ccc8406ecc2dc6a2b850c"),
+         "61896033b7fa5adb475667cc23dacf731943339517945ca5a500d3d1d3af8188"),
         # the V0 axis with the default auto alpha, and the refusal band
         # (45 of 100 rows refused by the Kummer guards, 271 DD reruns)
         ("transmission --axis V0 --min 0.05 --max 0.9 --points 120",
-         "2798dc82ba2c2f0d44e2637870f9ff04e7fcd381c527c1c7f20f84dddffda5dc"),
+         "7bab8802e83f131b3dfc6f6907acff07f5030e2af7a1ab72aeb20aca3c9b938c"),
         # the width axis, where the x = a interface moves from point to point
         ("transmission --axis a --min 1 --max 12 --points 120",
-         "b0015c53c8c86650d597796031b55ffba5ad44f0e701a15861c9444d519bcc44"),
+         "7a7f26c976b38230d0c9bd6507c4cdb86d607b75b9d8f4ec1efeb33646962677"),
         # the printed-sign interior with the canonical columns
         ("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity signs",
-         "85064be0a5af4175fd67495b12608b5d0f3af012392882c5d6afc313f8d6865d"),
+         "d10f5624af6cfa46e8e4bd18c0a4c35f1c84d659fde25c2d476b1fb7e0aa4d01"),
         ("transmission --min 2.25 --max 3.9 --points 100",
-         "48c77af0525facf1b545cd1d6c9a3838627ff8f1b358d7f4de38dfddfa60222a"),
+         "2749e1566189a9c7b7bbe4886ebe9718be4e29a086f418f53569cea9ec39e11d"),
         # one-point runs: a double-double point and a refused row
         ("transmission --min 2.2 --points 1",
          "cd844587bec430b5dc850baedb38c55385d6ee7d5c744e12a0523f05e9b9e68d"),
         ("transmission --min 3.9 --points 1",
          "4c001cf2f8650c8638805d93c349761c599e7158eaf463a77a72e311436b132e"),
         # march-agreement prints worst 3.005e-14 (6.949e-15 from the
-        # step-by-step march before the product form)
+        # step-by-step march before the product form), interior-equation
+        # 2.425e-07
         ("validate",
-         "488dba1a3800dc97b2606e867ee590d691e1ee24945fe49551497d9032abcd8b"),
+         "b628525272c9d3a7e0250f6517f6ac1c7781426a690e67b89eeac15889d2fa36"),
     ])
     def test_output_bytes_pinned(self, argv, digest, capsys):
         # every byte of these runs is frozen: a refactor that moves any

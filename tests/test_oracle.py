@@ -37,10 +37,12 @@ CONST_MASS = MassParams(M0=0.067, M1=0.0)
 
 # (E, b1.hex(), T.hex()) of the scalar oracle at 0.1 eV and at 8 energies
 # of random.Random(2094).uniform(0.02, 2.25), sorted; b1 < 0 below the pole.
-# Kept as approximate references: the next two are the (b1, T) given when
+# Kept as approximate references: the last four are the (b1, T) given when
 # the exterior Airy values marched from their anchor in up to 7 Taylor
-# steps (before each took one step from a ladder node), and the last two
-# the (b1, T) the step-by-step march gave, before the product march
+# steps (before each took one step from a ladder node), then the (b1, T)
+# the step-by-step march gave, before the product march.  A row whose
+# pins numpy's exp, log and roots moved carries, before those, the (b1, T)
+# the C library's gave
 ORACLE_TABLE = [
     (0.05042571650522533, '-0x1.4346844acafc3p-3', '0x1.4112cf1af1673p+5',
      '-0x1.4346844acafc3p-3', '0x1.4112cf1af1673p+5',
@@ -60,7 +62,8 @@ ORACLE_TABLE = [
     (0.8508635454386844, '0x1.68003cc423d84p-2', '0x1.02e804a11b542p+3',
      '0x1.68003cc423d84p-2', '0x1.02e804a11b542p+3',
      '0x1.68003cc423dd4p-2', '0x1.02e804a11b4cfp+3'),
-    (2.0038573936543607, '0x1.fd0faead279efp-2', '0x1.02f6d8414dec9p+2',
+    (2.0038573936543607, '0x1.fd0faead279eep-2', '0x1.02f6d8414decap+2',
+     '0x1.fd0faead279efp-2', '0x1.02f6d8414dec9p+2',
      '0x1.fd0faead279efp-2', '0x1.02f6d8414dec9p+2',
      '0x1.fd0faead279f7p-2', '0x1.02f6d8414dec1p+2'),
     (2.1018640002132267, '0x1.0222ad318e73bp-1', '0x1.f7905a8b95904p+1',

@@ -6,6 +6,7 @@ TestContractsAgainstMpmath checks the contracts against mpmath itself and
 skips where it is not installed.
 """
 
+import dataclasses
 import decimal
 import functools
 import math
@@ -22,8 +23,8 @@ import triq.scatter
 import triq.special
 import triq.validate
 from triq.errors import AccuracyError, DomainError, TriqError
-from triq.model import (MassParams, PotentialProfile, barrier_coefficients,
-                        make_units)
+from triq.model import (MassParams, PotentialProfile, airy_scale,
+                        barrier_coefficients, make_units)
 from triq.scatter import (_SECOND_BUDGET, RegionIIBasis, _Kernels, basis_for,
                           sweep)
 from triq.special import (
@@ -895,13 +896,15 @@ def reference_phase_decimal(t):
 
 
 # The two Airy asymptotic loops as they were written before they shared one
-# term generator, the oscillatory one on the decimal phase.
+# term generator, the oscillatory one on the decimal phase; their roots and
+# exponentials are numpy's, as in special (they were math's and Python's **
+# while the float route took those).
 _SQRT_PI = math.sqrt(math.pi)
 
 
 def reference_asym_pos(y):
     """_airy_asym_pos with its own term loop."""
-    zeta = (2.0 / 3.0) * y * math.sqrt(y)
+    zeta = (2.0 / 3.0) * y * float(np.sqrt(y))
     su_m = su_p = 1.0
     sv_m = sv_p = 1.0
     u_term = 1.0
@@ -919,13 +922,13 @@ def reference_asym_pos(y):
         sv_p += v_term
         if abs(u_term) < 1e-18:
             break
-    root4 = y ** 0.25
-    e_neg = math.exp(-zeta)
+    root4 = float(np.power(y, 0.25))
+    e_neg = float(np.exp(-zeta))
     ai = 0.5 * e_neg * su_m / (_SQRT_PI * root4)
     aip = -0.5 * root4 * e_neg * sv_m / _SQRT_PI
     if zeta > 700.0:
         return ai, aip, math.inf, math.inf
-    e_pos = math.exp(zeta)
+    e_pos = float(np.exp(zeta))
     return (ai, aip, e_pos * su_p / (_SQRT_PI * root4),
             root4 * e_pos * sv_p / _SQRT_PI)
 
@@ -956,7 +959,7 @@ def reference_asym_neg(y):
             vo += sgn * v_term
         if abs(u_term) < 1e-18:
             break
-    root4 = t ** 0.25
+    root4 = float(np.power(t, 0.25))
     inv = 1.0 / (_SQRT_PI * root4)
     fac = root4 / _SQRT_PI
     return (inv * (c * ue + s * uo), fac * (s * ve - c * vo),
@@ -1544,6 +1547,65 @@ def test_transmission_gives_python_floats():
             triq.scatter.transmission(E, mass, barrier, units)
         messages.append(str(info.value))
     assert "np.float64" not in messages[0] and messages[0] == messages[1]
+
+
+# Every numpy function the lone point and the grid share, with seeded
+# arguments over its call sites' ranges: the damping e^(-z/2), the Airy
+# asymptotics' e^(+-zeta) and the continued fraction's e^z, and 1/Gamma's
+# e^(+-ln Gamma); ln Gamma's logs; the reflection's sin(pi r), r <= 1/2;
+# the Airy scale's cube root; a1^(1/4) and the asymptotic zeta's sqrt(y);
+# y^(1/4); the continued fraction's z^(1/2).
+SHARED_LIBM = {
+    "exp": (np.exp, (), lambda rng: rng.uniform(-745.0, 700.0)),
+    "log": (np.log, (), lambda rng: math.exp(rng.uniform(0.0, 350.0))),
+    "sin": (np.sin, (), lambda rng: rng.uniform(0.0, 0.5 * math.pi)),
+    "cbrt": (np.cbrt, (), lambda rng: math.exp(rng.uniform(-20.0, 705.0))),
+    "sqrt": (np.sqrt, (), lambda rng: math.exp(rng.uniform(-20.0, 709.0))),
+    "power-1/4": (np.power, (0.25,), lambda rng: math.exp(rng.uniform(2.0, 709.0))),
+    "power-1/2": (np.power, (0.5,), lambda rng: rng.uniform(1e-3, 300.0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_LIBM))
+def test_numpy_libm_ignores_the_call_shape(name):
+    # A sweep row equals a lone transmission() call only because numpy
+    # gives one double whatever the shape of the call: a 1-D array, an
+    # np.float64, a Python float, a 0-d or length-1 array, a strided view.
+    # Its SIMD loops differ from the C library's in the last bit, so the
+    # pinned outputs pin this host's numpy dispatch, as they pinned its C
+    # library while the float route used math; sweep-vs-lone identity
+    # holds on any host where this test passes.
+    ufunc, args, draw = SHARED_LIBM[name]
+    rng = random.Random(20261019)
+    xs = [draw(rng) for _ in range(10000)]
+    want = [v.hex() for v in ufunc(np.array(xs), *args).tolist()]
+    strided = ufunc(np.repeat(xs, 3)[1::3], *args).tolist()
+    assert [v.hex() for v in strided] == want
+    for x, w in zip(xs, want):
+        got = {ufunc(v, *args).item().hex()
+               for v in (x, np.float64(x), np.array(x), np.array([x]))}
+        assert got == {w}, x
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("E", [0.1, 2.25])
+def test_float_route_keeps_python_floats(E):
+    # numpy's exp, log and roots on a float give np.float64; the float
+    # route takes each back to a Python float (special._libm), so that no
+    # np.float64 leaks into a lone point's arithmetic, for a float or an
+    # np.float64 energy, below the barrier and past it
+    units, mass, barrier = make_units(), MassParams(), PotentialProfile()
+    for e in (E, np.float64(E)):
+        rc = barrier_coefficients(e, mass, barrier, units)
+        basis = basis_for(rc)
+        res = triq.scatter.transmission(e, mass, barrier, units)
+        sol = res.solution
+        values = [airy_scale(e, mass, units), *dataclasses.astuple(rc),
+                  *basis.kernels(0.0),
+                  basis.rg_b, basis.rg_bh, basis.rg_f6,
+                  res.E, res.T_solve, res.T_paper, res.t1, res.t2,
+                  res.residual, sol.b1, sol.b2, sol.b3, sol.b4, sol.residual]
+        assert [type(v).__name__ for v in values] == ["float"] * len(values), e
 
 
 class TestTricomiLargeZ:

@@ -22,7 +22,8 @@ FROZEN_WORST = {
     # (1.4e-10) and 0x1.77bd340000000p-29 (2.7e-9)
     "tricomi-shift": "0x1.f0b1cc717eb4fp-48",
     "interior-coefficients": "0x1.c000000000000p-51",
-    "interior-equation": "0x1.04330c162c390p-22",
+    # numpy's libm moved this one; math's gave 0x1.04330c162c390p-22
+    "interior-equation": "0x1.045b480c93e7fp-22",
     "interior-wronskian": "0x1.2e80000000000p-44",
     # the step-by-step march gave 0x1.f4b6b1a3dc08ep-48 (6.95e-15) and
     # 0x1.77ba780000000p-29; the product march rounds in another order
