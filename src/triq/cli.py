@@ -1,7 +1,8 @@
 """Command-line front end: flat-file config, deterministic sweeps, reports.
 
-Four subcommands: transmission and tunnelling emit CSV sweeps, bound emits
-a spectrum report, validate runs the invariant suites.  Output is byte
+Four commands: transmission and tunnelling emit CSV sweeps, bound emits
+a spectrum report, validate runs the invariant suites.  One flag per
+RunConfig field, named after it.  Output is byte
 deterministic: 17-significant-digit floats, fixed key order, no
 timestamps, and a git-style content hash of the effective configuration in
 the header so a file can be traced back to its exact inputs.
@@ -49,20 +50,28 @@ class RunConfig:
         return self.alpha_eV_per_nm
 
 
+_DEFAULTS = {f.name: f.default for f in dataclasses.fields(RunConfig)}
+
+# the keys with a closed set of values, checked by the flags and by
+# validate_config
+_CHOICES = {"kind": KINDS, "axis": AXES, "paper_fidelity": FIDELITY_MODES}
+
+# extra spellings of a flag, beside the config key itself
+_ALIASES = {"paper_fidelity": ("--paper-fidelity",)}
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
         return f"{v:.17g}"
     return str(v)
 
 
-def _coerce(name: str, raw: str):
-    if name in ("kind", "axis", "paper_fidelity", "out"):
-        return raw
-    if name == "points":
-        return int(raw)
-    if name == "alpha_eV_per_nm" and raw == "auto":
-        return raw
-    return float(raw)
+def _coerce(name: str, raw):
+    """raw as the type of the field's default; "auto" stands for a float."""
+    default = _DEFAULTS[name]
+    if default == "auto":  # resolved later, see RunConfig.resolved_alpha
+        return raw if raw == "auto" else float(raw)
+    return type(default)(raw)
 
 
 def render(config: RunConfig) -> str:
@@ -73,7 +82,6 @@ def render(config: RunConfig) -> str:
 
 
 def parse(text: str) -> RunConfig:
-    names = {f.name for f in dataclasses.fields(RunConfig)}
     got = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -83,7 +91,7 @@ def parse(text: str) -> RunConfig:
         if not sep:
             raise DomainError(f"config line {lineno}: expected key = value")
         key = key.strip()
-        if key not in names:
+        if key not in _DEFAULTS:
             raise DomainError(f"config line {lineno}: unknown key {key!r}")
         try:
             got[key] = _coerce(key, value.strip())
@@ -93,20 +101,16 @@ def parse(text: str) -> RunConfig:
 
 
 def validate_config(config: RunConfig) -> None:
-    if config.kind not in KINDS:
-        raise DomainError(f"kind must be one of {KINDS}, got {config.kind!r}")
-    if config.axis not in AXES:
-        raise DomainError(f"axis must be one of {AXES}, got {config.axis!r}")
-    if config.paper_fidelity not in FIDELITY_MODES:
-        raise DomainError(f"paper_fidelity must be one of {FIDELITY_MODES}, "
-                          f"got {config.paper_fidelity!r}")
+    for name, choices in _CHOICES.items():
+        value = getattr(config, name)
+        if value not in choices:
+            raise DomainError(f"{name} must be one of {choices}, got {value!r}")
     if config.points < 1:
         raise DomainError(f"points must be >= 1, got {config.points}")
-    numeric = ["min", "max", "E_eV", "V0_eV", "a_nm", "M0_m0", "M1_m0_per_nm"]
-    if config.alpha_eV_per_nm != "auto":
-        numeric.append("alpha_eV_per_nm")
-    for name in numeric:
-        require_finite(name, getattr(config, name))
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if isinstance(value, float):
+            require_finite(field.name, value)
     if config.points > 1 and not config.min < config.max:
         raise DomainError("min must be below max for a multi-point sweep")
     for name in ("V0_eV", "a_nm", "M0_m0", "M1_m0_per_nm"):
@@ -247,30 +251,24 @@ def cmd_validate() -> tuple[str, int]:
     return "\n".join(lines) + "\n", 1 if failed else 0
 
 
+# the report commands main dispatches; validate takes no config
+_COMMANDS = {"transmission": cmd_transmission, "tunnelling": cmd_tunnelling,
+             "bound": cmd_bound}
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", metavar="PATH",
-                        help="flat key = value file; flags override it")
-    common.add_argument("--out", metavar="PATH")
-    common.add_argument("--axis", choices=AXES)
-    common.add_argument("--min", type=float)
-    common.add_argument("--max", type=float)
-    common.add_argument("--points", type=int)
-    common.add_argument("--paper_fidelity", "--paper-fidelity",
-                        choices=FIDELITY_MODES)
-    common.add_argument("--V0_eV", type=float)
-    common.add_argument("--alpha_eV_per_nm", metavar="EV_PER_NM|auto")
-    common.add_argument("--a_nm", type=float)
-    common.add_argument("--kind", choices=KINDS)
-    common.add_argument("--M0_m0", type=float)
-    common.add_argument("--M1_m0_per_nm", type=float)
-    common.add_argument("--E_eV", type=float)
     parser = argparse.ArgumentParser(
         prog="triq",
         description="triangular-profile quantum transmission and bound states")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("transmission", "tunnelling", "bound", "validate"):
-        sub.add_parser(name, parents=[common])
+    parser.add_argument("command", choices=(*_COMMANDS, "validate"))
+    parser.add_argument("--config", metavar="PATH",
+                        help="flat key = value file; flags override it")
+    for field in dataclasses.fields(RunConfig):
+        cast = type(field.default)
+        parser.add_argument(f"--{field.name}", *_ALIASES.get(field.name, ()),
+                            type=None if cast is str else cast,
+                            choices=_CHOICES.get(field.name),
+                            help=f"default {field.default!r}")
     return parser
 
 
@@ -281,10 +279,13 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     else:
         config = RunConfig()
     overrides = {}
-    for field in dataclasses.fields(RunConfig):
-        value = getattr(args, field.name, None)
+    for name in _DEFAULTS:
+        value = getattr(args, name)
         if value is not None:
-            overrides[field.name] = _coerce(field.name, value)
+            try:
+                overrides[name] = _coerce(name, value)
+            except ValueError:
+                raise DomainError(f"bad value for {name!r}: {value!r}")
     config = dataclasses.replace(config, **overrides)
     validate_config(config)
     return config
@@ -306,10 +307,7 @@ def main(argv=None) -> int:
             _emit(text, args.out or "")
             return status
         config = _load_config(args)
-        command = {"transmission": cmd_transmission,
-                   "tunnelling": cmd_tunnelling,
-                   "bound": cmd_bound}[args.command]
-        _emit(command(config), config.out)
+        _emit(_COMMANDS[args.command](config), config.out)
     except (TriqError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

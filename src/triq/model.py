@@ -235,7 +235,11 @@ def barrier_coefficients(E, mp: MassParams, pp: PotentialProfile,
 
 def well_coefficients(E, mp: MassParams, pp: PotentialProfile,
                       u: UnitSystem) -> RegionCoefficients:
-    """Interior coefficients for the well profile; E may be negative."""
+    """Interior coefficients for the well profile; E may be negative.
+
+    E is taken to a Python float, as in barrier_coefficients.
+    """
+    E = float(E)
     if pp.kind != "well":
         raise DomainError(f"well_coefficients needs kind='well', got {pp.kind!r}")
     if not math.isfinite(E):

@@ -73,17 +73,14 @@ FIDELITY_MODES = ("none", "signs", "t2", "all")
 AXES = ("E", "V0", "a")
 
 
-# 1/Gamma(c) of the three kernel c values, evaluated once at import: a
-# regularized kernel is its plain Kummer series times one of these (DLMF
-# 13.2.4: M~(b;c;z) = M(b;c;z)/Gamma(c)), so no kernel calls recip_gamma
-_RG_HALF = recip_gamma(0.5)
-_RG_THREE_HALVES = recip_gamma(1.5)
-_RG_FIVE_HALVES = recip_gamma(2.5)
-
-
 # c of the four Kummer series of a point, in kernels() order; _series_b
 # gives their b
 _SERIES_C = (0.5, 1.5, 1.5, 2.5)
+
+# 1/Gamma(c) of each series, evaluated once at import: a regularized
+# kernel is its plain Kummer series times its factor (DLMF 13.2.4:
+# M~(b;c;z) = M(b;c;z)/Gamma(c)), so no kernel calls recip_gamma
+_SERIES_RG = tuple(recip_gamma(c) for c in _SERIES_C)
 
 
 def _series_b(b):
@@ -95,7 +92,7 @@ class _Kernels(NamedTuple):
     """Kummer evaluations at one interior point, four series in all.
 
     m_val, m_dval, r_odd and r_odd_d are one series each; the regularized
-    ones are a series times the constant 1/Gamma(c) (the _RG_* constants).
+    ones are a series times the constant 1/Gamma(c) (_SERIES_RG).
     One instance per interface feeds first(), second() and
     abbreviations_at(), which read y and z from it and nothing else about
     the point.  Kernels over a grid hold a 1-D array in every field, one
@@ -122,13 +119,9 @@ def _kernels_from(y, z, series) -> _Kernels:
     Floats for one point, or 1-D arrays over a grid (series then the rows
     of a (4, n) array).
     """
-    m_val, m_dval, odd, odd_d = series
-    return _Kernels(y=y, z=z, damp=_libm(np.exp, -0.5 * z),
-                    m_val=m_val, m_dval=m_dval,
-                    r_even=m_val * _RG_HALF,
-                    r_even_d=m_dval * _RG_THREE_HALVES,
-                    r_odd=odd * _RG_THREE_HALVES,
-                    r_odd_d=odd_d * _RG_FIVE_HALVES)
+    # r_even, r_even_d, r_odd and r_odd_d: each series times its 1/Gamma(c)
+    return _Kernels(y, z, _libm(np.exp, -0.5 * z), series[0], series[1],
+                    *(v * rg for v, rg in zip(series, _SERIES_RG)))
 
 
 @dataclass(frozen=True)
@@ -237,8 +230,9 @@ class RegionIIBasis:
         b, s, y = self.b_param, self.sqrt_a1, ker.y
         u, du_dy, est = _two_term(b, s, self.rg_b, self.rg_bh, ker)
         if y > 0.0 and est > TRICOMI_CF_LEAST:
-            u_cf, du_dz, est_cf = tricomi_u_cf(b, 0.5, ker.z, ker.r_even,
-                                               ker.r_even_d, self.rg_b)
+            u_cf, du_dz, est_cf = tricomi_u_cf(b, _SERIES_C[0], ker.z,
+                                               ker.r_even, ker.r_even_d,
+                                               self.rg_b)
             if est_cf < est:
                 u, est = u_cf, est_cf
                 du_dy = 2.0 * s * y * du_dz  # dU/dz chain through z(y)
@@ -309,7 +303,8 @@ def _companion_grid(b, s, rg_b, rg_bh, ker: _Kernels):
     tried = np.flatnonzero((y > 0.0) & (est > TRICOMI_CF_LEAST))
     if tried.size:
         bt, st, rt = (v if _scalar(v) else v[tried] for v in (b, s, rg_b))
-        u_cf, du_dz, est_cf = tricomi_u_cf(bt, 0.5, z[tried], ker.r_even[tried],
+        u_cf, du_dz, est_cf = tricomi_u_cf(bt, _SERIES_C[0], z[tried],
+                                           ker.r_even[tried],
                                            ker.r_even_d[tried], rt)
         with np.errstate(all="ignore"):
             take = est_cf < est[tried]  # False where the route failed

@@ -1,4 +1,4 @@
-"""Invariant suites behind the validate subcommand.
+"""Invariant suites behind the validate command.
 
 Each suite recomputes an identity through a route independent of the code
 that produced it (closed form against marcher, derivative against central

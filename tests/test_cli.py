@@ -1,5 +1,6 @@
 """CLI tests: golden schema, byte determinism, config plumbing, error rows."""
 
+import dataclasses
 import hashlib
 import math
 import random
@@ -10,7 +11,10 @@ import pytest
 from triq.cli import (
     _CSV_ROW,
     CSV_HEADER,
+    _build_parser,
+    _coerce,
     _fmt,
+    _load_config,
     RunConfig,
     cmd_transmission,
     config_hash,
@@ -28,6 +32,11 @@ def data_rows(text):
     lines = text.splitlines()
     start = lines.index(CSV_HEADER) + 1
     return [line.split(",") for line in lines[start:] if not line.startswith("#")]
+
+
+def _golden(argv, digest):
+    """One pinned run; its test id is the argv alone, so a re-pin keeps it."""
+    return pytest.param(argv, digest, id=argv)
 
 
 class TestGolden:
@@ -49,41 +58,41 @@ class TestGolden:
     # 3f4c3c29..., 2798dc82..., b0015c53..., 85064be0..., 48c77af0... and
     # validate 488dba1a... (interior-equation worst 2.423e-07)
     @pytest.mark.parametrize("argv, digest", [
-        ("transmission --min 0.02 --max 2.25 --points 200",
-         "389876aff3533b46166c54483e8a111cb2378d6cedb2bb88405a91d731899011"),
+        _golden("transmission --min 0.02 --max 2.25 --points 200",
+                "389876aff3533b46166c54483e8a111cb2378d6cedb2bb88405a91d731899011"),
         # the printed-column modes: rows near a b1 zero print the finite
         # (1/b1)^2, up to 1.5e44, unflagged
-        ("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity t2",
-         "9eba2f7dddfa38e4a2d0c3588e177d3b425279f5376f0964cf39cc535f9cdc46"),
-        ("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity all",
-         "8b0451c60286d6ad150f662b3af2871299dbf49fb396a745c616859f4ce98dca"),
+        _golden("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity t2",
+                "9eba2f7dddfa38e4a2d0c3588e177d3b425279f5376f0964cf39cc535f9cdc46"),
+        _golden("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity all",
+                "8b0451c60286d6ad150f662b3af2871299dbf49fb396a745c616859f4ce98dca"),
         # the config-key spelling of the flag, same bytes as its alias above
-        ("transmission --min 0.02 --max 2.25 --points 200 --paper_fidelity all",
-         "8b0451c60286d6ad150f662b3af2871299dbf49fb396a745c616859f4ce98dca"),
-        ("tunnelling --min 0.02 --max 0.44 --points 200",
-         "61896033b7fa5adb475667cc23dacf731943339517945ca5a500d3d1d3af8188"),
+        _golden("transmission --min 0.02 --max 2.25 --points 200 --paper_fidelity all",
+                "8b0451c60286d6ad150f662b3af2871299dbf49fb396a745c616859f4ce98dca"),
+        _golden("tunnelling --min 0.02 --max 0.44 --points 200",
+                "61896033b7fa5adb475667cc23dacf731943339517945ca5a500d3d1d3af8188"),
         # the V0 axis with the default auto alpha, and the refusal band
         # (45 of 100 rows refused by the Kummer guards, 271 DD reruns)
-        ("transmission --axis V0 --min 0.05 --max 0.9 --points 120",
-         "7bab8802e83f131b3dfc6f6907acff07f5030e2af7a1ab72aeb20aca3c9b938c"),
+        _golden("transmission --axis V0 --min 0.05 --max 0.9 --points 120",
+                "7bab8802e83f131b3dfc6f6907acff07f5030e2af7a1ab72aeb20aca3c9b938c"),
         # the width axis, where the x = a interface moves from point to point
-        ("transmission --axis a --min 1 --max 12 --points 120",
-         "7a7f26c976b38230d0c9bd6507c4cdb86d607b75b9d8f4ec1efeb33646962677"),
+        _golden("transmission --axis a --min 1 --max 12 --points 120",
+                "7a7f26c976b38230d0c9bd6507c4cdb86d607b75b9d8f4ec1efeb33646962677"),
         # the printed-sign interior with the canonical columns
-        ("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity signs",
-         "d10f5624af6cfa46e8e4bd18c0a4c35f1c84d659fde25c2d476b1fb7e0aa4d01"),
-        ("transmission --min 2.25 --max 3.9 --points 100",
-         "2749e1566189a9c7b7bbe4886ebe9718be4e29a086f418f53569cea9ec39e11d"),
+        _golden("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity signs",
+                "d10f5624af6cfa46e8e4bd18c0a4c35f1c84d659fde25c2d476b1fb7e0aa4d01"),
+        _golden("transmission --min 2.25 --max 3.9 --points 100",
+                "2749e1566189a9c7b7bbe4886ebe9718be4e29a086f418f53569cea9ec39e11d"),
         # one-point runs: a double-double point and a refused row
-        ("transmission --min 2.2 --points 1",
-         "cd844587bec430b5dc850baedb38c55385d6ee7d5c744e12a0523f05e9b9e68d"),
-        ("transmission --min 3.9 --points 1",
-         "4c001cf2f8650c8638805d93c349761c599e7158eaf463a77a72e311436b132e"),
+        _golden("transmission --min 2.2 --points 1",
+                "cd844587bec430b5dc850baedb38c55385d6ee7d5c744e12a0523f05e9b9e68d"),
+        _golden("transmission --min 3.9 --points 1",
+                "4c001cf2f8650c8638805d93c349761c599e7158eaf463a77a72e311436b132e"),
         # march-agreement prints worst 3.005e-14 (6.949e-15 from the
         # step-by-step march before the product form), interior-equation
         # 2.425e-07
-        ("validate",
-         "b628525272c9d3a7e0250f6517f6ac1c7781426a690e67b89eeac15889d2fa36"),
+        _golden("validate",
+                "b628525272c9d3a7e0250f6517f6ac1c7781426a690e67b89eeac15889d2fa36"),
     ])
     def test_output_bytes_pinned(self, argv, digest, capsys):
         # every byte of these runs is frozen: a refactor that moves any
@@ -178,6 +187,74 @@ class TestConfig:
         expect = hashlib.sha1(b"blob %d\0" % len(body) + body).hexdigest()
         assert config_hash(RunConfig()) == expect
         assert config_hash(RunConfig(points=7)) != expect
+
+
+FIELDS = [field.name for field in dataclasses.fields(RunConfig)]
+
+# a value for every field, none of them its default, that validate_config
+# accepts
+SAMPLE = RunConfig(V0_eV=0.3, alpha_eV_per_nm=0.0045, a_nm=5.0, kind="well",
+                   M0_m0=0.07, M1_m0_per_nm=0.05, E_eV=0.2, axis="a",
+                   min=1.0, max=6.0, points=9, paper_fidelity="t2",
+                   out="x.csv")
+
+
+class TestFlags:
+    """The flags are the RunConfig fields, one --<name> each."""
+
+    def test_sample_moves_every_field(self):
+        for name in FIELDS:
+            assert getattr(SAMPLE, name) != getattr(RunConfig(), name), name
+
+    @pytest.mark.parametrize("name", FIELDS)
+    def test_flag_parses_to_the_type_of_the_default(self, name):
+        value = getattr(SAMPLE, name)
+        args = _build_parser().parse_args(["validate", f"--{name}",
+                                           _fmt(value)])
+        got = _coerce(name, getattr(args, name))
+        default = getattr(RunConfig(), name)
+        assert type(got) is (float if default == "auto" else type(default))
+        assert got == value
+
+    def test_auto_alpha_and_the_hyphen_alias(self):
+        args = _build_parser().parse_args(
+            ["validate", "--alpha_eV_per_nm", "auto", "--paper-fidelity", "all"])
+        assert _coerce("alpha_eV_per_nm", args.alpha_eV_per_nm) == "auto"
+        assert args.paper_fidelity == "all"
+
+    @pytest.mark.parametrize("flag", ["--kind", "--axis", "--paper_fidelity",
+                                      "--paper-fidelity"])
+    def test_bad_choice_exits_two(self, flag, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["transmission", flag, "bogus"])
+        assert exit_.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+    def test_flags_load_what_the_rendered_file_loads(self, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(render(SAMPLE))
+        flags = [arg for name in FIELDS
+                 for arg in (f"--{name}", _fmt(getattr(SAMPLE, name)))]
+        parser = _build_parser()
+        from_flags = _load_config(parser.parse_args(["bound"] + flags))
+        from_file = _load_config(parser.parse_args(
+            ["bound", "--config", str(cfg)]))
+        assert from_flags == from_file == SAMPLE
+
+    def test_help_names_every_field(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["--help"])
+        assert exit_.value.code == 0
+        out = capsys.readouterr().out
+        for name in FIELDS + ["paper-fidelity"]:
+            assert f"--{name} " in out, name
+
+    def test_bad_alpha_is_refused_by_name(self, capsys):
+        # the one untyped numeric flag is coerced after parsing; a value
+        # that is neither a float nor auto exits 2 with no traceback
+        assert main(["transmission", "--alpha_eV_per_nm", "steep"]) == 2
+        assert capsys.readouterr().err == (
+            "error: bad value for 'alpha_eV_per_nm': 'steep'\n")
 
 
 class TestTransmissionCommand:

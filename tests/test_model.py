@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 import re
@@ -171,6 +172,22 @@ class TestCoefficients:
         rc = well_coefficients(-0.3, MASS, WELL, U)
         assert math.isnan(rc.y1) and math.isnan(rc.y3)
         assert math.isfinite(rc.y2) and math.isfinite(rc.y4)
+
+    def test_well_coefficients_are_floats_for_an_np_float64(self):
+        # E is taken to a Python float where it enters, so every field for
+        # an np.float64 energy is the float call's, bit for bit
+        for E in (-0.1, -0.3, 0.2):
+            want = well_coefficients(E, MASS, WELL, U)
+            got = well_coefficients(np.float64(E), MASS, WELL, U)
+            for field in dataclasses.fields(got):
+                value = getattr(got, field.name)
+                assert type(value) is float, field.name
+                assert value.hex() == getattr(want, field.name).hex()
+        # an np.float64 gets the Python float's message
+        for E in (math.nan, np.float64(math.inf)):
+            with pytest.raises(DomainError,
+                               match=f"^energy must be finite, got {float(E)!r}$"):
+                well_coefficients(E, MASS, WELL, U)
 
     def test_kind_mismatch_rejected(self):
         with pytest.raises(DomainError):
