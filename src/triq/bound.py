@@ -61,7 +61,13 @@ def level_spacing_scale(mp: MassParams, pp: PotentialProfile,
     """The 2 (alpha^3/(H M1))^(1/4) prefactor shared by every level."""
     if mp.M1 == 0.0:
         raise DomainError("spectrum degenerates at M1 = 0")
-    return 2.0 * (pp.alpha ** 3 / (u.H_per_m0 * mp.M1)) ** 0.25
+    try:
+        spacing = 2.0 * (pp.alpha ** 3 / (u.H_per_m0 * mp.M1)) ** 0.25
+    except OverflowError:  # the float power alpha^3, alpha above ~5.6e102
+        spacing = math.inf
+    if not math.isfinite(spacing):
+        raise DomainError(f"level spacing overflows at alpha = {pp.alpha!r} eV/nm")
+    return spacing
 
 
 def _ladder_floor(mp: MassParams, pp: PotentialProfile) -> float:

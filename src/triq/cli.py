@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import math
 import sys
@@ -256,6 +257,7 @@ _COMMANDS = {"transmission": cmd_transmission, "tunnelling": cmd_tunnelling,
              "bound": cmd_bound}
 
 
+@functools.cache  # built on first use; parse_args leaves a parser as it was
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="triq",

@@ -292,31 +292,30 @@ def _companion_grid(b, s, rg_b, rg_bh, ker: _Kernels):
     continued fraction takes it in one tricomi_u_cf call.  Both are NaN at
     a point second() refuses: where that call fails (a NaN estimate, where
     the float call would raise), or where the best estimate exceeds
-    _SECOND_BUDGET.
+    _SECOND_BUDGET.  A refusal upstream comes in as NaN and goes out as
+    NaN (a NaN kernel or 1/Gamma tries no continued fraction); only the
+    Kummer row stop skips a refused point's work (_interface_kernels).
     """
     y, z = ker.y, ker.z
     # products overflow to inf, and inf - inf is NaN, silently in the
     # float route; numpy is made as silent
     with np.errstate(all="ignore"):
         u, du_dy, est = _two_term(b, s, rg_b, rg_bh, ker)
-    refused = np.zeros(y.size, dtype=bool)
-    tried = np.flatnonzero((y > 0.0) & (est > TRICOMI_CF_LEAST))
-    if tried.size:
-        bt, st, rt = (v if _scalar(v) else v[tried] for v in (b, s, rg_b))
-        u_cf, du_dz, est_cf = tricomi_u_cf(bt, _SERIES_C[0], z[tried],
-                                           ker.r_even[tried],
-                                           ker.r_even_d[tried], rt)
-        with np.errstate(all="ignore"):
+        tried = np.flatnonzero((y > 0.0) & (est > TRICOMI_CF_LEAST))
+        if tried.size:
+            bt, st, rt = (v if _scalar(v) else v[tried] for v in (b, s, rg_b))
+            u_cf, du_dz, est_cf = tricomi_u_cf(bt, _SERIES_C[0], z[tried],
+                                               ker.r_even[tried],
+                                               ker.r_even_d[tried], rt)
             take = est_cf < est[tried]  # False where the route failed
             slope = 2.0 * st * y[tried] * du_dz  # dU/dz chain through z(y)
-        better = tried[take]
-        u[better] = u_cf[take]
-        du_dy[better] = slope[take]
-        est[better] = est_cf[take]
-        refused[tried[np.isnan(est_cf)]] = True
-    refused |= est > _SECOND_BUDGET
-    with np.errstate(all="ignore"):
+            better = tried[take]
+            u[better] = u_cf[take]
+            du_dy[better] = slope[take]
+            est[better] = est_cf[take]
+            est[tried[np.isnan(est_cf)]] = math.inf  # the float call raises
         value, deriv = ker.damp * u, ker.damp * (du_dy - s * y * u)
+    refused = est > _SECOND_BUDGET
     value[refused] = deriv[refused] = math.nan
     return value, deriv
 
@@ -750,14 +749,14 @@ def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
     MatchingSystem of the points the grid delivers, in order, with an
     array in every field (None where no grid runs); outcomes holds None
     for each of those, and for every other point its TransmissionResult
-    or the error refusing it.  Two or more points take
-    grid passes, each over the points no earlier pass refused, so that a
-    point's grid work stops where its lone route would stop: the
-    coefficients (_grid_coefficients), the exterior Airy values
-    (_exterior_airy) and _assemble_grid, which give each point the
-    doubles of the lone route and a NaN where it refuses.  A point is
-    delivered only if every number in its system is finite.  Every other
-    point, and a lone point, is solved alone (_alone).
+    or the error refusing it.  Two or more points take grid passes, each
+    over every point: the coefficients (_grid_coefficients), the exterior
+    Airy values (_exterior_airy) and _assemble_grid, which give each point
+    the doubles of the lone route.  A refusal travels as NaN, from the pass
+    that refuses through every later one, and no pass narrows the points
+    (the Kummer row stop alone skips work).  A point is delivered only if
+    every number in its system is finite.  Every other point, and a lone
+    point, is solved alone (_alone).
     """
     printed_signs, printed_columns = printed
     out = [p if isinstance(p, Exception) else None for p in points]
@@ -766,20 +765,14 @@ def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
         for i in live:
             out[i] = _alone(points[i], mp, u, printed)
         return out, None
-    a, y1, y2, y3, b, s, k, fits = _grid_coefficients(
+    a, y1, y2, y3, b, s, k = _grid_coefficients(
         [points[i] for i in live], mp, u, printed_signs)
-    go = np.flatnonzero(fits)
-    airy = _exterior_airy(y1[go], y3[go])
-    standing = ~np.isnan(airy).any(axis=0)
-    go, airy = go[standing], airy[:, standing]
-    system = _assemble_grid(b[go], s[go], y2[go], a[go], k[go], airy,
+    system = _assemble_grid(b, s, y2, a, k, _exterior_airy(y1, y3),
                             printed_columns)
     delivered = np.isfinite(np.column_stack([
         system.matrix.reshape(-1, 16), system.rhs, system.airy_scale,
         *system.fset, *system.gset, *system.bi0, *system.ai_a])).all(axis=1)
-    alone = np.ones(len(live), dtype=bool)
-    alone[go[delivered]] = False
-    for j in np.flatnonzero(alone).tolist():
+    for j in np.flatnonzero(~delivered).tolist():
         out[live[j]] = _alone(points[live[j]], mp, u, printed)
     system = MatchingSystem._make(
         type(f)._make(g[delivered] for g in f) if isinstance(f, tuple)
@@ -816,14 +809,13 @@ def _point_system(point, mp: MassParams, u: UnitSystem,
 def _grid_coefficients(points: list, mp: MassParams, u: UnitSystem,
                        printed_signs: bool):
     """barrier_coefficients and airy_scale over the (energy, profile)
-    points of a grid: (a, y1, y2, y3, b, sqrt(a1), k, fits).
+    points of a grid: (a, y1, y2, y3, b, sqrt(a1), k), one entry per point.
 
-    Each of the first seven is an array with one entry per point.  fits
-    marks the points that pass the scalar checks on the profile kind, the
-    mass and the energy and take model._coefficients over arrays, one Airy
-    scale per point, and whose lam is finite and k^2 is not 0 (the scalar
-    route divides by it).  The rest are the points the scalar calls
-    refuse, and are NaN but for the width a.
+    The points that pass the scalar checks on the profile kind, the mass
+    and the energy take model._coefficients over arrays, one Airy scale
+    per point.  A point the scalar calls refuse (those checks, a lam that
+    is not finite, or k^2 = 0, which the scalar route divides by) is NaN
+    but for the width a.
     """
     E, V0, alpha, a = (np.array(v, dtype=float) for v in zip(*(
         (point_E, pp.V0, pp.alpha, pp.a) for point_E, pp in points)))
@@ -840,7 +832,7 @@ def _grid_coefficients(points: list, mp: MassParams, u: UnitSystem,
             values[:, go] = y1, y2, y3, _kummer_b(lam, s), s, k
             fits[go] = np.isfinite(lam) & (k * k != 0.0)
     values[:, ~fits] = math.nan
-    return (a, *values, fits)
+    return (a, *values)
 
 
 def _exterior_airy(y1: np.ndarray, y3: np.ndarray) -> np.ndarray:
@@ -864,37 +856,23 @@ def _assemble_grid(b, s, offset, widths, k, airy, printed_columns: bool):
     Each pass takes every point at once: the kernels (_interface_kernels),
     the three reciprocal Gammas (one _recip_gamma_array call), both
     abbreviation sets and first() at both interfaces, second() at x = 0
-    and then at x = a (_companion_grid), and one (n, 4, 4) matrix stack
-    with its right-hand sides.  second() is taken only under the canonical
-    columns, and only at the points where the scalar route reaches it:
-    neither the kernels, 1/Gamma(b + 1/2), 1/Gamma(b) (both read by
-    abbreviations_at) nor second() at x = 0 refused them.  So the
-    continued fraction runs as often as in the scalar route.  A NaN f6
-    1/Gamma stops nothing: the scalar route reads its overflow as NaN.
+    and at x = a (_companion_grid, under the canonical columns only), and
+    one (n, 4, 4) matrix stack with its right-hand sides.  A refusal
+    travels as NaN through every later pass, and only the Kummer row stop
+    skips work, so second() at x = a may try the continued fraction of a
+    point that second() refused at x = 0.  A NaN f6 1/Gamma refuses
+    nothing: the scalar route reads its overflow as NaN.
     """
-    ker0, kera, go = _interface_kernels(b, s, offset, widths)
+    ker0, kera = _interface_kernels(b, s, offset, widths)
     rg_bh, rg_b, rg_f6 = np.split(_recip_gamma_array(
         np.concatenate([b + 0.5, b, _f6_gamma_argument(b)])), 3)
-    go &= ~np.isnan(rg_bh) & ~np.isnan(rg_b)
     with np.errstate(all="ignore"):  # silent, as the float route is
         return _system(
             k, airy, _abbreviations(b, s, rg_bh, rg_b, rg_f6, ker0),
             _abbreviations(b, s, rg_bh, rg_b, rg_f6, kera), printed_columns,
             lambda: [(*_first(b, s, ker),
-                      *_second_points(b, s, rg_b, rg_bh, ker, go))
+                      *_companion_grid(b, s, rg_b, rg_bh, ker))
                      for ker in (ker0, kera)])
-
-
-def _second_points(b, s, rg_b, rg_bh, ker: _Kernels, go: np.ndarray):
-    """(values, derivatives) of second() at the points of per-point arrays
-    that the mask go marks, NaN elsewhere; go loses the points second()
-    refuses."""
-    at = np.flatnonzero(go)
-    value, deriv = np.full((2, go.size), math.nan)
-    value[at], deriv[at] = _companion_grid(
-        b[at], s[at], rg_b[at], rg_bh[at], _Kernels._make(f[at] for f in ker))
-    go &= ~np.isnan(value)
-    return value, deriv
 
 
 def _solved(points: list, outcomes: list, system) -> list:
@@ -926,13 +904,15 @@ def _solved(points: list, outcomes: list, system) -> list:
 
 
 def _interface_kernels(b, s, offset, widths):
-    """(kernels at x = 0, kernels at x = a, go) of per-point arrays of b,
+    """(kernels at x = 0, kernels at x = a) of per-point arrays of b,
     sqrt(a1), y offset and width a.
 
     One _kummer_m_array call, a row per point with x = 0's four series
     before x = a's, so a row stops where kernels(0.0) then kernels(a)
-    would first raise, and its kernels are NaN from there on; go marks
-    the points whose eight series all stand.
+    would first raise, and its kernels are NaN from there on.  This row
+    stop is the one grid pass that skips a refused point's work: it makes
+    no fixed-point rerun past a refused series (without it, a 2.25-3.9 eV
+    sweep, 45 of its 100 points refused, took 1.37x as long, 2-CPU host).
     """
     with np.errstate(over="ignore", invalid="ignore"):  # silent, as floats are
         y = np.stack([0.0 + offset, widths + offset], axis=1)
@@ -941,5 +921,4 @@ def _interface_kernels(b, s, offset, widths):
                              np.tile(_SERIES_C, 2), np.repeat(z, 4, axis=1))
     ker = _kernels_from(y.ravel(), z.ravel(), values.reshape(-1, 4).T)
     return (_Kernels._make(f[0::2] for f in ker),
-            _Kernels._make(f[1::2] for f in ker),
-            ~np.isnan(values).any(axis=1))
+            _Kernels._make(f[1::2] for f in ker))

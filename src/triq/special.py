@@ -100,6 +100,8 @@ _SQRT3 = math.sqrt(3.0)
 # Maximum |z| accepted by the Kummer series before raising AccuracyError.
 KUMMER_ENVELOPE = 300.0
 _KUMMER_MAX_TERMS = 1200
+# stop ratio of a non-growing term to sum|terms| (_kummer_series and twin)
+_KUMMER_STOP = 1e-17
 # Above the first ratio the plain compensated sum has eaten ~4 of its 16
 # digits and the series is rerun in integer fixed point (_kummer_series_dd);
 # above the second the point is refused.  The second limit sets the closed
@@ -137,6 +139,8 @@ _AIRY_SERIES_HI_AI = 3.0
 _AIRY_ASYM_POS = 8.0
 _AIRY_ASYM_NEG = -9.5
 _AIRY_MARCH_STEP = 0.75
+# stop ratio of a term to its sum in the Maclaurin series and a Taylor step
+_AIRY_STOP = 1e-18
 # Bi overflows IEEE doubles near y ~ 104; the contract range is |y| <= 30.
 _AIRY_BI_OVERFLOW = 103.0
 # Below this both functions refuse: the oscillatory phase's remainder enters
@@ -338,7 +342,7 @@ def _airy_series(y: float) -> tuple[float, float, float, float]:
         g += tg
         fp += tf * three_k * inv_y
         gp += tg * (three_k + 1.0) * inv_y
-        if abs(tf) < 1e-18 * abs(f) and abs(tg) < 1e-18 * abs(g):
+        if abs(tf) < _AIRY_STOP * abs(f) and abs(tg) < _AIRY_STOP * abs(g):
             break
     return f, fp, g, gp
 
@@ -358,9 +362,9 @@ def _airy_taylor_step(x0: float, w: float, wp: float, h: float) -> tuple[float, 
     """One Taylor step of w'' = x*w from x0 to x0+h.
 
     The local series is entire, so the only requirement on h is that the
-    ~60-term budget reaches 1e-18 relative; |h| <= 0.8 is ample, and the
-    march steps by at most _AIRY_MARCH_STEP = 0.75 (a ladder node to the
-    next, or a node down to a point).
+    ~60-term budget reaches _AIRY_STOP relative; |h| <= 0.8 is ample, and
+    the march steps by at most _AIRY_MARCH_STEP = 0.75 (a ladder node to
+    the next, or a node down to a point).
     """
     # Coefficients a_n of the local Taylor series; a_{n+2} = (x0*a_n + a_{n-1}) / ((n+1)(n+2))
     coeffs = [w, wp, 0.5 * x0 * w]
@@ -375,7 +379,7 @@ def _airy_taylor_step(x0: float, w: float, wp: float, h: float) -> tuple[float, 
         value += term_v
         deriv += a_next * (n + 2.0) * hn
         hn = hn_next
-        if abs(term_v) < 1e-18 * (abs(value) + abs(deriv) * abs(h)):
+        if abs(term_v) < _AIRY_STOP * (abs(value) + abs(deriv) * abs(h)):
             break
     return value, deriv
 
@@ -548,51 +552,43 @@ def _airy_asym_neg(y):
             inv * (-s * ue + c * uo), fac * (c * ve + s * vo))
 
 
-def airy_ai(y: float) -> AiryPair:
-    """Airy Ai and Ai' at a finite real point."""
+def _airy_point(y: float, bi: bool) -> AiryPair:
+    """airy_bi at a finite float y if bi, else airy_ai: one regime ladder
+    for both, Bi's overflow refused before the lower limit."""
+    name = "airy_bi" if bi else "airy_ai"
     y = require_finite("y", y)
+    if bi and y > _AIRY_BI_OVERFLOW:
+        raise AccuracyError(f"airy_bi overflow at y={y!r}", value=y)
     if y < _AIRY_NEG_LIMIT:
-        raise AccuracyError(f"airy_ai accuracy lost at y={y!r}, "
+        raise AccuracyError(f"{name} accuracy lost at y={y!r}, "
                             f"below {_AIRY_NEG_LIMIT!r}", value=y)
+    pair = slice(2, 4) if bi else slice(0, 2)  # of (Ai, Ai', Bi, Bi')
     if y >= _AIRY_ASYM_POS:
-        ai, aip, _, _ = _airy_asym_pos(y)
-        return AiryPair(ai, aip)
-    if y > _AIRY_SERIES_HI_AI:
+        return AiryPair(*_airy_asym_pos(y)[pair])
+    if not bi and y > _AIRY_SERIES_HI_AI:
         # One step down from the ladder marched from the asymptotic anchor:
         # the decaying solution grows in this direction, so Bi
         # contamination dies off and the march is numerically stable.
         return AiryPair(*_airy_march(y, _AI_POS_LADDER))
     if y >= _AIRY_SERIES_LO:
-        ai, aip, _, _ = _airy_series_pair(y)
-        return AiryPair(ai, aip)
+        # The growing Bi has no cancellation for y > 0, so its series
+        # holds to the asymptotic switch point.
+        return AiryPair(*_airy_series_pair(y)[pair])
     if y > _AIRY_ASYM_NEG:
         # Oscillatory region: no exponential dichotomy, marching from the
         # series anchor is stable in either direction.
-        return AiryPair(*_airy_march(y, _AI_NEG_LADDER))
-    ai, aip, _, _ = _airy_asym_neg(y)
-    return AiryPair(ai, aip)
+        return AiryPair(*_airy_march(y, _BI_NEG_LADDER if bi else _AI_NEG_LADDER))
+    return AiryPair(*_airy_asym_neg(y)[pair])
+
+
+def airy_ai(y: float) -> AiryPair:
+    """Airy Ai and Ai' at a finite real point."""
+    return _airy_point(y, False)
 
 
 def airy_bi(y: float) -> AiryPair:
     """Airy Bi and Bi' at a finite real point."""
-    y = require_finite("y", y)
-    if y > _AIRY_BI_OVERFLOW:
-        raise AccuracyError(f"airy_bi overflow at y={y!r}", value=y)
-    if y < _AIRY_NEG_LIMIT:
-        raise AccuracyError(f"airy_bi accuracy lost at y={y!r}, "
-                            f"below {_AIRY_NEG_LIMIT!r}", value=y)
-    if y >= _AIRY_ASYM_POS:
-        _, _, bi, bip = _airy_asym_pos(y)
-        return AiryPair(bi, bip)
-    if y >= _AIRY_SERIES_LO:
-        # The growing combination has no cancellation for y > 0, so the
-        # series holds to the asymptotic switch point.
-        _, _, bi, bip = _airy_series_pair(y)
-        return AiryPair(bi, bip)
-    if y > _AIRY_ASYM_NEG:
-        return AiryPair(*_airy_march(y, _BI_NEG_LADDER))
-    _, _, bi, bip = _airy_asym_neg(y)
-    return AiryPair(bi, bip)
+    return _airy_point(y, True)
 
 
 class AiryGrid(NamedTuple):
@@ -685,7 +681,7 @@ def _airy_series_array(y: np.ndarray):
         with np.errstate(invalid="ignore"):
             fp += tf * three_k * inv_y
             gp += tg * (three_k + 1.0) * inv_y
-        done = ((np.abs(tf) < 1e-18 * np.abs(f)) & (np.abs(tg) < 1e-18 * np.abs(g))
+        done = ((np.abs(tf) < _AIRY_STOP * np.abs(f)) & (np.abs(tg) < _AIRY_STOP * np.abs(g))
                 if k < 89 else np.ones(live.size, dtype=bool))
         if done.any():
             for o, v in zip(out, (f, fp, g, gp)):
@@ -729,7 +725,7 @@ def _airy_taylor_step_array(x0, w, wp, h):
         deriv += a_next * (n + 2.0) * hn
         hn = hn_next
         c_prev, c_cur, c_next = c_cur, c_next, a_next
-        done = (np.abs(term_v) < 1e-18 * (np.abs(value) + np.abs(deriv) * np.abs(h))
+        done = (np.abs(term_v) < _AIRY_STOP * (np.abs(value) + np.abs(deriv) * np.abs(h))
                 if n < 59 else np.ones(live.size, dtype=bool))
         if done.any():
             out_v[live[done]], out_d[live[done]] = value[done], deriv[done]
@@ -768,7 +764,7 @@ def _kummer_series(b: float, c: float, z: float) -> tuple[float, float]:
             comp += (term - t) + s
         s = t
         abs_sum += mag
-        if k >= 4 and mag < 1e-17 * abs_sum and mag <= prev_mag:
+        if k >= 4 and mag < _KUMMER_STOP * abs_sum and mag <= prev_mag:
             break
         prev_mag = mag
     else:
@@ -949,7 +945,7 @@ def _kummer_series_array(b, c, z: np.ndarray):
                 # carried term is row B).  From k = 4 a zero term meets it
                 # too (no NaN comes before a zero term, and sum|terms| >= 1),
                 # so stop marks both exits; below k = 4 only a zero term stops
-                stop = mag1 < mul(abs_sum[1:], 1e-17, term[:-1])
+                stop = mag1 < mul(abs_sum[1:], _KUMMER_STOP, term[:-1])
                 stop &= mag1 <= mag[:-1]
                 if k < 4:
                     np.equal(mag1[:4 - k], 0.0, out=stop[:4 - k])

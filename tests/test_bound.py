@@ -153,6 +153,21 @@ class TestSpectrum:
         with pytest.raises(DomainError, match="overflows"):
             count_bound_states(MASS, pp, U)
 
+    @pytest.mark.parametrize("pp", [
+        PotentialProfile(V0=0.45, alpha=1e103, a=7.0, kind="well"),
+        PotentialProfile(V0=1e300, alpha=1e300 / 7.0, a=7.0, kind="well"),
+        PotentialProfile(V0=0.45, alpha=0.45 / 1e-300, a=1e-300, kind="well")])
+    def test_overflowing_spacing_refused(self, pp):
+        # alpha^3 overflows a float power above about 5.6e102 eV/nm
+        with pytest.raises(OverflowError):
+            pp.alpha ** 3
+        for call in (lambda: spectrum(MASS, pp, U),
+                     lambda: count_bound_states(MASS, pp, U),
+                     lambda: energy_level(0, MASS, pp, U)):
+            with pytest.raises(DomainError,
+                               match="^level spacing overflows at alpha = "):
+                call()
+
 
 class TestTableReport:
     def test_rows_carry_both_published_columns(self):

@@ -399,6 +399,16 @@ class TestBoundCommand:
         assert main(["bound"]) == 2
         assert "kind = well" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [["--alpha_eV_per_nm", "1e103"],
+                                       ["--V0_eV", "1e300"],
+                                       ["--a_nm", "1e-300"]])
+    def test_overflowing_spacing_exits_two(self, flags, capsys):
+        # the last two through alpha = auto = V0/a
+        assert main(["bound", "--kind", "well"] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: level spacing overflows at alpha = ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
 
 class TestValidateCommand:
     def test_clean_build_exits_zero(self, capsys):

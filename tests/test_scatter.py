@@ -5,6 +5,7 @@ right (residual + Wronskian + trajectory agreement), then the assembled
 4x4 solve is checked against the independently marched transmission.
 """
 
+import collections
 import contextlib
 import dataclasses
 import io
@@ -246,9 +247,9 @@ class TestAbbreviations:
                  for b, s in ((0.3, 1.0), (-2.7, 0.4), (1.5, 2.0), (-0.5, 0.7))]
         b, s, offset = (np.array(v) for v in zip(
             *((p.b_param, p.sqrt_a1, p.y_offset) for p in bases)))
-        ker0, _, go = triq.scatter._interface_kernels(b, s, offset,
-                                                      np.ones(len(b)))
-        assert go.all()
+        ker0, kera = triq.scatter._interface_kernels(b, s, offset,
+                                                     np.ones(len(b)))
+        assert not np.isnan([*ker0, *kera]).any()  # all eight series stand
         rg = [getattr(p, name) for p in bases for name in ("rg_bh", "rg_b", "rg_f6")]
         rg_bh, rg_b, rg_f6 = np.reshape(rg, (-1, 3)).T
         grid = triq.scatter._abbreviations(b, s, rg_bh, rg_b, rg_f6, ker0)
@@ -621,22 +622,33 @@ class TestInterfaceEvaluatedOnce:
         grid = [0.1, 3000.0, 1e4, 1e308, 2.0]
         sent = points_sent_alone(monkeypatch)
         counts = counted_routes(monkeypatch)
+        fractions = fraction_z(monkeypatch)
         got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
                                            "none", False)
         assert [E for E, _ in sent] == grid[1:]
-        grid_calls, grid_counts = calls[:], dict(counts)
-        del calls[:]
+        grid_calls, grid_counts, grid_z = calls[:], dict(counts), fractions[:]
+        del calls[:], fractions[:]
         counts.update(dd=0, tricomi=0)
         loop_outcomes("E", grid[1:])
         assert grid_calls == calls
         assert [name for name, _ in calls] == ["airy_ai", "airy_bi",
                                                "airy_ai"] * 2 + ["airy_ai"]
-        # the grid stops 2 eV at its Airy values, before its Kummer reruns
         alone_counts = dict(counts)
         counts.update(dd=0, tricomi=0)
         assert [outcome_key(g) for g in got] == \
             [outcome_key(w) for w in loop_outcomes("E", grid)]
-        assert grid_counts == {k: counts[k] + alone_counts[k] for k in counts}
+        # the grid passes 2 eV through its Kummer pass with NaN Airy
+        # values, so it makes the reruns of 2 eV's kernels, which the lone
+        # route, stopped at Airy, never reaches
+        loop_dd, loop_z = counts["dd"] + alone_counts["dd"], fractions[:]
+        counts.update(dd=0)
+        basis = basis_for(barrier_coefficients(2.0, MASS, BARRIER, U))
+        basis.kernels(0.0), basis.kernels(BARRIER.a)
+        assert counts["dd"] == 1
+        assert grid_counts["dd"] == loop_dd + counts["dd"]
+        assert_fractions_of_the_loop(
+            grid_z, loop_z, interface_z([(E, BARRIER) for E in grid[1:]],
+                                        MASS, False))
         del calls[:]
         del asym[:]
         transmission(0.1, MASS, BARRIER, U)
@@ -828,6 +840,48 @@ def counted_routes(monkeypatch):
     return counts
 
 
+def fraction_z(monkeypatch):
+    """z of every continued fraction the companion takes, in call order:
+    one for a float tricomi_u_cf call, one per element of an array call."""
+    zs = []
+    cf = triq.scatter.tricomi_u_cf
+
+    def spied(b, c, z, *inputs):
+        zs.extend(np.atleast_1d(z).tolist())
+        return cf(b, c, z, *inputs)
+
+    monkeypatch.setattr(triq.scatter, "tricomi_u_cf", spied)
+    return zs
+
+
+def interface_z(points, mp, printed_signs):
+    """The set of z at x = 0 and x = a of each (energy, profile) point
+    whose coefficients stand, as RegionIIBasis.kernels takes them."""
+    out = set()
+    for E, pp in points:
+        try:
+            basis = basis_for(barrier_coefficients(
+                E, mp, pp, U, printed_signs=printed_signs))
+        except (TriqError, ArithmeticError):
+            continue
+        for x in (0.0, pp.a):
+            y = x + basis.y_offset
+            out.add(basis.sqrt_a1 * y * y)
+    return out
+
+
+def assert_fractions_of_the_loop(grid_z, loop_z, alone_z):
+    """The continued fractions of a grid run (grid_z, its lone routes'
+    included) hold every one of a point loop's (loop_z, the loop over
+    every point and then over the points sent alone), and any more only
+    at an interface of a point sent alone (alone_z): the grid passes every
+    point, and may take the fraction at x = a of a point whose lone route
+    stopped before it."""
+    grid, loop = collections.Counter(grid_z), collections.Counter(loop_z)
+    assert loop <= grid
+    assert set(grid - loop) <= alone_z
+
+
 def points_sent_alone(monkeypatch):
     """The (energy, profile) points given to the lone-point route
     (scatter._alone), in call order."""
@@ -982,19 +1036,21 @@ class TestSweep:
         # every row and refusal of the grid path is what a loop of
         # transmission() calls gives, double for double.  The grid sends
         # alone exactly the refused points and those whose system holds a
-        # non-finite number; it makes each rerun and continued fraction of the loop
-        # once, and the lone route makes those of the points sent alone
+        # non-finite number; it makes each rerun of the loop once, and the
+        # lone route makes those of the points sent alone.  It takes every
+        # continued fraction of the loop, and more only at points sent alone
         mp, pp = setup or (MASS, BARRIER)
         counts = counted_routes(monkeypatch)
+        fractions = fraction_z(monkeypatch)
         sent = points_sent_alone(monkeypatch)
         want = loop_outcomes(axis, values, mp, pp, fidelity=fidelity,
                              auto_alpha=auto_alpha)
-        loop_counts = dict(counts)
+        loop_counts, loop_z = dict(counts), fractions[:]
         counts.update(dd=0, tricomi=0)
-        del sent[:]
+        del sent[:], fractions[:]
         got = triq.scatter._sweep_outcomes(axis, values, mp, pp, U,
                                            0.1, fidelity, auto_alpha)
-        grid_counts = dict(counts)
+        grid_counts, grid_z = dict(counts), fractions[:]
         assert [outcome_key(g) for g in got] == [outcome_key(w) for w in want]
         points = triq.scatter._grid_points(axis, values, pp, 0.1, auto_alpha)
         alone = [points.index(p) for p in sent]
@@ -1009,9 +1065,14 @@ class TestSweep:
                                   if not isinstance(w, Exception)
                                   and math.isnan(w.T_paper)]
         counts.update(dd=0, tricomi=0)
+        del fractions[:]
         loop_outcomes(axis, [values[i] for i in alone], mp, pp,
                       fidelity=fidelity, auto_alpha=auto_alpha)
-        assert grid_counts == {k: loop_counts[k] + counts[k] for k in counts}
+        assert grid_counts["dd"] == loop_counts["dd"] + counts["dd"]
+        assert_fractions_of_the_loop(
+            grid_z, loop_z + fractions,
+            interface_z([points[i] for i in alone], mp,
+                        fidelity in ("signs", "all")))
         rows = sweep(axis, values, mp, pp, U, E=0.1, fidelity=fidelity,
                      auto_alpha=auto_alpha)
         assert [outcome_key(r.result) if r.result else r.flags
@@ -1078,19 +1139,24 @@ class TestSweep:
         monkeypatch.setattr(RegionIIBasis, "second", spied_second)
         monkeypatch.setattr(triq.scatter, "_companion_grid", spied_companion)
         counts = counted_routes(monkeypatch)
+        fractions = fraction_z(monkeypatch)
         sent = points_sent_alone(monkeypatch)
         want = loop_outcomes("E", grid, fidelity=fidelity)
-        loop_counts = dict(counts)
+        loop_counts, loop_z = dict(counts), fractions[:]
         counts.update(dd=0, tricomi=0)
-        del sent[:]
+        del sent[:], fractions[:]
         got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
                                            fidelity, False)
-        grid_counts = dict(counts)
+        grid_counts, grid_z = dict(counts), fractions[:]
         assert [outcome_key(g) for g in got] == [outcome_key(w) for w in want]
         alone = [grid.index(E) for E, _ in sent]
         counts.update(dd=0, tricomi=0)
+        del fractions[:]
         loop_outcomes("E", [grid[i] for i in alone], fidelity=fidelity)
-        assert grid_counts == {k: loop_counts[k] + counts[k] for k in counts}
+        assert grid_counts["dd"] == loop_counts["dd"] + counts["dd"]
+        assert_fractions_of_the_loop(
+            grid_z, loop_z + fractions,
+            {z for i in alone for z in (z0[i], za[i])})
         errors = {i: str(g) for i, g in enumerate(got) if isinstance(g, Exception)}
         expect = {1: str(overflow(b[1] + 0.5)), 3: str(overflow(b[3])),
                   0: "spied f6 fault"}
@@ -1104,6 +1170,23 @@ class TestSweep:
         assert errors == expect
         # point 4 stands, but its NaN f6 puts a NaN in its system
         assert alone == sorted({4, *expect})
+
+    def test_every_pass_takes_every_point(self, monkeypatch):
+        # on the 100-point refusal band, where 45 points are refused, the
+        # Airy, Kummer and companion passes each take all 100 points: a
+        # refusal travels as NaN, and no pass is narrowed to the points
+        # an earlier pass kept
+        sizes = {"_exterior_airy": [], "_interface_kernels": [],
+                 "_companion_grid": []}
+        for name, seen in sizes.items():
+            def recorded(*args, _fn=getattr(triq.scatter, name), _seen=seen):
+                _seen.append(np.size(args[0]))
+                return _fn(*args)
+            monkeypatch.setattr(triq.scatter, name, recorded)
+        rows = sweep("E", linear_grid(2.25, 3.9, 100), MASS, BARRIER, U)
+        assert sum(r.result is None for r in rows) == 45
+        assert sizes == {"_exterior_airy": [100], "_interface_kernels": [100],
+                         "_companion_grid": [100, 100]}
 
     @pytest.mark.parametrize("fidelity", FIDELITY_MODES)
     def test_point_sent_alone_keeps_its_row(self, monkeypatch, fidelity):
@@ -1340,15 +1423,14 @@ def reference_coefficients(points, mp, u, printed_signs):
 
 def grid_coefficients(points, mp, u, printed_signs):
     """reference_coefficients' form of one _grid_coefficients call, with
-    "refused" for a point it does not fit (whose values but the width are
-    NaN)."""
-    *values, fits = triq.scatter._grid_coefficients(points, mp, u,
-                                                     printed_signs)
+    "refused" for a point it refuses: one with a NaN value, whose values
+    but the width are then all NaN."""
+    values = triq.scatter._grid_coefficients(points, mp, u, printed_signs)
     out = []
-    for i, fit in enumerate(fits.tolist()):
-        point = [v[i].item() for v in values]
-        assert fit or all(map(math.isnan, point[1:]))
-        out.append([v.hex() for v in point] if fit else "refused")
+    for point in zip(*(v.tolist() for v in values)):
+        refused = any(map(math.isnan, point[1:]))
+        assert not refused or all(map(math.isnan, point[1:]))
+        out.append("refused" if refused else [v.hex() for v in point])
     return out
 
 
