@@ -128,7 +128,9 @@ def spectrum(mp: MassParams, pp: PotentialProfile,
     """
     count = count_bound_states(mp, pp, u)
     if count > MAX_LISTED_LEVELS:
-        raise DomainError(f"{count} bound levels, more than the "
+        # past 2^53 the count is the ceiling of a double: its 17 digits
+        shown = f"{count:.17g}" if count > 2 ** 53 else str(count)
+        raise DomainError(f"{shown} bound levels, more than the "
                           f"{MAX_LISTED_LEVELS} a spectrum lists")
     return [energy_level(n, mp, pp, u) for n in range(count + 1)]
 

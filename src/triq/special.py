@@ -35,7 +35,11 @@ stays, scalar only, while bench/tracing.py binds its name.
 Three kernels also run over a 1-D array, element for element the doubles
 of the scalar calls: _kummer_m_array (one plain-series pass, summing a
 block of terms per numpy step), _airy_array and _recip_gamma_array.
-Their + - * / run in numpy in the scalar operation order.  One libm
+Their + - * / run in numpy in the scalar operation order.  The one
+exception is the Kummer rerun: _kummer_m_array takes every rerun of the
+grid in one double-double numpy pass (_kummer_rerun_array), which gets
+the fixed-point rerun's doubles by proof, not by operation order, and
+leaves each element it cannot prove to that rerun.  One libm
 serves both routes: every exp, log, root, power and sine that a lone
 point and a grid element share is numpy's, taken of a float as of an
 array (_libm hands a float back a Python float), so the routes agree
@@ -104,27 +108,47 @@ _KUMMER_MAX_TERMS = 1200
 _KUMMER_STOP = 1e-17
 # Above the first ratio the plain compensated sum has eaten ~4 of its 16
 # digits and the series is rerun in integer fixed point (_kummer_series_dd);
-# above the second the point is refused.  The second limit sets the closed
-# form's domain (README, "Where the closed form refuses"), not the rerun's
-# precision: with 2^-160 fixed-point steps a loss of 1e12 still leaves the
-# sum within ~2^-93 relative (the bound in _kummer_series_dd's docstring).
+# above the second the point is refused.  A grid takes its reruns in one
+# double-double pass (_kummer_rerun_array), which keeps an element only
+# where it proves that its doubles are the integer rerun's, and leaves the
+# others to that rerun; both reach the gates through _kummer_sum.  The
+# second limit sets the closed form's domain (README, "Where the closed
+# form refuses"), not the rerun's precision: with 2^-160 fixed-point steps
+# a loss of 1e12 still leaves the sum within ~2^-93 relative (the bound in
+# _kummer_series_dd's docstring).
 _KUMMER_ESCALATE_LOSS = 1.0e4
 _KUMMER_FAIL_LOSS = 1.0e12
 # the rerun's fixed-point bits for b, z >= 1 (more for tiny b or z), and
 # its stop rule's 1e-33 as the integer ratio of sum|terms| to a term
 _KUMMER_FIXED_BITS = 160
 _KUMMER_FIXED_STOP = 10 ** 33
+# _kummer_rerun_array's margins: the relative slack its plain-double terms
+# get against the integer rerun's in each stop-rule comparison (their own
+# error and the integer one's are below 2^-38 where it keeps an element),
+# and the size, relative to the sum of |terms|, below which a term is
+# summed in plain doubles rather than double-double
+_DD_MARGIN = 2.0 ** -36
+_DD_SMALL = 2.0 ** -56
+# Dekker's splitter 2^27 + 1, the unit roundoff u = 2^-53, and the
+# extraction constant 2^-28, whose sum with d, |d| < 2^-51, keeps d's
+# multiples of 2^-80
+_DD_SPLITTER = 134217729.0
+_U = 2.0 ** -53
+_DD_EXTRACT = 2.0 ** -28
 # _kummer_series_array's blocks: at most this many doubles per buffer, the
 # carried row included, and from _MIN to _MAX terms per block.  A smaller
 # budget cuts validate's 7001-point grid into more, shorter numpy calls
 # (8192 left its four calls no faster than one term per pass); 12288 was
 # 4% faster there but read validate's peak RSS 0.6 MB higher, memory the
-# C allocator kept after the call
+# C allocator kept after the call.  It also bounds each array of a
+# _kummer_rerun_array part (sweep_wide's 83 reruns in two parts of about
+# 0.75 MB at most in all; in three, under 6144, took a third longer)
 _KUMMER_BLOCK_BUDGET = 11264
 _KUMMER_BLOCK_MIN = 4
 _KUMMER_BLOCK_MAX = 32
-_KUMMER_K = np.arange(1.0, _KUMMER_MAX_TERMS + 1.0)[:, None]  # k, a column
-_KUMMER_K_LESS = _KUMMER_K - 1.0  # k - 1: c's part of r_k is c + (k - 1)
+_DD_K = np.arange(0.0, _KUMMER_MAX_TERMS + 1.0)[:, None]  # k = 0, 1, ..., a column
+_KUMMER_K = _DD_K[1:]  # k from 1
+_KUMMER_K_LESS = _DD_K[:-1]  # k - 1: c's part of r_k is c + (k - 1)
 # weight B + 1 - j of a block's row j; the largest stopped weight marks
 # the first stop (int8 keeps the pass over the block's mask short)
 _KUMMER_ROW_WEIGHTS = np.arange(_KUMMER_BLOCK_MAX, 0, -1, dtype=np.int8)[:, None]
@@ -803,8 +827,10 @@ def _kummer_series_dd(b: float, c: float, z: float) -> tuple[float, float]:
     kept sum (loss <= _KUMMER_FAIL_LOSS, n <= 1200) is within
     n^2 * 2^(5-160) * 1e12 < 2^-93 of the exact sum, relative.
 
-    The name stays from the double-double rerun of earlier versions,
-    because the tracer (as special.kummer.dd) and the tests bind it.
+    The scalar route's rerun, and the grid's where _kummer_rerun_array,
+    its double-double twin, proves nothing.  The name stays from the
+    double-double rerun of earlier versions, because the tracer (as
+    special.kummer.dd) binds it; the double-double pass is now the grid's.
     """
     bn, bd = b.as_integer_ratio()
     cn, cd = c.as_integer_ratio()
@@ -843,6 +869,232 @@ def _fixed_to_float(n: int, p: int) -> float:
         return math.inf if n > 0 else -math.inf
 
 
+def _dd_split(a):
+    """Dekker's split of an array into halves of at most 26 significant
+    bits each, whose products are exact doubles (barring underflow)."""
+    t = _DD_SPLITTER * a
+    hi = t - (t - a)
+    return hi, a - hi
+
+
+def _two_prod_error(a, b, p):
+    """a b - p exactly, elementwise, for arrays a and b given as their
+    _dd_split halves and their rounded product p (Dekker)."""
+    (ah, al), (bh, bl) = a, b
+    return ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _dd_column_sums(h, l, top):
+    """Column sums of double-double rows (hi, lo) of shape (n, m), as
+    (hi, lo) and a bound on their error; top bounds each column's sum of
+    |hi|.  h is overwritten.
+
+    The hi parts go through two error-free extractions (ExtractVector of
+    Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31, 2008): with
+    sigma = 2^M 2^e, 2^M >= n + 2 and 2^e >= top, the parts
+    (sigma + h) - sigma are exact, and so is their sum in any order, which
+    lets numpy reduce them; each leaves a rest below u sigma.  The second
+    rest and the lo parts, below u top in all, are summed in plain
+    doubles, within (n + 1) u times the sum of their magnitudes.
+    """
+    n = h.shape[0]
+    grow = 2.0 ** math.ceil(math.log2(n + 2))
+    sigma = grow * np.ldexp(1.0, np.frexp(top)[1])
+    parts = []
+    for _ in range(2):  # h becomes the rest, in place
+        q = sigma + h
+        q -= sigma
+        h -= q
+        parts.append(q.sum(axis=0))
+        sigma *= grow * _U
+    h += l
+    rest = h.sum(axis=0)
+    err = (n + 1.0) * _U * (n * sigma / grow + _U * top)
+    x = parts[0] + parts[1]  # two-sum of the exact parts, then the rest
+    y = x - parts[0]
+    e = (parts[0] - (x - y)) + (parts[1] - y) + rest
+    hi = x + e
+    return hi, e - (hi - x), err + 2.0 * _U * np.abs(rest) + 4.0 * _U * _U * np.abs(hi)
+
+
+def _kummer_ratios(b, c, z, rows):
+    """The rounded ratios rh_k = fl(b + k - 1) fl(z / ((c + k - 1) k)) of
+    the rows k < rows, as _kummer_rerun_part's plain terms take them, and
+    their relative excess d_r = r_k / rh_k - 1 over the exact ratio, within
+    9u^2.
+
+    The denominator is exact, because 4c is an integer and |c| <= 1024,
+    and has at most 26 bits; b + k - 1 is taken exactly as its integer
+    part plus its fraction (Fast2Sum, |b| <= 2^52), z over the
+    denominator as a quotient and its exact remainder (within 2u^2), and
+    their product's rounding error exactly (Dekker).
+    """
+    k = _DD_K[:rows]
+    num = b + (k - 1.0)
+    den = (c + (k - 1.0)) * k  # of at most 26 bits: its own Dekker split
+    den[0] = 1.0
+    qh = z / den
+    ratio = num * qh
+    qs = _dd_split(qh)
+    p = qh * den
+    ql = ((z - p) - ((qs[0] * den - p) + qs[1] * den)) / den
+    whole = np.trunc(b)  # b - trunc(b) is exact, b - floor(b) is not for -1 < b < 0
+    lo = (b - whole) - (num - (whole + (k - 1.0)))  # num + lo = b + k - 1
+    return ratio, (_two_prod_error(_dd_split(num), qs, ratio)
+                   + (num * ql + lo * qh + lo * ql)) / ratio
+
+
+def _kummer_dd_terms(b, c, z, t, rows, taken):
+    """_kummer_rerun_part's terms where taken, 0 elsewhere, as (hi, lo)
+    arrays of shape (n, 2, m): each term and its magnitude.  t holds the
+    terms' doubles, the running product of the rounded ratios (the first
+    rows of them with _kummer_ratios' excess d_r); the first rows are
+    taken in double-double, each within 20 k u^2 of the exact term k, and
+    the rest as they are.
+
+    The exact error of each running product (Dekker) gives its relative
+    excess d_p, within u^2.  Term k is its double times exp(L_k), L_k the
+    sum over j <= k of ln((1 + d_r)(1 + d_p)) = d - d^2/2 within 5u^2
+    (|d| < 2^-51): its multiples of 2^-80, split off by one error-free
+    extraction, sum exactly, and the rest, below 2^-81, in plain doubles.
+    exp(L) - 1 is L + L^2/2, which with the two roundings that bring it
+    onto the double adds under 5 k u^2.  A dropped term that is not
+    finite leaves NaN.
+    """
+    ratio, excess = _kummer_ratios(b, c, z, rows)
+    head, tail = t[:rows - 1], t[1:rows]
+    prod = _two_prod_error(_dd_split(head), _dd_split(ratio[1:]), tail) / tail
+    excess[0] = 0.0
+    excess[1:] += prod + excess[1:] * prod
+    excess -= 0.5 * excess * excess
+    whole = (_DD_EXTRACT + excess) - _DD_EXTRACT
+    excess -= whole
+    log = np.cumsum(whole, axis=0)
+    growth = log + (np.cumsum(excess, axis=0) + 0.5 * log * log)
+    growth *= t[:rows]
+    hi = t[:rows] + growth
+    growth -= hi - t[:rows]
+    shape = t.shape[:1] + (2,) + t.shape[1:]
+    hs, ls = np.empty(shape), np.zeros(shape)
+    np.multiply(hi, taken[:rows], out=hs[:rows, 0])
+    np.multiply(t[rows:], taken[rows:], out=hs[rows:, 0])
+    np.multiply(growth, taken[:rows], out=ls[:rows, 0])
+    np.multiply(ls[:rows, 0], np.sign(hi), out=ls[:rows, 1])
+    np.abs(hs[:, 0], out=hs[:, 1])
+    return hs, ls
+
+
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")
+def _kummer_rerun_part(b, c, z, width):
+    """The value and the sum of |terms| of each element's series, to the
+    integer loop's stop, as double-double (hi, lo) arrays of shape (2, m),
+    and a bound on their error from the fixed-point rerun's pair before
+    its rounding, NaN where the pass proves nothing (the stop not proven,
+    or not within width terms, or terms out of range).
+
+    Row k of each (rows, m) array is term k, k = 0 the series' leading 1.
+    The terms in plain doubles, each within 4k u of the exact term, decide
+    where the integer loop stops: at the first k >= 4 where a term is no
+    larger than the one before and 1e33 times it is below the sum of
+    |terms| so far.  Each comparison is proven with a relative slack of
+    _DD_MARGIN, which covers both runs' terms where the fixed-point error,
+    2^(1-P) |t_k| sum_(j <= k) 1/|t_j| on term k (the bound in
+    _kummer_series_dd's docstring), is below 2^-40 of the term.  That
+    leaves unproven an element with a zero term (a polynomial, or a term
+    below 2^-900), where the loop's other exit, a term that rounds to 0,
+    may be taken.  Where the first possible stop is not proven, the loop
+    may stop one term later; the pass then sums to the first and counts
+    the next term in its error.
+
+    The terms of at least _DD_SMALL times the sum of |terms| are taken in
+    double-double (_kummer_dd_terms); the smaller ones past them are the
+    plain doubles.  Both sums come from _dd_column_sums over the terms to
+    the stop, and the bound adds the double-double terms' and sums'
+    errors, the plain tail's, the fixed-point rerun's and the possible
+    extra term.
+    """
+    cols = np.arange(z.size)
+    k = _DD_K[:width + 1]
+    t = (b + (k - 1.0)) * (z / ((c + (k - 1.0)) * k))  # the ratios, then terms
+    t[0] = 1.0
+    np.multiply.accumulate(t, axis=0, out=t)
+    mag = np.abs(t)
+    abs_sum = np.cumsum(mag, axis=0)
+    may = mag * (1e33 * (1.0 - _DD_MARGIN)) < abs_sum
+    may[1:] &= mag[1:] <= mag[:-1] * (1.0 + _DD_MARGIN)
+    may[:4] = False
+    stop = may.argmax(axis=0)  # the first k where the loop may stop, or 0
+    last = min(int(stop.max()) + 1, width)
+    k, t, mag, abs_sum = (a[:last + 1] for a in (k, t, mag, abs_sum))
+
+    # the stop rule, proven, at the first possible stop and the term after
+    i = (np.minimum(np.stack([stop, stop + 1]), last), cols)
+    holds = ((mag[i] * (1e33 * (1.0 + _DD_MARGIN)) < abs_sum[i])
+             & (mag[i] * (1.0 + _DD_MARGIN) <= mag[i[0] - 1, cols] * (1.0 - _DD_MARGIN)))
+    proven = holds[0]
+    kept = (stop > 0) & (proven | (holds[1] & (stop < last)))
+    used = np.minimum(stop + ~proven, last)  # the last term the loop may sum
+    total = abs_sum[stop, cols]
+    bits = (_KUMMER_FIXED_BITS + np.maximum(0, -np.frexp(b)[1])
+            + np.maximum(0, -np.frexp(z)[1]))
+    # sum_(j <= k) 1/|t_j| (j = 0 included: an upper bound) and the sum of
+    # |t_k| times it, read at the last used term; inf past a zero term
+    reach = np.cumsum(1.0 / mag, axis=0)
+    fixed = np.ldexp(np.cumsum(mag * reach, axis=0)[used, cols], 1 - bits)
+    reach = reach[used, cols]
+    # every used term within 2^-900 .. 2^900: the products and splits stay exact
+    kept &= ((reach <= np.ldexp(1.0, bits - 41)) & (reach <= 2.0 ** 900)
+             & (abs_sum[used, cols] <= 2.0 ** 900))
+    rows = int(np.flatnonzero((mag >= _DD_SMALL * total).any(axis=1))[-1]) + 1
+    hs, ls = _kummer_dd_terms(b, c, z, t, rows, k <= stop)
+    err = (21.0 * _U * _U * np.cumsum(k * mag, axis=0)[stop, cols]  # 20 k u^2
+           + 5.0 * last * _U * hs[rows:, 1].sum(axis=0)  # the plain terms, 4 k u
+           + fixed * (1.0 + 2.0 ** -30)
+           + np.where(proven, 0.0, 2.0 * mag[used, cols]))
+    top = np.tile(total * (1.0 + 2.0 ** -30), 2)  # the sum of |terms|, rounded up
+    hi, lo, sums = _dd_column_sums(hs.reshape(last + 1, -1), ls.reshape(last + 1, -1), top)
+    hi, lo = hi.reshape(2, -1), lo.reshape(2, -1)
+    err += sums.reshape(2, -1).max(axis=0)
+    return hi, lo, np.where(kept, err, math.nan)
+
+
+def _kummer_rerun_array(b, c, z):
+    """_kummer_series_dd of every element of 1-D arrays b, c and z, in one
+    double-double numpy pass: a (2, n) array of each element's value and
+    sum of |terms|, the integer rerun's doubles by proof, or NaN where the
+    pass proves nothing and the element needs that rerun.
+
+    The elements are those _kummer_m_array reruns: finite, 0 < z <=
+    KUMMER_ENVELOPE, c no non-positive integer.  The pass takes an
+    element where 4c is an integer and |c| <= 1024 and |b| <= 2^52, within
+    a width of z + 12 sqrt(z) + 40 terms (every element of the rerun
+    corpora in tests/test_special.py stops within that).  Its two sums
+    and their error bound (_kummer_rerun_part) give the pair where
+    rounding both ends of each sum's interval gives one double: Ziv's
+    rounding test (ACM TOMS 17, 1991).  The elements, widest first, share
+    parts of at most _KUMMER_BLOCK_BUDGET doubles per array of terms.
+    """
+    out = np.full((2, z.size), math.nan)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        width = np.minimum(np.ceil(z + 12.0 * np.sqrt(z) + 40.0), _KUMMER_MAX_TERMS)
+        todo = np.flatnonzero((np.floor(4.0 * c) == 4.0 * c) & (np.abs(c) <= 1024.0)
+                              & (np.abs(b) <= 2.0 ** 52))
+        todo = todo[np.argsort(-width[todo], kind="stable")]
+        while todo.size:
+            w = int(width[todo[0]])
+            parts = -(-todo.size * (w + 1) // _KUMMER_BLOCK_BUDGET)
+            part, todo = np.split(todo, [-(-todo.size // parts)])
+            hi, lo, err = _kummer_rerun_part(b[part], c[part], z[part], w)
+            # Ziv's test: lo +- err rounded outward (u |lo| more, and the
+            # least subnormal for underflow), then added to hi once
+            err = (err + _U * np.abs(lo)) * (1.0 + 4.0 * _U) + 5e-324
+            low = hi + (lo - err)
+            out[:, part] = np.where((low == hi + (lo + err)).all(axis=0)
+                                    & (np.abs(low) < math.inf).all(axis=0),
+                                    low, math.nan)
+    return out
+
+
 def _kummer_series_array(b, c, z: np.ndarray):
     """_kummer_series over a 1-D array of z, every element with the scalar
     loop's doubles.
@@ -876,7 +1128,7 @@ def _kummer_series_array(b, c, z: np.ndarray):
     buffers and their masks, about 0.5 MB); a longer z is summed in equal
     parts of at most the budget over 5 elements, so that B >= 4.
 
-    This is the only array summer, and it only sums: the loss gates stay
+    This is the plain array summer, and it only sums: the loss gates stay
     with _kummer_m_array, which walks each point's series in order and
     stops at its first refusal, because a scalar loop never reruns (in
     fixed point, 2-4x the plain sum) a series past a refused one.
@@ -1001,19 +1253,20 @@ def _loss(value, abs_sum):
     return abs_sum / (abs(value) + (value == 0.0) * 5e-324)
 
 
-def _kummer_sum(b: float, c: float, z: float, plain=None) -> float:
+def _kummer_sum(b: float, c: float, z: float, plain=None, rerun=None) -> float:
     """M(b; c; z), z > 0, from the plain series or its fixed-point rerun.
 
     Both loss gates are decided here and only here (the escalation test
     through _plain_kept, which _kummer_m_array also reads to skip this
     call where the plain sum stands).  plain is the (sum, sum of |terms|)
     of the plain series at this z when it has already been summed (over an
-    array, by _kummer_m_array).
+    array, by _kummer_m_array), and rerun the rerun's pair where
+    _kummer_rerun_array has proven it.
     """
     value, abs_sum = _kummer_series(b, c, z) if plain is None else plain
     if _plain_kept(value, abs_sum):
         return value
-    value, abs_sum = _kummer_series_dd(b, c, z)
+    value, abs_sum = _kummer_series_dd(b, c, z) if rerun is None else rerun
     if _loss(value, abs_sum) > _KUMMER_FAIL_LOSS:
         cause = ("cancellation too severe" if abs_sum < math.inf
                  else "sum of |terms| overflows a double")
@@ -1058,11 +1311,14 @@ def _kummer_m_array(b, c, z):
     that kummer_m refuses before summing (a non-finite argument, c a
     non-positive integer, |z| past the envelope) or whose series runs out
     of terms is refused; any other makes the scalar call for its value:
-    _kummer_sum on the plain sum (the fixed-point rerun), or kummer_m
-    (z <= 0).  A row stops at its first refusal, as a scalar loop over the
-    point would, so no rerun is made past it.  Returns the values, NaN
-    from a refusal to the end of its row; an element is NaN exactly where
-    a scalar loop over its row raises at or before it.
+    _kummer_sum on the plain sum (the rerun), or kummer_m (z <= 0).  The
+    reruns are taken first, in one _kummer_rerun_array pass over every
+    element the walk may reach, and _kummer_sum gates each proven pair;
+    an element the pass does not prove takes the fixed-point rerun there.
+    A row stops at its first refusal, as a scalar loop over the point
+    would, so no fixed-point rerun is made past it.  Returns the values,
+    NaN from a refusal to the end of its row; an element is NaN exactly
+    where a scalar loop over its row raises at or before it.
     """
     z = np.asarray(z, dtype=float)
     bz, cz = np.broadcast_to(b, z.shape), np.broadcast_to(c, z.shape)
@@ -1082,18 +1338,25 @@ def _kummer_m_array(b, c, z):
     values = np.where(kept, plain, math.nan)
     grid = [a if a.ndim == 2 else a[:, None]
             for a in (values, bz, cz, z, plain, plain_abs, direct, refused, kept)]
-    for i in np.flatnonzero(~grid[-1].all(axis=1)).tolist():
+    _, bg, cg, zg, _, _, direct, refused, kept = grid
+    rerun = direct & ~kept & ~np.logical_or.accumulate(refused, axis=1)
+    proven = np.full((2,) + zg.shape, math.nan)
+    if rerun.any():
+        proven[:, rerun] = _kummer_rerun_array(bg[rerun], cg[rerun], zg[rerun])
+    grid[6:6] = proven
+    for i in np.flatnonzero(~kept.all(axis=1)).tolist():
         out, *point = (a[i] for a in grid)
         # Python floats from tolist: the scalar routes' own types
-        for j, (bj, cj, zj, sj, aj, direct_j, refused_j, kept_j) in enumerate(
+        for j, (bj, cj, zj, sj, aj, rv, ra, direct_j, refused_j, kept_j) in enumerate(
                 zip(*(a.tolist() for a in point))):
             if kept_j:
                 continue
             if refused_j:
                 break
             try:
-                out[j] = (_kummer_sum(bj, cj, zj, (sj, aj)) if direct_j
-                          else kummer_m(bj, cj, zj))
+                out[j] = (_kummer_sum(bj, cj, zj, (sj, aj),
+                                      (rv, ra) if rv == rv else None)
+                          if direct_j else kummer_m(bj, cj, zj))
             except TriqError:
                 break
         else:

@@ -141,6 +141,19 @@ class TestSpectrum:
             assert len(evaluated) <= 4
             del evaluated[:]
 
+    @pytest.mark.parametrize("alpha, shown", [
+        (1.6e-12, "8324154322675034"),  # at most 2^53: the integer
+        (1.4e-12, "10170166044099786"),  # past it: %.17g of the double
+        (1e-100, "1.6846903842689358e+148")])
+    def test_huge_count_refused_with_its_digits(self, alpha, shown):
+        pp = PotentialProfile(V0=0.45, alpha=alpha, a=7.0, kind="well")
+        count = count_bound_states(MASS, pp, U)
+        assert (count > 2 ** 53) == (alpha < 1.5e-12)
+        with pytest.raises(DomainError) as refused:
+            spectrum(MASS, pp, U)
+        assert str(refused.value) == (
+            f"{shown} bound levels, more than the 100000 a spectrum lists")
+
     def test_listing_limit(self, monkeypatch):
         monkeypatch.setattr(triq.bound, "MAX_LISTED_LEVELS", 56)
         with pytest.raises(DomainError, match="^57 bound levels"):

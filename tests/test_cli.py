@@ -399,6 +399,13 @@ class TestBoundCommand:
         assert main(["bound"]) == 2
         assert "kind = well" in capsys.readouterr().err
 
+    def test_huge_count_exits_two(self, capsys):
+        # a 151-digit level count prints as %.17g (bound.spectrum)
+        assert main(["bound", "--kind", "well", "--M1_m0_per_nm", "1e300"]) == 2
+        assert capsys.readouterr().err == (
+            "error: 3.9931073426593482e+150 bound levels, more than the "
+            "100000 a spectrum lists\n")
+
     @pytest.mark.parametrize("flags", [["--alpha_eV_per_nm", "1e103"],
                                        ["--V0_eV", "1e300"],
                                        ["--a_nm", "1e-300"]])

@@ -46,6 +46,8 @@ from triq.scatter import (
 )
 from triq.special import airy_ai, airy_bi, recip_gamma
 
+from test_special import rerun_routes
+
 U = make_units()
 MASS = MassParams()
 BARRIER = PotentialProfile()
@@ -626,26 +628,24 @@ class TestInterfaceEvaluatedOnce:
         got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
                                            "none", False)
         assert [E for E, _ in sent] == grid[1:]
-        grid_calls, grid_counts, grid_z = calls[:], dict(counts), fractions[:]
+        grid_calls, grid_counts, grid_z = calls[:], taken(counts), fractions[:]
         del calls[:], fractions[:]
-        counts.update(dd=0, tricomi=0)
         loop_outcomes("E", grid[1:])
         assert grid_calls == calls
         assert [name for name, _ in calls] == ["airy_ai", "airy_bi",
                                                "airy_ai"] * 2 + ["airy_ai"]
-        alone_counts = dict(counts)
-        counts.update(dd=0, tricomi=0)
+        alone_counts = taken(counts)
         assert [outcome_key(g) for g in got] == \
             [outcome_key(w) for w in loop_outcomes("E", grid)]
         # the grid passes 2 eV through its Kummer pass with NaN Airy
         # values, so it makes the reruns of 2 eV's kernels, which the lone
         # route, stopped at Airy, never reaches
-        loop_dd, loop_z = counts["dd"] + alone_counts["dd"], fractions[:]
-        counts.update(dd=0)
+        loop_reruns = taken(counts)["reruns"] + alone_counts["reruns"]
+        loop_z = fractions[:]
         basis = basis_for(barrier_coefficients(2.0, MASS, BARRIER, U))
         basis.kernels(0.0), basis.kernels(BARRIER.a)
-        assert counts["dd"] == 1
-        assert grid_counts["dd"] == loop_dd + counts["dd"]
+        assert len(counts["reruns"]) == 1
+        assert sorted(grid_counts["reruns"]) == sorted(loop_reruns + counts["reruns"])
         assert_fractions_of_the_loop(
             grid_z, loop_z, interface_z([(E, BARRIER) for E in grid[1:]],
                                         MASS, False))
@@ -821,23 +821,30 @@ def asymptotic_airy_calls(monkeypatch):
 
 
 def counted_routes(monkeypatch):
-    """Counters of the fixed-point Kummer reruns and of the companion's
-    continued fractions: a float tricomi_u_cf call counts one, an array
+    """The Kummer reruns (rerun_routes: "reruns", "passed" and "integer",
+    lists of (b, c, z)) and a counter of the companion's continued
+    fractions ("tricomi"): a float tricomi_u_cf call counts one, an array
     call one per element."""
-    counts = {"dd": 0, "tricomi": 0}
+    counts = rerun_routes(monkeypatch)
+    counts["tricomi"] = 0
+    cf = triq.scatter.tricomi_u_cf
 
-    def counter(name, fn, size=lambda *args: 1):
-        def counted(*args):
-            counts[name] += size(*args)
-            return fn(*args)
-        return counted
+    def counted(b, c, z, *inputs):
+        counts["tricomi"] += np.size(z)
+        return cf(b, c, z, *inputs)
 
-    monkeypatch.setattr(triq.special, "_kummer_series_dd",
-                        counter("dd", triq.special._kummer_series_dd))
-    monkeypatch.setattr(triq.scatter, "tricomi_u_cf",
-                        counter("tricomi", triq.scatter.tricomi_u_cf,
-                                lambda b, c, z, *inputs: np.size(z)))
+    monkeypatch.setattr(triq.scatter, "tricomi_u_cf", counted)
     return counts
+
+
+def taken(counts):
+    """A copy of counted_routes' counts so far, which are then cleared."""
+    got = {k: v[:] if isinstance(v, list) else v for k, v in counts.items()}
+    for v in counts.values():
+        if isinstance(v, list):
+            del v[:]
+    counts["tricomi"] = 0
+    return got
 
 
 def fraction_z(monkeypatch):
@@ -1045,12 +1052,11 @@ class TestSweep:
         sent = points_sent_alone(monkeypatch)
         want = loop_outcomes(axis, values, mp, pp, fidelity=fidelity,
                              auto_alpha=auto_alpha)
-        loop_counts, loop_z = dict(counts), fractions[:]
-        counts.update(dd=0, tricomi=0)
+        loop_counts, loop_z = taken(counts), fractions[:]
         del sent[:], fractions[:]
         got = triq.scatter._sweep_outcomes(axis, values, mp, pp, U,
                                            0.1, fidelity, auto_alpha)
-        grid_counts, grid_z = dict(counts), fractions[:]
+        grid_counts, grid_z = taken(counts), fractions[:]
         assert [outcome_key(g) for g in got] == [outcome_key(w) for w in want]
         points = triq.scatter._grid_points(axis, values, pp, 0.1, auto_alpha)
         alone = [points.index(p) for p in sent]
@@ -1064,11 +1070,19 @@ class TestSweep:
             assert non_finite == [i for i, w in enumerate(want)
                                   if not isinstance(w, Exception)
                                   and math.isnan(w.T_paper)]
-        counts.update(dd=0, tricomi=0)
+        taken(counts)
         del fractions[:]
         loop_outcomes(axis, [values[i] for i in alone], mp, pp,
                       fidelity=fidelity, auto_alpha=auto_alpha)
-        assert grid_counts["dd"] == loop_counts["dd"] + counts["dd"]
+        alone_counts = taken(counts)
+        # the grid's reruns are the loop's and the lone routes'; the pass
+        # took every input the loop reruns, and the fixed-point rerun
+        # serves the lone routes and what the pass did not prove
+        assert sorted(grid_counts["reruns"]) == \
+            sorted(loop_counts["reruns"] + alone_counts["reruns"])
+        assert set(loop_counts["reruns"]) <= set(grid_counts["passed"])
+        fallbacks = len(grid_counts["integer"]) - len(alone_counts["reruns"])
+        assert 0 <= fallbacks <= len(grid_counts["passed"])
         assert_fractions_of_the_loop(
             grid_z, loop_z + fractions,
             interface_z([points[i] for i in alone], mp,
@@ -1082,9 +1096,10 @@ class TestSweep:
         if values[0] == 2.25:
             assert sum(isinstance(g, AccuracyError) for g in got) == 45
             assert len(alone) == 45 and not non_finite
-            assert loop_counts["dd"] == 271
+            assert len(loop_counts["reruns"]) == 271
             # the 45 lone routes rerun 51 series before their refusals
-            assert grid_counts["dd"] == 271 + 51
+            assert len(grid_counts["reruns"]) == 271 + 51
+            assert (len(grid_counts["passed"]), fallbacks) == (400, 45)
 
     @pytest.mark.parametrize("fidelity", FIDELITY_MODES)
     def test_each_point_keeps_its_first_error(self, monkeypatch, fidelity):
@@ -1142,18 +1157,17 @@ class TestSweep:
         fractions = fraction_z(monkeypatch)
         sent = points_sent_alone(monkeypatch)
         want = loop_outcomes("E", grid, fidelity=fidelity)
-        loop_counts, loop_z = dict(counts), fractions[:]
-        counts.update(dd=0, tricomi=0)
+        loop_counts, loop_z = taken(counts), fractions[:]
         del sent[:], fractions[:]
         got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
                                            fidelity, False)
-        grid_counts, grid_z = dict(counts), fractions[:]
+        grid_counts, grid_z = taken(counts), fractions[:]
         assert [outcome_key(g) for g in got] == [outcome_key(w) for w in want]
         alone = [grid.index(E) for E, _ in sent]
-        counts.update(dd=0, tricomi=0)
         del fractions[:]
         loop_outcomes("E", [grid[i] for i in alone], fidelity=fidelity)
-        assert grid_counts["dd"] == loop_counts["dd"] + counts["dd"]
+        assert sorted(grid_counts["reruns"]) == \
+            sorted(loop_counts["reruns"] + counts["reruns"])
         assert_fractions_of_the_loop(
             grid_z, loop_z + fractions,
             {z for i in alone for z in (z0[i], za[i])})

@@ -47,6 +47,8 @@ from triq.special import (
     _airy_asym_pos,
     _airy_taylor_step,
     _kummer_m_array,
+    _kummer_rerun_array,
+    _kummer_rerun_part,
     _kummer_series,
     _kummer_series_array,
     _kummer_series_dd,
@@ -990,25 +992,52 @@ def judged(fn, b, c, z):
     return got
 
 
+def rerun_routes(patch):
+    """Spies, set on patch, on the Kummer reruns: "reruns" holds the (b, c, z)
+    of every rerun in call order, a fixed-point _kummer_series_dd call or a
+    pair _kummer_rerun_array proved as _kummer_sum takes it, "passed" every
+    element _kummer_rerun_array takes, and "integer" every fixed-point call."""
+    routes = {"reruns": [], "passed": [], "integer": []}
+    special = triq.special
+    dd, total, rerun_array = (special._kummer_series_dd, special._kummer_sum,
+                              special._kummer_rerun_array)
+
+    def integer(*args):
+        routes["reruns"].append(args)
+        routes["integer"].append(args)
+        return dd(*args)
+
+    def summed(b, c, z, plain=None, rerun=None):
+        if rerun is not None:
+            routes["reruns"].append((b, c, z))
+        return total(b, c, z, plain, rerun)
+
+    def passed(b, c, z):
+        routes["passed"].extend(zip(b.tolist(), c.tolist(), z.tolist()))
+        return rerun_array(b, c, z)
+
+    patch.setattr(special, "_kummer_series_dd", integer)
+    patch.setattr(special, "_kummer_sum", summed)
+    patch.setattr(special, "_kummer_rerun_array", passed)
+    return routes
+
+
 def recorded_calls(run):
-    """The (b, c, z) of every plain array sum and every rerun of run(), in
-    order, as two tuples."""
-    sums, reruns = [], []
-    array, dd = triq.special._kummer_series_array, triq.special._kummer_series_dd
+    """The (b, c, z) of every plain array sum, every rerun (rerun_routes),
+    every element of the array rerun pass and every fixed-point rerun of
+    run(), in order, as four tuples."""
+    sums = []
+    array = triq.special._kummer_series_array
 
     def summed(b, c, z):
         sums.append(tuple(np.array(p) if np.ndim(p) else p for p in (b, c, z)))
         return array(b, c, z)
 
-    def rerun(*args):
-        reruns.append(args)
-        return dd(*args)
-
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(triq.special, "_kummer_series_array", summed)
-        patch.setattr(triq.special, "_kummer_series_dd", rerun)
+        routes = rerun_routes(patch)
         run()
-    return tuple(sums), tuple(reruns)
+    return (tuple(sums), *(tuple(routes[k]) for k in ("reruns", "passed", "integer")))
 
 
 def recorded_reruns(run):
@@ -1050,6 +1079,23 @@ def validate_grid_reruns():
                                            make_units()))
     return recorded_reruns(
         lambda: basis.kernels(np.array([i * 1e-3 for i in range(7001)])))
+
+
+# the fixed-point rerun's edge cases
+FIXED_POINT_EDGES = [
+    (-3.0, 1.5, 30.0),  # polynomials
+    (0.0, 0.5, 10.0),
+    (-17.0, 2.5, 120.0),
+    (math.nextafter(-3.0, 0.0), 1.5, 30.0),  # one ulp either side of -3
+    (math.nextafter(-3.0, -math.inf), 1.5, 30.0),
+    (1e-300, 0.5, 1000.0),  # terms still rising at the last one
+    (5e-324, 0.5, 1000.0),
+    (1e-140, 0.5, 300.0),  # tiny b whose rising terms reach the sum
+    (-0.3, 1.5, 5e-324),  # subnormal z
+    (-40.0, 0.5, 1e-310),
+    (-120.0, 2.5, 300.0),  # the envelope corner, refused
+    (1e3, 0.5, 300.0),  # terms past the double range: inf
+]
 
 
 class TestKummerKernelsBitIdentical:
@@ -1095,20 +1141,7 @@ class TestKummerKernelsBitIdentical:
             verdicts.append(got if isinstance(got, str) else "kept")
         assert verdicts.count("kept") > 800 and verdicts.count("refused") > 200
 
-    @pytest.mark.parametrize("b, c, z", [
-        (-3.0, 1.5, 30.0),  # polynomials
-        (0.0, 0.5, 10.0),
-        (-17.0, 2.5, 120.0),
-        (math.nextafter(-3.0, 0.0), 1.5, 30.0),  # one ulp either side of -3
-        (math.nextafter(-3.0, -math.inf), 1.5, 30.0),
-        (1e-300, 0.5, 1000.0),  # terms still rising at the last one
-        (5e-324, 0.5, 1000.0),
-        (1e-140, 0.5, 300.0),  # tiny b whose rising terms reach the sum
-        (-0.3, 1.5, 5e-324),  # subnormal z
-        (-40.0, 0.5, 1e-310),
-        (-120.0, 2.5, 300.0),  # the envelope corner, refused
-        (1e3, 0.5, 300.0),  # terms past the double range: inf
-    ])
+    @pytest.mark.parametrize("b, c, z", FIXED_POINT_EDGES)
     def test_fixed_point_edge_cases(self, b, c, z):
         want = judged(reference_series_decimal, b, c, z)
         assert judged(_kummer_series_dd, b, c, z) == want
@@ -1225,10 +1258,14 @@ class TestKummerKernelsBitIdentical:
         # one array per (b, c) of the box: 30 of its z, then the inputs
         # kummer_m routes elsewhere (zero, negative, past the envelope, NaN);
         # NaN exactly where the scalar call raises
-        reruns = []
-        dd = triq.special._kummer_series_dd
-        monkeypatch.setattr(triq.special, "_kummer_series_dd",
-                            lambda *args: reruns.append(args) or dd(*args))
+        routes = rerun_routes(monkeypatch)
+        grid, loop = ({k: [] for k in routes} for _ in range(2))
+
+        def moved(to):  # routes' records so far, moved to to
+            for k, route in routes.items():
+                to[k] += route
+                del route[:]
+
         box = seeded_box(240)
         extra = [0.0, -3.5, 1.01 * KUMMER_ENVELOPE, math.nan]
         refused = 0
@@ -1236,22 +1273,32 @@ class TestKummerKernelsBitIdentical:
             b, c, _ = box[j]
             zs = [z for _, _, z in box[j:j + 30]] + extra
             values = _kummer_m_array(b, c, np.array(zs))
+            moved(grid)
             want = [scalar_outcome(b, c, z) for z in zs]
+            moved(loop)
             assert [array_outcome(v) for v in values.tolist()] == \
                 [refused_or_hex(w) for w in want]
             refused += sum(not isinstance(w, str) for w in want[:30])
-        # both the double-double rerun and its refusal were reached
-        assert refused and len(reruns) > 2 * refused
+        # the rerun and its refusal were both reached, the grid making the
+        # scalar calls' reruns in their order; each element is its own
+        # point, so the pass took every rerun, and the fixed-point rerun
+        # only those the pass did not prove, each refused by the 1e12 gate
+        assert refused and len(loop["reruns"]) > refused
+        assert grid["reruns"] == loop["reruns"]
+        assert (len(loop["reruns"]), len(grid["passed"]),
+                len(grid["integer"])) == (178, 178, 167)
+        assert set(grid["integer"]) <= set(grid["passed"])
+        assert all(judged(_kummer_series_dd, *args) == "refused"
+                   for args in grid["integer"])
 
         # mixed (b, c), one pair per element: the box as 60 points of 4
         # series each, a row stopping at its first refusal as a scalar
         # loop over the point does, with the same reruns in the same order
         rows = [box[i:i + 4] for i in range(0, len(box), 4)]
         b, c, z = np.array(rows).transpose(2, 0, 1)
-        del reruns[:]
+        grid, loop = ({k: [] for k in routes} for _ in range(2))
         values = _kummer_m_array(b, c, z)
-        grid_reruns = reruns[:]
-        del reruns[:]
+        moved(grid)
         refused_rows = []
         for i, row in enumerate(rows):
             for j, (bj, cj, zj) in enumerate(row):
@@ -1261,7 +1308,15 @@ class TestKummerKernelsBitIdentical:
                     assert np.isnan(values[i, j:]).all()
                     break
                 assert values[i, j].hex() == w
-        assert grid_reruns == reruns
+        moved(loop)
+        assert grid["reruns"] == loop["reruns"]
+        # every rerun of the loop is one the pass took; the pass also took
+        # series past a rerun the gate refuses, which the walk never reached
+        assert set(loop["integer"]) <= set(grid["passed"])
+        assert (len(loop["integer"]), len(grid["passed"]),
+                len(grid["integer"])) == (69, 162, 57)
+        assert all(judged(_kummer_series_dd, *args) == "refused"
+                   for args in grid["integer"])
         assert np.flatnonzero(np.isnan(values).any(axis=1)).tolist() == \
             refused_rows
         # rows refused before their last series, so reruns were skipped
@@ -1283,6 +1338,132 @@ class TestKummerKernelsBitIdentical:
         assert np.isnan(values).all()
         assert all(not isinstance(scalar_outcome(b, c, z), str)
                    for z in (0.5, 2.0))
+
+
+# every rerun input of each corpus, by name
+RERUN_CORPORA = {
+    "sweep_wide": wide_sweep_reruns,
+    "sweep_subbarrier": lambda: sweep_calls(0.02, 0.44, 200)[1],
+    "2.25-3.9 eV": sweep_dd_inputs,
+    "box": seeded_box,
+    "interior grid": validate_grid_reruns,
+}
+
+
+def rerun_pass(inputs):
+    """_kummer_rerun_array of a list of (b, c, z), as a (value, abs_sum)
+    pair per input."""
+    b, c, z = np.array(inputs, dtype=float).reshape(-1, 3).T
+    return list(zip(*_kummer_rerun_array(b, c, z).tolist()))
+
+
+class TestKummerRerunArray:
+    """The double-double pass over a grid's reruns: an element it keeps
+    holds the fixed-point rerun's two doubles, so its 1e12 verdict too,
+    and every other element is left (NaN) for the fixed-point rerun."""
+
+    @pytest.mark.parametrize("corpus, size, left", [
+        ("sweep_wide", 83, 0), ("sweep_subbarrier", 0, 0),
+        ("2.25-3.9 eV", 322, 89), ("box", 300, 172),
+        ("interior grid", 3472, 0)])
+    def test_kept_elements_are_the_fixed_point_reruns(self, corpus, size, left):
+        inputs = list(RERUN_CORPORA[corpus]())
+        assert len(inputs) == size
+        missed = missed_kept = 0
+        for args, pair in zip(inputs, rerun_pass(inputs)):
+            want = outcome(_kummer_series_dd, *args)
+            if math.isnan(pair[0]):
+                assert math.isnan(pair[1])
+                missed += 1
+                missed_kept += judged(_kummer_series_dd, *args) == want
+            else:
+                assert tuple(v.hex() for v in pair) == want, args
+        # the 2.25-3.9 eV sweep leaves 3 sums the gate keeps, with losses
+        # up to 9e11, whose error bounds straddle a rounding boundary; the
+        # rest of what is left is refused by the gate
+        assert (missed, missed_kept) == (left, 3 if corpus == "2.25-3.9 eV" else 0)
+
+    @pytest.mark.parametrize("lo, hi, n, counts", [
+        (0.02, 2.25, 200, (83, 83, 0)), (0.02, 0.44, 200, (0, 0, 0)),
+        (2.25, 3.9, 100, (322, 400, 96))])
+    def test_sweep_counts(self, lo, hi, n, counts):
+        # a sweep's reruns, the elements the pass took and the fixed-point
+        # reruns: on 2.25-3.9 eV, the 45 the pass left in the grid's walk
+        # (42 refused by the gate, 3 kept) and the 51 of the lone routes;
+        # the pass also took 129 series past a refused one, which the walk
+        # never reaches
+        _, reruns, passed, integer = sweep_calls(lo, hi, n)
+        assert (len(reruns), len(passed), len(integer)) == counts
+        assert set(reruns) <= set(passed)
+
+    def test_seeded_random_elements(self):
+        # b in (-1, 0), where b - floor(b) is not exact, and across the
+        # box, c any quarter but a non-positive integer, z over the
+        # envelope: a kept pair is the fixed-point rerun's
+        rng = random.Random(20261021)
+        inputs = []
+        for _ in range(400):
+            c = rng.randint(-20, 40) / 4.0
+            b = rng.choice([-rng.random() * 10.0 ** -rng.randint(0, 15),
+                            rng.uniform(-150.0, 20.0)])
+            inputs.append((b, c + 0.25 * (c <= 0.0 and c == int(c)),
+                           rng.uniform(1e-3, KUMMER_ENVELOPE)))
+        kept = fraction = 0
+        for args, pair in zip(inputs, rerun_pass(inputs)):
+            if not math.isnan(pair[0]):
+                kept += 1
+                fraction += -1.0 < args[0] < 0.0
+                assert tuple(v.hex() for v in pair) == \
+                    outcome(_kummer_series_dd, *args), args
+        assert (kept, fraction) == (274, 195)
+
+    def test_edge_cases(self):
+        # each its own point: the grid gives the scalar route's value or
+        # NaN for its refusal, and the pass, given them all (z past the
+        # envelope too), keeps only the fixed-point rerun's doubles, never
+        # where that raises
+        b, c, z = np.array(FIXED_POINT_EDGES).T
+        assert [array_outcome(v) for v in _kummer_m_array(b, c, z).tolist()] == \
+            [refused_or_hex(scalar_outcome(*args)) for args in FIXED_POINT_EDGES]
+        kept = 0
+        for args, pair in zip(FIXED_POINT_EDGES, rerun_pass(FIXED_POINT_EDGES)):
+            if not math.isnan(pair[0]):
+                kept += 1
+                assert tuple(v.hex() for v in pair) == \
+                    outcome(_kummer_series_dd, *args), args
+        assert kept == 3
+
+    def test_error_bound_holds(self):
+        # a seeded sample of the corpora: where the pass bounds its error,
+        # the bound holds against the exact terms summed at 400 bits to the
+        # loop's stop, and is far below the sum of |terms|
+        ctx = pytest.importorskip("mpmath").MPContext()
+        ctx.prec = 400
+        rng = random.Random(20261020)
+        inputs = [args for corpus in RERUN_CORPORA.values()
+                  for args in rng.sample(list(corpus()), min(40, len(corpus())))]
+        hi, lo, err = _kummer_rerun_part(*np.array(inputs).T, _KUMMER_MAX_TERMS)
+        checked = 0
+        for j, (bj, cj, zj) in enumerate(inputs):
+            if not math.isfinite(err[j]):
+                continue
+            term = total = absolute = ctx.mpf(1)
+            prev = ctx.mpf(1)
+            for k in range(1, _KUMMER_MAX_TERMS + 1):
+                term *= (ctx.mpf(bj) + k - 1) * zj / ((ctx.mpf(cj) + k - 1) * k)
+                if not term:
+                    break
+                total += term
+                absolute += abs(term)
+                if k >= 4 and abs(term) <= prev and abs(term) * 10 ** 33 < absolute:
+                    break
+                prev = abs(term)
+            for i, exact in enumerate((total, absolute)):
+                gap = abs(ctx.mpf(hi[i, j]) + ctx.mpf(lo[i, j]) - exact)
+                assert gap <= err[j], (inputs[j], i)
+            assert err[j] < 1e-25 * absolute
+            checked += 1
+        assert checked == 155
 
 
 def series_exit(b, c, z):
