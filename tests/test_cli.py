@@ -88,11 +88,13 @@ class TestGolden:
                 "cd844587bec430b5dc850baedb38c55385d6ee7d5c744e12a0523f05e9b9e68d"),
         _golden("transmission --min 3.9 --points 1",
                 "4c001cf2f8650c8638805d93c349761c599e7158eaf463a77a72e311436b132e"),
-        # march-agreement prints worst 3.005e-14 (6.949e-15 from the
-        # step-by-step march before the product form), interior-equation
-        # 2.425e-07
+        # march-agreement prints worst 3.042e-14, interior-equation
+        # 2.425e-07 and transmission-agreement 3.074e-13 against 4.0e-12.
+        # Before the oracle extrapolated its halving pair: b6285252...,
+        # with 3.005e-14 (6.949e-15 from the step-by-step march before the
+        # product form) and 4.572e-12 against 1.0e-10
         _golden("validate",
-                "b628525272c9d3a7e0250f6517f6ac1c7781426a690e67b89eeac15889d2fa36"),
+                "160dec2f614c28c98e410a873f8da4beec7410602394fa26baa246fa6d315b87"),
     ])
     def test_output_bytes_pinned(self, argv, digest, capsys):
         # every byte of these runs is frozen: a refactor that moves any

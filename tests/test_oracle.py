@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+import triq.oracle
 from triq.errors import AccuracyError, DomainError
 from triq.model import (
     MassParams,
@@ -28,7 +29,9 @@ from triq.oracle import (
     matched_transmission,
     ode_residual,
 )
-from triq.special import airy_ai
+from triq.special import airy_ai, airy_bi
+
+from test_scatter import parameter_box
 
 U = make_units()
 MASS = MassParams()
@@ -37,39 +40,50 @@ CONST_MASS = MassParams(M0=0.067, M1=0.0)
 
 # (E, b1.hex(), T.hex()) of the scalar oracle at 0.1 eV and at 8 energies
 # of random.Random(2094).uniform(0.02, 2.25), sorted; b1 < 0 below the pole.
-# Kept as approximate references: the last four are the (b1, T) given when
-# the exterior Airy values marched from their anchor in up to 7 Taylor
-# steps (before each took one step from a ladder node), then the (b1, T)
-# the step-by-step march gave, before the product march.  A row whose
-# pins numpy's exp, log and roots moved carries, before those, the (b1, T)
-# the C library's gave
+# Then the (b1, T) of the 1e-3 nm march before the oracle extrapolated its
+# halving pair, off by that march's own error (up to 2.2e-12 in b1 over
+# 0.02-2.25 eV, test_reference.py).  Kept as approximate references of
+# that (b1, T): the last four are the (b1, T) given when the exterior Airy
+# values marched from their anchor in up to 7 Taylor steps (before each
+# took one step from a ladder node), then the (b1, T) the step-by-step
+# march gave, before the product march.  A row whose pins numpy's exp, log
+# and roots moved carries, before those, the (b1, T) the C library's gave
 ORACLE_TABLE = [
-    (0.05042571650522533, '-0x1.4346844acafc3p-3', '0x1.4112cf1af1673p+5',
+    (0.05042571650522533, '-0x1.4346844acb019p-3', '0x1.4112cf1af15c8p+5',
+     '-0x1.4346844acafc3p-3', '0x1.4112cf1af1673p+5',
      '-0x1.4346844acafc3p-3', '0x1.4112cf1af1673p+5',
      '-0x1.4346844acb058p-3', '0x1.4112cf1af154bp+5'),
-    (0.1, '-0x1.63c73bf7ff184p-4', '0x1.0916afaabb9e0p+7',
+    (0.1, '-0x1.63c73bf7ff205p-4', '0x1.0916afaabb920p+7',
+     '-0x1.63c73bf7ff184p-4', '0x1.0916afaabb9e0p+7',
      '-0x1.63c73bf7ff18dp-4', '0x1.0916afaabb9d3p+7',
      '-0x1.63c73bf7ff250p-4', '0x1.0916afaabb8b0p+7'),
-    (0.1347147285142501, '-0x1.270157e1ae97fp-5', '0x1.818f014e3c373p+9',
+    (0.1347147285142501, '-0x1.270157e1ae9d8p-5', '0x1.818f014e3c28bp+9',
+     '-0x1.270157e1ae97fp-5', '0x1.818f014e3c373p+9',
      '-0x1.270157e1ae97dp-5', '0x1.818f014e3c378p+9',
      '-0x1.270157e1aea3dp-5', '0x1.818f014e3c182p+9'),
-    (0.1944721481704037, '0x1.2e1f53e7fcaabp-5', '0x1.6f9b774c7421ap+9',
+    (0.1944721481704037, '0x1.2e1f53e7fcaecp-5', '0x1.6f9b774c7417cp+9',
+     '0x1.2e1f53e7fcaabp-5', '0x1.6f9b774c7421ap+9',
      '0x1.2e1f53e7fcaa4p-5', '0x1.6f9b774c7422bp+9',
      '0x1.2e1f53e7fca99p-5', '0x1.6f9b774c74246p+9'),
-    (0.4282323117754124, '0x1.ac87982154d49p-3', '0x1.6d71135a5d297p+4',
+    (0.4282323117754124, '0x1.ac87982154e2ap-3', '0x1.6d71135a5d117p+4',
+     '0x1.ac87982154d49p-3', '0x1.6d71135a5d297p+4',
      '0x1.ac87982154d4ap-3', '0x1.6d71135a5d296p+4',
      '0x1.ac87982154e13p-3', '0x1.6d71135a5d13ep+4'),
-    (0.8508635454386844, '0x1.68003cc423d84p-2', '0x1.02e804a11b542p+3',
+    (0.8508635454386844, '0x1.68003cc424230p-2', '0x1.02e804a11ae8bp+3',
+     '0x1.68003cc423d84p-2', '0x1.02e804a11b542p+3',
      '0x1.68003cc423d84p-2', '0x1.02e804a11b542p+3',
      '0x1.68003cc423dd4p-2', '0x1.02e804a11b4cfp+3'),
-    (2.0038573936543607, '0x1.fd0faead279eep-2', '0x1.02f6d8414decap+2',
+    (2.0038573936543607, '0x1.fd0faead2b0fbp-2', '0x1.02f6d8414a6c8p+2',
+     '0x1.fd0faead279eep-2', '0x1.02f6d8414decap+2',
      '0x1.fd0faead279efp-2', '0x1.02f6d8414dec9p+2',
      '0x1.fd0faead279efp-2', '0x1.02f6d8414dec9p+2',
      '0x1.fd0faead279f7p-2', '0x1.02f6d8414dec1p+2'),
-    (2.1018640002132267, '0x1.0222ad318e73bp-1', '0x1.f7905a8b95904p+1',
+    (2.1018640002132267, '0x1.0222ad3190751p-1', '0x1.f7905a8b8dbd4p+1',
+     '0x1.0222ad318e73bp-1', '0x1.f7905a8b95904p+1',
      '0x1.0222ad318e73bp-1', '0x1.f7905a8b95904p+1',
      '0x1.0222ad318e7b7p-1', '0x1.f7905a8b95720p+1'),
-    (2.161580790473181, '0x1.043a72b275687p-1', '0x1.ef7f2a417a07fp+1',
+    (2.161580790473181, '0x1.043a72b2778e4p-1', '0x1.ef7f2a4171da2p+1',
+     '0x1.043a72b275687p-1', '0x1.ef7f2a417a07fp+1',
      '0x1.043a72b275687p-1', '0x1.ef7f2a417a07fp+1',
      '0x1.043a72b2756a1p-1', '0x1.ef7f2a417a01bp+1'),
 ]
@@ -615,16 +629,114 @@ class TestMatchedTransmission:
                 fn(math.inf, MASS, BARRIER, U)
 
     def test_frozen_signed_amplitudes(self):
-        # the frozen doubles, as Python floats or np.float64, within 1e-12
-        # of the multi-step Airy march's and of the step loop's
-        for E, b1, t, *references in ORACLE_TABLE:
+        # the frozen doubles, as Python floats or np.float64; the 1e-3 nm
+        # march's within its own error of them (1.9e-12 in b1 at most
+        # here, so 3.8e-12 in T), and within 1e-12 of the multi-step Airy
+        # march's and of the step loop's
+        for E, b1, t, raw_b1, raw_t, *references in ORACLE_TABLE:
             for e in (E, np.float64(E)):
                 got_b1 = matched_b1(e, MASS, BARRIER, U)
                 got_t = matched_transmission(e, MASS, BARRIER, U)
                 assert type(got_b1) is float and type(got_t) is float
                 assert (got_b1.hex(), got_t.hex()) == (b1, t)
+            assert float.fromhex(raw_b1) == pytest.approx(
+                float.fromhex(b1), rel=2.5e-12, abs=0.0)
+            assert float.fromhex(raw_t) == pytest.approx(
+                float.fromhex(t), rel=5e-12, abs=0.0)
             for ref_b1, ref_t in zip(references[::2], references[1::2]):
-                assert float.fromhex(b1) == pytest.approx(
+                assert float.fromhex(raw_b1) == pytest.approx(
                     float.fromhex(ref_b1), rel=1e-12, abs=0.0)
-                assert float.fromhex(t) == pytest.approx(
+                assert float.fromhex(raw_t) == pytest.approx(
                     float.fromhex(ref_t), rel=1e-12, abs=0.0)
+
+
+def projected_b1(E, mp, pp, step):
+    """matched_b1's projection of integrate's endpoint across the profile
+    at about step nm, as matched_b1 took it from one integrate call
+    before the step ladder: b1, or the AccuracyError of the gate."""
+    k = airy_scale(E, mp, U)
+    tail = airy_ai(airy_argument(pp.a, E, mp, U))
+    y1 = airy_argument(0.0, E, mp, U)
+    (ai, aip), (bi_v, bi_d) = airy_ai(y1), airy_bi(y1)
+    n = max(2, math.ceil(pp.a / step))
+    got = integrate(IntegrationSpec(pp.a, 0.0, pp.a / n, tail.value,
+                                    k * tail.derivative), E, mp, pp, U)
+    return ((got.value * k * bi_d - got.derivative * bi_v)
+            / (k * (ai * bi_d - aip * bi_v)))
+
+
+def box_point(i):
+    """(E, mp, pp) of test_scatter.parameter_box(0)'s point i."""
+    E, M0, M1, V0, alpha, a = list(parameter_box(0))[i]
+    return E, MassParams(M0=M0, M1=M1), PotentialProfile(V0=V0, alpha=alpha,
+                                                         a=a)
+
+
+def counted_marches(monkeypatch):
+    """The step counts of every _march call from here on, in order."""
+    counts = []
+    march = triq.oracle._march
+
+    def spied(x0, x1, n, *args):
+        counts.append(n)
+        return march(x0, x1, n, *args)
+
+    monkeypatch.setattr(triq.oracle, "_march", spied)
+    return counts
+
+
+class TestStepLadder:
+    def test_endpoint_is_the_extrapolated_pair(self):
+        # integrate's endpoint is v + (v - v_coarse) / 15 of its two
+        # marches, each component, with friction on and off
+        for x0, x1, n, E, v, d, pp, full in march_box(counts=(1, 700, 2049)):
+            weight = make_weight(E, MASS, pp, U)
+            fine = _march(x0, x1, 2 * n, v, d, weight, full)
+            coarse = _march(x0, x1, n, v, d, weight, full)
+            got = integrate(IntegrationSpec(x0, x1, abs(x1 - x0) / n, v, d),
+                            E, MASS, pp, U, full_equation=full)
+            assert got.x_stop == x1
+            want = [f + (f - c) / 15.0 for f, c in zip(fine, coarse)]
+            assert [got.value.hex(), got.derivative.hex()] == \
+                [w.hex() for w in want]
+
+    @pytest.mark.parametrize("E", [0.1, 0.8508635454386844, 2.25])
+    def test_passing_pair_is_the_2e_3_pair(self, E, monkeypatch):
+        # 3500 + 7000 steps across the default 7 nm, half of the 1e-3 nm
+        # pair's marching
+        want = projected_b1(E, MASS, BARRIER, 2e-3)
+        counts = counted_marches(monkeypatch)
+        assert matched_b1(E, MASS, BARRIER, U).hex() == want.hex()
+        assert counts == [7000, 3500]
+
+    @pytest.mark.parametrize("i, counts", [
+        # the 2e-3 pair's fine march is the 1e-3 pair's coarse one
+        (3, [10924, 5462, 21848]),
+        # ceil(a / 1e-3) is odd: the 1e-3 pair marches its own coarse run
+        (64, [8466, 4233, 16930, 8465]),
+    ])
+    def test_failing_pair_falls_back_to_the_1e_3_pair(self, i, counts,
+                                                       monkeypatch):
+        # two of the three solved box points (E = 2.195 and 2.278 eV) where
+        # the 2e-3 pair fails the halving gate: b1 is the 1e-3 pair's
+        E, mp, pp = box_point(i)
+        with pytest.raises(AccuracyError):
+            projected_b1(E, mp, pp, 2e-3)
+        want = projected_b1(E, mp, pp, 1e-3)
+        got = counted_marches(monkeypatch)
+        assert matched_b1(E, mp, pp, U).hex() == want.hex()
+        assert got == counts
+
+    def test_both_pairs_failing_raise_the_1e_3_pairs_error(self):
+        # at 50 eV both pairs fail the gate; the error is the one the
+        # oracle raised when it marched the 1e-3 pair alone
+        message = ("halving gate failed: endpoint (0.2272402970696099, "
+                   "-2.2821533188928864) vs coarse (0.227240277629218, "
+                   "-2.2821531244206317), gap 8.521436887446667e-08")
+        for step in (2e-3, 1e-3):
+            with pytest.raises(AccuracyError):
+                projected_b1(50.0, MASS, BARRIER, step)
+        with pytest.raises(AccuracyError) as info:
+            matched_b1(50.0, MASS, BARRIER, U)
+        assert str(info.value) == message
+        assert info.value.value == 8.521436887446667e-08

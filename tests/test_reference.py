@@ -30,12 +30,15 @@ mpmath = pytest.importorskip("mpmath")
 AGREE = mpmath.mpf("1e-25")
 PRECISIONS = (40, 55, 70, 90, 110, 130, 160)
 
-# worst relative error of b1 per corpus: (closed form, oracle)
+# worst relative error of b1 per corpus: (closed form, oracle).  The
+# oracle's are 1.6e-14, 1.3e-13, 1.0e-13 and 2.7e-12; before it
+# extrapolated its halving pair they were 1.4e-13, 2.2e-12, 1.1e-13 and
+# 9.1e-11, pinned at 2e-13, 3e-12, 2e-13 and 1e-10
 WORST = {
-    "band": (2e-14, 2e-13),
-    "sweep_wide": (2e-13, 3e-12),
-    "sweep_subbarrier": (1.5e-13, 2e-13),
-    "box": (5e-13, 1e-10),
+    "band": (2e-14, 2e-14),
+    "sweep_wide": (2e-13, 1.5e-13),
+    "sweep_subbarrier": (1.5e-13, 1.5e-13),
+    "box": (5e-13, 3e-12),
 }
 
 

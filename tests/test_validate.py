@@ -1,6 +1,7 @@
 """Suite-runner tests: clean build passes, perturbed constants do not."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 import triq.scatter
 import triq.validate
 from triq.errors import AccuracyError
+from triq.special import gamma, recip_gamma
 from triq.validate import info_lines, run_suites
 
 # worst deviation of every suite, frozen by .hex(): validate prints four
@@ -26,9 +28,12 @@ FROZEN_WORST = {
     "interior-equation": "0x1.045b480c93e7fp-22",
     "interior-wronskian": "0x1.2e80000000000p-44",
     # the step-by-step march gave 0x1.f4b6b1a3dc08ep-48 (6.95e-15) and
-    # 0x1.77ba780000000p-29; the product march rounds in another order
-    "march-agreement": "0x1.0ea7f151a75ecp-45",
-    "transmission-agreement": "0x1.41ba000000000p-38",
+    # 0x1.77ba780000000p-29; the product march rounds in another order.
+    # Before the oracle extrapolated its halving pair the product march
+    # gave 0x1.0ea7f151a75ecp-45 (3.005e-14) and 0x1.41ba000000000p-38
+    # (4.572e-12)
+    "march-agreement": "0x1.120a0abc46432p-45",
+    "transmission-agreement": "0x1.5a20000000000p-42",
     "bound-residuals": "0x1.8000000000000p-49",
 }
 
@@ -104,14 +109,28 @@ class TestSuites:
         assert not suite.passed
 
     def test_nan_gamma_sample_fails_the_recurrence_suite(self, monkeypatch):
-        # gamma NaN past x = 11.9: the seeded draws reach that band, and
-        # a max() fold that drops the NaN would pass at 8.4e-15
-        exact = triq.validate.gamma
-        monkeypatch.setattr(triq.validate, "gamma",
-                            lambda x: math.nan if x > 11.9 else exact(x))
+        # 1/Gamma NaN past x = 11.9, as the array marks a refused element:
+        # the seeded draws reach that band, and a max() fold that drops
+        # the NaN would pass at 8.4e-15
+        exact = triq.validate._recip_gamma_array
+        monkeypatch.setattr(triq.validate, "_recip_gamma_array",
+                            lambda x: np.where(x > 11.9, math.nan, exact(x)))
         suite = triq.validate.suite_gamma_recurrence()
         assert math.isnan(suite.worst)
         assert not suite.passed
+
+    def test_gamma_recurrence_is_the_scalar_loop(self):
+        # the suite's array pass against the gamma() and recip_gamma()
+        # loop it replaced: the same worst, to the bit
+        rng = random.Random(7)
+        deviations = []
+        for _ in range(200):
+            x = rng.uniform(0.05, 12.0)
+            deviations.append(abs(gamma(x + 1.0) / (x * gamma(x)) - 1.0))
+            deviations.append(abs(gamma(x) * recip_gamma(x) - 1.0))
+        want = max(deviations)
+        assert want.hex() == FROZEN_WORST["gamma-recurrence"]
+        assert triq.validate.suite_gamma_recurrence().worst.hex() == want.hex()
 
     @pytest.mark.parametrize("ys, message", [
         # Bi's overflow at 120, not Ai's refusal of the later sample
