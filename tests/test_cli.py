@@ -88,6 +88,19 @@ class TestGolden:
                 "cd844587bec430b5dc850baedb38c55385d6ee7d5c744e12a0523f05e9b9e68d"),
         _golden("transmission --min 3.9 --points 1",
                 "4c001cf2f8650c8638805d93c349761c599e7158eaf463a77a72e311436b132e"),
+        # the steep-mass barrier of README's NaN T_paper example: 42 solved
+        # rows, 12 with a NaN T_paper, t1 and t2 beside a finite T_solve
+        # (f6's 1/Gamma overflows) and 6 AccuracyError rows; under t2 the
+        # printed f6 column makes those 12 ConditioningError rows
+        _golden("transmission --V0_eV 5 --a_nm 2 --alpha_eV_per_nm 0.0642857142857143 "
+                "--M1_m0_per_nm 0.02 --min 0.02 --max 3 --points 60",
+                "3b92864cbc347d110289aaf57ec9c14b8d075ff7d51b5f94602b2f79ca424fa6"),
+        _golden("transmission --V0_eV 5 --a_nm 2 --alpha_eV_per_nm 0.0642857142857143 "
+                "--M1_m0_per_nm 0.02 --min 0.02 --max 3 --points 60 --paper_fidelity t2",
+                "031a60c96af02d1fcbf1e3333c77db977038ea19529f4a6ea257626f4670ec39"),
+        # a DomainError row: the zero width, refused before the grid passes
+        _golden("transmission --axis a --min 0 --max 1 --points 3",
+                "ee5d74f6d6d5e08eec67fe569130457eb80043f6a3e06dcdd6671cc697b212a1"),
         # march-agreement prints worst 3.042e-14, interior-equation
         # 2.425e-07 and transmission-agreement 3.074e-13 against 4.0e-12.
         # Before the oracle extrapolated its halving pair: b6285252...,

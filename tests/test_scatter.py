@@ -1410,6 +1410,11 @@ PINNED_CLI_RUNS = [
     "transmission --min 2.25 --max 3.9 --points 100",
     "transmission --min 2.2 --points 1",
     "transmission --min 3.9 --points 1",
+    "transmission --V0_eV 5 --a_nm 2 --alpha_eV_per_nm 0.0642857142857143 "
+    "--M1_m0_per_nm 0.02 --min 0.02 --max 3 --points 60",
+    "transmission --V0_eV 5 --a_nm 2 --alpha_eV_per_nm 0.0642857142857143 "
+    "--M1_m0_per_nm 0.02 --min 0.02 --max 3 --points 60 --paper_fidelity t2",
+    "transmission --axis a --min 0 --max 1 --points 3",
     "validate",
 ]
 
