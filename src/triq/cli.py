@@ -22,7 +22,7 @@ from typing import Union
 from .bound import spectrum, table1_report
 from .errors import DomainError, TriqError, require_finite
 from .model import KINDS, MassParams, PotentialProfile, make_units
-from .scatter import AXES, FIDELITY_MODES, sweep
+from .scatter import AXES, FIDELITY_MODES, SweepTable, sweep_table
 from .validate import info_lines, run_suites
 
 CSV_HEADER = "axis,T_solve,T_paper,t1,t2,b1,b2,b3,b4,b5,residual,flags"
@@ -61,9 +61,14 @@ _CHOICES = {"kind": KINDS, "axis": AXES, "paper_fidelity": FIDELITY_MODES}
 _ALIASES = {"paper_fidelity": ("--paper-fidelity",)}
 
 
+# every float the reports print: 17 significant digits, enough to read the
+# double back exactly
+_FLOAT = "%.17g"
+
+
 def _fmt(v) -> str:
     if isinstance(v, float):
-        return f"{v:.17g}"
+        return _FLOAT % v
     return str(v)
 
 
@@ -162,28 +167,27 @@ def _metadata(config: RunConfig, title: str) -> list[str]:
 
 
 # the 11 numeric columns as _fmt prints a float, then the flags
-_CSV_ROW = "%.17g," * 11
+_CSV_ROW = (_FLOAT + ",") * 11
 
 
-def _csv_rows(rows) -> list[str]:
-    out = []
-    for row in rows:
-        if row.result is None:
-            nums = (row.axis_value,) + (math.nan,) * 10
-        else:
-            r = row.result
-            s = r.solution
-            nums = (row.axis_value, r.T_solve, r.T_paper, r.t1, r.t2,
-                    s.b1, s.b2, s.b3, s.b4, 1.0, r.residual)  # b5 = 1
-        out.append(_CSV_ROW % nums + ";".join(row.flags))
-    return out
+def _csv_rows(values: list[float], table: SweepTable) -> list[str]:
+    """The CSV rows of a sweep from its grid values and its table, read as
+    Python floats a column at a time.  b5 is 1 on a solved row; a refused
+    row is NaN in every numeric column, b5 included, and flagged with its
+    error's class name."""
+    b5 = [1.0 if exc is None else math.nan for exc in table.refusal]
+    flags = ["" if exc is None else type(exc).__name__ for exc in table.refusal]
+    columns = zip(values, table.T_solve.tolist(), table.T_paper.tolist(),
+                  table.t1.tolist(), table.t2.tolist(), *table.b.T.tolist(),
+                  b5, table.residual.tolist())
+    return [_CSV_ROW % nums + flag for nums, flag in zip(columns, flags)]
 
 
-def _run_sweep(config: RunConfig, values: list[float]):
+def _run_sweep(config: RunConfig, values: list[float]) -> SweepTable:
     u, mp, pp = _physics(config)
     auto = config.alpha_eV_per_nm == "auto" and config.axis in ("V0", "a")
-    return sweep(config.axis, values, mp, pp, u, E=config.E_eV,
-                 fidelity=config.paper_fidelity, auto_alpha=auto)
+    return sweep_table(config.axis, values, mp, pp, u, E=config.E_eV,
+                       fidelity=config.paper_fidelity, auto_alpha=auto)
 
 
 def _sweep_report(config: RunConfig, name: str, clip: bool = False) -> str:
@@ -202,7 +206,7 @@ def _sweep_report(config: RunConfig, name: str, clip: bool = False) -> str:
                      "of the transmission; grid clipped to 0 < E < V0, keeping "
                      f"{len(values)} of {len(full)} points")
     lines.append(CSV_HEADER)
-    lines.extend(_csv_rows(_run_sweep(config, values)))
+    lines.extend(_csv_rows(values, _run_sweep(config, values)))
     return "\n".join(lines) + "\n"
 
 

@@ -518,41 +518,59 @@ def solve_matching(systems: Sequence[MatchingSystem] | MatchingSystem,
     """A MatchSolution or the ConditioningError of each system, E their energies.
 
     systems is a sequence of MatchingSystem, or one MatchingSystem (of a
-    lone point, or over a grid, whose matrix stack is solved as built).  A
-    non-finite system is refused before the rest are stacked and solved
-    by one np.linalg.solve; a singular member fails that solve as a whole,
-    and then each is solved alone, so only it is refused.  Either way each
-    system gets the doubles it gets alone.
+    lone point, or over a grid, whose matrix stack is solved as built).
+    The stack is solved by _solve_systems, the one solve behind a sweep's
+    table too, and each solution is built from its rows.
     """
     if isinstance(systems, MatchingSystem):
         a, rhs = systems.matrix, systems.rhs
     else:
         a = np.array([s.matrix for s in systems])
         rhs = np.array([s.rhs for s in systems])
-    a, rhs = a.reshape(-1, 4, 4), rhs.reshape(-1, 4)
-    out = [None] * len(a)
+    x, scaled, residual, refusal = _solve_systems(a.reshape(-1, 4, 4),
+                                                  rhs.reshape(-1, 4), E)
+    return [MatchSolution(*b, residual=res, equilibrated=m) if exc is None
+            else exc for b, res, m, exc in zip(x.tolist(), residual.tolist(),
+                                               scaled, refusal)]
+
+
+def _solve_systems(a: np.ndarray, rhs: np.ndarray, E: Sequence[float]):
+    """(x, equilibrated matrices, worst residuals, refusals) of the (n, 4, 4)
+    stack a x = rhs, E the systems' energies.
+
+    A non-finite system is refused before the rest are stacked and solved
+    by one np.linalg.solve (_solve_stack); a singular member fails that
+    solve as a whole, and then each is solved alone, so only it is
+    refused.  Either way each system gets the doubles it gets alone.  A
+    refused system's entry in refusals is its ConditioningError, and its
+    rows of the three arrays are NaN; every other entry is None.
+    """
+    n = len(a)
+    refusal = [None] * n
     finite = np.isfinite(np.concatenate([a.reshape(-1, 16), rhs], axis=1)).all(axis=1)
-    for i in np.flatnonzero(~finite).tolist():
-        out[i] = ConditioningError("matching system has non-finite entries",
-                                   energy_eV=E[i])
-    stack = np.flatnonzero(finite).tolist()
-    a, rhs = a[stack], rhs[stack]
+    stack = np.flatnonzero(finite)
+    if stack.size < n:
+        for i in np.flatnonzero(~finite).tolist():
+            refusal[i] = ConditioningError(
+                "matching system has non-finite entries", energy_eV=E[i])
     try:
-        parts = [(stack, *_solve_stack(a, rhs))] if stack else []
+        parts = [(stack, *_solve_stack(a[stack], rhs[stack]))] if stack.size else []
     except np.linalg.LinAlgError:
         parts = []
-        for j, i in enumerate(stack):
+        for i in stack.tolist():
             try:
-                parts.append(([i], *_solve_stack(a[j:j + 1], rhs[j:j + 1])))
+                parts.append(([i], *_solve_stack(a[i:i + 1], rhs[i:i + 1])))
             except np.linalg.LinAlgError:
-                out[i] = ConditioningError("matching system is singular",
-                                           energy_eV=E[i])
-    for rows, x, scaled, residuals in parts:
-        for j, i in enumerate(rows):
-            b1, b2, b3, b4 = x[j].tolist()
-            out[i] = MatchSolution(b1=b1, b2=b2, b3=b3, b4=b4,
-                                   residual=residuals[j], equilibrated=scaled[j])
-    return out
+                refusal[i] = ConditioningError("matching system is singular",
+                                               energy_eV=E[i])
+    if len(parts) == 1 and stack.size == n:  # one stack, every system in it
+        return (*parts[0][1:], refusal)
+    x = np.full((n, 4), math.nan)
+    scaled = np.full((n, 4, 4), math.nan)
+    residual = np.full(n, math.nan)
+    for rows, *solved in parts:
+        x[rows], scaled[rows], residual[rows] = solved
+    return x, scaled, residual, refusal
 
 
 def _solve_stack(a: np.ndarray, rhs: np.ndarray):
@@ -561,17 +579,17 @@ def _solve_stack(a: np.ndarray, rhs: np.ndarray):
     # The recessive column spans ~15 orders of magnitude between the two
     # interfaces, so equilibrate rows then columns before factoring.  Powers
     # of two keep the scaling exact.
-    row = np.max(np.abs(a), axis=2)
+    row = np.abs(a).max(axis=2)
     row = np.exp2(-np.round(np.log2(np.where(row == 0.0, 1.0, row))))
     scaled = a * row[:, :, None]
-    col = np.max(np.abs(scaled), axis=1)
+    col = np.abs(scaled).max(axis=1)
     col = np.exp2(-np.round(np.log2(np.where(col == 0.0, 1.0, col))))
     scaled = scaled * col[:, None, :]
     x = col * np.linalg.solve(scaled, (rhs * row)[:, :, None])[:, :, 0]
     return x, scaled, _residuals(a, rhs, x)
 
 
-def _residuals(a: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> list[float]:
+def _residuals(a: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Worst row-relative residual of each solved system in a stack.
 
     A backward-stable solve is measured row-relative: |a_i . x - rhs_i|
@@ -584,7 +602,7 @@ def _residuals(a: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> list[float]:
     scale = parts[..., 0] + parts[..., 1] + parts[..., 2] + parts[..., 3] + np.abs(rhs)
     gap = np.abs(np.vecdot(a, x[:, None, :]) - rhs)
     return np.fmax.reduce(gap / np.maximum(scale, 1e-300), axis=1,
-                          initial=0.0).tolist()
+                          initial=0.0)
 
 
 @dataclass(frozen=True)
@@ -638,8 +656,8 @@ def transmission(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
     comparison.  This is the lone-point route (_alone) that a sweep takes
     for every point its grid does not deliver; a refusal is raised.
     """
-    return _raised(_alone(_grid_points("E", [E], pp, E, False)[0], mp, u,
-                          _printed(fidelity)))
+    return _raised(_outcomes(_alone(_grid_points("E", [E], pp, E, False)[0],
+                                    mp, u, _printed(fidelity)))[0])
 
 
 def rescale_diagnostic(E, mp: MassParams, pp: PotentialProfile,
@@ -668,28 +686,65 @@ class SweepRow:
     flags: tuple[str, ...]
 
 
+class SweepTable(NamedTuple):
+    """A sweep's results as columns, one entry per grid point.
+
+    E, T_solve, T_paper, t1, t2 and residual are (n,) arrays, b holds
+    b1..b4 as an (n, 4) array, equilibrated the (n, 4, 4) stack the
+    amplitudes were solved from, and refusal each point's error, or None
+    where it solved.  A refused point is NaN in every numeric column.
+    """
+
+    E: np.ndarray
+    T_solve: np.ndarray
+    T_paper: np.ndarray
+    t1: np.ndarray
+    t2: np.ndarray
+    b: np.ndarray
+    residual: np.ndarray
+    equilibrated: np.ndarray
+    refusal: list
+
+
 def sweep(axis: str, values: Sequence[float], mp: MassParams,
           pp: PotentialProfile, u: UnitSystem, E: float = 0.1,
           fidelity: str = "none", auto_alpha: bool = False) -> list[SweepRow]:
     """One transmission row per grid value, never aborting on a bad point.
 
+    The rows of sweep_table's columns, each point's TransmissionResult
+    built from its entries; a refused point's row has no result and the
+    class name of its error as its flag.
+    """
+    return [SweepRow(axis_value=v, result=None, flags=(type(got).__name__,))
+            if isinstance(got, Exception)
+            else SweepRow(axis_value=v, result=got, flags=())
+            for v, got in zip(values, _outcomes(sweep_table(
+                axis, values, mp, pp, u, E, fidelity, auto_alpha)))]
+
+
+def sweep_table(axis: str, values: Sequence[float], mp: MassParams,
+                pp: PotentialProfile, u: UnitSystem, E: float = 0.1,
+                fidelity: str = "none", auto_alpha: bool = False) -> SweepTable:
+    """The SweepTable of a grid, never aborting on a bad point.
+
     axis "E" varies the energy at the given profile; "V0" and "a" vary the
     profile at fixed E.  auto_alpha re-slopes the profile per point so the
     triangle keeps touching zero at x = a; otherwise pp.alpha is used as
     given.  A point that fails with a TriqError or ArithmeticError is
-    recorded in flags with NaN results; any other exception propagates, as
-    does the DomainError of an unknown axis or fidelity.
+    recorded as its refusal with NaN results; any other exception
+    propagates, as does the DomainError of an unknown axis or fidelity.
 
-    Each row is the one transmission() gives there, double for double and
-    error for error.  From two points on, each stage takes all points at
-    once (_matching_systems): one pass for the coefficients, one Airy
-    pass, one Kummer pass over the 8 series of every point, one pass each
-    for the reciprocal Gammas, the interface columns and abbreviation sets
-    and the companion solution at each interface, one matrix stack, one
-    solve with its residuals and one printed closed form.  The grid
-    decides only whether it can deliver a point; a point it refuses, or
-    whose system holds a non-finite number, is solved alone by
-    transmission()'s route, and that route's result or error is its row.
+    Each point's entries are the doubles transmission() gives there, and
+    its refusal the error it raises.  From two points on, each stage takes
+    all points at once (_matching_systems): one pass for the coefficients,
+    one Airy pass, one Kummer pass over the 8 series of every point, one
+    pass each for the reciprocal Gammas, the interface columns and
+    abbreviation sets and the companion solution at each interface, one
+    matrix stack, one solve with its residuals and one printed closed form
+    (_solved), whose arrays are the table's columns.  The grid decides
+    only whether it can deliver a point; a point it refuses, or whose
+    system holds a non-finite number, is solved alone by transmission()'s
+    route, and that route's result or error fills its entries.
     """
     if axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
@@ -697,19 +752,11 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
         raise DomainError("sweep needs at least one grid point")
     if not all(lo < hi for lo, hi in zip(values[:-1], values[1:])):
         raise DomainError("sweep grid must be strictly increasing")
-    rows = []
-    for v, got in zip(values, _sweep_outcomes(axis, values, mp, pp, u, E,
-                                              fidelity, auto_alpha)):
-        if isinstance(got, TransmissionResult):
-            rows.append(SweepRow(axis_value=v, result=got, flags=()))
-        else:
-            rows.append(SweepRow(axis_value=v, result=None,
-                                 flags=(type(got).__name__,)))
-    return rows
+    return _grid_table(axis, values, mp, pp, u, E, fidelity, auto_alpha)
 
 
-def _sweep_outcomes(axis, values, mp, pp, u, E, fidelity, auto_alpha) -> list:
-    """Per grid value, its TransmissionResult or the error that refused it."""
+def _grid_table(axis, values, mp, pp, u, E, fidelity, auto_alpha) -> SweepTable:
+    """sweep_table with the grid taken as given."""
     printed = _printed(fidelity)
     points = _grid_points(axis, values, pp, E, auto_alpha)
     return _solved(points, *_matching_systems(points, mp, u, printed))
@@ -748,8 +795,9 @@ def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
     on; printed is (printed_signs, printed_columns).  system is the
     MatchingSystem of the points the grid delivers, in order, with an
     array in every field (None where no grid runs); outcomes holds None
-    for each of those, and for every other point its TransmissionResult
-    or the error refusing it.  Two or more points take grid passes, each
+    for each of those, the error refusing each point refused before the
+    grid, and the one-row SweepTable of each point solved alone (_alone).
+    Two or more points take grid passes, each
     over every point: the coefficients (_grid_coefficients), the exterior
     Airy values (_exterior_airy) and _assemble_grid, which give each point
     the doubles of the lone route.  A refusal travels as NaN, from the pass
@@ -780,14 +828,16 @@ def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
     return out, system
 
 
-def _alone(point, mp: MassParams, u: UnitSystem, printed: tuple[bool, bool]):
-    """The TransmissionResult of a lone (energy, profile) point, or the
-    error refusing it, by the lone route: _point_system, then _solved."""
+def _alone(point, mp: MassParams, u: UnitSystem,
+           printed: tuple[bool, bool]) -> SweepTable:
+    """The one-row SweepTable of a lone (energy, profile) point by the lone
+    route, _point_system and then _solved; the first error it raises is
+    the point's refusal."""
     try:
         system = _point_system(point, mp, u, printed)
     except _REFUSED as exc:
-        return exc
-    return _solved([point], [None], system)[0]
+        return _nan_table(np.array([point[0]]), [exc])
+    return _solved([point], [None], system)
 
 
 def _point_system(point, mp: MassParams, u: UnitSystem,
@@ -875,32 +925,78 @@ def _assemble_grid(b, s, offset, widths, k, airy, printed_columns: bool):
                      for ker in (ker0, kera)])
 
 
-def _solved(points: list, outcomes: list, system) -> list:
-    """Per point, its TransmissionResult or the error that refused it, from
-    _matching_systems' outcomes and system for the points: the system of
-    the points whose outcome is None is solved by one solve_matching call
-    and the printed closed form is taken over it once, then both
-    transmission conventions are read per point."""
-    out = list(outcomes)
-    live = [i for i, outcome in enumerate(out) if outcome is None]
-    if not live:
-        return out
-    energies = [points[i][0] for i in live]
+def _solved(points: list, outcomes: list, system) -> SweepTable:
+    """The SweepTable of the points, from _matching_systems' outcomes and
+    system for them.
+
+    The system of the points whose outcome is None is one stack
+    (_stack_table), and when that is every point its table is the
+    points'.  Otherwise the table starts NaN, refusing each point whose
+    outcome is an error, and takes the rows of the stack and of the
+    one-row table of each point solved alone.
+    """
+    n = len(points)
+    E = np.array([math.nan if isinstance(p, Exception) else p[0] for p in points])
+    live = [i for i, got in enumerate(outcomes) if got is None]
+    parts = [(live, _stack_table(E[live], system))] if live else []
+    if len(live) == n:
+        return parts[0][1]
+    table = _nan_table(E, [got if isinstance(got, Exception) else None
+                           for got in outcomes])
+    parts += [([i], got) for i, got in enumerate(outcomes)
+              if isinstance(got, SweepTable)]
+    for rows, part in parts:
+        for column, values in zip(table[1:-1], part[1:-1]):
+            column[rows] = values
+        for i, exc in zip(rows, part.refusal):
+            table.refusal[i] = exc
+    return table
+
+
+def _stack_table(E: np.ndarray, system: MatchingSystem) -> SweepTable:
+    """The SweepTable of the systems of a stack, E their energies.
+
+    One _solve_systems call solves them, a refusal it raises refusing them
+    all, and the printed closed form is taken over the stack once.
+    T_solve = (1/b1)^2 over the solved amplitudes, +inf where b1 is
+    exactly 0.  A system the solve refuses is NaN in every column.
+    """
     try:
-        solutions = solve_matching(system, energies)
+        x, scaled, residual, refusal = _solve_systems(
+            system.matrix.reshape(-1, 4, 4), system.rhs.reshape(-1, 4),
+            E.tolist())
     except _REFUSED as exc:
-        solutions = [exc] * len(live)
-    # Python floats from tolist, the scalar route's own type
-    paper = zip(*(np.atleast_1d(v).tolist() for v in _paper_closed_form(system)))
-    for i, point_E, sol, (t1, t2, t_paper) in zip(live, energies, solutions, paper):
-        if isinstance(sol, Exception):
-            out[i] = sol
-            continue
-        ratio = math.inf if sol.b1 == 0.0 else 1.0 / sol.b1
-        out[i] = TransmissionResult(E=point_E, T_solve=ratio * ratio,
-                                    T_paper=t_paper, t1=t1, t2=t2,
-                                    residual=sol.residual, solution=sol)
-    return out
+        return _nan_table(E, [exc] * len(E))
+    with np.errstate(divide="ignore", over="ignore"):
+        ratio = 1.0 / x[:, 0]
+    t1, t2, T_paper = map(np.atleast_1d, _paper_closed_form(system))
+    refused = [i for i, exc in enumerate(refusal) if exc is not None]
+    if refused:
+        t1[refused] = t2[refused] = T_paper[refused] = math.nan
+    return SweepTable(E, ratio * ratio, T_paper, t1, t2, x, residual, scaled,
+                      refusal)
+
+
+def _nan_table(E: np.ndarray, refusal: list) -> SweepTable:
+    """A SweepTable NaN in every numeric column, E its energies."""
+    n = len(E)
+    return SweepTable(E, *np.full((4, n), math.nan), np.full((n, 4), math.nan),
+                      np.full(n, math.nan), np.full((n, 4, 4), math.nan),
+                      refusal)
+
+
+def _outcomes(table: SweepTable) -> list:
+    """Per point of a table, its error, or its TransmissionResult built
+    from its entries as Python floats."""
+    return [exc if exc is not None else TransmissionResult(
+                E=E, T_solve=T_solve, T_paper=T_paper, t1=t1, t2=t2,
+                residual=residual,
+                solution=MatchSolution(*b, residual=residual, equilibrated=m))
+            for E, T_solve, T_paper, t1, t2, b, residual, m, exc in zip(
+                table.E.tolist(), table.T_solve.tolist(),
+                table.T_paper.tolist(), table.t1.tolist(), table.t2.tolist(),
+                table.b.tolist(), table.residual.tolist(), table.equilibrated,
+                table.refusal)]
 
 
 def _interface_kernels(b, s, offset, widths):

@@ -331,8 +331,9 @@ class TestTransmissionCommand:
         assert all(r[-1] == "" for r in got[1:])
 
     def test_row_template_is_fmt_of_each_column(self):
-        # one "%.17g," template per row prints what _fmt(float(v)) did,
-        # nan, inf and -0 included, for Python floats and np.float64
+        # one "%.17g," template per row prints what _fmt(float(v)) does,
+        # and _fmt what the f-string "{v:.17g}" did, nan, inf and -0
+        # included, for Python floats and np.float64
         rng = random.Random(20183)
         rows = [(0.1, math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324,
                  1.7976931348623157e308, -1e-300, 1.0, 0.30000000000000004)]
@@ -340,6 +341,7 @@ class TestTransmissionCommand:
                        for _ in range(11)) for _ in range(200)]
         for row in rows + [tuple(map(np.float64, row)) for row in rows]:
             assert _CSV_ROW % row == "".join(_fmt(float(v)) + "," for v in row)
+            assert [_fmt(float(v)) for v in row] == [f"{float(v):.17g}" for v in row]
 
     def test_stdout_when_no_out(self, capsys):
         assert main(["transmission", "--points", "1", "--min", "0.1"]) == 0

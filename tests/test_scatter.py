@@ -7,7 +7,6 @@ right (residual + Wronskian + trajectory agreement), then the assembled
 
 import collections
 import contextlib
-import dataclasses
 import io
 import math
 import random
@@ -22,7 +21,8 @@ import triq.oracle
 import triq.scatter
 import triq.special
 import triq.validate
-from triq.cli import main
+from triq.cli import (RunConfig, _csv_rows, _fmt, cmd_transmission,
+                      cmd_tunnelling, main)
 from triq.errors import (AccuracyError, ConditioningError, DomainError,
                          TriqError)
 from triq.model import (MassParams, PotentialProfile, airy_scale,
@@ -33,7 +33,10 @@ from triq.scatter import (
     FIDELITY_MODES,
     AbbreviationSet,
     MatchingSystem,
+    MatchSolution,
     RegionIIBasis,
+    SweepRow,
+    TransmissionResult,
     _div,
     _Kernels,
     abbreviations_at,
@@ -42,6 +45,7 @@ from triq.scatter import (
     rescale_diagnostic,
     solve_matching,
     sweep,
+    sweep_table,
     transmission,
 )
 from triq.special import airy_ai, airy_bi, recip_gamma
@@ -423,8 +427,8 @@ class TestTransmission:
             transmission(math.inf, MASS, BARRIER, U)
         rows = sweep("E", [0.1, math.inf], MASS, BARRIER, U)
         assert [row.flags for row in rows] == [(), ("DomainError",)]
-        got = triq.scatter._sweep_outcomes("E", [0.1, math.inf], MASS, BARRIER,
-                                           U, 0.1, "none", False)
+        got = sweep_outcomes("E", [0.1, math.inf], MASS, BARRIER,
+                             U, 0.1, "none", False)
         assert str(got[1]) == message
 
     @pytest.mark.parametrize("E, message", [
@@ -439,8 +443,8 @@ class TestTransmission:
             transmission(E, MASS, BARRIER, U)
         rows = sweep("E", [0.1, E], MASS, BARRIER, U)
         assert [row.flags for row in rows] == [(), ("DomainError",)]
-        got = triq.scatter._sweep_outcomes("E", [0.1, E], MASS, BARRIER,
-                                           U, 0.1, "none", False)
+        got = sweep_outcomes("E", [0.1, E], MASS, BARRIER,
+                             U, 0.1, "none", False)
         assert str(got[1]) == message
 
     def test_rescale_invariance(self):
@@ -471,14 +475,16 @@ class TestTransmission:
 
     def test_exact_zero_b1_is_inf(self, monkeypatch):
         # a solve giving b1 == 0.0 exactly is the pole itself: T_solve is
-        # +inf, as oracle.matched_transmission reports it, not a refusal
-        solve = triq.scatter.solve_matching
+        # +inf, as oracle.matched_transmission reports it, not a refusal.
+        # Planted in _solve_systems, the one solve of a point and a sweep
+        solve = triq.scatter._solve_systems
 
-        def zero_b1(systems, E):
-            return [dataclasses.replace(sol, b1=0.0)
-                    for sol in solve(systems, E)]
+        def zero_b1(a, rhs, E):
+            x, *rest = solve(a, rhs, E)
+            x[:, 0] = 0.0
+            return x, *rest
 
-        monkeypatch.setattr(triq.scatter, "solve_matching", zero_b1)
+        monkeypatch.setattr(triq.scatter, "_solve_systems", zero_b1)
         res = transmission(0.1, MASS, BARRIER, U)
         assert res.solution.b1 == 0.0
         assert res.T_solve == math.inf
@@ -632,8 +638,8 @@ class TestInterfaceEvaluatedOnce:
         sent = points_sent_alone(monkeypatch)
         counts = counted_routes(monkeypatch)
         fractions = fraction_z(monkeypatch)
-        got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
-                                           "none", False)
+        got = sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
+                             "none", False)
         assert [E for E, _ in sent] == grid[1:]
         grid_calls, grid_counts, grid_z = calls[:], taken(counts), fractions[:]
         del calls[:], fractions[:]
@@ -696,9 +702,9 @@ class TestInterfaceEvaluatedOnce:
         calls = []
         asym = asymptotic_airy_calls(monkeypatch)
 
-        def spy(name, fn):
+        def spy(name, fn, into=calls):
             def spied(*args, **kwargs):
-                calls.append(name)
+                into.append(name)
                 return fn(*args, **kwargs)
             return spied
 
@@ -718,8 +724,28 @@ class TestInterfaceEvaluatedOnce:
             return closed_form(system)
 
         monkeypatch.setattr(triq.scatter, "_paper_closed_form", spied_paper)
+        # a 200-point CLI sweep whose points are all delivered formats its
+        # CSV from the table's columns: it builds no per-point result
+        built = []
+        for cls in (MatchSolution, TransmissionResult, SweepRow):
+            monkeypatch.setattr(cls, "__init__",
+                                spy(cls.__name__, cls.__init__, built))
+        sent = points_sent_alone(monkeypatch)
+        cmd_transmission(RunConfig(min=0.02, max=2.25, points=200))
+        cmd_tunnelling(RunConfig(min=0.02, max=0.44, points=200))
+        assert (sent, paper, built) == ([], [(200,)] * 2, [])
+        # nor does one whose refused points are solved alone: each such
+        # point's lone route gives a one-row table
+        cmd_transmission(RunConfig(min=2.25, max=3.9, points=100))
+        assert (len(sent), built) == (45, [])
+        del paper[:], calls[:], asym[:]
         for mode in FIDELITY_MODES:
-            sweep("E", self.GRID, MASS, BARRIER, U, fidelity=mode)
+            rows = sweep("E", self.GRID, MASS, BARRIER, U, fidelity=mode)
+            # sweep() still builds them, one of each per row
+            assert sorted(built) == sorted(
+                ["MatchSolution", "TransmissionResult", "SweepRow"] * 200)
+            assert all(type(r.result.solution) is MatchSolution for r in rows)
+            del built[:]
         assert calls == []
         assert set(asym) == {("_airy_asym_pos", "array")}
         del asym[:]
@@ -781,6 +807,29 @@ def loop_outcomes(axis, values, mp=MASS, pp=BARRIER, E=0.1, fidelity="none",
         except (TriqError, ArithmeticError) as exc:
             out.append(exc)
     return out
+
+
+def sweep_outcomes(axis, values, mp, pp, u, E, fidelity, auto_alpha):
+    """Per grid value, the TransmissionResult or error of its entries in
+    the sweep's table, the grid taken as given."""
+    return triq.scatter._outcomes(triq.scatter._grid_table(
+        axis, values, mp, pp, u, E, fidelity, auto_alpha))
+
+
+def loop_csv_rows(values, outcomes):
+    """The CSV rows of a loop's outcomes, every field as _fmt prints it.
+    b5 is 1 on a solved row; a refused row is NaN in every numeric column,
+    b5 included."""
+    rows = []
+    for v, got in zip(values, outcomes):
+        if isinstance(got, Exception):
+            nums, flag = [math.nan] * 10, type(got).__name__
+        else:
+            s = got.solution
+            nums, flag = [got.T_solve, got.T_paper, got.t1, got.t2, s.b1, s.b2,
+                          s.b3, s.b4, 1.0, got.residual], ""
+        rows.append("".join(_fmt(float(x)) + "," for x in [v, *nums]) + flag)
+    return rows
 
 
 def outcome_key(got):
@@ -1061,8 +1110,8 @@ class TestSweep:
                              auto_alpha=auto_alpha)
         loop_counts, loop_z = taken(counts), fractions[:]
         del sent[:], fractions[:]
-        got = triq.scatter._sweep_outcomes(axis, values, mp, pp, U,
-                                           0.1, fidelity, auto_alpha)
+        got = sweep_outcomes(axis, values, mp, pp, U,
+                             0.1, fidelity, auto_alpha)
         grid_counts, grid_z = taken(counts), fractions[:]
         assert [outcome_key(g) for g in got] == [outcome_key(w) for w in want]
         points = triq.scatter._grid_points(axis, values, pp, 0.1, auto_alpha)
@@ -1100,6 +1149,11 @@ class TestSweep:
                 for r in rows] == [
             (type(g).__name__,) if isinstance(g, Exception) else outcome_key(g)
             for g in got]
+        # and the CSV rows the CLI formats from the sweep's table are the
+        # loop's, formatted a field at a time
+        table = sweep_table(axis, values, mp, pp, U, E=0.1, fidelity=fidelity,
+                            auto_alpha=auto_alpha)
+        assert _csv_rows(values, table) == loop_csv_rows(values, want)
         if values[0] == 2.25:
             assert sum(isinstance(g, AccuracyError) for g in got) == 45
             assert len(alone) == 45 and not non_finite
@@ -1166,8 +1220,8 @@ class TestSweep:
         want = loop_outcomes("E", grid, fidelity=fidelity)
         loop_counts, loop_z = taken(counts), fractions[:]
         del sent[:], fractions[:]
-        got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
-                                           fidelity, False)
+        got = sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
+                             fidelity, False)
         grid_counts, grid_z = taken(counts), fractions[:]
         assert [outcome_key(g) for g in got] == [outcome_key(w) for w in want]
         alone = [grid.index(E) for E, _ in sent]
@@ -1215,7 +1269,7 @@ class TestSweep:
         # route solves: the grid sends that point alone, its row is a lone
         # transmission() call's bit for bit, and its neighbours keep theirs
         grid = linear_grid(0.02, 2.25, 12)
-        want = [outcome_key(g) for g in triq.scatter._sweep_outcomes(
+        want = [outcome_key(g) for g in sweep_outcomes(
             "E", grid, MASS, BARRIER, U, 0.1, fidelity, False)]
         kummer = triq.scatter._kummer_m_array
 
@@ -1226,8 +1280,8 @@ class TestSweep:
 
         monkeypatch.setattr(triq.scatter, "_kummer_m_array", planted)
         sent = points_sent_alone(monkeypatch)
-        got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
-                                           fidelity, False)
+        got = sweep_outcomes("E", grid, MASS, BARRIER, U, 0.1,
+                             fidelity, False)
         assert [E for E, _ in sent] == [grid[5]]
         assert [outcome_key(g) for g in got] == want
         lone = transmission(grid[5], MASS, BARRIER, U, fidelity=fidelity)
@@ -1356,8 +1410,8 @@ class TestSweep:
         grid = np.linspace(0.02, 2.25, 200)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = triq.scatter._sweep_outcomes("E", grid, MASS, BARRIER, U,
-                                               0.1, "none", False)
+            got = sweep_outcomes("E", grid, MASS, BARRIER, U,
+                                 0.1, "none", False)
             want = loop_outcomes("E", grid)
         rows_py = sweep("E", [float(v) for v in grid], MASS, BARRIER, U)
         assert [outcome_key(g) for g in got] == [outcome_key(w) for w in want]
@@ -1377,14 +1431,20 @@ class TestSweep:
                 raise exc
             return raiser
 
-        monkeypatch.setattr(triq.scatter, "solve_matching",
+        # planted in _solve_systems, the one solve of a point and a sweep
+        monkeypatch.setattr(triq.scatter, "_solve_systems",
                             fault(ZeroDivisionError("float division by zero")))
         rows = sweep("E", [0.1], MASS, BARRIER, U)
         assert rows[0].flags == ("ZeroDivisionError",)
-        monkeypatch.setattr(triq.scatter, "solve_matching",
+        rows = sweep("E", [0.1, 0.2], MASS, BARRIER, U)
+        assert [r.flags for r in rows] == [("ZeroDivisionError",)] * 2
+        assert all(r.result is None for r in rows)
+        monkeypatch.setattr(triq.scatter, "_solve_systems",
                             fault(TypeError("a bug, not a numeric fault")))
         with pytest.raises(TypeError):
             sweep("E", [0.1], MASS, BARRIER, U)
+        with pytest.raises(TypeError):
+            sweep("E", [0.1, 0.2], MASS, BARRIER, U)
 
     def test_grid_validation(self):
         with pytest.raises(DomainError):
