@@ -217,6 +217,14 @@ def barrier_coefficients(E, mp: MassParams, pp: PotentialProfile,
     directly, and is what every canonical computation uses.  E is taken
     to a Python float, so the coefficients are floats for an np.float64.
     """
+    return _barrier_coefficients(E, mp, pp, u, printed_signs)[0]
+
+
+def _barrier_coefficients(E, mp: MassParams, pp: PotentialProfile,
+                          u: UnitSystem, printed_signs: bool):
+    """(barrier_coefficients, k) at E, k the Airy scale that the
+    coefficient pass checks and computes on the way, airy_scale's double;
+    the first refusal is raised."""
     E = float(E)
     if pp.kind != "barrier":
         raise DomainError(f"barrier_coefficients needs kind='barrier', got {pp.kind!r}")
@@ -224,13 +232,14 @@ def barrier_coefficients(E, mp: MassParams, pp: PotentialProfile,
         raise DomainError(f"scattering energy must be positive, got {E!r}")
     if E == math.inf:
         raise DomainError(f"scattering energy must be finite, got {E!r}")
-    rc = RegionCoefficients(
-        *_coefficients(E, mp, pp.alpha, pp.a, u, pp.V0, printed_signs)[0])
+    coefficients, k = _coefficients(E, mp, pp.alpha, pp.a, u, pp.V0,
+                                    printed_signs)
+    rc = RegionCoefficients(*coefficients)
     # lam carries a2^2 and a3: the first coefficient to overflow as E grows
     if not math.isfinite(rc.lam):
         raise DomainError(
             f"scattering energy overflows the interior coefficients, got {E!r}")
-    return rc
+    return rc, k
 
 
 def well_coefficients(E, mp: MassParams, pp: PotentialProfile,

@@ -44,8 +44,8 @@ import numpy as np
 
 from .errors import AccuracyError, ConditioningError, DomainError, TriqError
 from .model import (MassParams, PotentialProfile, RegionCoefficients,
-                    UnitSystem, _coefficients, _kummer_b, airy_scale,
-                    barrier_coefficients)
+                    UnitSystem, _barrier_coefficients, _coefficients,
+                    _kummer_b)
 from .special import (TRICOMI_CF_LEAST, AiryPair, _airy_array,
                       _kummer_m_array, _libm, _loss, _recip_gamma_array,
                       _scalar, _where, airy_ai, airy_bi, kummer_m,
@@ -410,13 +410,14 @@ def _abbreviations(b, s, rg_bh, rg_b, rg_f6, ker: _Kernels) -> AbbreviationSet:
 class MatchingSystem(NamedTuple):
     """The 4x4 system plus the interface data the printed closed form reads.
 
-    _matching_systems evaluates everything here once per point: fset and
-    gset are the printed abbreviation sets at x = 0 and x = a, built from
-    the same kernels as the basis columns; bi0 is Bi(y1) and ai_a is Ai(y3),
-    the Airy pairs of matrix rows 1-2 and of the right-hand side.  The
-    system of a lone point holds floats; over a grid (_assemble_grid) every
-    field holds a 1-D array, one entry per point, the matrices one (n, 4, 4)
-    stack and the right-hand sides one (n, 4) array.
+    Everything here is evaluated once per point: fset and gset are the
+    printed abbreviation sets at x = 0 and x = a, built from the same
+    kernels as the basis columns; bi0 is Bi(y1) and ai_a is Ai(y3), the
+    Airy pairs of matrix rows 1-2 and of the right-hand side.  The system
+    of a lone point (_point_system) holds floats; over a grid
+    (_assemble_grid) every field holds a 1-D array, one entry per point,
+    the matrices one (n, 4, 4) stack and the right-hand sides one (n, 4)
+    array.
     """
 
     matrix: np.ndarray
@@ -619,7 +620,7 @@ class TransmissionResult:
 def _paper_closed_form(system: MatchingSystem) -> tuple[float, float, float]:
     """t1, t2 and (t1/t2)^2 from the published closed form, verbatim.
 
-    Pure arithmetic on what _matching_systems already evaluated: the
+    Pure arithmetic on what the system's assembly already evaluated: the
     abbreviation sets system.fset (x = 0) and system.gset (x = a), Bi(y1)
     as system.bi0 and the transmitted tail Ai(y3) as system.ai_a.  Scaling
     that tail scales two of the four t2 brackets and none of t1, hence the
@@ -654,7 +655,7 @@ def transmission(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
     T_solve = (1/b1)^2 comes from the linear solve, +inf where b1 is
     exactly 0.  T_paper is the printed closed form, always computed for
     comparison.  This is the lone-point route (_alone) that a sweep takes
-    for every point its grid does not deliver; a refusal is raised.
+    for every point its stacked solve refuses; a refusal is raised.
     """
     return _raised(_outcomes(_alone(_grid_points("E", [E], pp, E, False)[0],
                                     mp, u, _printed(fidelity)))[0])
@@ -736,15 +737,15 @@ def sweep_table(axis: str, values: Sequence[float], mp: MassParams,
 
     Each point's entries are the doubles transmission() gives there, and
     its refusal the error it raises.  From two points on, each stage takes
-    all points at once (_matching_systems): one pass for the coefficients,
-    one Airy pass, one Kummer pass over the 8 series of every point, one
-    pass each for the reciprocal Gammas, the interface columns and
-    abbreviation sets and the companion solution at each interface, one
-    matrix stack, one solve with its residuals and one printed closed form
-    (_solved), whose arrays are the table's columns.  The grid decides
-    only whether it can deliver a point; a point it refuses, or whose
-    system holds a non-finite number, is solved alone by transmission()'s
-    route, and that route's result or error fills its entries.
+    all points at once (_solved): one pass for the coefficients, one Airy
+    pass, one Kummer pass over the 8 series of every point, one pass each
+    for the reciprocal Gammas, the interface columns and abbreviation sets
+    and the companion solution at each interface, one matrix stack, one
+    solve with its residuals and one printed closed form, whose arrays are
+    the table's columns.  The stacked solve alone decides which points the
+    grid delivers: each point it refuses, its system non-finite or
+    singular, is solved alone by transmission()'s route, and that route's
+    result or error fills its entries.
     """
     if axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
@@ -758,8 +759,8 @@ def sweep_table(axis: str, values: Sequence[float], mp: MassParams,
 def _grid_table(axis, values, mp, pp, u, E, fidelity, auto_alpha) -> SweepTable:
     """sweep_table with the grid taken as given."""
     printed = _printed(fidelity)
-    points = _grid_points(axis, values, pp, E, auto_alpha)
-    return _solved(points, *_matching_systems(points, mp, u, printed))
+    return _solved(_grid_points(axis, values, pp, E, auto_alpha), mp, u,
+                   printed)
 
 
 def _grid_points(axis, values, pp, E, auto_alpha) -> list:
@@ -787,70 +788,29 @@ def _grid_points(axis, values, pp, E, auto_alpha) -> list:
     return points
 
 
-def _matching_systems(points: list, mp: MassParams, u: UnitSystem,
-                      printed: tuple[bool, bool]):
-    """(outcomes, system) of the points of a grid.
-
-    A point is an (energy, profile) pair, or an error refusing it, passed
-    on; printed is (printed_signs, printed_columns).  system is the
-    MatchingSystem of the points the grid delivers, in order, with an
-    array in every field (None where no grid runs); outcomes holds None
-    for each of those, the error refusing each point refused before the
-    grid, and the one-row SweepTable of each point solved alone (_alone).
-    Two or more points take grid passes, each
-    over every point: the coefficients (_grid_coefficients), the exterior
-    Airy values (_exterior_airy) and _assemble_grid, which give each point
-    the doubles of the lone route.  A refusal travels as NaN, from the pass
-    that refuses through every later one, and no pass narrows the points
-    (the Kummer row stop alone skips work).  A point is delivered only if
-    every number in its system is finite.  Every other point, and a lone
-    point, is solved alone (_alone).
-    """
-    printed_signs, printed_columns = printed
-    out = [p if isinstance(p, Exception) else None for p in points]
-    live = [i for i, p in enumerate(out) if p is None]
-    if len(live) < 2:
-        for i in live:
-            out[i] = _alone(points[i], mp, u, printed)
-        return out, None
-    a, y1, y2, y3, b, s, k = _grid_coefficients(
-        [points[i] for i in live], mp, u, printed_signs)
-    system = _assemble_grid(b, s, y2, a, k, _exterior_airy(y1, y3),
-                            printed_columns)
-    delivered = np.isfinite(np.column_stack([
-        system.matrix.reshape(-1, 16), system.rhs, system.airy_scale,
-        *system.fset, *system.gset, *system.bi0, *system.ai_a])).all(axis=1)
-    for j in np.flatnonzero(~delivered).tolist():
-        out[live[j]] = _alone(points[live[j]], mp, u, printed)
-    system = MatchingSystem._make(
-        type(f)._make(g[delivered] for g in f) if isinstance(f, tuple)
-        else f[delivered] for f in system)
-    return out, system
-
-
 def _alone(point, mp: MassParams, u: UnitSystem,
            printed: tuple[bool, bool]) -> SweepTable:
     """The one-row SweepTable of a lone (energy, profile) point by the lone
-    route, _point_system and then _solved; the first error it raises is
-    the point's refusal."""
+    route, _point_system and then _stack_table; the first error it raises
+    is the point's refusal."""
+    E = np.array([point[0]])
     try:
         system = _point_system(point, mp, u, printed)
     except _REFUSED as exc:
-        return _nan_table(np.array([point[0]]), [exc])
-    return _solved([point], [None], system)
+        return _nan_table(E, [exc])
+    return _stack_table(E, system)
 
 
 def _point_system(point, mp: MassParams, u: UnitSystem,
                   printed: tuple[bool, bool]) -> MatchingSystem:
     """The MatchingSystem of a lone (energy, profile) point by the scalar
-    route: barrier_coefficients, airy_scale, airy_ai(y1), airy_bi(y1) and
-    airy_ai(y3), the basis and its kernels at x = 0 and x = a, and
-    _assemble; the first refusal is raised."""
+    route: the coefficients with their Airy scale (_barrier_coefficients),
+    airy_ai(y1), airy_bi(y1) and airy_ai(y3), the basis and its kernels at
+    x = 0 and x = a, and _assemble; the first refusal is raised."""
     printed_signs, printed_columns = printed
     point_E, pp = point
-    rc = barrier_coefficients(point_E, mp, pp, u, printed_signs=printed_signs)
-    exterior = (airy_scale(point_E, mp, u), airy_ai(rc.y1), airy_bi(rc.y1),
-                airy_ai(rc.y3))
+    rc, k = _barrier_coefficients(point_E, mp, pp, u, printed_signs)
+    exterior = (k, airy_ai(rc.y1), airy_bi(rc.y1), airy_ai(rc.y3))
     basis = basis_for(rc)
     return _assemble(basis, exterior, basis.kernels(0.0), basis.kernels(pp.a),
                      printed_columns)
@@ -925,26 +885,47 @@ def _assemble_grid(b, s, offset, widths, k, airy, printed_columns: bool):
                      for ker in (ker0, kera)])
 
 
-def _solved(points: list, outcomes: list, system) -> SweepTable:
-    """The SweepTable of the points, from _matching_systems' outcomes and
-    system for them.
+def _solved(points: list, mp: MassParams, u: UnitSystem,
+            printed: tuple[bool, bool]) -> SweepTable:
+    """The SweepTable of the points of a grid.
 
-    The system of the points whose outcome is None is one stack
-    (_stack_table), and when that is every point its table is the
-    points'.  Otherwise the table starts NaN, refusing each point whose
-    outcome is an error, and takes the rows of the stack and of the
-    one-row table of each point solved alone.
+    A point is an (energy, profile) pair, or the error refusing it, which
+    is its refusal; printed is (printed_signs, printed_columns).  From two
+    standing points on, grid passes build the system of every standing
+    point, each pass over every point: the coefficients
+    (_grid_coefficients), the exterior Airy values (_exterior_airy) and
+    _assemble_grid, which give each point the doubles of the lone route.
+    A refusal travels as NaN from the pass that refuses through every
+    later one, and no pass narrows the points (the Kummer row stop alone
+    skips work).  One _stack_table call solves them all, and if it refuses
+    none its table is the points'.  Each point the stack refuses (its
+    system non-finite or singular), and a lone standing point, is solved
+    alone (_alone), and that table fills its row.
+
+    The stack's refusals are the one delivery test because every error
+    the lone route can raise leaves a non-finite number in that point's
+    grid matrix or right-hand side: the refusals of the coefficients, the
+    Airy values, the Kummer series, 1/Gamma(b), 1/Gamma(b + 1/2) and the
+    companion's budget all do.  Under the canonical columns an overflowed
+    f6 1/Gamma touches only the printed sets, and on both routes it gives
+    a NaN T_paper, not a refusal; the printed columns put f6 in the
+    matrix, and both routes refuse the point.
     """
-    n = len(points)
     E = np.array([math.nan if isinstance(p, Exception) else p[0] for p in points])
-    live = [i for i, got in enumerate(outcomes) if got is None]
-    parts = [(live, _stack_table(E[live], system))] if live else []
-    if len(live) == n:
-        return parts[0][1]
-    table = _nan_table(E, [got if isinstance(got, Exception) else None
-                           for got in outcomes])
-    parts += [([i], got) for i, got in enumerate(outcomes)
-              if isinstance(got, SweepTable)]
+    live = [i for i, p in enumerate(points) if not isinstance(p, Exception)]
+    parts, alone = [], live
+    if len(live) > 1:
+        a, y1, y2, y3, b, s, k = _grid_coefficients(
+            [points[i] for i in live], mp, u, printed[0])
+        stack = _stack_table(E[live], _assemble_grid(
+            b, s, y2, a, k, _exterior_airy(y1, y3), printed[1]))
+        alone = [i for i, exc in zip(live, stack.refusal) if exc is not None]
+        if not alone and len(live) == len(points):
+            return stack
+        parts.append((live, stack))
+    parts += [([i], _alone(points[i], mp, u, printed)) for i in alone]
+    table = _nan_table(E, [p if isinstance(p, Exception) else None
+                           for p in points])
     for rows, part in parts:
         for column, values in zip(table[1:-1], part[1:-1]):
             column[rows] = values

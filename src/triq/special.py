@@ -100,6 +100,8 @@ __all__ = [
 _LN_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT3 = math.sqrt(3.0)
+# the exponent past which e^x is taken to overflow (a double's is 709.78)
+_EXP_LIMIT = 700.0
 
 # Maximum |z| accepted by the Kummer series before raising AccuracyError.
 KUMMER_ENVELOPE = 300.0
@@ -119,7 +121,8 @@ _KUMMER_STOP = 1e-17
 _KUMMER_ESCALATE_LOSS = 1.0e4
 _KUMMER_FAIL_LOSS = 1.0e12
 # the rerun's fixed-point bits for b, z >= 1 (more for tiny b or z), and
-# its stop rule's 1e-33 as the integer ratio of sum|terms| to a term
+# its stop rule's 1e-33 as the integer ratio of sum|terms| to a term (the
+# double-double pass proves the same rule with it)
 _KUMMER_FIXED_BITS = 160
 _KUMMER_FIXED_STOP = 10 ** 33
 # _kummer_rerun_array's margins: the relative slack its plain-double terms
@@ -264,11 +267,11 @@ def _recip_gamma_of(x, ln):
     """1/Gamma(x) of a finite x that is not a pole, a float or elementwise
     over an array, from ln = ln Gamma of max(x, 1 - x): e^-ln from 0.5 up,
     else the reflection 1/Gamma(x) = Gamma(1 - x) sin(pi x) / pi, and NaN
-    where that Gamma(1 - x) overflows (ln > 700), which recip_gamma
+    where that Gamma(1 - x) overflows (ln > _EXP_LIMIT), which recip_gamma
     refuses."""
     reflected = x < 0.5
     power = _where(reflected, ln, -ln)
-    over = power > 700.0  # only where reflected: -ln is below 0.13
+    over = power > _EXP_LIMIT  # only where reflected: -ln is below 0.13
     value = (_where(reflected, _sinpi(x) / math.pi, 1.0)
              * _libm(np.exp, _where(over, 0.0, power)))
     return _where(over, math.nan, value)
@@ -502,9 +505,9 @@ def _asym_sums(zeta, signs, start):
 
 
 def _exp_growth(zeta):
-    """e^zeta, inf past zeta = 700, where the growing pair is not wanted:
-    a float, or elementwise over an array."""
-    return _libm(np.exp, _where(zeta > 700.0, math.inf, zeta))
+    """e^zeta, inf past zeta = _EXP_LIMIT, where the growing pair is not
+    wanted: a float, or elementwise over an array."""
+    return _libm(np.exp, _where(zeta > _EXP_LIMIT, math.inf, zeta))
 
 
 def _airy_asym_pos(y):
@@ -1020,7 +1023,7 @@ def _kummer_rerun_part(b, c, z, width):
     np.multiply.accumulate(t, axis=0, out=t)
     mag = np.abs(t)
     abs_sum = np.cumsum(mag, axis=0)
-    may = mag * (1e33 * (1.0 - _DD_MARGIN)) < abs_sum
+    may = mag * (_KUMMER_FIXED_STOP * (1.0 - _DD_MARGIN)) < abs_sum
     may[1:] &= mag[1:] <= mag[:-1] * (1.0 + _DD_MARGIN)
     may[:4] = False
     stop = may.argmax(axis=0)  # the first k where the loop may stop, or 0
@@ -1029,7 +1032,7 @@ def _kummer_rerun_part(b, c, z, width):
 
     # the stop rule, proven, at the first possible stop and the term after
     i = (np.minimum(np.stack([stop, stop + 1]), last), cols)
-    holds = ((mag[i] * (1e33 * (1.0 + _DD_MARGIN)) < abs_sum[i])
+    holds = ((mag[i] * (_KUMMER_FIXED_STOP * (1.0 + _DD_MARGIN)) < abs_sum[i])
              & (mag[i] * (1.0 + _DD_MARGIN) <= mag[i[0] - 1, cols] * (1.0 - _DD_MARGIN)))
     proven = holds[0]
     kept = (stop > 0) & (proven | (holds[1] & (stop < last)))

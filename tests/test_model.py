@@ -11,6 +11,7 @@ from triq.model import (
     MassParams,
     PotentialProfile,
     UnitSystem,
+    _barrier_coefficients,
     airy_argument,
     airy_scale,
     barrier_coefficients,
@@ -126,6 +127,21 @@ class TestCoefficients:
             lhs = -(rc.a1 * x * x + rc.a2 * x + rc.a3)
             rhs = U.H_per_m0 * MASS.mass_at(x) * (E - (-WELL.V0 - WELL.alpha * x))
             assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-14)
+
+    def test_coefficient_pass_keeps_the_airy_scale(self):
+        # the lone route takes k from the coefficient pass: the pair is
+        # barrier_coefficients and airy_scale double for double, and a
+        # refused energy raises barrier_coefficients' error
+        for E in (1e-300, 0.02, 0.1, 2.25, 1e6, np.float64(0.3)):
+            for signs in (False, True):
+                rc, k = _barrier_coefficients(E, MASS, BARRIER, U, signs)
+                assert rc == barrier_coefficients(E, MASS, BARRIER, U, signs)
+                assert k.hex() == airy_scale(E, MASS, U).hex()
+        for E in (0.0, -1.0, math.inf, math.nan, 1e300):
+            with pytest.raises(DomainError) as want:
+                barrier_coefficients(E, MASS, BARRIER, U)
+            with pytest.raises(DomainError, match=re.escape(str(want.value))):
+                _barrier_coefficients(E, MASS, BARRIER, U, False)
 
     def test_printed_signs_flip_a3_only(self):
         rc = barrier_coefficients(0.1, MASS, BARRIER, U)

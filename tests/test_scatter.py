@@ -16,6 +16,7 @@ import warnings
 import numpy as np
 import pytest
 
+import triq
 import triq.model
 import triq.oracle
 import triq.scatter
@@ -694,11 +695,11 @@ class TestInterfaceEvaluatedOnce:
 
     def test_grid_makes_no_per_point_calls(self, monkeypatch):
         # a sweep of two or more points builds its systems in grid passes:
-        # no per-point barrier_coefficients, basis_for, _assemble,
+        # no per-point _barrier_coefficients, basis_for, _assemble,
         # abbreviations_at, second(), scalar 1/Gamma or scalar asymptotic
         # Airy call, and its one _paper_closed_form call takes the whole
         # grid.  A lone point takes the scalar route and makes them all, and
-        # so does each point the grid refuses and sends alone
+        # so does each point the stacked solve refuses and sends alone
         calls = []
         asym = asymptotic_airy_calls(monkeypatch)
 
@@ -708,7 +709,7 @@ class TestInterfaceEvaluatedOnce:
                 return fn(*args, **kwargs)
             return spied
 
-        for owner, name in ((triq.scatter, "barrier_coefficients"),
+        for owner, name in ((triq.scatter, "_barrier_coefficients"),
                             (triq.scatter, "basis_for"),
                             (triq.scatter, "_assemble"),
                             (triq.scatter, "abbreviations_at"),
@@ -749,8 +750,9 @@ class TestInterfaceEvaluatedOnce:
         assert calls == []
         assert set(asym) == {("_airy_asym_pos", "array")}
         del asym[:]
-        # 3.9 eV is refused by its kernels: its calls are its lone route's,
-        # which stops before the closed form
+        # 3.9 eV is refused by its kernels, so the closed form takes the
+        # 2-row stack and the stack refuses 3.9 eV: its calls are its lone
+        # route's, which stops before the closed form
         for mode in FIDELITY_MODES:
             sweep("E", [0.1, 3.9], MASS, BARRIER, U, fidelity=mode)
         sent = calls[:], [a for a in asym if a[1] == "scalar"]
@@ -763,12 +765,12 @@ class TestInterfaceEvaluatedOnce:
         assert calls and set(asym) == {("_airy_asym_pos", "scalar")}
         # one call per sweep
         modes = len(FIDELITY_MODES)
-        assert paper == [(200,)] * modes + [(1,)] * modes
+        assert paper == [(200,)] * modes + [(2,)] * modes
         del calls[:]
         del paper[:]
         del asym[:]
         transmission(2.25, MASS, BARRIER, U)
-        assert sorted(calls) == sorted(["barrier_coefficients", "basis_for",
+        assert sorted(calls) == sorted(["_barrier_coefficients", "basis_for",
                                         "_assemble", "abbreviations_at",
                                         "abbreviations_at", "second", "second",
                                         "recip_gamma", "recip_gamma",
@@ -1073,6 +1075,15 @@ def linear_grid(lo, hi, n):
 STEEP = (MassParams(M1=0.02), PotentialProfile(V0=5.0, alpha=0.45 / 7.0, a=2.0))
 
 
+def test_every_package_export_resolves():
+    # README's library use imports from triq itself: every name in its
+    # __all__ is there, the sweep's table among them
+    for name in triq.__all__:
+        getattr(triq, name)
+    assert (triq.sweep_table, triq.SweepTable) == (sweep_table,
+                                                    triq.scatter.SweepTable)
+
+
 class TestSweep:
     @pytest.mark.parametrize("axis, values, fidelity, auto_alpha, setup", [
         # E axis across plain sums, DD reruns and the refusal band
@@ -1093,15 +1104,21 @@ class TestSweep:
         # one point left after the coefficient pass, then none
         ("E", [-0.5, 0.1], "none", False, None),
         ("E", [-0.5, -0.1], "none", False, None),
+        # the steep 0.02-3 eV CLI golden: 12 NaN T_paper rows the grid
+        # delivers and 6 AccuracyError rows; under t2 the 12 are refused
+        ("E", linear_grid(0.02, 3.0, 60), "none", False, STEEP),
+        ("E", linear_grid(0.02, 3.0, 60), "t2", False, STEEP),
     ])
     def test_grid_path_is_the_point_loop(self, monkeypatch, axis, values,
                                          fidelity, auto_alpha, setup):
         # every row and refusal of the grid path is what a loop of
         # transmission() calls gives, double for double.  The grid sends
-        # alone exactly the refused points and those whose system holds a
-        # non-finite number; it makes each rerun of the loop once, and the
-        # lone route makes those of the points sent alone.  It takes every
-        # continued fraction of the loop, and more only at points sent alone
+        # alone exactly the points its stacked solve refuses, which are the
+        # refused points: one whose lone system is non-finite only in its
+        # printed sets is the grid's row.  It makes each rerun of the loop
+        # once, and the lone route makes those of the points sent alone.
+        # It takes every continued fraction of the loop, and more only at
+        # points sent alone
         mp, pp = setup or (MASS, BARRIER)
         counts = counted_routes(monkeypatch)
         fractions = fraction_z(monkeypatch)
@@ -1121,11 +1138,20 @@ class TestSweep:
                       if not isinstance(w, Exception) and not finite_system(
                           assemble_matching(points[i][0], mp, points[i][1], U,
                                             fidelity))]
-        assert alone == sorted(refused + non_finite)
+        assert alone == refused
         if setup:
             assert non_finite == [i for i, w in enumerate(want)
                                   if not isinstance(w, Exception)
                                   and math.isnan(w.T_paper)]
+        if len(values) == 60:
+            # the steep golden: 6 AccuracyError rows and 12 whose f6
+            # 1/Gamma overflows, NaN T_paper under none and refused under
+            # t2; only the refused go alone
+            kinds = collections.Counter(type(w).__name__ for w in want)
+            printed_nan = (len(non_finite) if fidelity == "none"
+                           else kinds["ConditioningError"])
+            assert (kinds["AccuracyError"], printed_nan, len(alone)) == \
+                (6, 12, 6 if fidelity == "none" else 18)
         taken(counts)
         del fractions[:]
         loop_outcomes(axis, [values[i] for i in alone], mp, pp,
@@ -1166,11 +1192,14 @@ class TestSweep:
     def test_each_point_keeps_its_first_error(self, monkeypatch, fidelity):
         # faults planted at single points of a 12-point grid, a NaN in the
         # grid passes and an error in the scalar route: each such point is
-        # sent alone and reports the error _assemble raises first there
-        # (1/Gamma(b + 1/2), then 1/Gamma(b), then a non-overflow fault of
-        # f6's 1/Gamma, then second() at x = 0, then at x = a), and its
-        # neighbours keep their rows.  The printed-column modes never call
-        # second(), so none of its faults refuses a point there.
+        # refused by the stacked solve, sent alone and reports the error
+        # _assemble raises first there (1/Gamma(b + 1/2), then 1/Gamma(b),
+        # then a non-overflow fault of f6's 1/Gamma, then second() at
+        # x = 0, then at x = a), and its neighbours keep their rows.  The
+        # printed-column modes never call second(), so none of its faults
+        # refuses a point there.  An overflowed f6 1/Gamma (point 4) puts a
+        # NaN only in the printed sets, so under the canonical columns the
+        # grid delivers that point's row.
         grid = linear_grid(0.5, 2.25, 12)
         printed_signs = fidelity in ("signs", "all")
         bases = [basis_for(barrier_coefficients(E, MASS, BARRIER, U,
@@ -1243,8 +1272,7 @@ class TestSweep:
             # the printed f6 column is NaN: a non-finite system
             expect[4] = "matching system has non-finite entries"
         assert errors == expect
-        # point 4 stands, but its NaN f6 puts a NaN in its system
-        assert alone == sorted({4, *expect})
+        assert alone == sorted(expect)
 
     def test_every_pass_takes_every_point(self, monkeypatch):
         # on the 100-point refusal band, where 45 points are refused, the
