@@ -17,9 +17,8 @@ from .model import (MassParams, PotentialProfile, RegionCoefficients,
                     barrier_coefficients, make_units, well_coefficients)
 from .oracle import (IntegrationSpec, integrate, matched_transmission,
                      ode_residual)
-from .scatter import (FIDELITY_MODES, SweepRow, SweepTable,
-                      TransmissionResult, rescale_diagnostic, sweep,
-                      sweep_table, transmission)
+from .scatter import (FIDELITY_MODES, SweepTable, TransmissionResult,
+                      rescale_diagnostic, sweep, transmission)
 from .special import airy_ai, airy_bi, gamma, kummer_m, recip_gamma
 from .validate import info_lines, run_suites
 
@@ -36,7 +35,6 @@ __all__ = [
     "PotentialProfile",
     "RegionCoefficients",
     "SpectrumResult",
-    "SweepRow",
     "SweepTable",
     "TABLE1_PUBLISHED_EV",
     "TransmissionResult",
@@ -61,7 +59,6 @@ __all__ = [
     "run_suites",
     "spectrum",
     "sweep",
-    "sweep_table",
     "table1_report",
     "transmission",
     "well_coefficients",

@@ -22,7 +22,7 @@ from typing import Union
 from .bound import spectrum, table1_report
 from .errors import DomainError, TriqError, require_finite
 from .model import KINDS, MassParams, PotentialProfile, make_units
-from .scatter import AXES, FIDELITY_MODES, SweepTable, sweep_table
+from .scatter import AXES, FIDELITY_MODES, SweepTable, sweep
 from .validate import info_lines, run_suites
 
 CSV_HEADER = "axis,T_solve,T_paper,t1,t2,b1,b2,b3,b4,b5,residual,flags"
@@ -186,8 +186,8 @@ def _csv_rows(values: list[float], table: SweepTable) -> list[str]:
 def _run_sweep(config: RunConfig, values: list[float]) -> SweepTable:
     u, mp, pp = _physics(config)
     auto = config.alpha_eV_per_nm == "auto" and config.axis in ("V0", "a")
-    return sweep_table(config.axis, values, mp, pp, u, E=config.E_eV,
-                       fidelity=config.paper_fidelity, auto_alpha=auto)
+    return sweep(config.axis, values, mp, pp, u, E=config.E_eV,
+                 fidelity=config.paper_fidelity, auto_alpha=auto)
 
 
 def _sweep_report(config: RunConfig, name: str, clip: bool = False) -> str:

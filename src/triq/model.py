@@ -167,7 +167,11 @@ def _unchecked_airy_scale(E, mp: MassParams, u: UnitSystem):
 
 
 def airy_argument(x, E, mp: MassParams, u: UnitSystem) -> float:
-    """Exterior variable y(x); y = 0 exactly at the mass zero x* = M0/M1."""
+    """Exterior variable y(x); y = 0 exactly at the mass zero x* = M0/M1.
+
+    x and E are taken to Python floats, so np.float64 input gives a float.
+    """
+    x, E = float(x), float(E)
     return _airy_argument(airy_scale(E, mp, u), x, E, mp, u)
 
 

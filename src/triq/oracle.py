@@ -45,7 +45,8 @@ from typing import Callable, NamedTuple, Optional
 import numpy as np
 
 from .errors import AccuracyError, DomainError
-from .model import MassParams, PotentialProfile, UnitSystem, airy_argument, airy_scale
+from .model import (MassParams, PotentialProfile, UnitSystem, _take_floats,
+                    airy_argument, airy_scale)
 from .special import airy_ai, airy_bi
 
 HALVING_GATE = 1e-8
@@ -72,12 +73,9 @@ class IntegrationSpec:
     derivative: float
 
     def __post_init__(self):
-        if not (self.step > 0.0 and math.isfinite(self.step)):
+        _take_floats(self, ("x_start", "x_end", "step", "value", "derivative"))
+        if not self.step > 0.0:
             raise DomainError(f"step must be positive, got {self.step!r}")
-        for name in ("x_start", "x_end"):
-            x = getattr(self, name)
-            if not math.isfinite(x):
-                raise DomainError(f"{name} must be finite, got {x!r}")
         span = abs(self.x_end - self.x_start)
         if span == 0.0:
             raise DomainError("empty integration range")

@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,10 +46,10 @@ from .errors import AccuracyError, ConditioningError, DomainError, TriqError
 from .model import (MassParams, PotentialProfile, RegionCoefficients,
                     UnitSystem, _barrier_coefficients, _coefficients,
                     _kummer_b)
-from .special import (TRICOMI_CF_LEAST, AiryPair, _airy_array,
-                      _kummer_m_array, _libm, _loss, _recip_gamma_array,
-                      _scalar, _where, airy_ai, airy_bi, kummer_m,
-                      recip_gamma, tricomi_u_cf)
+from .special import (_ROUND_CHARGE, TRICOMI_CF_LEAST, AiryPair,
+                      _airy_array, _kummer_m_array, _libm, _loss,
+                      _recip_gamma_array, _scalar, _where, airy_ai, airy_bi,
+                      kummer_m, recip_gamma, tricomi_u_cf)
 
 # Worst error estimate second() accepts before refusing the point.  This is
 # a gate against garbage, not a precision claim: a point it refuses would
@@ -58,8 +58,7 @@ from .special import (TRICOMI_CF_LEAST, AiryPair, _airy_array,
 # does not (_two_term).  On 600 seeded points (b in [-45, 3], z up to 250)
 # the worst passing errors were 2.8e-12 on the subtraction route and
 # 1.9e-13 on the continued fraction, and none of the 446 the kernels took
-# was refused (the large-z recurrence refused 7, and passed errors up to
-# 7.4e-5).
+# was refused.
 _SECOND_BUDGET = 1e-4
 
 # transmitted amplitude of the scaled twin in rescale_diagnostic; a power
@@ -258,8 +257,9 @@ def _two_term(b, s, rg_b, rg_bh, ker: _Kernels):
     b, s = sqrt(a1), rg_b = 1/Gamma(b) and rg_bh = 1/Gamma(b + 1/2) are
     floats or arrays with one entry per kernel point, and the kernels
     floats or arrays: floats give floats, arrays give every element the
-    float's double (the caller silences numpy).  The estimate is 1e-15
-    times the worse cancellation factor of the value and the slope.
+    float's double (the caller silences numpy).  The estimate is
+    special._ROUND_CHARGE times the worse cancellation factor of the value
+    and the slope.
     """
     y = ker.y
     root = _libm(np.sqrt, s)  # a1^(1/4)
@@ -277,7 +277,7 @@ def _two_term(b, s, rg_b, rg_bh, ker: _Kernels):
     # wins the comparison with an estimate near 1e-14.  max(l1, l2) is
     # written as l2 where l2 > l1, else l1, which keeps a NaN l1 the way
     # max does.
-    est = 1e-15 * _where(l2 > l1, l2, l1)
+    est = _ROUND_CHARGE * _where(l2 > l1, l2, l1)
     return math.pi * (va - vb), math.pi * (da - db - dc), est
 
 
@@ -514,20 +514,15 @@ def _system(k, airy, fset, gset, printed_columns: bool,
                           ai_a=AiryPair(ai_a, ai_ap))
 
 
-def solve_matching(systems: Sequence[MatchingSystem] | MatchingSystem,
+def solve_matching(systems: Sequence[MatchingSystem],
                    E: Sequence[float]) -> list:
     """A MatchSolution or the ConditioningError of each system, E their energies.
 
-    systems is a sequence of MatchingSystem, or one MatchingSystem (of a
-    lone point, or over a grid, whose matrix stack is solved as built).
-    The stack is solved by _solve_systems, the one solve behind a sweep's
-    table too, and each solution is built from its rows.
+    The systems are stacked and solved by _solve_systems, the one solve
+    behind a sweep's table too, and each solution is built from its rows.
     """
-    if isinstance(systems, MatchingSystem):
-        a, rhs = systems.matrix, systems.rhs
-    else:
-        a = np.array([s.matrix for s in systems])
-        rhs = np.array([s.rhs for s in systems])
+    a = np.array([s.matrix for s in systems])
+    rhs = np.array([s.rhs for s in systems])
     x, scaled, residual, refusal = _solve_systems(a.reshape(-1, 4, 4),
                                                   rhs.reshape(-1, 4), E)
     return [MatchSolution(*b, residual=res, equilibrated=m) if exc is None
@@ -654,8 +649,10 @@ def transmission(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
 
     T_solve = (1/b1)^2 comes from the linear solve, +inf where b1 is
     exactly 0.  T_paper is the printed closed form, always computed for
-    comparison.  This is the lone-point route (_alone) that a sweep takes
-    for every point its stacked solve refuses; a refusal is raised.
+    comparison.  This is the lone-point route (_alone) that sweep() takes
+    for every point its stacked solve refuses, and its result holds the
+    doubles of that point's entries in sweep()'s table; a refusal is
+    raised.
     """
     return _raised(_outcomes(_alone(_grid_points("E", [E], pp, E, False)[0],
                                     mp, u, _printed(fidelity)))[0])
@@ -680,13 +677,6 @@ def rescale_diagnostic(E, mp: MassParams, pp: PotentialProfile,
             _paper_closed_form(scaled)[2] / _paper_closed_form(base)[2])
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    axis_value: float
-    result: Optional[TransmissionResult]
-    flags: tuple[str, ...]
-
-
 class SweepTable(NamedTuple):
     """A sweep's results as columns, one entry per grid point.
 
@@ -709,24 +699,10 @@ class SweepTable(NamedTuple):
 
 def sweep(axis: str, values: Sequence[float], mp: MassParams,
           pp: PotentialProfile, u: UnitSystem, E: float = 0.1,
-          fidelity: str = "none", auto_alpha: bool = False) -> list[SweepRow]:
-    """One transmission row per grid value, never aborting on a bad point.
-
-    The rows of sweep_table's columns, each point's TransmissionResult
-    built from its entries; a refused point's row has no result and the
-    class name of its error as its flag.
-    """
-    return [SweepRow(axis_value=v, result=None, flags=(type(got).__name__,))
-            if isinstance(got, Exception)
-            else SweepRow(axis_value=v, result=got, flags=())
-            for v, got in zip(values, _outcomes(sweep_table(
-                axis, values, mp, pp, u, E, fidelity, auto_alpha)))]
-
-
-def sweep_table(axis: str, values: Sequence[float], mp: MassParams,
-                pp: PotentialProfile, u: UnitSystem, E: float = 0.1,
-                fidelity: str = "none", auto_alpha: bool = False) -> SweepTable:
-    """The SweepTable of a grid, never aborting on a bad point.
+          fidelity: str = "none", auto_alpha: bool = False) -> SweepTable:
+    """A grid's results as the columns of a SweepTable, never aborting on
+    a bad point.  This is the one sweep entry point: the CLI prints its
+    CSV from the table's columns.
 
     axis "E" varies the energy at the given profile; "V0" and "a" vary the
     profile at fixed E.  auto_alpha re-slopes the profile per point so the
@@ -757,7 +733,7 @@ def sweep_table(axis: str, values: Sequence[float], mp: MassParams,
 
 
 def _grid_table(axis, values, mp, pp, u, E, fidelity, auto_alpha) -> SweepTable:
-    """sweep_table with the grid taken as given."""
+    """sweep() with the grid taken as given."""
     printed = _printed(fidelity)
     return _solved(_grid_points(axis, values, pp, E, auto_alpha), mp, u,
                    printed)

@@ -13,7 +13,10 @@ Contracts (relative error unless stated):
     kummer_m            <= 1e-10 for |z| <= 300 (envelope; error beyond)
     tricomi_u_cf        returns an estimate bounding its error for exact inputs
     tricomi_u_large_z   returns its own relative error estimate
-    recip_gamma / gamma <= 1e-13 on the real line away from poles
+    recip_gamma / gamma <= 2e-14 for |x| <= 20, 1e-13 for |x| <= 60,
+                          2e-13 for |x| <= 100 and 3e-13 on [-168.5, 171.5],
+                          away from poles (e^(ln Gamma) carries about
+                          |ln Gamma| rounding units)
 
 Near an Airy oscillation zero "relative" is measured against the local pair
 envelope max(|f|, |f'| / sqrt(|y|)): pointwise relative error at a zero is
@@ -1404,17 +1407,20 @@ def _tricomi_tail(a: float, c: float, z: float) -> tuple[float, float]:
     return z ** (-a) * total, smallest / max(abs(total), 1e-300)
 
 
-# tricomi_u_cf's fixed depth, the relative rounding its estimate charges
-# for each backward step and for the Wronskian quotient, and the factor on
-# the linear model of the start's error, which read up to 10x low below
-# z = 1 against mpmath
+# the relative rounding both companion estimates charge: tricomi_u_cf's
+# for each backward step and for the Wronskian quotient, and the two-term
+# form's per unit of its cancellation factor (scatter._two_term), so that
+# scatter's second() compares the two on one scale
+_ROUND_CHARGE = 1e-15
+
+# tricomi_u_cf's fixed depth, and the factor on the linear model of the
+# start's error, which read up to 10x low below z = 1 against mpmath
 _CF_DEPTH = 80
-_CF_ROUND = 1e-15
 _CF_START = 16.0
 _CF_J = np.arange(float(_CF_DEPTH), 0.0, -1.0)  # j = depth .. 1
 # no estimate tricomi_u_cf gives is below this: both of its cancellation
 # factors are at least 1, and r's error at least one step's rounding
-TRICOMI_CF_LEAST = 4.0 * _CF_ROUND
+TRICOMI_CF_LEAST = 4.0 * _ROUND_CHARGE
 
 
 def tricomi_u_cf(b, c, z, m, m_next, rg_b):
@@ -1440,10 +1446,10 @@ def tricomi_u_cf(b, c, z, m, m_next, rg_b):
     the errors of m, m_next and rg_b pass through unweighted, and are
     charged by neither this estimate nor the two-term form's.  r's
     relative error e is the start's error (a linear model, times
-    _CF_START) and _CF_ROUND per step, each carried down by the step's
+    _CF_START) and _ROUND_CHARGE per step, each carried down by the step's
     relative sensitivity |k(k - c + 1) r_(k-1) r_k|; (c - b - 1) r + 1
     multiplies e by its cancellation factor, and the denominator's
-    cancellation factor multiplies that plus _CF_ROUND for the quotient.
+    cancellation factor multiplies that plus _ROUND_CHARGE for the quotient.
     Against 50-digit mpmath the true error was at most 0.56 of it on 690
     seeded points (b in [-45, 3], z in [0.05, 300], b within 1e-3 to 1e-9
     of -1 .. -40).  It is at least TRICOMI_CF_LEAST, and inf, never NaN,
@@ -1469,7 +1475,7 @@ def tricomi_u_cf(b, c, z, m, m_next, rg_b):
                 r = 1.0 / r
                 tr *= r  # the step's relative sensitivity, up to its sign
                 e *= abs(tr)
-                e += _CF_ROUND
+                e += _ROUND_CHARGE
             ratio = (c - b - 1.0) * r
             q = -(b / z) * (ratio + 1.0)  # U'/U
             mq = m * q
@@ -1478,7 +1484,8 @@ def tricomi_u_cf(b, c, z, m, m_next, rg_b):
             u = -_exp_growth(z) / _libm(np.power, z, c) * rg_b / d
             du = u * q
             est = ((_loss(d, abs(mq) + abs(dm)) + 1.0)
-                   * (_CF_ROUND + _loss(ratio + 1.0, abs(ratio) + 1.0) * e))
+                   * (_ROUND_CHARGE
+                      + _loss(ratio + 1.0, abs(ratio) + 1.0) * e))
     except ZeroDivisionError:
         u, du, est = tricomi_u_cf(b, c, np.array([z]), m, m_next, rg_b)
         return u.item(), du.item(), est.item()

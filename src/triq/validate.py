@@ -158,8 +158,7 @@ def suite_interior_equation() -> SuiteResult:
 
 def suite_interior_wronskian() -> SuiteResult:
     # P Q' - P' Q = -2 sqrt(pi) a1^(1/4) / Gamma(b), constant in x.  The
-    # worst is 6.7e-14; it was 1.4e-10 (E = 0.8 here) with the large-z
-    # recurrence in the companion solution's continued fraction's place
+    # worst is 6.7e-14
     u, mp, pp = _default_setup()
     deviations = []
     for E in (0.1, 0.8, 2.25):
@@ -197,10 +196,7 @@ def suite_transmission_agreement() -> SuiteResult:
         solved = transmission(E, mp, pp, u).T_solve
         marched = matched_transmission(E, mp, pp, u)
         deviations.append(abs(solved / marched - 1.0))
-    # the worst is 3.1e-13, and the budget 10x it; 4.6e-12 (2.25 eV), the
-    # oracle's own error, before the oracle extrapolated its halving pair,
-    # and 2.7e-9 at 0.45 eV with the large-z recurrence as the companion's
-    # second route
+    # the worst is 3.1e-13, and the budget 10x it
     return SuiteResult(name="transmission-agreement", worst=_worst(deviations),
                        budget=4e-12)
 

@@ -50,11 +50,12 @@ def _verdict(num, name, ok, detail):
           flush=True)
 
 
-def _solve_values(rows, gate):
-    for row in rows:
-        assert row.result is not None, \
-            f"gate {gate}: point {row.axis_value!r} failed: {row.flags}"
-    return np.array([row.result.T_solve for row in rows])
+def _solve_values(table, values, gate):
+    """T_solve of a sweep's table, values its grid; every point must solve."""
+    for v, exc in zip(values, table.refusal):
+        assert exc is None, \
+            f"gate {gate}: point {v!r} failed: {type(exc).__name__}"
+    return table.T_solve
 
 
 def test_gate_1_special_functions():
@@ -159,15 +160,15 @@ def _oracle(fn, points):
     return np.array([fn(E, MASS, pp, U) for E, pp in points])
 
 
-def _poles(points, rows):
+def _poles(points, table):
     """b1 sign changes between neighbouring grid points, checked by the oracle.
 
-    points[i] is the (E, profile) of rows[i].  Returns the bracket indices
+    points[i] is the (E, profile) of the table's point i.  Returns the bracket indices
     i (b1 changes sign between i and i + 1) and the worst relative gap
     between the oracle's signed b1 and the solved one over both ends of
     every bracket; a gap below 1 means the oracle reproduces the sign.
     """
-    b1 = np.array([row.result.solution.b1 for row in rows])
+    b1 = table.b[:, 0]
     brackets = [i for i in range(len(b1) - 1)
                 if (b1[i] > 0.0) != (b1[i + 1] > 0.0)]
     ends = [j for i in brackets for j in (i, i + 1)]
@@ -189,12 +190,12 @@ def _largest_step_beyond(T, brackets):
 
 
 def test_gate_4_high_energy_shape():
-    rows = sweep("E", SHAPE_GRID, MASS, BARRIER, U)
-    T = _solve_values(rows, gate=4)
+    table = sweep("E", SHAPE_GRID, MASS, BARRIER, U)
+    T = _solve_values(table, SHAPE_GRID, gate=4)
     points = [(E, BARRIER) for E in SHAPE_GRID]
     top = len(T) // 10
     decile = T[-top:]
-    brackets, pole_gap = _poles(points, rows)
+    brackets, pole_gap = _poles(points, table)
     step = _largest_step_beyond(T, brackets)
     oracle = _oracle_gap(points[-top:], decile)
     poles = ", ".join(f"({SHAPE_GRID[i]:.5f}, {SHAPE_GRID[i + 1]:.5f})"
@@ -225,14 +226,14 @@ def test_gate_5_growth_shape():
     # The slope tracks V0/a per point so the profile stays triangular.
     v0_grid = [float(v) for v in
                np.logspace(math.log10(0.005), math.log10(0.45), 50)]
-    v0_rows = sweep("V0", v0_grid, MASS, BARRIER, U, E=0.1, auto_alpha=True)
-    Tv = _solve_values(v0_rows, gate=5)
+    v0_table = sweep("V0", v0_grid, MASS, BARRIER, U, E=0.1, auto_alpha=True)
+    Tv = _solve_values(v0_table, v0_grid, gate=5)
     v0_points = [(0.1, dataclasses.replace(BARRIER, V0=v,
                                            alpha=v / BARRIER.a))
                  for v in v0_grid]
     a_grid = [float(a) for a in np.logspace(-4.0, math.log10(7.0), 50)]
-    a_rows = sweep("a", a_grid, MASS, BARRIER, U, E=0.1, auto_alpha=True)
-    Ta = _solve_values(a_rows, gate=5)
+    a_table = sweep("a", a_grid, MASS, BARRIER, U, E=0.1, auto_alpha=True)
+    Ta = _solve_values(a_table, a_grid, gate=5)
     a_points = [(0.1, dataclasses.replace(BARRIER, a=a,
                                           alpha=BARRIER.V0 / a))
                 for a in a_grid]
@@ -243,8 +244,8 @@ def test_gate_5_growth_shape():
     a_start = abs(Ta[0] - 1.0)
     v0_oracle = _oracle_gap(v0_points, Tv)
     a_oracle = _oracle_gap(a_points, Ta)
-    v0_brackets, v0_gap = _poles(v0_points, v0_rows)
-    a_brackets, a_gap = _poles(a_points, a_rows)
+    v0_brackets, v0_gap = _poles(v0_points, v0_table)
+    a_brackets, a_gap = _poles(a_points, a_table)
     pole_gap = float(np.max([v0_gap, a_gap]))
     v0_rise = _largest_step_beyond(Tv, v0_brackets)
     a_rise = _largest_step_beyond(Ta, a_brackets)
@@ -310,16 +311,15 @@ def test_gate_7_published_form_diagnostics():
     spread = {}
     flagged = {}
     for mode in ("none", "signs", "t2", "all"):
-        rows = sweep("E", SHAPE_GRID, MASS, BARRIER, U, fidelity=mode)
-        assert len(rows) == len(SHAPE_GRID)
-        flagged[mode] = sum(1 for row in rows if row.flags)
-        div = [abs(row.result.T_paper / row.result.T_solve - 1.0)
-               for row in rows if row.result is not None
-               and math.isfinite(row.result.T_paper)
-               and math.isfinite(row.result.T_solve)
-               and row.result.T_solve != 0.0]
-        assert div, f"mode {mode} produced no comparable points"
-        spread[mode] = max(div)
+        table = sweep("E", SHAPE_GRID, MASS, BARRIER, U, fidelity=mode)
+        assert len(table.refusal) == len(SHAPE_GRID)
+        flagged[mode] = sum(exc is not None for exc in table.refusal)
+        T_paper, T_solve = table.T_paper, table.T_solve
+        comparable = (np.isfinite(T_paper) & np.isfinite(T_solve)
+                      & (T_solve != 0.0))
+        div = np.abs(T_paper[comparable] / T_solve[comparable] - 1.0)
+        assert div.size, f"mode {mode} produced no comparable points"
+        spread[mode] = float(div.max())
     solve_ratio, paper_ratio = rescale_diagnostic(0.1, MASS, BARRIER, U)
     invariance = abs(solve_ratio - 1.0)
     scaling = abs(paper_ratio / 2.0 ** -4 - 1.0)

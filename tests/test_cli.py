@@ -4,10 +4,12 @@ import dataclasses
 import hashlib
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
 
+import triq.scatter
 from triq.cli import (
     _CSV_ROW,
     CSV_HEADER,
@@ -279,6 +281,24 @@ class TestTransmissionCommand:
         rows = data_rows(out.read_text())
         assert len(rows) == 5
         assert all(len(r) == len(CSV_HEADER.split(",")) for r in rows)
+
+    def test_sweeps_call_scatter_sweep(self, monkeypatch, capsys):
+        # every binding of scatter.sweep in the package is spied on, as a
+        # span tracer wraps a function by name: both sweep commands call it
+        original, calls = triq.scatter.sweep, []
+
+        def spied(axis, values, *args, **kwargs):
+            calls.append((axis, len(values)))
+            return original(axis, values, *args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name == "triq" or name.startswith("triq."):
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, spied)
+        assert main(["transmission"] + SMALL) == 0
+        assert main(["tunnelling"] + SMALL) == 0
+        assert calls == [("E", 5), ("E", 5)]
 
     def test_rerun_is_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"

@@ -259,6 +259,13 @@ class TestAiryArgument:
         y3 = airy_argument(BARRIER.a, E, MASS, U)
         assert y3 == pytest.approx(k * BARRIER.a + y1, rel=1e-14)
 
+    def test_numpy_input_gives_the_float(self):
+        want = airy_argument(2.0, 0.3, MASS, U)
+        for x, E in ((np.float64(2.0), 0.3), (2.0, np.float64(0.3)),
+                     (np.float64(2.0), np.float64(0.3))):
+            got = airy_argument(x, E, MASS, U)
+            assert type(got) is float and got.hex() == want.hex()
+
     def test_mass_zero_maps_to_turning_point(self):
         for E in (0.02, 0.1, 0.7, 2.0):
             y = airy_argument(MASS.mass_zero_nm, E, MASS, U)

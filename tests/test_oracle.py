@@ -145,6 +145,22 @@ class TestSpecValidation:
         with pytest.raises(DomainError, match=f"{end} must be finite, got {x!r}"):
             IntegrationSpec(ends["x_start"], ends["x_end"], 1e-3, 1.0, 0.0)
 
+    @pytest.mark.parametrize("field", ["value", "derivative"])
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_state(self, field, v):
+        # refused by name, not by integrate's halving gate on a NaN gap
+        state = {"value": 1.0, "derivative": 0.0, field: v}
+        with pytest.raises(DomainError, match=f"^{field} must be finite, got {v!r}$"):
+            IntegrationSpec(0.0, 1.0, 1e-3, state["value"], state["derivative"])
+
+    def test_numpy_fields_are_floats(self):
+        # np.float64 fields are stored as Python floats, and refused with
+        # a float's repr
+        spec = IntegrationSpec(*map(np.float64, (0.0, 1.0, 1e-3, 1.0, 0.0)))
+        assert [type(v) for v in vars(spec).values()] == [float] * 5
+        with pytest.raises(DomainError, match="^x_end must be finite, got inf$"):
+            IntegrationSpec(0.0, np.float64(math.inf), 1e-3, 1.0, 0.0)
+
     def test_step_count(self):
         assert IntegrationSpec(0.0, 2.0, 1e-3, 1.0, 0.0).n_steps == 2000
         assert IntegrationSpec(2.0, 0.0, 0.5, 1.0, 0.0).n_steps == 4

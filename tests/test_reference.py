@@ -128,8 +128,9 @@ def judged():
     out = {}
     for name, points in _corpora().items():
         if points[0][2] is BARRIER:
-            rows = sweep("E", [E for E, _, _ in points], MASS, BARRIER, U)
-            closed = [row.result.solution.b1 for row in rows]
+            table = sweep("E", [E for E, _, _ in points], MASS, BARRIER, U)
+            assert table.refusal == [None] * len(points), name
+            closed = table.b[:, 0].tolist()
         else:
             closed = [transmission(E, mp, pp, U).solution.b1
                       for E, mp, pp in points]

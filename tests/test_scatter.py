@@ -36,7 +36,6 @@ from triq.scatter import (
     MatchingSystem,
     MatchSolution,
     RegionIIBasis,
-    SweepRow,
     TransmissionResult,
     _div,
     _Kernels,
@@ -46,7 +45,6 @@ from triq.scatter import (
     rescale_diagnostic,
     solve_matching,
     sweep,
-    sweep_table,
     transmission,
 )
 from triq.special import airy_ai, airy_bi, recip_gamma
@@ -426,8 +424,8 @@ class TestTransmission:
         message = "scattering energy must be finite, got inf"
         with pytest.raises(DomainError, match=f"^{message}$"):
             transmission(math.inf, MASS, BARRIER, U)
-        rows = sweep("E", [0.1, math.inf], MASS, BARRIER, U)
-        assert [row.flags for row in rows] == [(), ("DomainError",)]
+        table = sweep("E", [0.1, math.inf], MASS, BARRIER, U)
+        assert refusal_names(table) == [None, "DomainError"]
         got = sweep_outcomes("E", [0.1, math.inf], MASS, BARRIER,
                              U, 0.1, "none", False)
         assert str(got[1]) == message
@@ -442,8 +440,8 @@ class TestTransmission:
         # NaN or its accuracy limit, alone and as a sweep row
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             transmission(E, MASS, BARRIER, U)
-        rows = sweep("E", [0.1, E], MASS, BARRIER, U)
-        assert [row.flags for row in rows] == [(), ("DomainError",)]
+        table = sweep("E", [0.1, E], MASS, BARRIER, U)
+        assert refusal_names(table) == [None, "DomainError"]
         got = sweep_outcomes("E", [0.1, E], MASS, BARRIER,
                              U, 0.1, "none", False)
         assert str(got[1]) == message
@@ -489,9 +487,9 @@ class TestTransmission:
         res = transmission(0.1, MASS, BARRIER, U)
         assert res.solution.b1 == 0.0
         assert res.T_solve == math.inf
-        rows = sweep("E", [0.1, 0.2], MASS, BARRIER, U)
-        assert [r.flags for r in rows] == [(), ()]
-        assert all(r.result.T_solve == math.inf for r in rows)
+        table = sweep("E", [0.1, 0.2], MASS, BARRIER, U)
+        assert refusal_names(table) == [None, None]
+        assert table.T_solve.tolist() == [math.inf] * 2
 
     def test_fidelity_modes_run_and_diverge(self):
         results = {mode: transmission(0.1, MASS, BARRIER, U, fidelity=mode)
@@ -728,7 +726,7 @@ class TestInterfaceEvaluatedOnce:
         # a 200-point CLI sweep whose points are all delivered formats its
         # CSV from the table's columns: it builds no per-point result
         built = []
-        for cls in (MatchSolution, TransmissionResult, SweepRow):
+        for cls in (MatchSolution, TransmissionResult):
             monkeypatch.setattr(cls, "__init__",
                                 spy(cls.__name__, cls.__init__, built))
         sent = points_sent_alone(monkeypatch)
@@ -741,13 +739,9 @@ class TestInterfaceEvaluatedOnce:
         assert (len(sent), built) == (45, [])
         del paper[:], calls[:], asym[:]
         for mode in FIDELITY_MODES:
-            rows = sweep("E", self.GRID, MASS, BARRIER, U, fidelity=mode)
-            # sweep() still builds them, one of each per row
-            assert sorted(built) == sorted(
-                ["MatchSolution", "TransmissionResult", "SweepRow"] * 200)
-            assert all(type(r.result.solution) is MatchSolution for r in rows)
-            del built[:]
-        assert calls == []
+            # nor does sweep(), whose table is the result
+            sweep("E", self.GRID, MASS, BARRIER, U, fidelity=mode)
+        assert (calls, built) == ([], [])
         assert set(asym) == {("_airy_asym_pos", "array")}
         del asym[:]
         # 3.9 eV is refused by its kernels, so the closed form takes the
@@ -809,6 +803,12 @@ def loop_outcomes(axis, values, mp=MASS, pp=BARRIER, E=0.1, fidelity="none",
         except (TriqError, ArithmeticError) as exc:
             out.append(exc)
     return out
+
+
+def refusal_names(table):
+    """Per point of a sweep's table, its error's class name, or None where
+    it solved."""
+    return [None if exc is None else type(exc).__name__ for exc in table.refusal]
 
 
 def sweep_outcomes(axis, values, mp, pp, u, E, fidelity, auto_alpha):
@@ -1077,11 +1077,10 @@ STEEP = (MassParams(M1=0.02), PotentialProfile(V0=5.0, alpha=0.45 / 7.0, a=2.0))
 
 def test_every_package_export_resolves():
     # README's library use imports from triq itself: every name in its
-    # __all__ is there, the sweep's table among them
+    # __all__ is there, the sweep and its table among them
     for name in triq.__all__:
         getattr(triq, name)
-    assert (triq.sweep_table, triq.SweepTable) == (sweep_table,
-                                                    triq.scatter.SweepTable)
+    assert (triq.sweep, triq.SweepTable) == (sweep, triq.scatter.SweepTable)
 
 
 class TestSweep:
@@ -1169,16 +1168,13 @@ class TestSweep:
             grid_z, loop_z + fractions,
             interface_z([points[i] for i in alone], mp,
                         fidelity in ("signs", "all")))
-        rows = sweep(axis, values, mp, pp, U, E=0.1, fidelity=fidelity,
-                     auto_alpha=auto_alpha)
-        assert [outcome_key(r.result) if r.result else r.flags
-                for r in rows] == [
-            (type(g).__name__,) if isinstance(g, Exception) else outcome_key(g)
-            for g in got]
-        # and the CSV rows the CLI formats from the sweep's table are the
-        # loop's, formatted a field at a time
-        table = sweep_table(axis, values, mp, pp, U, E=0.1, fidelity=fidelity,
-                            auto_alpha=auto_alpha)
+        # sweep(), which checks the grid first, gives the same table, and
+        # the CSV rows the CLI formats from it are the loop's, formatted a
+        # field at a time
+        table = sweep(axis, values, mp, pp, U, E=0.1, fidelity=fidelity,
+                      auto_alpha=auto_alpha)
+        assert [outcome_key(o) for o in triq.scatter._outcomes(table)] == \
+            [outcome_key(g) for g in got]
         assert _csv_rows(values, table) == loop_csv_rows(values, want)
         if values[0] == 2.25:
             assert sum(isinstance(g, AccuracyError) for g in got) == 45
@@ -1286,8 +1282,8 @@ class TestSweep:
                 _seen.append(np.size(args[0]))
                 return _fn(*args)
             monkeypatch.setattr(triq.scatter, name, recorded)
-        rows = sweep("E", linear_grid(2.25, 3.9, 100), MASS, BARRIER, U)
-        assert sum(r.result is None for r in rows) == 45
+        table = sweep("E", linear_grid(2.25, 3.9, 100), MASS, BARRIER, U)
+        assert sum(exc is not None for exc in table.refusal) == 45
         assert sizes == {"_exterior_airy": [100], "_interface_kernels": [100],
                          "_companion_grid": [100, 100]}
 
@@ -1327,10 +1323,9 @@ class TestSweep:
             assert str(point) == f"a must be positive, got {a!r}"
         assert points[3] == (0.1, PotentialProfile(
             alpha=0.225 if auto_alpha else BARRIER.alpha, a=2.0))
-        rows = sweep("a", [-1.0, 0.0, 2.0], MASS, BARRIER, U,
-                     auto_alpha=auto_alpha)
-        assert [r.flags for r in rows] == [("DomainError",)] * 2 + [()]
-        assert rows[2].result is not None
+        table = sweep("a", [-1.0, 0.0, 2.0], MASS, BARRIER, U,
+                      auto_alpha=auto_alpha)
+        assert refusal_names(table) == ["DomainError"] * 2 + [None]
 
     def test_numpy_parameters_give_the_float_outcome(self):
         # a seeded GaAs-like box: energies and every mass and profile
@@ -1358,10 +1353,10 @@ class TestSweep:
             calls.append((y.size, np.broadcast_to(bi_at, y.shape).tolist()))
             return airy(y, bi_at)
         monkeypatch.setattr(triq.scatter, "_airy_array", spy)
-        rows = sweep("E", [0.02 + 0.42 * i / 49 for i in range(50)],
-                     MASS, BARRIER, U)
+        table = sweep("E", [0.02 + 0.42 * i / 49 for i in range(50)],
+                      MASS, BARRIER, U)
         assert calls == [(100, [True] * 50 + [False] * 50)]
-        assert all(r.result is not None for r in rows)
+        assert table.refusal == [None] * 50
 
     def test_stacked_solve_refuses_only_the_bad_members(self):
         # 80 systems (both column modes) with a singular and a non-finite
@@ -1396,39 +1391,35 @@ class TestSweep:
         # b5 = 1, so these rows of the 0.02-2.25 eV sweep have |b1| below
         # 1e-12 of max(|b1|..|b4|, 1); T_solve is their finite (1/b1)^2,
         # unflagged, not an inf in place of a real number
-        rows = sweep("E", linear_grid(0.02, 2.25, 200), MASS, BARRIER, U,
-                     fidelity=fidelity)
-        small = []
-        for row in rows:
-            s = row.result.solution
-            scale = max(abs(s.b1), abs(s.b2), abs(s.b3), abs(s.b4), 1.0)
-            if abs(s.b1) < 1e-12 * scale:
-                small.append(row)
+        table = sweep("E", linear_grid(0.02, 2.25, 200), MASS, BARRIER, U,
+                      fidelity=fidelity)
+        assert table.refusal == [None] * 200
+        b = np.abs(table.b)
+        small = np.flatnonzero(b[:, 0] < 1e-12 * np.maximum(b.max(axis=1), 1.0))
         assert len(small) == count
-        for row in small:
-            r = 1.0 / row.result.solution.b1
-            assert math.isfinite(row.result.T_solve)
-            assert row.result.T_solve.hex() == (r * r).hex()
-            assert row.flags == ()
+        for i in small.tolist():
+            r = 1.0 / table.b[i, 0].item()
+            T_solve = table.T_solve[i].item()
+            assert math.isfinite(T_solve)
+            assert T_solve.hex() == (r * r).hex()
 
     def test_error_rows_flagged_not_raised(self):
-        rows = sweep("E", [-0.5, 0.1], MASS, BARRIER, U)
-        assert rows[0].result is None
-        assert rows[0].flags == ("DomainError",)
-        assert rows[1].flags == ()
-        assert rows[1].result.T_solve == pytest.approx(T_DEFAULT, rel=1e-10)
+        table = sweep("E", [-0.5, 0.1], MASS, BARRIER, U)
+        assert refusal_names(table) == ["DomainError", None]
+        assert math.isnan(table.T_solve[0])
+        assert table.T_solve[1] == pytest.approx(T_DEFAULT, rel=1e-10)
 
     def test_auto_alpha_resolves_per_point(self):
-        rows = sweep("V0", [0.005], MASS, BARRIER, U, E=0.1, auto_alpha=True)
+        auto = sweep("V0", [0.005], MASS, BARRIER, U, E=0.1, auto_alpha=True)
         fixed = sweep("V0", [0.005], MASS, BARRIER, U, E=0.1, auto_alpha=False)
-        assert rows[0].result.T_solve == pytest.approx(1.0616171726721406, rel=1e-8)
+        assert auto.T_solve[0] == pytest.approx(1.0616171726721406, rel=1e-8)
         # at the base alpha the low barrier is a deep sloped well instead
-        assert fixed[0].result.T_solve < 0.01
+        assert fixed.T_solve[0] < 0.01
 
     def test_width_axis(self):
-        rows = sweep("a", [1e-4, 7.0], MASS, BARRIER, U, E=0.1, auto_alpha=True)
-        assert abs(rows[0].result.T_solve - 1.0) < 1e-3
-        assert rows[1].result.T_solve == pytest.approx(T_DEFAULT, rel=1e-10)
+        table = sweep("a", [1e-4, 7.0], MASS, BARRIER, U, E=0.1, auto_alpha=True)
+        assert abs(table.T_solve[0] - 1.0) < 1e-3
+        assert table.T_solve[1] == pytest.approx(T_DEFAULT, rel=1e-10)
 
     def test_numpy_grid_matches_float_grid(self):
         # at x = a the two companion terms cancel to exactly 0 near 1.925 and
@@ -1441,18 +1432,17 @@ class TestSweep:
             got = sweep_outcomes("E", grid, MASS, BARRIER, U,
                                  0.1, "none", False)
             want = loop_outcomes("E", grid)
-        rows_py = sweep("E", [float(v) for v in grid], MASS, BARRIER, U)
+        table_py = sweep("E", [float(v) for v in grid], MASS, BARRIER, U)
         assert [outcome_key(g) for g in got] == [outcome_key(w) for w in want]
         assert [outcome_key(g) for g in got] == \
-            [outcome_key(r.result) for r in rows_py]
-        assert all(not r.flags for r in rows_py)
+            [outcome_key(o) for o in triq.scatter._outcomes(table_py)]
+        assert table_py.refusal == [None] * 200
 
     def test_only_numeric_faults_folded(self, monkeypatch):
         # 3.9 eV is in the Kummer refusal band: flagged, not raised
-        rows = sweep("E", [0.1, 3.9], MASS, BARRIER, U)
-        assert rows[0].flags == ()
-        assert rows[1].result is None
-        assert rows[1].flags == ("AccuracyError",)
+        table = sweep("E", [0.1, 3.9], MASS, BARRIER, U)
+        assert refusal_names(table) == [None, "AccuracyError"]
+        assert math.isnan(table.T_solve[1])
 
         def fault(exc):
             def raiser(*args, **kwargs):
@@ -1462,11 +1452,11 @@ class TestSweep:
         # planted in _solve_systems, the one solve of a point and a sweep
         monkeypatch.setattr(triq.scatter, "_solve_systems",
                             fault(ZeroDivisionError("float division by zero")))
-        rows = sweep("E", [0.1], MASS, BARRIER, U)
-        assert rows[0].flags == ("ZeroDivisionError",)
-        rows = sweep("E", [0.1, 0.2], MASS, BARRIER, U)
-        assert [r.flags for r in rows] == [("ZeroDivisionError",)] * 2
-        assert all(r.result is None for r in rows)
+        table = sweep("E", [0.1], MASS, BARRIER, U)
+        assert refusal_names(table) == ["ZeroDivisionError"]
+        table = sweep("E", [0.1, 0.2], MASS, BARRIER, U)
+        assert refusal_names(table) == ["ZeroDivisionError"] * 2
+        assert np.isnan(table.T_solve).all()
         monkeypatch.setattr(triq.scatter, "_solve_systems",
                             fault(TypeError("a bug, not a numeric fault")))
         with pytest.raises(TypeError):

@@ -1871,6 +1871,22 @@ class TestContractsAgainstMpmath:
             for kernel, ref in ((airy_ai, mp.airyai), (airy_bi, mp.airybi)):
                 assert airy_within_contract(kernel(y), ref, y), (kernel, y)
 
+    @pytest.mark.parametrize("lo, hi, bound", [
+        (-20.0, 20.0, 2e-14),
+        (-60.0, 60.0, 1e-13),
+        (-100.0, 100.0, 2e-13),
+        # out to where Gamma overflows and recip_gamma refuses
+        (-168.5, 171.5, 3e-13),
+    ])
+    def test_recip_gamma(self, mp, lo, hi, bound):
+        # the error of e^(ln Gamma) grows with |ln Gamma|: the worst of
+        # these 2000 points were 1.3e-14, 6.4e-14, 1.3e-13 and 2.2e-13
+        rng = random.Random(20261020)
+        for x in (rng.uniform(lo, hi) for _ in range(2000)):
+            ref = mp.rgamma(x)
+            assert abs(recip_gamma(x) - ref) <= bound * abs(ref), x
+            assert abs(gamma(x) * ref - 1) <= bound, x
+
     @pytest.mark.parametrize("fn, band, ladder, anchor", MARCHES)
     def test_airy_march(self, mp, fn, band, ladder, anchor):
         # the worst envelope error of one step from a node is pinned; the
