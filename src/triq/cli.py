@@ -183,13 +183,6 @@ def _csv_rows(values: list[float], table: SweepTable) -> list[str]:
     return [_CSV_ROW % nums + flag for nums, flag in zip(columns, flags)]
 
 
-def _run_sweep(config: RunConfig, values: list[float]) -> SweepTable:
-    u, mp, pp = _physics(config)
-    auto = config.alpha_eV_per_nm == "auto" and config.axis in ("V0", "a")
-    return sweep(config.axis, values, mp, pp, u, E=config.E_eV,
-                 fidelity=config.paper_fidelity, auto_alpha=auto)
-
-
 def _sweep_report(config: RunConfig, name: str, clip: bool = False) -> str:
     """CSV report of a barrier sweep; clip keeps its energies 0 < E < V0."""
     if config.kind != "barrier":
@@ -205,8 +198,12 @@ def _sweep_report(config: RunConfig, name: str, clip: bool = False) -> str:
         lines.append(f"# note: {name} is read here as the sub-barrier branch "
                      "of the transmission; grid clipped to 0 < E < V0, keeping "
                      f"{len(values)} of {len(full)} points")
+    u, mp, pp = _physics(config)
+    auto = config.alpha_eV_per_nm == "auto" and config.axis in ("V0", "a")
+    table = sweep(config.axis, values, mp, pp, u, E=config.E_eV,
+                  fidelity=config.paper_fidelity, auto_alpha=auto)
     lines.append(CSV_HEADER)
-    lines.extend(_csv_rows(values, _run_sweep(config, values)))
+    lines.extend(_csv_rows(values, table))
     return "\n".join(lines) + "\n"
 
 

@@ -474,18 +474,6 @@ def _raised(outcome):
     return outcome
 
 
-def _assemble(basis: RegionIIBasis, exterior, ker0: _Kernels, kera: _Kernels,
-              printed_columns: bool) -> MatchingSystem:
-    """The matching system of a lone point from its basis, its exterior
-    (k, Ai(y1), Bi(y1), Ai(y3)) and its kernels at x = 0 and x = a; more
-    points take _assemble_grid, which gives each the same doubles."""
-    k, ai0, bi0, ai_a = exterior
-    return _system(k, (*ai0, *bi0, *ai_a), abbreviations_at(basis, ker0),
-                   abbreviations_at(basis, kera), printed_columns,
-                   lambda: [(*basis.first(ker), *basis.second(ker))
-                            for ker in (ker0, kera)])
-
-
 def _system(k, airy, fset, gset, printed_columns: bool,
             canonical) -> MatchingSystem:
     """The MatchingSystem of a lone point (floats) or of a grid (arrays
@@ -729,11 +717,6 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
         raise DomainError("sweep needs at least one grid point")
     if not all(lo < hi for lo, hi in zip(values[:-1], values[1:])):
         raise DomainError("sweep grid must be strictly increasing")
-    return _grid_table(axis, values, mp, pp, u, E, fidelity, auto_alpha)
-
-
-def _grid_table(axis, values, mp, pp, u, E, fidelity, auto_alpha) -> SweepTable:
-    """sweep() with the grid taken as given."""
     printed = _printed(fidelity)
     return _solved(_grid_points(axis, values, pp, E, auto_alpha), mp, u,
                    printed)
@@ -782,14 +765,19 @@ def _point_system(point, mp: MassParams, u: UnitSystem,
     """The MatchingSystem of a lone (energy, profile) point by the scalar
     route: the coefficients with their Airy scale (_barrier_coefficients),
     airy_ai(y1), airy_bi(y1) and airy_ai(y3), the basis and its kernels at
-    x = 0 and x = a, and _assemble; the first refusal is raised."""
+    x = 0 and x = a, the abbreviation sets there, and first() and second()
+    at both only under the canonical columns; the first refusal is raised.
+    More points take _assemble_grid, which gives each the same doubles."""
     printed_signs, printed_columns = printed
     point_E, pp = point
     rc, k = _barrier_coefficients(point_E, mp, pp, u, printed_signs)
-    exterior = (k, airy_ai(rc.y1), airy_bi(rc.y1), airy_ai(rc.y3))
+    airy = (*airy_ai(rc.y1), *airy_bi(rc.y1), *airy_ai(rc.y3))
     basis = basis_for(rc)
-    return _assemble(basis, exterior, basis.kernels(0.0), basis.kernels(pp.a),
-                     printed_columns)
+    kers = (basis.kernels(0.0), basis.kernels(pp.a))
+    return _system(k, airy, *(abbreviations_at(basis, ker) for ker in kers),
+                   printed_columns,
+                   lambda: [(*basis.first(ker), *basis.second(ker))
+                            for ker in kers])
 
 
 def _grid_coefficients(points: list, mp: MassParams, u: UnitSystem,
@@ -833,9 +821,9 @@ def _exterior_airy(y1: np.ndarray, y3: np.ndarray) -> np.ndarray:
 
 
 def _assemble_grid(b, s, offset, widths, k, airy, printed_columns: bool):
-    """_assemble over per-point arrays in grid passes: the MatchingSystem
-    of the points, every double the one _assemble gives the point alone,
-    and a NaN in the system of every point the scalar route refuses.
+    """_point_system over per-point arrays in grid passes: the
+    MatchingSystem of the points, every double the one _point_system gives
+    the point alone, and a NaN in the system of every point it refuses.
 
     b, s = sqrt(a1), offset = y2, widths and the Airy scale k hold one
     entry per point, and airy the (6, n) exterior values of _exterior_airy.

@@ -17,6 +17,9 @@ Contracts (relative error unless stated):
                           2e-13 for |x| <= 100 and 3e-13 on [-168.5, 171.5],
                           away from poles (e^(ln Gamma) carries about
                           |ln Gamma| rounding units)
+    kummer_m_regularized and tricomi_u_large_z (the large-z recurrence
+    tricomi_u_cf replaced) are not in __all__ and no code in src/ calls
+    them: they stay only while bench/tracing.py binds their names
 
 Near an Airy oscillation zero "relative" is measured against the local pair
 envelope max(|f|, |f'| / sqrt(|y|)): pointwise relative error at a zero is
@@ -31,9 +34,7 @@ parameters.
 Tricomi's U itself is made in one place, scatter.RegionIIBasis.second: the
 two-term form from the Kummer series here, or, where y > 0, tricomi_u_cf
 (a continued fraction and the Wronskian, from the same Kummer values),
-chosen at each point by each route's error estimate.  tricomi_u_large_z,
-the large-z recurrence tricomi_u_cf replaced, has no caller in src/; it
-stays, scalar only, while bench/tracing.py binds its name.
+chosen at each point by each route's error estimate.
 
 Three kernels also run over a 1-D array, element for element the doubles
 of the scalar calls: _kummer_m_array (one plain-series pass, summing a
@@ -93,9 +94,7 @@ __all__ = [
     "gamma",
     "recip_gamma",
     "kummer_m",
-    "kummer_m_regularized",
     "tricomi_u_cf",
-    "tricomi_u_large_z",
     "KUMMER_ENVELOPE",
     "TRICOMI_CF_LEAST",
 ]
@@ -169,7 +168,8 @@ _AIRY_SERIES_HI_AI = 3.0
 _AIRY_ASYM_POS = 8.0
 _AIRY_ASYM_NEG = -9.5
 _AIRY_MARCH_STEP = 0.75
-# stop ratio of a term to its sum in the Maclaurin series and a Taylor step
+# stop ratio of a term to its sum in the Maclaurin series and a Taylor step,
+# and the term size after which _asym_sums stops the asymptotic series
 _AIRY_STOP = 1e-18
 # Bi overflows IEEE doubles near y ~ 104; the contract range is |y| <= 30.
 _AIRY_BI_OVERFLOW = 103.0
@@ -469,16 +469,16 @@ def _asym_sums(zeta, signs, start):
     u_k / zeta^k is the running product of the ratios (6k - 1)(6k - 5) /
     (72 k zeta), and v_k / zeta^k is u_k / zeta^k (6k + 1) / (1 - 6k).
     The series is asymptotic, so an element takes term k where it and
-    every term before it shrank, and none before it fell below 1e-18: it
-    stops before the first term that does not shrink, or after one below
-    1e-18.  Every element's terms are taken for all k at once, and the
-    sums are built, and added left to right from start, only up to the
-    last term any element takes.  A term an element does not take, or a
-    sum does not count (sign 0), is added as +0.0 or -0.0, which changes
-    no sum: none is -0.0, as each starts at 1.0 or +0.0 and a rounded sum
-    is -0.0 only of two -0.0.  The call costs about 20 numpy calls
-    whatever the number of terms, the same code for a float as for an
-    array.
+    every term before it shrank, and none before it fell below _AIRY_STOP:
+    it stops before the first term that does not shrink, or after one
+    below _AIRY_STOP.  Every element's terms are taken for all k at once,
+    and the sums are built, and added left to right from start, only up
+    to the last term any element takes.  A term an element does not take,
+    or a sum does not count (sign 0), is added as +0.0 or -0.0, which
+    changes no sum: none is -0.0, as each starts at 1.0 or +0.0 and a
+    rounded sum is -0.0 only of two -0.0.  The call costs about 20 numpy
+    calls whatever the number of terms, the same code for a float as for
+    an array.
     """
     num, den = _ASYM_RATIO
     # 72 k zeta is inf past zeta ~ 4e304, and the terms past an element's
@@ -487,11 +487,11 @@ def _asym_sums(zeta, signs, start):
         u = np.multiply.accumulate(num / (den * zeta), axis=0)
     mag = np.abs(u)
     # term k is taken where neither it grew, nor the term before it fell
-    # below 1e-18, nor did either happen at any term before it
+    # below _AIRY_STOP, nor did either happen at any term before it
     stop = np.empty(u.shape, dtype=bool)
     np.greater_equal(mag[0], math.inf, out=stop[0])
     np.greater_equal(mag[1:], mag[:-1], out=stop[1:])
-    stop[1:] |= mag[:-1] < 1e-18
+    stop[1:] |= mag[:-1] < _AIRY_STOP
     taken = np.logical_and.accumulate(~stop, axis=0)
     rows = max(1, np.count_nonzero(taken.any(axis=1)))  # the most terms taken
     # row i holds term i + 1 of u and v, +0.0 where not taken, then of

@@ -110,16 +110,24 @@ class TestRegionIIBasis:
 
     @pytest.mark.parametrize("which", ["first", "second"])
     def test_trajectory_matches_marcher(self, which):
-        basis = basis_for(barrier_coefficients(0.1, MASS, BARRIER, U))
-        fn = getattr(basis, which)
-        v0, d0 = fn(basis.kernels(0.0))
-        spec = IntegrationSpec(x_start=0.0, x_end=BARRIER.a, step=1e-3,
-                               value=v0, derivative=d0)
-        got = integrate(spec, 0.1, MASS, BARRIER, U)
-        va, da = fn(basis.kernels(BARRIER.a))
-        scale = max(abs(va), abs(da))
-        assert abs(got.value - va) <= 1e-8 * scale
-        assert abs(got.derivative - da) <= 1e-8 * scale
+        # across 0.02-2.25 eV each solution is marched in its growing
+        # direction, first from x = 0 and second back from x = a: marched
+        # forward, second loses digits of its own (3.6e-11 at 0.27 eV) and
+        # fails the halving gate from 0.52 eV.  The far end's worst is
+        # 5.5e-13 of max(|v|, |v'|) (first, 2.0 eV); a 1e-10 relative error
+        # in second's value reads 5e-11 or more at every energy
+        start, end = (0.0, BARRIER.a) if which == "first" else (BARRIER.a, 0.0)
+        for E in linear_grid(0.02, 2.25, 10):
+            basis = basis_for(barrier_coefficients(E, MASS, BARRIER, U))
+            fn = getattr(basis, which)
+            v0, d0 = fn(basis.kernels(start))
+            spec = IntegrationSpec(x_start=start, x_end=end, step=1e-3,
+                                   value=v0, derivative=d0)
+            got = integrate(spec, E, MASS, BARRIER, U)
+            v, d = fn(basis.kernels(end))
+            scale = max(abs(v), abs(d))
+            assert abs(got.value - v) <= 5e-12 * scale, E
+            assert abs(got.derivative - d) <= 5e-12 * scale, E
 
     def test_second_smooth_across_vertex(self):
         # the unsigned sqrt(z) branch would kink where y = 0; the signed
@@ -693,11 +701,11 @@ class TestInterfaceEvaluatedOnce:
 
     def test_grid_makes_no_per_point_calls(self, monkeypatch):
         # a sweep of two or more points builds its systems in grid passes:
-        # no per-point _barrier_coefficients, basis_for, _assemble,
-        # abbreviations_at, second(), scalar 1/Gamma or scalar asymptotic
-        # Airy call, and its one _paper_closed_form call takes the whole
-        # grid.  A lone point takes the scalar route and makes them all, and
-        # so does each point the stacked solve refuses and sends alone
+        # no per-point _barrier_coefficients, basis_for, abbreviations_at,
+        # second(), scalar 1/Gamma or scalar asymptotic Airy call, and its
+        # one _paper_closed_form call takes the whole grid.  A lone point
+        # takes the scalar route and makes them all, and so does each point
+        # the stacked solve refuses and sends alone
         calls = []
         asym = asymptotic_airy_calls(monkeypatch)
 
@@ -709,7 +717,6 @@ class TestInterfaceEvaluatedOnce:
 
         for owner, name in ((triq.scatter, "_barrier_coefficients"),
                             (triq.scatter, "basis_for"),
-                            (triq.scatter, "_assemble"),
                             (triq.scatter, "abbreviations_at"),
                             (triq.scatter.RegionIIBasis, "second"),
                             (triq.scatter, "recip_gamma"),
@@ -765,10 +772,9 @@ class TestInterfaceEvaluatedOnce:
         del asym[:]
         transmission(2.25, MASS, BARRIER, U)
         assert sorted(calls) == sorted(["_barrier_coefficients", "basis_for",
-                                        "_assemble", "abbreviations_at",
-                                        "abbreviations_at", "second", "second",
-                                        "recip_gamma", "recip_gamma",
-                                        "recip_gamma"])
+                                        "abbreviations_at", "abbreviations_at",
+                                        "second", "second", "recip_gamma",
+                                        "recip_gamma", "recip_gamma"])
         assert paper == [()]
         assert asym == [("_airy_asym_pos", "scalar")]
 
@@ -814,8 +820,10 @@ def refusal_names(table):
 def sweep_outcomes(axis, values, mp, pp, u, E, fidelity, auto_alpha):
     """Per grid value, the TransmissionResult or error of its entries in
     the sweep's table, the grid taken as given."""
-    return triq.scatter._outcomes(triq.scatter._grid_table(
-        axis, values, mp, pp, u, E, fidelity, auto_alpha))
+    printed = triq.scatter._printed(fidelity)
+    return triq.scatter._outcomes(triq.scatter._solved(
+        triq.scatter._grid_points(axis, values, pp, E, auto_alpha), mp, u,
+        printed))
 
 
 def loop_csv_rows(values, outcomes):
@@ -1189,13 +1197,13 @@ class TestSweep:
         # faults planted at single points of a 12-point grid, a NaN in the
         # grid passes and an error in the scalar route: each such point is
         # refused by the stacked solve, sent alone and reports the error
-        # _assemble raises first there (1/Gamma(b + 1/2), then 1/Gamma(b),
-        # then a non-overflow fault of f6's 1/Gamma, then second() at
-        # x = 0, then at x = a), and its neighbours keep their rows.  The
-        # printed-column modes never call second(), so none of its faults
-        # refuses a point there.  An overflowed f6 1/Gamma (point 4) puts a
-        # NaN only in the printed sets, so under the canonical columns the
-        # grid delivers that point's row.
+        # _point_system raises first there (1/Gamma(b + 1/2), then
+        # 1/Gamma(b), then a non-overflow fault of f6's 1/Gamma, then
+        # second() at x = 0, then at x = a), and its neighbours keep their
+        # rows.  The printed-column modes never call second(), so none of
+        # its faults refuses a point there.  An overflowed f6 1/Gamma (point
+        # 4) puts a NaN only in the printed sets, so under the canonical
+        # columns the grid delivers that point's row.
         grid = linear_grid(0.5, 2.25, 12)
         printed_signs = fidelity in ("signs", "all")
         bases = [basis_for(barrier_coefficients(E, MASS, BARRIER, U,
