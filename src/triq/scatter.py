@@ -36,7 +36,7 @@ intermediate quantities for side-by-side comparison:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
@@ -431,22 +431,22 @@ class MatchingSystem(NamedTuple):
 
 @dataclass(frozen=True)
 class MatchSolution:
+    """The amplitudes of one solved system (_solve_systems).
+
+    residual is the worst row-relative residual against the given matrix.
+    condition_estimate is (|P| + |Q|)/|P + Q|, where b1 = (P + Q)/det0 is
+    the sum of its b3 and b4 terms: b1's condition number with respect to
+    those two products, at least 1.  It diverges at a zero of b1, a pole
+    of T, but only very near it (1.44 at 1e-4 eV from the pole between
+    0.15313 and 0.16423 eV), so on a grid it does not mark poles.
+    """
+
     b1: float
     b2: float
     b3: float
     b4: float
     residual: float
-    # the row- and column-equilibrated matrix the amplitudes were solved from
-    equilibrated: np.ndarray = field(compare=False, repr=False)
-
-    @property
-    def condition_estimate(self) -> float:
-        """2-norm condition number of the equilibrated matrix (one SVD).
-
-        The equilibrated one is what the amplitudes actually see; it is
-        computed when read, not on every solve.
-        """
-        return float(np.linalg.cond(self.equilibrated))
+    condition_estimate: float
 
 
 def assemble_matching(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
@@ -508,69 +508,64 @@ def solve_matching(systems: Sequence[MatchingSystem],
 
     The systems are stacked and solved by _solve_systems, the one solve
     behind a sweep's table too, and each solution is built from its rows.
+    The solve is elementwise over the stack, so a system gets the same
+    doubles in any stack, alone included.
     """
     a = np.array([s.matrix for s in systems])
     rhs = np.array([s.rhs for s in systems])
-    x, scaled, residual, refusal = _solve_systems(a.reshape(-1, 4, 4),
-                                                  rhs.reshape(-1, 4), E)
-    return [MatchSolution(*b, residual=res, equilibrated=m) if exc is None
-            else exc for b, res, m, exc in zip(x.tolist(), residual.tolist(),
-                                               scaled, refusal)]
+    x, residual, kappa, refusal = _solve_systems(a.reshape(-1, 4, 4),
+                                                 rhs.reshape(-1, 4), E)
+    return [MatchSolution(*b, residual=res, condition_estimate=c)
+            if exc is None else exc
+            for b, res, c, exc in zip(x.tolist(), residual.tolist(),
+                                      kappa.tolist(), refusal)]
 
 
 def _solve_systems(a: np.ndarray, rhs: np.ndarray, E: Sequence[float]):
-    """(x, equilibrated matrices, worst residuals, refusals) of the (n, 4, 4)
-    stack a x = rhs, E the systems' energies.
+    """(x, worst residuals, condition estimates, refusals) of the
+    (n, 4, 4) stack a x = rhs, E the systems' energies.
 
-    A non-finite system is refused before the rest are stacked and solved
-    by one np.linalg.solve (_solve_stack); a singular member fails that
-    solve as a whole, and then each is solved alone, so only it is
-    refused.  Either way each system gets the doubles it gets alone.  A
-    refused system's entry in refusals is its ConditioningError, and its
-    rows of the three arrays are NaN; every other entry is None.
+    A matching matrix is block triangular: rows 3-4 (x = a) hold only the
+    interior columns, and rows 1-2 (x = 0) have a zero right-hand side.
+    So each system is two 2x2 solves by Cramer's rule, elementwise over
+    the stack: b3 and b4 from the x = a block, then b1 and b2 from the
+    x = 0 block, whose determinant det0 is k W{Ai, Bi} = k/pi (DLMF
+    9.2.7) in an assembled system; b1 = (P + Q)/det0, P its b3 term and Q
+    its b4 term, and the condition estimate is (|P| + |Q|)/|P + Q|.  The
+    columns are first scaled by powers of two, which is exact, so that no
+    product of two entries overflows (a printed companion column reaches
+    1e293 at x = a).  The solve reads none of the entries the structure
+    makes zero; the residuals, taken against the given matrix, show any
+    that are not.  A system with a non-finite entry, or a block
+    determinant of 0, is refused: its entry in refusals is its
+    ConditioningError, its rows of the three arrays NaN.  Every other
+    entry is None.
     """
-    n = len(a)
-    refusal = [None] * n
-    finite = np.isfinite(np.concatenate([a.reshape(-1, 16), rhs], axis=1)).all(axis=1)
-    stack = np.flatnonzero(finite)
-    if stack.size < n:
-        for i in np.flatnonzero(~finite).tolist():
-            refusal[i] = ConditioningError(
-                "matching system has non-finite entries", energy_eV=E[i])
-    try:
-        parts = [(stack, *_solve_stack(a[stack], rhs[stack]))] if stack.size else []
-    except np.linalg.LinAlgError:
-        parts = []
-        for i in stack.tolist():
-            try:
-                parts.append(([i], *_solve_stack(a[i:i + 1], rhs[i:i + 1])))
-            except np.linalg.LinAlgError:
-                refusal[i] = ConditioningError("matching system is singular",
-                                               energy_eV=E[i])
-    if len(parts) == 1 and stack.size == n:  # one stack, every system in it
-        return (*parts[0][1:], refusal)
-    x = np.full((n, 4), math.nan)
-    scaled = np.full((n, 4, 4), math.nan)
-    residual = np.full(n, math.nan)
-    for rows, *solved in parts:
-        x[rows], scaled[rows], residual[rows] = solved
-    return x, scaled, residual, refusal
-
-
-def _solve_stack(a: np.ndarray, rhs: np.ndarray):
-    """(x, equilibrated matrices, worst residuals) of the (n, 4, 4) stack
-    a x = rhs."""
-    # The recessive column spans ~15 orders of magnitude between the two
-    # interfaces, so equilibrate rows then columns before factoring.  Powers
-    # of two keep the scaling exact.
-    row = np.abs(a).max(axis=2)
-    row = np.exp2(-np.round(np.log2(np.where(row == 0.0, 1.0, row))))
-    scaled = a * row[:, :, None]
-    col = np.abs(scaled).max(axis=1)
-    col = np.exp2(-np.round(np.log2(np.where(col == 0.0, 1.0, col))))
-    scaled = scaled * col[:, None, :]
-    x = col * np.linalg.solve(scaled, (rhs * row)[:, :, None])[:, :, 0]
-    return x, scaled, _residuals(a, rhs, x)
+    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
+    # each column's largest entry taken into [1/2, 1)
+    col = np.ldexp(1.0, -np.frexp(np.abs(a).max(axis=1))[1])
+    with np.errstate(all="ignore"):  # a refused system's arithmetic is dropped
+        (a00, a01, a02, a03, a10, a11, a12, a13, _, _, va, qa, _, _, da,
+         qda) = (a * col[:, None, :]).reshape(-1, 16).T
+        ra, rda = rhs[:, 2], rhs[:, 3]
+        det_a = va * qda - qa * da
+        b3 = (ra * qda - qa * rda) / det_a
+        b4 = (va * rda - da * ra) / det_a
+        p = b3 * (a01 * a12 - a02 * a11)
+        q = b4 * (a01 * a13 - a03 * a11)
+        det0 = a00 * a11 - a01 * a10
+        b2 = (b3 * (a10 * a02 - a00 * a12) + b4 * (a10 * a03 - a00 * a13)) / det0
+        x = col * np.stack([(p + q) / det0, b2, b3, b4], axis=1)
+        kappa = (np.abs(p) + np.abs(q)) / np.abs(p + q)
+    solved = finite & (det_a != 0.0) & (det0 != 0.0)
+    refusal = [None if ok else ConditioningError(
+        "matching system is singular" if good else
+        "matching system has non-finite entries", energy_eV=e)
+        for ok, good, e in zip(solved.tolist(), finite.tolist(), E)]
+    residual = np.full(len(a), math.nan)
+    residual[solved] = _residuals(a[solved], rhs[solved], x[solved])
+    x[~solved] = kappa[~solved] = math.nan
+    return x, residual, kappa, refusal
 
 
 def _residuals(a: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -668,9 +663,9 @@ def rescale_diagnostic(E, mp: MassParams, pp: PotentialProfile,
 class SweepTable(NamedTuple):
     """A sweep's results as columns, one entry per grid point.
 
-    E, T_solve, T_paper, t1, t2 and residual are (n,) arrays, b holds
-    b1..b4 as an (n, 4) array, equilibrated the (n, 4, 4) stack the
-    amplitudes were solved from, and refusal each point's error, or None
+    E, T_solve, T_paper, t1, t2, residual and condition_estimate (each
+    point's MatchSolution.condition_estimate) are (n,) arrays, b holds
+    b1..b4 as an (n, 4) array, and refusal each point's error, or None
     where it solved.  A refused point is NaN in every numeric column.
     """
 
@@ -681,7 +676,7 @@ class SweepTable(NamedTuple):
     t2: np.ndarray
     b: np.ndarray
     residual: np.ndarray
-    equilibrated: np.ndarray
+    condition_estimate: np.ndarray
     refusal: list
 
 
@@ -705,11 +700,12 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
     pass, one Kummer pass over the 8 series of every point, one pass each
     for the reciprocal Gammas, the interface columns and abbreviation sets
     and the companion solution at each interface, one matrix stack, one
-    solve with its residuals and one printed closed form, whose arrays are
-    the table's columns.  The stacked solve alone decides which points the
-    grid delivers: each point it refuses, its system non-finite or
-    singular, is solved alone by transmission()'s route, and that route's
-    result or error fills its entries.
+    block solve with its residuals and condition estimates, and one
+    printed closed form, whose arrays are the table's columns.  The
+    stacked solve alone decides which points the grid delivers: each point
+    it refuses, its system non-finite or a block determinant 0, is solved
+    alone by transmission()'s route, and that route's result or error
+    fills its entries.
     """
     if axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
@@ -863,8 +859,8 @@ def _solved(points: list, mp: MassParams, u: UnitSystem,
     later one, and no pass narrows the points (the Kummer row stop alone
     skips work).  One _stack_table call solves them all, and if it refuses
     none its table is the points'.  Each point the stack refuses (its
-    system non-finite or singular), and a lone standing point, is solved
-    alone (_alone), and that table fills its row.
+    system non-finite or a block determinant 0), and a lone standing
+    point, is solved alone (_alone), and that table fills its row.
 
     The stack's refusals are the one delivery test because every error
     the lone route can raise leaves a non-finite number in that point's
@@ -901,13 +897,14 @@ def _solved(points: list, mp: MassParams, u: UnitSystem,
 def _stack_table(E: np.ndarray, system: MatchingSystem) -> SweepTable:
     """The SweepTable of the systems of a stack, E their energies.
 
-    One _solve_systems call solves them, a refusal it raises refusing them
+    One _solve_systems call solves them, elementwise, with their
+    residuals and condition estimates, a refusal it raises refusing them
     all, and the printed closed form is taken over the stack once.
     T_solve = (1/b1)^2 over the solved amplitudes, +inf where b1 is
     exactly 0.  A system the solve refuses is NaN in every column.
     """
     try:
-        x, scaled, residual, refusal = _solve_systems(
+        x, residual, kappa, refusal = _solve_systems(
             system.matrix.reshape(-1, 4, 4), system.rhs.reshape(-1, 4),
             E.tolist())
     except _REFUSED as exc:
@@ -918,7 +915,7 @@ def _stack_table(E: np.ndarray, system: MatchingSystem) -> SweepTable:
     refused = [i for i, exc in enumerate(refusal) if exc is not None]
     if refused:
         t1[refused] = t2[refused] = T_paper[refused] = math.nan
-    return SweepTable(E, ratio * ratio, T_paper, t1, t2, x, residual, scaled,
+    return SweepTable(E, ratio * ratio, T_paper, t1, t2, x, residual, kappa,
                       refusal)
 
 
@@ -926,8 +923,7 @@ def _nan_table(E: np.ndarray, refusal: list) -> SweepTable:
     """A SweepTable NaN in every numeric column, E its energies."""
     n = len(E)
     return SweepTable(E, *np.full((4, n), math.nan), np.full((n, 4), math.nan),
-                      np.full(n, math.nan), np.full((n, 4, 4), math.nan),
-                      refusal)
+                      *np.full((2, n), math.nan), refusal)
 
 
 def _outcomes(table: SweepTable) -> list:
@@ -936,12 +932,13 @@ def _outcomes(table: SweepTable) -> list:
     return [exc if exc is not None else TransmissionResult(
                 E=E, T_solve=T_solve, T_paper=T_paper, t1=t1, t2=t2,
                 residual=residual,
-                solution=MatchSolution(*b, residual=residual, equilibrated=m))
-            for E, T_solve, T_paper, t1, t2, b, residual, m, exc in zip(
+                solution=MatchSolution(*b, residual=residual,
+                                       condition_estimate=kappa))
+            for E, T_solve, T_paper, t1, t2, b, residual, kappa, exc in zip(
                 table.E.tolist(), table.T_solve.tolist(),
                 table.T_paper.tolist(), table.t1.tolist(), table.t2.tolist(),
-                table.b.tolist(), table.residual.tolist(), table.equilibrated,
-                table.refusal)]
+                table.b.tolist(), table.residual.tolist(),
+                table.condition_estimate.tolist(), table.refusal)]
 
 
 def _interface_kernels(b, s, offset, widths):

@@ -336,20 +336,45 @@ class TestMatching:
             assert sol.residual <= 1e-9
             assert sol.condition_estimate >= 1.0
 
-    def test_condition_estimate_on_demand(self, monkeypatch):
-        # the SVD runs when condition_estimate is read, not in the solve
-        calls = []
-        cond = np.linalg.cond
+    def test_condition_estimate_is_the_b1_term_ratio(self):
+        # b1 = (P + Q)/det0, P its b3 term and Q its b4 term at x = 0;
+        # the estimate is (|P| + |Q|)/|P + Q|, from 1 to 2.13 on this grid
+        E = linear_grid(0.02, 2.25, 200)
+        table = sweep("E", E, MASS, BARRIER, U)
+        assert table.refusal == [None] * 200
+        assert (table.condition_estimate >= 1.0).all()
+        for i in range(0, 200, 20):
+            system = assemble_matching(E[i], MASS, BARRIER, U)
+            a = system.matrix
+            _, _, b3, b4 = reference_solve(system)[0]
+            p = b3 * (a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1])
+            q = b4 * (a[0, 1] * a[1, 3] - a[0, 3] * a[1, 1])
+            kappa = table.condition_estimate[i].item()
+            assert kappa == pytest.approx((abs(p) + abs(q)) / abs(p + q),
+                                          rel=1e-12)
+            assert kappa.hex() == transmission(
+                E[i], MASS, BARRIER, U).solution.condition_estimate.hex()
 
-        def counted(m):
-            calls.append(m)
-            return cond(m)
-
-        monkeypatch.setattr(np.linalg, "cond", counted)
-        sol = transmission(0.8, MASS, BARRIER, U).solution
-        assert calls == []
-        assert sol.condition_estimate == cond(sol.equilibrated) >= 1.0
-        assert len(calls) == 1
+    def test_condition_estimate_across_gate_4_pole(self):
+        # b1 changes sign between gate 4's grid points 0.15313 and
+        # 0.16423 eV as Q crosses -P, with |P| about 2.5e-5 det0 against
+        # a b1 slope of 1.23 per eV: the estimate is at most 1.48 on the
+        # bracket, and 1.44 at 1e-4 eV from the zero of b1, where it
+        # diverges as 2|P|/|P + Q|
+        lo, hi = np.linspace(0.02, 2.25, 202)[12:14].tolist()
+        at = lambda E: transmission(E, MASS, BARRIER, U).solution
+        sols = [at(E) for E in linear_grid(lo, hi, 12)]
+        assert sols[0].b1 < 0.0 < sols[-1].b1
+        assert max(s.condition_estimate for s in sols) < 2.5
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            if at(mid).b1 < 0.0:
+                lo = mid
+            else:
+                hi = mid
+        assert at(lo).condition_estimate > 1e6
+        assert at(lo - 1e-4).condition_estimate < 2.5
+        assert at(lo + 1e-4).condition_estimate < 2.5
 
     def test_frozen_amplitudes(self):
         (sol,) = solve_matching([assemble_matching(0.1, MASS, BARRIER, U)],
@@ -364,12 +389,14 @@ class TestMatching:
         bad = system._replace(matrix=system.matrix * math.nan)
         (sol,) = solve_matching([bad], E=[0.1])
         assert isinstance(sol, ConditioningError)
+        assert str(sol) == "matching system has non-finite entries"
 
     def test_singular_system_rejected(self):
         system = assemble_matching(0.1, MASS, BARRIER, U)
         bad = system._replace(matrix=np.zeros((4, 4)))
         (sol,) = solve_matching([bad], E=[0.1])
         assert isinstance(sol, ConditioningError)
+        assert str(sol) == "matching system is singular"
 
     def test_well_profile_rejected(self):
         well = PotentialProfile(V0=0.45, alpha=0.0045, a=7.0, kind="well")
@@ -1051,8 +1078,9 @@ def second_outcome(run):
 
 
 def reference_solve(system):
-    """(b1..b4, residual, equilibrated matrix) of solve_matching as it read
-    for one system before systems were stacked."""
+    """(b1..b4, residual) of one system by the row- and column-equilibrated
+    LU solve (np.linalg.solve) that solve_matching used before the block
+    solve: the independent reference for its amplitudes."""
     a = system.matrix
     if not np.all(np.isfinite(a)) or not np.all(np.isfinite(system.rhs)):
         raise ConditioningError("matching system has non-finite entries")
@@ -1072,7 +1100,7 @@ def reference_solve(system):
         scale = sum(abs(arow[j] * x[j]) for j in range(4)) + abs(system.rhs[i])
         gap = abs(float(arow @ x) - system.rhs[i])
         worst = max(worst, gap / max(scale, 1e-300))
-    return [float(v) for v in x], float(worst), scaled
+    return [float(v) for v in x], float(worst)
 
 
 def linear_grid(lo, hi, n):
@@ -1369,7 +1397,8 @@ class TestSweep:
     def test_stacked_solve_refuses_only_the_bad_members(self):
         # 80 systems (both column modes) with a singular and a non-finite
         # member, solved as one stack: every other system gets the doubles
-        # the single-system solve gave, and only the bad two are refused
+        # it gets alone, within 1e-14 of the LU reference normwise (worst
+        # 1.1e-15), and only the bad two are refused, as the LU refused them
         energies = linear_grid(0.02, 2.25, 40) * 2
         systems = [assemble_matching(E, MASS, BARRIER, U,
                                      fidelity="t2" if i >= 40 else "none")
@@ -1378,19 +1407,68 @@ class TestSweep:
         systems[50] = systems[50]._replace(matrix=systems[50].matrix * math.nan)
         got = solve_matching(systems, E=energies)
         for i, (system, sol) in enumerate(zip(systems, got)):
+            (alone,) = solve_matching([system], E=[energies[i]])
             if i in (7, 50):
                 with pytest.raises(ConditioningError) as want:
                     reference_solve(system)
-                assert isinstance(sol, ConditioningError)
-                assert str(sol) == str(want.value)
-                assert sol.energy_eV == energies[i]
+                assert type(sol) is type(alone) is ConditioningError
+                assert str(sol) == str(alone) == str(want.value)
+                assert sol.energy_eV == alone.energy_eV == energies[i]
                 continue
-            x, residual, scaled = reference_solve(system)
-            assert [float(v).hex() for v in (sol.b1, sol.b2, sol.b3, sol.b4,
-                                             sol.residual)] == \
-                [v.hex() for v in x + [residual]]
-            assert (sol.equilibrated == scaled).all()
+            fields = lambda s: [float(v).hex() for v in (
+                s.b1, s.b2, s.b3, s.b4, s.residual, s.condition_estimate)]
+            assert fields(sol) == fields(alone)
+            x, _ = reference_solve(system)
+            b = (sol.b1, sol.b2, sol.b3, sol.b4)
+            assert max(abs(g - w) for g, w in zip(b, x)) <= \
+                1e-14 * max(map(abs, x))
         assert solve_matching([], E=[]) == []
+
+    def test_printed_columns_do_not_overflow_the_solve(self):
+        # under --paper_fidelity all the x = a block's entries at 3.4333 eV
+        # are so large that va*qda - qa*da overflows; Cramer's rule on the
+        # unscaled columns returned b = 0 there with residual 1.0.  With
+        # the columns scaled every delivered row of the 2.25-3.9 eV grid
+        # has residual at most 1e-15 (worst 1.8e-16) and b1..b4 within
+        # 3e-13 of the LU reference (worst 2.3e-14, in b1)
+        E = linear_grid(2.25, 3.9, 100)
+        va, qa, da, qda = assemble_matching(
+            E[71], MASS, BARRIER, U, fidelity="all").matrix[2:, 2:].ravel()
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not math.isfinite(va * qda - qa * da)
+        table = sweep("E", E, MASS, BARRIER, U, fidelity="all")
+        delivered = [i for i, exc in enumerate(table.refusal) if exc is None]
+        assert len(delivered) == 72 and 71 in delivered
+        for i in delivered:
+            x, _ = reference_solve(assemble_matching(E[i], MASS, BARRIER, U,
+                                                     fidelity="all"))
+            assert table.residual[i] <= 1e-15
+            for got, want in zip(table.b[i].tolist(), x):
+                assert abs(got / want - 1.0) <= 3e-13, (E[i], got, want)
+
+    def test_printed_t2_is_the_solve_with_a_product_for_a_sum(self):
+        # the printed t2 is the product B1*B2*B3*B4 of four brackets where
+        # Cramer's rule has the sum B1*B2 + B3*B4: under --paper_fidelity
+        # all, whose matrix holds the printed columns, (t1/(B1*B2 +
+        # B3*B4))^2 is T_solve within 6e-13 (worst 6.4e-14), and the
+        # brackets' product, in the printed order, is t2 bit for bit
+        E = linear_grid(0.02, 2.25, 200)
+        table = sweep("E", E, MASS, BARRIER, U, fidelity="all")
+        assert table.refusal == [None] * 200
+        for i, point_E in enumerate(E):
+            system = assemble_matching(point_E, MASS, BARRIER, U,
+                                       fidelity="all")
+            k, f, g = system.airy_scale, system.fset, system.gset
+            bi, bip = system.bi0
+            ai3, aip3 = system.ai_a
+            b1 = k * f.f1p * bip - f.f8 * bi
+            b2 = g.f9 * ai3 - k * g.f7 * aip3
+            b3 = k * f.f7 * bip - f.f9 * bi
+            b4 = k * g.f1p * aip3 - g.f8 * ai3
+            t1 = table.t1[i].item()
+            assert (b2 * b1 * b4 * b3).hex() == table.t2[i].item().hex()
+            assert (t1 / (b1 * b2 + b3 * b4)) ** 2 == pytest.approx(
+                table.T_solve[i].item(), rel=6e-13)
 
     @pytest.mark.parametrize("fidelity, count", [("t2", 98), ("all", 122)])
     def test_printed_column_rows_near_b1_zero_stay_finite(self, fidelity,

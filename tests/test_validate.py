@@ -33,7 +33,9 @@ FROZEN_WORST = {
     # gave 0x1.0ea7f151a75ecp-45 (3.005e-14) and 0x1.41ba000000000p-38
     # (4.572e-12)
     "march-agreement": "0x1.120a0abc46432p-45",
-    "transmission-agreement": "0x1.5a20000000000p-42",
+    # the block solve moved this one; the equilibrated LU gave
+    # 0x1.5a20000000000p-42 (3.074e-13)
+    "transmission-agreement": "0x1.59a0000000000p-42",
     "bound-residuals": "0x1.8000000000000p-49",
 }
 
