@@ -20,11 +20,11 @@ wherever b1 passes through zero.  Near a pole T_solve is the large finite
 (1/b1)^2 the solve gives; it is +inf only where b1 is exactly 0.
 
 The published closed form T_paper = (t1/t2)^2 is carried alongside,
-evaluated exactly as printed, quirks included (t2 is a product of four
-brackets of total degree four against t1 of degree two, so T_paper is not
-invariant under rescaling the transmitted amplitude; see
-rescale_diagnostic).  Fidelity modes select printed variants of
-intermediate quantities for side-by-side comparison:
+evaluated exactly as printed, quirks included: t2 is the product
+B1 B2 B3 B4 of the solve's brackets (_brackets) where the solve has
+B1 B2 + B3 B4, so T_paper is not invariant under rescaling the
+transmitted amplitude (rescale_diagnostic).  Fidelity modes select
+printed variants of intermediate quantities for side-by-side comparison:
 
     none   canonical everything (default)
     signs  interior a3 with the printed sign
@@ -37,7 +37,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import add
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -160,7 +161,7 @@ class RegionIIBasis:
         NaN where that 1/Gamma overflows (b below about -41.99): f6 only
         feeds the printed diagnostic T_paper, which then goes NaN, while
         T_solve does not read it.  The printed-column fidelity modes put f6
-        into the matrix, whose non-finite entry still refuses the point.
+        into the system, whose non-finite entry still refuses the point.
         """
         try:
             return recip_gamma(_f6_gamma_argument(self.b_param))
@@ -408,37 +409,65 @@ def _abbreviations(b, s, rg_bh, rg_b, rg_f6, ker: _Kernels) -> AbbreviationSet:
 
 
 class MatchingSystem(NamedTuple):
-    """The 4x4 system plus the interface data the printed closed form reads.
+    """A point's matching system by its entries: with b5 = 1, continuity
+    at x = 0 (two rows) and at x = a reads
 
-    Everything here is evaluated once per point: fset and gset are the
-    printed abbreviation sets at x = 0 and x = a, built from the same
-    kernels as the basis columns; bi0 is Bi(y1) and ai_a is Ai(y3), the
-    Airy pairs of matrix rows 1-2 and of the right-hand side.  The system
-    of a lone point (_point_system) holds floats; over a grid
-    (_assemble_grid) every field holds a 1-D array, one entry per point,
-    the matrices one (n, 4, 4) stack and the right-hand sides one (n, 4)
-    array.
+        b1 Ai(y1) + b2 Bi(y1) = b3 v0 + b4 q0
+        k b1 Ai'(y1) + k b2 Bi'(y1) = b3 d0 + b4 qd0
+        b3 va + b4 qa = Ai(y3)
+        b3 da + b4 qda = k Ai'(y3)
+
+    (v, d) the first interior column's value and derivative, (q, qd) the
+    second's: first() and second(), or the printed f1p, f8, f7 and f9
+    under the printed columns.  k is airy_scale; fset and gset are the
+    printed sets at x = 0 and x = a, from the columns' kernels.  A lone
+    point's system (_point_system) holds floats, a grid's (_assemble_grid)
+    a 1-D array per field, one entry per point.
     """
 
-    matrix: np.ndarray
-    rhs: np.ndarray
     airy_scale: float
+    v0: float
+    d0: float
+    q0: float
+    qd0: float
+    va: float
+    da: float
+    qa: float
+    qda: float
+    ai0: AiryPair  # at y1
+    bi0: AiryPair  # at y1
+    ai_a: AiryPair  # at y3
     fset: AbbreviationSet
     gset: AbbreviationSet
-    bi0: AiryPair
-    ai_a: AiryPair
+
+
+def _entries(system: MatchingSystem) -> list:
+    """k, v0, ..., qda, Ai, Ai', Bi and Bi' at y1, and Ai and Ai' at y3."""
+    return [*system[:9], *system.ai0, *system.bi0, *system.ai_a]
+
+
+def _brackets(k, v0, d0, q0, qd0, va, da, qa, qda, bi, bip, ai3, aip3):
+    """(B1, B2, B3, B4, W) of a system's entries (MatchingSystem), W the
+    x = a block's determinant, in the printed closed form's order of
+    operations.  Cramer's rule gives b3 = B2/W, b4 = B4/W and b1 =
+    (B1 B2 + B3 B4)/t1, t1 = (k/pi) W, where the paper prints t2 =
+    B1 B2 B3 B4.  Floats, or arrays (the caller silences numpy)."""
+    return (k * v0 * bip - d0 * bi,  # B1
+            qda * ai3 - k * qa * aip3,  # B2
+            k * q0 * bip - qd0 * bi,  # B3
+            k * va * aip3 - da * ai3,  # B4
+            va * qda - qa * da)  # W
 
 
 @dataclass(frozen=True)
 class MatchSolution:
     """The amplitudes of one solved system (_solve_systems).
 
-    residual is the worst row-relative residual against the given matrix.
-    condition_estimate is (|P| + |Q|)/|P + Q|, where b1 = (P + Q)/det0 is
-    the sum of its b3 and b4 terms: b1's condition number with respect to
-    those two products, at least 1.  It diverges at a zero of b1, a pole
-    of T, but only very near it (1.44 at 1e-4 eV from the pole between
-    0.15313 and 0.16423 eV), so on a grid it does not mark poles.
+    residual is the worst row-relative residual against the system's
+    entries.  condition_estimate, (|B1 B2| + |B3 B4|)/|B1 B2 + B3 B4| of
+    b1 = (B1 B2 + B3 B4)/t1 (_brackets), is at least 1.  It diverges at a
+    zero of b1, a pole of T, but only within about 1e-4 eV of it, so a
+    grid marks poles by the sign changes of b1, not by it.
     """
 
     b1: float
@@ -453,14 +482,12 @@ def assemble_matching(E, mp: MassParams, pp: PotentialProfile, u: UnitSystem,
                       fidelity: str = "none") -> MatchingSystem:
     """Continuity of value and derivative at x = 0 and x = a.
 
-    Unknowns are (b1, b2, b3, b4); the transmitted amplitude is b5 = 1.
-    Rows 1-2 are the x = 0 interface, rows 3-4 the x = a interface with the
-    decaying Airy tail on the right-hand side.  fidelity is transmission()'s:
-    its printed columns swap the interior columns for the published
-    shorthand values, its printed signs flip a3.  The kernels at each
-    interface are evaluated once and shared by the columns and both
-    abbreviation sets, which travel in the system for the printed closed
-    form.  This is the lone-point route's system (_point_system); a
+    Unknowns are (b1, b2, b3, b4) with b5 = 1 (MatchingSystem).  fidelity
+    is transmission()'s: its printed columns swap the interior columns for
+    the published shorthand values, its printed signs flip a3.  The
+    kernels at each interface are evaluated once and shared by the columns
+    and both abbreviation sets, which travel in the system for the printed
+    closed form.  This is the lone-point route's system (_point_system); a
     refusal is raised.
     """
     return _point_system(_grid_points("E", [E], pp, E, False)[0], mp, u,
@@ -476,112 +503,98 @@ def _raised(outcome):
 
 def _system(k, airy, fset, gset, printed_columns: bool,
             canonical) -> MatchingSystem:
-    """The MatchingSystem of a lone point (floats) or of a grid (arrays
-    with one entry per point): its Airy scale k, its exterior values airy
-    (Ai, Ai', Bi and Bi' at y1, then Ai and Ai' at y3), its abbreviation
-    sets at x = 0 and x = a, and its interior columns.
-
-    The columns are the printed shorthands under printed_columns, else
-    canonical(), called only then: (value, derivative) of first() and then
-    of second(), at x = 0 and then at x = a.  The matrices are one (4, 4)
-    array per point, one (n, 4, 4) stack over a grid.
+    """The MatchingSystem of a lone point (floats) or of a grid (arrays):
+    its Airy scale k, airy (Ai, Ai', Bi and Bi' at y1, then Ai and Ai' at
+    y3), its printed sets, and its interior columns: the printed ones under
+    printed_columns, else canonical(), called only then, (value,
+    derivative) of first() and then of second() at x = 0 and at x = a.
     """
     ai0, ai0p, bi0, bi0p, ai_a, ai_ap = airy
-    (v0, d0, q0, qd0), (va, da, qa, qda) = (
-        [(ab.f1p, ab.f8, ab.f7, ab.f9) for ab in (fset, gset)]
-        if printed_columns else canonical())
-    shape = np.shape(k)
-    zero = np.zeros(shape)
-    matrix = np.stack([ai0, bi0, -v0, -q0,
-                       k * ai0p, k * bi0p, -d0, -qd0,
-                       zero, zero, va, qa,
-                       zero, zero, da, qda], axis=-1).reshape(shape + (4, 4))
-    rhs = np.stack([zero, zero, ai_a, k * ai_ap], axis=-1)
-    return MatchingSystem(matrix=matrix, rhs=rhs, airy_scale=k, fset=fset,
-                          gset=gset, bi0=AiryPair(bi0, bi0p),
-                          ai_a=AiryPair(ai_a, ai_ap))
+    at0, ata = ([(ab.f1p, ab.f8, ab.f7, ab.f9) for ab in (fset, gset)]
+                if printed_columns else canonical())
+    return MatchingSystem(k, *at0, *ata, AiryPair(ai0, ai0p),
+                          AiryPair(bi0, bi0p), AiryPair(ai_a, ai_ap),
+                          fset, gset)
 
 
 def solve_matching(systems: Sequence[MatchingSystem],
                    E: Sequence[float]) -> list:
     """A MatchSolution or the ConditioningError of each system, E their energies.
 
-    The systems are stacked and solved by _solve_systems, the one solve
-    behind a sweep's table too, and each solution is built from its rows.
-    The solve is elementwise over the stack, so a system gets the same
-    doubles in any stack, alone included.
+    The systems' entries are stacked for _solve_systems, the one solve
+    behind a sweep's table too, which is elementwise: a system gets the
+    same doubles in any stack, alone included.
     """
-    a = np.array([s.matrix for s in systems])
-    rhs = np.array([s.rhs for s in systems])
-    x, residual, kappa, refusal = _solve_systems(a.reshape(-1, 4, 4),
-                                                 rhs.reshape(-1, 4), E)
+    x, residual, kappa, refusal = _solve_systems(
+        np.reshape([_entries(s) for s in systems], (-1, 15)).T, E)
     return [MatchSolution(*b, residual=res, condition_estimate=c)
             if exc is None else exc
             for b, res, c, exc in zip(x.tolist(), residual.tolist(),
                                       kappa.tolist(), refusal)]
 
 
-def _solve_systems(a: np.ndarray, rhs: np.ndarray, E: Sequence[float]):
-    """(x, worst residuals, condition estimates, refusals) of the
-    (n, 4, 4) stack a x = rhs, E the systems' energies.
+def _solve_systems(entries, E: Sequence[float]):
+    """(x, worst residuals, condition estimates, refusals) of the systems
+    whose entries are given (_entries order, a float or a 1-D array each),
+    E their energies; x holds b1..b4, a row per system.
 
-    A matching matrix is block triangular: rows 3-4 (x = a) hold only the
-    interior columns, and rows 1-2 (x = 0) have a zero right-hand side.
-    So each system is two 2x2 solves by Cramer's rule, elementwise over
-    the stack: b3 and b4 from the x = a block, then b1 and b2 from the
-    x = 0 block, whose determinant det0 is k W{Ai, Bi} = k/pi (DLMF
-    9.2.7) in an assembled system; b1 = (P + Q)/det0, P its b3 term and Q
-    its b4 term, and the condition estimate is (|P| + |Q|)/|P + Q|.  The
-    columns are first scaled by powers of two, which is exact, so that no
-    product of two entries overflows (a printed companion column reaches
-    1e293 at x = a).  The solve reads none of the entries the structure
-    makes zero; the residuals, taken against the given matrix, show any
-    that are not.  A system with a non-finite entry, or a block
-    determinant of 0, is refused: its entry in refusals is its
-    ConditioningError, its rows of the three arrays NaN.  Every other
-    entry is None.
+    Cramer's rule on the two 2x2 blocks from the brackets (_brackets),
+    elementwise, the x = 0 block's determinant det0 = k W{Ai, Bi} = k/pi
+    (DLMF 9.2.7).  The interior columns are first scaled by powers of two,
+    exactly, so that no product of two entries overflows (a printed
+    companion entry reaches 1e293); it cancels in b1 and b2, and b3 and b4
+    take back their factor.  A system with a non-finite entry or a block
+    determinant of 0 is refused: its refusal is its ConditioningError, its
+    rows NaN; every other refusal is None.
     """
-    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(rhs).all(axis=1)
-    # each column's largest entry taken into [1/2, 1)
-    col = np.ldexp(1.0, -np.frexp(np.abs(a).max(axis=1))[1])
+    entries = np.reshape(entries, (15, -1))
+    k, *_, ai0, ai0p, bi0, bi0p, ai_a, ai_ap = entries
     with np.errstate(all="ignore"):  # a refused system's arithmetic is dropped
-        (a00, a01, a02, a03, a10, a11, a12, a13, _, _, va, qa, _, _, da,
-         qda) = (a * col[:, None, :]).reshape(-1, 16).T
-        ra, rda = rhs[:, 2], rhs[:, 3]
-        det_a = va * qda - qa * da
-        b3 = (ra * qda - qa * rda) / det_a
-        b4 = (va * rda - da * ra) / det_a
-        p = b3 * (a01 * a12 - a02 * a11)
-        q = b4 * (a01 * a13 - a03 * a11)
-        det0 = a00 * a11 - a01 * a10
-        b2 = (b3 * (a10 * a02 - a00 * a12) + b4 * (a10 * a03 - a00 * a13)) / det0
-        x = col * np.stack([(p + q) / det0, b2, b3, b4], axis=1)
+        kd = k * entries[10::2]  # each Airy derivative times k
+        finite = np.isfinite(entries).all(axis=0) & np.isfinite(kd).all(axis=0)
+        # each interior column's largest entry taken into [1/2, 1)
+        cols = entries[1:9].reshape(2, 2, 2, -1)  # interface, column, v or d
+        c = np.ldexp(1.0, -np.frexp(abs(cols).max(axis=(0, 2), keepdims=True))[1])
+        scaled = (cols * c).reshape(8, -1)
+        c3, c4 = c.reshape(2, -1)
+        v0, d0, q0, qd0 = scaled[:4]
+        B1, B2, B3, B4, W = _brackets(k, *scaled, bi0, bi0p, ai_a, ai_ap)
+        det0 = k / math.pi
+        p, q = B1 * B2, B3 * B4
+        b3, b4 = B2 / W, B4 / W
+        b2 = (b3 * (ai0 * d0 - k * ai0p * v0)
+              + b4 * (ai0 * qd0 - k * ai0p * q0)) / det0
+        x = np.stack([(p + q) / (det0 * W), b2, c3 * b3, c4 * b4], axis=1)
         kappa = (np.abs(p) + np.abs(q)) / np.abs(p + q)
-    solved = finite & (det_a != 0.0) & (det0 != 0.0)
+        solved = finite & (W != 0.0) & (det0 != 0.0)
+        x[~solved] = kappa[~solved] = math.nan
+        residual = _residuals(entries, x)
+    residual[~solved] = math.nan
     refusal = [None if ok else ConditioningError(
         "matching system is singular" if good else
         "matching system has non-finite entries", energy_eV=e)
         for ok, good, e in zip(solved.tolist(), finite.tolist(), E)]
-    residual = np.full(len(a), math.nan)
-    residual[solved] = _residuals(a[solved], rhs[solved], x[solved])
-    x[~solved] = kappa[~solved] = math.nan
     return x, residual, kappa, refusal
 
 
-def _residuals(a: np.ndarray, rhs: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Worst row-relative residual of each solved system in a stack.
-
-    A backward-stable solve is measured row-relative: |a_i . x - rhs_i|
-    over sum_j |a_ij x_j| + |rhs_i|, the sum taken left to right and the
-    dot products of all rows in one np.vecdot call, the BLAS dot that
-    arow @ x takes for one row; the worst is taken as max() folds it from
-    0, so a NaN ratio is passed over.
-    """
-    parts = np.abs(a * x[:, None, :])
-    scale = parts[..., 0] + parts[..., 1] + parts[..., 2] + parts[..., 3] + np.abs(rhs)
-    gap = np.abs(np.vecdot(a, x[:, None, :]) - rhs)
-    return np.fmax.reduce(gap / np.maximum(scale, 1e-300), axis=1,
-                          initial=0.0)
+def _residuals(entries: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Worst row-relative residual of each system, its entries a column of
+    entries (_entries order) and b1..b4 a row of x: the largest over rows i
+    of |a_i . x - rhs_i| / (sum_j |a_ij x_j| + |rhs_i|), row i as
+    MatchingSystem writes it, both sums left to right, elementwise; a NaN
+    ratio is passed over, as max() folded from 0 passes it."""
+    b1, b2, b3, b4 = x.T
+    airy = entries[9:].copy()  # Ai, Ai', Bi and Bi' at y1, Ai and Ai' at y3
+    airy[1::2] *= entries[0]  # each derivative times k
+    worst = 0.0
+    # the x = 0 rows, then the x = a rows (-rhs the last term), a row each
+    for terms in ((airy[0:2] * b1, airy[2:4] * b2, -entries[1:3] * b3,
+                   -entries[3:5] * b4),
+                  (entries[5:7] * b3, entries[7:9] * b4, -airy[4:])):
+        ratio = abs(reduce(add, terms)) / np.maximum(
+            reduce(add, map(abs, terms)), 1e-300)
+        worst = np.fmax(worst, np.fmax.reduce(ratio, axis=0))
+    return worst
 
 
 @dataclass(frozen=True)
@@ -598,23 +611,20 @@ class TransmissionResult:
 def _paper_closed_form(system: MatchingSystem) -> tuple[float, float, float]:
     """t1, t2 and (t1/t2)^2 from the published closed form, verbatim.
 
-    Pure arithmetic on what the system's assembly already evaluated: the
-    abbreviation sets system.fset (x = 0) and system.gset (x = a), Bi(y1)
-    as system.bi0 and the transmitted tail Ai(y3) as system.ai_a.  Scaling
-    that tail scales two of the four t2 brackets and none of t1, hence the
-    s^-4 behaviour the rescale diagnostic exposes.  Floats for a lone
-    point's system, or arrays over a grid's, elementwise, with numpy as
-    silent as float arithmetic.
+    Pure arithmetic on what the assembly already evaluated: the solve's
+    brackets (_brackets) over the printed columns of system.fset (x = 0)
+    and system.gset (x = a), t1 = (k/pi) W and t2 = B2 B1 B4 B3 in the
+    printed order.  Scaling the transmitted tail Ai(y3) scales B2 and B4
+    and not t1, hence the s^-4 behaviour the rescale diagnostic exposes.
+    Floats for a lone point's system, or arrays over a grid's,
+    elementwise, with numpy as silent as float arithmetic.
     """
-    k = system.airy_scale
-    fset, gset, bi0 = system.fset, system.gset, system.bi0
-    ai3, aip3 = system.ai_a.value, system.ai_a.derivative
+    k, f, g = system.airy_scale, system.fset, system.gset
     with np.errstate(all="ignore"):
-        t1 = k / math.pi * (gset.f1p * gset.f9 - gset.f8 * gset.f7)
-        t2 = ((gset.f9 * ai3 - k * gset.f7 * aip3)
-              * (k * fset.f1p * bi0.derivative - fset.f8 * bi0.value)
-              * (k * gset.f1p * aip3 - gset.f8 * ai3)
-              * (k * fset.f7 * bi0.derivative - fset.f9 * bi0.value))
+        B1, B2, B3, B4, W = _brackets(k, f.f1p, f.f8, f.f7, f.f9, g.f1p, g.f8,
+                                      g.f7, g.f9, *system.bi0, *system.ai_a)
+        t1 = k / math.pi * W
+        t2 = B2 * B1 * B4 * B3
         ratio = _div(t1, t2)
         return t1, t2, ratio * ratio
 
@@ -645,14 +655,13 @@ def rescale_diagnostic(E, mp: MassParams, pp: PotentialProfile,
                        u: UnitSystem) -> tuple[float, float]:
     """Ratios (T_solve, T_paper) at transmitted amplitude RESCALE over 1.
 
-    The scaled twin is the system with its right-hand side and Airy tail
-    times RESCALE; both are solved in one call.  A normalization-independent
-    transmission must give 1.0 in the first slot; the printed closed form
-    gives RESCALE^-4 in the second.
+    The scaled twin is the system with its Airy tail Ai(y3) times RESCALE;
+    both are solved in one call.  A normalization-independent transmission
+    must give 1.0 in the first slot; the printed closed form gives
+    RESCALE^-4 in the second.
     """
     base = assemble_matching(E, mp, pp, u)
-    scaled = base._replace(rhs=RESCALE * base.rhs,
-                           ai_a=AiryPair(RESCALE * base.ai_a.value,
+    scaled = base._replace(ai_a=AiryPair(RESCALE * base.ai_a.value,
                                          RESCALE * base.ai_a.derivative))
     sol, sol_scaled = map(_raised, solve_matching([base, scaled], [E, E]))
     r, r_scaled = 1.0 / sol.b1, RESCALE / sol_scaled.b1
@@ -695,17 +704,10 @@ def sweep(axis: str, values: Sequence[float], mp: MassParams,
     propagates, as does the DomainError of an unknown axis or fidelity.
 
     Each point's entries are the doubles transmission() gives there, and
-    its refusal the error it raises.  From two points on, each stage takes
-    all points at once (_solved): one pass for the coefficients, one Airy
-    pass, one Kummer pass over the 8 series of every point, one pass each
-    for the reciprocal Gammas, the interface columns and abbreviation sets
-    and the companion solution at each interface, one matrix stack, one
-    block solve with its residuals and condition estimates, and one
-    printed closed form, whose arrays are the table's columns.  The
-    stacked solve alone decides which points the grid delivers: each point
-    it refuses, its system non-finite or a block determinant 0, is solved
-    alone by transmission()'s route, and that route's result or error
-    fills its entries.
+    its refusal the error it raises.  From two points on, grid passes
+    take all points at once, and the stacked solve's arrays are the
+    table's columns (_solved); each point that solve refuses is solved
+    alone by transmission()'s route, whose result or error fills its row.
     """
     if axis not in AXES:
         raise DomainError(f"axis must be one of {AXES}, got {axis!r}")
@@ -826,12 +828,11 @@ def _assemble_grid(b, s, offset, widths, k, airy, printed_columns: bool):
     Each pass takes every point at once: the kernels (_interface_kernels),
     the three reciprocal Gammas (one _recip_gamma_array call), both
     abbreviation sets and first() at both interfaces, second() at x = 0
-    and at x = a (_companion_grid, under the canonical columns only), and
-    one (n, 4, 4) matrix stack with its right-hand sides.  A refusal
-    travels as NaN through every later pass, and only the Kummer row stop
-    skips work, so second() at x = a may try the continued fraction of a
-    point that second() refused at x = 0.  A NaN f6 1/Gamma refuses
-    nothing: the scalar route reads its overflow as NaN.
+    and at x = a (_companion_grid, under the canonical columns only).  A
+    refusal travels as NaN through every later pass, and only the Kummer
+    row stop skips work, so second() at x = a may try the continued
+    fraction of a point that second() refused at x = 0.  A NaN f6 1/Gamma
+    refuses nothing: the scalar route reads its overflow as NaN.
     """
     ker0, kera = _interface_kernels(b, s, offset, widths)
     rg_bh, rg_b, rg_f6 = np.split(_recip_gamma_array(
@@ -863,13 +864,13 @@ def _solved(points: list, mp: MassParams, u: UnitSystem,
     point, is solved alone (_alone), and that table fills its row.
 
     The stack's refusals are the one delivery test because every error
-    the lone route can raise leaves a non-finite number in that point's
-    grid matrix or right-hand side: the refusals of the coefficients, the
-    Airy values, the Kummer series, 1/Gamma(b), 1/Gamma(b + 1/2) and the
-    companion's budget all do.  Under the canonical columns an overflowed
+    the lone route can raise leaves a non-finite entry in that point's
+    grid system: the refusals of the coefficients, the Airy values, the
+    Kummer series, 1/Gamma(b), 1/Gamma(b + 1/2) and the companion's
+    budget all do.  Under the canonical columns an overflowed
     f6 1/Gamma touches only the printed sets, and on both routes it gives
     a NaN T_paper, not a refusal; the printed columns put f6 in the
-    matrix, and both routes refuse the point.
+    system, and both routes refuse the point.
     """
     E = np.array([math.nan if isinstance(p, Exception) else p[0] for p in points])
     live = [i for i, p in enumerate(points) if not isinstance(p, Exception)]
@@ -897,16 +898,14 @@ def _solved(points: list, mp: MassParams, u: UnitSystem,
 def _stack_table(E: np.ndarray, system: MatchingSystem) -> SweepTable:
     """The SweepTable of the systems of a stack, E their energies.
 
-    One _solve_systems call solves them, elementwise, with their
-    residuals and condition estimates, a refusal it raises refusing them
-    all, and the printed closed form is taken over the stack once.
-    T_solve = (1/b1)^2 over the solved amplitudes, +inf where b1 is
-    exactly 0.  A system the solve refuses is NaN in every column.
+    One _solve_systems call solves them, with residuals and condition
+    estimates, a refusal it raises refusing them all; the printed closed
+    form, from the same brackets, is taken once.  T_solve = (1/b1)^2, +inf
+    where b1 is exactly 0.  A refused system is NaN in every column.
     """
     try:
-        x, residual, kappa, refusal = _solve_systems(
-            system.matrix.reshape(-1, 4, 4), system.rhs.reshape(-1, 4),
-            E.tolist())
+        x, residual, kappa, refusal = _solve_systems(_entries(system),
+                                                     E.tolist())
     except _REFUSED as exc:
         return _nan_table(E, [exc] * len(E))
     with np.errstate(divide="ignore", over="ignore"):

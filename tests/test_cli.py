@@ -67,35 +67,43 @@ class TestGolden:
     # 7bab8802..., 7a7f26c9..., d10f5624..., 2749e156..., cd844587...,
     # 3b92864c..., 031a60c9..., ee5d74f6... and validate 160dec2f...
     # (transmission-agreement worst 3.074e-13)
+    # Solving from the four brackets, with the Airy columns unscaled and
+    # det0 = k/pi, and the residual's row sums left to right in place of
+    # BLAS dots, moved b1..b4, T_solve and residual again at rounding
+    # level, in the same runs; T_paper, t1, t2, the flags and validate
+    # kept their bytes.  The 4x4 Cramer stack gave, in order:
+    # de0727d6..., 00afa99b..., db405406... (both spellings), 4eee4ee8...,
+    # c025a8ee..., 8a60d1d5..., 4d654f7b..., 00fbca87..., 8dd73aa1...,
+    # 3ce045d1..., 468c17d4... and 88de55fd...
     @pytest.mark.parametrize("argv, digest", [
         _golden("transmission --min 0.02 --max 2.25 --points 200",
-                "de0727d663ee81fea5229363dd2b1787b2d8919badbe37fba85dd8eec8a6e25e"),
+                "d0e22d48b25404dcfaab4cdfbfd8f142faae4506267d5b389a191f03a7913961"),
         # the printed-column modes: rows near a b1 zero print the finite
         # (1/b1)^2, up to 1.5e44, unflagged
         _golden("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity t2",
-                "00afa99b745be04335110f9821f31b661bdf9dde627652ae8bd3bfa5e2f0c94e"),
+                "53bc791333d70ac9758440a583c0a483c41154790c396587ee5d297609c0fed2"),
         _golden("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity all",
-                "db40540655b78cda856211b521b03387bae49b61dd8c1bb548955519ce2efc1d"),
+                "50b52a587f5a594253a6c7224f3c997eb2418d75cde69fbbb83daef0fca4ecde"),
         # the config-key spelling of the flag, same bytes as its alias above
         _golden("transmission --min 0.02 --max 2.25 --points 200 --paper_fidelity all",
-                "db40540655b78cda856211b521b03387bae49b61dd8c1bb548955519ce2efc1d"),
+                "50b52a587f5a594253a6c7224f3c997eb2418d75cde69fbbb83daef0fca4ecde"),
         _golden("tunnelling --min 0.02 --max 0.44 --points 200",
-                "4eee4ee8b04681169be76bd5e4dc0189b84c381f322679c970a651764ecb184c"),
+                "cd2bf2e4ab7708dbaee839ae1f0cf19fcff04304b7f5e7eb47eb5f4d2dfaf6de"),
         # the V0 axis with the default auto alpha, and the refusal band
         # (45 of 100 rows refused by the Kummer guards, 271 DD reruns)
         _golden("transmission --axis V0 --min 0.05 --max 0.9 --points 120",
-                "c025a8ee139cbccd7f6fa8b3be983584e27711cfc1abc25c7ed1e4b015cd8829"),
+                "3f8c1a502b1bb7cc71d41ef253e950b39e8a3814d0df2ba63110039f8c26879c"),
         # the width axis, where the x = a interface moves from point to point
         _golden("transmission --axis a --min 1 --max 12 --points 120",
-                "8a60d1d5b39b15c098f179b262dc829052bee57d63f715f8af501ba7a37941fb"),
+                "222fadcee580af87fb250306e8fdcd9852e97ad7ac4b187385adcc5ed720d40f"),
         # the printed-sign interior with the canonical columns
         _golden("transmission --min 0.02 --max 2.25 --points 200 --paper-fidelity signs",
-                "4d654f7bdb9669a2132f57bedd7d94a1574260d0a74cbbcb3df8dec153fffa18"),
+                "e391a38f6c3bbfaf708b141dbc54665bdd173fff620dcc98b22097d5ac0f5fbb"),
         _golden("transmission --min 2.25 --max 3.9 --points 100",
-                "00fbca8788ace94cf70d77e6a147f47abdcffe42f73ecf3773fac312b6275864"),
+                "225ddc399173eb7e7f20373d097c86b493d0fd532b277bfa28191b6a9612002f"),
         # one-point runs: a double-double point and a refused row
         _golden("transmission --min 2.2 --points 1",
-                "8dd73aa1d43a5562d96d42a6ee76a61587c0472c712d2585ee71ce0699ec0f14"),
+                "470ce06c0c2d4b90d9f347f6465a7b140769eaf04b675173a270276d7fc70d11"),
         _golden("transmission --min 3.9 --points 1",
                 "4c001cf2f8650c8638805d93c349761c599e7158eaf463a77a72e311436b132e"),
         # the steep-mass barrier of README's NaN T_paper example: 42 solved
@@ -104,13 +112,13 @@ class TestGolden:
         # printed f6 column makes those 12 ConditioningError rows
         _golden("transmission --V0_eV 5 --a_nm 2 --alpha_eV_per_nm 0.0642857142857143 "
                 "--M1_m0_per_nm 0.02 --min 0.02 --max 3 --points 60",
-                "3ce045d16e46b122e6c4fe1f359e86f4cbac6726a6fc23e58124719411540cc9"),
+                "af759a4d270be9993fd2cd202d5b2f0da36419cadb59d9c67987c8f7d8137ed7"),
         _golden("transmission --V0_eV 5 --a_nm 2 --alpha_eV_per_nm 0.0642857142857143 "
                 "--M1_m0_per_nm 0.02 --min 0.02 --max 3 --points 60 --paper_fidelity t2",
-                "468c17d48b214ffd6f6f0da3b87730b738b5ed30f2b56870923df33a19c6348a"),
+                "3c627f9f01888f02db98c1db36912c479864e191b1fc6a1df4cf549b2650321e"),
         # a DomainError row: the zero width, refused before the grid passes
         _golden("transmission --axis a --min 0 --max 1 --points 3",
-                "88de55fdb964bc13cb774405efa52189e233d6b9971e7b9aa8f3a49e07f47d99"),
+                "2f84db97cf128c4a275effa2443661b88aed23ccaa1047c323ab51a9b1fc3a38"),
         # march-agreement prints worst 3.042e-14, interior-equation
         # 2.425e-07 and transmission-agreement 3.070e-13 against 4.0e-12.
         # Before the oracle extrapolated its halving pair: b6285252...,
