@@ -52,8 +52,8 @@ from .special import (_ROUND_CHARGE, TRICOMI_CF_LEAST, AiryPair,
                       _recip_gamma_array, _scalar, _where, airy_ai, airy_bi,
                       kummer_m, recip_gamma, tricomi_u_cf)
 
-# Worst error estimate second() accepts before refusing the point.  This is
-# a gate against garbage, not a precision claim: a point it refuses would
+# Worst error estimate _companion accepts before refusing the point.  This
+# is a gate against garbage, not a precision claim: a point it refuses would
 # come back with no correct digits at all.  The continued fraction's
 # estimate bounds its own error (special.tricomi_u_cf); the subtraction's
 # does not (_two_term).  On 600 seeded points (b in [-45, 3], z up to 250)
@@ -93,13 +93,13 @@ class _Kernels(NamedTuple):
 
     m_val, m_dval, r_odd and r_odd_d are one series each; the regularized
     ones are a series times the constant 1/Gamma(c) (_SERIES_RG).
-    One instance per interface feeds first(), second() and
-    abbreviations_at(), which read y and z from it and nothing else about
-    the point.  Kernels over a grid hold a 1-D array in every field, one
-    entry per point: the x grid of one basis (RegionIIBasis.kernels over
-    an array), or one interface of every point of a sweep
-    (_interface_kernels).  Grid kernels are never split into per-point
-    records; every consumer takes the arrays whole.
+    One instance per interface feeds _first, _companion and _abbreviations,
+    which read y and z from it and nothing else about the point.  Kernels
+    over a grid hold a 1-D array in every field, one entry per point: the x
+    grid of one basis (RegionIIBasis.kernels over an array), or one
+    interface of every point of a sweep (_interface_kernels).  Grid kernels
+    are never split into per-point records; every consumer takes the arrays
+    whole.
     """
 
     y: float         # x + y_offset, signed distance from the vertex
@@ -182,14 +182,12 @@ class RegionIIBasis:
             x = np.asarray(x, dtype=float)
         y = x + self.y_offset
         z = self.sqrt_a1 * y * y
-        if not grid:
-            return _kernels_from(y, z, [kummer_m(b, c, z) for b, c in
-                                        zip(_series_b(self.b_param), _SERIES_C)])
-        series = [_kummer_m_array(b, c, z)
+        series = [(_kummer_m_array if grid else kummer_m)(b, c, z)
                   for b, c in zip(_series_b(self.b_param), _SERIES_C)]
-        refused = np.logical_or.reduce([np.isnan(v) for v in series])
-        for i in np.flatnonzero(refused).tolist():
-            self.kernels(x[i].item())
+        if grid:
+            refused = np.logical_or.reduce([np.isnan(v) for v in series])
+            for i in np.flatnonzero(refused).tolist():
+                self.kernels(x[i].item())
         return _kernels_from(y, z, series)
 
     def first(self, ker: _Kernels) -> tuple[float, float]:
@@ -197,50 +195,26 @@ class RegionIIBasis:
         return _first(self.b_param, self.sqrt_a1, ker)
 
     def second(self, ker: _Kernels):
-        """(value, d/dx) of the companion solution (signed odd branch).
-
-        This is the only evaluation of Tricomi's U(b; 1/2; z): the two-term
-        form pi [M~(b;1/2;z)/Gamma(b+1/2) - sqrt(z) M~(b+1/2;3/2;z)/Gamma(b)]
-        (DLMF 13.2.42) with sqrt(z) carried as a1^(1/4) y (_two_term).  For
-        y > 0 this is the recessive direction, and the two terms cancel
-        catastrophically once z is large (14 digits gone by z ~ 140).  So
-        at y > 0 special.tricomi_u_cf also takes U from a continued
-        fraction and the Wronskian, from the kernels' regularized
-        M~(b; 1/2; z) and M~(b+1; 3/2; z), and the route with the lower
-        error estimate is kept; it is not called where the two-term
-        estimate is at most TRICOMI_CF_LEAST, the least it can give.  If
-        neither route can promise _SECOND_BUDGET the point is refused
-        rather than returned wrong.
+        """(value, d/dx) of the companion solution (signed odd branch),
+        taken by _companion, the one route to Tricomi's U.
 
         Kernels of Python floats give Python floats, and np.float64 scalars
         are taken to Python floats.  Grid kernels give two arrays, every
-        element the double the float route gives at that point
-        (_companion_grid), NaN where it refuses; the float route is then
-        taken at each NaN point in order, so the error raised is the one a
-        loop of float-route calls raises first.
+        element the double the float route gives at that point, NaN where
+        it refuses; the float route is then taken at each NaN point in
+        order, so the error raised is the one a loop of float-route calls
+        raises first.
         """
-        if type(ker.y) is not float:
-            if not _scalar(ker.y):
-                value, deriv = _companion_grid(
-                    self.b_param, self.sqrt_a1, self.rg_b, self.rg_bh, ker)
-                for i in np.flatnonzero(np.isnan(value)).tolist():
-                    self.second(_Kernels._make(f[i] for f in ker))
-                return value, deriv
+        grid = not _scalar(ker.y)
+        if not grid and type(ker.y) is not float:
             ker = _Kernels._make(map(float, ker))
-        b, s, y = self.b_param, self.sqrt_a1, ker.y
-        u, du_dy, est = _two_term(b, s, self.rg_b, self.rg_bh, ker)
-        if y > 0.0 and est > TRICOMI_CF_LEAST:
-            u_cf, du_dz, est_cf = tricomi_u_cf(b, _SERIES_C[0], ker.z,
-                                               ker.r_even, ker.r_even_d,
-                                               self.rg_b)
-            if est_cf < est:
-                u, est = u_cf, est_cf
-                du_dy = 2.0 * s * y * du_dz  # dU/dz chain through z(y)
-        if est > _SECOND_BUDGET:
-            raise AccuracyError(
-                f"companion solution unreliable at y={y!r}, z={ker.z!r}: "
-                f"best error estimate {est:.1e}", value=ker.z)
-        return ker.damp * u, ker.damp * (du_dy - s * y * u)
+        with np.errstate(all="ignore"):
+            value, deriv = _companion(self.b_param, self.sqrt_a1, self.rg_b,
+                                      self.rg_bh, ker)
+        if grid:
+            for i in np.flatnonzero(np.isnan(value)).tolist():
+                self.second(_Kernels._make(f[i] for f in ker))
+        return value, deriv
 
 
 def _first(b, s, ker: _Kernels):
@@ -252,8 +226,8 @@ def _first(b, s, ker: _Kernels):
 
 
 def _two_term(b, s, rg_b, rg_bh, ker: _Kernels):
-    """(U, dU/dy, error estimate) of second()'s two-term form, before the
-    damping e^(-z/2).
+    """(U, dU/dy, error estimate) of the companion's two-term form
+    (_companion), before the damping e^(-z/2).
 
     b, s = sqrt(a1), rg_b = 1/Gamma(b) and rg_bh = 1/Gamma(b + 1/2) are
     floats or arrays with one entry per kernel point, and the kernels
@@ -282,42 +256,62 @@ def _two_term(b, s, rg_b, rg_bh, ker: _Kernels):
     return math.pi * (va - vb), math.pi * (da - db - dc), est
 
 
-def _companion_grid(b, s, rg_b, rg_bh, ker: _Kernels):
-    """second() over grid kernels: (values, derivatives).
+def _companion(b, s, rg_b, rg_bh, ker: _Kernels):
+    """(value, d/dx) of the companion solution, RegionIIBasis.second: the
+    one evaluation of Tricomi's U(b; 1/2; z) and its route decision.
+
+    U is first the two-term form pi [M~(b;1/2;z)/Gamma(b+1/2) - sqrt(z)
+    M~(b+1/2;3/2;z)/Gamma(b)] (DLMF 13.2.42) with sqrt(z) carried as
+    a1^(1/4) y (_two_term).  For y > 0 this is the recessive direction,
+    and the two terms cancel catastrophically once z is large (14 digits
+    gone by z ~ 140).  So at y > 0 special.tricomi_u_cf also takes U from
+    a continued fraction and the Wronskian, from the kernels' regularized
+    M~(b; 1/2; z) and M~(b+1; 3/2; z), and the route with the lower error
+    estimate is kept; it is not called where the two-term estimate is at
+    most TRICOMI_CF_LEAST, the least it can give.  If neither route can
+    promise _SECOND_BUDGET the point is refused rather than returned wrong.
 
     b, s = sqrt(a1), rg_b = 1/Gamma(b) and rg_bh = 1/Gamma(b + 1/2) are
-    one basis's floats (an x grid) or arrays with one entry per kernel
-    point (one interface of a sweep).  Every element is the double the
-    float route gives at that point: the two-term form is taken for all
-    points at once (_two_term), and every point where second() tries the
-    continued fraction takes it in one tricomi_u_cf call.  Both are NaN at
-    a point second() refuses: where that call fails (a NaN estimate, where
-    the float call would raise), or where the best estimate exceeds
-    _SECOND_BUDGET.  A refusal upstream comes in as NaN and goes out as
-    NaN (a NaN kernel or 1/Gamma tries no continued fraction); only the
-    Kummer row stop skips a refused point's work (_interface_kernels).
+    floats, or arrays with one entry per kernel point (floats shared by an
+    x grid's points).  Kernels of Python floats give Python floats, and a
+    refusal raises its AccuracyError.  Grid kernels give two arrays (the
+    caller silences numpy), every element the float call's double: every
+    point that tries the continued fraction takes it in one tricomi_u_cf
+    call, and a point the float call refuses is NaN, including where the
+    continued fraction fails (a NaN estimate, where the float call
+    raises).  A refusal upstream comes in as NaN and goes out as NaN (a
+    NaN kernel or 1/Gamma tries no continued fraction).
     """
-    y, z = ker.y, ker.z
-    # products overflow to inf, and inf - inf is NaN, silently in the
-    # float route; numpy is made as silent
-    with np.errstate(all="ignore"):
-        u, du_dy, est = _two_term(b, s, rg_b, rg_bh, ker)
-        tried = np.flatnonzero((y > 0.0) & (est > TRICOMI_CF_LEAST))
-        if tried.size:
-            bt, st, rt = (v if _scalar(v) else v[tried] for v in (b, s, rg_b))
-            u_cf, du_dz, est_cf = tricomi_u_cf(bt, _SERIES_C[0], z[tried],
-                                               ker.r_even[tried],
-                                               ker.r_even_d[tried], rt)
-            take = est_cf < est[tried]  # False where the route failed
-            slope = 2.0 * st * y[tried] * du_dz  # dU/dz chain through z(y)
-            better = tried[take]
-            u[better] = u_cf[take]
-            du_dy[better] = slope[take]
-            est[better] = est_cf[take]
-            est[tried[np.isnan(est_cf)]] = math.inf  # the float call raises
-        value, deriv = ker.damp * u, ker.damp * (du_dy - s * y * u)
+    y = ker.y
+    grid = not _scalar(y)
+    u, du_dy, est = _two_term(b, s, rg_b, rg_bh, ker)
+    tried = (y > 0.0) & (est > TRICOMI_CF_LEAST)
+    if tried.any() if grid else tried:
+        def at(v):  # v at the points that try it; a float is shared
+            return v[tried] if grid and not _scalar(v) else v
+
+        u_cf, du_dz, est_cf = tricomi_u_cf(at(b), _SERIES_C[0], at(ker.z),
+                                           at(ker.r_even), at(ker.r_even_d),
+                                           at(rg_b))
+        take = est_cf < at(est)  # False where the route failed
+        # a NaN estimate is an array element whose float call raises
+        failed = est_cf != est_cf
+        kept = (_where(take, u_cf, at(u)),
+                # dU/dz chain through z(y)
+                _where(take, 2.0 * at(s) * at(y) * du_dz, at(du_dy)),
+                _where(take, est_cf, _where(failed, math.inf, at(est))))
+        if grid:
+            u[tried], du_dy[tried], est[tried] = kept
+        else:
+            u, du_dy, est = kept
+    value, deriv = ker.damp * u, ker.damp * (du_dy - s * y * u)
     refused = est > _SECOND_BUDGET
-    value[refused] = deriv[refused] = math.nan
+    if grid:
+        value[refused] = deriv[refused] = math.nan
+    elif refused:
+        raise AccuracyError(
+            f"companion solution unreliable at y={y!r}, z={ker.z!r}: "
+            f"best error estimate {est:.1e}", value=ker.z)
     return value, deriv
 
 
@@ -501,17 +495,26 @@ def _raised(outcome):
     return outcome
 
 
-def _system(k, airy, fset, gset, printed_columns: bool,
-            canonical) -> MatchingSystem:
-    """The MatchingSystem of a lone point (floats) or of a grid (arrays):
-    its Airy scale k, airy (Ai, Ai', Bi and Bi' at y1, then Ai and Ai' at
-    y3), its printed sets, and its interior columns: the printed ones under
-    printed_columns, else canonical(), called only then, (value,
-    derivative) of first() and then of second() at x = 0 and at x = a.
+def _system(b, s, k, airy, kers, rgs, printed_columns: bool) -> MatchingSystem:
+    """The MatchingSystem of a lone point (floats) or of a grid (arrays,
+    one entry per point), with numpy as silent as float arithmetic.
+
+    b, s = sqrt(a1), the Airy scale k, airy (Ai, Ai', Bi and Bi' at y1,
+    then Ai and Ai' at y3), kers the kernels at x = 0 and at x = a, and
+    rgs = (1/Gamma(b + 1/2), 1/Gamma(b), f6's 1/Gamma).  The printed sets
+    come from both kernels; the interior columns are the printed ones
+    under printed_columns, else (value, derivative) of first() and then
+    of the companion (_companion) at x = 0 and at x = a.
     """
+    rg_bh, rg_b, rg_f6 = rgs
     ai0, ai0p, bi0, bi0p, ai_a, ai_ap = airy
-    at0, ata = ([(ab.f1p, ab.f8, ab.f7, ab.f9) for ab in (fset, gset)]
-                if printed_columns else canonical())
+    with np.errstate(all="ignore"):
+        fset, gset = (_abbreviations(b, s, rg_bh, rg_b, rg_f6, ker)
+                      for ker in kers)
+        at0, ata = ([(ab.f1p, ab.f8, ab.f7, ab.f9) for ab in (fset, gset)]
+                    if printed_columns else
+                    [(*_first(b, s, ker), *_companion(b, s, rg_b, rg_bh, ker))
+                     for ker in kers])
     return MatchingSystem(k, *at0, *ata, AiryPair(ai0, ai0p),
                           AiryPair(bi0, bi0p), AiryPair(ai_a, ai_ap),
                           fset, gset)
@@ -763,19 +766,19 @@ def _point_system(point, mp: MassParams, u: UnitSystem,
     """The MatchingSystem of a lone (energy, profile) point by the scalar
     route: the coefficients with their Airy scale (_barrier_coefficients),
     airy_ai(y1), airy_bi(y1) and airy_ai(y3), the basis and its kernels at
-    x = 0 and x = a, the abbreviation sets there, and first() and second()
-    at both only under the canonical columns; the first refusal is raised.
-    More points take _assemble_grid, which gives each the same doubles."""
+    x = 0 and x = a, its 1/Gamma(b + 1/2), 1/Gamma(b) and f6 1/Gamma, and
+    _system; the first refusal is raised, the companion's (_companion)
+    last.  More points take _assemble_grid, which gives each the same
+    doubles."""
     printed_signs, printed_columns = printed
     point_E, pp = point
     rc, k = _barrier_coefficients(point_E, mp, pp, u, printed_signs)
     airy = (*airy_ai(rc.y1), *airy_bi(rc.y1), *airy_ai(rc.y3))
     basis = basis_for(rc)
     kers = (basis.kernels(0.0), basis.kernels(pp.a))
-    return _system(k, airy, *(abbreviations_at(basis, ker) for ker in kers),
-                   printed_columns,
-                   lambda: [(*basis.first(ker), *basis.second(ker))
-                            for ker in kers])
+    rgs = (basis.rg_bh, basis.rg_b, basis.rg_f6)
+    return _system(basis.b_param, basis.sqrt_a1, k, airy, kers, rgs,
+                   printed_columns)
 
 
 def _grid_coefficients(points: list, mp: MassParams, u: UnitSystem,
@@ -826,24 +829,17 @@ def _assemble_grid(b, s, offset, widths, k, airy, printed_columns: bool):
     b, s = sqrt(a1), offset = y2, widths and the Airy scale k hold one
     entry per point, and airy the (6, n) exterior values of _exterior_airy.
     Each pass takes every point at once: the kernels (_interface_kernels),
-    the three reciprocal Gammas (one _recip_gamma_array call), both
-    abbreviation sets and first() at both interfaces, second() at x = 0
-    and at x = a (_companion_grid, under the canonical columns only).  A
-    refusal travels as NaN through every later pass, and only the Kummer
-    row stop skips work, so second() at x = a may try the continued
-    fraction of a point that second() refused at x = 0.  A NaN f6 1/Gamma
-    refuses nothing: the scalar route reads its overflow as NaN.
+    the three reciprocal Gammas (one _recip_gamma_array call), and
+    _system, the lone route's.  A refusal travels as NaN through every
+    later pass, and only the Kummer row stop skips work, so the companion
+    at x = a may try the continued fraction of a point that it refused at
+    x = 0.  A NaN f6 1/Gamma refuses nothing: the scalar route reads its
+    overflow as NaN.
     """
-    ker0, kera = _interface_kernels(b, s, offset, widths)
-    rg_bh, rg_b, rg_f6 = np.split(_recip_gamma_array(
+    kers = _interface_kernels(b, s, offset, widths)
+    rgs = np.split(_recip_gamma_array(
         np.concatenate([b + 0.5, b, _f6_gamma_argument(b)])), 3)
-    with np.errstate(all="ignore"):  # silent, as the float route is
-        return _system(
-            k, airy, _abbreviations(b, s, rg_bh, rg_b, rg_f6, ker0),
-            _abbreviations(b, s, rg_bh, rg_b, rg_f6, kera), printed_columns,
-            lambda: [(*_first(b, s, ker),
-                      *_companion_grid(b, s, rg_b, rg_bh, ker))
-                     for ker in (ker0, kera)])
+    return _system(b, s, k, airy, kers, rgs, printed_columns)
 
 
 def _solved(points: list, mp: MassParams, u: UnitSystem,
@@ -867,10 +863,10 @@ def _solved(points: list, mp: MassParams, u: UnitSystem,
     the lone route can raise leaves a non-finite entry in that point's
     grid system: the refusals of the coefficients, the Airy values, the
     Kummer series, 1/Gamma(b), 1/Gamma(b + 1/2) and the companion's
-    budget all do.  Under the canonical columns an overflowed
-    f6 1/Gamma touches only the printed sets, and on both routes it gives
-    a NaN T_paper, not a refusal; the printed columns put f6 in the
-    system, and both routes refuse the point.
+    budget (_companion, for both routes) all do.  Under the canonical
+    columns an overflowed f6 1/Gamma touches only the printed sets, and
+    on both routes it gives a NaN T_paper, not a refusal; the printed
+    columns put f6 in the system, and both routes refuse the point.
     """
     E = np.array([math.nan if isinstance(p, Exception) else p[0] for p in points])
     live = [i for i, p in enumerate(points) if not isinstance(p, Exception)]

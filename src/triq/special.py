@@ -31,10 +31,10 @@ vanishing component.
 lets the Tricomi construction drop terms cleanly at non-positive integer
 parameters.
 
-Tricomi's U itself is made in one place, scatter.RegionIIBasis.second: the
-two-term form from the Kummer series here, or, where y > 0, tricomi_u_cf
-(a continued fraction and the Wronskian, from the same Kummer values),
-chosen at each point by each route's error estimate.
+Tricomi's U itself is made in one place, scatter._companion, for a point or
+a grid: the two-term form from the Kummer series here, or, where y > 0,
+tricomi_u_cf (a continued fraction and the Wronskian, from the same Kummer
+values), chosen at each point by each route's error estimate.
 
 Three kernels also run over a 1-D array, element for element the doubles
 of the scalar calls: _kummer_m_array (one plain-series pass, summing a
@@ -1410,7 +1410,7 @@ def _tricomi_tail(a: float, c: float, z: float) -> tuple[float, float]:
 # the relative rounding both companion estimates charge: tricomi_u_cf's
 # for each backward step and for the Wronskian quotient, and the two-term
 # form's per unit of its cancellation factor (scatter._two_term), so that
-# scatter's second() compares the two on one scale
+# scatter._companion compares the two on one scale
 _ROUND_CHARGE = 1e-15
 
 # tricomi_u_cf's fixed depth, and the factor on the linear model of the

@@ -49,7 +49,8 @@ from triq.scatter import (
 )
 from triq.special import airy_ai, airy_bi, recip_gamma
 
-from test_special import rerun_routes
+from test_special import (failing_continued_fraction, fraction_z,
+                          rerun_routes)
 
 U = make_units()
 MASS = MassParams()
@@ -744,11 +745,11 @@ class TestInterfaceEvaluatedOnce:
 
     def test_grid_makes_no_per_point_calls(self, monkeypatch):
         # a sweep of two or more points builds its systems in grid passes:
-        # no per-point _barrier_coefficients, basis_for, abbreviations_at,
-        # second(), scalar 1/Gamma or scalar asymptotic Airy call, and its
-        # one _paper_closed_form call takes the whole grid.  A lone point
-        # takes the scalar route and makes them all, and so does each point
-        # the stacked solve refuses and sends alone
+        # no per-point _barrier_coefficients, basis_for, float _companion
+        # call, scalar 1/Gamma or scalar asymptotic Airy call, and its one
+        # _paper_closed_form call takes the whole grid.  A lone point takes
+        # the scalar route and makes them all, and so does each point the
+        # stacked solve refuses and sends alone
         calls = []
         asym = asymptotic_airy_calls(monkeypatch)
 
@@ -760,11 +761,17 @@ class TestInterfaceEvaluatedOnce:
 
         for owner, name in ((triq.scatter, "_barrier_coefficients"),
                             (triq.scatter, "basis_for"),
-                            (triq.scatter, "abbreviations_at"),
-                            (triq.scatter.RegionIIBasis, "second"),
                             (triq.scatter, "recip_gamma"),
                             (triq.special, "recip_gamma")):
             monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+        companion = triq.scatter._companion
+
+        def spied_companion(b, s, rg_b, rg_bh, ker):
+            if not np.ndim(ker.y):
+                calls.append("_companion")
+            return companion(b, s, rg_b, rg_bh, ker)
+
+        monkeypatch.setattr(triq.scatter, "_companion", spied_companion)
         paper = []
         closed_form = triq.scatter._paper_closed_form
 
@@ -815,9 +822,9 @@ class TestInterfaceEvaluatedOnce:
         del asym[:]
         transmission(2.25, MASS, BARRIER, U)
         assert sorted(calls) == sorted(["_barrier_coefficients", "basis_for",
-                                        "abbreviations_at", "abbreviations_at",
-                                        "second", "second", "recip_gamma",
-                                        "recip_gamma", "recip_gamma"])
+                                        "_companion", "_companion",
+                                        "recip_gamma", "recip_gamma",
+                                        "recip_gamma"])
         assert paper == [()]
         assert asym == [("_airy_asym_pos", "scalar")]
 
@@ -956,20 +963,6 @@ def taken(counts):
     return got
 
 
-def fraction_z(monkeypatch):
-    """z of every continued fraction the companion takes, in call order:
-    one for a float tricomi_u_cf call, one per element of an array call."""
-    zs = []
-    cf = triq.scatter.tricomi_u_cf
-
-    def spied(b, c, z, *inputs):
-        zs.extend(np.atleast_1d(z).tolist())
-        return cf(b, c, z, *inputs)
-
-    monkeypatch.setattr(triq.scatter, "tricomi_u_cf", spied)
-    return zs
-
-
 def interface_z(points, mp, printed_signs):
     """The set of z at x = 0 and x = a of each (energy, profile) point
     whose coefficients stand, as RegionIIBasis.kernels takes them."""
@@ -1016,27 +1009,6 @@ def finite_system(system):
     """Whether every number in a lone point's MatchingSystem is finite."""
     return all(map(math.isfinite, [v for field in system for v in (
         field if isinstance(field, tuple) else [field])]))
-
-
-def failing_continued_fraction(monkeypatch, failing, unreliable=()):
-    """Make the companion's continued fraction fail at every z in failing,
-    where a float call raises and an array call gives a NaN estimate, and
-    give an infinite estimate at every z in unreliable, as it does where it
-    cannot help."""
-    cf = triq.scatter.tricomi_u_cf
-
-    def spied(b, c, z, *inputs):
-        u, du, est = cf(b, c, z, *inputs)
-        if np.ndim(z):
-            for i, zi in enumerate(z.tolist()):
-                if zi in failing or zi in unreliable:
-                    est[i] = math.nan if zi in failing else math.inf
-            return u, du, est
-        if z in failing:
-            raise DomainError(f"spied continued-fraction failure at z={z!r}")
-        return u, du, (math.inf if z in unreliable else est)
-
-    monkeypatch.setattr(triq.scatter, "tricomi_u_cf", spied)
 
 
 def failing_recip_gamma(monkeypatch, failing):
@@ -1252,10 +1224,10 @@ class TestSweep:
         # grid passes and an error in the scalar route: each such point is
         # refused by the stacked solve, sent alone and reports the error
         # _point_system raises first there (1/Gamma(b + 1/2), then
-        # 1/Gamma(b), then a non-overflow fault of f6's 1/Gamma, then
-        # second() at x = 0, then at x = a), and its neighbours keep their
-        # rows.  The printed-column modes never call second(), so none of
-        # its faults refuses a point there.  An overflowed f6 1/Gamma (point
+        # 1/Gamma(b), then a non-overflow fault of f6's 1/Gamma, then the
+        # companion at x = 0, then at x = a), and its neighbours keep their
+        # rows.  The printed-column modes never take the companion, so
+        # none of its faults refuses a point there.  An overflowed f6 1/Gamma (point
         # 4) puts a NaN only in the printed sets, so under the canonical
         # columns the grid delivers that point's row.
         grid = linear_grid(0.5, 2.25, 12)
@@ -1276,31 +1248,29 @@ class TestSweep:
             b[3]: overflow(b[3]),
             f6[4]: overflow(f6[4]),  # f6 goes NaN; the point stands
             # at point 0, where y < 0 at x = 0: the grid reads the NaN as
-            # an overflow and takes second() there, which tries no
+            # an overflow and takes the companion there, which tries no
             # continued fraction
             f6[0]: ZeroDivisionError("spied f6 fault")})
         failing_continued_fraction(monkeypatch, {za[3], za[10]})
         refused = {z0[0], za[5], z0[8], za[8]}
-        second, companion = RegionIIBasis.second, triq.scatter._companion_grid
+        companion = triq.scatter._companion
 
         def refusal(z):
             return AccuracyError(f"spied refusal at z={z!r}", value=z)
 
-        def spied_second(basis, ker):
-            got = second(basis, ker)
-            if ker.z in refused:
-                raise refusal(ker.z)
-            return got
-
         def spied_companion(b, s, rg_b, rg_bh, ker):
+            # a float call raises at a refused z, an array call is NaN there
             value, deriv = companion(b, s, rg_b, rg_bh, ker)
+            if not np.ndim(ker.z):
+                if ker.z in refused:
+                    raise refusal(ker.z)
+                return value, deriv
             for i, z in enumerate(ker.z.tolist()):
                 if z in refused:
                     value[i] = deriv[i] = math.nan
             return value, deriv
 
-        monkeypatch.setattr(RegionIIBasis, "second", spied_second)
-        monkeypatch.setattr(triq.scatter, "_companion_grid", spied_companion)
+        monkeypatch.setattr(triq.scatter, "_companion", spied_companion)
         counts = counted_routes(monkeypatch)
         fractions = fraction_z(monkeypatch)
         sent = points_sent_alone(monkeypatch)
@@ -1338,7 +1308,7 @@ class TestSweep:
         # refusal travels as NaN, and no pass is narrowed to the points
         # an earlier pass kept
         sizes = {"_exterior_airy": [], "_interface_kernels": [],
-                 "_companion_grid": []}
+                 "_companion": []}
         for name, seen in sizes.items():
             def recorded(*args, _fn=getattr(triq.scatter, name), _seen=seen):
                 _seen.append(np.size(args[0]))
@@ -1347,7 +1317,7 @@ class TestSweep:
         table = sweep("E", linear_grid(2.25, 3.9, 100), MASS, BARRIER, U)
         assert sum(exc is not None for exc in table.refusal) == 45
         assert sizes == {"_exterior_airy": [100], "_interface_kernels": [100],
-                         "_companion_grid": [100, 100]}
+                         "_companion": [100, 100]}
 
     @pytest.mark.parametrize("fidelity", FIDELITY_MODES)
     def test_point_sent_alone_keeps_its_row(self, monkeypatch, fidelity):

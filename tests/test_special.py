@@ -25,8 +25,8 @@ import triq.validate
 from triq.errors import AccuracyError, DomainError, TriqError
 from triq.model import (MassParams, PotentialProfile, airy_scale,
                         barrier_coefficients, make_units)
-from triq.scatter import (_SECOND_BUDGET, RegionIIBasis, _Kernels, basis_for,
-                          sweep)
+from triq.scatter import (_SECOND_BUDGET, RegionIIBasis, _companion, _Kernels,
+                          basis_for, sweep)
 from triq.special import (
     _AI_NEG_LADDER,
     _AI_POS_LADDER,
@@ -1644,6 +1644,50 @@ def companion_u(b, z):
     return u, -(deriv / ker.damp + ker.y * u) / (2.0 * ker.y)
 
 
+def companion_corpus():
+    """The seeded (b, z) points of the companion's checks: b in [-45, 3],
+    z up to 30 at even steps and up to 250 at odd ones."""
+    rng = random.Random(20165)
+    for i in range(300):
+        b = rng.uniform(-45.0, 3.0)
+        yield b, rng.uniform(0.05, 250.0 if i % 2 else 30.0)
+
+
+def fraction_z(monkeypatch):
+    """z of every continued fraction the companion takes, in call order:
+    one for a float tricomi_u_cf call, one per element of an array call."""
+    zs = []
+    cf = triq.scatter.tricomi_u_cf
+
+    def spied(b, c, z, *inputs):
+        zs.extend(np.atleast_1d(z).tolist())
+        return cf(b, c, z, *inputs)
+
+    monkeypatch.setattr(triq.scatter, "tricomi_u_cf", spied)
+    return zs
+
+
+def failing_continued_fraction(monkeypatch, failing, unreliable=()):
+    """Make the companion's continued fraction fail at every z in failing,
+    where a float call raises and an array call gives a NaN estimate, and
+    give an infinite estimate at every z in unreliable, as it does where it
+    cannot help."""
+    cf = triq.scatter.tricomi_u_cf
+
+    def spied(b, c, z, *inputs):
+        u, du, est = cf(b, c, z, *inputs)
+        if np.ndim(z):
+            for i, zi in enumerate(z.tolist()):
+                if zi in failing or zi in unreliable:
+                    est[i] = math.nan if zi in failing else math.inf
+            return u, du, est
+        if z in failing:
+            raise DomainError(f"spied continued-fraction failure at z={z!r}")
+        return u, du, (math.inf if z in unreliable else est)
+
+    monkeypatch.setattr(triq.scatter, "tricomi_u_cf", spied)
+
+
 def unreliable_continued_fraction(monkeypatch):
     """Make second()'s continued fraction return an infinite estimate, as
     it does where it cannot help: only the two-term form is left."""
@@ -1704,6 +1748,45 @@ class TestTricomi:
                 outcomes.append([v.hex() for v in got])
             assert outcomes[0] == outcomes[1]
         assert isinstance(outcomes[0], str)
+
+
+    def test_sweep_shaped_call_is_the_float_calls(self, monkeypatch):
+        # one _companion call over the corpus with a b, sqrt(a1) and 1/Gamma
+        # per element, as a sweep's interface makes it: each element is
+        # its float call's value and derivative, or NaN where that call
+        # raises, and both take the continued fraction at the same points.
+        # The corpus refuses nothing on its own, so the continued fraction
+        # is made to fail at every 11th point (a float call raises, an
+        # array call gives a NaN estimate) and to give an infinite
+        # estimate at every 7th
+        corpus = list(companion_corpus())
+        failing_continued_fraction(monkeypatch, {z for _, z in corpus[::11]},
+                                   {z for _, z in corpus[::7]})
+        fractions = fraction_z(monkeypatch)
+        points, want, kinds = [], [], set()
+        for b, z in corpus:
+            basis = RegionIIBasis(b_param=b, sqrt_a1=1.0, y_offset=0.0)
+            try:
+                ker, rg_b, rg_bh = basis.kernels(math.sqrt(z)), basis.rg_b, basis.rg_bh
+            except AccuracyError:
+                continue  # refused before the companion
+            try:
+                want.append([v.hex() for v in _companion(b, 1.0, rg_b, rg_bh, ker)])
+            except TriqError as exc:
+                want.append(["nan", "nan"])
+                kinds.add(type(exc).__name__)
+            points.append((b, 1.0, rg_b, rg_bh, *ker))
+        b, s, rg_b, rg_bh, *ker = (np.array(v) for v in zip(*points))
+        float_fractions = fractions[:]
+        del fractions[:]
+        with np.errstate(all="ignore"):
+            value, deriv = _companion(b, s, rg_b, rg_bh, _Kernels._make(ker))
+        assert [[v.hex(), d.hex()] for v, d in zip(
+            value.tolist(), deriv.tolist())] == want
+        assert fractions == float_fractions
+        # both kinds of refusal, and points on each route
+        assert kinds == {"AccuracyError", "DomainError"}
+        assert 50 < len(fractions) < len(want) - 50
 
 
 def test_transmission_gives_python_floats():
@@ -1927,11 +2010,8 @@ class TestContractsAgainstMpmath:
             except AccuracyError:
                 return None
 
-        rng = random.Random(20165)
         checked = {"subtraction": 0, "continued fraction": 0}
-        for i in range(300):
-            b = rng.uniform(-45.0, 3.0)
-            z = rng.uniform(0.05, 250.0 if i % 2 else 30.0)
+        for b, z in companion_corpus():
             got = evaluated(b, z)
             if got is None:
                 continue
