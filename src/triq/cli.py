@@ -13,11 +13,17 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
-import hashlib
 import math
 import sys
 from dataclasses import dataclass
 from typing import Union
+
+try:
+    # the interpreter's built-in SHA-1 gives the same bits without loading
+    # OpenSSL's libcrypto, several MB of resident memory for one short digest
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
 
 from .bound import spectrum, table1_report
 from .errors import DomainError, TriqError, require_finite
@@ -130,7 +136,7 @@ def config_hash(config: RunConfig) -> str:
     # identifies what is computed, not where it lands: the output path is
     # normalized away so reruns to different files stay byte-identical
     body = render(dataclasses.replace(config, out="")).encode()
-    return hashlib.sha1(b"blob %d\0" % len(body) + body).hexdigest()
+    return sha1(b"blob %d\0" % len(body) + body).hexdigest()
 
 
 def _grid(config: RunConfig) -> list[float]:

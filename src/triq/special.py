@@ -684,24 +684,23 @@ def _airy_array(y, bi_at=True) -> AiryGrid:
 def _airy_series_array(y: np.ndarray):
     """_airy_series over a 1-D array, each element retiring at its own stop.
 
-    Each element does the scalar loop's operations and leaves the live
-    arrays at the term where the scalar loop breaks (or runs out), so it
-    gets the same (f, f', g, g'); y == 0 and a subnormal y, where 1/y
-    overflows, take the scalar loop's exact start.  Overflow and inf * 0
-    are silent, as they are for floats.
+    Every element steps the whole loop; each live one does the scalar
+    loop's operations and has its values written out at the term where
+    the scalar loop breaks (or runs out), so it gets the same
+    (f, f', g, g').  y == 0 and a subnormal y, where 1/y overflows, are
+    never live and keep the scalar loop's exact start.  Overflow and
+    inf * 0 are silent, as they are for floats.
     """
-    out = [np.ones(y.size), np.zeros(y.size), np.zeros(y.size), np.ones(y.size)]
-    live = np.flatnonzero(y != 0.0)
-    yl = y[live]
-    with np.errstate(over="ignore"):
-        y3, inv_y = yl * yl * yl, 1.0 / yl
-    subnormal = np.isinf(inv_y)
-    out[2][live[subnormal]] = yl[subnormal]
-    live, yl, y3, inv_y = (a[~subnormal] for a in (live, yl, y3, inv_y))
-    f, tf, g, tg = np.ones(yl.size), np.ones(yl.size), yl.copy(), yl.copy()
-    fp, gp = np.zeros(yl.size), np.ones(yl.size)
+    with np.errstate(over="ignore", divide="ignore"):
+        y3, inv_y = y * y * y, 1.0 / y
+    live = ~np.isinf(inv_y)
+    # the scalar start: g is y, and +0 at y == -0.0 as well
+    out = [np.ones(y.size), np.zeros(y.size), np.where(y == 0.0, 0.0, y),
+           np.ones(y.size)]
+    f, tf, g, tg = np.ones(y.size), np.ones(y.size), y.copy(), y.copy()
+    fp, gp = np.zeros(y.size), np.ones(y.size)
     for k in range(1, 90):
-        if not live.size:
+        if not live.any():
             break
         three_k = 3.0 * k
         tf *= y3 / (three_k * (three_k - 1.0))
@@ -711,14 +710,11 @@ def _airy_series_array(y: np.ndarray):
         with np.errstate(invalid="ignore"):
             fp += tf * three_k * inv_y
             gp += tg * (three_k + 1.0) * inv_y
-        done = ((np.abs(tf) < _AIRY_STOP * np.abs(f)) & (np.abs(tg) < _AIRY_STOP * np.abs(g))
-                if k < 89 else np.ones(live.size, dtype=bool))
-        if done.any():
-            for o, v in zip(out, (f, fp, g, gp)):
-                o[live[done]] = v[done]
-            keep = ~done
-            live, y3, inv_y, f, tf, g, tg, fp, gp = (
-                a[keep] for a in (live, y3, inv_y, f, tf, g, tg, fp, gp))
+        done = (live & (np.abs(tf) < _AIRY_STOP * np.abs(f))
+                & (np.abs(tg) < _AIRY_STOP * np.abs(g)) if k < 89 else live)
+        for o, v in zip(out, (f, fp, g, gp)):
+            np.copyto(o, v, where=done)
+        live &= ~done
     return out
 
 
@@ -736,17 +732,18 @@ def _airy_march_array(marches):
 def _airy_taylor_step_array(x0, w, wp, h):
     """_airy_taylor_step of every row, each leaving at its own stop rule.
 
-    The local series is kept as its last three coefficients, the only
-    ones the recurrence reads.
+    Every row steps the whole loop and has its values written out at its
+    stop.  The local series is kept as its last three coefficients, the
+    only ones the recurrence reads.
     """
     c_prev, c_cur, c_next = w, wp, 0.5 * x0 * w
     value = w + h * (wp + h * c_next)
     deriv = wp + 2.0 * c_next * h
     hn = h * h
     out_v, out_d = np.empty(w.size), np.empty(w.size)
-    live = np.arange(w.size)
+    live = np.ones(w.size, dtype=bool)
     for n in range(1, 60):
-        if not live.size:
+        if not live.any():
             break
         a_next = (x0 * c_cur + c_prev) / ((n + 1.0) * (n + 2.0))
         hn_next = hn * h
@@ -755,14 +752,12 @@ def _airy_taylor_step_array(x0, w, wp, h):
         deriv += a_next * (n + 2.0) * hn
         hn = hn_next
         c_prev, c_cur, c_next = c_cur, c_next, a_next
-        done = (np.abs(term_v) < _AIRY_STOP * (np.abs(value) + np.abs(deriv) * np.abs(h))
-                if n < 59 else np.ones(live.size, dtype=bool))
-        if done.any():
-            out_v[live[done]], out_d[live[done]] = value[done], deriv[done]
-            keep = ~done
-            live, x0, h, value, deriv, hn, c_prev, c_cur, c_next = (
-                a[keep] for a in (live, x0, h, value, deriv, hn,
-                                  c_prev, c_cur, c_next))
+        done = (live & (np.abs(term_v)
+                        < _AIRY_STOP * (np.abs(value) + np.abs(deriv) * np.abs(h)))
+                if n < 59 else live)
+        np.copyto(out_v, value, where=done)
+        np.copyto(out_d, deriv, where=done)
+        live &= ~done
     return out_v, out_d
 
 

@@ -27,6 +27,8 @@ from triq.cli import (
 )
 from triq.errors import DomainError
 
+from test_special import run_python
+
 SMALL = ["--min", "0.05", "--max", "0.3", "--points", "5"]
 
 
@@ -220,6 +222,36 @@ class TestConfig:
         expect = hashlib.sha1(b"blob %d\0" % len(body) + body).hexdigest()
         assert config_hash(RunConfig()) == expect
         assert config_hash(RunConfig(points=7)) != expect
+
+    def test_run_leaves_hashlib_unloaded(self, tmp_path):
+        # the header hash takes the built-in SHA-1, so a run never loads
+        # OpenSSL's libcrypto
+        code = (
+            "import sys\n"
+            "from triq.cli import main\n"
+            "assert main(['transmission', '--points', '2', '--out', "
+            f"{str(tmp_path / 't.csv')!r}]) == 0\n"
+            "assert main(['validate']) == 0\n"
+            "loaded = {'hashlib', '_hashlib'} & set(sys.modules)\n"
+            "sys.exit(sorted(loaded) or None)\n")
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert (tmp_path / "t.csv").exists()
+
+    def test_hash_without_the_builtin_sha1(self):
+        # an interpreter without _sha1 takes hashlib's, with the same digest
+        configs = (RunConfig(), RunConfig(points=7),
+                   RunConfig(paper_fidelity="t2"))
+        code = (
+            "import sys\n"
+            "sys.modules['_sha1'] = None\n"
+            "from triq.cli import RunConfig, config_hash\n"
+            "assert 'hashlib' in sys.modules\n"
+            f"for config in {configs!r}:\n"
+            "    print(config_hash(config))\n")
+        done = run_python(code)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.split() == [config_hash(c) for c in configs]
 
 
 FIELDS = [field.name for field in dataclasses.fields(RunConfig)]

@@ -45,6 +45,8 @@ from triq.special import (
     _airy_array,
     _airy_asym_neg,
     _airy_asym_pos,
+    _airy_series,
+    _airy_series_array,
     _airy_taylor_step,
     _kummer_m_array,
     _kummer_rerun_array,
@@ -161,6 +163,19 @@ TRICOMI_LARGE_Z_TABLE = [
 
 # U(2.2; 1/2; 14), where the two-term form cancels past the budget
 HYPERU_2_2_14 = 0.0021044460477685400
+
+
+def run_python(code):
+    """Run code in a fresh interpreter that imports this triq; its result.
+
+    pytest has already imported modules a triq run must not load, so what
+    a run loads is only seen out of process.
+    """
+    src = os.path.dirname(os.path.dirname(triq.special.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path},
+                          timeout=60)
 
 
 def envelope(value, derivative, y):
@@ -372,6 +387,13 @@ class TestAiryArray:
         origin = airy_outcomes(0.0)
         assert [airy_outcomes(y) for y in ys] == [origin] * 4
         assert array_outcomes(np.array(ys)) == [origin] * 4
+        # the array kernel takes the scalar loop's exact start, signed
+        # zeros included
+        starts = [0.0, -0.0] + ys
+        grid = _airy_series_array(np.array(starts))
+        for i, y in enumerate(starts):
+            assert [v[i].hex() for v in grid] \
+                == [float(v).hex() for v in _airy_series(y)], y
 
     def test_far_negative_argument_is_refused(self):
         # below the limit the phase misses the contract; both routes refuse
@@ -1226,10 +1248,7 @@ class TestKummerKernelsBitIdentical:
         # the package and its CLI run without the decimal module
         code = ("import sys, triq, triq.cli; "
                 "sys.exit('decimal' in sys.modules)")
-        src = os.path.dirname(os.path.dirname(triq.special.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                              env={**os.environ, "PYTHONPATH": path}, timeout=60)
+        done = run_python(code)
         assert done.returncode == 0, done.stderr
 
     def test_independent_of_the_callers_decimal_context(self):
