@@ -95,8 +95,7 @@ class _Kernels(NamedTuple):
     ones are a series times the constant 1/Gamma(c) (_SERIES_RG).
     One instance per interface feeds _first, _companion and _abbreviations,
     which read y and z from it and nothing else about the point.  Kernels
-    over a grid hold a 1-D array in every field, one entry per point: the x
-    grid of one basis (RegionIIBasis.kernels over an array), or one
+    over a grid hold a 1-D array in every field, one entry per point: one
     interface of every point of a sweep (_interface_kernels).  Grid kernels
     are never split into per-point records; every consumer takes the arrays
     whole.
@@ -168,53 +167,27 @@ class RegionIIBasis:
         except AccuracyError:
             return math.nan
 
-    def kernels(self, x) -> _Kernels:
-        """The four Kummer series at x, a float or a 1-D array of points.
-
-        Over an array each series is summed once for all points
-        (special._kummer_m_array), with every element the double a scalar
-        call gives.  A refused element is NaN; the scalar calls are then
-        made at each such point in order, so the error raised is the one a
-        scalar loop over x raises first.
-        """
-        grid = not _scalar(x)
-        if grid:
-            x = np.asarray(x, dtype=float)
+    def kernels(self, x: float) -> _Kernels:
+        """The four Kummer series at the point x.  A sweep's grid takes
+        its kernels from _interface_kernels instead."""
         y = x + self.y_offset
         z = self.sqrt_a1 * y * y
-        series = [(_kummer_m_array if grid else kummer_m)(b, c, z)
-                  for b, c in zip(_series_b(self.b_param), _SERIES_C)]
-        if grid:
-            refused = np.logical_or.reduce([np.isnan(v) for v in series])
-            for i in np.flatnonzero(refused).tolist():
-                self.kernels(x[i].item())
-        return _kernels_from(y, z, series)
+        return _kernels_from(y, z, [kummer_m(b, c, z) for b, c
+                                    in zip(_series_b(self.b_param), _SERIES_C)])
 
     def first(self, ker: _Kernels) -> tuple[float, float]:
         """(value, d/dx) of the even basis solution at the kernels' point."""
         return _first(self.b_param, self.sqrt_a1, ker)
 
-    def second(self, ker: _Kernels):
-        """(value, d/dx) of the companion solution (signed odd branch),
-        taken by _companion, the one route to Tricomi's U.
-
-        Kernels of Python floats give Python floats, and np.float64 scalars
-        are taken to Python floats.  Grid kernels give two arrays, every
-        element the double the float route gives at that point, NaN where
-        it refuses; the float route is then taken at each NaN point in
-        order, so the error raised is the one a loop of float-route calls
-        raises first.
-        """
-        grid = not _scalar(ker.y)
-        if not grid and type(ker.y) is not float:
+    def second(self, ker: _Kernels) -> tuple[float, float]:
+        """(value, d/dx) of the companion solution (signed odd branch) at
+        the kernels' point, taken by _companion, the one route to
+        Tricomi's U.  np.float64 kernels are taken to Python floats."""
+        if type(ker.y) is not float:
             ker = _Kernels._make(map(float, ker))
         with np.errstate(all="ignore"):
-            value, deriv = _companion(self.b_param, self.sqrt_a1, self.rg_b,
-                                      self.rg_bh, ker)
-        if grid:
-            for i in np.flatnonzero(np.isnan(value)).tolist():
-                self.second(_Kernels._make(f[i] for f in ker))
-        return value, deriv
+            return _companion(self.b_param, self.sqrt_a1, self.rg_b,
+                              self.rg_bh, ker)
 
 
 def _first(b, s, ker: _Kernels):

@@ -121,13 +121,16 @@ class TestGolden:
         # a DomainError row: the zero width, refused before the grid passes
         _golden("transmission --axis a --min 0 --max 1 --points 3",
                 "2f84db97cf128c4a275effa2443661b88aed23ccaa1047c323ab51a9b1fc3a38"),
-        # march-agreement prints worst 3.042e-14, interior-equation
-        # 2.425e-07 and transmission-agreement 3.070e-13 against 4.0e-12.
-        # Before the oracle extrapolated its halving pair: b6285252...,
-        # with 3.005e-14 (6.949e-15 from the step-by-step march before the
-        # product form) and 4.572e-12 against 1.0e-10
+        # march-agreement prints worst 2.629e-15 against 3.0e-14,
+        # interior-equation 1.529e-13 against 2.0e-12 and
+        # transmission-agreement 3.070e-13 against 4.0e-12.  Before the
+        # equation suites marched the oracle (central differences, and
+        # march-agreement at 1e-3 nm): f3393045..., with 3.042e-14 and
+        # 2.425e-07.  Before the oracle extrapolated its halving pair:
+        # b6285252..., with 3.005e-14 (6.949e-15 from the step-by-step
+        # march before the product form) and 4.572e-12 against 1.0e-10
         _golden("validate",
-                "f3393045604ecfa45cce13bfb35b69e940aee87d363b2b10afd7beadb256b32e"),
+                "564a1e840715bbbeaabdb762dff26770eff59cd240d114f78daa10bad5996302"),
     ])
     def test_output_bytes_pinned(self, argv, digest, capsys):
         # every byte of these runs is frozen: a refactor that moves any

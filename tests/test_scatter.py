@@ -93,8 +93,8 @@ class TestRegionIIBasis:
         fn = getattr(basis, which)
         n = 7000
         xs = [BARRIER.a * i / n for i in range(n + 1)]
-        grid = basis.kernels(np.array(xs))
-        values = [fn(point)[0] for point in kernel_points(grid)]
+        values = [fn(point)[0]
+                  for point in kernel_points(grid_kernels(basis, xs))]
         report = ode_residual(xs, values, make_weight(0.1, MASS, BARRIER, U))
         assert report.conclusive
         assert report.residual <= 1e-6
@@ -152,88 +152,44 @@ class TestRegionIIBasis:
             basis.second(basis.kernels(math.sqrt(33.574)))
 
     @pytest.mark.parametrize("E, xs", [
-        (0.1, [i * 1e-3 for i in range(7001)]),  # validate's interior grid
+        (0.1, [i * 1e-3 for i in range(7001)]),  # a dense interior grid
         (2.25, [BARRIER.a * i / 140 for i in range(141)]),  # DD reruns
     ])
     def test_grid_kernels_are_the_scalar_doubles(self, E, xs):
+        # the sweep's grid kernels (_interface_kernels, as grid_kernels
+        # calls it) against kernels(x)
         basis = basis_for(barrier_coefficients(E, MASS, BARRIER, U))
-        grid = basis.kernels(np.array(xs))
+        grid = grid_kernels(basis, xs)
         assert all(isinstance(f, np.ndarray) for f in grid)
         for x, point in zip(xs, kernel_points(grid)):
             assert ([f.hex() for f in point]
                     == [f.hex() for f in basis.kernels(x)]), x
 
-    @pytest.mark.parametrize("zs", [
-        [200.0, 150.4, 148.8, 130.0],  # third series first, at 150.4
-        [200.0, 148.8, 130.0],  # fourth series only, at 148.8
-        [200.0, 130.0],  # all four refuse: the first one's error
-        [200.0, 301.0, 130.0],  # past the envelope
-        [200.0, math.nan, 130.0],  # not finite
-    ])
-    def test_grid_kernels_raise_the_first_scalar_error(self, zs):
-        # b = -40 with the vertex at x = 0, so z = x^2; each series refuses
-        # on its own band of z
-        basis = RegionIIBasis(b_param=-40.0, sqrt_a1=1.0, y_offset=0.0)
-        xs = [math.sqrt(z) for z in zs]
-        first = None
-        for x in xs:
-            try:
-                basis.kernels(x)
-            except TriqError as exc:
-                first = exc
-                break
-        with pytest.raises(type(first)) as grid:
-            basis.kernels(np.array(xs))
-        assert str(grid.value) == str(first)
-
     @pytest.mark.parametrize("E, fractions", [
         (0.1, 2461), (0.8, 6144), (2.25, 5044)])
     def test_grid_second_is_the_point_loop(self, monkeypatch, E, fractions):
-        # validate's interior grid at three energies, where most points at
-        # y > 0 try the continued fraction: every double, and every
-        # continued fraction, of a point loop
+        # the companion over grid kernels of 7001 interior points at three
+        # energies, where most points at y > 0 try the continued fraction:
+        # every double, and every continued fraction, of a point loop
         basis = basis_for(barrier_coefficients(E, MASS, BARRIER, U))
-        grid = basis.kernels(np.array([i * 1e-3 for i in range(7001)]))
+        grid = grid_kernels(basis, [i * 1e-3 for i in range(7001)])
         counts = counted_routes(monkeypatch)
         want = second_outcome(lambda: second_loop(basis, grid))
         assert counts["tricomi"] == fractions
         counts["tricomi"] = 0
-        assert second_outcome(lambda: basis.second(grid)) == want
+        assert second_outcome(lambda: grid_second(basis, grid)) == want
         assert counts["tricomi"] == fractions
 
-    @pytest.mark.parametrize("zs, error", [
-        ([1.0, 4.0, 14.0, 20.0], AccuracyError),  # the guard case, mid-grid
-        ([14.5, 14.0], AccuracyError),  # two refusals: the first one's
-        ([1.0, 14.0, 17.0, 16.0], AccuracyError),  # before a failing route
-        ([1.0, 17.0, 14.0], DomainError),  # a failing route first
-        # the subtraction's 1.9e-6 at z = 9 is within budget, but tries the
-        # continued fraction, whose failure refuses the point
-        ([1.0, 9.0, 17.0], DomainError),
-    ])
-    def test_grid_second_raises_the_first_scalar_error(self, monkeypatch, zs,
-                                                       error):
-        # b = 2.2 with the vertex at x = 0, so z = x^2: z = 14 and 14.5 are
-        # too large for the subtraction form, and there the spied continued
-        # fraction cannot help; at z = 9 and 17 it fails
-        basis = RegionIIBasis(b_param=2.2, sqrt_a1=1.0, y_offset=0.0)
-        failing_continued_fraction(monkeypatch, {9.0, 17.0}, {14.0, 14.5})
-        grid = basis.kernels(np.sqrt(zs))
-        want = second_outcome(lambda: second_loop(basis, grid))
-        assert want[0] == error.__name__
-        if error is DomainError:
-            assert want[1] == f"spied continued-fraction failure at z={zs[1]!r}"
-        assert second_outcome(lambda: basis.second(grid)) == want
-
     def test_grid_second_small_and_numpy_scalar_kernels(self):
-        # empty and one-point grids, and kernels of np.float64 scalars,
-        # which take the float route and give Python floats
+        # empty and one-point grids through the companion, and kernels of
+        # np.float64 scalars, which second() takes to Python floats
         basis = basis_for(barrier_coefficients(2.25, MASS, BARRIER, U))
-        grid = basis.kernels(np.array([0.5, BARRIER.a]))
-        value, deriv = basis.second(_Kernels._make(f[:0] for f in grid))
+        grid = grid_kernels(basis, [0.5, BARRIER.a])
+        value, deriv = grid_second(basis, _Kernels._make(f[:0] for f in grid))
         assert value.shape == deriv.shape == (0,)
         for i, point in enumerate(kernel_points(grid)):
             want = [v.hex() for v in basis.second(point)]
-            one = basis.second(_Kernels._make(f[i:i + 1] for f in grid))
+            one = grid_second(basis, _Kernels._make(f[i:i + 1] for f in grid))
             assert [v.hex() for v in np.concatenate(one).tolist()] == want
             scalars = _Kernels._make(f[i] for f in grid)
             assert all(type(f) is np.float64 for f in scalars)
@@ -656,14 +612,16 @@ class TestInterfaceEvaluatedOnce:
             assert calls == {"scalar": 8, "array": 0}
 
     def test_scalar_airy_only_for_lone_points_and_refusals(self, monkeypatch):
-        # both Airy suites and a sweep of two or more points take Airy from
+        # airy-wronskian and a sweep of two or more points take Airy from
         # the array route, its asymptotic regimes over arrays too; a scalar
-        # call is made only by a lone point, or by the lone route of a point
-        # the grid refuses
+        # call is made only by a lone point, by the lone route of a point
+        # the grid refuses, or by airy-equation at the 8 ends of its marches
         calls = scalar_airy_calls(monkeypatch)
         asym = asymptotic_airy_calls(monkeypatch)
-        triq.validate.suite_airy_wronskian()
         triq.validate.suite_airy_equation()
+        assert calls == [("airy_ai", float(y)) for y in range(-5, 3)]
+        del calls[:]
+        triq.validate.suite_airy_wronskian()
         sweep("E", TestInterfaceEvaluatedOnce.GRID, MASS, BARRIER, U)
         assert calls == []
         assert sorted(set(asym)) == [("_airy_asym_neg", "array"),
@@ -1044,6 +1002,23 @@ def kernel_points(ker):
     for i in range(0, len(ker.y), POINTS_BLOCK):
         block = (f[i:i + POINTS_BLOCK].tolist() for f in ker)
         yield from map(_Kernels._make, zip(*block))
+
+
+def grid_kernels(basis, xs):
+    """Kernels of basis at each x of xs, as arrays: the x = a kernels of
+    _interface_kernels over one point per x, with a = x."""
+    n = len(xs)
+    return triq.scatter._interface_kernels(
+        np.full(n, basis.b_param), np.full(n, basis.sqrt_a1),
+        np.full(n, basis.y_offset), np.array(xs, dtype=float))[1]
+
+
+def grid_second(basis, grid):
+    """(values, derivatives) arrays of the companion over grid kernels,
+    one _companion call, as the sweep makes it."""
+    with np.errstate(all="ignore"):
+        return triq.scatter._companion(basis.b_param, basis.sqrt_a1,
+                                       basis.rg_b, basis.rg_bh, grid)
 
 
 def second_loop(basis, grid):

@@ -21,12 +21,11 @@ import pytest
 
 import triq.scatter
 import triq.special
-import triq.validate
 from triq.errors import AccuracyError, DomainError, TriqError
 from triq.model import (MassParams, PotentialProfile, airy_scale,
                         barrier_coefficients, make_units)
-from triq.scatter import (_SECOND_BUDGET, RegionIIBasis, _companion, _Kernels,
-                          basis_for, sweep)
+from triq.scatter import (_SECOND_BUDGET, _SERIES_C, RegionIIBasis, _companion,
+                          _Kernels, _series_b, basis_for, sweep)
 from triq.special import (
     _AI_NEG_LADDER,
     _AI_POS_LADDER,
@@ -310,7 +309,8 @@ class TestAiryArray:
 
     @pytest.mark.parametrize("ys", [
         [-12.0 + 18.0 * i / 2000.0 for i in range(2001)],  # airy-wronskian
-        [-5.0 + i * 1e-3 for i in range(7001)],            # airy-equation
+        # airy-equation's grid before it marched the oracle instead
+        [-5.0 + i * 1e-3 for i in range(7001)],
     ])
     def test_validate_grids(self, ys):
         assert array_outcomes(np.array(ys)) == [airy_outcomes(y) for y in ys]
@@ -1087,20 +1087,28 @@ def wide_sweep_reruns():
     return sweep_calls(0.02, 2.25, 200)[1]
 
 
-@functools.cache
-def validate_grid_sums():
-    """The plain array sums of validate's interior-equation grid (four
-    series over 7001 points), in order."""
-    return recorded_calls(triq.validate.suite_interior_equation)[0]
-
-
-@functools.cache
-def validate_grid_reruns():
-    """Every rerun input of validate's 7001-point interior grid at 2.25 eV."""
-    basis = basis_for(barrier_coefficients(2.25, MassParams(), PotentialProfile(),
+def interior_grid_series(E):
+    """The four interior Kummer series of the default barrier at E eV over
+    7001 points x = 0, 1e-3, ..., 7 nm, one _kummer_m_array call each."""
+    basis = basis_for(barrier_coefficients(E, MassParams(), PotentialProfile(),
                                            make_units()))
-    return recorded_reruns(
-        lambda: basis.kernels(np.array([i * 1e-3 for i in range(7001)])))
+    y = np.array([i * 1e-3 for i in range(7001)]) + basis.y_offset
+    z = basis.sqrt_a1 * y * y
+    return [_kummer_m_array(b, c, z)
+            for b, c in zip(_series_b(basis.b_param), _SERIES_C)]
+
+
+@functools.cache
+def interior_grid_sums():
+    """The plain array sums of the 7001-point interior grid at 0.1 eV
+    (four series), in order."""
+    return recorded_calls(lambda: interior_grid_series(0.1))[0]
+
+
+@functools.cache
+def interior_grid_reruns():
+    """Every rerun input of the 7001-point interior grid at 2.25 eV."""
+    return recorded_reruns(lambda: interior_grid_series(2.25))
 
 
 # the fixed-point rerun's edge cases
@@ -1151,7 +1159,7 @@ class TestKummerKernelsBitIdentical:
         # double-double ones over every rerun corpus: the same doubles where
         # the sum is kept, a refusal where it is refused, the same errors
         wide = wide_sweep_reruns()
-        grid = validate_grid_reruns()
+        grid = interior_grid_reruns()
         assert len(wide) == 83 and len(grid) == 3472
         grid_sample = random.Random(20163).sample(grid, 500)
         verdicts = []
@@ -1365,7 +1373,7 @@ RERUN_CORPORA = {
     "sweep_subbarrier": lambda: sweep_calls(0.02, 0.44, 200)[1],
     "2.25-3.9 eV": sweep_dd_inputs,
     "box": seeded_box,
-    "interior grid": validate_grid_reruns,
+    "interior grid": interior_grid_reruns,
 }
 
 
@@ -1620,9 +1628,9 @@ class TestKummerSeriesArray:
 
     def test_workload_corpora(self):
         # every plain sum of the 0.02-2.25, 0.02-0.44 and 2.25-3.9 eV
-        # sweeps and of validate's 4 x 7001 interior grid
+        # sweeps and of a 4 x 7001 interior grid at 0.1 eV
         corpora = [sweep_calls(0.02, 2.25, 200)[0], sweep_calls(0.02, 0.44, 200)[0],
-                   sweep_calls(2.25, 3.9, 100)[0], validate_grid_sums()]
+                   sweep_calls(2.25, 3.9, 100)[0], interior_grid_sums()]
         assert [[z.size for _, _, z in calls] for calls in corpora] == \
             [[1600], [1600], [688], [7001] * 4]
         for calls in corpora:

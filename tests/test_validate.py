@@ -1,7 +1,10 @@
 """Suite-runner tests: clean build passes, perturbed constants do not."""
 
+import importlib.util
+import json
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,30 +12,31 @@ import pytest
 import triq.scatter
 import triq.validate
 from triq.errors import AccuracyError
-from triq.special import gamma, recip_gamma
+from triq.special import AiryPair, gamma, recip_gamma
 from triq.validate import info_lines, run_suites
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # worst deviation of every suite, frozen by .hex(): validate prints four
 # digits of each, too few to show a change in the last bits
 FROZEN_WORST = {
     "airy-wronskian": "0x1.3c80000000000p-43",
-    "airy-equation": "0x1.3b5a27828baa9p-22",
+    # airy-equation, kummer-derivative, interior-equation and
+    # march-agreement judge by oracle marches and a contiguous relation;
+    # by central differences, and march-agreement's 1e-3 nm pair, they gave
+    # 0x1.3b5a27828baa9p-22 (2.9e-7), 0x1.89868e730cfd2p-22 (3.7e-7),
+    # 0x1.045b480c93e7fp-22 (2.4e-7) and 0x1.120a0abc46432p-45 (3.0e-14)
+    "airy-equation": "0x1.78b74f27cceb9p-46",
     "gamma-recurrence": "0x1.3000000000000p-47",
-    "kummer-derivative": "0x1.89868e730cfd2p-22",
+    "kummer-derivative": "0x1.ff7ffcf5a7706p-44",
     # the companion's continued fraction moved these three; the large-z
     # recurrence gave 0x1.bb3b5c60d2ce8p-52 (3.8e-16), 0x1.3c46800000000p-33
     # (1.4e-10) and 0x1.77bd340000000p-29 (2.7e-9)
     "tricomi-shift": "0x1.f0b1cc717eb4fp-48",
     "interior-coefficients": "0x1.c000000000000p-51",
-    # numpy's libm moved this one; math's gave 0x1.04330c162c390p-22
-    "interior-equation": "0x1.045b480c93e7fp-22",
+    "interior-equation": "0x1.585172b9a6421p-43",
     "interior-wronskian": "0x1.2e80000000000p-44",
-    # the step-by-step march gave 0x1.f4b6b1a3dc08ep-48 (6.95e-15) and
-    # 0x1.77ba780000000p-29; the product march rounds in another order.
-    # Before the oracle extrapolated its halving pair the product march
-    # gave 0x1.0ea7f151a75ecp-45 (3.005e-14) and 0x1.41ba000000000p-38
-    # (4.572e-12)
-    "march-agreement": "0x1.120a0abc46432p-45",
+    "march-agreement": "0x1.7aeb1ea583eb1p-49",
     # the block solve moved this one; the equilibrated LU gave
     # 0x1.5a20000000000p-42 (3.074e-13)
     "transmission-agreement": "0x1.59a0000000000p-42",
@@ -40,7 +44,7 @@ FROZEN_WORST = {
 }
 
 
-def nan_ai_at(exact, y_nan):
+def nan_ai_grid_at(exact, y_nan):
     """_airy_array with Ai and Ai' NaN at the one sample equal to y_nan."""
     def patched(y):
         grid = exact(y)
@@ -60,21 +64,6 @@ class TestSuites:
             assert math.isfinite(suite.worst) and suite.worst >= 0.0
         assert {s.name: s.worst.hex() for s in results} == FROZEN_WORST
 
-    def test_interior_equation_takes_one_grid_second(self, monkeypatch):
-        # the companion solution over the suite's 7001 points is one
-        # second() call on the grid kernels, never split into points
-        calls = []
-        second = triq.scatter.RegionIIBasis.second
-
-        def spied(basis, ker):
-            calls.append(len(ker.y))
-            return second(basis, ker)
-
-        monkeypatch.setattr(triq.scatter.RegionIIBasis, "second", spied)
-        suite = triq.validate.suite_interior_equation()
-        assert calls == [7001]
-        assert suite.worst.hex() == FROZEN_WORST["interior-equation"]
-
     def test_perturbed_airy_fails_wronskian_only(self, monkeypatch):
         # shift the suites' Ai values by 1e-8; nothing else may react
         exact = triq.validate._airy_array
@@ -91,13 +80,43 @@ class TestSuites:
                 assert suite.passed
 
     def test_nan_airy_sample_fails_the_equation_suite(self, monkeypatch):
-        # one NaN Ai value among the 7001 samples of airy-equation makes
-        # its residual report inconclusive, so the suite fails
-        y_nan = -5.0 + 3500 * 1e-3  # the grid's sample at -1.5
-        monkeypatch.setattr(triq.validate, "_airy_array",
-                            nan_ai_at(triq.validate._airy_array, y_nan))
-        suite = triq.validate.suite_airy_equation()
-        assert suite.worst == math.inf
+        # a NaN Ai at the last segment end, which only ends a march, and
+        # at y = -1, which ends one and seeds the next (whose halving gate
+        # then refuses): either fails airy-equation
+        exact = triq.validate.airy_ai
+        for y_nan in (2.0, -1.0):
+            monkeypatch.setattr(
+                triq.validate, "airy_ai",
+                lambda y, y_nan=y_nan: (AiryPair(math.nan, math.nan)
+                                        if y == y_nan else exact(y)))
+            suite = triq.validate.suite_airy_equation()
+            assert math.isnan(suite.worst), y_nan
+            assert not suite.passed
+
+    def test_relative_error_in_second_fails_the_interior_equation(
+            self, monkeypatch):
+        # a 1e-10 relative error in the companion's value alone reads
+        # 5.7e-11 at the far end of its march, which no homogeneous
+        # residual sees; a uniform factor on both would cancel
+        second = triq.scatter.RegionIIBasis.second
+
+        def planted(basis, ker):
+            value, deriv = second(basis, ker)
+            return value * (1.0 + 1e-10), deriv
+
+        monkeypatch.setattr(triq.scatter.RegionIIBasis, "second", planted)
+        suite = triq.validate.suite_interior_equation()
+        assert suite.worst > 1e-11
+        assert not suite.passed
+
+    def test_parameter_error_in_kummer_fails_the_derivative(self, monkeypatch):
+        # kummer_m off by a factor 1 + 1e-11 b reads 1.3e-10: the three
+        # series of the relation take three different b
+        exact = triq.validate.kummer_m
+        monkeypatch.setattr(triq.validate, "kummer_m",
+                            lambda b, c, z: exact(b, c, z) * (1.0 + 1e-11 * b))
+        suite = triq.validate.suite_kummer_derivative()
+        assert suite.worst > 1e-11
         assert not suite.passed
 
     def test_nan_airy_sample_fails_the_wronskian_suite(self, monkeypatch):
@@ -105,7 +124,7 @@ class TestSuites:
         # drops it would report the clean 1.4e-13 and pass
         y_nan = -12.0 + 18.0 * 1333 / 2000.0  # the grid's sample at -0.003
         monkeypatch.setattr(triq.validate, "_airy_array",
-                            nan_ai_at(triq.validate._airy_array, y_nan))
+                            nan_ai_grid_at(triq.validate._airy_array, y_nan))
         suite = triq.validate.suite_airy_wronskian()
         assert math.isnan(suite.worst)
         assert not suite.passed
@@ -157,6 +176,38 @@ class TestSuites:
             "interior-equation", "interior-wronskian", "march-agreement",
             "transmission-agreement", "bound-residuals",
         ]
+
+
+def bench_tracing():
+    """bench/tracing.py, loaded from its file; bench/ is not a package."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracing", ROOT / "bench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestBenchBindings:
+    """The benchmark wraps functions by name; a name that no longer
+    resolves stops its run."""
+
+    def test_every_traced_function_resolves(self):
+        for label, owner, attr in bench_tracing()._targets():
+            assert callable(getattr(owner, attr, None)), (label, attr)
+
+    def test_suite_functions_match_the_benchmark_metrics(self):
+        # the tracer names a suite by its suite_* function; BENCHMARK.json
+        # lists a validate.<suite>.s metric for each, read only here
+        contract = json.loads((ROOT / "BENCHMARK.json").read_text(
+            encoding="utf-8"))
+        benched = {spec["name"][len("validate."):-len(".s")]
+                   for spec in contract["per_layer"]
+                   if spec["name"].startswith("validate.")
+                   and spec["name"].endswith(".s")}
+        benched.discard("info_lines")
+        suites = set(bench_tracing().SUITES)
+        assert suites == benched
+        assert suites == {s.name for s in run_suites()}
 
 
 class TestInfoLines:
