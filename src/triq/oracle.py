@@ -286,17 +286,9 @@ def integrate(spec: IntegrationSpec, E, mp: MassParams,
 
 
 def halving_march(x0, x1, n, v, d, weight: Weight, friction: bool = False):
-    """(value, derivative, gap) of the gated, extrapolated halving pair
-    (_extrapolated) of 2n and n RK4 steps (_march) from (v, d) at x0 to
-    x1.  Any Weight will do: Weight(1.0, 1.0, 0.0, 0.0, -1.0) is Airy's
-    phi'' = x phi."""
-    return _extrapolated(_march(x0, x1, 2 * n, v, d, weight, friction),
-                         _march(x0, x1, n, v, d, weight, friction))
-
-
-def _extrapolated(fine, coarse):
-    """(value, derivative, gap) of a halving pair: the endpoints (v, d) of
-    2n and of n steps over one range.
+    """(value, derivative, gap) of the halving pair of 2n and n RK4 steps
+    (_march, 2n first) from (v, d) at x0 to x1.  Any Weight will do:
+    Weight(1.0, 1.0, 0.0, 0.0, -1.0) is Airy's phi'' = x phi.
 
     The pair is accepted only if the gap, the larger of its component
     differences over max(|v|, |d|), is within HALVING_GATE; otherwise an
@@ -305,7 +297,8 @@ def _extrapolated(fine, coarse):
     so the pair's leading error term cancels (Hairer, Norsett and Wanner,
     Solving ODEs I, ch. II).
     """
-    (v, d), (cv, cd) = fine, coarse
+    (v, d), (cv, cd) = (_march(x0, x1, 2 * n, v, d, weight, friction),
+                        _march(x0, x1, n, v, d, weight, friction))
     # numpy maxima, so that a NaN in either component fails the gate
     gap = float(np.maximum(abs(v - cv), abs(d - cd))
                 / np.maximum(np.maximum(abs(v), abs(d)), 1e-300))
@@ -374,12 +367,12 @@ def matched_b1(E, mp: MassParams, pp: PotentialProfile,
     a Python float.
 
     The crossing is a halving pair at a step of at most MATCH_STEP,
-    gated and extrapolated (_extrapolated).  Where that pair fails the
-    gate, the pair at half the step is taken, and its refusal is the one
-    raised, so matched_b1 refuses exactly where that pair alone refuses.
-    On the seeded parameter box 3 of the 169 points the closed form
-    solves take it, and on the default barrier the energies from about
-    7.1 eV up.
+    gated and extrapolated (halving_march).  Where that pair fails the
+    gate, the pair at half the step is marched in full, and its refusal
+    is the one raised, so matched_b1 refuses exactly where that pair
+    alone refuses.  On the seeded parameter box 3 of the 169 points the
+    closed form solves take it, and on the default barrier the energies
+    from about 7.1 eV up.
     """
     if pp.kind != "barrier":
         raise DomainError("matched_b1 is a barrier-side check")
@@ -391,20 +384,15 @@ def matched_b1(E, mp: MassParams, pp: PotentialProfile,
     det = k * (ai * bi_d - aip * bi_v)  # = k/pi
     weight = make_weight(E, mp, pp, u)
 
-    def march(n):
-        return _march(pp.a, 0.0, n, tail.value, k * tail.derivative, weight,
-                      False)
+    def cross(step):  # the halving pair at a step of at most step
+        return halving_march(pp.a, 0.0, max(2, math.ceil(pp.a / step)),
+                             tail.value, k * tail.derivative, weight)
 
-    n = max(2, math.ceil(pp.a / MATCH_STEP))
-    middle = march(2 * n)
     try:
-        v, d, _ = _extrapolated(middle, march(n))
+        v, d, _ = cross(MATCH_STEP)
     except AccuracyError:
-        # the pair at half the step, whose coarse march is middle when
-        # the step counts agree; its refusal is the one raised
-        m = max(2, math.ceil(pp.a / (MATCH_STEP / 2.0)))
-        v, d, _ = _extrapolated(march(2 * m),
-                                middle if m == 2 * n else march(m))
+        # the pair at half the step, whose refusal is the one raised
+        v, d, _ = cross(MATCH_STEP / 2.0)
     return (v * k * bi_d - d * bi_v) / det
 
 

@@ -245,23 +245,24 @@ def _companion(b, s, rg_b, rg_bh, ker: _Kernels):
     promise _SECOND_BUDGET the point is refused rather than returned wrong.
 
     b, s = sqrt(a1), rg_b = 1/Gamma(b) and rg_bh = 1/Gamma(b + 1/2) are
-    floats, or arrays with one entry per kernel point (floats shared by an
-    x grid's points).  Kernels of Python floats give Python floats, and a
-    refusal raises its AccuracyError.  Grid kernels give two arrays (the
-    caller silences numpy), every element the float call's double: every
-    point that tries the continued fraction takes it in one tricomi_u_cf
-    call, and a point the float call refuses is NaN, including where the
-    continued fraction fails (a NaN estimate, where the float call
-    raises).  A refusal upstream comes in as NaN and goes out as NaN (a
-    NaN kernel or 1/Gamma tries no continued fraction).
+    floats beside kernels of Python floats, which give Python floats and
+    raise a refusal's AccuracyError.  Beside grid kernels they are arrays
+    with one entry per kernel point, as a sweep's interfaces pass them,
+    and the call gives two arrays (the caller silences numpy), every
+    element the float call's double: every point that tries the continued
+    fraction takes it in one tricomi_u_cf call, and a point the float call
+    refuses is NaN, including where the continued fraction fails (a NaN
+    estimate, where the float call raises).  A refusal upstream comes in
+    as NaN and goes out as NaN (a NaN kernel or 1/Gamma tries no continued
+    fraction).
     """
     y = ker.y
     grid = not _scalar(y)
     u, du_dy, est = _two_term(b, s, rg_b, rg_bh, ker)
     tried = (y > 0.0) & (est > TRICOMI_CF_LEAST)
     if tried.any() if grid else tried:
-        def at(v):  # v at the points that try it; a float is shared
-            return v[tried] if grid and not _scalar(v) else v
+        def at(v):  # v at the points that try it
+            return v[tried] if grid else v
 
         u_cf, du_dz, est_cf = tricomi_u_cf(at(b), _SERIES_C[0], at(ker.z),
                                            at(ker.r_even), at(ker.r_even_d),

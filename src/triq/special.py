@@ -141,12 +141,11 @@ _DD_SPLITTER = 134217729.0
 _U = 2.0 ** -53
 _DD_EXTRACT = 2.0 ** -28
 # _kummer_series_array's blocks: at most this many doubles per buffer, the
-# carried row included, and from _MIN to _MAX terms per block.  A smaller
-# budget cuts validate's 7001-point grid into more, shorter numpy calls
-# (8192 left its four calls no faster than one term per pass); 12288 was
-# 4% faster there but read validate's peak RSS 0.6 MB higher, memory the
-# C allocator kept after the call.  It also bounds each array of a
-# _kummer_rerun_array part (sweep_wide's 83 reruns in two parts of about
+# carried row included, and from _MIN to _MAX terms per block.  A sweep's
+# one call holds 8 series a point: a 200-point sweep's 1600 elements are
+# one part, which starts at 6 rows a block, and a grid past 281 points is
+# summed in parts of at most 2252 elements.  It also bounds each array of
+# a _kummer_rerun_array part (sweep_wide's 83 reruns in two parts of about
 # 0.75 MB at most in all; in three, under 6144, took a third longer)
 _KUMMER_BLOCK_BUDGET = 11264
 _KUMMER_BLOCK_MIN = 4
@@ -1097,16 +1096,12 @@ def _kummer_rerun_array(b, c, z):
 
 
 def _kummer_series_array(b, c, z: np.ndarray):
-    """_kummer_series over a 1-D array of z, every element with the scalar
-    loop's doubles.
-
-    b and c are floats, shared by every element, or arrays of z's shape,
-    one parameter pair per element: validate's x grid passes floats, one
-    call per series, and a transmission sweep passes the 8 series of all
-    its points in one call.  Returns (sum, sum of |terms|, converged);
-    where the scalar loop runs out of terms and raises, converged is False
-    and both sums are NaN.  Overflow and inf - inf are silent, as they are
-    for Python floats.
+    """_kummer_series over 1-D arrays of b, c and z, one parameter pair per
+    element, every element with the scalar loop's doubles: a transmission
+    sweep's _kummer_m_array call passes the 8 series of all its points.
+    Returns (sum, sum of |terms|, converged); where the scalar loop runs
+    out of terms and raises, converged is False and both sums are NaN.
+    Overflow and inf - inf are silent, as they are for Python floats.
 
     The sum runs in blocks: one numpy pass computes B terms of every live
     element, B from 4 to 32 as the live count allows.  A block holds, for
@@ -1139,10 +1134,6 @@ def _kummer_series_array(b, c, z: np.ndarray):
     converged = np.zeros(n, dtype=bool)
     if not n:
         return value, abs_out, converged
-    ks = _KUMMER_K
-    # the factors of r_k that a float parameter fixes, for every k
-    num = None if np.ndim(b) else (b + ks) - 1.0
-    den = None if np.ndim(c) else (c + _KUMMER_K_LESS) * ks
     # term, sum, compensation, sum of |terms| and |term|, one row per term
     work = np.empty((5, _KUMMER_BLOCK_BUDGET))
     parts = -(-n // (_KUMMER_BLOCK_BUDGET // (_KUMMER_BLOCK_MIN + 1)))
@@ -1153,8 +1144,7 @@ def _kummer_series_array(b, c, z: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for lo in range(0, n, step):
             live = np.arange(lo, min(n, lo + step))
-            zl = z[live]
-            bl, cl = (p[live] if np.ndim(p) else p for p in (b, c))
+            zl, bl, cl = z[live], b[live], c[live]
             m = live.size
             work[:4, :m] = ((1.0,), (1.0,), (0.0,), (1.0,))
             k = 1  # the first row's term
@@ -1165,20 +1155,14 @@ def _kummer_series_array(b, c, z: np.ndarray):
                 term, s, comp, abs_sum, mag = (
                     w[:size].reshape(rows + 1, m) for w in work)
                 new, s0, s1, comp1, mag1 = term[1:], s[:-1], s[1:], comp[1:], mag[1:]
-                kk = ks[k - 1:k - 1 + rows]
-                if num is None:
-                    add(bl, kk, new)
-                    new -= 1.0
-                    new *= zl
-                else:
-                    mul(num[k - 1:k - 1 + rows], zl, new)
-                if den is None:
-                    # (c + (k - 1)) k; s1 is written only below
-                    add(cl, _KUMMER_K_LESS[k - 1:k - 1 + rows], s1)
-                    s1 *= kk
-                    new /= s1
-                else:
-                    new /= den[k - 1:k - 1 + rows]
+                kk = _KUMMER_K[k - 1:k - 1 + rows]
+                add(bl, kk, new)
+                new -= 1.0
+                new *= zl
+                # (c + (k - 1)) k; s1 is written only below
+                add(cl, _KUMMER_K_LESS[k - 1:k - 1 + rows], s1)
+                s1 *= kk
+                new /= s1
                 for t0, t1, sa, sb in zip(term, new, s0, s1):
                     mul(t0, t1, t1)
                     add(sa, t1, sb)
@@ -1220,8 +1204,7 @@ def _kummer_series_array(b, c, z: np.ndarray):
                     keep = np.flatnonzero(~hit)
                     if not keep.size or k > _KUMMER_MAX_TERMS:
                         break
-                    live, zl = live[keep], zl[keep]
-                    bl, cl = (p[keep] if np.ndim(p) else p for p in (bl, cl))
+                    live, zl, bl, cl = live[keep], zl[keep], bl[keep], cl[keep]
                     m = keep.size
                     carried.take(keep, axis=1, out=work[:4, :m])
                 else:
@@ -1328,9 +1311,8 @@ def _kummer_m_array(b, c, z):
                     & ~_is_nonpositive_integer(cz)
                     & (np.abs(z) <= KUMMER_ENVELOPE))
     direct = ~refused & (z > 0.0)
-    sums, abs_sums, converged = _kummer_series_array(
-        bz[direct] if np.ndim(b) else b, cz[direct] if np.ndim(c) else c,
-        z[direct])
+    sums, abs_sums, converged = _kummer_series_array(bz[direct], cz[direct],
+                                                     z[direct])
     plain, plain_abs = np.full(z.shape, math.nan), np.full(z.shape, math.nan)
     plain[direct], plain_abs[direct] = sums, abs_sums
     refused[direct] = ~converged
@@ -1423,10 +1405,11 @@ def tricomi_u_cf(b, c, z, m, m_next, rg_b):
     regularized m = M(b; c; z) / Gamma(c) and m_next = M(b + 1; c + 1; z) /
     Gamma(c + 1), and rg_b = 1/Gamma(b).
 
-    Floats for one point, or 1-D arrays with one entry per point (b and
-    rg_b may be floats shared by all), elementwise with the float's
-    doubles; a float divided by zero is taken again as a one-element
-    array, so that it gets numpy's inf or NaN too.  z > 0 and c > 0.
+    Floats for one point, or 1-D arrays with one entry per point,
+    elementwise with the float's doubles; a float divided by zero is taken
+    again with z a one-element array, so that it gets numpy's inf or NaN
+    too.  That retry is the one call in triq that gives a float b beside
+    an array z.  z > 0 and c > 0.
 
     U is the minimal solution of its recurrence in the first parameter
     (DLMF 13.3.7; Temme, Numer. Math. 41, 1983), so the ratio r = U(b + 1)

@@ -726,9 +726,10 @@ class TestStepLadder:
         assert counts == [7000, 3500]
 
     @pytest.mark.parametrize("i, counts", [
-        # the 2e-3 pair's fine march is the 1e-3 pair's coarse one
-        (3, [10924, 5462, 21848]),
-        # ceil(a / 1e-3) is odd: the 1e-3 pair marches its own coarse run
+        # the 1e-3 pair marches its coarse run again, though the 2e-3
+        # pair's fine march took the same steps
+        (3, [10924, 5462, 21848, 10924]),
+        # ceil(a / 1e-3) is odd: the 1e-3 pair's coarse run is its own
         (64, [8466, 4233, 16930, 8465]),
     ])
     def test_failing_pair_falls_back_to_the_1e_3_pair(self, i, counts,

@@ -1015,10 +1015,12 @@ def grid_kernels(basis, xs):
 
 def grid_second(basis, grid):
     """(values, derivatives) arrays of the companion over grid kernels,
-    one _companion call, as the sweep makes it."""
+    one _companion call with b, sqrt(a1) and the 1/Gamma an array entry
+    per point, as the sweep makes it."""
+    per_point = (np.full(len(grid.y), v) for v in
+                 (basis.b_param, basis.sqrt_a1, basis.rg_b, basis.rg_bh))
     with np.errstate(all="ignore"):
-        return triq.scatter._companion(basis.b_param, basis.sqrt_a1,
-                                       basis.rg_b, basis.rg_bh, grid)
+        return triq.scatter._companion(*per_point, grid)
 
 
 def second_loop(basis, grid):

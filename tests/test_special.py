@@ -1511,8 +1511,11 @@ def series_exit(b, c, z):
 
 def array_sums(b, c, z):
     """(sum, sum of |terms|) by .hex() and the converged flag of each element
-    of _kummer_series_array."""
-    value, abs_sum, converged = _kummer_series_array(b, c, np.asarray(z, dtype=float))
+    of _kummer_series_array, a float b or c given to it as an array entry
+    per element, as the sweep passes them."""
+    z = np.asarray(z, dtype=float)
+    b, c = (np.broadcast_to(p, z.shape).astype(float) for p in (b, c))
+    value, abs_sum, converged = _kummer_series_array(b, c, z)
     return list(zip([v.hex() for v in value.tolist()],
                     [v.hex() for v in abs_sum.tolist()], converged.tolist()))
 
@@ -1608,15 +1611,17 @@ class TestKummerSeriesArray:
         assert got[0][2] == (z == 5e-324)
 
     def test_empty_z(self):
-        for b, c in ((0.5, 1.5), (np.array([]), np.array([]))):
-            value, abs_sum, converged = _kummer_series_array(b, c, np.array([]))
-            assert value.shape == abs_sum.shape == converged.shape == (0,)
-            assert value.dtype == abs_sum.dtype == float
-            assert converged.dtype == bool
+        value, abs_sum, converged = _kummer_series_array(*[np.array([])] * 3)
+        assert value.shape == abs_sum.shape == converged.shape == (0,)
+        assert value.dtype == abs_sum.dtype == float
+        assert converged.dtype == bool
 
     @pytest.mark.parametrize("form", ["floats", "float64", "arrays",
                                       "b array", "c array"])
     def test_parameter_forms(self, form):
+        # the block sum takes a parameter pair per element; _kummer_m_array,
+        # the entry that still takes a float b or c, broadcasts it, and each
+        # of its elements is the scalar kummer_m's double or refusal
         rng = random.Random(20182)
         zs = [300.0 * (1.0 - rng.random()) for _ in range(40)]
         b, c = -7.25, 1.5
@@ -1625,6 +1630,10 @@ class TestKummerSeriesArray:
         b, c = {"floats": (b, c), "float64": (np.float64(b), np.float64(c)),
                 "arrays": (bs, cs), "b array": (bs, c), "c array": (b, cs)}[form]
         assert array_sums(b, c, zs) == scalar_sums(b, c, zs)
+        values = _kummer_m_array(b, c, np.array(zs)).tolist()
+        points = zip(*(np.broadcast_to(p, len(zs)).tolist() for p in (b, c, zs)))
+        assert [array_outcome(v) for v in values] == \
+            [refused_or_hex(scalar_outcome(*p)) for p in points]
 
     def test_workload_corpora(self):
         # every plain sum of the 0.02-2.25, 0.02-0.44 and 2.25-3.9 eV
